@@ -41,6 +41,10 @@ class LocalClusterResult:
     rejoined: List[str] = field(default_factory=list)
     #: Workers that left through churn and never returned.
     churned_out: List[str] = field(default_factory=list)
+    #: Expected survivors (neither killed nor churned out) whose
+    #: :class:`WorkerOutcome` never reached the driver.  Non-empty means the
+    #: run cannot claim termination, whatever the reporting workers said.
+    missing_outcomes: List[str] = field(default_factory=list)
     #: Total worker-seconds spent unavailable to churn (wall clock).
     unavailable_time: float = 0.0
     wall_time: float = 0.0
@@ -67,7 +71,10 @@ class LocalClusterResult:
 
     @property
     def surviving_terminated(self) -> bool:
-        """True when every surviving worker detected termination."""
+        """True when every surviving worker reported in and detected
+        termination — never a verdict over "whoever reported"."""
+        if self.missing_outcomes:
+            return False
         departed = self._departed()
         survivors = [o for name, o in self.outcomes.items() if name not in departed]
         return bool(survivors) and all(o.terminated for o in survivors)
@@ -100,6 +107,10 @@ class LocalClusterResult:
 
 class LocalCluster:
     """Spawns and supervises a small cluster of real worker processes."""
+
+    #: Once every process has exited, how long the driver's link may stay
+    #: silent before outcomes still missing are declared lost.
+    _QUIESCENT_SECONDS = 0.2
 
     def __init__(
         self,
@@ -332,6 +343,9 @@ class LocalCluster:
                     args={"worker": name, "mode": churn_mode},
                 )
 
+        def expected_survivors() -> set:
+            return {n for n in self.names if n not in killed and n not in churn_down}
+
         try:
             while time.monotonic() < deadline:
                 while pending_kills and time.monotonic() >= pending_kills[0][0]:
@@ -358,11 +372,11 @@ class LocalCluster:
                         churn_return(name)
                     else:
                         raise ValueError(f"unknown churn action {action!r}")
-                while driver_end.poll(0.05):
+                if driver_end.poll(0.05):
                     try:
                         envelope = recv_envelope(driver_end)
                     except (EOFError, OSError):
-                        break
+                        break  # the fabric is gone; nothing more can arrive
                     except WireFormatError:
                         continue
                     if isinstance(envelope.payload, WorkerOutcome):
@@ -373,13 +387,15 @@ class LocalCluster:
                     # A scheduled leave/return is still due; completion can
                     # only be judged once the churn process has played out.
                     continue
-                expected = {
-                    n for n in self.names if n not in killed and n not in churn_down
-                }
-                if expected.issubset(result.outcomes.keys()):
+                # Checked after every frame, so the run ends with the last
+                # expected outcome rather than one empty poll later.
+                if expected_survivors().issubset(result.outcomes.keys()):
                     break
                 if all(not p.is_alive() for p in processes.values()):
-                    break
+                    # Every process has exited: keep reading while frames
+                    # still trickle out of the router, then give up.
+                    if not driver_end.poll(self._QUIESCENT_SECONDS):
+                        break
         finally:
             # Completion time excludes transport/process teardown below.
             result.wall_time = time.monotonic() - start
@@ -410,6 +426,16 @@ class LocalCluster:
             # A worker that left and never came back is not a survivor; any
             # outcome it managed to flush before leaving must not count.
             result.outcomes.pop(name, None)
+        expected = expected_survivors()
+        result.missing_outcomes = sorted(expected - result.outcomes.keys())
+        if result.missing_outcomes:
+            logger.warning(
+                "no outcome from %d of %d expected workers (%s): the run is "
+                "reported as not terminated",
+                len(result.missing_outcomes),
+                len(expected),
+                ", ".join(result.missing_outcomes),
+            )
         result.unavailable_time = unavailable_time + sum(
             max(0.0, result.wall_time - (down_at - start)) for down_at in churn_down.values()
         )

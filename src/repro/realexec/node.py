@@ -373,10 +373,14 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             # Starved workers use their spare capacity to converge the
             # completed-table views: deltas at generation 2, whole snapshots
             # at generation 1 (the paper's literal behaviour).
-            now_wall = time.monotonic()
-            if peers and (now_wall - last_gossip) >= config.gossip_interval and len(tracker.table):
+            now = time.monotonic()
+            if peers and (now - last_gossip) >= config.gossip_interval and len(tracker.table):
                 target = rng.choice(peers)
-                last_gossip = now_wall
+                last_gossip = now
+                # One clock per process in the trace: the span is stamped
+                # with the tracer's own (wall) clock; the monotonic clock
+                # above only paces the gossip interval.
+                span_start = tracer.now() if tracer is not None else 0.0
                 gossip_kind = None
                 if config.wire_generation >= 2:
                     gossip_delta = tracker.build_delta_snapshot(target, best=my_best())
@@ -389,8 +393,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 if gossip_kind is not None and tracer is not None:
                     tracer.span(
                         gossip_kind,
-                        now_wall,
-                        time.time() - now_wall if time.time() > now_wall else 0.0,
+                        span_start,
+                        max(0.0, tracer.now() - span_start),
                         category="gossip",
                         args={"target": target},
                     )
@@ -472,6 +476,10 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             ),
         )
     send("__driver__", outcome_message)
+    # Teardown is outcome -> half-close -> drain to EOF: on the stream
+    # transports ``close`` keeps reading (and discarding) the peers' late
+    # reports and acks until the router has forwarded the outcome and closed
+    # its side, so the kernel never resets the connection over it.
     try:
         connection.close()
     except OSError:  # pragma: no cover

@@ -332,8 +332,12 @@ class StreamConnection:
     recovered from the byte stream via :func:`frame_extent`: ``poll`` is
     true once a *complete* frame is buffered, ``recv_bytes`` returns exactly
     one frame.  Sends are plain ``sendall`` — a worker blocking on a slow
-    router mirrors a worker blocking on a full pipe.
+    router mirrors a worker blocking on a full pipe; :meth:`close` is the
+    worker's half of the lossless-teardown contract.
     """
+
+    #: Upper bound (seconds) :meth:`close` waits for the router's EOF.
+    CLOSE_LINGER = 1.0
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
@@ -354,17 +358,17 @@ class StreamConnection:
             return len(self._rbuf)
 
     def poll(self, timeout: Optional[float] = 0.0) -> bool:
-        """True once a complete frame (or EOF) is ready for ``recv_bytes``."""
+        """True once a complete frame (or EOF) is ready for ``recv_bytes``.
+
+        ``poll(0)`` is one non-blocking read attempt, exactly like a pipe
+        Connection's: whatever the kernel already holds is pulled into the
+        buffer, so a busy worker that never blocks still sees its traffic.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._buffered_frame() is not None or self._eof:
                 return True
-            if deadline is None:
-                wait: Optional[float] = None
-            else:
-                wait = deadline - time.monotonic()
-                if wait < 0:
-                    return False
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
             readable, _, _ = select.select([self._sock], [], [], wait)
             if not readable:
                 return False
@@ -406,6 +410,25 @@ class StreamConnection:
                 self._rbuf += chunk
 
     def close(self) -> None:
+        """Lossless teardown: half-close, drain to EOF, then close.
+
+        Closing a socket with unread inbound data makes the kernel answer
+        with RST, which can discard what this side sent last (a worker's
+        outcome) before the router has read it.  So: ``shutdown(SHUT_WR)``
+        delivers everything sent plus EOF, then inbound bytes are read and
+        discarded until the router closes its side — which it does once it
+        has forwarded our last frame — or :attr:`CLOSE_LINGER` expires.
+        """
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + self.CLOSE_LINGER
+            while not self._eof:
+                wait = deadline - time.monotonic()
+                if wait <= 0 or not select.select([self._sock], [], [], wait)[0]:
+                    break
+                self._eof = not self._sock.recv(STREAM_CHUNK)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - platform dependent
@@ -760,7 +783,7 @@ class PipeRouter(EnvelopeRouter):
 class _StreamPeer:
     """Per-connection state of the stream router's event loop."""
 
-    __slots__ = ("sock", "name", "rbuf", "wbuf", "identified", "identify_by")
+    __slots__ = ("sock", "name", "rbuf", "wbuf", "identified", "identify_by", "write_dead")
 
     def __init__(self, sock: socket.socket, identify_by: float) -> None:
         self.sock = sock
@@ -768,6 +791,11 @@ class _StreamPeer:
         self.rbuf = bytearray()
         self.wbuf = bytearray()
         self.identified = False
+        #: Set once a send to this peer failed: nothing more is written to
+        #: it, but it is still *read* until EOF — a finishing worker's last
+        #: frames are usually still in flight when its peers' late traffic
+        #: bounces off it.
+        self.write_dead = False
         #: Monotonic deadline for the identity preamble to arrive.
         self.identify_by = identify_by
 
@@ -801,6 +829,12 @@ class StreamRouter(EnvelopeRouter):
       frozen (SIGSTOP) worker's buffer is full, further frames to *it* are
       dropped and counted, and every other link keeps flowing.  The
       driver-maintained :attr:`paused` set short-circuits the same way.
+    * **lossless teardown** — a failed send makes a link *write-dead*
+      (later frames to it count as dropped) but never read-dead: the peer
+      is read until EOF and every complete frame it sent is forwarded
+      before the connection is detached.  Together with
+      :meth:`StreamConnection.close` (half-close, then drain) a finishing
+      worker's last word always reaches its destination.
 
     Subclasses supply the listener socket (:meth:`_create_listener`), the
     worker endpoint (:meth:`_make_endpoint`) and per-socket options
@@ -1026,9 +1060,11 @@ class StreamRouter(EnvelopeRouter):
         except BlockingIOError:  # pragma: no cover - spurious wakeup
             return
         except OSError:
-            self._detach(peer)
-            return
+            chunk = b""
         if not chunk:
+            # EOF (or reset): whatever arrived complete is still forwarded.
+            if peer.identified:
+                self._pump_frames(peer)
             self._detach(peer)
             return
         peer.rbuf += chunk
@@ -1132,7 +1168,10 @@ class StreamRouter(EnvelopeRouter):
         self._account(sender, dest, tag, len(frame), forward_start)
 
     def _enqueue(self, peer: _StreamPeer, frame: bytes) -> bool:
-        """Queue ``frame`` for ``peer``; False when backpressure drops it."""
+        """Queue ``frame`` for ``peer``; False when it has to be dropped
+        (write-dead link or backpressure)."""
+        if peer.write_dead:
+            return False
         if peer.wbuf:
             if len(peer.wbuf) + len(frame) > self.WRITE_BUFFER_LIMIT:
                 return False
@@ -1145,7 +1184,7 @@ class StreamRouter(EnvelopeRouter):
         except BlockingIOError:
             sent = 0
         except OSError:
-            self._detach(peer)
+            self._mark_write_dead(peer)
             return False
         if sent < len(frame):
             peer.wbuf += frame[sent:]
@@ -1159,11 +1198,23 @@ class StreamRouter(EnvelopeRouter):
             except BlockingIOError:  # pragma: no cover - spurious wakeup
                 return
             except OSError:
-                self._detach(peer)
+                self._mark_write_dead(peer)
                 return
             del peer.wbuf[:sent]
         if not peer.wbuf:
             self._set_write_interest(peer, False)
+
+    def _mark_write_dead(self, peer: _StreamPeer) -> None:
+        """A send to ``peer`` failed: stop writing to it, keep reading it.
+
+        The link is never read-dead before EOF — detaching here would close
+        the socket over frames the peer sent before it went away (its
+        :class:`~repro.realexec.node.WorkerOutcome`, typically).  Like
+        :class:`PipeRouter`, a failed send only costs the frame.
+        """
+        peer.write_dead = True
+        del peer.wbuf[:]
+        self._set_write_interest(peer, False)
 
     def _set_write_interest(self, peer: _StreamPeer, on: bool) -> None:
         selector = self._selector

@@ -597,6 +597,7 @@ class RealexecBackend:
         for name in departed:
             workers.setdefault(name, WorkerSummary(name=name, crashed=True))
         survivors = [w for w in workers.values() if not w.crashed]
+        total_nodes_expanded = sum(w.nodes_expanded for w in workers.values())
         scenario_result = ScenarioResult(
             scenario=scenario.name,
             backend=self.name,
@@ -606,7 +607,10 @@ class RealexecBackend:
             reference_optimum=result.reference_optimum,
             terminated=result.surviving_terminated,
             crashed_workers=tuple(result.killed) + tuple(result.churned_out),
-            total_nodes_expanded=sum(w.nodes_expanded for w in workers.values()),
+            total_nodes_expanded=total_nodes_expanded,
+            # Every expansion beyond one per tree node was done twice
+            # somewhere (pruning can push the total below the tree size).
+            redundant_nodes_expanded=max(0, total_nodes_expanded - len(tree)),
             recoveries=sum(w.recoveries for w in survivors),
             rejoins=len(result.rejoined),
             unavailable_time=result.unavailable_time,

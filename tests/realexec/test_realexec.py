@@ -661,6 +661,144 @@ class TestTcpTransport:
         router.stop()
 
 
+class _WritesFail:
+    """Socket stand-in whose sends fail while reads (and fileno) still work."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def send(self, data):
+        raise BrokenPipeError("peer went away")
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.mark.parametrize("transport", ["uds", "tcp"])
+class TestStreamConnectionContract:
+    """The connection contract of the uds/tcp fabric: ``poll(0)`` is one
+    non-blocking read, and teardown never loses a frame a peer sent."""
+
+    @staticmethod
+    def _frame(sender, dest):
+        return Envelope(sender, dest, WorkRequest(requester=sender))
+
+    def test_poll_zero_reads_what_the_router_delivered(self, transport):
+        from repro.realexec.transport import create_router
+
+        router = create_router(transport)
+        endpoint_a = router.add_worker("a")
+        endpoint_b = router.add_worker("b")
+        router.start()
+        try:
+            conn_a = endpoint_a.connect()
+            conn_b = endpoint_b.connect()
+            assert conn_b.poll(0) is False  # empty link: no frame, no block
+            send_envelope(conn_a, self._frame("a", "b"))
+            _wait_for(lambda: router.forwarded == 1)
+            # The frame sits in b's kernel buffer; a busy worker only ever
+            # polls with 0 and must still see it.
+            _wait_for(lambda: conn_b.poll(0), timeout=1.0)
+            assert conn_b.poll(0) is True
+            assert recv_envelope(conn_b).sender == "a"
+            assert conn_b.poll(0) is False
+            conn_a.close()
+            conn_b.close()
+        finally:
+            router.stop()
+
+    def test_failed_write_keeps_reading_the_peer(self, transport):
+        """A link goes write-dead, never read-dead: the frame a peer sent
+        before half-closing is forwarded although writes to it fail."""
+        import socket as socket_mod
+
+        from repro.realexec.transport import create_router
+
+        router = create_router(transport)
+        leaving_endpoint = router.add_worker("leaving")
+        sink_endpoint = router.add_worker("sink")
+        router.start()
+        try:
+            leaving = leaving_endpoint.connect()
+            sink = sink_endpoint.connect()
+            _wait_for(lambda: {"leaving", "sink"} <= set(router._parent_ends))
+            peer = router._parent_ends["leaving"]
+            peer.sock = _WritesFail(peer.sock)
+            for _ in range(3):  # late traffic bouncing off the leaving peer
+                send_envelope(sink, self._frame("sink", "leaving"))
+            _wait_for(lambda: router.dropped == 3)
+            assert router.dropped == 3 and router.forwarded == 0
+            assert router._parent_ends.get("leaving") is peer  # still attached
+            # The leaving peer's last word, then its half-close.
+            send_envelope(leaving, self._frame("leaving", "sink"))
+            leaving._sock.shutdown(socket_mod.SHUT_WR)
+            assert sink.poll(2.0)
+            assert recv_envelope(sink).sender == "leaving"
+            _wait_for(lambda: "leaving" not in router._parent_ends)
+            assert "leaving" not in router._parent_ends  # detached at EOF
+            leaving.close()
+            sink.close()
+        finally:
+            router.stop()
+        assert router.forwarded == 1
+        assert router.dropped == 3
+
+    def test_frames_buffered_at_eof_are_forwarded(self, transport):
+        """A peer that identifies, sends and closes before the router ever
+        reads it still has every complete frame forwarded."""
+        from repro.realexec.transport import create_router, encode_envelope
+
+        router = create_router(transport)
+        hasty_endpoint = router.add_worker("hasty")
+        sink_endpoint = router.add_worker("sink")
+        if transport == "uds":
+            # uds binds its listener in start(); tcp already did.
+            router.start()
+        hasty = hasty_endpoint.connect()
+        frames = b"".join(
+            encode_envelope(self._frame("hasty", "sink")) for _ in range(3)
+        )
+        # Three whole frames and half of a fourth, then gone.
+        hasty.send_bytes(frames + encode_envelope(self._frame("hasty", "sink"))[:4])
+        hasty.close()
+        router.start()
+        try:
+            sink = sink_endpoint.connect()
+            for _ in range(3):
+                assert sink.poll(2.0)
+                assert recv_envelope(sink).sender == "hasty"
+            assert sink.poll(0.1) is False  # the partial frame is not a frame
+            sink.close()
+        finally:
+            router.stop()
+        assert router.forwarded == 3
+
+    def test_close_drains_until_the_router_hangs_up(self, transport):
+        """Worker teardown is send -> half-close -> drain: the last frame
+        arrives although the worker closes with unread inbound traffic."""
+        from repro.realexec.transport import create_router
+
+        router = create_router(transport)
+        worker_endpoint = router.add_worker("worker")
+        driver_endpoint = router.add_worker("driver")
+        router.start()
+        try:
+            worker = worker_endpoint.connect()
+            driver = driver_endpoint.connect()
+            for _ in range(50):  # inbound traffic the worker never reads
+                send_envelope(driver, self._frame("driver", "worker"))
+            _wait_for(lambda: router.forwarded == 50)
+            send_envelope(worker, self._frame("worker", "driver"))
+            started = time.monotonic()
+            worker.close()
+            assert time.monotonic() - started < worker.CLOSE_LINGER
+            assert driver.poll(2.0)
+            assert recv_envelope(driver).sender == "worker"
+            driver.close()
+        finally:
+            router.stop()
+
+
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
 class TestLocalClusterOverTcp:
     def test_three_process_run_over_tcp(self, small_tree):
@@ -673,9 +811,36 @@ class TestLocalClusterOverTcp:
         assert result.bytes_forwarded > 0
         assert result.bytes_by_kind.get("work_report", 0) > 0
 
+    def test_traced_tcp_run_keeps_one_clock_per_process(self, small_tree):
+        """Trace invariants: every exported span starts at or after the
+        cluster start, has a non-negative duration and lies inside the
+        driver's ``run`` span (regression: the gossip span mixed a
+        ``time.monotonic()`` start into the ``time.time`` tracer)."""
+        from repro.obs import TelemetryConfig
+
+        cluster = LocalCluster(
+            small_tree, 4, prune=False, max_seconds=40.0, node_sleep=0.01,
+            transport="tcp", telemetry=TelemetryConfig(),
+        )
+        result = cluster.run()
+        assert result.surviving_terminated
+        records = list(result.telemetry.tracer.iter_records())
+        (run,) = [
+            r for r in records if r["process"] == "driver" and r["name"] == "run"
+        ]
+        # The router may finish accounting the very last forward a moment
+        # after the driver stopped its clock; nothing else may overshoot.
+        run_end = run["ts"] + run["dur"] + 0.25
+        assert any(r["category"] == "gossip" for r in records)
+        for record in records:
+            duration = record.get("dur", 0.0)
+            assert record["ts"] >= 0.0, record
+            assert duration >= 0.0, record
+            assert record["ts"] + duration <= run_end, record
+
 
 @contextmanager
-def _capture_transport_warnings():
+def _capture_transport_warnings(logger_name="repro.realexec.transport"):
     """Collect WARNING+ records from the transport logger, handler-attached.
 
     ``caplog`` relies on propagation to the root logger, which
@@ -688,7 +853,7 @@ def _capture_transport_warnings():
     records = []
     handler = logging.Handler(level=logging.WARNING)
     handler.emit = records.append
-    logger = logging.getLogger("repro.realexec.transport")
+    logger = logging.getLogger(logger_name)
     previous_level = logger.level
     logger.setLevel(logging.WARNING)
     logger.addHandler(handler)
@@ -834,3 +999,77 @@ class TestSigstopIsolation:
             assert p99 is not None and p99 <= 0.1, (
                 f"link {link} p99 regressed to {p99}"
             )
+
+
+class _SpyConnection:
+    """Wraps the driver's connection and logs each ``poll``/``recv_bytes``."""
+
+    def __init__(self, connection, log):
+        self._connection = connection
+        self._log = log
+
+    def poll(self, timeout=0.0):
+        ready = self._connection.poll(timeout)
+        self._log.append("poll")
+        return ready
+
+    def recv_bytes(self):
+        data = self._connection.recv_bytes()
+        self._log.append("recv")
+        return data
+
+    def close(self):
+        self._connection.close()
+
+
+@pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
+@pytest.mark.parametrize("transport", ["pipe", "tcp"])
+class TestDriverAccountsForEveryWorker:
+    def test_silent_worker_is_named_and_fails_the_run(
+        self, small_tree, transport, monkeypatch
+    ):
+        """No success over "whoever reported": a survivor without an outcome
+        is listed, logged, and makes the run not terminated."""
+        import repro.realexec.driver as driver_mod
+        from repro.realexec.transport import resolve_connection
+
+        real_main = driver_mod.worker_main
+
+        def main_with_one_mute(config, endpoint):
+            if config.name == "rworker-02":
+                # Dials in like everyone else, then leaves without a word.
+                resolve_connection(endpoint).close()
+                return
+            real_main(config, endpoint)
+
+        monkeypatch.setattr(driver_mod, "worker_main", main_with_one_mute)
+        cluster = LocalCluster(
+            small_tree, 3, prune=False, max_seconds=40.0, transport=transport
+        )
+        with _capture_transport_warnings("repro.realexec.driver") as records:
+            result = cluster.run()
+        assert result.missing_outcomes == ["rworker-02"]
+        assert sorted(result.outcomes) == ["rworker-00", "rworker-01"]
+        assert all(outcome.terminated for outcome in result.outcomes.values())
+        assert not result.surviving_terminated
+        assert any("rworker-02" in record.getMessage() for record in records)
+
+    def test_collection_stops_with_the_last_expected_outcome(
+        self, small_tree, transport, monkeypatch
+    ):
+        """The run ends on the frame that completes the expected set, not
+        one empty 50 ms poll later."""
+        import repro.realexec.driver as driver_mod
+
+        log = []
+        real_resolve = driver_mod.resolve_connection
+        monkeypatch.setattr(
+            driver_mod,
+            "resolve_connection",
+            lambda handle: _SpyConnection(real_resolve(handle), log),
+        )
+        result = LocalCluster(
+            small_tree, 3, prune=False, max_seconds=40.0, transport=transport
+        ).run()
+        assert len(result.outcomes) == 3
+        assert log[-1] == "recv"

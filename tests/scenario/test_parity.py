@@ -4,8 +4,10 @@ The acceptance bar of the unified Scenario API: the same frozen
 :class:`~repro.scenario.spec.Scenario` runs unmodified on all four backends
 and returns a :class:`~repro.scenario.result.ScenarioResult` with an
 identical schema; the three simulated backends agree on the optimal solution
-value and terminate; the realexec backend is smoke-tested on the quickstart
-scenario over the ``pipe``, ``uds`` and ``tcp`` transports.
+value and terminate; the realexec backend runs the quickstart scenario over
+the ``pipe``, ``uds`` and ``tcp`` transports, where the rows also check the
+head-count (every worker reported) and the work it took (nobody redid the
+tree), plus a 16-worker teardown stress on the stream transports.
 """
 
 import sys
@@ -178,9 +180,13 @@ class TestRealexecSmoke:
 
     @pytest.mark.parametrize("transport", ["pipe", "uds", "tcp"])
     def test_quickstart_scenario_runs(self, transport):
+        # ``node_sleep`` makes the run long enough (~0.4 s) that the tree is
+        # actually shared — and that a transport which starves busy workers
+        # of their traffic would show up as everybody redoing everything.
         scenario = get_scenario("quickstart").with_overrides(
-            failures=(), transport=transport, max_seconds=40.0
+            failures=(), transport=transport, max_seconds=40.0, node_sleep=0.005
         )
+        tree_nodes = len(scenario.build_tree())
         result = run_scenario(scenario, backend="realexec")
         assert result.backend == "realexec"
         assert result.terminated
@@ -188,6 +194,36 @@ class TestRealexecSmoke:
         assert result.raw.transport == transport
         assert result.bytes_total > 0
         assert sum(result.bytes_by_kind.values()) == result.bytes_total
+        # Head-count and work, not just optimum + termination.
+        assert result.raw.missing_outcomes == []
+        assert len(result.raw.outcomes) == scenario.n_workers
+        assert result.total_nodes_expanded <= 1.5 * tree_nodes
+        assert max(w.nodes_expanded for w in result.workers.values()) < tree_nodes
+
+    @pytest.mark.parametrize("transport", ["uds", "tcp"])
+    def test_sixteen_worker_stress_collects_every_outcome(self, transport):
+        """Workers that share a small tree finish within milliseconds of
+        each other while peers still send them reports and acks — the
+        teardown race that used to lose outcomes.  Every rep must collect
+        16/16 outcomes, each holding the optimum."""
+        for rep in range(5):
+            scenario = Scenario(
+                name=f"realexec-stress-{transport}-{rep}",
+                workload=WorkloadSpec(kind="random", nodes=61, mean_node_time=0.005, seed=23),
+                n_workers=16,
+                seed=rep,
+                transport=transport,
+                node_sleep=0.005,
+                max_seconds=30.0,
+            )
+            result = run_scenario(scenario, backend="realexec")
+            assert result.raw.missing_outcomes == [], (transport, rep)
+            assert len(result.raw.outcomes) == 16, (transport, rep)
+            assert result.terminated, (transport, rep)
+            for name, outcome in result.raw.outcomes.items():
+                assert outcome.best_value == pytest.approx(
+                    result.reference_optimum
+                ), (transport, rep, name)
 
     def test_realexec_summary_schema_matches_simulated(self):
         real = run_scenario(

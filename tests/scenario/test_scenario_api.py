@@ -168,6 +168,56 @@ class TestResultSchema:
         assert isinstance(result.raw, RunResult)
 
 
+class TestRealexecResultMapping:
+    """``RealexecBackend`` maps a ``LocalClusterResult`` without running one."""
+
+    @staticmethod
+    def _run_with_outcomes(monkeypatch, expansions, **result_fields):
+        from repro.realexec.driver import LocalCluster, LocalClusterResult
+        from repro.realexec.node import WorkerOutcome
+
+        scenario = Scenario(
+            name="mapping",
+            workload=WorkloadSpec(kind="random", nodes=41, mean_node_time=0.0, seed=2),
+            n_workers=len(expansions),
+        )
+        tree = scenario.build_tree()
+
+        def fake_run(self, **_kwargs):
+            outcomes = {
+                name: WorkerOutcome(
+                    name=name, terminated=True, best_value=tree.optimal_value(),
+                    nodes_expanded=count, reports_sent=1, recoveries=0,
+                )
+                for name, count in zip(self.names, expansions)
+                if count is not None
+            }
+            return LocalClusterResult(
+                n_workers=self.n_workers, outcomes=outcomes,
+                reference_optimum=tree.optimal_value(), **result_fields,
+            )
+
+        monkeypatch.setattr(LocalCluster, "run", fake_run)
+        return len(tree), run_scenario(scenario, backend="realexec")
+
+    def test_redundant_work_is_the_excess_over_the_tree(self, monkeypatch):
+        nodes, result = self._run_with_outcomes(monkeypatch, [41, 41, 20])
+        assert result.total_nodes_expanded == 102
+        assert result.redundant_nodes_expanded == 102 - nodes
+        assert result.redundant_work_fraction() == pytest.approx((102 - nodes) / 102)
+
+    def test_pruned_run_has_no_negative_redundancy(self, monkeypatch):
+        _nodes, result = self._run_with_outcomes(monkeypatch, [10, 12])
+        assert result.redundant_nodes_expanded == 0
+        assert result.redundant_work_fraction() == 0.0
+
+    def test_missing_outcome_is_not_termination(self, monkeypatch):
+        _nodes, result = self._run_with_outcomes(
+            monkeypatch, [20, 21, None], missing_outcomes=["rworker-02"]
+        )
+        assert not result.terminated
+
+
 class TestCli:
     def test_list_scenarios(self, capsys):
         assert cli_main(["list-scenarios"]) == 0
