@@ -40,7 +40,7 @@ from ..core.encoding import ROOT, PathCode
 from ..simulation.engine import SimulationEngine
 from ..simulation.entity import Entity, QueuedMessage
 from ..simulation.failures import CrashEvent, FailureInjector
-from ..simulation.network import LatencyModel, Network, Partition
+from ..simulation.network import Network
 from ..simulation.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -408,8 +408,6 @@ def run_dib_simulation(
     *,
     failures: Sequence[CrashEvent] = (),
     seed: int = 0,
-    latency: Optional[LatencyModel] = None,
-    loss_probability: float = 0.0,
     network: Optional["NetworkConfig"] = None,
     max_sim_time: float = 10_000.0,
     redo_timeout: float = 5.0,
@@ -422,27 +420,22 @@ def run_dib_simulation(
     detecting termination).
 
     ``network`` takes a full :class:`~repro.distributed.runner.NetworkConfig`
-    (latency, loss *and* partitions) and supersedes the older ``latency`` /
-    ``loss_probability`` keywords, which are kept as deprecated shims for one
-    release.  This function itself is superseded by the unified Scenario API
+    (latency, loss *and* partitions); ``None`` is the paper's lossless
+    network.  This function itself is superseded by the unified Scenario API
     (``repro.scenario``, backend ``"dib"``); prefer that for experiments.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
-    partitions: Sequence[Partition] = ()
-    if network is not None:
-        latency = network.latency
-        loss_probability = network.loss_probability
-        partitions = network.partitions
     rng = RngRegistry(seed)
     engine = SimulationEngine()
-    net = Network(
-        engine,
-        latency=latency if latency is not None else LatencyModel.paper_default(),
-        loss_probability=loss_probability,
-        partitions=partitions,
-        rng=rng.stream("network"),
-    )
+    link = {}  # Network's own defaults are the paper's lossless network
+    if network is not None:
+        link = dict(
+            latency=network.latency,
+            loss_probability=network.loss_probability,
+            partitions=network.partitions,
+        )
+    net = Network(engine, rng=rng.stream("network"), **link)
     net.classify = dib_message_kind
 
     names = dib_worker_names(n_workers)

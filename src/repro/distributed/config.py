@@ -49,8 +49,11 @@ class AlgorithmConfig:
     flush_report_when_idle: bool = True
     #: Interval between full-table gossip pushes to one random member (s).
     table_gossip_interval: Optional[float] = 30.0
-    #: When starved, push the full table to a random member at the idle-poll
-    #: cadence instead of waiting for the regular interval.  Idle processes
+    #: When starved, push the table to a random member without waiting for
+    #: the regular interval: at most once per ``idle_poll_interval`` (the
+    #: floor) and, for coarse-grained work, once per quarter of the measured
+    #: node cost — a table cannot gain news faster than nodes complete
+    #: (``IDLE_GOSSIP_NODE_COST_FRACTION`` in ``worker.py``).  Idle processes
     #: have spare capacity, and converging the completed-table views quickly
     #: is exactly what lets them detect termination instead of redoing work.
     table_gossip_when_idle: bool = True
@@ -78,6 +81,8 @@ class AlgorithmConfig:
     #: Give up on a work request after this long without an answer (s).
     work_request_timeout: float = 0.25
     #: How often an idle worker re-polls (retry requests, suspect loss) (s).
+    #: Also the floor of the starved-worker table push, which node cost
+    #: paces above it (see ``table_gossip_when_idle``).
     idle_poll_interval: float = 0.1
     #: Minimum pause between consecutive work requests from a starving worker.
     #: Without it a burst of immediate denials makes the worker suspect loss

@@ -39,6 +39,12 @@ class WorkerRunStats:
     gossip_acks_sent: int = 0
     #: Per-peer gossip views dropped after membership declared the peer dead.
     gossip_views_pruned: int = 0
+    #: Completed codes received in reports, snapshots and deltas, and how
+    #: many of them the table already covered: ``(received − redundant) ÷
+    #: received`` is the share of what dissemination shipped here that was
+    #: news.
+    codes_received: int = 0
+    codes_received_redundant: int = 0
     work_requests_sent: int = 0
     work_grants_sent: int = 0
     work_denials_sent: int = 0
@@ -88,6 +94,8 @@ class WorkerRunStats:
             "delta_gossips_suppressed": self.delta_gossips_suppressed,
             "gossip_acks_sent": self.gossip_acks_sent,
             "gossip_views_pruned": self.gossip_views_pruned,
+            "codes_received": self.codes_received,
+            "codes_received_redundant": self.codes_received_redundant,
             "work_requests_sent": self.work_requests_sent,
             "work_grants_sent": self.work_grants_sent,
             "work_denials_sent": self.work_denials_sent,

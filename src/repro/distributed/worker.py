@@ -69,6 +69,18 @@ __all__ = ["PeerRoster", "WorkerEntity", "DELTA_BYTES_BUCKETS"]
 #: Histogram buckets for gossip-delta wire sizes (bytes).
 DELTA_BYTES_BUCKETS = (64, 256, 1024, 4096, 16384, 65536)
 
+#: A starved worker pushes its table at most once per this fraction of its
+#: measured node cost (never faster than ``idle_poll_interval``).  A table
+#: gains a locally completed code at most once per node cost, so more than
+#: a few pushes per node time mostly re-ship what the peer already heard
+#: from someone else: at 100 workers × 3.35 s nodes the 0.1 s poll cadence
+#: delivered 5.7 % novel codes, this one 22 %, for 30 % of the bytes.  The
+#: knee of the measured sweep is 0.2–0.5; 0.25 is the cheapest value whose
+#: speedup and work ratio stayed within 6 % of the poll cadence's on every
+#: one of 18 seeds.  Gossip also repairs lost reports, so a larger value
+#: costs work under message loss (docs/ARCHITECTURE.md has both sweeps).
+IDLE_GOSSIP_NODE_COST_FRACTION = 0.25
+
 
 class PeerRoster(_SequenceABC):
     """Constant-memory sequence view of "every member except me".
@@ -293,6 +305,10 @@ class WorkerEntity(Entity):
         self._views_pruned_base = 0
         #: Recovery activations accumulated by policies discarded on restart.
         self._recoveries_base = 0
+        #: ``codes_received`` / ``redundant_codes_received`` accumulated by
+        #: trackers discarded on restart.
+        self._codes_received_base = 0
+        self._codes_redundant_base = 0
         self._unavailable_since: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -574,6 +590,8 @@ class WorkerEntity(Entity):
         self._known_incarnations[self.name] = self.incarnation
         self._views_pruned_base += self.tracker.gossip_views_pruned
         self._recoveries_base += self.recovery.stats.activations
+        self._codes_received_base += self.tracker.codes_received
+        self._codes_redundant_base += self.tracker.redundant_codes_received
         arena = self.tracker.arena
         self.pool = SubproblemPool(
             self.config.selection_rule, minimize=self.problem.minimize
@@ -969,6 +987,13 @@ class WorkerEntity(Entity):
         threshold = max(base, adaptive)
         return threshold if threshold > 0 else None
 
+    def _idle_gossip_interval(self) -> float:
+        """Minimum pause between a starved worker's table pushes (granularity-aware)."""
+        return max(
+            self.config.idle_poll_interval,
+            IDLE_GOSSIP_NODE_COST_FRACTION * self._avg_node_cost,
+        )
+
     def _bootstrap_timeout(self) -> float:
         """Starvation a blank worker must endure before regenerating the root."""
         if self.config.recovery_bootstrap_timeout is not None:
@@ -1031,11 +1056,12 @@ class WorkerEntity(Entity):
 
         # Starved workers have spare capacity: use it to converge the
         # completed-table views, which is what unblocks termination detection
-        # (and prevents needless recovery of work that is already done).
+        # (and prevents needless recovery of work that is already done) —
+        # paced by how fast news can exist, not by how often we poll.
         if (
             self.config.table_gossip_when_idle
             and self.peers
-            and (now - self._last_table_gossip) >= self.config.idle_poll_interval
+            and (now - self._last_table_gossip) >= self._idle_gossip_interval()
         ):
             cost += self._send_table_gossip(now)
 
@@ -1225,6 +1251,12 @@ class WorkerEntity(Entity):
             self._recoveries_base + self.recovery.stats.activations
         )
         self._sync_views_pruned()
+        self.stats.codes_received = (
+            self._codes_received_base + self.tracker.codes_received
+        )
+        self.stats.codes_received_redundant = (
+            self._codes_redundant_base + self.tracker.redundant_codes_received
+        )
         self.stats.entity_steps = self._steps
         if self._unavailable_since is not None:
             # Left and never returned: close the window at the crash time so

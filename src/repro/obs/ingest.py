@@ -49,6 +49,8 @@ _WORKER_COUNTERS = (
     "delta_gossips_suppressed",
     "gossip_acks_sent",
     "gossip_views_pruned",
+    "codes_received",
+    "codes_received_redundant",
     "work_requests_sent",
     "work_grants_sent",
     "work_denials_sent",

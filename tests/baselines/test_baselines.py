@@ -116,3 +116,12 @@ class TestDibBaseline:
         _tree, problem = workload
         with pytest.raises(ValueError):
             run_dib_simulation(problem, 0)
+
+
+@pytest.mark.parametrize("runner", [run_central_simulation, run_dib_simulation])
+@pytest.mark.parametrize("keyword", ["latency", "loss_probability"])
+def test_expired_network_keywords_are_rejected(workload, runner, keyword):
+    """``network=NetworkConfig(...)`` is the only spelling; the shims are gone."""
+    _tree, problem = workload
+    with pytest.raises(TypeError):
+        runner(problem, 2, **{keyword: None})

@@ -22,10 +22,14 @@ import pytest
 from repro.bnb.pool import SelectionRule
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
 from repro.distributed.config import AlgorithmConfig
-from repro.distributed.runner import DistributedBnBSimulation, run_tree_simulation
+from repro.distributed.runner import (
+    DistributedBnBSimulation,
+    NetworkConfig,
+    run_tree_simulation,
+)
 from repro.distributed.worker import DELTA_BYTES_BUCKETS
 from repro.obs import MetricsRegistry, TelemetryConfig
-from repro.simulation.failures import ChurnInjector
+from repro.simulation.failures import ChurnInjector, CrashEvent
 
 
 def small_tree(seed=51):
@@ -248,3 +252,54 @@ class TestChurnObservability:
         other.histogram("gossip_delta_bytes", buckets=(1, 2, 3)).observe(2)
         with pytest.raises(ValueError):
             other.merge_snapshot(snapshot)
+
+
+class TestCoarseGrainLiveness:
+    """Coarse grain paces the starved-worker table push by node cost, well
+    above the idle poll.  Outcomes must not depend on that cadence: under
+    loss, a permanent crash and a restart-mode rejoin, every survivor still
+    detects termination with the optimum and the rejoiner still converges
+    through delta first contact.  Speed is deliberately not asserted —
+    coarse grain under loss redoes a lot of work at any cadence."""
+
+    NODE_COST = 1.0
+    N_WORKERS = 16
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_crash_loss_and_rejoin_still_terminate_with_the_optimum(self, seed):
+        cost = self.NODE_COST
+        tree = generate_random_tree(
+            RandomTreeSpec(
+                nodes=151, mean_node_time=cost, seed=200 + seed, name="coarse-tree"
+            )
+        )
+        result = run_tree_simulation(
+            tree,
+            self.N_WORKERS,
+            config=AlgorithmConfig(failure_detector=True, termination_echo=True),
+            network=NetworkConfig(loss_probability=0.05),
+            seed=seed,
+            prune=False,
+            compute_uniprocessor_time=False,
+            failures=[CrashEvent(15.0 * cost, "worker-05")],
+            churn_events=[
+                (5.0 * cost, "worker-02", "leave"),
+                (12.0 * cost, "worker-02", "return"),
+            ],
+            churn_mode="restart",
+        )
+        assert result.solved_correctly
+        assert result.crashed_workers == ["worker-05"]
+        assert result.workers["worker-05"].crashed_at < result.makespan
+        optimum = tree.optimal_value()
+        for name, stats in result.workers.items():
+            if name == "worker-05":
+                continue
+            assert stats.terminated, name
+            assert stats.best_value == pytest.approx(optimum), name
+        rejoiner = result.workers["worker-02"]
+        assert rejoiner.leaves == 1 and rejoiner.rejoins == 1
+        # The rejoiner came back blank and was caught up by deltas alone.
+        assert sum(s.table_gossips_sent for s in result.workers.values()) == 0
+        assert result.bytes_by_kind.get("table_gossip", 0) == 0
+        assert result.bytes_by_kind.get("delta_gossip", 0) > 0

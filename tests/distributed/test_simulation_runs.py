@@ -312,3 +312,27 @@ class TestAblationFlags:
                                      granularity=5.0)
         assert coarse.makespan > fine.makespan
         assert coarse.solved_correctly
+
+
+class TestFailureFreeGossipCost:
+    """Coarse grain, many idle workers: table pushes must mostly carry news."""
+
+    @pytest.fixture(scope="class")
+    def floor_tree(self):
+        from repro.analysis.figures import table1_tree
+
+        # table1_tree's floor: 1,001 nodes x 3.35 s (the ledger's
+        # sim-table1-100w tree).
+        return table1_tree(scale=0.0125, seed=7)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_coarse_grain_gossip_is_cheap_and_mostly_news(self, floor_tree, seed):
+        result = run_tree_simulation(floor_tree, 32, seed=seed, prune=False)
+        assert result.solved_correctly
+        assert all(stats.terminated for stats in result.workers.values())
+        # Pushing at the 0.1 s poll cadence cost 3.5-4.5 kB per node here, a
+        # tenth of it news; paced by node cost it is ~1.6-1.8 kB, a third news.
+        assert result.total_bytes_sent / len(floor_tree) <= 2500
+        received = sum(s.codes_received for s in result.workers.values())
+        redundant = sum(s.codes_received_redundant for s in result.workers.values())
+        assert (received - redundant) / received >= 0.20

@@ -15,15 +15,22 @@ from repro.distributed.messages import (
     WorkReportMsg,
     WorkRequest,
 )
-from repro.distributed.worker import WorkerEntity
+from repro.distributed.worker import IDLE_GOSSIP_NODE_COST_FRACTION, WorkerEntity
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.network import Network
 from repro.simulation.rng import RngRegistry
 
 
-def make_worker_pair(n_workers=2, **config_overrides):
-    """Two (or more) workers wired to a real engine/network, not yet started."""
+def make_worker_pair(
+    n_workers=2, *, expected_node_cost=None, with_root=True, **config_overrides
+):
+    """Two (or more) workers wired to a real engine/network, not yet started.
+
+    ``w0`` holds the root unless ``with_root`` is off (then everybody starves);
+    ``expected_node_cost`` overrides the tree's mean node time as the a-priori
+    cost estimate.
+    """
     tree = generate_random_tree(
         RandomTreeSpec(nodes=31, mean_node_time=0.01, seed=5, name="unit-tree")
     )
@@ -45,8 +52,14 @@ def make_worker_pair(n_workers=2, **config_overrides):
             names,
             rng=rng.stream(name),
             metrics=metrics,
-            initial_work=[problem.root_subproblem()] if index == 0 else [],
-            expected_node_cost=tree.mean_node_time(),
+            initial_work=(
+                [problem.root_subproblem()] if with_root and index == 0 else []
+            ),
+            expected_node_cost=(
+                tree.mean_node_time()
+                if expected_node_cost is None
+                else expected_node_cost
+            ),
         )
         network.register(worker)
         workers.append(worker)
@@ -172,6 +185,21 @@ class TestWorkerLifecycle:
         assert "bb" in stats.time and stats.time["bb"] > 0
         assert stats.storage_peak_bytes > 0
 
+    def test_received_code_counters_survive_a_restart(self):
+        engine, network, problem, tree, (w0, w1) = make_worker_pair()
+        from repro.simulation.entity import QueuedMessage
+
+        msg = WorkReportMsg(WorkReport.build("w0", [ROOT.child(0, 1)]))
+        delivery = QueuedMessage("w0", msg, 0.0, 0.0, msg.wire_size())
+        w1._handle_message(delivery)
+        w1._handle_message(delivery)  # the same code again: redundant
+        w1.reset_for_rejoin()  # the tracker that counted those is discarded
+        w1._handle_message(delivery)  # news again to the blank table
+        stats = w1.finalize_stats()
+        assert (stats.codes_received, stats.codes_received_redundant) == (3, 1)
+        row = stats.as_dict()
+        assert (row["codes_received"], row["codes_received_redundant"]) == (3, 1)
+
     def test_single_worker_group_recovers_alone(self):
         engine, network, problem, tree, (w0,) = make_worker_pair(n_workers=1)
         w0.on_start()
@@ -216,3 +244,53 @@ class TestStepFastPath:
         assert not w0._report_work_due(0.0)  # below threshold, no staleness
         w0.tracker.record_completed(ROOT.child(0, 1), now=0.0)
         assert w0._report_work_due(0.0)  # threshold reached
+
+
+class TestIdleGossipCadence:
+    """The starved-worker table push is floored by the poll, paced by node cost."""
+
+    STARVED_SECONDS = 10.0
+
+    def _push_times(self, expected_node_cost):
+        """Times at which a starved worker attempted a table push."""
+        engine, network, problem, tree, (w0, w1) = make_worker_pair(
+            expected_node_cost=expected_node_cost,
+            with_root=False,
+            # Nobody ever has work: keep the blank workers from regenerating
+            # the root so the whole window is starvation.
+            recovery_bootstrap_timeout=1e9,
+        )
+        times = []
+        send_table_gossip = w1._send_table_gossip
+
+        def recording(now):
+            times.append(now)
+            return send_table_gossip(now)
+
+        w1._send_table_gossip = recording
+        w0.on_start()
+        w1.on_start()
+        engine.run(until=self.STARVED_SECONDS)
+        # Every attempt is accounted for: shipped, or suppressed as empty.
+        assert len(times) == (
+            w1.stats.delta_gossips_sent + w1.stats.delta_gossips_suppressed
+        )
+        return times, w1.config.idle_poll_interval
+
+    def test_coarse_grain_pushes_are_paced_by_node_cost(self):
+        times, poll = self._push_times(3.35)
+        pace = IDLE_GOSSIP_NODE_COST_FRACTION * 3.35
+        assert pace > poll
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert min(gaps) >= pace
+        assert len(times) <= self.STARVED_SECONDS / pace + 1
+        # Paced, not switched off: the next poll after the pace still pushes.
+        assert max(gaps) <= pace + 2 * poll
+
+    def test_fine_grain_pushes_keep_the_poll_cadence(self):
+        # A fraction of 0.01 s is far below the poll interval, so the floor
+        # decides — this is what keeps the fine-grain runs bit-identical.
+        times, poll = self._push_times(0.01)
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert len(times) >= 0.95 * self.STARVED_SECONDS / poll
+        assert max(gaps) <= 1.5 * poll

@@ -52,6 +52,18 @@ class TestSimulatedTelemetry:
         assert "engine_events_processed" in families
         assert "net_bytes_sent" in families
         assert "worker_nodes_expanded" in families
+        # How much of what dissemination shipped was news is readable from
+        # the registry alone, and agrees with the per-worker records.
+        for name in ("codes_received", "codes_received_redundant"):
+            ingested = sum(
+                value
+                for key, value in counters.items()
+                if key.split("{")[0] == f"worker_{name}"
+            )
+            assert ingested == sum(
+                getattr(stats, name) for stats in result.raw.workers.values()
+            )
+            assert ingested > 0
 
     def test_metrics_only_config_skips_tracer(self):
         result = run_scenario(
