@@ -8,8 +8,19 @@ complements its completed-code table, picks an uncompleted subtree, recreates
 the corresponding subproblem from its self-contained code, and solves it
 (Section 5.3.2).
 
-This "suspect on starvation" rule trades redundant work for simplicity: a slow
-work report, a lost message, or a temporarily partitioned network can make a
+Starvation alone is weak evidence when many processes are idle at once: with
+100 workers sharing a 1,001-node tree most of them are starved most of the
+time while the computation is perfectly healthy.  So this policy suspects
+loss only when *progress has stalled*: the failed-request threshold must be
+met, and the process must have been starved for ``idle_time_threshold``
+without its table learning anything new.  Every merge that teaches the table
+a code it did not cover restarts that clock (:meth:`RecoveryPolicy.note_progress`);
+a process that keeps hearing of completions elsewhere is watching the tree
+shrink, not a lost subproblem.  After a real loss the news stops once the
+survivors finish what they hold, and the clock then runs out as before.
+
+Suspecting loss still trades redundant work for simplicity: a slow work
+report, a lost message, or a temporarily partitioned network can make a
 healthy subproblem look lost.  The paper identifies two mitigations, both
 implemented here:
 
@@ -89,7 +100,8 @@ class RecoveryPolicy:
         tries to get work").
     idle_time_threshold:
         Optional additional condition: minimum simulated time the process must
-        have been starved before recovery may run.  ``None`` disables it.
+        have been starved, with no news (see :meth:`note_progress`), before
+        recovery may run.  ``None`` disables it.
     strategy:
         Candidate-selection strategy (see :class:`SelectionStrategy`).
     """
@@ -127,6 +139,15 @@ class RecoveryPolicy:
         """A work request was denied or timed out while the pool was empty."""
         self._consecutive_failures += 1
         if self._starved_since is None:
+            self._starved_since = now
+
+    def note_progress(self, now: float) -> None:
+        """The table learned a code it did not cover: progress has not stalled.
+
+        Restarts the starvation clock behind ``idle_time_threshold`` (when it
+        is running); the failed-request count is left alone.
+        """
+        if self._starved_since is not None:
             self._starved_since = now
 
     @property

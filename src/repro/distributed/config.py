@@ -78,7 +78,11 @@ class AlgorithmConfig:
     lb_donation_max: int = 4
     #: Donate roughly this fraction of the pool (bounded by lb_donation_max).
     lb_donation_fraction: float = 0.5
-    #: Give up on a work request after this long without an answer (s).
+    #: Give up on a work request after this long without an answer (s), and
+    #: count it as a failed attempt.  The worker waits at least its average
+    #: node cost, because a busy donor reads requests only between nodes.  A
+    #: late grant is accepted; a late denial still counts as a failure but
+    #: cannot free the slot of a request sent to another peer since.
     work_request_timeout: float = 0.25
     #: How often an idle worker re-polls (retry requests, suspect loss) (s).
     #: Also the floor of the starved-worker table push, which node cost
@@ -119,9 +123,13 @@ class AlgorithmConfig:
     recovery_idle_threshold: Optional[float] = None
     #: Additional adaptive starvation floor: loss is suspected only after the
     #: worker has been starved for at least this many times its recent average
-    #: node cost.  This is the paper's "how soon failure is suspected" knob,
-    #: made granularity-aware so the same configuration behaves sensibly for
-    #: 0.01 s and 3.47 s subproblems.
+    #: node cost *with no news* — every merge that teaches its table a new
+    #: code restarts the clock, so a worker that keeps hearing of completions
+    #: elsewhere does not mistake idleness for loss.  This is the paper's "how
+    #: soon failure is suspected" knob, made granularity-aware so the same
+    #: configuration behaves sensibly for 0.01 s and 3.47 s subproblems.  A
+    #: worker with no node cost to scale by (none expected, none measured)
+    #: uses the ``recovery_bootstrap_timeout`` floor instead.
     recovery_idle_cost_factor: float = 3.0
     #: A worker that has never done any work and knows of no completed work
     #: cannot tell "work was lost" from "work has not reached me yet", so it

@@ -9,11 +9,12 @@ Section 5 of the paper:
   does ("each process, after it has solved a B&B subproblem, checks to see
   whether any messages are pending");
 * on-demand load balancing: a starving worker asks a randomly chosen member
-  for work, the receiver donates part of its pool if it has "enough";
+  for work, the receiver donates part of its pool if it has "enough", and
+  the requester waits up to one node time for a busy receiver's answer;
 * the fault-tolerance mechanism: completed codes are tracked and gossiped as
   compressed work reports, received reports are merged and contracted, and a
-  worker that stays starved complements its table and regenerates an
-  uncompleted subproblem from its self-contained code;
+  worker that stays starved with no news complements its table and
+  regenerates an uncompleted subproblem from its self-contained code;
 * table dissemination: occasional table gossip to one random member — by
   default as per-peer *deltas* (only the codes the chosen peer is not known
   to cover, acknowledged with digest echoes; see
@@ -837,7 +838,13 @@ class WorkerEntity(Entity):
         if isinstance(payload, WorkGrant):
             return self._charge("load_balancing", receive_cost) + self._accept_work_grant(payload)
         if isinstance(payload, WorkDenied):
-            self._outstanding_request = None
+            # Only the donor asked last can free the request slot: a busy
+            # donor reads a request at its next expansion boundary, so its
+            # denial can arrive after the request timed out and another
+            # victim was asked.  It still counts as a failed attempt.
+            outstanding = self._outstanding_request
+            if outstanding is not None and outstanding[0] == payload.donor:
+                self._outstanding_request = None
             self.recovery.note_request_failed(now)
             return self._charge("load_balancing", receive_cost)
         if isinstance(payload, WorkReportMsg):
@@ -864,7 +871,8 @@ class WorkerEntity(Entity):
     def _merge_report(self, msg: WorkReportMsg) -> float:
         now = self._now()
         before_ops = self.tracker.table.stats.elementary_operations()
-        self.tracker.merge_report(msg.report)
+        if self.tracker.merge_report(msg.report):
+            self.recovery.note_progress(now)
         if self.config.delta_gossip:
             # Reverse-channel learning: the sender provably covers every code
             # it just reported, so future deltas to it can skip them.
@@ -880,7 +888,8 @@ class WorkerEntity(Entity):
     def _merge_snapshot(self, msg: TableGossipMsg) -> float:
         now = self._now()
         before_ops = self.tracker.table.stats.elementary_operations()
-        self.tracker.merge_snapshot(msg.snapshot)
+        if self.tracker.merge_snapshot(msg.snapshot):
+            self.recovery.note_progress(now)
         if self.config.delta_gossip:
             self.tracker.note_peer_covers(msg.snapshot.sender, msg.snapshot.codes)
         self.termination.observe_report(msg.snapshot.as_report(), now)
@@ -894,7 +903,8 @@ class WorkerEntity(Entity):
         now = self._now()
         delta = msg.delta
         before_ops = self.tracker.table.stats.elementary_operations()
-        self.tracker.merge_delta(delta)
+        if self.tracker.merge_delta(delta):
+            self.recovery.note_progress(now)
         self.tracker.note_peer_covers(delta.sender, delta.codes)
         self.termination.observe_report(delta.as_report(), now)
         ops = self.tracker.table.stats.elementary_operations() - before_ops
@@ -983,7 +993,14 @@ class WorkerEntity(Entity):
     def _effective_idle_threshold(self) -> Optional[float]:
         """Starvation time required before loss is suspected (granularity-aware)."""
         base = self.config.recovery_idle_threshold or 0.0
-        adaptive = self.config.recovery_idle_cost_factor * self._avg_node_cost
+        factor = self.config.recovery_idle_cost_factor
+        if factor > 0 and self._avg_node_cost <= 0:
+            # No node cost measured or expected yet, so nothing to scale the
+            # floor by: wait the blank-worker floor for stalled progress
+            # rather than suspect loss on failed requests alone.
+            adaptive = self._bootstrap_timeout()
+        else:
+            adaptive = factor * self._avg_node_cost
         threshold = max(base, adaptive)
         return threshold if threshold > 0 else None
 
@@ -993,6 +1010,15 @@ class WorkerEntity(Entity):
             self.config.idle_poll_interval,
             IDLE_GOSSIP_NODE_COST_FRACTION * self._avg_node_cost,
         )
+
+    def _work_request_timeout(self) -> float:
+        """How long a request may go unanswered before it counts as failed.
+
+        A busy peer reads its inbox only between node expansions, so its
+        answer can take up to one node time: giving up sooner just asks
+        another peer while the first answer is still on its way.
+        """
+        return max(self.config.work_request_timeout, self._avg_node_cost)
 
     def _bootstrap_timeout(self) -> float:
         """Starvation a blank worker must endure before regenerating the root."""
@@ -1076,7 +1102,7 @@ class WorkerEntity(Entity):
             self._request_seq += 1
             self._outstanding_request = (victim, now, self._request_seq)
             self._last_lb_attempt = now
-            self.set_timer(self.config.work_request_timeout, f"lb-timeout:{self._request_seq}")
+            self.set_timer(self._work_request_timeout(), f"lb-timeout:{self._request_seq}")
             cost += self._charge("load_balancing", self.config.msg_send_cost)
         self._trace_state("load_balancing")
         return cost

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs import get_logger
+from ..transport_names import TRANSPORT_NAMES, validate_transport
 from ..wire import FRAME_VERSION, WireFormatError, decode, encode
 from ..wire.frame import Tag, TruncatedFrameError, read_header, register
 from ..wire.varint import read_string, read_uvarint, write_string, write_uvarint
@@ -1332,26 +1333,9 @@ class TcpRouter(StreamRouter):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
-#: Registered transports, by the name ``LocalCluster``/``Scenario`` select.
-TRANSPORTS = {
-    "pipe": PipeRouter,
-    "uds": UdsRouter,
-    "tcp": TcpRouter,
-}
-
-
-def validate_transport(transport: str) -> str:
-    """Check a transport name against the registry; returns it unchanged.
-
-    The single validation point — ``Scenario``, ``LocalCluster`` and
-    :func:`create_router` all call this, so registering a new transport in
-    :data:`TRANSPORTS` is the only change needed to make it selectable.
-    """
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r} (known: {', '.join(sorted(TRANSPORTS))})"
-        )
-    return transport
+#: Registered transports: the router behind each name of
+#: :data:`repro.transport_names.TRANSPORT_NAMES`, the one list of names.
+TRANSPORTS = dict(zip(TRANSPORT_NAMES, (PipeRouter, UdsRouter, TcpRouter), strict=True))
 
 
 def create_router(transport: str) -> EnvelopeRouter:

@@ -35,6 +35,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from ..obs import TelemetryConfig, configure_logging, get_logger
+from ..transport_names import TRANSPORT_NAMES
 from .backends import backend_names, compare_backends, run_scenario
 from .registry import get_scenario, list_scenarios
 from .result import format_comparison
@@ -123,17 +124,11 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario.with_overrides(**changes) if changes else scenario
 
 
-def _transport_names() -> tuple:
-    from ..realexec.transport import TRANSPORTS
-
-    return tuple(sorted(TRANSPORTS))
-
-
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, help="override the worker count")
     parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument(
-        "--transport", choices=_transport_names(), help="realexec transport override"
+        "--transport", choices=sorted(TRANSPORT_NAMES), help="realexec transport override"
     )
     parser.add_argument(
         "--scale", type=float, help="multiply the workload scale (e.g. 0.1 for a quick run)"

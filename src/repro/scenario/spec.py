@@ -31,6 +31,7 @@ from ..bnb.pool import SelectionRule
 from ..distributed.config import AlgorithmConfig
 from ..distributed.runner import NetworkConfig, worker_names
 from ..obs import TelemetryConfig
+from ..transport_names import validate_transport
 
 __all__ = [
     "WorkloadSpec",
@@ -509,10 +510,6 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        # The valid transports live in one place: the realexec registry
-        # (imported lazily — the spec layer stays import-light).
-        from ..realexec.transport import validate_transport
-
         validate_transport(self.transport)
         if self.wire_generations is not None and len(self.wire_generations) != self.n_workers:
             raise ValueError("wire_generations must name one generation per worker")

@@ -50,6 +50,20 @@ class TestRecoveryPolicy:
         assert policy.evaluate(tracker, 2.0).code is None
         assert policy.evaluate(tracker, 7.0).code is not None
 
+    def test_progress_restarts_the_starvation_clock(self):
+        tracker = CompletionTracker("w")
+        tracker.record_completed(ROOT.child(0, 0), now=0.0)
+        policy = RecoveryPolicy(failed_request_threshold=2, idle_time_threshold=5.0)
+        policy.note_progress(0.5)  # news before starvation starts nothing
+        policy.note_request_failed(1.0)
+        policy.note_request_failed(1.5)
+        policy.note_progress(4.0)  # the table learned a code: not stalled
+        assert policy.consecutive_failures == 2
+        assert policy.evaluate(tracker, 7.0).reason == "not-starved"
+        # No further news: loss is suspected once the clock runs out again.
+        assert policy.evaluate(tracker, 8.9).code is None
+        assert policy.evaluate(tracker, 9.0).code is not None
+
     def test_tree_complete_means_no_recovery(self):
         tracker = CompletionTracker("w")
         tracker.record_completed(ROOT, now=0.0)

@@ -438,3 +438,9 @@ class TestFailureFreeGossipCost:
         received = sum(s.codes_received for s in result.workers.values())
         redundant = sum(s.codes_received_redundant for s in result.workers.values())
         assert (received - redundant) / received >= 0.20
+        # Nothing fails, so nothing should be redone: recovery waits for
+        # progress to stall (1.10-1.17x the tree and 85-122 recoveries when
+        # mere starvation sufficed).
+        expanded = sum(s.nodes_expanded for s in result.workers.values())
+        assert expanded <= 1.02 * len(floor_tree)
+        assert sum(s.recovery_activations for s in result.workers.values()) <= 3

@@ -17,6 +17,7 @@ from repro.distributed.messages import (
 )
 from repro.distributed.worker import IDLE_GOSSIP_NODE_COST_FRACTION, WorkerEntity
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.entity import QueuedMessage
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.network import Network
 from repro.simulation.rng import RngRegistry
@@ -147,6 +148,55 @@ class TestWorkerMessageHandling:
         assert w1.incumbent.value is None
 
 
+def deliver(worker, sender, payload):
+    """Hand one message to a worker's handler (no engine run)."""
+    return worker._handle_message(QueuedMessage(sender, payload, 0.0, 0.0, 32))
+
+
+class TestWorkRequestTiming:
+    """How long a requester waits, and which answer frees its request slot."""
+
+    def test_only_the_asked_donor_frees_the_request_slot(self):
+        engine, network, problem, tree, (w0, w1, w2) = make_worker_pair(3)
+        w1._outstanding_request = ("w2", 0.0, 1)
+        # A late denial of a request that already timed out at w0: still a
+        # failed attempt, but the request outstanding at w2 stays outstanding.
+        deliver(w1, "w0", WorkDenied("w0"))
+        assert w1._outstanding_request == ("w2", 0.0, 1)
+        assert w1.recovery.consecutive_failures == 1
+        deliver(w1, "w2", WorkDenied("w2"))
+        assert w1._outstanding_request is None
+        assert w1.recovery.consecutive_failures == 2
+
+    @pytest.mark.parametrize("node_cost", [3.35, 0.01])
+    def test_request_waits_for_a_busy_donors_next_boundary(self, node_cost):
+        # A busy donor reads its inbox between nodes: at coarse grain the
+        # requester waits one node time, at fine grain the configured floor.
+        engine, network, problem, tree, (w0, w1) = make_worker_pair(
+            expected_node_cost=node_cost, with_root=False
+        )
+        timers = []
+        w1.set_timer = lambda delay, reason: timers.append((delay, reason))
+        w1._handle_starvation()
+        assert w1.stats.work_requests_sent == 1
+        expected = max(node_cost, w1.config.work_request_timeout)
+        assert timers == [(pytest.approx(expected), "lb-timeout:1")]
+
+    def test_worker_without_a_node_cost_waits_for_stalled_progress(self):
+        # It has heard of completed work but expanded nothing, and no cost
+        # was expected: failed requests alone must not make it recover.
+        engine, network, problem, tree, (w0, w1) = make_worker_pair(expected_node_cost=0.0)
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [ROOT.child(0, 1)])))
+        assert w1._may_recover(0.0)
+        floor = w1._bootstrap_timeout()
+        assert w1._effective_idle_threshold() == floor
+        w1.recovery.idle_time_threshold = w1._effective_idle_threshold()
+        for attempt in range(w1.config.recovery_failed_threshold):
+            w1.recovery.note_request_failed(0.1 * attempt)
+        assert w1.recovery.evaluate(w1.tracker, 1.0).code is None
+        assert w1.recovery.evaluate(w1.tracker, floor).code is not None
+
+
 class TestWorkerLifecycle:
     def test_crash_records_stats_and_stops_activity(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
@@ -225,13 +275,17 @@ class TestStepFastPath:
 
     def test_fast_path_does_not_starve_reports(self):
         # With reporting enabled, quiet steps may skip the machinery but the
-        # run must still exchange reports and terminate correctly.
-        engine, network, problem, tree, (w0, w1) = make_worker_pair()
+        # run must still exchange reports and terminate correctly.  The low
+        # threshold makes the reports due while w0 is busy, so they go out
+        # through the step's report path, not as a side effect of recovery.
+        engine, network, problem, tree, (w0, w1) = make_worker_pair(report_threshold=2)
         w0.on_start()
         w1.on_start()
         engine.run(stop_when=lambda: all(w.terminated for w in (w0, w1)))
         assert w0.terminated and w1.terminated
         assert w0.stats.reports_sent > 0
+        assert w0.stats.fast_path_steps > 0
+        assert w0.recovery.stats.activations == w1.recovery.stats.activations == 0
         assert w0.incumbent.value == pytest.approx(tree.optimal_value())
 
     def test_report_work_due_mirrors_report_triggers(self):

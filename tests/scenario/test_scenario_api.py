@@ -88,6 +88,32 @@ class TestScenario:
             Scenario(transport="carrier-pigeon")
         with pytest.raises(ValueError):
             Scenario(n_workers=3, wire_generations=(1, 2))
+        with pytest.raises(ValueError):
+            Scenario().with_overrides(transport="carrier-pigeon")
+
+    def test_building_scenarios_does_not_import_realexec(self):
+        # The spec layer validates transport names against a dependency-free
+        # list, so building scenarios (the registry builds every one at
+        # import time) never loads the realexec stack.
+        code = (
+            "import sys\n"
+            "from repro.scenario import Scenario, get_scenario, scenario_names\n"
+            "from repro.transport_names import TRANSPORT_NAMES\n"
+            "for name in scenario_names():\n"
+            "    get_scenario(name).with_overrides(seed=1)\n"
+            "for transport in TRANSPORT_NAMES:\n"
+            "    Scenario(transport=transport)\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.realexec'))\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_with_overrides_returns_new_frozen_copy(self):
         base = Scenario(n_workers=3)
