@@ -349,9 +349,7 @@ class DibWorkerEntity(Entity):
     def _answer_request(self, requester: str, now: float) -> None:
         if len(self.pool) > self.keep_at_least:
             donated = self.pool.take_for_donation(
-                max_count=self.donation_max,
-                keep_at_least=self.keep_at_least,
-                prefer_shallow=True,
+                max_count=self.donation_max, keep_at_least=self.keep_at_least
             )
             codes = tuple(sub.code for sub in donated)
             for code in codes:

@@ -7,8 +7,9 @@ mechanism takes work from: a process that receives a work request "removes
 some of those problems and sends them to the requester".
 
 :class:`SubproblemPool` implements the three classic rules with a single
-priority heap, plus the donation helpers used by the distributed algorithm
-(which subproblems to give away, and how many).
+priority heap, plus the donation rule used by the distributed algorithm
+(:meth:`SubproblemPool.take_donation`: which subproblems to give away, and
+how many), shared by the simulated worker and the real-process worker.
 
 Performance invariants
 ----------------------
@@ -39,6 +40,9 @@ StateT = TypeVar("StateT")
 #: many have accumulated (small pools are cheaper to skip through than to
 #: rebuild).
 _MIN_COMPACT_TOMBSTONES = 16
+
+#: Most subproblems one work grant carries (:meth:`SubproblemPool.take_donation`).
+DONATION_MAX = 4
 
 
 class SelectionRule(str, Enum):
@@ -186,13 +190,13 @@ class SubproblemPool(Generic[StateT]):
         return len(self) > keep_at_least
 
     def take_for_donation(
-        self, *, max_count: int = 1, keep_at_least: int = 1, prefer_shallow: bool = True
+        self, *, max_count: int = 1, keep_at_least: int = 1
     ) -> List[Subproblem[StateT]]:
         """Remove up to ``max_count`` subproblems to send to a requester.
 
-        Shallow subproblems are preferred by default because they represent
-        larger chunks of work, which keeps load-balancing traffic low — the
-        standard work-stealing heuristic for tree search.
+        The shallowest subproblems go, because they represent larger chunks
+        of work, which keeps load-balancing traffic low — the standard
+        work-stealing heuristic for tree search.
 
         The donated entries are tombstoned rather than filtered out of the
         heap, so a donation costs one O(n) selection scan instead of a full
@@ -202,17 +206,28 @@ class SubproblemPool(Generic[StateT]):
         count = max(0, min(max_count, available))
         if count == 0:
             return []
-        if prefer_shallow:
-            key = lambda entry: (entry[2].depth, entry[1])
-        else:
-            key = lambda entry: (-entry[2].depth, entry[1])
-        chosen = heapq.nsmallest(count, self._live_entries(), key=key)
+        chosen = heapq.nsmallest(
+            count, self._live_entries(), key=lambda entry: (entry[2].depth, entry[1])
+        )
         tombstones = self._tombstones
         for entry in chosen:
             tombstones.add(entry[1])
         self.lazy_removed_total += len(chosen)
         self._maybe_compact()
         return [entry[2] for entry in chosen]
+
+    def take_donation(self) -> List[Subproblem[StateT]]:
+        """The donation rule: what a worker gives a requester (maybe nothing).
+
+        A pool of at least two subproblems gives ``max(1, len // 2)`` of
+        them, at most :data:`DONATION_MAX`, shallowest first, and so always
+        keeps one; a smaller pool gives nothing (the caller denies).
+        Keeping one rather than two lets a worker fed a single subproblem
+        pass work on after one node time, so the busy set doubles per node
+        time during ramp-up instead of growing ×1.62.
+        """
+        count = min(DONATION_MAX, max(1, len(self) // 2))
+        return self.take_for_donation(max_count=count, keep_at_least=1)
 
     def drain(self) -> List[Subproblem[StateT]]:
         """Remove and return every subproblem (used by failing processes in tests)."""

@@ -17,6 +17,11 @@ terminology:
 * the per-operation costs (message handling, list contraction, subproblem
   rebuild) that turn algorithmic work into simulated time, so the Figure 3 /
   Table 1 overhead decomposition can be measured.
+
+How much a donor gives away is deliberately *not* a field: the simulated and
+the real-process workers share one donation rule,
+:meth:`repro.bnb.pool.SubproblemPool.take_donation`, so the two drivers
+cannot drift apart on it.
 """
 
 from __future__ import annotations
@@ -72,12 +77,6 @@ class AlgorithmConfig:
     compress_against_table: bool = False
 
     # ----------------------- load balancing ------------------------------ #
-    #: Keep at least this many subproblems when answering a work request.
-    lb_keep_at_least: int = 2
-    #: Donate at most this many subproblems per grant.
-    lb_donation_max: int = 4
-    #: Donate roughly this fraction of the pool (bounded by lb_donation_max).
-    lb_donation_fraction: float = 0.5
     #: Give up on a work request after this long without an answer (s), and
     #: count it as a failed attempt.  The worker waits at least its average
     #: node cost, because a busy donor reads requests only between nodes.  A
@@ -92,8 +91,6 @@ class AlgorithmConfig:
     #: Without it a burst of immediate denials makes the worker suspect loss
     #: within milliseconds and redo work that is simply still in flight.
     lb_retry_backoff: float = 0.1
-    #: Prefer donating shallow (large) subproblems.
-    lb_prefer_shallow: bool = True
 
     # ----------------------- failure detection (churn) -------------------- #
     #: Run the counter-based epidemic failure detector (van Renesse et al.)
@@ -172,12 +169,6 @@ class AlgorithmConfig:
             raise ValueError("report_threshold must be at least 1")
         if self.report_fanout < 1:
             raise ValueError("report_fanout must be at least 1")
-        if self.lb_keep_at_least < 1:
-            raise ValueError("lb_keep_at_least must be at least 1")
-        if self.lb_donation_max < 1:
-            raise ValueError("lb_donation_max must be at least 1")
-        if not (0.0 < self.lb_donation_fraction <= 1.0):
-            raise ValueError("lb_donation_fraction must be in (0, 1]")
         if self.work_request_timeout <= 0 or self.idle_poll_interval <= 0:
             raise ValueError("timeouts must be positive")
         if self.recovery_failed_threshold < 1:

@@ -944,13 +944,8 @@ class WorkerEntity(Entity):
     # ------------------------------------------------------------------ #
     def _answer_work_request(self, request: WorkRequest) -> float:
         cost = 0.0
-        if self.pool.can_donate(keep_at_least=self.config.lb_keep_at_least):
-            share = max(1, int(len(self.pool) * self.config.lb_donation_fraction))
-            donated = self.pool.take_for_donation(
-                max_count=min(self.config.lb_donation_max, share),
-                keep_at_least=self.config.lb_keep_at_least,
-                prefer_shallow=self.config.lb_prefer_shallow,
-            )
+        donated = self.pool.take_donation()
+        if donated:
             grant = WorkGrant(
                 donor=self.name,
                 codes=tuple(sub.code for sub in donated),

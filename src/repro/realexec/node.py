@@ -296,8 +296,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             payload = envelope.payload
             absorb_best(payload)
             if isinstance(payload, WorkRequest):
-                if len(pool) > 1:
-                    donated = pool.take_for_donation(max_count=2, keep_at_least=1)
+                donated = pool.take_donation()
+                if donated:
                     send(
                         payload.requester,
                         WorkGrant(

@@ -784,13 +784,19 @@ class PipeRouter(EnvelopeRouter):
 class _StreamPeer:
     """Per-connection state of the stream router's event loop."""
 
-    __slots__ = ("sock", "name", "rbuf", "wbuf", "identified", "identify_by", "write_dead")
+    __slots__ = (
+        "sock", "name", "rbuf", "wbuf", "queued", "identified", "identify_by", "write_dead"
+    )
 
     def __init__(self, sock: socket.socket, identify_by: float) -> None:
         self.sock = sock
         self.name: Optional[str] = None
         self.rbuf = bytearray()
         self.wbuf = bytearray()
+        #: ``[unsent bytes, sender, dest, tag, size]`` per frame with bytes
+        #: still in ``wbuf``, oldest first.  They were counted as forwarded
+        #: when queued; if ``wbuf`` is discarded they move to ``dropped``.
+        self.queued: Deque[list] = deque()
         self.identified = False
         #: Set once a send to this peer failed: nothing more is written to
         #: it, but it is still *read* until EOF — a finishing worker's last
@@ -831,7 +837,8 @@ class StreamRouter(EnvelopeRouter):
       dropped and counted, and every other link keeps flowing.  The
       driver-maintained :attr:`paused` set short-circuits the same way.
     * **lossless teardown** — a failed send makes a link *write-dead*
-      (later frames to it count as dropped) but never read-dead: the peer
+      (later frames to it, and the frames still queued for it, count as
+      dropped, not forwarded) but never read-dead: the peer
       is read until EOF and every complete frame it sent is forwarded
       before the connection is detached.  Together with
       :meth:`StreamConnection.close` (half-close, then drain) a finishing
@@ -1037,6 +1044,7 @@ class StreamRouter(EnvelopeRouter):
             self._pending.remove(peer)
         if peer.name is not None and self._parent_ends.get(peer.name) is peer:
             del self._parent_ends[peer.name]
+        self._discard_queued(peer)
         peer.close()
 
     def _reap_defunct(self) -> None:
@@ -1048,6 +1056,7 @@ class StreamRouter(EnvelopeRouter):
                     selector.unregister(peer.sock)
                 except (KeyError, ValueError, OSError):
                     pass
+            self._discard_queued(peer)
             peer.close()
 
     def _expire_unidentified(self, now: float) -> None:
@@ -1163,21 +1172,24 @@ class StreamRouter(EnvelopeRouter):
                 self.dropped += 1
             return
         forward_start = time.time()
-        if not self._enqueue(peer, frame):
+        unsent = self._enqueue(peer, frame)
+        if unsent is None:
             self.dropped += 1
             return
         self._account(sender, dest, tag, len(frame), forward_start)
+        if unsent:
+            peer.queued.append([unsent, sender, dest, tag, len(frame)])
 
-    def _enqueue(self, peer: _StreamPeer, frame: bytes) -> bool:
-        """Queue ``frame`` for ``peer``; False when it has to be dropped
-        (write-dead link or backpressure)."""
+    def _enqueue(self, peer: _StreamPeer, frame: bytes) -> Optional[int]:
+        """Queue ``frame`` for ``peer``: the bytes of it left in ``wbuf``, or
+        None when it has to be dropped (write-dead link or backpressure)."""
         if peer.write_dead:
-            return False
+            return None
         if peer.wbuf:
             if len(peer.wbuf) + len(frame) > self.WRITE_BUFFER_LIMIT:
-                return False
+                return None
             peer.wbuf += frame
-            return True
+            return len(frame)
         # Empty queue: try the kernel directly and only buffer the remainder,
         # so the common case costs no extra selector round trip.
         try:
@@ -1186,11 +1198,11 @@ class StreamRouter(EnvelopeRouter):
             sent = 0
         except OSError:
             self._mark_write_dead(peer)
-            return False
+            return None
         if sent < len(frame):
             peer.wbuf += frame[sent:]
             self._set_write_interest(peer, True)
-        return True
+        return len(frame) - sent
 
     def _on_writable(self, peer: _StreamPeer) -> None:
         if peer.wbuf:
@@ -1202,8 +1214,32 @@ class StreamRouter(EnvelopeRouter):
                 self._mark_write_dead(peer)
                 return
             del peer.wbuf[:sent]
+            queued = peer.queued
+            while sent and queued:
+                head = queued[0]
+                if sent < head[0]:
+                    head[0] -= sent
+                    break
+                sent -= head[0]
+                queued.popleft()
         if not peer.wbuf:
             self._set_write_interest(peer, False)
+
+    def _discard_queued(self, peer: _StreamPeer) -> None:
+        """Throw ``peer``'s write queue away, counting every frame not yet
+        handed to the kernel whole as dropped instead of forwarded."""
+        for _unsent, sender, dest, tag, size in peer.queued:
+            self.forwarded -= 1
+            self.dropped += 1
+            self.bytes_forwarded -= size
+            link = (sender, dest)
+            self.link_bytes[link] -= size
+            self.link_messages[link] -= 1
+            kind = payload_kind(tag)
+            self.kind_bytes[kind] -= size
+            self.kind_messages[kind] -= 1
+        peer.queued.clear()
+        del peer.wbuf[:]
 
     def _mark_write_dead(self, peer: _StreamPeer) -> None:
         """A send to ``peer`` failed: stop writing to it, keep reading it.
@@ -1214,7 +1250,7 @@ class StreamRouter(EnvelopeRouter):
         :class:`PipeRouter`, a failed send only costs the frame.
         """
         peer.write_dead = True
-        del peer.wbuf[:]
+        self._discard_queued(peer)
         self._set_write_interest(peer, False)
 
     def _set_write_interest(self, peer: _StreamPeer, on: bool) -> None:

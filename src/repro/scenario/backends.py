@@ -596,6 +596,11 @@ class RealexecBackend:
             workers.setdefault(name, WorkerSummary(name=name, crashed=True))
         survivors = [w for w in workers.values() if not w.crashed]
         total_nodes_expanded = sum(w.nodes_expanded for w in workers.values())
+        uniprocessor_time = scenario.uniprocessor_time
+        if uniprocessor_time is None and scenario.node_sleep > 0:
+            # Each expansion sleeps node_sleep, so that is one process's
+            # time for the whole tree (protocol overhead aside).
+            uniprocessor_time = len(tree) * scenario.node_sleep
         scenario_result = ScenarioResult(
             scenario=scenario.name,
             backend=self.name,
@@ -609,6 +614,7 @@ class RealexecBackend:
             # Every expansion beyond one per tree node was done twice
             # somewhere (pruning can push the total below the tree size).
             redundant_nodes_expanded=max(0, total_nodes_expanded - len(tree)),
+            uniprocessor_time=uniprocessor_time,
             recoveries=sum(w.recoveries for w in survivors),
             rejoins=len(result.rejoined),
             unavailable_time=result.unavailable_time,

@@ -95,18 +95,32 @@ class TestSubproblemPool:
         donated = pool.take_for_donation(max_count=1, keep_at_least=1)
         assert donated[0].depth == 1
 
-    def test_donation_prefers_deep_when_asked(self):
-        pool = SubproblemPool()
-        for depth in (5, 1, 3):
-            pool.push(make_sub(depth))
-        donated = pool.take_for_donation(max_count=1, keep_at_least=1, prefer_shallow=False)
-        assert donated[0].depth == 5
-
     def test_cannot_donate_small_pool(self):
         pool = SubproblemPool()
         pool.push(make_sub(1))
         assert not pool.can_donate(keep_at_least=1)
         assert pool.take_for_donation(max_count=2, keep_at_least=1) == []
+
+    @pytest.mark.parametrize("size, given", [(0, 0), (1, 0), (2, 1), (3, 1), (8, 4), (20, 4)])
+    def test_donation_rule_sizes(self, size, given):
+        """The one donation rule both workers use: give from two up, keep
+        one, half the pool at most four."""
+        pool = SubproblemPool()
+        for depth in range(1, size + 1):
+            pool.push(make_sub(depth))
+        donated = pool.take_donation()
+        assert len(donated) == given
+        assert len(pool) == size - given
+        if size:
+            assert len(pool) >= 1
+
+    def test_donation_rule_gives_the_shallowest(self):
+        pool = SubproblemPool(SelectionRule.DEPTH_FIRST)
+        for depth in (6, 2, 9, 4, 1, 7, 3, 8):
+            pool.push(make_sub(depth))
+        donated = pool.take_donation()
+        assert [sub.depth for sub in donated] == [1, 2, 3, 4]
+        assert [pool.pop().depth for _ in range(4)] == [9, 8, 7, 6]
 
     def test_drain_and_clear(self):
         pool = SubproblemPool()

@@ -35,10 +35,6 @@ class TestAlgorithmConfig:
         [
             ("report_threshold", 0),
             ("report_fanout", 0),
-            ("lb_keep_at_least", 0),
-            ("lb_donation_max", 0),
-            ("lb_donation_fraction", 0.0),
-            ("lb_donation_fraction", 1.5),
             ("work_request_timeout", 0.0),
             ("idle_poll_interval", 0.0),
             ("recovery_failed_threshold", 0),

@@ -30,6 +30,24 @@ def small_tree():
     )
 
 
+def _blob_frame(sender: str, dest: str, size: int) -> bytes:
+    """An envelope frame routed ``sender -> dest`` carrying ``size`` zero bytes."""
+    from repro.realexec.transport import ENVELOPE_TAG
+    from repro.wire.frame import FRAME_MAGIC
+    from repro.wire.varint import write_string, write_uvarint
+
+    body = bytearray()
+    write_string(body, sender)
+    write_string(body, dest)
+    write_uvarint(body, size)
+    body += b"\0" * size
+    frame = bytearray((FRAME_MAGIC, 1))
+    write_uvarint(frame, ENVELOPE_TAG)
+    write_uvarint(frame, len(body))
+    frame += body
+    return bytes(frame)
+
+
 def _wait_for(predicate, timeout=2.0):
     deadline = time.monotonic() + timeout
     while not predicate() and time.monotonic() < deadline:
@@ -597,22 +615,7 @@ class TestTcpTransport:
     def test_slow_receiver_does_not_block_other_links(self):
         """Write-queue backpressure: a worker that never drains its socket
         costs only its own frames; forwarding for everyone else continues."""
-        from repro.realexec.transport import ENVELOPE_TAG, TcpRouter
-        from repro.wire.frame import FRAME_MAGIC
-        from repro.wire.varint import write_string, write_uvarint
-
-        def big_frame(dest: str) -> bytes:
-            body = bytearray()
-            write_string(body, "src")
-            write_string(body, dest)
-            blob = b"\0" * 16384
-            write_uvarint(body, len(blob))
-            body += blob
-            frame = bytearray((FRAME_MAGIC, 1))
-            write_uvarint(frame, ENVELOPE_TAG)
-            write_uvarint(frame, len(body))
-            frame += body
-            return bytes(frame)
+        from repro.realexec.transport import TcpRouter
 
         import socket as socket_mod
 
@@ -638,10 +641,10 @@ class TestTcpTransport:
             _wait_for(lambda: "slow" in router._parent_ends)
             peer_sock = router._parent_ends["slow"].sock
             peer_sock.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_SNDBUF, 4096)
-            flood = big_frame("slow")
+            flood = _blob_frame("src", "slow", 16384)
             for _ in range(200):  # ~3.2MB >> socket buffers + write cap
                 src.send_bytes(flood)
-            src.send_bytes(big_frame("fast"))
+            src.send_bytes(_blob_frame("src", "fast", 16384))
             assert fast.poll(5.0)
             fast.recv_bytes()
             _wait_for(lambda: router.dropped > 0, timeout=5.0)
@@ -797,6 +800,54 @@ class TestStreamConnectionContract:
             driver.close()
         finally:
             router.stop()
+
+
+@pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX sockets only")
+def test_frames_discarded_with_a_dead_link_count_as_dropped_not_forwarded():
+    """Frames queued for a peer whose far end closes never arrive: when the
+    link goes write-dead they move from the forwarded counters to dropped."""
+    import socket as socket_mod
+
+    from repro.realexec.transport import _StreamPeer, create_router
+
+    router = create_router("uds")  # never started: the test drives the loop
+    near, far = socket_mod.socketpair()
+    near.setblocking(False)
+    near.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_SNDBUF, 4096)
+    peer = _StreamPeer(near, identify_by=0.0)
+    peer.name, peer.identified = "far", True
+    router._parent_ends["far"] = peer
+    frame = _blob_frame("src", "far", 3000)
+    try:
+        sent = 0
+        while not peer.wbuf:  # until the kernel buffer is full
+            router._forward(frame)
+            sent += 1
+        for _ in range(3):
+            router._forward(frame)
+            sent += 1
+        far.recv(len(frame) + 7)  # let part of the queue drain
+        router._on_writable(peer)
+        pending = len(peer.wbuf)
+        assert pending and router.dropped == 0 and router.forwarded == sent
+        far.close()
+        router._on_writable(peer)  # the send fails: the link goes write-dead
+        assert peer.write_dead and not peer.wbuf
+        in_kernel = sent * len(frame) - pending
+        delivered = in_kernel // len(frame)
+        assert router.forwarded == delivered
+        assert router.dropped == sent - delivered >= 1
+        assert router.bytes_forwarded == delivered * len(frame)
+        assert router.link_messages[("src", "far")] == delivered
+        assert router.link_bytes[("src", "far")] == delivered * len(frame)
+        assert sum(router.kind_messages.values()) == delivered
+        assert sum(router.kind_bytes.values()) == delivered * len(frame)
+        router._forward(frame)  # later frames to a write-dead link: dropped
+        assert router.dropped == sent - delivered + 1
+        assert router.forwarded == delivered
+    finally:
+        near.close()
+        far.close()
 
 
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")

@@ -260,6 +260,28 @@ class TestRealexecResultMapping:
         )
         assert not result.terminated
 
+    def test_no_node_cost_means_no_speedup(self, monkeypatch):
+        _nodes, result = self._run_with_outcomes(monkeypatch, [41])
+        assert result.uniprocessor_time is None and result.speedup() is None
+
+
+@pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
+def test_realexec_speedup_is_tree_time_over_makespan():
+    """A real run with a per-node cost reports speedup against the tree's
+    sequential time: nodes x node_sleep."""
+    scenario = Scenario(
+        name="realexec-speedup",
+        workload=WorkloadSpec(kind="random", nodes=41, mean_node_time=0.0, seed=2),
+        n_workers=2,
+        node_sleep=0.002,
+    )
+    result = run_scenario(scenario, backend="realexec")
+    assert result.solved_correctly
+    nodes = len(scenario.build_tree())
+    assert result.uniprocessor_time == pytest.approx(nodes * 0.002)
+    assert result.speedup() == pytest.approx(result.uniprocessor_time / result.makespan)
+    assert result.speedup() > 0
+
 
 class TestCli:
     def test_list_scenarios(self, capsys):
