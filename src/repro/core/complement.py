@@ -37,14 +37,15 @@ class SelectionStrategy(str, Enum):
     """Policy for choosing the uncompleted subproblem to regenerate.
 
     * ``DEEPEST`` — pick the deepest uncovered sibling: the smallest missing
-      subtree, so the redundant-work exposure is minimal.  This is the
-      library default.
+      subtree, so the redundant-work exposure is minimal.  This is
+      :func:`select_recovery_candidate`'s default.
     * ``SHALLOWEST`` — pick the shallowest uncovered sibling: recovers the
       largest missing region at once (fewer recovery rounds, more potential
       redundancy).
     * ``RANDOM`` — uniform random choice; reduces the chance of two recovering
       processes picking the same subtree, which the paper identifies as the
-      main source of redundant work.
+      main source of redundant work.  This is
+      :class:`~repro.core.recovery.RecoveryPolicy`'s default.
     * ``NEAR_LAST_COMPLETED`` — prefer the candidate sharing the longest
       prefix with the last problem completed locally ("using the location of
       the last problem completed locally", Section 5.3.2).

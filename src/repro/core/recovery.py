@@ -28,7 +28,8 @@ implemented here:
   is already completed (handled by the worker, using
   :meth:`RecoveryPolicy.should_abort`); and
 * smarter candidate selection (the strategies in
-  :mod:`repro.core.complement`).
+  :mod:`repro.core.complement`; the policy draws at random, so two starved
+  processes rarely regenerate the same subtree).
 
 :class:`RecoveryPolicy` encapsulates the thresholds and bookkeeping;
 :class:`RecoveryStats` accumulates the redundant-work accounting reported by
@@ -103,7 +104,14 @@ class RecoveryPolicy:
         have been starved, with no news (see :meth:`note_progress`), before
         recovery may run.  ``None`` disables it.
     strategy:
-        Candidate-selection strategy (see :class:`SelectionStrategy`).
+        Candidate-selection strategy (see :class:`SelectionStrategy`).  The
+        default draws at random from ``rng``: a deterministic pick such as
+        ``DEEPEST`` sends every starved process that holds the same table
+        after the *same* missing subtree, so they all starve again together.
+    rng:
+        The process's seeded random stream.  The candidate draw must be
+        reproducible, so without one the policy seeds its own with 0; pass
+        each process its own stream, or they all draw alike.
     """
 
     def __init__(
@@ -111,7 +119,7 @@ class RecoveryPolicy:
         *,
         failed_request_threshold: int = 2,
         idle_time_threshold: Optional[float] = None,
-        strategy: SelectionStrategy = SelectionStrategy.DEEPEST,
+        strategy: SelectionStrategy = SelectionStrategy.RANDOM,
         rng: Optional[random.Random] = None,
     ) -> None:
         if failed_request_threshold < 1:
@@ -119,7 +127,7 @@ class RecoveryPolicy:
         self.failed_request_threshold = failed_request_threshold
         self.idle_time_threshold = idle_time_threshold
         self.strategy = strategy
-        self._rng = rng
+        self._rng = rng if rng is not None else random.Random(0)
         self.stats = RecoveryStats()
 
         self._consecutive_failures = 0

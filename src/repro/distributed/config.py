@@ -21,7 +21,11 @@ terminology:
 How much a donor gives away is deliberately *not* a field: the simulated and
 the real-process workers share one donation rule,
 :meth:`repro.bnb.pool.SubproblemPool.take_donation`, so the two drivers
-cannot drift apart on it.
+cannot drift apart on it.  Nor is how long a starved worker waits: it waits
+in units of its own measured node cost (floored at two measured network
+round trips, capped by ``IDLE_PACE_CAP`` in ``worker.py``), and both drivers pick the recovery candidate at random from
+the worker's seeded stream (the :class:`~repro.core.recovery.RecoveryPolicy`
+default), so starved survivors do not all regenerate the same subtree.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..core.complement import SelectionStrategy
 from ..bnb.pool import SelectionRule
 
 __all__ = ["AlgorithmConfig"]
@@ -55,9 +58,9 @@ class AlgorithmConfig:
     #: Interval between full-table gossip pushes to one random member (s).
     table_gossip_interval: Optional[float] = 30.0
     #: When starved, push the table to a random member without waiting for
-    #: the regular interval: at most once per ``idle_poll_interval`` (the
-    #: floor) and, for coarse-grained work, once per quarter of the measured
-    #: node cost — a table cannot gain news faster than nodes complete
+    #: the regular interval: at most once per ``IDLE_PACE_CAP`` (the floor)
+    #: and, for coarse-grained work, once per quarter of the measured node
+    #: cost — a table cannot gain news faster than nodes complete
     #: (``IDLE_GOSSIP_NODE_COST_FRACTION`` in ``worker.py``).  Idle processes
     #: have spare capacity, and converging the completed-table views quickly
     #: is exactly what lets them detect termination instead of redoing work.
@@ -75,22 +78,6 @@ class AlgorithmConfig:
     compress_reports: bool = True
     #: Additionally drop report codes already covered by the local table.
     compress_against_table: bool = False
-
-    # ----------------------- load balancing ------------------------------ #
-    #: Give up on a work request after this long without an answer (s), and
-    #: count it as a failed attempt.  The worker waits at least its average
-    #: node cost, because a busy donor reads requests only between nodes.  A
-    #: late grant is accepted; a late denial still counts as a failure but
-    #: cannot free the slot of a request sent to another peer since.
-    work_request_timeout: float = 0.25
-    #: How often an idle worker re-polls (retry requests, suspect loss) (s).
-    #: Also the floor of the starved-worker table push, which node cost
-    #: paces above it (see ``table_gossip_when_idle``).
-    idle_poll_interval: float = 0.1
-    #: Minimum pause between consecutive work requests from a starving worker.
-    #: Without it a burst of immediate denials makes the worker suspect loss
-    #: within milliseconds and redo work that is simply still in flight.
-    lb_retry_backoff: float = 0.1
 
     # ----------------------- failure detection (churn) -------------------- #
     #: Run the counter-based epidemic failure detector (van Renesse et al.)
@@ -134,8 +121,6 @@ class AlgorithmConfig:
     #: uninterrupted starvation.  ``None`` derives the value from the node
     #: cost estimate (max(10 s, 30 × expected node cost)).
     recovery_bootstrap_timeout: Optional[float] = None
-    #: How the recovery candidate is picked from the complement.
-    recovery_strategy: SelectionStrategy = SelectionStrategy.DEEPEST
     #: Abort subproblems (including recoveries) that a received report shows
     #: to be already completed elsewhere.
     abort_redundant_work: bool = True
@@ -169,8 +154,6 @@ class AlgorithmConfig:
             raise ValueError("report_threshold must be at least 1")
         if self.report_fanout < 1:
             raise ValueError("report_fanout must be at least 1")
-        if self.work_request_timeout <= 0 or self.idle_poll_interval <= 0:
-            raise ValueError("timeouts must be positive")
         if self.recovery_failed_threshold < 1:
             raise ValueError("recovery_failed_threshold must be at least 1")
         if self.failure_detector:

@@ -70,8 +70,19 @@ __all__ = ["PeerRoster", "WorkerEntity", "DELTA_BYTES_BUCKETS"]
 #: Histogram buckets for gossip-delta wire sizes (bytes).
 DELTA_BYTES_BUCKETS = (64, 256, 1024, 4096, 16384, 65536)
 
+#: A starved worker re-polls, and spaces its work requests, once per request
+#: timeout (its node cost, floored at two network round trips: a busy donor
+#: answers at its next expansion boundary, so waiting longer only idles) but
+#: at least this often (s), so that at coarse grain retries and the
+#: loss-suspicion check still run many times per node.  The same value
+#: floors the starved-worker table push (``IDLE_GOSSIP_NODE_COST_FRACTION``):
+#: a fine-grain worker polls several times per cap without pushing its table
+#: any faster (docs/ARCHITECTURE.md, "Starved-worker pacing", has the
+#: measurements).
+IDLE_PACE_CAP = 0.1
+
 #: A starved worker pushes its table at most once per this fraction of its
-#: measured node cost (never faster than ``idle_poll_interval``).  A table
+#: measured node cost (never faster than ``IDLE_PACE_CAP``).  A table
 #: gains a locally completed code at most once per node cost, so more than
 #: a few pushes per node time mostly re-ship what the peer already heard
 #: from someone else: at 100 workers × 3.35 s nodes the 0.1 s poll cadence
@@ -262,7 +273,6 @@ class WorkerEntity(Entity):
         self.recovery = RecoveryPolicy(
             failed_request_threshold=config.recovery_failed_threshold,
             idle_time_threshold=config.recovery_idle_threshold,
-            strategy=config.recovery_strategy,
             rng=self.rng,
         )
         self.incumbent: BestSolution = BestSolution()
@@ -275,6 +285,10 @@ class WorkerEntity(Entity):
         self._outstanding_request: Optional[Tuple[str, float, int]] = None
         self._request_seq = 0
         self._last_lb_attempt: Optional[float] = None
+        #: Moving average of the one-way network delay of received messages
+        #: (delivery minus send time), used to bound the request timeout
+        #: from below when nodes are shorter than a round trip.
+        self._avg_transit = 0.0
         self._last_table_gossip = 0.0
         self._idle_poll_armed = False
         self._finished = False
@@ -607,7 +621,6 @@ class WorkerEntity(Entity):
         self.recovery = RecoveryPolicy(
             failed_request_threshold=self.config.recovery_failed_threshold,
             idle_time_threshold=self.config.recovery_idle_threshold,
-            strategy=self.config.recovery_strategy,
             rng=self.rng,
         )
         self.incumbent = BestSolution()
@@ -743,7 +756,7 @@ class WorkerEntity(Entity):
         self._trace_state("idle")
         if not self._idle_poll_armed:
             self._idle_poll_armed = True
-            self.set_timer(max(overhead, 0.0) + self.config.idle_poll_interval, "idle-poll")
+            self.set_timer(max(overhead, 0.0) + self._idle_pace(), "idle-poll")
 
     # ------------------------------------------------------------------ #
     # Expansion
@@ -827,6 +840,11 @@ class WorkerEntity(Entity):
     def _handle_message(self, message: QueuedMessage) -> float:
         payload = message.payload
         now = self._now()
+        transit = message.delivered_at - message.sent_at
+        if self._avg_transit <= 0:
+            self._avg_transit = transit
+        else:
+            self._avg_transit = 0.9 * self._avg_transit + 0.1 * transit
         receive_cost = (
             self.config.msg_processing_base
             + self.config.msg_processing_per_byte * message.size_bytes
@@ -1001,19 +1019,29 @@ class WorkerEntity(Entity):
 
     def _idle_gossip_interval(self) -> float:
         """Minimum pause between a starved worker's table pushes (granularity-aware)."""
-        return max(
-            self.config.idle_poll_interval,
-            IDLE_GOSSIP_NODE_COST_FRACTION * self._avg_node_cost,
-        )
+        return max(IDLE_PACE_CAP, IDLE_GOSSIP_NODE_COST_FRACTION * self._avg_node_cost)
 
-    def _work_request_timeout(self) -> float:
+    def _request_timeout(self) -> float:
         """How long a request may go unanswered before it counts as failed.
 
-        A busy peer reads its inbox only between node expansions, so its
-        answer can take up to one node time: giving up sooner just asks
-        another peer while the first answer is still on its way.
+        A busy peer reads its inbox only between node expansions, so a live
+        peer answers after the rest of its current node plus one network
+        round trip (twice the measured one-way transit).  With nodes longer
+        than a round trip the wait is one node cost: the rarer answer that
+        comes later is still used (a late grant is accepted), while a fixed
+        floor above it idles on a dead peer.  With nodes shorter than a
+        round trip, node cost plus round trip is under two round trips, the
+        floor — without it every request, even an idle peer's immediate
+        denial, would time out.  With no node cost known the pace cap
+        stands in.
         """
-        return max(self.config.work_request_timeout, self._avg_node_cost)
+        if self._avg_node_cost <= 0:
+            return IDLE_PACE_CAP
+        return max(self._avg_node_cost, 4 * self._avg_transit)
+
+    def _idle_pace(self) -> float:
+        """Pause between a starved worker's polls, and between its requests."""
+        return min(IDLE_PACE_CAP, self._request_timeout())
 
     def _bootstrap_timeout(self) -> float:
         """Starvation a blank worker must endure before regenerating the root."""
@@ -1088,7 +1116,7 @@ class WorkerEntity(Entity):
 
         may_request = (
             self._last_lb_attempt is None
-            or (now - self._last_lb_attempt) >= self.config.lb_retry_backoff
+            or (now - self._last_lb_attempt) >= self._idle_pace()
         )
         if self._outstanding_request is None and may_request:
             victim = self.rng.choice(self.peers)
@@ -1097,7 +1125,7 @@ class WorkerEntity(Entity):
             self._request_seq += 1
             self._outstanding_request = (victim, now, self._request_seq)
             self._last_lb_attempt = now
-            self.set_timer(self._work_request_timeout(), f"lb-timeout:{self._request_seq}")
+            self.set_timer(self._request_timeout(), f"lb-timeout:{self._request_seq}")
             cost += self._charge("load_balancing", self.config.msg_send_cost)
         self._trace_state("load_balancing")
         return cost

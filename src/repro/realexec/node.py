@@ -230,8 +230,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     expander = NodeExpander(problem)
     pool: SubproblemPool = SubproblemPool(SelectionRule.DEPTH_FIRST, minimize=problem.minimize)
     tracker = CompletionTracker(config.name, report_threshold=config.report_threshold)
-    recovery = RecoveryPolicy(failed_request_threshold=config.recovery_failed_threshold)
     rng = random.Random(config.seed)
+    recovery = RecoveryPolicy(failed_request_threshold=config.recovery_failed_threshold, rng=rng)
     peers = [m for m in config.members if m != config.name]
     incumbent: Optional[float] = None
     reports_sent = 0

@@ -32,9 +32,9 @@ from repro.obs import MetricsRegistry, TelemetryConfig
 from repro.simulation.failures import ChurnInjector, CrashEvent
 
 
-def small_tree(seed=51):
+def small_tree(seed=51, nodes=101):
     return generate_random_tree(
-        RandomTreeSpec(nodes=101, mean_node_time=0.02, seed=seed, name="churn-tree")
+        RandomTreeSpec(nodes=nodes, mean_node_time=0.02, seed=seed, name="churn-tree")
     )
 
 
@@ -157,6 +157,12 @@ class TestSeededRejoin:
         assert result.workers["worker-02"].unavailable_time > 0.0
 
 
+#: Tree size of the eviction runs: the run must outlast the leave at 0.3 s
+#: plus the detector's cleanup timeout (0.8 s), or no eviction can happen.
+#: Survivors pacing by node cost finish 101 nodes in ≈ 0.9 s; 201 take ≈ 1.9 s.
+EVICTION_TREE_NODES = 201
+
+
 class TestEmergentEviction:
     """Satellite regression: eviction from heartbeat staleness *alone*."""
 
@@ -165,7 +171,7 @@ class TestEmergentEviction:
         # leave, and the only way survivors can learn about it is the live
         # failure detector noticing the heartbeat went stale.
         result = run_tree_simulation(
-            small_tree(),
+            small_tree(nodes=EVICTION_TREE_NODES),
             4,
             config=fd_config(),
             seed=3,
@@ -203,7 +209,7 @@ class TestChurnObservability:
 
     def _run_with_metrics(self, *, churn_events, seed=3):
         result = run_tree_simulation(
-            small_tree(),
+            small_tree(nodes=EVICTION_TREE_NODES),
             4,
             config=fd_config(),
             seed=seed,

@@ -15,7 +15,11 @@ from repro.distributed.messages import (
     WorkReportMsg,
     WorkRequest,
 )
-from repro.distributed.worker import IDLE_GOSSIP_NODE_COST_FRACTION, WorkerEntity
+from repro.distributed.worker import (
+    IDLE_GOSSIP_NODE_COST_FRACTION,
+    IDLE_PACE_CAP,
+    WorkerEntity,
+)
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.entity import QueuedMessage
 from repro.simulation.metrics import MetricsCollector
@@ -154,7 +158,8 @@ def deliver(worker, sender, payload):
 
 
 class TestWorkRequestTiming:
-    """How long a requester waits, and which answer frees its request slot."""
+    """How long a starved worker waits, which answer frees its request slot,
+    and which missing subtree it regenerates."""
 
     def test_only_the_asked_donor_frees_the_request_slot(self):
         engine, network, problem, tree, (w0, w1, w2) = make_worker_pair(3)
@@ -168,19 +173,89 @@ class TestWorkRequestTiming:
         assert w1._outstanding_request is None
         assert w1.recovery.consecutive_failures == 2
 
-    @pytest.mark.parametrize("node_cost", [3.35, 0.01])
-    def test_request_waits_for_a_busy_donors_next_boundary(self, node_cost):
-        # A busy donor reads its inbox between nodes: at coarse grain the
-        # requester waits one node time, at fine grain the configured floor.
+    @staticmethod
+    def starved_worker(node_cost):
+        """A blank starved worker whose timers are recorded, not armed."""
         engine, network, problem, tree, (w0, w1) = make_worker_pair(
             expected_node_cost=node_cost, with_root=False
         )
         timers = []
         w1.set_timer = lambda delay, reason: timers.append((delay, reason))
+        return w1, timers
+
+    @staticmethod
+    def at(worker, now):
+        """Set the worker's clock (the engine is never run here)."""
+        worker._now = lambda: now
+
+    @staticmethod
+    def receive_after(worker, transit):
+        """Hand the worker a message that spent ``transit`` s on the wire."""
+        worker._handle_message(QueuedMessage("w0", WorkDenied("w0"), 0.0, transit, 32))
+
+    @pytest.mark.parametrize("node_cost", [3.35, 0.01])
+    def test_request_times_out_after_one_node_cost(self, node_cost):
+        # A busy donor reads its inbox between nodes, so a live peer answers
+        # after about one node time: no fixed floor makes the requester sit
+        # out many node times on a dead peer.  A 2 ms one-way transit (4 ms
+        # round trip) is inside one node at both grains.
+        w1, timers = self.starved_worker(node_cost)
+        self.receive_after(w1, 0.002)
         w1._handle_starvation()
         assert w1.stats.work_requests_sent == 1
-        expected = max(node_cost, w1.config.work_request_timeout)
-        assert timers == [(pytest.approx(expected), "lb-timeout:1")]
+        assert timers == [(pytest.approx(node_cost), "lb-timeout:1")]
+
+    def test_nodes_shorter_than_a_round_trip_wait_two_round_trips(self):
+        # 1 ms nodes, 2 ms each way: even an idle peer's immediate denial
+        # takes 4 ms, so one node cost would time out every request.
+        w1, timers = self.starved_worker(0.001)
+        self.receive_after(w1, 0.002)
+        w1._handle_starvation()
+        assert timers == [(pytest.approx(4 * 0.002), "lb-timeout:1")]
+        # The transit is a moving average over every message received.
+        self.receive_after(w1, 0.012)
+        assert w1._request_timeout() == pytest.approx(4 * (0.9 * 0.002 + 0.1 * 0.012))
+
+    @pytest.mark.parametrize(
+        "node_cost, pace", [(3.35, IDLE_PACE_CAP), (0.01, 0.01), (0.001, 4 * 0.002)]
+    )
+    def test_poll_and_retry_spacing_is_the_capped_request_timeout(self, node_cost, pace):
+        w1, timers = self.starved_worker(node_cost)
+        self.receive_after(w1, 0.002)
+        w1._go_idle(0.0, 0.0)
+        assert timers == [(pytest.approx(pace), "idle-poll")]
+        # A request at 0: slightly less than one pace later the next one is
+        # held back, one pace later it goes.
+        self.at(w1, 0.0)
+        w1._handle_starvation()
+        w1._outstanding_request = None  # answered
+        self.at(w1, 0.9 * pace)
+        w1._handle_starvation()
+        assert w1.stats.work_requests_sent == 1
+        self.at(w1, pace)
+        w1._handle_starvation()
+        assert w1.stats.work_requests_sent == 2
+
+    def test_starved_workers_with_one_table_recover_different_subtrees(self):
+        # A deterministic pick (DEEPEST) sent every starved survivor after
+        # the same smallest missing subtree; each worker's seeded stream
+        # spreads them over the complement instead.
+        engine, network, problem, tree, workers = make_worker_pair(3, with_root=False)
+        known = WorkReport.build("w0", [leaf.code for leaf in tree.leaves()[::2]])
+        picks = []
+        for worker in workers[1:]:
+            deliver(worker, "w0", WorkReportMsg(known))
+            for _ in range(worker.config.recovery_failed_threshold):
+                worker.recovery.note_request_failed(-1.0)
+            worker._handle_starvation()
+            assert worker.stats.recovery_activations == 1
+            picks.append(worker.recovery.stats.regenerated[0])
+        assert picks[0] != picks[1]
+        assert not any(
+            known_code == pick or known_code.is_ancestor_of(pick)
+            for known_code in known.codes
+            for pick in picks
+        )
 
     def test_worker_without_a_node_cost_waits_for_stalled_progress(self):
         # It has heard of completed work but expanded nothing, and no cost
@@ -301,7 +376,7 @@ class TestStepFastPath:
 
 
 class TestIdleGossipCadence:
-    """The starved-worker table push is floored by the poll, paced by node cost."""
+    """The starved-worker table push is floored by the pace cap, paced by node cost."""
 
     STARVED_SECONDS = 10.0
 
@@ -329,22 +404,24 @@ class TestIdleGossipCadence:
         assert len(times) == (
             w1.stats.delta_gossips_sent + w1.stats.delta_gossips_suppressed
         )
-        return times, w1.config.idle_poll_interval
+        return times
 
     def test_coarse_grain_pushes_are_paced_by_node_cost(self):
-        times, poll = self._push_times(3.35)
+        times = self._push_times(3.35)
         pace = IDLE_GOSSIP_NODE_COST_FRACTION * 3.35
-        assert pace > poll
+        assert pace > IDLE_PACE_CAP
         gaps = [later - earlier for earlier, later in zip(times, times[1:])]
         assert min(gaps) >= pace
         assert len(times) <= self.STARVED_SECONDS / pace + 1
-        # Paced, not switched off: the next poll after the pace still pushes.
-        assert max(gaps) <= pace + 2 * poll
+        # Paced, not switched off: the next poll (one cap apart at coarse
+        # grain) after the pace still pushes.
+        assert max(gaps) <= pace + 2 * IDLE_PACE_CAP
 
-    def test_fine_grain_pushes_keep_the_poll_cadence(self):
-        # A fraction of 0.01 s is far below the poll interval, so the floor
-        # decides — this is what keeps the fine-grain runs bit-identical.
-        times, poll = self._push_times(0.01)
+    def test_fine_grain_pushes_keep_the_cap_cadence(self):
+        # A fraction of 0.01 s is far below the cap, so the cap decides: the
+        # worker polls more often than the cap but pushes only once per cap.
+        times = self._push_times(0.01)
         gaps = [later - earlier for earlier, later in zip(times, times[1:])]
-        assert len(times) >= 0.95 * self.STARVED_SECONDS / poll
-        assert max(gaps) <= 1.5 * poll
+        assert min(gaps) >= IDLE_PACE_CAP
+        assert len(times) >= 0.95 * self.STARVED_SECONDS / IDLE_PACE_CAP
+        assert max(gaps) <= 1.5 * IDLE_PACE_CAP
