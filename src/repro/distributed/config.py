@@ -11,8 +11,8 @@ terminology:
 * ``report_staleness`` — the "has not been updated for a long time" rule;
 * ``table_gossip_interval`` — how often a full completed-table snapshot is
   pushed to one random member;
-* ``recovery_failed_threshold`` / ``recovery_idle_threshold`` — "how soon
-  failure is suspected after a machine unsuccessfully tries to get work";
+* ``recovery_failed_threshold`` — "how soon failure is suspected after a
+  machine unsuccessfully tries to get work";
 * ``granularity`` — the constant factor applied to all node times;
 * the per-operation costs (message handling, list contraction, subproblem
   rebuild) that turn algorithmic work into simulated time, so the Figure 3 /
@@ -21,11 +21,15 @@ terminology:
 How much a donor gives away is deliberately *not* a field: the simulated and
 the real-process workers share one donation rule,
 :meth:`repro.bnb.pool.SubproblemPool.take_donation`, so the two drivers
-cannot drift apart on it.  Nor is how long a starved worker waits: it waits
-in units of its own measured node cost (floored at two measured network
-round trips, capped by ``IDLE_PACE_CAP`` in ``worker.py``), and both drivers pick the recovery candidate at random from
-the worker's seeded stream (the :class:`~repro.core.recovery.RecoveryPolicy`
-default), so starved survivors do not all regenerate the same subtree.
+cannot drift apart on it.  Nor is how long a starved worker waits, or how
+long progress must stall before it suspects loss: both drivers call the
+rules of :mod:`repro.distributed.pacing`, which measure every wait in the
+worker's own node cost (a request timeout floored at two network round
+trips, polls capped by ``IDLE_PACE_CAP``, loss suspected after
+``STALL_NODE_COSTS`` node costs with no news).  Both drivers also pick the
+recovery candidate at random from the worker's seeded stream (the
+:class:`~repro.core.recovery.RecoveryPolicy` default), so starved survivors
+do not all regenerate the same subtree.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class AlgorithmConfig:
     #: the regular interval: at most once per ``IDLE_PACE_CAP`` (the floor)
     #: and, for coarse-grained work, once per quarter of the measured node
     #: cost — a table cannot gain news faster than nodes complete
-    #: (``IDLE_GOSSIP_NODE_COST_FRACTION`` in ``worker.py``).  Idle processes
+    #: (``IDLE_GOSSIP_NODE_COST_FRACTION`` in ``pacing.py``).  Idle processes
     #: have spare capacity, and converging the completed-table views quickly
     #: is exactly what lets them detect termination instead of redoing work.
     table_gossip_when_idle: bool = True
@@ -101,25 +105,15 @@ class AlgorithmConfig:
     termination_echo: bool = False
 
     # ----------------------- fault tolerance ------------------------------ #
-    #: Consecutive unsuccessful work requests before loss is suspected.
+    #: Consecutive unsuccessful work requests before loss is suspected.  The
+    #: second condition, starvation with no news for three node costs, is a
+    #: shared rule (``STALL_NODE_COSTS`` in ``pacing.py``), not a field.
     recovery_failed_threshold: int = 4
-    #: Optional minimum starvation time before recovery may run (s).
-    recovery_idle_threshold: Optional[float] = None
-    #: Additional adaptive starvation floor: loss is suspected only after the
-    #: worker has been starved for at least this many times its recent average
-    #: node cost *with no news* — every merge that teaches its table a new
-    #: code restarts the clock, so a worker that keeps hearing of completions
-    #: elsewhere does not mistake idleness for loss.  This is the paper's "how
-    #: soon failure is suspected" knob, made granularity-aware so the same
-    #: configuration behaves sensibly for 0.01 s and 3.47 s subproblems.  A
-    #: worker with no node cost to scale by (none expected, none measured)
-    #: uses the ``recovery_bootstrap_timeout`` floor instead.
-    recovery_idle_cost_factor: float = 3.0
     #: A worker that has never done any work and knows of no completed work
     #: cannot tell "work was lost" from "work has not reached me yet", so it
     #: only falls back to regenerating the root region after this much
     #: uninterrupted starvation.  ``None`` derives the value from the node
-    #: cost estimate (max(10 s, 30 × expected node cost)).
+    #: cost estimate (max(10 s, 30 × node cost), ``pacing.bootstrap_timeout``).
     recovery_bootstrap_timeout: Optional[float] = None
     #: Abort subproblems (including recoveries) that a received report shows
     #: to be already completed elsewhere.

@@ -10,7 +10,9 @@ Section 5 of the paper:
   whether any messages are pending");
 * on-demand load balancing: a starving worker asks a randomly chosen member
   for work, the receiver donates part of its pool if it has "enough", and
-  the requester waits up to one node time for a busy receiver's answer;
+  the requester waits up to one node time for a busy receiver's answer
+  (every such wait is a rule of :mod:`repro.distributed.pacing`, which the
+  real-process worker runs too);
 * the fault-tolerance mechanism: completed codes are tracked and gossiped as
   compressed work reports, received reports are merged and contracted, and a
   worker that stays starved with no news complements its table and
@@ -63,35 +65,13 @@ from .messages import (
     WorkReportMsg,
     WorkRequest,
 )
+from . import pacing
 from .stats import WorkerRunStats
 
 __all__ = ["PeerRoster", "WorkerEntity", "DELTA_BYTES_BUCKETS"]
 
 #: Histogram buckets for gossip-delta wire sizes (bytes).
 DELTA_BYTES_BUCKETS = (64, 256, 1024, 4096, 16384, 65536)
-
-#: A starved worker re-polls, and spaces its work requests, once per request
-#: timeout (its node cost, floored at two network round trips: a busy donor
-#: answers at its next expansion boundary, so waiting longer only idles) but
-#: at least this often (s), so that at coarse grain retries and the
-#: loss-suspicion check still run many times per node.  The same value
-#: floors the starved-worker table push (``IDLE_GOSSIP_NODE_COST_FRACTION``):
-#: a fine-grain worker polls several times per cap without pushing its table
-#: any faster (docs/ARCHITECTURE.md, "Starved-worker pacing", has the
-#: measurements).
-IDLE_PACE_CAP = 0.1
-
-#: A starved worker pushes its table at most once per this fraction of its
-#: measured node cost (never faster than ``IDLE_PACE_CAP``).  A table
-#: gains a locally completed code at most once per node cost, so more than
-#: a few pushes per node time mostly re-ship what the peer already heard
-#: from someone else: at 100 workers × 3.35 s nodes the 0.1 s poll cadence
-#: delivered 5.7 % novel codes, this one 22 %, for 30 % of the bytes.  The
-#: knee of the measured sweep is 0.2–0.5; 0.25 is the cheapest value whose
-#: speedup and work ratio stayed within 6 % of the poll cadence's on every
-#: one of 18 seeds.  Gossip also repairs lost reports, so a larger value
-#: costs work under message loss (docs/ARCHITECTURE.md has both sweeps).
-IDLE_GOSSIP_NODE_COST_FRACTION = 0.25
 
 
 class PeerRoster(_SequenceABC):
@@ -271,9 +251,7 @@ class WorkerEntity(Entity):
         )
         self.termination = TerminationDetector(self.tracker)
         self.recovery = RecoveryPolicy(
-            failed_request_threshold=config.recovery_failed_threshold,
-            idle_time_threshold=config.recovery_idle_threshold,
-            rng=self.rng,
+            failed_request_threshold=config.recovery_failed_threshold, rng=self.rng
         )
         self.incumbent: BestSolution = BestSolution()
         self.stats = WorkerRunStats(name=name)
@@ -619,9 +597,7 @@ class WorkerEntity(Entity):
         )
         self.termination = TerminationDetector(self.tracker)
         self.recovery = RecoveryPolicy(
-            failed_request_threshold=self.config.recovery_failed_threshold,
-            idle_time_threshold=self.config.recovery_idle_threshold,
-            rng=self.rng,
+            failed_request_threshold=self.config.recovery_failed_threshold, rng=self.rng
         )
         self.incumbent = BestSolution()
         # A restarted worker re-reads the full membership list (the paper's
@@ -756,7 +732,8 @@ class WorkerEntity(Entity):
         self._trace_state("idle")
         if not self._idle_poll_armed:
             self._idle_poll_armed = True
-            self.set_timer(max(overhead, 0.0) + self._idle_pace(), "idle-poll")
+            pace = pacing.idle_pace(self._avg_node_cost, self._avg_transit)
+            self.set_timer(max(overhead, 0.0) + pace, "idle-poll")
 
     # ------------------------------------------------------------------ #
     # Expansion
@@ -817,10 +794,7 @@ class WorkerEntity(Entity):
         # time on the same node (the cost model is calibrated at speed 1.0).
         cost = outcome.cost if self.speed == 1.0 else outcome.cost / self.speed
         if cost > 0:
-            if self._avg_node_cost <= 0:
-                self._avg_node_cost = cost
-            else:
-                self._avg_node_cost = 0.9 * self._avg_node_cost + 0.1 * cost
+            self._avg_node_cost = pacing.moving_average(self._avg_node_cost, cost)
 
         return self._charge("bb", cost)
 
@@ -840,11 +814,9 @@ class WorkerEntity(Entity):
     def _handle_message(self, message: QueuedMessage) -> float:
         payload = message.payload
         now = self._now()
-        transit = message.delivered_at - message.sent_at
-        if self._avg_transit <= 0:
-            self._avg_transit = transit
-        else:
-            self._avg_transit = 0.9 * self._avg_transit + 0.1 * transit
+        self._avg_transit = pacing.moving_average(
+            self._avg_transit, message.delivered_at - message.sent_at
+        )
         receive_cost = (
             self.config.msg_processing_base
             + self.config.msg_processing_per_byte * message.size_bytes
@@ -1003,69 +975,29 @@ class WorkerEntity(Entity):
             self.recovery.note_request_failed(self._now())
         return self._charge("load_balancing", rebuild_cost)
 
+    # The pacing rules live in :mod:`repro.distributed.pacing`, shared with
+    # the real-process worker; these bind them to this worker's estimates.
     def _effective_idle_threshold(self) -> Optional[float]:
-        """Starvation time required before loss is suspected (granularity-aware)."""
-        base = self.config.recovery_idle_threshold or 0.0
-        factor = self.config.recovery_idle_cost_factor
-        if factor > 0 and self._avg_node_cost <= 0:
-            # No node cost measured or expected yet, so nothing to scale the
-            # floor by: wait the blank-worker floor for stalled progress
-            # rather than suspect loss on failed requests alone.
-            adaptive = self._bootstrap_timeout()
-        else:
-            adaptive = factor * self._avg_node_cost
-        threshold = max(base, adaptive)
-        return threshold if threshold > 0 else None
-
-    def _idle_gossip_interval(self) -> float:
-        """Minimum pause between a starved worker's table pushes (granularity-aware)."""
-        return max(IDLE_PACE_CAP, IDLE_GOSSIP_NODE_COST_FRACTION * self._avg_node_cost)
+        """Starvation with no news required before loss is suspected."""
+        return pacing.stall_threshold(self._avg_node_cost, self._bootstrap_timeout())
 
     def _request_timeout(self) -> float:
-        """How long a request may go unanswered before it counts as failed.
-
-        A busy peer reads its inbox only between node expansions, so a live
-        peer answers after the rest of its current node plus one network
-        round trip (twice the measured one-way transit).  With nodes longer
-        than a round trip the wait is one node cost: the rarer answer that
-        comes later is still used (a late grant is accepted), while a fixed
-        floor above it idles on a dead peer.  With nodes shorter than a
-        round trip, node cost plus round trip is under two round trips, the
-        floor — without it every request, even an idle peer's immediate
-        denial, would time out.  With no node cost known the pace cap
-        stands in.
-        """
-        if self._avg_node_cost <= 0:
-            return IDLE_PACE_CAP
-        return max(self._avg_node_cost, 4 * self._avg_transit)
-
-    def _idle_pace(self) -> float:
-        """Pause between a starved worker's polls, and between its requests."""
-        return min(IDLE_PACE_CAP, self._request_timeout())
+        """How long a request may go unanswered before it counts as failed."""
+        return pacing.request_timeout(self._avg_node_cost, self._avg_transit)
 
     def _bootstrap_timeout(self) -> float:
         """Starvation a blank worker must endure before regenerating the root."""
-        if self.config.recovery_bootstrap_timeout is not None:
-            return self.config.recovery_bootstrap_timeout
-        return max(10.0, 30.0 * self._avg_node_cost)
+        return pacing.bootstrap_timeout(
+            self._avg_node_cost, self.config.recovery_bootstrap_timeout
+        )
 
     def _may_recover(self, now: float) -> bool:
-        """Gate against mistaking start-up starvation for lost work.
-
-        A worker that has expanded at least one node, or whose table records
-        any completed work, has evidence the computation is under way and may
-        suspect loss normally.  A completely blank worker (fresh join, nothing
-        heard yet) only falls back to recovery after the bootstrap timeout —
-        otherwise every idle member would regenerate the root problem during
-        ramp-up and the whole tree would be solved n times over.
-        """
-        if self.stats.nodes_expanded > 0 or len(self.tracker.table) > 0:
-            self._starved_blank_since = None
-            return True
-        if self._starved_blank_since is None:
-            self._starved_blank_since = now
-            return False
-        return (now - self._starved_blank_since) >= self._bootstrap_timeout()
+        """The blank-worker gate (:func:`~repro.distributed.pacing.blank_gate`)."""
+        blank = self.stats.nodes_expanded == 0 and len(self.tracker.table) == 0
+        allowed, self._starved_blank_since = pacing.blank_gate(
+            blank, self._starved_blank_since, now, self._bootstrap_timeout()
+        )
+        return allowed
 
     def _handle_starvation(self) -> float:
         """Pool is empty: try recovery, then load balancing."""
@@ -1110,14 +1042,12 @@ class WorkerEntity(Entity):
         if (
             self.config.table_gossip_when_idle
             and self.peers
-            and (now - self._last_table_gossip) >= self._idle_gossip_interval()
+            and (now - self._last_table_gossip) >= pacing.push_interval(self._avg_node_cost)
         ):
             cost += self._send_table_gossip(now)
 
-        may_request = (
-            self._last_lb_attempt is None
-            or (now - self._last_lb_attempt) >= self._idle_pace()
-        )
+        pace = pacing.idle_pace(self._avg_node_cost, self._avg_transit)
+        may_request = self._last_lb_attempt is None or now - self._last_lb_attempt >= pace
         if self._outstanding_request is None and may_request:
             victim = self.rng.choice(self.peers)
             self.send(victim, WorkRequest(requester=self.name, best=self._my_best()))

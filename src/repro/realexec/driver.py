@@ -123,7 +123,7 @@ class LocalCluster:
         prune: bool = True,
         report_threshold: int = 5,
         report_fanout: int = 2,
-        recovery_failed_threshold: int = 3,
+        recovery_failed_threshold: int = RealWorkerConfig.recovery_failed_threshold,
         wire_generations: Optional[Sequence[int]] = None,
         transport: str = "pipe",
         telemetry: Optional[TelemetryConfig] = None,

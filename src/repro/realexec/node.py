@@ -24,9 +24,16 @@ rolling upgrade: deltas to old workers are dropped as unsupported, the
 generation-1 report/snapshot traffic keeps every worker converging, and the
 computation still terminates on the optimum.
 
-The protocol mirrors :mod:`repro.distributed.worker` in miniature; it trades
-the detailed time accounting of the simulator for the ability to kill real
-processes in the fault-injection tests.
+The protocol is the simulator's (:mod:`repro.distributed.worker`), driven by
+a wall clock instead of simulated time.  The rules that decide it are shared,
+not copied: how much a donor gives away
+(:meth:`~repro.bnb.pool.SubproblemPool.take_donation`), how long a starved
+worker waits and when it suspects loss (:mod:`repro.distributed.pacing`: the
+request timeout and pace, the table-push interval, the stall rule and the
+blank-worker gate), and which missing subtree it regenerates
+(:class:`~repro.core.recovery.RecoveryPolicy`).  What stays here is the I/O
+loop, without the simulator's time accounting, so real processes can be
+killed in the fault-injection tests.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from ..core.completion import CompletionTracker
 from ..core.recovery import RecoveryPolicy
 from ..core.termination import make_root_report
 from ..core.work_report import BestSolution
+from ..distributed import pacing
+from ..distributed.config import AlgorithmConfig
 from ..distributed.messages import (
     DeltaGossipMsg,
     TableGossipAck,
@@ -93,8 +102,7 @@ class RealWorkerConfig:
     has_root: bool = False
     report_threshold: int = 5
     report_fanout: int = 2
-    recovery_failed_threshold: int = 3
-    poll_timeout: float = 0.02
+    recovery_failed_threshold: int = AlgorithmConfig().recovery_failed_threshold
     node_sleep: float = 0.0
     seed: int = 0
     max_seconds: float = 30.0
@@ -103,8 +111,6 @@ class RealWorkerConfig:
     #: accepts the whole protocol; 1 models a not-yet-upgraded binary that
     #: sends whole-table snapshots and rejects generation-2 frames.
     wire_generation: int = FRAME_VERSION
-    #: Minimum wall-clock seconds between table-gossip pushes while starved.
-    gossip_interval: float = 0.2
     #: Collect run telemetry (trace records + a metrics snapshot) and ship it
     #: to the driver as a :class:`WorkerTelemetry` frame before the outcome.
     telemetry: bool = False
@@ -215,6 +221,11 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     from the complement, and stop when the completed table contracts to the
     root code (sending the final root report first).  The final
     :class:`WorkerOutcome` is sent to the driver over the same channel.
+
+    A starved worker waits by the rules of :mod:`repro.distributed.pacing`,
+    in wall-clock node costs: it blocks on its link until the next thing
+    falls due (its request's timeout, its next request, its next table
+    push), and an answer to its request ends the wait at once.
     """
     connection = resolve_connection(connection)
     run_start = time.time()
@@ -236,8 +247,16 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     incumbent: Optional[float] = None
     reports_sent = 0
     deadline = time.monotonic() + config.max_seconds
-    outstanding_request = False
     root_broadcast_sent = False
+    # Moving average of wall seconds per node (expand plus sleep), seeded
+    # with ``node_sleep`` as the simulator seeds it with the expected cost.
+    node_cost = config.node_sleep
+    # ``(victim, sent_at)`` of the work request awaiting an answer, and when
+    # the last request went out (or timed out): the next waits one pace.
+    outstanding: Optional[Tuple[str, float]] = None
+    last_request: Optional[float] = None
+    last_push = 0.0
+    blank_since: Optional[float] = None
 
     if config.has_root:
         pool.push(problem.root_subproblem(), bound=problem.bound(problem.root_state()))
@@ -271,11 +290,30 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             send(target, WorkReportMsg(report))
         reports_sent += 1
 
-    last_gossip = 0.0
+    def can_push() -> bool:
+        return bool(peers) and len(tracker.table) > 0
+
+    def starved_wait(now: float) -> float:
+        """Seconds a starved worker may block on its link: until its next
+        request times out or may go, or its next table push is due.  On one
+        host a round trip is well under 1 % of a node, so transit is 0."""
+        if outstanding is not None:
+            due = outstanding[1] + pacing.request_timeout(node_cost, 0.0)
+        elif last_request is not None:
+            due = last_request + pacing.idle_pace(node_cost, 0.0)
+        else:
+            due = now
+        if can_push():
+            due = min(due, last_push + pacing.push_interval(node_cost))
+        return min(pacing.IDLE_PACE_CAP, max(0.0, due - now))
+
     terminated = False
     while not terminated and time.monotonic() < deadline:
         # ------------------------------------------------------------ drain
-        while connection.poll(0 if pool else config.poll_timeout):
+        # A worker with work only reads what has arrived; a starved one
+        # blocks until its next due time, or until its request is answered.
+        wait = 0.0 if pool else starved_wait(time.monotonic())
+        while connection.poll(wait):
             try:
                 envelope = recv_envelope(connection, max_version=config.wire_generation)
             except (EOFError, OSError):
@@ -293,8 +331,10 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 continue
             if registry is not None:
                 registry.counter("worker_frames_received", worker=config.name).inc()
+            now = time.monotonic()
             payload = envelope.payload
             absorb_best(payload)
+            answered = False
             if isinstance(payload, WorkRequest):
                 donated = pool.take_donation()
                 if donated:
@@ -309,7 +349,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 else:
                     send(payload.requester, WorkDenied(donor=config.name, best=my_best()))
             elif isinstance(payload, WorkGrant):
-                outstanding_request = False
+                outstanding = None
+                answered = True
                 got_any = False
                 for code in payload.codes:
                     if tracker.table.covers(code):
@@ -323,22 +364,29 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 if got_any:
                     recovery.note_work_obtained()
                 else:
-                    recovery.note_request_failed(time.monotonic())
+                    recovery.note_request_failed(now)
             elif isinstance(payload, WorkDenied):
-                outstanding_request = False
-                recovery.note_request_failed(time.monotonic())
+                # Only the donor asked last frees the request slot: a late
+                # denial of a request that already timed out is still a
+                # failed attempt, but the newer request stays outstanding.
+                if outstanding is not None and outstanding[0] == payload.donor:
+                    outstanding = None
+                    answered = True
+                recovery.note_request_failed(now)
             elif isinstance(payload, (WorkReportMsg, TableGossipMsg)):
                 report = (
                     payload.report
                     if isinstance(payload, WorkReportMsg)
                     else payload.snapshot.as_report()
                 )
-                tracker.merge_report(report)
+                if tracker.merge_report(report):
+                    recovery.note_progress(now)
                 if config.wire_generation >= 2:
                     tracker.note_peer_covers(envelope.sender, report.codes)
             elif isinstance(payload, DeltaGossipMsg):
                 delta = payload.delta
-                tracker.merge_delta(delta)
+                if tracker.merge_delta(delta):
+                    recovery.note_progress(now)
                 tracker.note_peer_covers(delta.sender, delta.codes)
                 my_digest = tracker.table_digest_now()
                 if my_digest == delta.full_digest:
@@ -356,6 +404,10 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 tracker.note_snapshot_ack(payload.sender, payload.digest)
                 if payload.table_digest and payload.table_digest == tracker.table_digest_now():
                     tracker.note_peer_converged(payload.sender)
+            if pool or answered or tracker.is_tree_complete():
+                wait = 0.0
+            elif wait > 0.0:
+                wait = starved_wait(time.monotonic())
 
         if tracker.is_tree_complete():
             terminated = True
@@ -370,16 +422,51 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 break
         if sub is None:
             flush_report(force=True)
+            now = time.monotonic()
+            if outstanding is not None and (
+                now - outstanding[1] >= pacing.request_timeout(node_cost, 0.0)
+            ):
+                # Unanswered for a whole request timeout (lost message, dead
+                # or busy victim): a failed attempt.  The next request waits
+                # one pace from here, not from the send: a busy donor that a
+                # grant left in step with this worker answers one loop period
+                # after the request, just past one node cost, so asking
+                # someone else at once would double the traffic per answer.
+                outstanding = None
+                last_request = now
+                recovery.note_request_failed(now)
+            bootstrap = pacing.bootstrap_timeout(node_cost)
+            recovery.idle_time_threshold = pacing.stall_threshold(node_cost, bootstrap)
+            may_recover, blank_since = pacing.blank_gate(
+                expander.nodes_expanded == 0 and len(tracker.table) == 0,
+                blank_since,
+                now,
+                bootstrap,
+            )
+            decision = recovery.evaluate(tracker, now) if may_recover else None
+            if decision is not None and decision.code is not None:
+                recovery.note_recovery_started(decision.code)
+                if tracer is not None:
+                    tracer.event(
+                        "recovery_start",
+                        category="recovery",
+                        args={"depth": decision.code.depth},
+                    )
+                rebuilt = problem.rebuild_subproblem(decision.code)
+                if rebuilt is None:
+                    tracker.record_completed(decision.code)
+                else:
+                    pool.push(rebuilt, bound=problem.bound(rebuilt.state))
+                continue
             # Starved workers use their spare capacity to converge the
             # completed-table views: deltas at generation 2, whole snapshots
             # at generation 1 (the paper's literal behaviour).
-            now = time.monotonic()
-            if peers and (now - last_gossip) >= config.gossip_interval and len(tracker.table):
+            if can_push() and now - last_push >= pacing.push_interval(node_cost):
                 target = rng.choice(peers)
-                last_gossip = now
+                last_push = now
                 # One clock per process in the trace: the span is stamped
                 # with the tracer's own (wall) clock; the monotonic clock
-                # above only paces the gossip interval.
+                # above only paces the push interval.
                 span_start = tracer.now() if tracer is not None else 0.0
                 gossip_kind = None
                 if config.wire_generation >= 2:
@@ -398,31 +485,25 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                         category="gossip",
                         args={"target": target},
                     )
-            if peers and not outstanding_request:
-                send(rng.choice(peers), WorkRequest(requester=config.name, best=my_best()))
-                outstanding_request = True
-            else:
-                recovery.note_request_failed(time.monotonic())
-                outstanding_request = False
-            decision = recovery.evaluate(tracker, time.monotonic())
-            if decision.code is not None:
-                recovery.note_recovery_started(decision.code)
-                if tracer is not None:
-                    tracer.event(
-                        "recovery_start",
-                        category="recovery",
-                        args={"depth": decision.code.depth},
-                    )
-                rebuilt = problem.rebuild_subproblem(decision.code)
-                if rebuilt is None:
-                    tracker.record_completed(decision.code)
+            may_request = last_request is None or (
+                now - last_request >= pacing.idle_pace(node_cost, 0.0)
+            )
+            if outstanding is None and may_request:
+                last_request = now
+                if peers:
+                    victim = rng.choice(peers)
+                    send(victim, WorkRequest(requester=config.name, best=my_best()))
+                    outstanding = (victim, now)
                 else:
-                    pool.push(rebuilt, bound=problem.bound(rebuilt.state))
+                    # Nobody to ask: every pace counts as a failed attempt.
+                    recovery.note_request_failed(now)
             continue
 
+        started = time.monotonic()
         outcome = expander.expand(sub, incumbent)
         if config.node_sleep > 0:
             time.sleep(config.node_sleep)
+        node_cost = pacing.moving_average(node_cost, time.monotonic() - started)
         if outcome.incumbent_value is not None:
             incumbent = outcome.incumbent_value
         for code in outcome.completed:

@@ -1044,6 +1044,10 @@ class StreamRouter(EnvelopeRouter):
             self._pending.remove(peer)
         if peer.name is not None and self._parent_ends.get(peer.name) is peer:
             del self._parent_ends[peer.name]
+            # It dialed in and left, so it is not late: frames to it are lost
+            # from now on, not parked for a connection that will not come
+            # (a respawn re-arms the grace through ``add_worker``).
+            self._connect_grace.pop(peer.name, None)
         self._discard_queued(peer)
         peer.close()
 

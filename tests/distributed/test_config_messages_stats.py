@@ -49,7 +49,7 @@ class TestAlgorithmConfig:
         # Every field must earn its place; behaviour that can be derived
         # (donation sizing, starved-worker pacing, the recovery pick) lives
         # in shared rules and named constants, not here.
-        assert len(dataclasses.fields(AlgorithmConfig)) == 29
+        assert len(dataclasses.fields(AlgorithmConfig)) == 27
 
 
 class TestMessages:

@@ -15,11 +15,8 @@ from repro.distributed.messages import (
     WorkReportMsg,
     WorkRequest,
 )
-from repro.distributed.worker import (
-    IDLE_GOSSIP_NODE_COST_FRACTION,
-    IDLE_PACE_CAP,
-    WorkerEntity,
-)
+from repro.distributed.pacing import IDLE_GOSSIP_NODE_COST_FRACTION, IDLE_PACE_CAP
+from repro.distributed.worker import WorkerEntity
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.entity import QueuedMessage
 from repro.simulation.metrics import MetricsCollector

@@ -776,6 +776,29 @@ class TestStreamConnectionContract:
             router.stop()
         assert router.forwarded == 3
 
+    def test_frames_to_a_finished_worker_are_dropped_at_once(self, transport):
+        """A worker that identified and closed has finished: a frame sent to
+        it afterwards is dropped, not parked until the connect grace ends."""
+        from repro.realexec.transport import create_router
+
+        router = create_router(transport)
+        done_endpoint = router.add_worker("done")
+        sink_endpoint = router.add_worker("sink")
+        router.start()
+        try:
+            done = done_endpoint.connect()
+            sink = sink_endpoint.connect()
+            _wait_for(lambda: {"done", "sink"} <= set(router._parent_ends))
+            done.close()
+            _wait_for(lambda: "done" not in router._parent_ends)
+            send_envelope(sink, self._frame("sink", "done"))
+            _wait_for(lambda: router.dropped == 1)
+            assert router.dropped == 1 and not router._deferred
+            sink.close()
+        finally:
+            router.stop()
+        assert router.forwarded == 0
+
     def test_close_drains_until_the_router_hangs_up(self, transport):
         """Worker teardown is send -> half-close -> drain: the last frame
         arrives although the worker closes with unread inbound traffic."""
