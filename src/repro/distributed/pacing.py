@@ -4,7 +4,9 @@ A worker whose pool is empty asks peers for work, pushes its completed table
 to one of them, and — once progress has stalled — suspects loss and
 regenerates a missing subtree (Section 5.3.2).  Every "how long" in that loop
 is measured in the worker's own node cost: a busy donor reads requests only
-between nodes, and a table cannot gain news faster than nodes complete.
+between nodes, and a table cannot gain news faster than nodes complete.  The
+table push doubles as a work request: a donor pushes surplus to the peers it
+heard from within one request timeout (:func:`push_targets`).
 
 The rules are plain functions over explicit inputs (a node cost, a one-way
 transit, clock readings), so the simulated worker
@@ -17,7 +19,7 @@ pacing", has the measurements behind each constant.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 __all__ = [
     "IDLE_PACE_CAP",
@@ -32,6 +34,7 @@ __all__ = [
     "bootstrap_timeout",
     "stall_threshold",
     "blank_gate",
+    "push_targets",
 ]
 
 #: A starved worker re-polls, and spaces its work requests, once per request
@@ -147,3 +150,20 @@ def blank_gate(
     if blank_since is None:
         return False, now
     return now - blank_since >= bootstrap, blank_since
+
+
+def push_targets(starved: Mapping[str, float], now: float, timeout: float) -> List[str]:
+    """Peers a worker with surplus should push one subproblem to, in order.
+
+    ``starved`` maps each peer whose table push this worker has processed to
+    when it processed it: only a starved worker pushes between node costs,
+    so the push reads as "I have nothing to do" (a busy worker's periodic
+    push reads the same; that misreading is accepted).  A signal older than
+    one request ``timeout`` is stale — by then the peer has been answered
+    by someone or is asking again — and the most recently heard peer comes
+    first.  The caller gives one subproblem per target while it holds two
+    or more, and forgets a peer once it pushed to or granted it.
+    """
+    fresh = [(heard, peer) for peer, heard in starved.items() if now - heard < timeout]
+    fresh.sort(reverse=True)
+    return [peer for _heard, peer in fresh]

@@ -121,7 +121,7 @@ def assemble_run_result(
     for worker in workers:
         stats = worker.stats
         messages_by_kind["work_requests"] += stats.work_requests_sent
-        messages_by_kind["work_grants"] += stats.work_grants_sent
+        messages_by_kind["work_grants"] += stats.work_grants_sent + stats.work_pushes_sent
         messages_by_kind["work_denials"] += stats.work_denials_sent
         messages_by_kind["work_reports"] += stats.reports_sent
         messages_by_kind["table_gossips"] += stats.table_gossips_sent

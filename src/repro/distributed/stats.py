@@ -47,6 +47,9 @@ class WorkerRunStats:
     codes_received_redundant: int = 0
     work_requests_sent: int = 0
     work_grants_sent: int = 0
+    #: Grants pushed unasked to a peer heard starving (disjoint from
+    #: ``work_grants_sent``, which counts answers to work requests).
+    work_pushes_sent: int = 0
     work_denials_sent: int = 0
     work_grants_received: int = 0
     recovery_activations: int = 0
@@ -98,6 +101,7 @@ class WorkerRunStats:
             "codes_received_redundant": self.codes_received_redundant,
             "work_requests_sent": self.work_requests_sent,
             "work_grants_sent": self.work_grants_sent,
+            "work_pushes_sent": self.work_pushes_sent,
             "work_denials_sent": self.work_denials_sent,
             "work_grants_received": self.work_grants_received,
             "recovery_activations": self.recovery_activations,

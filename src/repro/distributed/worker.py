@@ -12,7 +12,9 @@ Section 5 of the paper:
   for work, the receiver donates part of its pool if it has "enough", and
   the requester waits up to one node time for a busy receiver's answer
   (every such wait is a rule of :mod:`repro.distributed.pacing`, which the
-  real-process worker runs too);
+  real-process worker runs too); a starved worker's table delta doubles as
+  a request, so a worker with surplus pushes one subproblem to each peer it
+  heard from within one request timeout;
 * the fault-tolerance mechanism: completed codes are tracked and gossiped as
   compressed work reports, received reports are merged and contracted, and a
   worker that stays starved with no news complements its table and
@@ -279,6 +281,9 @@ class WorkerEntity(Entity):
         #: Time at which this worker first found itself starved with nothing
         #: known about the computation (used by the bootstrap gate).
         self._starved_blank_since: Optional[float] = None
+        #: Peers whose table delta this worker processed, and when: the push
+        #: signal of :func:`~repro.distributed.pacing.push_targets`.
+        self._starved_peers: Dict[str, float] = {}
 
         # Churn / failure detection state ---------------------------------- #
         #: Restart count: bumped by :meth:`reset_for_rejoin`, gossiped so
@@ -376,6 +381,7 @@ class WorkerEntity(Entity):
         if peer in self.peers:
             self.peers.remove(peer)
             removed = True
+        self._starved_peers.pop(peer, None)
         pruned = self.tracker.prune_peer_view(peer)
         self._sync_views_pruned()
         return removed or pruned
@@ -604,6 +610,7 @@ class WorkerEntity(Entity):
         # join-time gossip-server handshake): evictions it made before the
         # restart are forgotten with the rest of its volatile state.
         self.peers = PeerRoster(self.members, self.name)
+        self._starved_peers.clear()
         self._fd = None
         self._finished = False
         self.stats.terminated = False
@@ -711,6 +718,9 @@ class WorkerEntity(Entity):
                 # wakes us up.
                 self._go_idle(now + overhead, overhead)
                 return
+
+        if self._starved_peers and len(self.pool) >= 2:
+            overhead += self._push_surplus(now)
 
         # Expand the next subproblem that is not already known completed.
         sub = self._next_uncovered_subproblem()
@@ -892,6 +902,7 @@ class WorkerEntity(Entity):
         """Merge a received delta gossip and acknowledge it to the sender."""
         now = self._now()
         delta = msg.delta
+        self._starved_peers[delta.sender] = now
         before_ops = self.tracker.table.stats.elementary_operations()
         if self.tracker.merge_delta(delta):
             self.recovery.note_progress(now)
@@ -943,10 +954,27 @@ class WorkerEntity(Entity):
             )
             self.send(request.requester, grant)
             self.stats.work_grants_sent += 1
+            self._starved_peers.pop(request.requester, None)
         else:
             self.send(request.requester, WorkDenied(donor=self.name, best=self._my_best()))
             self.stats.work_denials_sent += 1
         cost += self._charge("load_balancing", self.config.msg_send_cost)
+        return cost
+
+    def _push_surplus(self, now: float) -> float:
+        """Give one subproblem to each peer freshly heard starving, unasked,
+        while at least two remain (:func:`~repro.distributed.pacing.
+        push_targets`, :meth:`~repro.bnb.pool.SubproblemPool.take_push`)."""
+        cost = 0.0
+        starved = self._starved_peers
+        for peer in pacing.push_targets(starved, now, self._request_timeout()):
+            sub = self.pool.take_push()
+            if sub is None:
+                break
+            del starved[peer]
+            self.send(peer, WorkGrant(donor=self.name, codes=(sub.code,), best=self._my_best()))
+            self.stats.work_pushes_sent += 1
+            cost += self._charge("load_balancing", self.config.msg_send_cost)
         return cost
 
     def _accept_work_grant(self, grant: WorkGrant) -> float:

@@ -103,6 +103,10 @@ class GossipFailureDetector:
         # Insertion-ordered copy of the table's keys, so the sampling path
         # can index members in O(1) without materialising a list per round.
         self._names: List[str] = [owner]
+        #: Last heartbeat counter of each member :meth:`cleanup` removed: a
+        #: lagging peer's digest still carries it, and only a higher counter
+        #: proves the member alive again.
+        self._evicted: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Local heartbeat
@@ -139,11 +143,20 @@ class GossipFailureDetector:
     # Merging remote information
     # ------------------------------------------------------------------ #
     def merge(self, digest: HeartbeatDigest, now: float) -> List[str]:
-        """Merge a received digest; returns members that were new."""
+        """Merge a received digest; returns members that were new.
+
+        An evicted member comes back only with a counter above the one it
+        was evicted with: its old counter in a lagging peer's digest is not
+        news, and re-admitting it would only evict it again.
+        """
         new_members = []
+        evicted = self._evicted
         for name, heartbeat in digest:
             entry = self._table.get(name)
             if entry is None:
+                if heartbeat <= evicted.get(name, -1):
+                    continue
+                evicted.pop(name, None)
                 self._table[name] = HeartbeatEntry(name, heartbeat=heartbeat, last_increase=now)
                 self._names.append(name)
                 new_members.append(name)
@@ -180,6 +193,7 @@ class GossipFailureDetector:
             entry = self._table[name]
             if (now - entry.last_increase) > self.cleanup_timeout:
                 del self._table[name]
+                self._evicted[name] = entry.heartbeat
                 removed.append(name)
         if removed:
             self._names = list(self._table)
@@ -208,8 +222,9 @@ class GossipFailureDetector:
         plain :meth:`merge` rule (``heartbeat > entry.heartbeat``) would
         discard as stale.  When a higher incarnation number proves a
         restart, the caller resets the entry so the newcomer's low counters
-        read as fresh again.
+        read as fresh again, and forgets the counter it was evicted with.
         """
+        self._evicted.pop(name, None)
         entry = self._table.get(name)
         if entry is None:
             self._table[name] = HeartbeatEntry(name, heartbeat=0, last_increase=now)

@@ -53,6 +53,7 @@ _WORKER_COUNTERS = (
     "codes_received_redundant",
     "work_requests_sent",
     "work_grants_sent",
+    "work_pushes_sent",
     "work_denials_sent",
     "heartbeats_sent",
     "peers_evicted",

@@ -27,7 +27,10 @@ computation still terminates on the optimum.
 The protocol is the simulator's (:mod:`repro.distributed.worker`), driven by
 a wall clock instead of simulated time.  The rules that decide it are shared,
 not copied: how much a donor gives away
-(:meth:`~repro.bnb.pool.SubproblemPool.take_donation`), how long a starved
+(:meth:`~repro.bnb.pool.SubproblemPool.take_donation`), what it pushes unasked
+to peers whose table delta it just processed
+(:meth:`~repro.bnb.pool.SubproblemPool.take_push` and
+:func:`~repro.distributed.pacing.push_targets`), how long a starved
 worker waits and when it suspects loss (:mod:`repro.distributed.pacing`: the
 request timeout and pace, the table-push interval, the stall rule and the
 blank-worker gate), and which missing subtree it regenerates
@@ -217,8 +220,9 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     first — the loop below is transport-agnostic.
 
     The loop: drain the transport, merge reports, answer work requests,
-    expand one node, occasionally emit work reports, recover starved work
-    from the complement, and stop when the completed table contracts to the
+    push surplus to peers heard starving, expand one node, occasionally emit
+    work reports, recover starved work from the complement, and stop when
+    the completed table contracts to the
     root code (sending the final root report first).  The final
     :class:`WorkerOutcome` is sent to the driver over the same channel.
 
@@ -257,6 +261,9 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     last_request: Optional[float] = None
     last_push = 0.0
     blank_since: Optional[float] = None
+    # Peers whose table delta was processed, and when (pacing.push_targets).
+    starved: Dict[str, float] = {}
+    pushes_sent = 0
 
     if config.has_root:
         pool.push(problem.root_subproblem(), bound=problem.bound(problem.root_state()))
@@ -346,6 +353,7 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                             best=my_best(),
                         ),
                     )
+                    starved.pop(payload.requester, None)
                 else:
                     send(payload.requester, WorkDenied(donor=config.name, best=my_best()))
             elif isinstance(payload, WorkGrant):
@@ -385,6 +393,7 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                     tracker.note_peer_covers(envelope.sender, report.codes)
             elif isinstance(payload, DeltaGossipMsg):
                 delta = payload.delta
+                starved[delta.sender] = now
                 if tracker.merge_delta(delta):
                     recovery.note_progress(now)
                 tracker.note_peer_covers(delta.sender, delta.codes)
@@ -414,6 +423,16 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             break
 
         # ------------------------------------------------------------ work
+        if starved and len(pool) >= 2:
+            now = time.monotonic()
+            timeout = pacing.request_timeout(node_cost, 0.0)
+            for peer in pacing.push_targets(starved, now, timeout):
+                pushed = pool.take_push()
+                if pushed is None:
+                    break
+                del starved[peer]
+                send(peer, WorkGrant(donor=config.name, codes=(pushed.code,), best=my_best()))
+                pushes_sent += 1
         sub = None
         while pool:
             candidate = pool.pop()
@@ -538,6 +557,7 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             args={"nodes_expanded": expander.nodes_expanded},
         )
         registry.counter("worker_reports_sent", worker=config.name).inc(reports_sent)
+        registry.counter("worker_pushes_sent", worker=config.name).inc(pushes_sent)
         registry.counter("worker_recoveries", worker=config.name).inc(
             recovery.stats.activations
         )

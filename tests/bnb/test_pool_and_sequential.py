@@ -122,6 +122,14 @@ class TestSubproblemPool:
         assert [sub.depth for sub in donated] == [1, 2, 3, 4]
         assert [pool.pop().depth for _ in range(4)] == [9, 8, 7, 6]
 
+    def test_push_rule_gives_one_shallowest_and_keeps_one(self):
+        pool = SubproblemPool(SelectionRule.DEPTH_FIRST)
+        for depth in (3, 1, 2):
+            pool.push(make_sub(depth))
+        assert [pool.take_push().depth for _ in range(2)] == [1, 2]
+        assert pool.take_push() is None
+        assert len(pool) == 1
+
     def test_drain_and_clear(self):
         pool = SubproblemPool()
         pool.push(make_sub(1))

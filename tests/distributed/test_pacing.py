@@ -79,6 +79,24 @@ class TestBootstrapAndBlankGate:
         assert pacing.blank_gate(True, 2.0, 12.0, 10.0) == (True, 2.0)
 
 
+class TestPushTargets:
+    def test_a_signal_is_fresh_for_one_request_timeout(self):
+        starved = {"fresh": 9.0, "stale": 5.0}
+        assert pacing.push_targets(starved, 10.0, 3.35) == ["fresh"]
+        assert pacing.push_targets(starved, 12.4, 3.35) == []
+
+    def test_most_recently_heard_first(self):
+        starved = {"a": 8.0, "b": 9.5, "c": 9.0}
+        assert pacing.push_targets(starved, 10.0, 3.35) == ["b", "c", "a"]
+
+    def test_a_granted_peer_is_no_target(self):
+        # The caller forgets a peer once it pushed to or granted it.
+        starved = {"a": 9.0, "b": 9.5}
+        first = pacing.push_targets(starved, 10.0, 3.35)[0]
+        del starved[first]
+        assert pacing.push_targets(starved, 10.0, 3.35) == ["a"]
+
+
 class TestMovingAverage:
     def test_first_sample_seeds_the_average(self):
         assert pacing.moving_average(0.0, 0.02) == 0.02

@@ -481,5 +481,8 @@ class TestFailureFreeGossipCost:
         # A donor keeps one subproblem, not two, so a worker fed one passes
         # work on after one node time: ramp-up doubles the busy set per node
         # time (keeping two read speedup 21.8-22.5 and 10.4-12.4 k messages).
-        assert result.speedup() >= 23
+        # Pushing one subproblem to each peer whose table delta a donor just
+        # merged lifts 23.3-24.6 to 23.9-24.6 here (seeds 1-12: mean 23.3 ->
+        # 24.8, every seed up).
+        assert result.speedup() >= 23.5
         assert sum(result.messages_by_kind.values()) <= 9000

@@ -9,6 +9,7 @@ from repro.core.encoding import ROOT
 from repro.core.work_report import BestSolution, WorkReport
 from repro.distributed.config import AlgorithmConfig
 from repro.distributed.messages import (
+    DeltaGossipMsg,
     TableGossipMsg,
     WorkDenied,
     WorkGrant,
@@ -267,6 +268,56 @@ class TestWorkRequestTiming:
             w1.recovery.note_request_failed(0.1 * attempt)
         assert w1.recovery.evaluate(w1.tracker, 1.0).code is None
         assert w1.recovery.evaluate(w1.tracker, floor).code is not None
+
+
+class TestPushedDonations:
+    """A starved peer's table delta doubles as a work request."""
+
+    @staticmethod
+    def busy_worker_heard_from_w1(heard_ago):
+        """w0 holds three subproblems; w1's delta was merged ``heard_ago`` s
+        before w0's next step (node cost 3.35 s: one request timeout)."""
+        engine, network, problem, tree, (w0, w1) = make_worker_pair(
+            expected_node_cost=3.35, with_root=False
+        )
+        left, right = (node.code for node in tree.children(ROOT))
+        for code in [right, *(node.code for node in tree.children(left))]:
+            w0.pool.push(problem.rebuild_subproblem(code))
+        assert len(w0.pool) == 3
+        delta = w1.tracker.build_delta_snapshot("w0")
+        w0._now = lambda: 10.0 - heard_ago
+        w0._handle_message(QueuedMessage("w1", DeltaGossipMsg(delta), 0.0, 0.0, 32))
+        w0._now = lambda: 10.0
+        sent = []
+        w0.send = lambda target, payload: sent.append((target, payload))
+        # The pool size when the worker pops its own next node.
+        kept = []
+        next_uncovered = w0._next_uncovered_subproblem
+
+        def recording_pick():
+            kept.append(len(w0.pool))
+            return next_uncovered()
+
+        w0._next_uncovered_subproblem = recording_pick
+        return w0, right, sent, kept
+
+    def test_fresh_starved_peer_gets_one_subproblem_unasked(self):
+        w0, shallowest, sent, kept = self.busy_worker_heard_from_w1(1.0)
+        w0._step()
+        grants = [(to, msg.codes) for to, msg in sent if isinstance(msg, WorkGrant)]
+        assert grants == [("w1", (shallowest,))]
+        assert w0.stats.work_pushes_sent == 1 and w0.stats.work_grants_sent == 0
+        assert kept == [2]
+        # w1 was forgotten: the next boundary pushes nothing more.
+        w0._step()
+        assert w0.stats.work_pushes_sent == 1
+
+    def test_stale_signal_pushes_nothing(self):
+        w0, _, sent, kept = self.busy_worker_heard_from_w1(3.5)
+        w0._step()
+        assert not any(isinstance(msg, WorkGrant) for _, msg in sent)
+        assert kept == [3]
+        assert w0.stats.work_pushes_sent == 0
 
 
 class TestWorkerLifecycle:

@@ -4,8 +4,8 @@ The churn machinery trusts :class:`~repro.gossip.failure_detector.
 GossipFailureDetector` for its suspect/evict decisions, so the detector is
 checked here against a reference oracle that implements its contract in the
 most literal form possible: a dict of ``(highest heartbeat seen, local time
-of the last increase)`` per member, with suspicion and cleanup as direct
-timestamp comparisons.  Hundreds of seeded heartbeat streams — with random
+of the last increase)`` per member plus the last counter of each evicted
+one, with suspicion and cleanup as direct timestamp comparisons.  Hundreds of seeded heartbeat streams — with random
 delivery delays, reorderings and duplicated gossip — must produce *identical*
 suspect and evict decisions on both implementations, and a live-but-slow
 worker whose heartbeats always arrive within the configured fail timeout
@@ -34,10 +34,13 @@ class HeartbeatOracle:
         self.fail_timeout = fail_timeout
         self.cleanup_timeout = cleanup_timeout
         self.table: Dict[str, Tuple[int, float]] = {owner: (0, 0.0)}
+        #: Last counter of every member cleanup removed.
+        self.evicted: Dict[str, int] = {}
 
     def merge(self, name: str, heartbeat: int, now: float) -> None:
         known = self.table.get(name)
-        if known is None or heartbeat > known[0]:
+        floor = known[0] if known is not None else self.evicted.get(name, -1)
+        if heartbeat > floor:
             self.table[name] = (heartbeat, now)
 
     def suspected(self, now: float) -> List[str]:
@@ -54,7 +57,7 @@ class HeartbeatOracle:
             if name != self.owner and (now - seen) > self.cleanup_timeout
         )
         for name in removed:
-            del self.table[name]
+            self.evicted[name] = self.table.pop(name)[0]
         return removed
 
     def members(self) -> List[str]:
@@ -156,3 +159,37 @@ class TestDigestExcludesSuspects:
         assert "dead" not in dict(digest)
         new = b.merge(digest, later)
         assert "dead" not in new and "dead" not in b.members()
+
+
+class TestEvictedMembersStayEvicted:
+    """An evicted member comes back only with a higher counter or a restart."""
+
+    def evicted_detector(self):
+        detector = GossipFailureDetector("obs", fail_timeout=FAIL, cleanup_timeout=CLEANUP)
+        detector.merge((("dead", 7),), 0.0)
+        assert detector.cleanup(CLEANUP + 0.1) == ["dead"]
+        return detector
+
+    def test_a_lagging_digest_does_not_resurrect_an_evicted_member(self):
+        detector = self.evicted_detector()
+        # A peer that has not suspected "dead" yet still gossips its last
+        # counter: re-admitting it would only evict it a second time.
+        for counter in (3, 7):
+            assert detector.merge((("dead", counter),), CLEANUP + 0.5) == []
+        assert "dead" not in detector.members()
+        assert detector.cleanup(2 * CLEANUP + 1.0) == []
+
+    def test_a_higher_counter_readmits_it(self):
+        detector = self.evicted_detector()
+        assert detector.merge((("dead", 8),), CLEANUP + 0.5) == ["dead"]
+        assert detector.heartbeat_of("dead") == 8
+
+    def test_a_restart_clears_the_evicted_counter(self):
+        detector = self.evicted_detector()
+        detector.restart_member("dead", CLEANUP + 0.5)
+        assert "dead" in detector.members()
+        # The restarted process counts from zero again, and after a second
+        # eviction its small counters are judged against the new run only.
+        detector.merge((("dead", 1),), CLEANUP + 1.0)
+        assert detector.cleanup(2 * CLEANUP + 1.5) == ["dead"]
+        assert detector.merge((("dead", 2),), 2 * CLEANUP + 2.0) == ["dead"]

@@ -163,6 +163,8 @@ class TestRealexecTelemetry:
         families = {key.split("{")[0] for key in counters}
         assert "router_messages_forwarded" in families
         assert "worker_frames_received" in families
+        # Pushed grants are counted apart from requested ones.
+        assert "worker_pushes_sent" in families
 
     def test_realexec_without_telemetry_has_no_frames(self):
         scenario = Scenario(
