@@ -12,39 +12,16 @@ down by default and reports the effective size.  Environment variables:
 * ``REPRO_FULL_SCALE=1`` — run every experiment at the paper's full size
   (slow; expect tens of minutes).
 
-Performance-regression workflow (tracked trajectory)
-----------------------------------------------------
-``bench_core_micro.py``, ``bench_wire_codec.py``, ``bench_delta_gossip.py``,
-``bench_scenario_overhead.py``, ``bench_telemetry_overhead.py``,
-``bench_scale.py``, ``bench_churn.py`` and ``bench_transport.py`` (the tuple
-``BENCH_FILES`` in ``compare_baseline.py``) are additionally tracked against
-a checked-in baseline so PRs touching the hot paths can show their effect:
-
-1. ``BENCH_BASELINE.json`` holds the trimmed statistics of a
-   ``pytest-benchmark`` run of the tracked files on the reference
-   implementation (originally the repo seed, recorded via a git worktree of
-   the seed commit so baseline and current share benchmark definitions;
-   re-anchored since as optimizations merged).
-2. ``PYTHONPATH=src python benchmarks/compare_baseline.py`` re-runs the
-   tracked benchmarks on the working tree and prints the per-benchmark
-   speedup; it exits non-zero when anything regressed beyond 1.25×
-   (``--threshold`` to adjust), so it can gate CI.
-3. After an intentional workload or naming change in a tracked file — or to
-   move the reference point to a newly merged optimization — re-record with
-   ``python benchmarks/compare_baseline.py --update --note '<provenance>'``.
-   Record baseline and candidate in the same session where possible;
-   absolute times drift with machine load, ratios are the signal.
-4. When the tracked-benchmark *set* changes (a file or benchmark added,
-   renamed or removed), update ``BENCH_FILES`` and the benchmark list in
-   ``docs/ARCHITECTURE.md`` — the gate prints exactly these locations when
-   it detects drift between the baseline and the current run.
+Every file asserts the shape of the result it reproduces (monotone times,
+rising communication and storage, the B&B share of the run, ...), so
+``REPRO_BENCH_SCALE=0.2 PYTHONPATH=src python -m pytest -q benchmarks/bench_*.py
+--benchmark-disable`` checks the reproductions quickly.  Performance is
+tracked by the ledger (``benchmarks/ledger/``), not here.
 """
 
 import os
 import sys
 from pathlib import Path
-
-import pytest
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -67,12 +44,6 @@ def effective_scale(default: float) -> float:
     if factor < 0:
         return 1.0
     return max(0.005, default * factor)
-
-
-@pytest.fixture(scope="session")
-def bench_scale():
-    """Fixture exposing :func:`effective_scale` to the benchmarks."""
-    return effective_scale
 
 
 def print_experiment(title: str, body: str) -> None:

@@ -1,15 +1,11 @@
 """SCALE — the 1k-worker engine run and the 10k-worker completion check.
 
 Every simulated run keeps its completion state in one process-wide interned
-trie arena (:class:`repro.core.arena.TrieArena`).  This file keeps the
-simulator's behaviour at a thousand workers and beyond on the tracked
-performance trajectory:
+trie arena (:class:`repro.core.arena.TrieArena`).  This file checks the
+simulator's behaviour at a thousand workers and beyond:
 
 * ``test_scale_1k_arena`` runs the acceptance scenario — 1,000 workers racing
   a 2,001-node random tree (0.05 s mean node time, depth-first, pruning off).
-  It is tracked in ``BENCH_BASELINE.json`` via ``compare_baseline.py``, so a
-  regression of the engine at this size trips the same gate as the other
-  tracked benchmarks.
 * ``test_scale_tier_and_ladder`` (full-scale mode only) re-runs the tier in
   a fresh subprocess — the only way to get an honest peak-RSS number — and
   then climbs the completion ladder: **5,000 and 10,000 workers** on the
@@ -18,8 +14,8 @@ performance trajectory:
 
 ``python benchmarks/bench_scale.py`` runs the full-scale measurement directly
 (no pytest needed); ``REPRO_BENCH_SCALE`` shrinks the tier for quick local
-iteration (e.g. ``0.2`` → 200 workers / 401 nodes), but the checked-in
-baseline corresponds to the default full tier.
+iteration (e.g. ``0.2`` → 200 workers / 401 nodes).  The ladder is a manual
+run: no CI job climbs it.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ _FULL_SCALE = os.environ.get("REPRO_FULL_SCALE") == "1"
 
 
 def tier_workers() -> int:
-    """Worker count for the tracked tier (env-scaled for local iteration)."""
+    """Worker count for the acceptance tier (env-scaled for local iteration)."""
     return max(50, int(round(TIER_WORKERS * effective_scale(1.0))))
 
 

@@ -16,10 +16,6 @@ workload three ways —
 relative to each other (median of interleaved rounds, plus a small absolute
 epsilon for scheduler noise on sub-second runs).  The full-telemetry cost is
 reported but not gated: recording is allowed to cost what it costs.
-
-The ``off`` timing is tracked against ``benchmarks/BENCH_BASELINE.json`` by
-``compare_baseline.py``, so instrumentation creep on the hot paths shows up
-on the same trajectory as the other tracked benchmarks.
 """
 
 import statistics

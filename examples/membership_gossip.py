@@ -4,8 +4,9 @@
 The registered ``late-joiner`` scenario isolates worker-03 behind a network
 partition for the first simulated second — it joins the running computation
 late, knowing nothing — then heals and catches up via work reports and
-first-contact table deltas.  A second variant adds two crashes on top.  (The
-epidemic membership protocol itself lives in ``repro.gossip``.)
+first-contact table deltas.  A second variant adds two crashes on top.  (Under
+churn, the heartbeat failure detector in ``repro.gossip`` evicts and readmits
+peers; those same first-contact deltas catch a returning peer up.)
 
 Run it with::  PYTHONPATH=src python examples/membership_gossip.py
 """

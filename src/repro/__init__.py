@@ -8,17 +8,17 @@ branch-and-bound algorithm and everything it stands on:
   encoding, completed-code contraction, complement/recovery, termination
   detection, work reports);
 * :mod:`repro.bnb` — the branch-and-bound substrate (problem interface,
-  concrete problems, pools, sequential solver, basic trees);
+  knapsack, pools, sequential solver, basic trees);
 * :mod:`repro.simulation` — the discrete-event simulation substrate (engine,
   network model, crash failures, metrics, timeline tracing);
-* :mod:`repro.gossip` — epidemic communication, group membership and failure
-  detection;
+* :mod:`repro.gossip` — the epidemic heartbeat failure detector that drives
+  membership under churn;
 * :mod:`repro.distributed` — the distributed algorithm itself (workers, load
   balancing, runner, statistics);
 * :mod:`repro.baselines` — centralised manager/worker and DIB-style
   comparison baselines;
 * :mod:`repro.realexec` — a small real ``multiprocessing`` backend with
-  pluggable transports (pipes, Unix-domain sockets);
+  pluggable transports (pipes, Unix-domain sockets, TCP);
 * :mod:`repro.analysis` — experiment sweeps and table/figure builders for the
   paper's evaluation;
 * :mod:`repro.scenario` — the unified Scenario API: one declarative

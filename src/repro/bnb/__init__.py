@@ -5,8 +5,8 @@ fault-tolerance mechanism:
 
 * the abstract problem interface and the binary-branching model that the tree
   encoding assumes (:mod:`repro.bnb.problem`);
-* concrete optimisation problems used to record realistic search trees —
-  0/1 knapsack, weighted vertex cover, set cover and weighted MAX-SAT;
+* a concrete optimisation problem used to record realistic search trees —
+  0/1 knapsack (:mod:`repro.bnb.knapsack`);
 * the active-problem pool with best-first / depth-first / breadth-first
   selection (:mod:`repro.bnb.pool`);
 * the sequential B&B solver and the single-node expansion logic shared with
@@ -21,14 +21,11 @@ fault-tolerance mechanism:
 from .basic_tree import BasicTree, BasicTreeNode, BasicTreeRecorder, record_basic_tree
 from .cost_model import NodeTimeModel, assign_node_times, tree_time_summary
 from .knapsack import KnapsackInstance, KnapsackProblem, random_knapsack
-from .maxsat import MaxSatInstance, MaxSatProblem, random_maxsat
 from .pool import SelectionRule, SubproblemPool
 from .problem import BranchAndBoundProblem, BranchingDecision, Subproblem, worse_than
 from .random_tree import RandomTreeSpec, generate_random_tree, paper_workload
 from .sequential import ExpansionOutcome, NodeExpander, SequentialSolver, SolveResult
-from .set_cover import SetCoverInstance, SetCoverProblem, random_set_cover
 from .tree_problem import TreeReplayProblem
-from .vertex_cover import VertexCoverInstance, VertexCoverProblem, random_vertex_cover
 
 __all__ = [
     "BranchAndBoundProblem",
@@ -55,13 +52,4 @@ __all__ = [
     "KnapsackInstance",
     "KnapsackProblem",
     "random_knapsack",
-    "VertexCoverInstance",
-    "VertexCoverProblem",
-    "random_vertex_cover",
-    "SetCoverInstance",
-    "SetCoverProblem",
-    "random_set_cover",
-    "MaxSatInstance",
-    "MaxSatProblem",
-    "random_maxsat",
 ]

@@ -3,9 +3,8 @@
 The paper (Section 2) describes a sequential B&B algorithm as a loop applying
 four operators to a pool of active subproblems: *decompose* (branch),
 *bound*, *select*, and *eliminate*.  This module defines the problem-side
-contract those operators need.  Concrete problems (knapsack, vertex cover,
-set cover, MAX-SAT, and the tree-replay problem driving the simulator) live in
-sibling modules.
+contract those operators need.  Concrete problems (knapsack and the
+tree-replay problem driving the simulator) live in sibling modules.
 
 Design notes
 ------------

@@ -1,6 +1,6 @@
 """Replaying a basic tree as a branch-and-bound problem.
 
-The simulated workers do not solve knapsack or vertex-cover instances node by
+The simulated workers do not solve knapsack instances node by
 node — like the paper's Parsec simulator, they *replay* a precomputed basic
 tree: the tree supplies the structure (who branches on what), the bound
 values used for dynamic pruning, the feasible solutions and the per-node

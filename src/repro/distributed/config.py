@@ -73,7 +73,7 @@ class AlgorithmConfig:
     #: it last acknowledged covering and ship only the uncovered codes
     #: (acknowledged with tiny digest echoes).  Steady-state table-gossip
     #: bytes drop by an order of magnitude on the paper workloads
-    #: (``benchmarks/bench_delta_gossip.py`` gates ≥3×); disabling restores
+    #: (``tests/distributed/test_delta_gossip.py`` gates ≥3×); disabling restores
     #: the paper's literal whole-snapshot push, which the convergence
     #: property tests use as the reference behaviour.
     delta_gossip: bool = True

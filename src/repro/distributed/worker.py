@@ -367,8 +367,8 @@ class WorkerEntity(Entity):
     def evict_peer(self, peer: str) -> bool:
         """Forget a peer the membership layer has declared dead.
 
-        Called by whoever drives membership for this worker (a failure
-        detector's cleanup pass, a membership view removal): the peer leaves
+        Called by whoever drives membership for this worker (the failure
+        detector's cleanup pass, or a test): the peer leaves
         the report/gossip/load-balancing target lists and its delta-gossip
         :class:`~repro.core.completion.PeerGossipView` — the per-peer
         ``known`` trie that otherwise grows with the group size — is dropped
@@ -864,8 +864,7 @@ class WorkerEntity(Entity):
             return self._charge("communication", receive_cost)
         if isinstance(payload, HeartbeatGossipMsg):
             return self._handle_heartbeat(payload, receive_cost)
-        # Unknown payloads (e.g. membership gossip when layered) are charged
-        # as plain communication handling.
+        # Unknown payloads are charged as plain communication handling.
         return self._charge("communication", receive_cost)
 
     def _merge_report(self, msg: WorkReportMsg) -> float:

@@ -1,40 +1,17 @@
-"""Epidemic communication: rumor mongering, membership, failure detection.
+"""Epidemic failure detection: the membership half of the paper's Section 5.2.
 
-Implements the paper's Section 5.1/5.2 machinery:
-
-* :mod:`repro.gossip.rumor` — counter-based rumor mongering (the epidemic
-  primitive both the membership protocol and the fault-tolerance reports use);
-* :mod:`repro.gossip.membership` — the timestamp-based group membership
-  protocol with gossip servers, per-member views and suspicion timeouts;
-* :mod:`repro.gossip.failure_detector` — the heartbeat-counter variant of the
-  epidemic failure detector (van Renesse et al.), provided for completeness;
-* :mod:`repro.gossip.gossip_server` — simulated entities running the
-  membership protocol on the discrete-event network.
+The paper keeps membership apart from the fault-tolerance mechanism and
+spreads it by epidemic gossip.  Here every worker starts from the full roster
+and runs a :class:`GossipFailureDetector` (the heartbeat-counter detector of
+van Renesse et al., :mod:`repro.gossip.failure_detector`) that evicts silent
+peers and readmits returning ones; a readmitted or restarted peer catches up
+through the first-contact table delta (one bounded full-basis delta, see
+:class:`~repro.distributed.worker.WorkerEntity`).
 """
 
 from .failure_detector import GossipFailureDetector, HeartbeatEntry
-from .gossip_server import GossipMemberEntity, GossipServerEntity, JoinAnnouncement, ViewGossip
-from .membership import (
-    MemberInfo,
-    MembershipConfig,
-    MembershipProtocol,
-    MembershipView,
-    ViewDigest,
-)
-from .rumor import Rumor, RumorMonger
 
 __all__ = [
-    "Rumor",
-    "RumorMonger",
-    "MemberInfo",
-    "MembershipView",
-    "MembershipConfig",
-    "MembershipProtocol",
-    "ViewDigest",
     "GossipFailureDetector",
     "HeartbeatEntry",
-    "GossipMemberEntity",
-    "GossipServerEntity",
-    "JoinAnnouncement",
-    "ViewGossip",
 ]

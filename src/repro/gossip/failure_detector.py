@@ -2,14 +2,13 @@
 
 The paper's membership protocol is "inspired by the failure-detection
 mechanism based on epidemic communication presented in [25]" — the gossip
-heartbeat protocol.  The distinction from :mod:`repro.gossip.membership` is
-subtle but worth keeping: the failure detector tracks *heartbeat counters*
-(monotonic integers incremented only by their owner), which make it immune to
-clock-rate differences, whereas the membership view tracks last-heard wall
-clock times.  We implement both so the library can be used with either style;
-the membership protocol uses timestamps (as the paper describes), and this
-module provides the counter-based detector for users who want the stronger
-accuracy/network-load scaling analysed by van Renesse et al.
+heartbeat protocol.  This is the library's only failure detector: every
+simulated worker runs one when ``AlgorithmConfig.failure_detector`` is on
+(the scenario layer turns it on for churn runs).  It tracks *heartbeat
+counters* (monotonic integers incremented only by their owner) rather than
+last-heard wall-clock times, which makes it immune to clock-rate differences;
+a member whose counter stops rising is suspected, then removed, and the
+worker evicts it from its target lists.
 """
 
 from __future__ import annotations

@@ -224,8 +224,6 @@ _PAYLOAD_KINDS: Dict[int, str] = {
     int(Tag.TABLE_GOSSIP_MSG): "table_gossip",
     int(Tag.DELTA_GOSSIP_MSG): "delta_gossip",
     int(Tag.TABLE_GOSSIP_ACK): "gossip_ack",
-    int(Tag.VIEW_GOSSIP): "view_gossip",
-    int(Tag.JOIN_ANNOUNCEMENT): "join_announcement",
 }
 
 
@@ -510,7 +508,7 @@ class TcpEndpoint(WorkerEndpoint):
         try:
             # Envelope frames are small and latency-sensitive; without
             # NODELAY, Nagle + delayed ACK serialises the request/grant
-            # ping-pong at ~40ms a round trip (bench_transport measures it).
+            # ping-pong at ~40ms a round trip.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.connect((self.host, self.port))
         except OSError:

@@ -14,8 +14,8 @@ Layout
   message: :class:`~repro.core.encoding.PathCode` (packed
   ``(variable << 1) | value`` key paths), ``BestSolution``, ``WorkReport``,
   ``CompletedTableSnapshot``, the delta-gossip family (``DeltaSnapshot``,
-  ``DeltaGossipMsg``, ``TableGossipAck``), the work request/grant/deny
-  messages, and the gossip membership digests.
+  ``DeltaGossipMsg``, ``TableGossipAck``) and the work request/grant/deny
+  messages.
 * :mod:`repro.wire.frame` — the versioned framed-message registry:
   ``encode(msg) -> bytes`` and ``decode(data) -> msg`` with a
   magic/version/tag/length header, strict truncation and corruption

@@ -42,16 +42,12 @@ from ..distributed.messages import (
     WorkReportMsg,
     WorkRequest,
 )
-from ..gossip.gossip_server import JoinAnnouncement, ViewGossip
-from ..gossip.membership import ViewDigest
 from .varint import (
     MalformedVarintError,
-    read_bool,
     read_fixed64,
     read_float64,
     read_string,
     read_uvarint,
-    write_bool,
     write_fixed64,
     write_float64,
     write_string,
@@ -81,12 +77,6 @@ __all__ = [
     "read_work_grant",
     "write_work_denied",
     "read_work_denied",
-    "write_view_digest",
-    "read_view_digest",
-    "write_view_gossip",
-    "read_view_gossip",
-    "write_join_announcement",
-    "read_join_announcement",
 ]
 
 
@@ -335,54 +325,6 @@ def read_work_denied(data, pos: int) -> Tuple[WorkDenied, int]:
     donor, pos = read_string(data, pos)
     best, pos = read_best_solution(data, pos)
     return WorkDenied(donor=donor, best=best), pos
-
-
-# ---------------------------------------------------------------------- #
-# Membership gossip
-# ---------------------------------------------------------------------- #
-def write_view_digest(out: bytearray, digest: ViewDigest) -> None:
-    """Append a membership view digest: count, then (name, time, flag) rows."""
-    write_uvarint(out, len(digest))
-    for name, last_heard, is_server in digest:
-        write_string(out, name)
-        write_float64(out, last_heard)
-        write_bool(out, is_server)
-
-
-def read_view_digest(data, pos: int) -> Tuple[ViewDigest, int]:
-    """Read a view digest written by :func:`write_view_digest`."""
-    count, pos = read_uvarint(data, pos)
-    entries = []
-    for _ in range(count):
-        name, pos = read_string(data, pos)
-        last_heard, pos = read_float64(data, pos)
-        is_server, pos = read_bool(data, pos)
-        entries.append((name, last_heard, is_server))
-    return tuple(entries), pos
-
-
-def write_view_gossip(out: bytearray, gossip: ViewGossip) -> None:
-    """Append a pushed view: sender, then the digest."""
-    write_string(out, gossip.sender)
-    write_view_digest(out, gossip.digest)
-
-
-def read_view_gossip(data, pos: int) -> Tuple[ViewGossip, int]:
-    """Read a pushed view."""
-    sender, pos = read_string(data, pos)
-    digest, pos = read_view_digest(data, pos)
-    return ViewGossip(sender=sender, digest=digest), pos
-
-
-def write_join_announcement(out: bytearray, join: JoinAnnouncement) -> None:
-    """Append a join announcement: just the member name."""
-    write_string(out, join.member)
-
-
-def read_join_announcement(data, pos: int) -> Tuple[JoinAnnouncement, int]:
-    """Read a join announcement."""
-    member, pos = read_string(data, pos)
-    return JoinAnnouncement(member=member), pos
 
 
 # ---------------------------------------------------------------------- #

@@ -56,7 +56,6 @@ from ..distributed.messages import (
     WorkReportMsg,
     WorkRequest,
 )
-from ..gossip.gossip_server import JoinAnnouncement, ViewGossip
 from . import codec
 from .varint import read_uvarint, write_uvarint
 
@@ -114,9 +113,8 @@ class Tag(enum.IntEnum):
     WORK_DENIED = 7
     WORK_REPORT_MSG = 8
     TABLE_GOSSIP_MSG = 9
-    VIEW_DIGEST = 10
-    VIEW_GOSSIP = 11
-    JOIN_ANNOUNCEMENT = 12
+    # 10-12 carried the retired gossip-server membership messages: reserved,
+    # never reuse (a frame bearing one is an unknown tag).
     # -- generation 2: the delta-gossip family --
     DELTA_SNAPSHOT = 13
     DELTA_GOSSIP_MSG = 14
@@ -188,17 +186,6 @@ for _tag, _cls, _writer, _reader, _version in (
         codec.read_table_gossip_msg,
         1,
     ),
-    # Bare membership digests are plain tuples; ``encode`` special-cases the
-    # ``tuple`` type to this tag.
-    (Tag.VIEW_DIGEST, tuple, codec.write_view_digest, codec.read_view_digest, 1),
-    (Tag.VIEW_GOSSIP, ViewGossip, codec.write_view_gossip, codec.read_view_gossip, 1),
-    (
-        Tag.JOIN_ANNOUNCEMENT,
-        JoinAnnouncement,
-        codec.write_join_announcement,
-        codec.read_join_announcement,
-        1,
-    ),
     # -- generation 2: delta gossip --
     (Tag.DELTA_SNAPSHOT, DeltaSnapshot, codec.write_delta_snapshot, codec.read_delta_snapshot, 2),
     (
@@ -220,8 +207,7 @@ def encode(msg: object) -> bytes:
     """Encode any registered protocol message into one framed byte string."""
     entry = _writers.get(type(msg))
     if entry is None:
-        # Exact-type lookup misses subclasses (and ViewDigest is any tuple
-        # shape-compatible instance); fall back to an isinstance scan.
+        # Exact-type lookup misses subclasses; fall back to an isinstance scan.
         for cls, candidate in _writers.items():
             if isinstance(msg, cls):
                 entry = candidate

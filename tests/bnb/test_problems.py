@@ -1,15 +1,39 @@
 """Tests for the concrete optimisation problems and the problem interface."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bnb.knapsack import KnapsackInstance, KnapsackProblem, random_knapsack
-from repro.bnb.maxsat import MaxSatInstance, MaxSatProblem, random_maxsat
+from repro.core.encoding import ROOT
 from repro.bnb.pool import SelectionRule
 from repro.bnb.problem import worse_than
 from repro.bnb.sequential import SequentialSolver
-from repro.bnb.set_cover import SetCoverInstance, SetCoverProblem, random_set_cover
-from repro.bnb.vertex_cover import VertexCoverInstance, VertexCoverProblem, random_vertex_cover
+
+
+def brute_force_optimum(instance):
+    """Best value over every subset of items that fits (no DP, no bound)."""
+    best = 0.0
+    for take in itertools.product((0, 1), repeat=instance.n_items):
+        weight = sum(w for w, t in zip(instance.weights, take) if t)
+        if weight <= instance.capacity:
+            best = max(best, sum(v for v, t in zip(instance.values, take) if t))
+    return best
+
+
+def walk_tree(problem, code=ROOT, state=None):
+    """Yield ``(code, state)`` for every feasible node of the full B&B tree."""
+    state = problem.root_state() if state is None else state
+    yield code, state
+    decision = problem.branching_decision(state)
+    if decision is None:
+        return
+    for value in (0, 1):
+        child = problem.apply_branch(state, decision.variable, value)
+        if child is not None:
+            yield from walk_tree(problem, code.child(decision.variable, value), child)
 
 
 class TestWorseThan:
@@ -75,90 +99,94 @@ class TestKnapsack:
         with pytest.raises(ValueError):
             random_knapsack(0)
 
-
-class TestVertexCover:
-    def test_instance_validation(self):
-        with pytest.raises(ValueError):
-            VertexCoverInstance(n_vertices=2, edges=((0, 0),), weights=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            VertexCoverInstance(n_vertices=2, edges=((0, 1),), weights=(1.0,))
-        with pytest.raises(ValueError):
-            VertexCoverInstance(n_vertices=2, edges=((0, 1),), weights=(1.0, -1.0))
-
-    def test_bnb_matches_enumeration(self):
-        for seed in range(4):
-            problem = random_vertex_cover(7, seed=seed, edge_probability=0.4)
+    def test_bnb_matches_brute_force_enumeration(self):
+        for seed in range(6):
+            problem = random_knapsack(8, seed=seed, correlated=seed % 2 == 0)
             result = SequentialSolver(problem).solve()
-            assert result.best_value == pytest.approx(problem.solve_exact(), abs=1e-9)
-
-    def test_feasible_value_requires_full_cover(self):
-        problem = random_vertex_cover(5, seed=2)
-        assert problem.feasible_value(problem.root_state()) is None
-        full = frozenset(range(5))
-        assert problem.feasible_value(full) == pytest.approx(
-            sum(problem.instance.weights)
-        )
-
-    def test_generator_validation(self):
-        with pytest.raises(ValueError):
-            random_vertex_cover(1)
-
-
-class TestSetCover:
-    def test_instance_validation(self):
-        with pytest.raises(ValueError):
-            SetCoverInstance(n_elements=2, sets=(frozenset({0}),), costs=(1.0,))
-        with pytest.raises(ValueError):
-            SetCoverInstance(
-                n_elements=1, sets=(frozenset({0}),), costs=(1.0, 2.0)
+            assert result.best_value == pytest.approx(
+                brute_force_optimum(problem.instance), abs=1e-9
             )
 
-    def test_bnb_matches_enumeration(self):
-        for seed in range(4):
-            problem = random_set_cover(6, 6, seed=seed)
-            result = SequentialSolver(problem).solve()
-            assert result.best_value == pytest.approx(problem.solve_exact(), abs=1e-9)
+    def test_bound_is_admissible_at_every_node(self):
+        problem = random_knapsack(8, seed=5)
 
-    def test_bound_admissible_at_root(self):
-        problem = random_set_cover(6, 6, seed=1)
-        assert problem.bound(problem.root_state()) <= problem.solve_exact() + 1e-9
-
-    def test_generator_validation(self):
-        with pytest.raises(ValueError):
-            random_set_cover(0, 3)
-
-
-class TestMaxSat:
-    def test_instance_validation(self):
-        with pytest.raises(ValueError):
-            MaxSatInstance(n_variables=1, clauses=((),), weights=(1.0,))
-        with pytest.raises(ValueError):
-            MaxSatInstance(n_variables=1, clauses=(((5, True),),), weights=(1.0,))
-        with pytest.raises(ValueError):
-            MaxSatInstance(n_variables=1, clauses=(((0, True),),), weights=(1.0, 2.0))
-
-    def test_bnb_matches_enumeration(self):
-        for seed in range(4):
-            problem = random_maxsat(6, 10, seed=seed)
-            result = SequentialSolver(problem).solve()
-            assert result.best_value == pytest.approx(problem.solve_exact(), abs=1e-9)
-
-    def test_bound_is_upper_bound(self):
-        problem = random_maxsat(5, 8, seed=2)
-        assert problem.bound(problem.root_state()) >= problem.solve_exact() - 1e-9
-
-    def test_branching_assigns_every_variable(self):
-        problem = random_maxsat(3, 4, seed=0)
-        state = problem.root_state()
-        for _ in range(3):
+        def best_in_subtree(state):
+            best = problem.feasible_value(state)
             decision = problem.branching_decision(state)
-            assert decision is not None
-            state = problem.apply_branch(state, decision.variable, 1)
-        assert problem.branching_decision(state) is None
+            if decision is not None:
+                for value in (0, 1):
+                    child = problem.apply_branch(state, decision.variable, value)
+                    if child is not None:
+                        best = max(best, best_in_subtree(child))
+            assert problem.bound(state) >= best - 1e-9
+            return best
 
-    def test_generator_validation(self):
-        with pytest.raises(ValueError):
-            random_maxsat(0, 1)
+        optimum = best_in_subtree(problem.root_state())
+        assert optimum == pytest.approx(brute_force_optimum(problem.instance))
+
+    def test_every_leaf_decides_each_item_once(self):
+        problem = random_knapsack(7, seed=2)
+        leaves = [
+            code for code, state in walk_tree(problem) if problem.branching_decision(state) is None
+        ]
+        assert leaves
+        for code in leaves:
+            variables = [variable for variable, _value in code]
+            assert sorted(variables) == list(range(7))
+
+    def test_rebuild_state_replays_every_code(self):
+        problem = random_knapsack(6, seed=4)
+        for code, state in walk_tree(problem):
+            assert problem.rebuild_state(code) == state
+            assert problem.rebuild_subproblem(code).depth == code.depth
+
+    def test_rebuild_state_of_an_infeasible_code_is_none(self):
+        instance = KnapsackInstance(values=(10.0, 1.0), weights=(5.0, 1.0), capacity=1.0)
+        problem = KnapsackProblem(instance)
+        first = problem.branching_decision(problem.root_state()).variable
+        assert problem.rebuild_state(ROOT.child(first, 1)) is None
+        assert problem.rebuild_subproblem(ROOT.child(first, 1)) is None
+
+    def test_zero_weight_item_is_always_taken(self):
+        instance = KnapsackInstance(values=(4.0, 9.0, 3.0), weights=(0.0, 6.0, 5.0), capacity=6.0)
+        problem = KnapsackProblem(instance)
+        # Zero-weight items come first in the branching order.
+        assert problem.branching_decision(problem.root_state()).variable == 0
+        result = SequentialSolver(problem).solve()
+        assert result.best_value == pytest.approx(13.0)
+        assert problem.solve_exact() == pytest.approx(13.0)
+
+    def test_zero_capacity_optimum_is_zero(self):
+        instance = KnapsackInstance(values=(5.0, 7.0), weights=(1.0, 2.0), capacity=0.0)
+        problem = KnapsackProblem(instance)
+        assert SequentialSolver(problem).solve().best_value == 0.0
+        assert problem.solve_exact() == 0.0
+
+    def test_generator_is_reproducible_per_seed(self):
+        assert random_knapsack(9, seed=3).instance == random_knapsack(9, seed=3).instance
+        assert random_knapsack(9, seed=3).instance != random_knapsack(9, seed=4).instance
+
+    def test_generator_capacity_ratio_and_families(self):
+        problem = random_knapsack(20, seed=8, capacity_ratio=0.25, correlated=False)
+        instance = problem.instance
+        assert instance.capacity == pytest.approx(0.25 * sum(instance.weights), abs=0.05)
+        assert all(1.0 <= v <= 100.0 for v in instance.values)
+        correlated = random_knapsack(20, seed=8).instance
+        # Weakly correlated: each value is its weight shifted by 0..20.
+        assert all(
+            -0.02 <= v - w <= 20.02 for v, w in zip(correlated.values, correlated.weights)
+        )
+
+    def test_maximisation_sense_helpers(self):
+        problem = random_knapsack(3, seed=0)
+        assert problem.worst_value() == -math.inf
+        assert problem.is_improvement(6.0, 5.0)
+        assert not problem.is_improvement(5.0, 5.0)
+        assert not problem.is_improvement(4.0, 5.0)
+        assert problem.is_improvement(-1.0, None)
+        root = problem.root_subproblem()
+        assert root.code == ROOT and root.depth == 0
+        assert root.state == problem.root_state()
 
 
 class TestCrossProblemProperties:

@@ -8,7 +8,8 @@ pin exactly those behaviours:
 
 * seeded rejoin property tests — a leave→return worker re-converges with
   bounded bytes (zero whole-table snapshots anywhere in the run), including
-  flapping (return before the eviction completes);
+  flapping (return before the eviction completes), and with bounded redone
+  work (the work-vs-faults gate against a clean run);
 * a regression test that ``evict_peer`` fires from heartbeat staleness
   alone, with **no** :class:`~repro.simulation.failures.FailureSpec`/crash
   event in the run, and that ``gossip_views_pruned`` accounts it;
@@ -141,6 +142,36 @@ class TestSeededRejoin:
         # live failure detection must never fire — no evictions anywhere.
         assert sum(s.peers_evicted for s in result.workers.values()) == 0
         assert sum(s.table_gossips_sent for s in result.workers.values()) == 0
+
+    def test_churn_work_vs_faults(self):
+        """One leave→return cycle costs the leaver's share, not the tree.
+
+        The same seeded 301-node tree runs failure-free and with worker-02
+        leaving at 0.3 s and returning at 1.2 s, under identical detector
+        settings.  Redone work is bounded by what one worker can lose: the
+        churned run expands fewer than 1.6x the clean run's nodes.
+        """
+        tree = generate_random_tree(
+            RandomTreeSpec(nodes=301, mean_node_time=0.01, seed=13, name="churn-bench")
+        )
+
+        def run(churn_events):
+            return run_tree_simulation(
+                tree, 4, config=fd_config(), seed=13, prune=False,
+                compute_uniprocessor_time=False,
+                churn_events=churn_events, churn_mode="restart",
+            )
+
+        clean = run(())
+        churned = run(((0.3, "worker-02", "leave"), (1.2, "worker-02", "return")))
+        assert clean.solved_correctly and clean.all_terminated
+        assert churned.solved_correctly and churned.all_terminated
+        assert churned.best_value == pytest.approx(clean.best_value)
+        rejoiner = churned.workers["worker-02"]
+        assert rejoiner.leaves == 1 and rejoiner.rejoins == 1
+        assert sum(s.table_gossips_sent for s in churned.workers.values()) == 0
+        work_ratio = churned.total_nodes_expanded / clean.total_nodes_expanded
+        assert 1.0 <= work_ratio < 1.6, f"churn work ratio {work_ratio:.3f}x"
 
     def test_never_returning_leaver_counts_as_crashed(self):
         result = run_tree_simulation(

@@ -1,248 +1,18 @@
-"""Tests for rumor mongering, membership and the epidemic failure detector."""
+"""Tests for the epidemic heartbeat failure detector.
+
+``TestFailureDetector`` pins the detector's table operations one at a time;
+``TestEpidemicDissemination`` runs a group of detectors through synchronous
+gossip rounds (each live member ticks, picks targets and pushes its timed
+digest) and checks the group-level promises: everyone learns everyone, a
+crashed member is suspected and then removed by every survivor, and message
+loss delays dissemination without making a live member look dead.
+"""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.gossip.failure_detector import GossipFailureDetector
-from repro.gossip.membership import MembershipConfig, MembershipProtocol, MembershipView
-from repro.gossip.rumor import RumorMonger
-from repro.gossip.gossip_server import (
-    GossipMemberEntity,
-    GossipServerEntity,
-    JoinAnnouncement,
-    ViewGossip,
-)
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.network import Network
-from repro.simulation.rng import RngRegistry
-
-
-class TestRumorMonger:
-    def test_learn_and_hotness(self):
-        monger = RumorMonger(stop_count=2, rng=random.Random(0))
-        assert monger.learn("r1", {"data": 1}, now=0.0) is True
-        assert monger.learn("r1", {"data": 1}, now=0.1) is False
-        assert monger.knows("r1")
-        assert monger.get("r1").is_hot
-        assert [rid for rid, _ in monger.outgoing()] == ["r1"]
-
-    def test_feedback_cools_rumor(self):
-        monger = RumorMonger(stop_count=2, rng=random.Random(0))
-        monger.learn("r1", None)
-        monger.feedback("r1", peer_already_knew=False)
-        assert monger.get("r1").hot_count == 2
-        monger.feedback("r1", peer_already_knew=True)
-        monger.feedback("r1", peer_already_knew=True)
-        assert not monger.get("r1").is_hot
-        assert monger.hot_rumors() == []
-        # Feedback on unknown rumors is a no-op.
-        monger.feedback("missing", peer_already_knew=True)
-
-    def test_choose_peers(self):
-        monger = RumorMonger(fanout=2, rng=random.Random(1))
-        peers = monger.choose_peers(["a", "b", "c", "me"], exclude="me")
-        assert len(peers) == 2
-        assert "me" not in peers
-        assert monger.choose_peers(["me"], exclude="me") == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RumorMonger(stop_count=0)
-        with pytest.raises(ValueError):
-            RumorMonger(fanout=0)
-
-    def test_epidemic_spread_reaches_everyone(self):
-        """Push gossip over a complete graph eventually informs every member."""
-        rng = random.Random(5)
-        members = [f"m{i}" for i in range(12)]
-        mongers = {m: RumorMonger(stop_count=3, fanout=2, rng=random.Random(i)) for i, m in enumerate(members)}
-        mongers["m0"].learn("update", 42)
-        for _round in range(60):
-            for name, monger in mongers.items():
-                for rumor_id, payload in monger.outgoing():
-                    for peer in monger.choose_peers(members, exclude=name):
-                        knew = mongers[peer].knows(rumor_id)
-                        mongers[peer].learn(rumor_id, payload)
-                        monger.feedback(rumor_id, peer_already_knew=knew)
-            if all(m.knows("update") for m in mongers.values()):
-                break
-        assert all(m.knows("update") for m in mongers.values())
-
-
-class TestMembershipView:
-    def test_heard_from_and_queries(self):
-        view = MembershipView("me", now=0.0)
-        assert view.heard_from("peer", 1.0) is True
-        assert view.heard_from("peer", 2.0) is False
-        assert view.last_heard("peer") == 2.0
-        assert view.last_heard("ghost") is None
-        assert "peer" in view and len(view) == 2
-        assert view.members() == ["me", "peer"]
-
-    def test_stale_timestamps_do_not_go_backwards(self):
-        view = MembershipView("me", now=0.0)
-        view.heard_from("peer", 5.0)
-        view.heard_from("peer", 3.0)
-        assert view.last_heard("peer") == 5.0
-
-    def test_merge_digest_clamps_future_timestamps(self):
-        view = MembershipView("me", now=0.0)
-        new = view.merge_digest((("peer", 99.0, False),), now=2.0)
-        assert new == ["peer"]
-        assert view.last_heard("peer") == 2.0
-
-    def test_alive_and_suspected(self):
-        view = MembershipView("me", now=0.0)
-        view.heard_from("fresh", 9.0)
-        view.heard_from("stale", 1.0)
-        view.touch_self(10.0)
-        assert view.alive_members(now=10.0, failure_timeout=5.0) == ["fresh", "me"]
-        assert view.suspected_members(now=10.0, failure_timeout=5.0) == ["stale"]
-
-    def test_remove_never_removes_owner(self):
-        view = MembershipView("me", now=0.0)
-        view.heard_from("peer", 0.0)
-        view.remove("peer")
-        view.remove("me")
-        assert view.members() == ["me"]
-
-    def test_gossip_servers_and_digest(self):
-        view = MembershipView("me", now=0.0)
-        view.heard_from("srv", 1.0, is_gossip_server=True)
-        assert view.gossip_servers() == ["srv"]
-        digest = view.digest()
-        assert ("srv", 1.0, True) in digest
-        assert view.digest_wire_size() > 0
-
-
-class TestMembershipProtocol:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MembershipConfig(gossip_interval=0)
-        with pytest.raises(ValueError):
-            MembershipConfig(cleanup_timeout=1.0, failure_timeout=5.0)
-        with pytest.raises(ValueError):
-            MembershipConfig(gossip_fanout=0)
-
-    def test_digest_exchange_discovers_members(self):
-        config = MembershipConfig()
-        alice = MembershipProtocol("alice", config, rng=random.Random(1))
-        bob = MembershipProtocol("bob", config, rng=random.Random(2))
-        bob.view.heard_from("carol", 0.5)
-        new = alice.on_digest("bob", bob.make_digest(1.0), now=1.0)
-        # The sender is registered directly (not reported as "new"); members
-        # learned through the digest are.
-        assert set(new) == {"carol"}
-        assert "carol" in alice.view
-        assert "bob" in alice.view
-
-    def test_gossip_targets_exclude_self_and_respect_fanout(self):
-        config = MembershipConfig(gossip_fanout=2)
-        proto = MembershipProtocol("me", config, rng=random.Random(0))
-        for name in ("a", "b", "c"):
-            proto.view.heard_from(name, 0.0)
-        targets = proto.gossip_targets(now=1.0)
-        assert len(targets) == 2
-        assert "me" not in targets
-        assert proto.broadcast_rounds == 1 and proto.sampled_rounds == 0
-
-    def test_gossip_targets_sample_large_views(self):
-        config = MembershipConfig(gossip_fanout=2, sample_cap=16)
-        proto = MembershipProtocol("me", config, rng=random.Random(0))
-        for i in range(100):
-            proto.view.heard_from(f"m{i}", 0.0)
-        targets = proto.gossip_targets(now=1.0)
-        assert len(targets) == 2 and "me" not in targets
-        assert len(set(targets)) == 2
-        assert proto.sampled_rounds == 1 and proto.broadcast_rounds == 0
-        # Only fresh members are ever sampled.
-        proto2 = MembershipProtocol(
-            "me", MembershipConfig(gossip_fanout=2, sample_cap=8, failure_timeout=1.0,
-                                   cleanup_timeout=2.0),
-            rng=random.Random(1),
-        )
-        for i in range(50):
-            proto2.view.heard_from(f"m{i}", 0.0)
-        proto2.view.heard_from("m1", 5.0)
-        proto2.view.heard_from("m2", 5.0)
-        for _ in range(20):
-            assert set(proto2.gossip_targets(now=5.5)) <= {"m1", "m2"}
-
-    def test_sample_cap_validation(self):
-        with pytest.raises(ValueError):
-            MembershipConfig(sample_cap=0)
-
-    def test_cleanup_removes_long_suspected(self):
-        config = MembershipConfig(failure_timeout=2.0, cleanup_timeout=4.0)
-        proto = MembershipProtocol("me", config)
-        proto.view.heard_from("dead", 0.0)
-        assert proto.suspected_members(now=3.0) == ["dead"]
-        assert proto.run_cleanup(now=3.0) == []
-        assert proto.run_cleanup(now=5.0) == ["dead"]
-        assert "dead" not in proto.view
-        assert proto.removed == ["dead"]
-
-    def test_join_announcement(self):
-        proto = MembershipProtocol("server", MembershipConfig())
-        assert proto.on_join_announcement("newcomer", 1.0) is True
-        assert "newcomer" in proto.view
-
-
-class TestSimulatedMembership:
-    def build(self, n_members=4, loss=0.0):
-        config = MembershipConfig(gossip_interval=0.5, failure_timeout=3.0, cleanup_timeout=6.0)
-        engine = SimulationEngine()
-        rng = RngRegistry(7)
-        network = Network(engine, loss_probability=loss, rng=rng.stream("net"))
-        server = GossipServerEntity("server", config, rng=rng.stream("server"))
-        network.register(server)
-        members = []
-        for i in range(n_members):
-            member = GossipMemberEntity(
-                f"m{i}", config, gossip_servers=["server"], rng=rng.stream(f"m{i}")
-            )
-            network.register(member)
-            members.append(member)
-        return engine, network, server, members
-
-    def start_all(self, server, members):
-        server.on_start()
-        for member in members:
-            member.on_start()
-
-    def test_members_discover_each_other(self):
-        engine, network, server, members = self.build(n_members=5)
-        self.start_all(server, members)
-        engine.run(until=10.0)
-        expected = {"server"} | {m.name for m in members}
-        for member in members:
-            assert set(member.current_view()) == expected
-        assert set(server.announced) == {m.name for m in members}
-
-    def test_crashed_member_is_suspected_and_removed(self):
-        engine, network, server, members = self.build(n_members=4)
-        self.start_all(server, members)
-        engine.run(until=5.0)
-        victim = members[0]
-        victim.crash()
-        engine.run(until=25.0)
-        for member in members[1:]:
-            assert victim.name not in member.current_view()
-
-    def test_membership_tolerates_message_loss(self):
-        engine, network, server, members = self.build(n_members=4, loss=0.2)
-        self.start_all(server, members)
-        engine.run(until=20.0)
-        expected = {"server"} | {m.name for m in members}
-        for member in members:
-            assert set(member.current_view()) == expected
-
-    def test_message_wire_sizes(self):
-        assert JoinAnnouncement("x").wire_size() > 0
-        gossip = ViewGossip("a", (("a", 1.0, False),))
-        assert gossip.wire_size() > JoinAnnouncement("x").wire_size() - 20
 
 
 class TestFailureDetector:
@@ -341,3 +111,230 @@ class TestFailureDetector:
         detector = GossipFailureDetector("me")
         detector.tick(0.0)
         assert detector.digest_wire_size() > 0
+
+    def test_timeout_validation(self):
+        with pytest.raises(ValueError):
+            GossipFailureDetector("me", fail_timeout=5.0, cleanup_timeout=4.0)
+        with pytest.raises(ValueError):
+            GossipFailureDetector("me", gossip_interval=0.0)
+        # The loose van Renesse rule: cleanup may equal the fail timeout.
+        GossipFailureDetector("me", fail_timeout=5.0, cleanup_timeout=5.0)
+
+    def test_tick_raises_only_the_owner_counter(self):
+        detector = GossipFailureDetector("me")
+        detector.merge((("a", 4),), now=0.0)
+        for expected in (1, 2, 3):
+            digest = detector.tick(float(expected))
+            assert detector.heartbeat_of("me") == expected
+            assert dict(digest)["me"] == expected
+        assert detector.heartbeat_of("a") == 4
+
+    def test_merge_returns_only_new_members(self):
+        detector = GossipFailureDetector("me")
+        assert detector.merge((("b", 1), ("a", 1)), now=0.0) == ["b", "a"]
+        assert detector.merge((("a", 2), ("b", 2)), now=1.0) == []
+        assert detector.members() == ["a", "b", "me"]
+        assert detector.heartbeat_of("a") == 2
+
+    def test_merge_never_lowers_a_counter(self):
+        detector = GossipFailureDetector("me")
+        detector.merge((("a", 5),), now=1.0)
+        detector.merge((("a", 3),), now=4.0)
+        assert detector.heartbeat_of("a") == 5
+        assert detector.staleness("a", now=4.0) == pytest.approx(3.0)
+
+    def test_owner_is_never_suspected_or_removed(self):
+        detector = GossipFailureDetector("me", fail_timeout=1.0, cleanup_timeout=2.0)
+        detector.merge((("a", 1),), now=0.0)
+        assert detector.suspected(now=1000.0) == ["a"]
+        assert detector.cleanup(now=1000.0) == ["a"]
+        assert detector.members() == ["me"]
+        assert detector.cleanup(now=2000.0) == []
+
+    def test_untimed_digest_lists_every_member_sorted(self):
+        detector = GossipFailureDetector("me", fail_timeout=1.0, cleanup_timeout=50.0)
+        detector.merge((("zed", 2), ("amy", 7)), now=0.0)
+        detector.tick(10.0)
+        assert detector.digest() == (("amy", 7), ("me", 1), ("zed", 2))
+        # Timed, the two stale members drop out and the owner stays.
+        assert detector.digest(now=10.0) == (("me", 1),)
+
+    def test_staleness_and_heartbeat_of_unknown_members(self):
+        detector = GossipFailureDetector("me")
+        assert detector.staleness("ghost", now=1.0) is None
+        assert detector.heartbeat_of("ghost") is None
+        detector.merge((("a", 3),), now=2.0)
+        assert detector.staleness("a", now=2.5) == pytest.approx(0.5)
+        assert detector.heartbeat_of("a") == 3
+
+    def test_restart_member_resets_the_counter(self):
+        detector = GossipFailureDetector("me")
+        detector.merge((("a", 7),), now=0.0)
+        detector.restart_member("a", now=3.0)
+        assert detector.heartbeat_of("a") == 0
+        assert detector.staleness("a", now=3.0) == 0.0
+        # The new incarnation's low counters now read as progress.
+        detector.merge((("a", 1),), now=4.0)
+        assert detector.heartbeat_of("a") == 1
+        assert detector.staleness("a", now=4.0) == 0.0
+
+    def test_restart_member_admits_an_unknown_member(self):
+        detector = GossipFailureDetector("me", rng=random.Random(0))
+        detector.restart_member("fresh", now=1.0)
+        assert detector.members() == ["fresh", "me"]
+        assert detector.heartbeat_of("fresh") == 0
+        assert detector.choose_targets(now=1.5) == ["fresh"]
+
+    def test_lonely_owner_has_no_targets(self):
+        detector = GossipFailureDetector("me")
+        assert detector.choose_targets(now=0.0) == []
+        assert detector.broadcast_rounds == 0
+        assert detector.sampled_rounds == 0
+
+    def test_fanout_beyond_the_group_picks_every_live_member(self):
+        detector = GossipFailureDetector("me", fanout=5, rng=random.Random(0))
+        detector.merge((("a", 1), ("b", 1), ("c", 1)), now=0.0)
+        assert sorted(detector.choose_targets(now=0.5)) == ["a", "b", "c"]
+
+    def test_small_tables_skip_suspected_members(self):
+        detector = GossipFailureDetector(
+            "me", fanout=3, rng=random.Random(0), fail_timeout=1.0, cleanup_timeout=9.0
+        )
+        detector.merge((("a", 1), ("b", 1), ("c", 1)), now=0.0)
+        detector.merge((("b", 2),), now=5.0)
+        assert detector.choose_targets(now=5.5) == ["b"]
+        assert detector.alive(now=5.5) == ["b"]
+
+    def test_digest_wire_size_grows_per_member(self):
+        detector = GossipFailureDetector("me")
+        alone = detector.digest_wire_size()
+        detector.merge((("a", 1),), now=0.0)
+        one_more = detector.digest_wire_size()
+        detector.merge((("b", 1), ("c", 1)), now=0.0)
+        assert one_more > alone
+        assert detector.digest_wire_size() - one_more == 2 * (one_more - alone)
+
+    def test_targets_are_reproducible_for_a_seed(self):
+        def picks(seed):
+            detector = GossipFailureDetector("me", fanout=2, rng=random.Random(seed))
+            detector.merge(tuple((f"m{i}", 1) for i in range(10)), now=0.0)
+            return [tuple(detector.choose_targets(now=0.5)) for _ in range(20)]
+
+        assert picks(4) == picks(4)
+        assert picks(4) != picks(5)
+
+
+# ---------------------------------------------------------------------- #
+# Group behaviour under synchronous gossip rounds
+# ---------------------------------------------------------------------- #
+FAIL = 20.0
+CLEANUP = 40.0
+
+
+def _group(n, seed):
+    """``n`` detectors that know only ``m000`` (the bootstrap contact)."""
+    names = [f"m{i:03d}" for i in range(n)]
+    detectors = {
+        name: GossipFailureDetector(
+            name, fail_timeout=FAIL, cleanup_timeout=CLEANUP, rng=random.Random(seed * 1000 + i)
+        )
+        for i, name in enumerate(names)
+    }
+    for name in names[1:]:
+        detectors[name].merge(detectors[names[0]].digest(), now=0.0)
+    return names, detectors
+
+
+def _round(detectors, live, now, rng, loss=0.0):
+    """Every live member ticks and pushes its timed digest to its targets."""
+    sent = []
+    for name in sorted(live):
+        detector = detectors[name]
+        digest = detector.tick(now)
+        for target in detector.choose_targets(now):
+            if rng.random() >= loss:
+                sent.append((target, digest))
+    for target, digest in sent:
+        if target in live:
+            detectors[target].merge(digest, now)
+    for name in live:
+        detectors[name].cleanup(now)
+
+
+def _converge(names, detectors, live, rng, start, limit, loss=0.0):
+    """Run rounds until every live member's table is exactly ``live``."""
+    want = sorted(live)
+    for now in range(start, start + limit):
+        _round(detectors, live, float(now), rng, loss)
+        if all(detectors[name].members() == want for name in live):
+            return now
+    raise AssertionError(f"no convergence within {limit} rounds")
+
+
+class TestEpidemicDissemination:
+    @pytest.mark.parametrize("n", [8, 100])
+    def test_every_member_learns_every_other(self, n):
+        # 100 members exceed the default sample cap, so the sampled target
+        # path spreads the table there.  Push gossip needs O(log n) rounds.
+        for seed in range(3):
+            names, detectors = _group(n, seed)
+            rounds = _converge(names, detectors, set(names), random.Random(seed), 1, 30)
+            assert rounds <= 25
+            assert all(detectors[name].suspected(float(rounds)) == [] for name in names)
+
+    def test_crashed_member_is_suspected_then_removed_everywhere(self):
+        names, detectors = _group(16, seed=1)
+        live = set(names)
+        rng = random.Random(1)
+        crash_at = _converge(names, detectors, live, rng, 1, 40) + 1
+        victim = "m005"
+        live.discard(victim)
+        suspected_by, removed_at = set(), {}
+        end = crash_at + int(CLEANUP) + 20
+        for now in range(crash_at, end):
+            _round(detectors, live, float(now), rng)
+            for name in live:
+                if victim in detectors[name].suspected(float(now)):
+                    suspected_by.add(name)
+                if name not in removed_at and victim not in detectors[name].members():
+                    removed_at[name] = now
+        assert suspected_by == live  # every survivor suspected it first ...
+        assert set(removed_at) == live  # ... and then removed it
+        assert min(removed_at.values()) > crash_at + FAIL
+        # Lagging digests never bring the dead member back, and no survivor
+        # is suspected in its place.
+        for now in range(end, end + 40):
+            _round(detectors, live, float(now), rng)
+        for name in live:
+            assert detectors[name].members() == sorted(live)
+            assert detectors[name].suspected(float(end + 39)) == []
+
+    def test_resumed_member_is_readmitted_everywhere(self):
+        names, detectors = _group(12, seed=2)
+        live = set(names)
+        rng = random.Random(2)
+        now = _converge(names, detectors, live, rng, 1, 40) + 1
+        victim = "m007"
+        live.discard(victim)
+        for now in range(now, now + int(CLEANUP) + 30):
+            _round(detectors, live, float(now), rng)
+        assert all(victim not in detectors[name].members() for name in live)
+        # The member resumes with its counter where it stopped (above the
+        # evicted one) and re-contacts the bootstrap member.
+        live.add(victim)
+        detectors[victim].merge(detectors["m000"].digest(now=float(now)), float(now))
+        _converge(names, detectors, live, rng, now + 1, 40)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dissemination_survives_message_loss(self, seed):
+        names, detectors = _group(16, seed)
+        live = set(names)
+        rng = random.Random(seed)
+        now = _converge(names, detectors, live, rng, 1, 60, loss=0.3)
+        # With 30 % of pushes lost, no live member ever looks dead.
+        for now in range(now + 1, now + 80):
+            _round(detectors, live, float(now), rng, loss=0.3)
+            for name in names:
+                assert detectors[name].suspected(float(now)) == []
+        assert all(detectors[name].members() == names for name in names)
+

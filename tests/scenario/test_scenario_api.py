@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.figures import figure3_tree
+from repro.bnb.pool import SelectionRule
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
-from repro.distributed import AlgorithmConfig
+from repro.distributed import AlgorithmConfig, run_tree_simulation
 from repro.scenario import (
     CRITICAL,
     FailureSpec,
@@ -209,6 +211,31 @@ class TestResultSchema:
         result = run_scenario(scenario, backend=backend)
         assert result.terminated
         assert result.engine_counters == {}
+
+
+def test_simulated_facade_equals_run_tree_simulation():
+    """The facade runs the very experiment the distributed runner does.
+
+    A Figure 3 tree through ``Scenario`` → simulated backend, against
+    ``run_tree_simulation`` called with the parameters that backend forwards.
+    """
+    tree = figure3_tree(scale=0.3, seed=7)
+    config = AlgorithmConfig(selection_rule=SelectionRule.DEPTH_FIRST)
+    scenario = Scenario(
+        name="figure3-facade",
+        workload=WorkloadSpec(kind="tree", tree=tree),
+        n_workers=8,
+        seed=7,
+        config=config,
+    )
+    direct = run_tree_simulation(
+        tree, 8, config=config, seed=7, prune=False, compute_uniprocessor_time=False
+    )
+    facade = run_scenario(scenario, backend="simulated")
+    assert facade.terminated and direct.all_terminated
+    assert facade.best_value == direct.best_value
+    assert facade.makespan == pytest.approx(direct.makespan)
+    assert facade.total_nodes_expanded == direct.total_nodes_expanded
 
 
 class TestRealexecResultMapping:

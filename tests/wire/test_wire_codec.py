@@ -13,17 +13,24 @@ import pytest
 
 from repro import wire
 from repro.core.encoding import ROOT, PathCode
-from repro.core.work_report import BestSolution, CompletedTableSnapshot, WorkReport
+from repro.core.work_report import (
+    BestSolution,
+    CompletedTableSnapshot,
+    DeltaSnapshot,
+    WorkReport,
+    table_digest,
+)
 from repro.distributed.messages import (
+    DeltaGossipMsg,
+    TableGossipAck,
     TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
     WorkRequest,
 )
-from repro.gossip.gossip_server import JoinAnnouncement, ViewGossip
 from repro.wire import varint
-from repro.wire.frame import FRAME_MAGIC, Tag
+from repro.wire.frame import FRAME_MAGIC, Tag, read_header
 
 
 # ---------------------------------------------------------------------- #
@@ -63,11 +70,37 @@ def rand_snapshot(rng):
     )
 
 
-def rand_digest(rng):
-    return tuple(
-        (f"member-{i}", rng.uniform(0, 1e6), rng.random() < 0.3)
-        for i in range(rng.randrange(0, 20))
+def rand_delta(rng):
+    codes = frozenset(rand_code(rng) for _ in range(rng.randrange(0, 20)))
+    return DeltaSnapshot(
+        sender=f"w{rng.randrange(100)}",
+        codes=codes,
+        full_digest=table_digest(codes),
+        sequence=rng.randrange(1 << 16),
+        best=rand_best(rng),
     )
+
+
+#: One sample per core tag, in tag order: the tag each message type is
+#: framed under and the wire-format generation that introduced it.
+CORE_TAG_SAMPLES = [
+    (Tag.PATH_CODE, 1, rand_code),
+    (Tag.BEST_SOLUTION, 1, rand_best),
+    (Tag.WORK_REPORT, 1, rand_report),
+    (Tag.TABLE_SNAPSHOT, 1, rand_snapshot),
+    (Tag.WORK_REQUEST, 1, lambda rng: WorkRequest(requester="w-1", best=rand_best(rng))),
+    (Tag.WORK_GRANT, 1, lambda rng: WorkGrant(donor="w-2", codes=(rand_code(rng),))),
+    (Tag.WORK_DENIED, 1, lambda rng: WorkDenied(donor="w-3", best=rand_best(rng))),
+    (Tag.WORK_REPORT_MSG, 1, lambda rng: WorkReportMsg(rand_report(rng))),
+    (Tag.TABLE_GOSSIP_MSG, 1, lambda rng: TableGossipMsg(rand_snapshot(rng))),
+    (Tag.DELTA_SNAPSHOT, 2, rand_delta),
+    (Tag.DELTA_GOSSIP_MSG, 2, lambda rng: DeltaGossipMsg(rand_delta(rng))),
+    (
+        Tag.TABLE_GOSSIP_ACK,
+        2,
+        lambda rng: TableGossipAck(sender="w-4", digest=rng.getrandbits(64), best=rand_best(rng)),
+    ),
+]
 
 
 def assert_round_trip(msg):
@@ -201,16 +234,6 @@ class TestRoundTrips:
         assert_round_trip(WorkReportMsg(rand_report(rng)))
         assert_round_trip(TableGossipMsg(rand_snapshot(rng)))
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_view_digests_and_gossip(self, seed):
-        rng = random.Random(300 + seed)
-        digest = rand_digest(rng)
-        assert_round_trip(digest)
-        assert_round_trip(ViewGossip(sender=f"s{seed}", digest=digest))
-
-    def test_join_announcement(self):
-        assert_round_trip(JoinAnnouncement(member="newcomer-17"))
-
     def test_best_solution_values(self):
         assert_round_trip(BestSolution())
         assert_round_trip(BestSolution(value=float("inf")))
@@ -224,9 +247,27 @@ class TestRoundTrips:
         b = WorkReport(sender="w", codes=frozenset(reversed(codes)))
         assert wire.encode(a) == wire.encode(b)
 
+    @pytest.mark.parametrize(
+        "tag, generation, make", CORE_TAG_SAMPLES, ids=[t.name for t, _, _ in CORE_TAG_SAMPLES]
+    )
+    def test_every_core_tag_frames_its_message(self, tag, generation, make):
+        # Pins the tag -> message map of the whole core range: retiring a
+        # tag must never renumber or re-stamp the ones that stay.
+        msg = make(random.Random(int(tag)))
+        data = assert_round_trip(msg)
+        version, frame_tag, body_start, body_len = read_header(data)
+        assert (frame_tag, version) == (int(tag), generation)
+        assert body_start + body_len == len(data)
+
     def test_unregistered_type_rejected(self):
         with pytest.raises(wire.WireFormatError):
             wire.encode(object())
+
+    def test_bare_tuple_rejected(self):
+        # No message is a plain tuple: encoding one is an unregistered type,
+        # not a half-written body.
+        with pytest.raises(wire.WireFormatError):
+            wire.encode(("w", 1))
 
 
 # ---------------------------------------------------------------------- #
@@ -243,7 +284,7 @@ class TestRejection:
                 rand_report(rng, n_codes=12),
                 rand_snapshot(rng),
                 WorkGrant(donor="d", codes=tuple(rand_code(rng) for _ in range(3))),
-                ViewGossip("s", rand_digest(rng)),
+                WorkDenied(donor="d", best=rand_best(rng)),
             )
         ]
 
@@ -270,6 +311,27 @@ class TestRejection:
         varint.write_uvarint(out, 200)  # no such tag
         varint.write_uvarint(out, 0)
         with pytest.raises(wire.UnknownMessageTagError):
+            wire.decode(bytes(out))
+
+    @pytest.mark.parametrize("tag", [10, 11, 12])
+    def test_retired_membership_tags_rejected(self, tag):
+        # Tags 10-12 once carried a membership view digest, view gossip
+        # (sender + digest) and a join announcement (member name).  A
+        # well-formed v1 frame of each must fail loudly, never decode into
+        # some other message.
+        sender, member, digest = bytearray(), bytearray(), bytearray()
+        varint.write_string(sender, "server")
+        varint.write_string(member, "newcomer")
+        varint.write_uvarint(digest, 1)
+        varint.write_string(digest, "member-0")
+        varint.write_float64(digest, 1.5)
+        varint.write_bool(digest, False)
+        body = {10: digest, 11: sender + digest, 12: member}[tag]
+        out = bytearray((FRAME_MAGIC, 1))
+        varint.write_uvarint(out, tag)
+        varint.write_uvarint(out, len(body))
+        out += body
+        with pytest.raises(wire.WireFormatError):
             wire.decode(bytes(out))
 
     def test_trailing_bytes_rejected(self):

@@ -18,8 +18,12 @@ analytic byte model"):
    contracted completed tables) the real encoding beats the model by a wide
    margin; the model stays an upper bound but is *not* tight there, which is
    the conservative direction.
+4. **Pickle floor** — the codec ships the two payloads that dominate
+   protocol traffic (work reports, contracted table snapshots) in at most
+   half the bytes pickle would.
 """
 
+import pickle
 import random
 
 import pytest
@@ -35,8 +39,6 @@ from repro.distributed.messages import (
     WorkReportMsg,
     WorkRequest,
 )
-from repro.gossip.gossip_server import ViewGossip
-from repro.gossip.membership import MembershipView
 from repro.wire import codec
 
 #: Documented limits under which the upper bound holds.
@@ -45,6 +47,9 @@ MAX_VARIABLE = 2**13
 #: Documented tracking-bound constants for prefix-sparse payloads.
 TRACK_FACTOR = 4
 TRACK_SLACK = 64
+#: The codec's frames must be at least this much smaller than pickle's for
+#: the report/snapshot payloads.
+MIN_PICKLE_RATIO = 2.0
 
 
 def rand_code(rng, max_depth=50):
@@ -96,17 +101,6 @@ class TestModelUpperBound:
             codec.write_path_code(body, code)
             assert len(body) <= code.wire_size()
 
-    def test_view_gossip_within_model_for_short_names(self):
-        # The digest model charges 14 bytes per entry (it assumes hashed
-        # names); the real codec ships full names, so the bound is documented
-        # for names of at most 4 UTF-8 bytes.
-        view = MembershipView("s0", now=0.0, is_gossip_server=True)
-        for i in range(30):
-            view.heard_from(f"w{i}", now=float(i))
-        gossip = ViewGossip("s0", view.digest())
-        assert wire.encoded_size(gossip) <= gossip.wire_size()
-        assert wire.encoded_size(gossip.digest) <= view.digest_wire_size()
-
 
 class TestModelTrackingBound:
     @pytest.mark.parametrize("seed", range(10))
@@ -150,6 +144,47 @@ class TestFrontCodingDividend:
         decoded = wire.decode(wire.encode(snapshot))
         rebuilt = CodeSet(decoded.codes)
         assert rebuilt.codes() == table.codes()
+
+
+class TestPickleFloor:
+    @staticmethod
+    def _codes(n, max_depth, seed, min_depth=4):
+        rng = random.Random(seed)
+        codes = []
+        for _ in range(n):
+            depth = rng.randint(min_depth, max_depth)
+            codes.append(
+                PathCode(tuple((level * 3 % 701, rng.randint(0, 1)) for level in range(depth)))
+            )
+        return codes
+
+    def test_wire_byte_ratios(self):
+        # A work report like a busy worker emits (~60 compressed mixed-depth
+        # codes) and a contracted table snapshot (1,500 random codes pushed
+        # through CodeSet, leaving the sibling-dense frontiers table gossip
+        # actually ships).
+        report = WorkReport(
+            sender="rworker-03",
+            codes=frozenset(self._codes(60, 28, seed=17)),
+            best=BestSolution(value=1234.5, origin="rworker-03"),
+            sequence=41,
+        )
+        table = CodeSet()
+        for code in self._codes(1500, 20, seed=23, min_depth=8):
+            table.add(code)
+        snapshot = CompletedTableSnapshot(
+            sender="rworker-07",
+            codes=table.codes(),
+            best=BestSolution(value=-99.25, origin="rworker-01"),
+        )
+        for payload in (report, snapshot):
+            encoded = wire.encoded_size(payload)
+            pickled = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+            assert pickled >= MIN_PICKLE_RATIO * encoded, (
+                f"{type(payload).__name__}: pickle {pickled}B vs codec {encoded}B "
+                f"is below the {MIN_PICKLE_RATIO}x reduction floor"
+            )
+            assert encoded <= payload.wire_size()
 
 
 class TestAnalysisWireColumns:
