@@ -29,7 +29,6 @@ from .arena import ArenaCodeSet, TrieArena
 from .codeset import CodeSet, ContractionStats, contract, contract_reference, covers
 from .complement import (
     SelectionStrategy,
-    complement_covers_tree,
     complement_frontier,
     minimal_complement,
     select_recovery_candidate,
@@ -61,7 +60,6 @@ __all__ = [
     "covers",
     "SelectionStrategy",
     "complement_frontier",
-    "complement_covers_tree",
     "minimal_complement",
     "select_recovery_candidate",
     "CompletionTracker",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Set
+from typing import Iterable, Optional, Set
 
 from .codeset import CodeSet
 from .encoding import ROOT, PathCode, common_prefix_length
@@ -139,22 +139,3 @@ def select_recovery_candidate(
         )
     raise ValueError(f"unknown selection strategy: {strategy!r}")
 
-
-def complement_covers_tree(
-    completed: CodeSet, frontier: Sequence[PathCode]
-) -> bool:
-    """Check the structural complement invariants used by the property tests.
-
-    Every frontier code must be uncovered by the completed table, and the
-    frontier codes must be pairwise disjoint subtrees (no duplicates, no
-    ancestor/descendant pairs).  The "together they cover the tree" half of
-    the invariant needs knowledge of the tree and is checked probe-wise by the
-    property-based tests instead.
-    """
-    for i, code in enumerate(frontier):
-        if completed.covers(code):
-            return False
-        for other in frontier[i + 1 :]:
-            if code == other or code.is_ancestor_of(other) or other.is_ancestor_of(code):
-                return False
-    return True

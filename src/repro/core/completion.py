@@ -438,6 +438,33 @@ class CompletionTracker:
             best=best if best is not None else BestSolution(),
         )
 
+    def news_pull(self, *, best: Optional[BestSolution] = None) -> DeltaSnapshot:
+        """An empty delta carrying this table's full digest: a request for news.
+
+        Sent by a worker starting a recovery.  The receiver answers with
+        :meth:`news_for`, or with nothing when its table is this one.
+        """
+        return DeltaSnapshot(
+            sender=self.owner,
+            codes=frozenset(),
+            full_digest=self.table_digest_now(),
+            best=best if best is not None else BestSolution(),
+        )
+
+    def news_for(
+        self, peer: str, *, best: Optional[BestSolution] = None
+    ) -> Optional[DeltaSnapshot]:
+        """This table's delta against ``peer``'s basis, or ``None`` if empty.
+
+        The answer to evidence that ``peer`` is redoing work this table knows
+        done: a non-empty report that taught the table nothing (every code
+        was already covered), or a :meth:`news_pull`.  Merges are
+        idempotent, so an answer that crosses the peer's own gossip costs
+        bytes, never correctness.
+        """
+        delta = self.build_delta_snapshot(peer, best=best)
+        return None if delta.is_empty else delta
+
     def note_snapshot_ack(self, peer: str, digest: int) -> bool:
         """Process a peer's delta acknowledgement; True when it advanced."""
         view = self._peer_views.get(peer)

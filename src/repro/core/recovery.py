@@ -230,6 +230,20 @@ class RecoveryPolicy:
             return True
         return False
 
+    def forget_lost_recoveries(self, tracker: CompletionTracker) -> None:
+        """Forget active recoveries whose subtree is still uncovered.
+
+        Call with an empty pool: nothing is in progress any more, so such a
+        subtree was lost again (donated or pushed to a peer that crashed,
+        or shipped in a grant the network dropped).  Left active, it would
+        stay excluded from :meth:`evaluate` and block the last missing
+        piece forever.
+        """
+        covers = tracker.table.covers
+        for code in list(self.active_recoveries):
+            if not covers(code):
+                self.active_recoveries.discard(code)
+
     def note_recovery_aborted(self, code: PathCode, *, time_spent: float = 0.0) -> None:
         """Record an aborted recovery (information arrived late)."""
         self.active_recoveries.discard(code)

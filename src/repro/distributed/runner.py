@@ -125,7 +125,9 @@ def assemble_run_result(
         messages_by_kind["work_denials"] += stats.work_denials_sent
         messages_by_kind["work_reports"] += stats.reports_sent
         messages_by_kind["table_gossips"] += stats.table_gossips_sent
-        messages_by_kind["delta_gossips"] += stats.delta_gossips_sent
+        messages_by_kind["delta_gossips"] += (
+            stats.delta_gossips_sent + stats.news_pulls_sent + stats.news_answers_sent
+        )
         messages_by_kind["gossip_acks"] += stats.gossip_acks_sent
         messages_by_kind["heartbeats"] += stats.heartbeats_sent
         entity_steps += stats.entity_steps

@@ -52,6 +52,12 @@ class WorkerRunStats:
     work_pushes_sent: int = 0
     work_denials_sent: int = 0
     work_grants_received: int = 0
+    #: Empty deltas sent to ``report_fanout`` peers on starting a recovery
+    #: (a pull: "send me what you know").
+    news_pulls_sent: int = 0
+    #: Table deltas sent in answer to a pull or to a report whose every code
+    #: the table already covered (disjoint from ``delta_gossips_sent``).
+    news_answers_sent: int = 0
     recovery_activations: int = 0
     recovery_aborted: int = 0
     redundant_expansions: int = 0
@@ -104,6 +110,8 @@ class WorkerRunStats:
             "work_pushes_sent": self.work_pushes_sent,
             "work_denials_sent": self.work_denials_sent,
             "work_grants_received": self.work_grants_received,
+            "news_pulls_sent": self.news_pulls_sent,
+            "news_answers_sent": self.news_answers_sent,
             "recovery_activations": self.recovery_activations,
             "recovery_aborted": self.recovery_aborted,
             "redundant_expansions": self.redundant_expansions,

@@ -25,6 +25,9 @@ Section 5 of the paper:
   :meth:`~repro.core.completion.CompletionTracker.build_delta_snapshot`),
   or as the paper's literal whole-table snapshots when
   :attr:`~repro.distributed.config.AlgorithmConfig.delta_gossip` is off;
+  redone work asks for news: a report whose every code the table already
+  covered is answered with the table's delta, and a recovery sends an empty
+  delta (a pull) to ``report_fanout`` peers, answered the same way;
 * almost-implicit termination detection: when a worker's table contracts to
   the root code it broadcasts one final root report and stops;
 * incumbent sharing: the best-known solution piggy-backs on every message.
@@ -870,7 +873,8 @@ class WorkerEntity(Entity):
     def _merge_report(self, msg: WorkReportMsg) -> float:
         now = self._now()
         before_ops = self.tracker.table.stats.elementary_operations()
-        if self.tracker.merge_report(msg.report):
+        news = self.tracker.merge_report(msg.report)
+        if news:
             self.recovery.note_progress(now)
         if self.config.delta_gossip:
             # Reverse-channel learning: the sender provably covers every code
@@ -882,6 +886,11 @@ class WorkerEntity(Entity):
         if newly_terminated:
             self.stats.terminated_via = self.termination.detected_via
         self._abort_covered_recoveries()
+        if self.config.delta_gossip and not news and msg.report.codes:
+            # Every code the sender completed was already covered here: it
+            # is working inside a region this table knows done, so answer
+            # with the news.
+            cost += self._answer_with_news(msg.report.sender)
         return cost
 
     def _merge_snapshot(self, msg: TableGossipMsg) -> float:
@@ -913,6 +922,10 @@ class WorkerEntity(Entity):
         if my_digest == delta.full_digest:
             # Post-merge our table equals the sender's: it covers all of it.
             self.tracker.note_peer_converged(delta.sender)
+        if delta.is_empty:
+            # A pull from a peer starting a recovery: there is nothing to
+            # acknowledge, so the answer is our news, or nothing.
+            return cost + self._answer_with_news(delta.sender)
         # Echo the sender's table digest so its per-peer basis advances; a
         # lost ack only costs a redundant re-send, never correctness.
         if not self.terminated:
@@ -929,6 +942,19 @@ class WorkerEntity(Entity):
             cost += self._charge("communication", self.config.msg_send_cost)
         self._abort_covered_recoveries()
         return cost
+
+    def _answer_with_news(self, peer: str) -> float:
+        """Send ``peer`` this table's delta, unless it is empty or this
+        worker has terminated (:meth:`~repro.core.completion.
+        CompletionTracker.news_for`)."""
+        if self.terminated:
+            return 0.0
+        delta = self.tracker.news_for(peer, best=self._my_best())
+        if delta is None:
+            return 0.0
+        self.send(peer, DeltaGossipMsg(delta))
+        self.stats.news_answers_sent += 1
+        return self._charge("communication", self.config.msg_send_cost)
 
     def _abort_covered_recoveries(self) -> None:
         """Drop active recovery subproblems that turned out to be completed."""
@@ -1031,18 +1057,7 @@ class WorkerEntity(Entity):
         now = self._now()
         cost = 0.0
 
-        # With an empty pool nothing is genuinely "in progress" any more: a
-        # recovery subproblem that is still uncovered must have been lost
-        # again (for example donated to a peer that crashed, or shipped in a
-        # grant that the network dropped).  Forget it so the complement can
-        # offer that subtree again — otherwise the exclusion would block the
-        # last missing piece forever.
-        active_recoveries = self.recovery.active_recoveries
-        if active_recoveries:
-            covers = self.tracker.table.covers
-            for code in list(active_recoveries):
-                if not covers(code):
-                    active_recoveries.discard(code)
+        self.recovery.forget_lost_recoveries(self.tracker)
 
         # First, see whether starvation already justifies regenerating work.
         self.recovery.idle_time_threshold = self._effective_idle_threshold()
@@ -1107,9 +1122,18 @@ class WorkerEntity(Entity):
             # is trivially completed.
             self.tracker.record_completed(code, now=self._now())
             self.recovery.note_recovery_finished(code, redundant=False)
-        else:
-            self.pool.push(sub, bound=self.problem.bound(sub.state))
-        return self._charge("load_balancing", rebuild_cost)
+            return self._charge("load_balancing", rebuild_cost)
+        self.pool.push(sub, bound=self.problem.bound(sub.state))
+        cost = self._charge("load_balancing", rebuild_cost)
+        if self.config.delta_gossip:
+            # Ask before going far: answers that prove the subtree done let
+            # the covered-skip drop it (the worker expands meanwhile).
+            pull = DeltaGossipMsg(self.tracker.news_pull(best=self._my_best()))
+            for target in self._choose_report_targets(self.config.report_fanout):
+                self.send(target, pull)
+                self.stats.news_pulls_sent += 1
+                cost += self._charge("communication", self.config.msg_send_cost)
+        return cost
 
     # ------------------------------------------------------------------ #
     # Reporting

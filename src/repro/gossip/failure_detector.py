@@ -242,6 +242,10 @@ class GossipFailureDetector:
         samples and keep the fresh ones — O(fanout) per round — falling
         back to the exact scan only when sampling cannot find enough live
         members (i.e. when most of the group is stale).
+
+        A member that suspects every peer still gossips, to the suspected
+        ones: falling silent would make its own eviction certain, since a
+        peer only hears a heartbeat that is pushed to it.
         """
         if len(self._table) <= 1:
             return []
@@ -252,7 +256,7 @@ class GossipFailureDetector:
                 return targets
         candidates = [n for n in self.alive(now) if n != self.owner]
         if not candidates:
-            return []
+            candidates = [n for n in self._names if n != self.owner]
         self.broadcast_rounds += 1
         return self.rng.sample(candidates, min(self.fanout, len(candidates)))
 

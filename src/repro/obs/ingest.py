@@ -55,6 +55,8 @@ _WORKER_COUNTERS = (
     "work_grants_sent",
     "work_pushes_sent",
     "work_denials_sent",
+    "news_pulls_sent",
+    "news_answers_sent",
     "heartbeats_sent",
     "peers_evicted",
     "leaves",

@@ -153,6 +153,10 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #
+    def total(self, name: str) -> float:
+        """Sum of the counters named ``name`` over every label set."""
+        return sum(c.value for (n, _), c in self._counters.items() if n == name)
+
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict view: ``name{label=value,...}`` keys, scalar values."""
         return {

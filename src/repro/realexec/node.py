@@ -33,10 +33,12 @@ to peers whose table delta it just processed
 :func:`~repro.distributed.pacing.push_targets`), how long a starved
 worker waits and when it suspects loss (:mod:`repro.distributed.pacing`: the
 request timeout and pace, the table-push interval, the stall rule and the
-blank-worker gate), and which missing subtree it regenerates
-(:class:`~repro.core.recovery.RecoveryPolicy`).  What stays here is the I/O
-loop, without the simulator's time accounting, so real processes can be
-killed in the fault-injection tests.
+blank-worker gate), which missing subtree it regenerates
+(:class:`~repro.core.recovery.RecoveryPolicy`), and how redone work asks for
+news (:meth:`~repro.core.completion.CompletionTracker.news_pull` and
+:meth:`~repro.core.completion.CompletionTracker.news_for`).  What stays here
+is the I/O loop, without the simulator's time accounting, so real processes
+can be killed in the fault-injection tests.
 """
 
 from __future__ import annotations
@@ -264,6 +266,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     # Peers whose table delta was processed, and when (pacing.push_targets).
     starved: Dict[str, float] = {}
     pushes_sent = 0
+    news_pulls_sent = 0
+    news_answers_sent = 0
 
     if config.has_root:
         pool.push(problem.root_subproblem(), bound=problem.bound(problem.root_state()))
@@ -296,6 +300,17 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
         for target in rng.sample(peers, min(config.report_fanout, len(peers))) if peers else []:
             send(target, WorkReportMsg(report))
         reports_sent += 1
+
+    def answer_with_news(peer: str) -> None:
+        """Send ``peer`` this table's delta unless it is empty or the tree
+        is complete (:meth:`~repro.core.completion.CompletionTracker.news_for`)."""
+        nonlocal news_answers_sent
+        if tracker.is_tree_complete():
+            return
+        delta = tracker.news_for(peer, best=my_best())
+        if delta is not None:
+            send(peer, DeltaGossipMsg(delta))
+            news_answers_sent += 1
 
     def can_push() -> bool:
         return bool(peers) and len(tracker.table) > 0
@@ -387,10 +402,15 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                     if isinstance(payload, WorkReportMsg)
                     else payload.snapshot.as_report()
                 )
-                if tracker.merge_report(report):
+                news = tracker.merge_report(report)
+                if news:
                     recovery.note_progress(now)
                 if config.wire_generation >= 2:
                     tracker.note_peer_covers(envelope.sender, report.codes)
+                    if isinstance(payload, WorkReportMsg) and not news and report.codes:
+                        # Every code was already covered here: the sender
+                        # works inside a region known done, so answer it.
+                        answer_with_news(envelope.sender)
             elif isinstance(payload, DeltaGossipMsg):
                 delta = payload.delta
                 starved[delta.sender] = now
@@ -400,15 +420,20 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 my_digest = tracker.table_digest_now()
                 if my_digest == delta.full_digest:
                     tracker.note_peer_converged(delta.sender)
-                send(
-                    delta.sender,
-                    TableGossipAck(
-                        sender=config.name,
-                        digest=delta.full_digest,
-                        table_digest=my_digest,
-                        best=my_best(),
-                    ),
-                )
+                if delta.is_empty:
+                    # A pull from a peer starting a recovery: nothing to
+                    # acknowledge, so the answer is our news, or nothing.
+                    answer_with_news(delta.sender)
+                else:
+                    send(
+                        delta.sender,
+                        TableGossipAck(
+                            sender=config.name,
+                            digest=delta.full_digest,
+                            table_digest=my_digest,
+                            best=my_best(),
+                        ),
+                    )
             elif isinstance(payload, TableGossipAck):
                 tracker.note_snapshot_ack(payload.sender, payload.digest)
                 if payload.table_digest and payload.table_digest == tracker.table_digest_now():
@@ -441,6 +466,7 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 break
         if sub is None:
             flush_report(force=True)
+            recovery.forget_lost_recoveries(tracker)
             now = time.monotonic()
             if outstanding is not None and (
                 now - outstanding[1] >= pacing.request_timeout(node_cost, 0.0)
@@ -474,8 +500,15 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 rebuilt = problem.rebuild_subproblem(decision.code)
                 if rebuilt is None:
                     tracker.record_completed(decision.code)
-                else:
-                    pool.push(rebuilt, bound=problem.bound(rebuilt.state))
+                    continue
+                pool.push(rebuilt, bound=problem.bound(rebuilt.state))
+                if config.wire_generation >= 2 and peers:
+                    # Ask before going far: answers that prove the subtree
+                    # done let the covered-skip at pool pop drop it.
+                    pull = DeltaGossipMsg(tracker.news_pull(best=my_best()))
+                    for target in rng.sample(peers, min(config.report_fanout, len(peers))):
+                        send(target, pull)
+                        news_pulls_sent += 1
                 continue
             # Starved workers use their spare capacity to converge the
             # completed-table views: deltas at generation 2, whole snapshots
@@ -558,6 +591,10 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
         )
         registry.counter("worker_reports_sent", worker=config.name).inc(reports_sent)
         registry.counter("worker_pushes_sent", worker=config.name).inc(pushes_sent)
+        registry.counter("worker_news_pulls_sent", worker=config.name).inc(news_pulls_sent)
+        registry.counter("worker_news_answers_sent", worker=config.name).inc(
+            news_answers_sent
+        )
         registry.counter("worker_recoveries", worker=config.name).inc(
             recovery.stats.activations
         )

@@ -333,6 +333,8 @@ class SimulatedBackend:
             evictions=sum(s.peers_evicted for s in result.workers.values()),
             rejoins=sum(s.rejoins for s in result.workers.values()),
             unavailable_time=sum(s.unavailable_time for s in result.workers.values()),
+            news_pulls_sent=sum(s.news_pulls_sent for s in result.workers.values()),
+            news_answers_sent=sum(s.news_answers_sent for s in result.workers.values()),
             messages_total=result.network.messages_sent if result.network else 0,
             bytes_total=result.total_bytes_sent,
             bytes_by_kind=dict(result.bytes_by_kind),
@@ -627,6 +629,12 @@ class RealexecBackend:
         if result.telemetry is not None:
             result.telemetry.meta.setdefault("scenario", scenario.name)
             scenario_result.telemetry = result.telemetry
+            metrics = result.telemetry.metrics
+            if metrics is not None:
+                scenario_result.news_pulls_sent = int(metrics.total("worker_news_pulls_sent"))
+                scenario_result.news_answers_sent = int(
+                    metrics.total("worker_news_answers_sent")
+                )
         return scenario_result
 
 

@@ -34,7 +34,7 @@ import argparse
 from dataclasses import replace
 from typing import List, Optional
 
-from ..obs import TelemetryConfig, configure_logging, get_logger
+from ..obs import MetricsRegistry, TelemetryConfig, configure_logging, get_logger
 from ..transport_names import TRANSPORT_NAMES
 from .backends import backend_names, compare_backends, run_scenario
 from .registry import get_scenario, list_scenarios
@@ -231,6 +231,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         if len(counters) > args.top:
             print(f"  ... and {len(counters) - args.top} more "
                   f"(re-run with --top {len(counters)})")
+    if counters:
+        registry = MetricsRegistry.from_snapshot(metrics)
+        pulls, answers = (
+            int(registry.total(f"worker_news_{kind}_sent")) for kind in ("pulls", "answers")
+        )
+        print(f"\nnews for redone work: {pulls} pulls sent, {answers} answers sent")
     gauges = metrics.get("gauges", {})
     if gauges:
         print("\ngauges (value/peak):")

@@ -84,6 +84,11 @@ class ScenarioResult:
     rejoins: int = 0
     #: Total worker-seconds spent unavailable to churn (churn runs).
     unavailable_time: float = 0.0
+    #: Empty deltas sent by workers starting a recovery, and table deltas
+    #: sent in answer to one or to a report that taught nothing (simulated;
+    #: realexec only with telemetry on, read from the workers' counters).
+    news_pulls_sent: int = 0
+    news_answers_sent: int = 0
     #: Messages injected into the transport.
     messages_total: int = 0
     #: Bytes injected into the transport.

@@ -9,12 +9,28 @@ from hypothesis import given, settings, strategies as st
 from repro.core.codeset import CodeSet
 from repro.core.complement import (
     SelectionStrategy,
-    complement_covers_tree,
     complement_frontier,
     minimal_complement,
     select_recovery_candidate,
 )
 from repro.core.encoding import ROOT, PathCode
+
+
+def complement_covers_tree(completed, frontier):
+    """The structural complement invariants the property tests check.
+
+    Every frontier code must be uncovered by the completed table, and the
+    frontier codes must be pairwise disjoint subtrees (no duplicates, no
+    ancestor/descendant pairs).  The "together they cover the tree" half of
+    the invariant needs knowledge of the tree and is checked probe-wise.
+    """
+    for i, code in enumerate(frontier):
+        if completed.covers(code):
+            return False
+        for other in frontier[i + 1 :]:
+            if code == other or code.is_ancestor_of(other) or other.is_ancestor_of(code):
+                return False
+    return True
 
 
 def leaf_codes(depth):

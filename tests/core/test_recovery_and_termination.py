@@ -103,6 +103,22 @@ class TestRecoveryPolicy:
         assert policy.stats.aborted_recoveries == 1
         assert policy.stats.redundant_time == pytest.approx(0.5)
 
+    def test_forget_lost_recoveries_reoffers_uncovered_subtrees(self):
+        # The recovered subtree's half went to a peer that died: with the
+        # pool empty, the uncovered recovery is forgotten and the missing
+        # half becomes a candidate again; a covered one is left alone.
+        tracker = CompletionTracker("w")
+        lost, done = ROOT.child(0, 1), ROOT.child(0, 0)
+        tracker.record_completed(done, now=0.0)
+        tracker.record_completed(lost.child(1, 0), now=0.0)
+        policy = RecoveryPolicy(failed_request_threshold=1)
+        policy.active_recoveries.update({lost, done})
+        policy.note_request_failed(1.0)
+        assert policy.evaluate(tracker, 2.0).code is None  # excluded
+        policy.forget_lost_recoveries(tracker)
+        assert policy.active_recoveries == {done}
+        assert policy.evaluate(tracker, 2.0).code == lost.child(1, 1)
+
     def test_random_pick_is_reproducible(self):
         tracker = CompletionTracker("w")
         # Three missing siblings to draw from: 0:1, 0:0/1:1, 0:0/1:0/2:1.

@@ -6,7 +6,7 @@ from repro.bnb.pool import SelectionRule
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
 from repro.bnb.tree_problem import TreeReplayProblem
 from repro.core.encoding import ROOT
-from repro.core.work_report import BestSolution, WorkReport
+from repro.core.work_report import BestSolution, DeltaSnapshot, WorkReport, table_digest
 from repro.distributed.config import AlgorithmConfig
 from repro.distributed.messages import (
     DeltaGossipMsg,
@@ -473,3 +473,115 @@ class TestIdleGossipCadence:
         assert min(gaps) >= IDLE_PACE_CAP
         assert len(times) >= 0.95 * self.STARVED_SECONDS / IDLE_PACE_CAP
         assert max(gaps) <= 1.5 * IDLE_PACE_CAP
+
+
+class TestNewsForRedoneWork:
+    """Redone work asks for news: a report whose every code the table
+    already covered, or an empty delta (a pull), is answered with the
+    table's delta, and a recovery pulls news from ``report_fanout`` peers."""
+
+    @staticmethod
+    def recording(n_workers=3, **config_overrides):
+        """A blank worker ``w1`` whose sends are recorded, and three codes of
+        the tree: the root's children and one grandchild under the left."""
+        engine, network, problem, tree, workers = make_worker_pair(
+            n_workers, with_root=False, **config_overrides
+        )
+        w1 = workers[1]
+        sent = []
+        w1.send = lambda target, payload: sent.append((target, payload))
+        left, right = (node.code for node in tree.children(ROOT))
+        grandchild = next(iter(tree.children(left))).code
+        return w1, sent, left, grandchild, right
+
+    @staticmethod
+    def deltas(sent):
+        return [(to, msg.delta) for to, msg in sent if isinstance(msg, DeltaGossipMsg)]
+
+    def test_report_that_teaches_nothing_is_answered_with_one_delta(self):
+        w1, sent, left, grandchild, right = self.recording()
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [grandchild, right])))
+        assert sent == []
+        # w2 completed only a code w1 already covered: it lacks w1's news.
+        deliver(w1, "w2", WorkReportMsg(WorkReport.build("w2", [grandchild])))
+        assert [(to, delta.codes) for to, delta in self.deltas(sent)] == [
+            ("w2", frozenset({right}))
+        ]
+        assert len(sent) == 1
+        assert w1.stats.news_answers_sent == 1
+
+    def test_fresh_report_is_not_answered(self):
+        w1, sent, left, grandchild, right = self.recording()
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        deliver(w1, "w2", WorkReportMsg(WorkReport.build("w2", [grandchild])))
+        assert sent == []
+        assert w1.stats.news_answers_sent == 0
+
+    def test_report_with_any_news_is_not_answered(self):
+        # One covered code next to a new one reads as gossip that outran
+        # the report, not as redone work.
+        w1, sent, left, grandchild, right = self.recording()
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        deliver(
+            w1, "w2", WorkReportMsg(WorkReport.build("w2", [right, grandchild.sibling()]))
+        )
+        assert sent == []
+
+    def test_sender_that_knows_everything_gets_no_answer(self):
+        w1, sent, left, grandchild, right = self.recording()
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        # w0 re-reports what it sent: w1 knows nothing w0 does not.
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        assert sent == []
+
+    def test_pull_is_answered_with_the_receivers_delta_not_an_ack(self):
+        w1, sent, left, grandchild, right = self.recording()
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        pull = DeltaSnapshot("w2", frozenset(), full_digest=table_digest(frozenset()))
+        deliver(w1, "w2", DeltaGossipMsg(pull))
+        assert [(to, delta.codes) for to, delta in self.deltas(sent)] == [
+            ("w2", frozenset({right}))
+        ]
+        assert len(sent) == 1  # no TableGossipAck: there is nothing to acknowledge
+        assert w1.stats.news_answers_sent == 1 and w1.stats.gossip_acks_sent == 0
+
+    def test_pull_gets_nothing_when_the_receiver_has_no_news(self):
+        w1, sent, left, grandchild, right = self.recording()
+        blank = DeltaSnapshot("w2", frozenset(), full_digest=table_digest(frozenset()))
+        deliver(w1, "w2", DeltaGossipMsg(blank))
+        assert sent == []
+        # A puller whose table equals the receiver's gets nothing either.
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        same = DeltaSnapshot("w2", frozenset(), full_digest=w1.tracker.table_digest_now())
+        deliver(w1, "w2", DeltaGossipMsg(same))
+        assert sent == []
+        assert w1.stats.news_answers_sent == 0
+
+    def test_starting_a_recovery_pulls_from_report_fanout_peers(self):
+        w1, sent, left, grandchild, right = self.recording(n_workers=5, report_fanout=3)
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        w1._start_recovery(grandchild)
+        assert len(w1.pool) == 1  # the worker expands at once, not after answers
+        pulls = self.deltas(sent)
+        assert len(pulls) == len(sent) == 3 == w1.stats.news_pulls_sent
+        assert len({to for to, _ in pulls}) == 3 and "w1" not in {to for to, _ in pulls}
+        digest = w1.tracker.table_digest_now()
+        assert all(d.is_empty and d.full_digest == digest for _, d in pulls)
+
+    def test_without_delta_gossip_nothing_asks_or_answers(self):
+        w1, sent, left, grandchild, right = self.recording(delta_gossip=False)
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [grandchild, right])))
+        deliver(w1, "w2", WorkReportMsg(WorkReport.build("w2", [grandchild])))
+        w1._start_recovery(left)
+        assert sent == []
+
+    def test_terminated_worker_answers_nothing(self):
+        w1, sent, left, grandchild, right = self.recording()
+        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [left, right])))
+        assert w1.terminated
+        # A report that teaches nothing, and a pull: neither is answered.
+        deliver(w1, "w2", WorkReportMsg(WorkReport.build("w2", [grandchild])))
+        blank = DeltaSnapshot("w2", frozenset(), full_digest=table_digest(frozenset()))
+        deliver(w1, "w2", DeltaGossipMsg(blank))
+        assert sent == []
+        assert w1.stats.news_answers_sent == 0

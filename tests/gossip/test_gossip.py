@@ -87,10 +87,12 @@ class TestFailureDetector:
             fail_timeout=1.0, cleanup_timeout=2.0,
         )
         detector.merge(tuple((f"m{i}", 1) for i in range(50)), now=0.0)
-        assert detector.choose_targets(now=100.0) == []
-        # Neither counter fires on an empty round.
+        # Sampling finds nobody live, so the exact scan runs; it finds nobody
+        # either and gossips to a suspected member rather than fall silent.
+        targets = detector.choose_targets(now=100.0)
+        assert len(targets) == 1 and targets[0] in detector.suspected(now=100.0)
         assert detector.sampled_rounds == 0
-        assert detector.broadcast_rounds == 0
+        assert detector.broadcast_rounds == 1
 
     def test_cleanup_keeps_sampling_index_in_sync(self):
         detector = GossipFailureDetector(
@@ -204,6 +206,21 @@ class TestFailureDetector:
         detector.merge((("b", 2),), now=5.0)
         assert detector.choose_targets(now=5.5) == ["b"]
         assert detector.alive(now=5.5) == ["b"]
+
+    def test_member_suspecting_every_peer_still_gossips(self):
+        # A member that has heard nothing for a fail timeout still pushes
+        # its heartbeat: peers only hear what is pushed to them, so a silent
+        # member would be evicted everywhere.
+        detector = GossipFailureDetector(
+            "me", fanout=2, rng=random.Random(0), fail_timeout=1.0, cleanup_timeout=9.0
+        )
+        detector.merge((("a", 1), ("b", 1), ("c", 1)), now=0.0)
+        assert detector.suspected(now=5.0) == ["a", "b", "c"]
+        targets = detector.choose_targets(now=5.0)
+        assert len(targets) == 2 and set(targets) <= {"a", "b", "c"}
+        # Once cleanup has dropped them all, there is nobody left to tell.
+        detector.cleanup(now=10.0)
+        assert detector.choose_targets(now=10.0) == []
 
     def test_digest_wire_size_grows_per_member(self):
         detector = GossipFailureDetector("me")

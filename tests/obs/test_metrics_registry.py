@@ -17,6 +17,15 @@ class TestCountersAndGauges:
         a.inc(4)
         assert a.value == 5 and c.value == 0
 
+    def test_total_sums_one_counter_over_label_sets(self):
+        registry = MetricsRegistry()
+        registry.counter("pulls", worker="w0").inc(2)
+        registry.counter("pulls", worker="w1").inc(3)
+        registry.counter("pulls").inc()
+        registry.counter("answers", worker="w0").inc(7)
+        assert registry.total("pulls") == 6
+        assert registry.total("missing") == 0
+
     def test_label_order_is_canonical(self):
         registry = MetricsRegistry()
         a = registry.counter("m", worker="w0", kind="g")

@@ -7,6 +7,8 @@ metrics registry aggregates run-wide totals, and none of it changes
 simulated outcomes or leaks into runs that did not ask for telemetry.
 """
 
+import re
+
 from repro.obs import MetricsRegistry
 from repro.obs.chrome import category_span_counts, load_chrome_trace
 from repro.obs.ingest import ingest_engine_counters
@@ -63,6 +65,17 @@ class TestSimulatedTelemetry:
                 getattr(stats, name) for stats in result.raw.workers.values()
             )
             assert ingested > 0
+
+    def test_news_counters_sum_into_the_scenario_result(self):
+        # quickstart crashes workers, so survivors recover and pull news.
+        result = run_scenario(_quickstart(TelemetryConfig()), backend="simulated")
+        workers = result.raw.workers.values()
+        pulls = sum(stats.news_pulls_sent for stats in workers)
+        assert result.news_pulls_sent == pulls > 0
+        assert result.news_answers_sent == sum(stats.news_answers_sent for stats in workers)
+        metrics = result.telemetry.metrics
+        assert metrics.total("worker_news_pulls_sent") == pulls
+        assert metrics.total("worker_news_answers_sent") == result.news_answers_sent
 
     def test_metrics_only_config_skips_tracer(self):
         result = run_scenario(
@@ -165,6 +178,10 @@ class TestRealexecTelemetry:
         assert "worker_frames_received" in families
         # Pushed grants are counted apart from requested ones.
         assert "worker_pushes_sent" in families
+        # News counters reach the result through the workers' telemetry.
+        assert "worker_news_pulls_sent" in families
+        assert result.news_pulls_sent == telemetry.metrics.total("worker_news_pulls_sent")
+        assert result.news_answers_sent == telemetry.metrics.total("worker_news_answers_sent")
 
     def test_realexec_without_telemetry_has_no_frames(self):
         scenario = Scenario(
@@ -196,6 +213,7 @@ class TestCliTelemetry:
         assert "categories" in out
         assert "worker-00" in out  # the Gantt rows
         assert "top counters" in out
+        assert re.search(r"news for redone work: \d+ pulls sent, \d+ answers sent", out)
 
     def test_run_metrics_flag_prints_exposition(self, capsys):
         code = cli_main(["run", "quickstart", "--metrics"])

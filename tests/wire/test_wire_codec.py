@@ -234,6 +234,20 @@ class TestRoundTrips:
         assert_round_trip(WorkReportMsg(rand_report(rng)))
         assert_round_trip(TableGossipMsg(rand_snapshot(rng)))
 
+    def test_empty_delta_pull_round_trips_in_18_bytes(self):
+        # A recovering worker's pull: an empty delta carrying its digest.
+        pull = DeltaGossipMsg(DeltaSnapshot("w1", frozenset(), full_digest=(1 << 64) - 1))
+        data = assert_round_trip(pull)
+        decoded = wire.decode(data)
+        assert decoded.delta.is_empty and decoded.delta.full_digest == (1 << 64) - 1
+        assert read_header(data)[:2] == (2, int(Tag.DELTA_GOSSIP_MSG))
+        # 16 bytes plus the sender name; an incumbent adds its float64.
+        assert len(data) == 18 == wire.encoded_size(pull)
+        with_best = DeltaGossipMsg(
+            DeltaSnapshot("w1", frozenset(), full_digest=7, best=BestSolution(3.0))
+        )
+        assert len(assert_round_trip(with_best)) == 18 + 8
+
     def test_best_solution_values(self):
         assert_round_trip(BestSolution())
         assert_round_trip(BestSolution(value=float("inf")))
