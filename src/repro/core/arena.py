@@ -9,8 +9,8 @@ digested and frozenset-ed O(n) or O(n²) times.  That is the memory and CPU
 wall between the seed engine and the 1k–10k-worker runs the paper targets.
 
 :class:`TrieArena` removes the duplication by *hash-consing* the trie: every
-node is an immutable ``(keys, children)`` pair interned in one shared,
-append-only flat-array arena, so
+node is an immutable ``(keys, children)`` pair interned in one shared
+flat-array arena, so
 
 * two tables (or views) with equal logical content are the **same integer**
   node id — a per-peer view costs O(pointer), not O(table);
@@ -19,6 +19,13 @@ append-only flat-array arena, so
   not once per worker pair;
 * ``codes()`` frozensets, table digests and missing frontiers memoise per
   node id and are shared by every holder of that id.
+
+The arena is *collected*, not append-only: every object that stores a node
+id registers with it by weak reference (:meth:`TrieArena.register`), and
+:meth:`TrieArena.collect` copies the nodes reachable from live holders into
+fresh arrays and remaps every holder.  The simulator collects between
+events, so memory follows the live tables rather than the length of the
+run, and every memo is bounded by the work done between two collections.
 
 Contraction (the paper's sibling-merge + ancestor-subsumption rewrite) is
 applied *on intern*: an arena node is always in canonical contracted form,
@@ -42,6 +49,8 @@ identity tests against them are plain int compares.
 
 from __future__ import annotations
 
+import weakref
+from itertools import compress
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .codeset import CodeSet, ContractionStats
@@ -64,13 +73,6 @@ EMPTY = 1
 _ROOT_FRONTIER = frozenset({ROOT})
 _EMPTY_FROZENSET: frozenset = frozenset()
 
-#: Memo caps.  Entries are rebuilt on demand after a reset, so the caps only
-#: bound worst-case memory on very long runs, never correctness.
-_CODES_MEMO_MAX = 32768
-_DIFF_MEMO_MAX = 262144
-_MERGE_MEMO_MAX = 262144
-_FRONTIER_MEMO_MAX = 4096
-
 # Structural-digest constants — must match ``repro.core.work_report``'s
 # ``table_digest`` exactly (the arena computes the same value bottom-up).
 _FNV64_PRIME = 0x100000001B3
@@ -84,7 +86,7 @@ def _keys_to_pairs(keys: Tuple[int, ...]) -> Tuple[Branch, ...]:
 
 
 class TrieArena:
-    """One shared, append-only arena of interned completion-trie nodes.
+    """One shared arena of interned completion-trie nodes.
 
     Nodes are stored in parallel flat arrays indexed by node id: the sorted
     packed-key tuple, the aligned child-id tuple, and three per-subtree
@@ -92,8 +94,10 @@ class TrieArena:
     relative depth) computed bottom-up at intern time so ``len``/
     ``wire_size``/``max_depth`` of any node are O(1) array reads.
 
-    The arena is append-only and nodes are immutable, so ids handed out once
-    stay valid forever — that is what makes an id a *snapshot*.
+    Nodes are immutable and ids are stable between collections — that is
+    what makes an id a *snapshot*.  :meth:`collect` renumbers the surviving
+    nodes, so an id may only be held across a collection by a registered
+    holder (:meth:`register`), which the collection remaps.
     """
 
     __slots__ = (
@@ -110,6 +114,7 @@ class TrieArena:
         "_frontier_memo",
         "_merge_memo",
         "_diff_memo",
+        "_holders",
     )
 
     def __init__(self) -> None:
@@ -135,7 +140,8 @@ class TrieArena:
         #: dangle.  This is what lets a receiver recognise a message's shared
         #: ``codes()`` frozenset and merge the whole thing in O(1); external
         #: frozensets are registered on first sight (:meth:`node_from_codes`)
-        #: so every later receiver of the same object gets the O(1) path.
+        #: so every later receiver of the same object gets the O(1) path,
+        #: until the next :meth:`collect` forgets them.
         self._codes_ids: Dict[int, Tuple[FrozenSet[PathCode], int]] = {
             id(self._codes_memo[DONE]): (self._codes_memo[DONE], DONE),
             id(_EMPTY_FROZENSET): (_EMPTY_FROZENSET, EMPTY),
@@ -149,6 +155,11 @@ class TrieArena:
         self._merge_memo: Dict[int, int] = {}
         #: ``(a, b) -> nid of (codes of a not covered by b)``.
         self._diff_memo: Dict[int, int] = {}
+        #: Objects storing node ids, keyed by ``id()`` and held weakly, so a
+        #: holder Python frees drops out and stops pinning its nodes.
+        self._holders: "weakref.WeakValueDictionary[int, object]" = (
+            weakref.WeakValueDictionary()
+        )
 
     # ------------------------------------------------------------------ #
     # Interning
@@ -406,8 +417,6 @@ class TrieArena:
                 break
         if result is None:
             result = self._intern_node(tuple(keys), tuple(children))
-        if len(memo) >= _MERGE_MEMO_MAX:
-            memo.clear()
         memo[probe] = result
         return result
 
@@ -440,8 +449,6 @@ class TrieArena:
             result = EMPTY
         else:
             result = self._intern_node(tuple(kept_keys), tuple(kept_children))
-        if len(memo) >= _DIFF_MEMO_MAX:
-            memo.clear()
         memo[probe] = result
         return result
 
@@ -455,13 +462,6 @@ class TrieArena:
             code = PathCode._make(_keys_to_pairs(path))
             self._path_codes[path] = code
         return code
-
-    def _reset_codes_ids(self) -> None:
-        memo = self._codes_memo
-        self._codes_ids = {
-            id(memo[DONE]): (memo[DONE], DONE),
-            id(_EMPTY_FROZENSET): (_EMPTY_FROZENSET, EMPTY),
-        }
 
     def codes_at(self, nid: int) -> FrozenSet[PathCode]:
         """Contracted codes of ``nid`` as one shared frozenset per id."""
@@ -494,12 +494,6 @@ class TrieArena:
                 else:
                     stack.append((child, p))
         result = frozenset(out)
-        if len(memo) >= _CODES_MEMO_MAX:
-            # Keep the sentinels (their reverse-map entries must stay valid).
-            memo.clear()
-            memo[DONE] = frozenset({ROOT})
-            memo[EMPTY] = _EMPTY_FROZENSET
-            self._reset_codes_ids()
         memo[nid] = result
         self._codes_ids[id(result)] = (result, nid)
         return result
@@ -533,11 +527,7 @@ class TrieArena:
             except AttributeError:
                 paths.append(code._key_path())
         nid = self.node_from_keys(paths)
-        ids = self._codes_ids
-        if len(ids) >= _CODES_MEMO_MAX:
-            self._reset_codes_ids()
-            ids = self._codes_ids
-        ids[id(codes)] = (codes, nid)
+        self._codes_ids[id(codes)] = (codes, nid)
         return nid
 
     def digest(self, nid: int) -> int:
@@ -583,10 +573,88 @@ class TrieArena:
                 if child != DONE:
                     stack.append((child, path + (key,)))
         result = frozenset(frontier)
-        if len(memo) >= _FRONTIER_MEMO_MAX:
-            memo.clear()
         memo[nid] = result
         return result
+
+    # ------------------------------------------------------------------ #
+    # Collection
+    # ------------------------------------------------------------------ #
+    def register(self, holder) -> None:
+        """Track ``holder``, weakly, as an object that stores node ids.
+
+        A holder implements ``_arena_ids()`` (the node ids it stores) and
+        ``_arena_remap(new_id)`` (rewrite each stored id ``i`` to
+        ``new_id[i]``).  Registering twice is harmless.
+        """
+        self._holders[id(holder)] = holder
+
+    def collect(self) -> int:
+        """Keep only the nodes reachable from live holders; return their count.
+
+        Surviving nodes are copied, in id order, into fresh arrays and every
+        holder is remapped to the new ids.  Each node's content is unchanged
+        and a child's id stays below its parent's; only the numbering
+        changes.  The ``codes_at`` and frontier
+        memos of surviving nodes are kept (their frozensets stay recognised
+        by identity), frozensets registered by :meth:`node_from_codes` are
+        forgotten, and the merge and diff memos, keyed by id pairs, are
+        dropped.
+
+        Every raw id not stored in a registered holder is invalidated, so a
+        caller must never collect while it holds one (for example, in the
+        middle of another arena call).  The count includes both sentinels.
+        """
+        holders = list(self._holders.values())
+        old_children = self._children
+        n = len(old_children)
+        live = bytearray(n)
+        live[DONE] = live[EMPTY] = 1
+        stack: List[int] = []
+        for holder in holders:
+            stack.extend(holder._arena_ids())
+        while stack:
+            nid = stack.pop()
+            if not live[nid]:
+                live[nid] = 1
+                stack.extend(old_children[nid])
+
+        # Free what is rebuilt or dropped before allocating its successor.
+        self._intern = {}
+        self._merge_memo = {}
+        self._diff_memo = {}
+        survivors = list(compress(range(n), live))
+        new_id = [-1] * n
+        for nid, old in enumerate(survivors):
+            new_id[old] = nid
+        remap = new_id.__getitem__
+        keys = [self._keys[old] for old in survivors]
+        children = [tuple(map(remap, old_children[old])) for old in survivors]
+        self._count = [self._count[old] for old in survivors]
+        self._depth_sum = [self._depth_sum[old] for old in survivors]
+        self._max_depth = [self._max_depth[old] for old in survivors]
+        self._digest = [self._digest[old] for old in survivors]
+        self._keys = keys
+        self._children = children
+        # Sentinels (ids 0 and 1) are not interned.
+        self._intern = dict(zip(zip(keys[2:], children[2:]), range(2, len(keys))))
+
+        codes_memo: Dict[int, FrozenSet[PathCode]] = {}
+        codes_ids: Dict[int, Tuple[FrozenSet[PathCode], int]] = {}
+        for old, codes in self._codes_memo.items():
+            nid = new_id[old]
+            if nid >= 0:
+                codes_memo[nid] = codes
+                codes_ids[id(codes)] = (codes, nid)
+        self._codes_memo = codes_memo
+        self._codes_ids = codes_ids
+        self._frontier_memo = {
+            new_id[old]: frontier
+            for old, frontier in self._frontier_memo.items()
+            if new_id[old] >= 0
+        }
+        for holder in holders:
+            holder._arena_remap(new_id)
+        return len(keys)
 
     # ------------------------------------------------------------------ #
     # Interop
@@ -736,11 +804,18 @@ class ArenaCodeSet(CodeSet):
     # Mutation
     # ------------------------------------------------------------------ #
     def _set_nid(self, nid: int) -> None:
+        if nid > EMPTY >= self._nid:
+            # The first id that is not a sentinel: from here on a collection
+            # must keep it alive and remap it (most peer views stay empty).
+            self._arena.register(self)
         self._nid = nid
         self._anid = nid
 
     def _arena_sync(self) -> int:
         return self._nid  # storage IS the arena node; nothing is batched
+
+    def _arena_remap(self, new_id: List[int]) -> None:
+        self._set_nid(new_id[self._nid])
 
     def add(self, code: Union[PathCode, Tuple[Branch, ...]]) -> bool:
         try:

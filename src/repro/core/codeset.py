@@ -303,6 +303,7 @@ class CodeSet:
         "_anid",
         "_apending",
         "stats",
+        "__weakref__",
     )
 
     def __init__(self, codes: Optional[Iterable[PathCode]] = None) -> None:
@@ -796,6 +797,8 @@ class CodeSet:
         clone._frontier_cache = self._frontier_cache
         clone._arena = self._arena
         clone._anid = self._anid
+        if self._arena is not None:
+            self._arena.register(clone)
         # The covers memo is deliberately not shared: the clone is typically
         # about to diverge from the original.
         return clone
@@ -868,9 +871,11 @@ class CodeSet:
         From this point every mutation keeps an interned arena node id in
         sync with the trie, so derived views are shared group-wide.  The
         nested-dict trie — and its :class:`ContractionStats` — remains the
-        authoritative implementation.
+        authoritative implementation.  The set registers with the arena, so
+        a collection keeps its node alive and remaps it.
         """
         self._arena = arena
+        arena.register(self)
         self._apending.clear()
         if self._complete:
             self._anid = _ARENA_DONE
@@ -911,6 +916,14 @@ class CodeSet:
         """
         self._apending.clear()
         self._anid = nid
+
+    def _arena_ids(self) -> Tuple[int]:
+        """Node ids this set stores (the arena collection's roots)."""
+        return (self._anid,)
+
+    def _arena_remap(self, new_id: List[int]) -> None:
+        """Renumber the stored node id after an arena collection."""
+        self._anid = new_id[self._anid]
 
     def arena_id(self) -> Optional[int]:
         """Arena node id of the current content (``None`` when no shadow)."""

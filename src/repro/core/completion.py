@@ -91,7 +91,14 @@ class PeerGossipView:
     needs to unlearn either.
     """
 
-    __slots__ = ("known", "acked_digest", "sequence", "pending", "_covers_backlog")
+    __slots__ = (
+        "known",
+        "acked_digest",
+        "sequence",
+        "pending",
+        "_covers_backlog",
+        "__weakref__",
+    )
 
     def __init__(self, arena: Optional[TrieArena] = None) -> None:
         #: Contracted codes the peer is known to cover (its own traffic plus
@@ -113,6 +120,12 @@ class PeerGossipView:
         #: evidence and are pruned without a single delta being built, and
         #: deferring makes :meth:`note_covers` an O(1) append for them.
         self._covers_backlog: List[FrozenSet[PathCode]] = []
+
+    def _arena_ids(self) -> Iterable[int]:
+        return self.pending.values()
+
+    def _arena_remap(self, new_id: List[int]) -> None:
+        self.pending = {digest: new_id[nid] for digest, nid in self.pending.items()}
 
     def note_covers(self, codes: Iterable[PathCode]) -> None:
         """Record codes the peer provably covers (it sent them to us)."""
@@ -136,6 +149,10 @@ class PeerGossipView:
     def remember_send(self, digest: int, state: Union[FrozenSet[PathCode], int]) -> None:
         """Record an outgoing delta so its future ack can advance ``known``."""
         pending = self.pending
+        if not pending and type(state) is int:
+            # ``pending`` starts storing arena node ids, which a collection
+            # must keep alive and remap (half the views never send).
+            self.known._arena.register(self)
         pending.pop(digest, None)  # re-insert at the end on a re-send
         pending[digest] = state
         while len(pending) > _PENDING_SENDS_MAX:

@@ -40,6 +40,21 @@ __all__ = [
 ]
 
 
+#: Arena size below which no collection runs: a small arena costs little
+#: memory, and collecting it often would cost host time.
+_ARENA_COLLECT_FLOOR = 4096
+
+
+def _arena_collect_threshold(survivors: int) -> int:
+    """Arena size past which the next collection runs.
+
+    Twice the nodes the last collection kept, so each collection copies at
+    most half of what it scans and its cost is amortised over the nodes
+    interned since the last one.
+    """
+    return max(2 * survivors, _ARENA_COLLECT_FLOOR)
+
+
 def worker_names(n: int, prefix: str = "worker") -> List[str]:
     """Canonical worker names (``worker-00``, ``worker-01``, …)."""
     width = max(2, len(str(max(0, n - 1))))
@@ -199,6 +214,12 @@ class DistributedBnBSimulation:
         self.engine: Optional[SimulationEngine] = None
         self.net: Optional[Network] = None
         self.workers: List[WorkerEntity] = []
+        #: The run's one trie arena, shared by every worker's tracker and
+        #: collected between events (:meth:`_after_event`).
+        self.arena: Optional[TrieArena] = None
+        self._arena_collect_at = 0
+        self._arena_nodes_peak = 0
+        self._arena_collections = 0
         #: Persistent scan position for :meth:`_stop_condition` (see there).
         self._stop_scan = 0
         self.metrics = MetricsCollector()
@@ -257,6 +278,10 @@ class DistributedBnBSimulation:
         # its per-peer gossip views intern their trie nodes here, so shared
         # completion state is stored once instead of once per view.
         arena = TrieArena()
+        self.arena = arena
+        self._arena_collect_at = _arena_collect_threshold(len(arena))
+        self._arena_nodes_peak = 0
+        self._arena_collections = 0
         self.workers = []
         self._stop_scan = 0
         for index, name in enumerate(names):
@@ -291,6 +316,23 @@ class DistributedBnBSimulation:
         # otherwise-monotone stop scan from the beginning.
         self._stop_scan = 0
 
+    def _after_event(self) -> bool:
+        """Collect the arena when it has outgrown its threshold, then test
+        whether the run is over.
+
+        Runs between events, never inside an arena call, so no raw node id
+        outside a registered holder is alive when the arena renumbers.
+        """
+        arena = self.arena
+        nodes = len(arena)
+        if nodes > self._arena_collect_at:
+            if nodes > self._arena_nodes_peak:
+                self._arena_nodes_peak = nodes
+            survivors = arena.collect()
+            self._arena_collections += 1
+            self._arena_collect_at = _arena_collect_threshold(survivors)
+        return self._stop_condition()
+
     def _stop_condition(self) -> bool:
         # Evaluated after every event, so the naive all()-scan would cost
         # O(workers) per event.  "Dead or terminated" is monotone — a worker
@@ -323,7 +365,7 @@ class DistributedBnBSimulation:
         self.engine.run(
             until=self.max_sim_time,
             max_events=self.max_events,
-            stop_when=self._stop_condition,
+            stop_when=self._after_event,
         )
         end_time = self.engine.now
         if self._worker_timeline is not None:
@@ -353,6 +395,8 @@ class DistributedBnBSimulation:
                 "events_processed": self.engine.events_processed,
                 "peak_heap_len": self.engine.peak_heap_len,
                 "compactions": self.engine.compactions,
+                "arena_nodes_peak": max(self._arena_nodes_peak, len(self.arena)),
+                "arena_collections": self._arena_collections,
             },
         )
 

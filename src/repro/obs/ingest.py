@@ -6,7 +6,7 @@ in under stable metric names:
 
 * ``engine_*`` — the engine-level scale counters
   (``RunResult.engine_counters``: events, peak heap, compactions, entity
-  steps);
+  steps, peak arena nodes and arena collections);
 * ``net_*`` — the simulated network's
   :class:`~repro.simulation.network.TrafficStats` plus the per-kind byte and
   message maps (labeled ``kind=...``);
@@ -69,7 +69,7 @@ _WORKER_COUNTERS = (
 )
 
 #: Engine counters that are high-water marks, not sums.
-_ENGINE_GAUGES = ("peak_heap_len",)
+_ENGINE_GAUGES = ("peak_heap_len", "arena_nodes_peak")
 
 
 def ingest_engine_counters(

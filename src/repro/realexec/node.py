@@ -96,6 +96,9 @@ WORKER_OUTCOME_TAG = int(Tag.EXTENSION_BASE) + 1
 #: Wire tag of the worker-telemetry message (transport extension range).
 WORKER_TELEMETRY_TAG = int(Tag.EXTENSION_BASE) + 2
 
+#: ``worker_handle_us`` histogram buckets (microseconds per received frame).
+HANDLE_US_BUCKETS = (10, 25, 50, 100, 250, 500, 1000, 2500, 10000)
+
 
 @dataclass(frozen=True)
 class RealWorkerConfig:
@@ -239,9 +242,15 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     # one ``is not None`` check so disabled runs pay nothing.
     tracer: Optional[Tracer] = None
     registry: Optional[MetricsRegistry] = None
+    handle_us = None
     if config.telemetry:
         tracer = Tracer(process=config.name, clock=time.time)
         registry = MetricsRegistry()
+        # Microseconds from the start of a frame's decode until the loop
+        # has handled it: the per-message cost the simulator models.
+        handle_us = registry.histogram(
+            "worker_handle_us", buckets=HANDLE_US_BUCKETS, worker=config.name
+        )
     tree = BasicTree.from_dict(config.tree_data)
     problem = TreeReplayProblem(tree, prune=config.prune)
     expander = NodeExpander(problem)
@@ -336,6 +345,7 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
         # blocks until its next due time, or until its request is answered.
         wait = 0.0 if pool else starved_wait(time.monotonic())
         while connection.poll(wait):
+            now = time.monotonic()
             try:
                 envelope = recv_envelope(connection, max_version=config.wire_generation)
             except (EOFError, OSError):
@@ -353,7 +363,6 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 continue
             if registry is not None:
                 registry.counter("worker_frames_received", worker=config.name).inc()
-            now = time.monotonic()
             payload = envelope.payload
             absorb_best(payload)
             answered = False
@@ -438,6 +447,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 tracker.note_snapshot_ack(payload.sender, payload.digest)
                 if payload.table_digest and payload.table_digest == tracker.table_digest_now():
                     tracker.note_peer_converged(payload.sender)
+            if handle_us is not None:
+                handle_us.observe((time.monotonic() - now) * 1e6)
             if pool or answered or tracker.is_tree_complete():
                 wait = 0.0
             elif wait > 0.0:

@@ -295,3 +295,125 @@ class TestTrackerWithArena:
             tracker.record_completed(random_code(random.Random(seed)))
         tracker.note_peer_converged("peer")
         assert tracker.peer_view("peer").known._nid == tracker.table._anid
+
+
+def reachable_nodes(arena: TrieArena) -> set:
+    """Interior nodes reachable from the arena's live holders."""
+    seen = set()
+    stack = [nid for holder in list(arena._holders.values()) for nid in holder._arena_ids()]
+    while stack:
+        nid = stack.pop()
+        if nid not in (DONE, EMPTY) and nid not in seen:
+            seen.add(nid)
+            stack.extend(arena._children[nid])
+    return seen
+
+
+class TestCollection:
+    """``TrieArena.collect`` at random points changes no observable result."""
+
+    def _drive(self, seed: int, collect_probability: float):
+        """One seeded stream over every holder kind; returns what it observed.
+
+        The actions come from ``rng`` alone and the collection points from a
+        separate stream, so the same seed drives the same actions with and
+        without collection.
+        """
+        rng = random.Random(seed)
+        when = random.Random(seed + 10_000)
+        arena = TrieArena()
+        tracker = CompletionTracker("w", report_threshold=4, arena=arena)
+        shadow = CodeSet()
+        shadow.attach_arena(arena)
+        sets = [ArenaCodeSet(arena), ArenaCodeSet(arena)]
+        snapshots = []
+        digests = []
+        seen = []
+
+        def observe(cs):
+            probes = [random_code(rng) for _ in range(3)]
+            return (
+                cs.codes(),
+                len(cs),
+                cs.wire_size(),
+                cs.is_complete(),
+                cs.structural_digest(),
+                cs.missing_frontier(),
+                tuple(cs.covers(p) for p in probes),
+            )
+
+        for step in range(rng.randint(10, 40)):
+            action = rng.random()
+            if action < 0.2:
+                tracker.record_completed(random_code(rng), now=float(step))
+            elif action < 0.35:
+                codes = frozenset(random_code(rng) for _ in range(rng.randint(1, 4)))
+                peer = rng.choice(("p", "q"))
+                tracker.merge_report(WorkReport(sender=peer, codes=codes))
+                tracker.note_peer_covers(peer, codes)
+            elif action < 0.5:
+                delta = tracker.build_delta_snapshot(rng.choice(("p", "q")))
+                digests.append(delta.full_digest)
+                seen.append(("delta", delta.codes, delta.full_digest))
+            elif action < 0.6 and digests:
+                seen.append(("ack", tracker.note_snapshot_ack("p", rng.choice(digests))))
+            elif action < 0.7:
+                target = rng.choice(sets)
+                target.add(random_code(rng))
+                shadow.add(random_code(rng))
+            elif action < 0.8:
+                a, b = rng.sample(range(len(sets)), 2)
+                sets[a].merge(sets[b])
+                sets[b].update(tracker.table.codes())
+            elif action < 0.9:
+                sets.append(rng.choice(sets).copy())
+                snapshots.append(shadow.frozen_view())
+                snapshots.append(tracker.table.copy())
+            else:
+                tracker.note_peer_converged(rng.choice(("p", "q")))
+            if when.random() < collect_probability:
+                arena.collect()
+                assert len(arena) == len(reachable_nodes(arena)) + 2
+            seen.append(("table",) + observe(tracker.table))
+            seen.append(("shadow",) + observe(shadow))
+            for cs in sets + snapshots:
+                seen.append(("set",) + observe(cs))
+        for peer in ("p", "q", "fresh"):
+            seen.append(("final", tracker.build_delta_snapshot(peer).codes))
+        return seen
+
+    def test_collection_at_random_points_is_invisible(self):
+        for seed in range(100):
+            assert self._drive(seed, 0.3) == self._drive(seed, 0.0), seed
+
+    def test_collection_keeps_only_reachable_nodes(self):
+        arena = TrieArena()
+        keep = ArenaCodeSet(arena, [PathCode.from_bits([0, 1, 1]), PathCode.from_bits([1, 0])])
+        for seed in range(20):
+            _rng, stream = random_stream(seed)
+            ArenaCodeSet(arena, stream)  # garbage as soon as it is built
+        before = keep.codes()
+        survivors = arena.collect()
+        assert survivors == len(arena) == len(reachable_nodes(arena)) + 2
+        assert keep.codes() is before  # surviving memos stay recognised
+        assert arena.node_for_codes(before) == keep._nid
+        assert arena.collect() == survivors  # nothing more to free
+
+    def test_freed_holder_drops_out_of_registry(self):
+        import gc
+
+        arena = TrieArena()
+        keep = ArenaCodeSet(arena, [PathCode.from_bits([0, 0])])
+        gone = ArenaCodeSet(arena, [PathCode.from_bits([1, 1, 0, 1])])
+        shadow = CodeSet([PathCode.from_bits([1, 0, 1])])
+        shadow.attach_arena(arena)
+        clone = shadow.copy()
+        empty = ArenaCodeSet(arena)  # sentinel ids never move: no entry
+        assert set(arena._holders) == {id(keep), id(gone), id(shadow), id(clone)}
+        assert id(empty) not in arena._holders
+        del gone, shadow
+        gc.collect()
+        assert set(arena._holders) == {id(keep), id(clone)}
+        arena.collect()
+        assert len(arena) == len(reachable_nodes(arena)) + 2
+        assert clone.codes() == frozenset({PathCode.from_bits([1, 0, 1])})

@@ -132,11 +132,13 @@ class TestEngineCounterIngestion:
             "peak_heap_len",
             "compactions",
             "entity_steps",
+            "arena_nodes_peak",
+            "arena_collections",
         }
         assert result.engine_counters == engine
         snapshot = result.telemetry.snapshot()
         for name, value in engine.items():
-            if name == "peak_heap_len":
+            if name in ("peak_heap_len", "arena_nodes_peak"):
                 assert snapshot["gauges"][f"engine_{name}"]["peak"] == value
             else:
                 assert snapshot["counters"][f"engine_{name}"] == value

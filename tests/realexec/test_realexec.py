@@ -911,6 +911,18 @@ class TestLocalClusterOverTcp:
             assert record["ts"] >= 0.0, record
             assert duration >= 0.0, record
             assert record["ts"] + duration <= run_end, record
+        # Every worker timed each frame it handled, decode included.
+        registry = result.telemetry.metrics
+        handled = {
+            dict(labels)["worker"]: hist
+            for (name, labels), hist in registry._histograms.items()
+            if name == "worker_handle_us"
+        }
+        assert sorted(handled) == sorted(result.outcomes)
+        for worker, hist in handled.items():
+            frames = registry.counter("worker_frames_received", worker=worker).value
+            assert hist.count == frames > 0, worker
+            assert hist.sum > 0.0, worker
 
 
 @contextmanager
