@@ -320,15 +320,12 @@ class CompletionTracker:
         now: float = 0.0,
         best: Optional[BestSolution] = None,
         compress: bool = True,
-        compress_against_table: bool = False,
     ) -> WorkReport:
         """Compress the pending codes into a work report and clear the list.
 
-        ``compress_against_table=False`` (the default) reproduces the paper's
-        behaviour: the outgoing list is compressed against itself only.  The
-        ablation benchmarks flip ``compress_against_table`` to measure how
-        much additional suppression the table provides, and set
-        ``compress=False`` to measure the cost of not compressing at all.
+        The outgoing list is compressed against itself only, as in the
+        paper; the ablation benchmarks set ``compress=False`` to measure the
+        cost of not compressing at all.
         """
         self._sequence += 1
         if compress:
@@ -336,7 +333,6 @@ class CompletionTracker:
                 self.owner,
                 self._new_local,
                 best=best,
-                known_table=None if not compress_against_table else self.table,
                 sequence=self._sequence,
             )
         else:

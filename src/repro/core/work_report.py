@@ -153,24 +153,15 @@ def _cached_payload_wire(payload) -> int:
     return wire
 
 
-def compress_report_codes(
-    codes: Iterable[PathCode],
-    known_table: Optional[CodeSet] = None,
-) -> FrozenSet[PathCode]:
+def compress_report_codes(codes: Iterable[PathCode]) -> FrozenSet[PathCode]:
     """Compress an outgoing list of completed codes.
 
     Applies the paper's two compression rules (sibling merge and ancestor
-    subsumption) to the outgoing list, and additionally drops codes already
-    covered by ``known_table`` when one is supplied — there is no point in
-    re-announcing work the receiver set is already assumed to know, and the
-    paper notes compression works best "when processors are sufficiently
-    loaded" because whole locally-completed subtrees collapse to single codes.
+    subsumption) to the outgoing list only; the paper notes compression
+    works best "when processors are sufficiently loaded" because whole
+    locally-completed subtrees collapse to single codes.
     """
-    compressed = CodeSet(codes).codes()  # already a frozenset (cached view)
-    if known_table is not None:
-        covers = known_table.covers
-        return frozenset(c for c in compressed if not covers(c))
-    return compressed
+    return CodeSet(codes).codes()  # already a frozenset (cached view)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,13 +196,12 @@ class WorkReport:
         codes: Iterable[PathCode],
         *,
         best: Optional[BestSolution] = None,
-        known_table: Optional[CodeSet] = None,
         sequence: int = 0,
     ) -> "WorkReport":
         """Compress ``codes`` and build the report."""
         return cls(
             sender=sender,
-            codes=compress_report_codes(codes, known_table),
+            codes=compress_report_codes(codes),
             best=best if best is not None else BestSolution(),
             sequence=sequence,
         )

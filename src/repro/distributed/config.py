@@ -1,22 +1,26 @@
 """Configuration of the distributed fault-tolerant B&B algorithm.
 
-Every tunable the paper mentions (and a few the ablation benchmarks need) is
-collected in :class:`AlgorithmConfig`, so experiments are fully described by a
-workload (a basic tree), a processor count, a network model, a failure
-schedule and one of these objects.  The important knobs, with the paper's
-terminology:
+:class:`AlgorithmConfig` holds the tunables of the mechanism that some
+scenario, benchmark or test sets to a non-default value, so experiments are
+fully described by a workload (a basic tree, scaled by the scenario's
+granularity), a processor count, a network model, a failure schedule and one
+of these objects.  The important knobs, with the paper's terminology:
 
 * ``report_threshold`` (the paper's *c*) and ``report_fanout`` (*m*) — when a
   work report is emitted and to how many random members it is pushed;
 * ``report_staleness`` — the "has not been updated for a long time" rule;
-* ``table_gossip_interval`` — how often a full completed-table snapshot is
-  pushed to one random member;
+* ``table_gossip_interval`` — how often the completed table (a delta, or a
+  whole snapshot) is pushed to one random member;
 * ``recovery_failed_threshold`` — "how soon failure is suspected after a
-  machine unsuccessfully tries to get work";
-* ``granularity`` — the constant factor applied to all node times;
-* the per-operation costs (message handling, list contraction, subproblem
-  rebuild) that turn algorithmic work into simulated time, so the Figure 3 /
-  Table 1 overhead decomposition can be measured.
+  machine unsuccessfully tries to get work".
+
+Granularity is not a field: it scales the workload, so it lives on the
+scenario (``Scenario.granularity``) and on ``run_tree_simulation``.  The
+per-operation costs that turn algorithmic work into simulated time (message
+handling, list contraction, subproblem rebuild) are constants of
+:mod:`repro.distributed.worker`, their only reader.  Behaviour no run turns
+off is unconditional: a starved worker flushes its pending report and
+gossips its table, and work a received report shows completed is aborted.
 
 How much a donor gives away is deliberately *not* a field: the simulated and
 the real-process workers share one donation rule,
@@ -34,7 +38,7 @@ do not all regenerate the same subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..bnb.pool import SelectionRule
@@ -53,22 +57,8 @@ class AlgorithmConfig:
     report_fanout: int = 2
     #: Send a report anyway if the pending list has been idle this long (s).
     report_staleness: Optional[float] = 2.0
-    #: Flush any pending completed codes as a report the moment the worker
-    #: runs out of work.  The paper observes that lightly loaded processes
-    #: "suspect termination and send more work reports"; flushing on idle is
-    #: the deterministic version of that behaviour and is what lets the last
-    #: completions reach the rest of the group promptly.
-    flush_report_when_idle: bool = True
     #: Interval between full-table gossip pushes to one random member (s).
     table_gossip_interval: Optional[float] = 30.0
-    #: When starved, push the table to a random member without waiting for
-    #: the regular interval: at most once per ``IDLE_PACE_CAP`` (the floor)
-    #: and, for coarse-grained work, once per quarter of the measured node
-    #: cost — a table cannot gain news faster than nodes complete
-    #: (``IDLE_GOSSIP_NODE_COST_FRACTION`` in ``pacing.py``).  Idle processes
-    #: have spare capacity, and converging the completed-table views quickly
-    #: is exactly what lets them detect termination instead of redoing work.
-    table_gossip_when_idle: bool = True
     #: Gossip table *deltas* instead of whole snapshots: track per peer what
     #: it last acknowledged covering and ship only the uncovered codes
     #: (acknowledged with tiny digest echoes).  Steady-state table-gossip
@@ -80,8 +70,6 @@ class AlgorithmConfig:
     #: Compress outgoing reports (sibling merge + ancestor drop).  Disabling
     #: this is the ABL-COMPRESS ablation.
     compress_reports: bool = True
-    #: Additionally drop report codes already covered by the local table.
-    compress_against_table: bool = False
 
     # ----------------------- failure detection (churn) -------------------- #
     #: Run the counter-based epidemic failure detector (van Renesse et al.)
@@ -96,8 +84,6 @@ class AlgorithmConfig:
     fd_fail_timeout: float = 2.0
     #: A suspected peer is evicted after this long without an increase.
     fd_cleanup_timeout: float = 4.0
-    #: Heartbeat-gossip fanout per round.
-    fd_fanout: int = 1
     #: A terminated worker answers late traffic with one root report per
     #: sender, so a worker rejoining after global termination converges
     #: immediately instead of idling until its own caps fire.  Enabled
@@ -115,32 +101,14 @@ class AlgorithmConfig:
     #: uninterrupted starvation.  ``None`` derives the value from the node
     #: cost estimate (max(10 s, 30 × node cost), ``pacing.bootstrap_timeout``).
     recovery_bootstrap_timeout: Optional[float] = None
-    #: Abort subproblems (including recoveries) that a received report shows
-    #: to be already completed elsewhere.
-    abort_redundant_work: bool = True
     #: Broadcast the final root report to the whole membership list.
     send_root_report: bool = True
 
     # ----------------------- search behaviour ----------------------------- #
     #: Pool selection rule used by every worker.
     selection_rule: SelectionRule = SelectionRule.BEST_FIRST
-    #: Constant factor applied to every node time (the paper's granularity).
-    granularity: float = 1.0
     #: Piggy-back the best-known solution on every message.
     share_best_solution: bool = True
-
-    # ----------------------- simulated overhead costs --------------------- #
-    #: Fixed CPU cost of handling one received message (s).
-    msg_processing_base: float = 2.0e-4
-    #: Additional CPU cost per received byte (s/byte).
-    msg_processing_per_byte: float = 2.0e-7
-    #: Fixed CPU cost of sending one message (s).
-    msg_send_cost: float = 1.0e-4
-    #: CPU cost per elementary contraction operation (merge/subsume/insert).
-    contraction_cost_per_op: float = 2.0e-5
-    #: CPU cost to replay one ``<variable, value>`` decision when rebuilding a
-    #: subproblem from its code (work grants and recovery).
-    rebuild_cost_per_decision: float = 1.0e-5
 
     # ----------------------------------------------------------------------#
     def __post_init__(self) -> None:
@@ -155,10 +123,6 @@ class AlgorithmConfig:
                 raise ValueError("fd_heartbeat_interval must be positive")
             if self.fd_fail_timeout <= 0 or self.fd_cleanup_timeout < self.fd_fail_timeout:
                 raise ValueError("fd_cleanup_timeout must be >= fd_fail_timeout > 0")
-            if self.fd_fanout < 1:
-                raise ValueError("fd_fanout must be at least 1")
-        if self.granularity < 0:
-            raise ValueError("granularity must be non-negative")
 
     def with_overrides(self, **changes) -> "AlgorithmConfig":
         """Return a copy with some fields replaced (sweep helper)."""

@@ -33,7 +33,7 @@ Section 5 of the paper:
 * incumbent sharing: the best-known solution piggy-backs on every message.
 
 Every unit of algorithmic work is converted into simulated time through the
-cost knobs of :class:`~repro.distributed.config.AlgorithmConfig` and charged
+module's overhead-cost constants (``MSG_SEND_COST`` …) and charged
 to one of the paper's five accounting categories (B&B, communication, list
 contraction, load balancing, idle), which is what the Figure 3 / Table 1
 benchmarks read back out.
@@ -77,6 +77,22 @@ __all__ = ["PeerRoster", "WorkerEntity", "DELTA_BYTES_BUCKETS"]
 
 #: Histogram buckets for gossip-delta wire sizes (bytes).
 DELTA_BYTES_BUCKETS = (64, 256, 1024, 4096, 16384, 65536)
+
+# Simulated overhead costs: the CPU time each unit of protocol work is
+# charged, which is what the Figure 3 / Table 1 breakdown reads back.  They
+# are paper-era guesses; ROADMAP item 5 calibrates them against the
+# real-process worker (``repro.realexec.node``).
+#: Fixed CPU cost of handling one received message (s).
+MSG_PROCESSING_BASE = 2.0e-4
+#: Additional CPU cost per received byte (s/byte).
+MSG_PROCESSING_PER_BYTE = 2.0e-7
+#: Fixed CPU cost of sending one message (s).
+MSG_SEND_COST = 1.0e-4
+#: CPU cost per elementary contraction operation (merge/subsume/insert).
+CONTRACTION_COST_PER_OP = 2.0e-5
+#: CPU cost to replay one ``<variable, value>`` decision when rebuilding a
+#: subproblem from its code (work grants and recovery).
+REBUILD_COST_PER_DECISION = 1.0e-5
 
 
 class PeerRoster(_SequenceABC):
@@ -405,7 +421,6 @@ class WorkerEntity(Entity):
             fail_timeout=cfg.fd_fail_timeout,
             cleanup_timeout=cfg.fd_cleanup_timeout,
             gossip_interval=cfg.fd_heartbeat_interval,
-            fanout=cfg.fd_fanout,
             rng=self.rng,
         )
         now = self._now()
@@ -441,7 +456,7 @@ class WorkerEntity(Entity):
             )
             for target in targets:
                 self.send(target, message)
-                cost += self._charge("communication", self.config.msg_send_cost)
+                cost += self._charge("communication", MSG_SEND_COST)
             self.stats.heartbeats_sent += 1
         # Staleness must be read *before* cleanup deletes the entries.
         stale = {name: fd.staleness(name, now) for name in fd.suspected(now)}
@@ -642,7 +657,7 @@ class WorkerEntity(Entity):
                 message.sender,
                 WorkReportMsg(make_root_report(self.name, best=self._my_best())),
             )
-            self._charge("communication", self.config.msg_send_cost)
+            self._charge("communication", MSG_SEND_COST)
 
     def on_wakeup(self, reason: str) -> None:
         if not self.alive or self.terminated:
@@ -711,7 +726,12 @@ class WorkerEntity(Entity):
             return
 
         if not self.pool:
-            if self.config.flush_report_when_idle and self.tracker.pending_report_size:
+            # Flush pending completions the moment the pool runs dry.  The
+            # paper observes that lightly loaded processes "suspect
+            # termination and send more work reports"; flushing on idle is
+            # the deterministic version of that behaviour and is what lets
+            # the last completions reach the rest of the group promptly.
+            if self.tracker.pending_report_size:
                 overhead += self._flush_report()
                 if self._check_local_termination():
                     return
@@ -757,14 +777,14 @@ class WorkerEntity(Entity):
         # subproblems after a big report merge, and ``covers`` is the hot
         # O(depth) trie probe.
         pool = self.pool
-        abort_redundant = self.config.abort_redundant_work
         covers = self.tracker.table.covers
         active_recoveries = self.recovery.active_recoveries
         while pool:
             sub = pool.pop()
-            if abort_redundant and covers(sub.code):
-                # Someone else already completed this subtree: drop it and
-                # record the aborted (would-have-been-redundant) work.
+            if covers(sub.code):
+                # Someone else already completed this subtree (a received
+                # report or gossip said so): drop it and record the aborted
+                # (would-have-been-redundant) work.
                 self.stats.nodes_skipped_covered += 1
                 if sub.code in active_recoveries:
                     self.recovery.note_recovery_aborted(sub.code)
@@ -798,7 +818,7 @@ class WorkerEntity(Entity):
             if code in active_recoveries:
                 self.recovery.note_recovery_finished(code, redundant=False)
         ops = table_stats.elementary_operations() - before
-        self._charge("contraction", ops * self.config.contraction_cost_per_op)
+        self._charge("contraction", ops * CONTRACTION_COST_PER_OP)
 
         for child, child_bound in outcome.children:
             self.pool.push(child, bound=child_bound)
@@ -830,10 +850,7 @@ class WorkerEntity(Entity):
         self._avg_transit = pacing.moving_average(
             self._avg_transit, message.delivered_at - message.sent_at
         )
-        receive_cost = (
-            self.config.msg_processing_base
-            + self.config.msg_processing_per_byte * message.size_bytes
-        )
+        receive_cost = MSG_PROCESSING_BASE + MSG_PROCESSING_PER_BYTE * message.size_bytes
         self._absorb_best(payload)
 
         if isinstance(payload, WorkRequest):
@@ -882,7 +899,7 @@ class WorkerEntity(Entity):
             self.tracker.note_peer_covers(msg.report.sender, msg.report.codes)
         newly_terminated = self.termination.observe_report(msg.report, now)
         ops = self.tracker.table.stats.elementary_operations() - before_ops
-        cost = self._charge("contraction", ops * self.config.contraction_cost_per_op)
+        cost = self._charge("contraction", ops * CONTRACTION_COST_PER_OP)
         if newly_terminated:
             self.stats.terminated_via = self.termination.detected_via
         self._abort_covered_recoveries()
@@ -902,7 +919,7 @@ class WorkerEntity(Entity):
             self.tracker.note_peer_covers(msg.snapshot.sender, msg.snapshot.codes)
         self.termination.observe_report(msg.snapshot.as_report(), now)
         ops = self.tracker.table.stats.elementary_operations() - before_ops
-        cost = self._charge("contraction", ops * self.config.contraction_cost_per_op)
+        cost = self._charge("contraction", ops * CONTRACTION_COST_PER_OP)
         self._abort_covered_recoveries()
         return cost
 
@@ -917,7 +934,7 @@ class WorkerEntity(Entity):
         self.tracker.note_peer_covers(delta.sender, delta.codes)
         self.termination.observe_report(delta.as_report(), now)
         ops = self.tracker.table.stats.elementary_operations() - before_ops
-        cost = self._charge("contraction", ops * self.config.contraction_cost_per_op)
+        cost = self._charge("contraction", ops * CONTRACTION_COST_PER_OP)
         my_digest = self.tracker.table_digest_now()
         if my_digest == delta.full_digest:
             # Post-merge our table equals the sender's: it covers all of it.
@@ -939,7 +956,7 @@ class WorkerEntity(Entity):
                 ),
             )
             self.stats.gossip_acks_sent += 1
-            cost += self._charge("communication", self.config.msg_send_cost)
+            cost += self._charge("communication", MSG_SEND_COST)
         self._abort_covered_recoveries()
         return cost
 
@@ -954,12 +971,10 @@ class WorkerEntity(Entity):
             return 0.0
         self.send(peer, DeltaGossipMsg(delta))
         self.stats.news_answers_sent += 1
-        return self._charge("communication", self.config.msg_send_cost)
+        return self._charge("communication", MSG_SEND_COST)
 
     def _abort_covered_recoveries(self) -> None:
         """Drop active recovery subproblems that turned out to be completed."""
-        if not self.config.abort_redundant_work:
-            return
         for code in list(self.recovery.active_recoveries):
             if self.recovery.should_abort(self.tracker, code):
                 self.recovery.note_recovery_aborted(code)
@@ -983,7 +998,7 @@ class WorkerEntity(Entity):
         else:
             self.send(request.requester, WorkDenied(donor=self.name, best=self._my_best()))
             self.stats.work_denials_sent += 1
-        cost += self._charge("load_balancing", self.config.msg_send_cost)
+        cost += self._charge("load_balancing", MSG_SEND_COST)
         return cost
 
     def _push_surplus(self, now: float) -> float:
@@ -999,7 +1014,7 @@ class WorkerEntity(Entity):
             del starved[peer]
             self.send(peer, WorkGrant(donor=self.name, codes=(sub.code,), best=self._my_best()))
             self.stats.work_pushes_sent += 1
-            cost += self._charge("load_balancing", self.config.msg_send_cost)
+            cost += self._charge("load_balancing", MSG_SEND_COST)
         return cost
 
     def _accept_work_grant(self, grant: WorkGrant) -> float:
@@ -1008,12 +1023,11 @@ class WorkerEntity(Entity):
         accepted = 0
         covers = self.tracker.table.covers
         rebuild = self.problem.rebuild_subproblem
-        rebuild_cost_per_decision = self.config.rebuild_cost_per_decision
         for code in grant.codes:
             if covers(code):
                 continue  # already known completed; no point rebuilding
             sub = rebuild(code)
-            rebuild_cost += rebuild_cost_per_decision * max(1, code.depth)
+            rebuild_cost += REBUILD_COST_PER_DECISION * max(1, code.depth)
             if sub is None:
                 # The code replays to an infeasible state: it is a completed
                 # leaf by construction and can be recorded as such.
@@ -1080,12 +1094,11 @@ class WorkerEntity(Entity):
         # Starved workers have spare capacity: use it to converge the
         # completed-table views, which is what unblocks termination detection
         # (and prevents needless recovery of work that is already done) —
-        # paced by how fast news can exist, not by how often we poll.
-        if (
-            self.config.table_gossip_when_idle
-            and self.peers
-            and (now - self._last_table_gossip) >= pacing.push_interval(self._avg_node_cost)
-        ):
+        # without waiting for the regular interval, but paced by how fast
+        # news can exist, not by how often we poll: at most once per
+        # ``IDLE_PACE_CAP`` and, for coarse-grained work, once per quarter of
+        # the measured node cost (``pacing.push_interval``).
+        if now - self._last_table_gossip >= pacing.push_interval(self._avg_node_cost):
             cost += self._send_table_gossip(now)
 
         pace = pacing.idle_pace(self._avg_node_cost, self._avg_transit)
@@ -1098,14 +1111,14 @@ class WorkerEntity(Entity):
             self._outstanding_request = (victim, now, self._request_seq)
             self._last_lb_attempt = now
             self.set_timer(self._request_timeout(), f"lb-timeout:{self._request_seq}")
-            cost += self._charge("load_balancing", self.config.msg_send_cost)
+            cost += self._charge("load_balancing", MSG_SEND_COST)
         self._trace_state("load_balancing")
         return cost
 
     def _start_recovery(self, code: PathCode) -> float:
         """Regenerate an uncompleted subproblem from its code."""
         sub = self.problem.rebuild_subproblem(code)
-        rebuild_cost = self.config.rebuild_cost_per_decision * max(1, code.depth)
+        rebuild_cost = REBUILD_COST_PER_DECISION * max(1, code.depth)
         self.recovery.note_recovery_started(code)
         self.stats.recovery_activations += 1
         self._trace_state("recovery")
@@ -1132,7 +1145,7 @@ class WorkerEntity(Entity):
             for target in self._choose_report_targets(self.config.report_fanout):
                 self.send(target, pull)
                 self.stats.news_pulls_sent += 1
-                cost += self._charge("communication", self.config.msg_send_cost)
+                cost += self._charge("communication", MSG_SEND_COST)
         return cost
 
     # ------------------------------------------------------------------ #
@@ -1149,15 +1162,14 @@ class WorkerEntity(Entity):
             now=now,
             best=self._my_best(),
             compress=self.config.compress_reports,
-            compress_against_table=self.config.compress_against_table,
         )
         if report.is_empty:
             return cost
-        cost += self._charge("contraction", pending * self.config.contraction_cost_per_op)
+        cost += self._charge("contraction", pending * CONTRACTION_COST_PER_OP)
         targets = self._choose_report_targets(self.config.report_fanout)
         for target in targets:
             self.send(target, WorkReportMsg(report))
-            cost += self._charge("communication", self.config.msg_send_cost)
+            cost += self._charge("communication", MSG_SEND_COST)
         self.stats.reports_sent += 1
         return cost
 
@@ -1220,12 +1232,12 @@ class WorkerEntity(Entity):
             self.tracer.span(
                 gossip_kind,
                 now,
-                self.config.msg_send_cost,
+                MSG_SEND_COST,
                 process=self.name,
                 category="gossip",
                 args={"target": target},
             )
-        return self._charge("communication", self.config.msg_send_cost)
+        return self._charge("communication", MSG_SEND_COST)
 
     def _choose_report_targets(self, fanout: int) -> List[str]:
         if not self.peers:
@@ -1256,7 +1268,7 @@ class WorkerEntity(Entity):
             root_report = make_root_report(self.name, best=self._my_best())
             for member in self.peers:
                 self.send(member, WorkReportMsg(root_report))
-                self._charge("communication", self.config.msg_send_cost)
+                self._charge("communication", MSG_SEND_COST)
             self.termination.mark_root_broadcast_sent()
         if self._idle_since is not None:
             self._charge("idle", now - self._idle_since)

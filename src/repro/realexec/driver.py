@@ -121,8 +121,8 @@ class LocalCluster:
         node_sleep: float = 0.0,
         max_seconds: float = 30.0,
         prune: bool = True,
-        report_threshold: int = 5,
-        report_fanout: int = 2,
+        report_threshold: int = RealWorkerConfig.report_threshold,
+        report_fanout: int = RealWorkerConfig.report_fanout,
         recovery_failed_threshold: int = RealWorkerConfig.recovery_failed_threshold,
         wire_generations: Optional[Sequence[int]] = None,
         transport: str = "pipe",

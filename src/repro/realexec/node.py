@@ -108,8 +108,10 @@ class RealWorkerConfig:
     members: tuple
     tree_data: dict
     has_root: bool = False
-    report_threshold: int = 5
-    report_fanout: int = 2
+    # The mechanism's knobs default to the simulated worker's values, so a
+    # scenario means the same thing on both drivers.
+    report_threshold: int = AlgorithmConfig().report_threshold
+    report_fanout: int = AlgorithmConfig().report_fanout
     recovery_failed_threshold: int = AlgorithmConfig().recovery_failed_threshold
     node_sleep: float = 0.0
     seed: int = 0

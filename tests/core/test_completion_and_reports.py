@@ -35,12 +35,6 @@ class TestCompressReportCodes:
         right = ROOT.child(1, 1)
         assert compress_report_codes([left, right]) == frozenset({ROOT})
 
-    def test_known_table_suppresses_codes(self):
-        table = CodeSet([ROOT.child(1, 0)])
-        codes = [ROOT.child(1, 0).child(2, 0), ROOT.child(1, 1)]
-        compressed = compress_report_codes(codes, known_table=table)
-        assert compressed == frozenset({ROOT.child(1, 1)})
-
 
 class TestWorkReport:
     def test_build_compresses(self):

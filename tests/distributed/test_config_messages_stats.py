@@ -1,6 +1,8 @@
 """Tests for the algorithm configuration, wire messages and run statistics."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -26,9 +28,9 @@ class TestAlgorithmConfig:
         assert config.report_fanout >= 1
 
     def test_with_overrides(self):
-        config = AlgorithmConfig().with_overrides(report_threshold=3, granularity=2.0)
+        config = AlgorithmConfig().with_overrides(report_threshold=3, report_staleness=None)
         assert config.report_threshold == 3
-        assert config.granularity == 2.0
+        assert config.report_staleness is None
         # Original defaults untouched elsewhere.
         assert config.report_fanout == AlgorithmConfig().report_fanout
 
@@ -38,18 +40,59 @@ class TestAlgorithmConfig:
             ("report_threshold", 0),
             ("report_fanout", 0),
             ("recovery_failed_threshold", 0),
-            ("granularity", -1.0),
+            ("fd_heartbeat_interval", 0.0),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
-            AlgorithmConfig(**{field: value})
+            AlgorithmConfig(failure_detector=True, **{field: value})
 
     def test_knob_budget(self):
         # Every field must earn its place; behaviour that can be derived
         # (donation sizing, starved-worker pacing, the recovery pick) lives
         # in shared rules and named constants, not here.
-        assert len(dataclasses.fields(AlgorithmConfig)) == 27
+        assert len(dataclasses.fields(AlgorithmConfig)) == 16
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "flush_report_when_idle",
+            "table_gossip_when_idle",
+            "compress_against_table",
+            "fd_fanout",
+            "abort_redundant_work",
+            "granularity",
+            "msg_processing_base",
+            "msg_processing_per_byte",
+            "msg_send_cost",
+            "contraction_cost_per_op",
+            "rebuild_cost_per_decision",
+        ],
+    )
+    def test_retired_knobs_are_rejected(self, name):
+        # Constants now: a caller that still passes one must hear about it.
+        with pytest.raises(TypeError):
+            AlgorithmConfig(**{name: None})
+
+    def test_every_field_is_read(self):
+        # A field nothing reads is a knob that silently does nothing: count
+        # ``config.<field>`` / ``cfg.<field>`` / ``<x>.config.<field>`` loads
+        # anywhere in the package except the dataclass's own module.
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        read = set()
+        for path in src.rglob("*.py"):
+            if path == src / "distributed" / "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                    continue
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id in ("config", "cfg")) or (
+                    isinstance(owner, ast.Attribute) and owner.attr == "config"
+                ):
+                    read.add(node.attr)
+        unread = [f.name for f in dataclasses.fields(AlgorithmConfig) if f.name not in read]
+        assert unread == []
 
 
 class TestMessages:
