@@ -94,6 +94,8 @@ class SubproblemPool(Generic[StateT]):
         self.lazy_removed_total = 0
         #: Number of tombstone-triggered heap compactions (stat counter).
         self.compactions = 0
+        #: Running sum of the live codes' wire sizes (:meth:`storage_bytes`).
+        self._wire_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Priority computation
@@ -138,6 +140,7 @@ class SubproblemPool(Generic[StateT]):
         """Insert an active subproblem (``bound`` required for best-first)."""
         priority = self._priority(sub, bound)
         heapq.heappush(self._heap, (priority, next(self._counter), sub))
+        self._wire_bytes += sub.code.wire_size()
         self.total_inserted += 1
         size = len(self._heap) - len(self._tombstones)
         if size > self.max_size:
@@ -152,6 +155,7 @@ class SubproblemPool(Generic[StateT]):
             if tie in tombstones:
                 tombstones.discard(tie)
                 continue
+            self._wire_bytes -= sub.code.wire_size()
             return sub
         raise IndexError("pop from an empty subproblem pool")
 
@@ -178,6 +182,7 @@ class SubproblemPool(Generic[StateT]):
         """Drop every active subproblem (used on termination)."""
         self._heap.clear()
         self._tombstones.clear()
+        self._wire_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Work donation (load balancing)
@@ -214,6 +219,7 @@ class SubproblemPool(Generic[StateT]):
         tombstones = self._tombstones
         for entry in chosen:
             tombstones.add(entry[1])
+            self._wire_bytes -= entry[2].code.wire_size()
         self.lazy_removed_total += len(chosen)
         self._maybe_compact()
         return [entry[2] for entry in chosen]
@@ -257,5 +263,7 @@ class SubproblemPool(Generic[StateT]):
         return [entry[2].code for entry in self._live_entries()]
 
     def storage_bytes(self) -> int:
-        """Rough byte estimate of the pooled codes (storage metric)."""
-        return sum(entry[2].code.wire_size() for entry in self._live_entries())
+        """Rough byte estimate of the pooled codes (storage metric): the sum
+        of their wire sizes, kept as a running total so the per-expansion
+        storage update costs O(1)."""
+        return self._wire_bytes

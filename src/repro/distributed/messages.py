@@ -5,6 +5,9 @@ The algorithm uses a small set of message types (Sections 5 and 5.3.2):
 * **work requests / grants / denials** — the on-demand dynamic load-balancing
   traffic; grants carry the *codes* of the donated subproblems (codes are
   self-contained, so the receiver can rebuild the subproblem states locally);
+  at coarse grain a request *walks*: an idle receiver passes a
+  :class:`WalkRequest` on instead of denying it, and the
+  :class:`WalkDenied` that ends it echoes the requester's sequence number;
 * **work reports** — compressed lists of newly completed codes, pushed to
   ``m`` random members;
 * **table gossip** — occasional full snapshots of the contracted completed
@@ -39,6 +42,8 @@ __all__ = [
     "WorkRequest",
     "WorkGrant",
     "WorkDenied",
+    "WalkRequest",
+    "WalkDenied",
     "WorkReportMsg",
     "TableGossipMsg",
     "DeltaGossipMsg",
@@ -87,6 +92,48 @@ class WorkDenied:
     def wire_size(self) -> int:
         """Denials are as small as requests."""
         return _HEADER_BYTES + self.best.wire_size()
+
+
+@dataclass(frozen=True, slots=True)
+class WalkRequest:
+    """A work request that an idle receiver passes on instead of denying.
+
+    ``seq`` is the requester's request number, echoed by the answer that
+    ends the walk (a forwarded request is not answered by the peer that was
+    asked); ``hops`` counts the forwards so far
+    (:func:`~repro.distributed.pacing.walk_hops` bounds it).
+    """
+
+    requester: str
+    seq: int
+    hops: int = 0
+    best: BestSolution = field(default_factory=BestSolution)
+
+    def wire_size(self) -> int:
+        """A request plus one byte each for the sequence and hop count."""
+        return _HEADER_BYTES + 2 + self.best.wire_size()
+
+    def forwarded(self) -> "WalkRequest":
+        """The same request one hop further (the incumbent is the
+        requester's: a forwarder's own rides on its other traffic)."""
+        return WalkRequest(self.requester, self.seq, self.hops + 1, self.best)
+
+
+@dataclass(frozen=True, slots=True)
+class WalkDenied:
+    """Negative answer that ends a walk: echoes the request's ``seq``, and
+    ``exhausted`` says the walk reached its hop limit meeting only idle
+    peers (the donor itself is idle), rather than a donor too small to
+    give."""
+
+    donor: str
+    seq: int
+    exhausted: bool = False
+    best: BestSolution = field(default_factory=BestSolution)
+
+    def wire_size(self) -> int:
+        """A denial plus one byte each for the sequence and the flag."""
+        return _HEADER_BYTES + 2 + self.best.wire_size()
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,6 +243,8 @@ class MessageKinds:
     """Canonical kind labels used by the traffic counters and traces."""
 
     WORK_REQUEST = "work_request"
+    #: A :class:`WalkRequest` passed on by an idle peer.
+    WORK_FORWARD = "work_forward"
     WORK_GRANT = "work_grant"
     WORK_DENIED = "work_denied"
     WORK_REPORT = "work_report"
@@ -209,14 +258,31 @@ class MessageKinds:
     #: benchmark compares the byte volume of exactly this family).
     TABLE_DISSEMINATION = (TABLE_GOSSIP, DELTA_GOSSIP, GOSSIP_ACK)
 
+    #: The key each kind is counted under in
+    #: :attr:`~repro.distributed.stats.RunResult.messages_by_kind`.
+    COUNT_KEYS = {
+        WORK_REQUEST: "work_requests",
+        WORK_FORWARD: "work_forwards",
+        WORK_GRANT: "work_grants",
+        WORK_DENIED: "work_denials",
+        WORK_REPORT: "work_reports",
+        ROOT_REPORT: "root_reports",
+        TABLE_GOSSIP: "table_gossips",
+        DELTA_GOSSIP: "delta_gossips",
+        GOSSIP_ACK: "gossip_acks",
+        HEARTBEAT: "heartbeats",
+    }
+
     @staticmethod
     def of(payload: object) -> str:
         """Classify a payload object into one of the kind labels."""
         if isinstance(payload, WorkRequest):
             return MessageKinds.WORK_REQUEST
+        if isinstance(payload, WalkRequest):
+            return MessageKinds.WORK_FORWARD if payload.hops else MessageKinds.WORK_REQUEST
         if isinstance(payload, WorkGrant):
             return MessageKinds.WORK_GRANT
-        if isinstance(payload, WorkDenied):
+        if isinstance(payload, (WorkDenied, WalkDenied)):
             return MessageKinds.WORK_DENIED
         if isinstance(payload, WorkReportMsg):
             if payload.report.contains_root():

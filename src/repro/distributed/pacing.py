@@ -14,7 +14,8 @@ transit, clock readings), so the simulated worker
 real process (:func:`repro.realexec.node.worker_main`, wall clock) run the
 same ones.  Merges are idempotent, so nothing here needs to know whether a
 message was lost, duplicated or late.  docs/ARCHITECTURE.md, "Starved-worker
-pacing", has the measurements behind each constant.
+pacing" and "Requests walk past idle peers", has the measurements behind
+each constant.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ __all__ = [
     "STALL_NODE_COSTS",
     "BOOTSTRAP_FLOOR",
     "BOOTSTRAP_NODE_COSTS",
+    "EXHAUSTED_WALK_PUSH_INTERVALS",
     "moving_average",
     "request_timeout",
     "idle_pace",
     "push_interval",
+    "walk_hops",
+    "request_pause",
     "bootstrap_timeout",
     "stall_threshold",
     "blank_gate",
@@ -74,6 +78,15 @@ BOOTSTRAP_FLOOR = 10.0
 #: …or this many node costs, whichever is longer.
 BOOTSTRAP_NODE_COSTS = 30.0
 
+#: A requester whose walk met no busy peer (:func:`walk_hops`) waits this
+#: many push intervals, about 0.375 node costs, before it asks again.  On
+#: the 32-worker Table 1 floor tree (seeds 1-30, mean speedup and
+#: messages) 1.0 reads 24.94 and 5,803, 1.5 reads 24.48 and 5,897, 2.0
+#: 24.73 and 5,429, and denying without walking 24.82 and 8,067.  On a
+#: prototype, walking with no backoff sent 16-21 % more messages than
+#: denying, and a backoff of one request timeout read 22.77 on seed 2.
+EXHAUSTED_WALK_PUSH_INTERVALS = 1.5
+
 
 def moving_average(average: float, sample: float) -> float:
     """The 0.9/0.1 moving average of node costs and transits; the first
@@ -109,6 +122,34 @@ def idle_pace(node_cost: float, transit: float) -> float:
 def push_interval(node_cost: float) -> float:
     """Minimum pause between a starved worker's table pushes."""
     return max(IDLE_PACE_CAP, IDLE_GOSSIP_NODE_COST_FRACTION * node_cost)
+
+
+def walk_hops(node_cost: float, transit: float, n_peers: int) -> int:
+    """How many times an idle worker may pass a work request on (0: never).
+
+    At coarse grain, where a request may wait longer than
+    ``IDLE_PACE_CAP``, a worker whose pool is empty does not deny a request
+    carrying fewer hops than this: it forwards it to a random peer other
+    than the requester, so the request parks at a busy donor's next
+    expansion boundary within milliseconds instead of bouncing between idle
+    peers at the poll cadence.  The limit, ``n_peers.bit_length()`` (7 at
+    100 workers), ends a walk through a group that is idle almost
+    everywhere; the last peer denies it as exhausted (:func:`request_pause`).
+    At fine grain the requester is re-polling within a node cost anyway, so
+    nothing walks.
+    """
+    if request_timeout(node_cost, transit) <= IDLE_PACE_CAP:
+        return 0
+    return n_peers.bit_length()
+
+
+def request_pause(node_cost: float, transit: float, exhausted: bool) -> float:
+    """Pause between two of a starved worker's requests: one idle pace, or
+    ``EXHAUSTED_WALK_PUSH_INTERVALS`` push intervals after a walk that
+    ended at its hop limit (``exhausted``) without meeting a busy peer."""
+    if exhausted:
+        return EXHAUSTED_WALK_PUSH_INTERVALS * push_interval(node_cost)
+    return idle_pace(node_cost, transit)
 
 
 def bootstrap_timeout(node_cost: float, override: Optional[float] = None) -> float:

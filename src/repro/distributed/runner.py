@@ -86,6 +86,7 @@ def assemble_run_result(
     metrics: MetricsCollector,
     network_stats: Optional[TrafficStats],
     kind_bytes: Optional[Dict[str, int]] = None,
+    kind_messages: Optional[Dict[str, int]] = None,
     trace: Optional[TimelineTrace] = None,
     engine_counters: Optional[Dict[str, int]] = None,
 ) -> RunResult:
@@ -121,32 +122,15 @@ def assemble_run_result(
     if makespan == 0.0:
         makespan = end_time
 
-    messages_by_kind: Dict[str, int] = {
-        "work_requests": 0,
-        "work_grants": 0,
-        "work_denials": 0,
-        "work_reports": 0,
-        "table_gossips": 0,
-        "delta_gossips": 0,
-        "gossip_acks": 0,
-        "heartbeats": 0,
-    }
+    # Every send the network injected, by kind: the counts sum to
+    # ``network.messages_sent``, copies to each report target, forwarded
+    # requests and sends to dead or partitioned peers included.
+    messages_by_kind = dict.fromkeys(MessageKinds.COUNT_KEYS.values(), 0)
+    for kind, count in (kind_messages or {}).items():
+        key = MessageKinds.COUNT_KEYS.get(kind, kind)
+        messages_by_kind[key] = messages_by_kind.get(key, 0) + count
     counters = dict(engine_counters) if engine_counters else {}
-    entity_steps = 0
-    for worker in workers:
-        stats = worker.stats
-        messages_by_kind["work_requests"] += stats.work_requests_sent
-        messages_by_kind["work_grants"] += stats.work_grants_sent + stats.work_pushes_sent
-        messages_by_kind["work_denials"] += stats.work_denials_sent
-        messages_by_kind["work_reports"] += stats.reports_sent
-        messages_by_kind["table_gossips"] += stats.table_gossips_sent
-        messages_by_kind["delta_gossips"] += (
-            stats.delta_gossips_sent + stats.news_pulls_sent + stats.news_answers_sent
-        )
-        messages_by_kind["gossip_acks"] += stats.gossip_acks_sent
-        messages_by_kind["heartbeats"] += stats.heartbeats_sent
-        entity_steps += stats.entity_steps
-    counters["entity_steps"] = entity_steps
+    counters["entity_steps"] = sum(worker.stats.entity_steps for worker in workers)
 
     redundant_nodes = expanded_total_codes - len(expanded_union)
 
@@ -390,6 +374,7 @@ class DistributedBnBSimulation:
             metrics=self.metrics,
             network_stats=self.net.stats,
             kind_bytes=self.net.kind_bytes,
+            kind_messages=self.net.kind_messages,
             trace=self.trace,
             engine_counters={
                 "events_processed": self.engine.events_processed,

@@ -51,6 +51,12 @@ class WorkerRunStats:
     #: ``work_grants_sent``, which counts answers to work requests).
     work_pushes_sent: int = 0
     work_denials_sent: int = 0
+    #: Work requests this worker passed on, idle, instead of denying them
+    #: (coarse grain: :func:`~repro.distributed.pacing.walk_hops`).
+    work_requests_forwarded: int = 0
+    #: This worker's own requests whose walk reached its hop limit meeting
+    #: only idle peers (each paused its next request).
+    walks_exhausted: int = 0
     work_grants_received: int = 0
     #: Empty deltas sent to ``report_fanout`` peers on starting a recovery
     #: (a pull: "send me what you know").
@@ -109,6 +115,8 @@ class WorkerRunStats:
             "work_grants_sent": self.work_grants_sent,
             "work_pushes_sent": self.work_pushes_sent,
             "work_denials_sent": self.work_denials_sent,
+            "work_requests_forwarded": self.work_requests_forwarded,
+            "walks_exhausted": self.walks_exhausted,
             "work_grants_received": self.work_grants_received,
             "news_pulls_sent": self.news_pulls_sent,
             "news_answers_sent": self.news_answers_sent,

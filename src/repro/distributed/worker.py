@@ -14,7 +14,9 @@ Section 5 of the paper:
   (every such wait is a rule of :mod:`repro.distributed.pacing`, which the
   real-process worker runs too); a starved worker's table delta doubles as
   a request, so a worker with surplus pushes one subproblem to each peer it
-  heard from within one request timeout;
+  heard from within one request timeout; at coarse grain an idle worker
+  passes a request on to a random peer instead of denying it
+  (:func:`~repro.distributed.pacing.walk_hops`);
 * the fault-tolerance mechanism: completed codes are tracked and gossiped as
   compressed work reports, received reports are merged and contracted, and a
   worker that stays starved with no news complements its table and
@@ -65,6 +67,8 @@ from .messages import (
     MessageKinds,
     TableGossipAck,
     TableGossipMsg,
+    WalkDenied,
+    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -284,6 +288,9 @@ class WorkerEntity(Entity):
         self._outstanding_request: Optional[Tuple[str, float, int]] = None
         self._request_seq = 0
         self._last_lb_attempt: Optional[float] = None
+        #: The last request's walk met only idle peers: the next one waits
+        #: longer (:func:`~repro.distributed.pacing.request_pause`).
+        self._walk_exhausted = False
         #: Moving average of the one-way network delay of received messages
         #: (delivery minus send time), used to bound the request timeout
         #: from below when nodes are shorter than a round trip.
@@ -572,6 +579,7 @@ class WorkerEntity(Entity):
         self._idle_since = None
         self._outstanding_request = None
         self._last_lb_attempt = None
+        self._walk_exhausted = False
         self._starved_blank_since = None
         self._last_table_gossip = now
         if self.config.failure_detector:
@@ -853,7 +861,7 @@ class WorkerEntity(Entity):
         receive_cost = MSG_PROCESSING_BASE + MSG_PROCESSING_PER_BYTE * message.size_bytes
         self._absorb_best(payload)
 
-        if isinstance(payload, WorkRequest):
+        if isinstance(payload, (WorkRequest, WalkRequest)):
             return self._charge("load_balancing", receive_cost) + self._answer_work_request(payload)
         if isinstance(payload, WorkGrant):
             return self._charge("load_balancing", receive_cost) + self._accept_work_grant(payload)
@@ -865,6 +873,18 @@ class WorkerEntity(Entity):
             outstanding = self._outstanding_request
             if outstanding is not None and outstanding[0] == payload.donor:
                 self._outstanding_request = None
+            self.recovery.note_request_failed(now)
+            return self._charge("load_balancing", receive_cost)
+        if isinstance(payload, WalkDenied):
+            # A walked request may be answered by any peer on its path, so
+            # the echoed sequence number, not the donor, frees the slot.
+            outstanding = self._outstanding_request
+            if outstanding is not None and outstanding[2] == payload.seq:
+                self._outstanding_request = None
+                if payload.exhausted:
+                    self._walk_exhausted = True
+                    self._last_lb_attempt = now
+                    self.stats.walks_exhausted += 1
             self.recovery.note_request_failed(now)
             return self._charge("load_balancing", receive_cost)
         if isinstance(payload, WorkReportMsg):
@@ -983,7 +1003,10 @@ class WorkerEntity(Entity):
     # ------------------------------------------------------------------ #
     # Load balancing
     # ------------------------------------------------------------------ #
-    def _answer_work_request(self, request: WorkRequest) -> float:
+    def _answer_work_request(self, request: Union[WorkRequest, WalkRequest]) -> float:
+        walk = isinstance(request, WalkRequest)
+        if walk and not self.pool:
+            return self._pass_on(request)
         cost = 0.0
         donated = self.pool.take_donation()
         if donated:
@@ -996,10 +1019,36 @@ class WorkerEntity(Entity):
             self.stats.work_grants_sent += 1
             self._starved_peers.pop(request.requester, None)
         else:
-            self.send(request.requester, WorkDenied(donor=self.name, best=self._my_best()))
+            denial = (
+                WalkDenied(self.name, request.seq, best=self._my_best())
+                if walk
+                else WorkDenied(donor=self.name, best=self._my_best())
+            )
+            self.send(request.requester, denial)
             self.stats.work_denials_sent += 1
         cost += self._charge("load_balancing", MSG_SEND_COST)
         return cost
+
+    def _pass_on(self, request: WalkRequest) -> float:
+        """Idle: forward a walking request to a random peer other than the
+        requester, or deny it as exhausted at the hop limit
+        (:func:`~repro.distributed.pacing.walk_hops`)."""
+        peers = self.peers
+        others = len(peers) - (request.requester in peers)
+        limit = pacing.walk_hops(self._avg_node_cost, self._avg_transit, len(peers))
+        if others and request.hops < limit:
+            target = self.rng.choice(peers)
+            while target == request.requester:
+                target = self.rng.choice(peers)
+            self.send(target, request.forwarded())
+            self.stats.work_requests_forwarded += 1
+        else:
+            self.send(
+                request.requester,
+                WalkDenied(self.name, request.seq, exhausted=True, best=self._my_best()),
+            )
+            self.stats.work_denials_sent += 1
+        return self._charge("load_balancing", MSG_SEND_COST)
 
     def _push_surplus(self, now: float) -> float:
         """Give one subproblem to each peer freshly heard starving, unasked,
@@ -1101,13 +1150,20 @@ class WorkerEntity(Entity):
         if now - self._last_table_gossip >= pacing.push_interval(self._avg_node_cost):
             cost += self._send_table_gossip(now)
 
-        pace = pacing.idle_pace(self._avg_node_cost, self._avg_transit)
-        may_request = self._last_lb_attempt is None or now - self._last_lb_attempt >= pace
+        pause = pacing.request_pause(
+            self._avg_node_cost, self._avg_transit, self._walk_exhausted
+        )
+        may_request = self._last_lb_attempt is None or now - self._last_lb_attempt >= pause
         if self._outstanding_request is None and may_request:
             victim = self.rng.choice(self.peers)
-            self.send(victim, WorkRequest(requester=self.name, best=self._my_best()))
-            self.stats.work_requests_sent += 1
             self._request_seq += 1
+            if pacing.walk_hops(self._avg_node_cost, self._avg_transit, len(self.peers)):
+                request = WalkRequest(self.name, self._request_seq, best=self._my_best())
+            else:
+                request = WorkRequest(requester=self.name, best=self._my_best())
+            self.send(victim, request)
+            self.stats.work_requests_sent += 1
+            self._walk_exhausted = False
             self._outstanding_request = (victim, now, self._request_seq)
             self._last_lb_attempt = now
             self.set_timer(self._request_timeout(), f"lb-timeout:{self._request_seq}")

@@ -54,6 +54,8 @@ _WORKER_COUNTERS = (
     "work_requests_sent",
     "work_grants_sent",
     "work_pushes_sent",
+    "work_requests_forwarded",
+    "walks_exhausted",
     "work_denials_sent",
     "news_pulls_sent",
     "news_answers_sent",

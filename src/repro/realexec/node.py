@@ -22,7 +22,10 @@ frames at the pipe boundary exactly like the original release would — so a
 mixed-generation :class:`~repro.realexec.driver.LocalCluster` run is a real
 rolling upgrade: deltas to old workers are dropped as unsupported, the
 generation-1 report/snapshot traffic keeps every worker converging, and the
-computation still terminates on the optimum.
+computation still terminates on the optimum.  A generation-3 worker also
+walks its work requests at coarse grain
+(:func:`~repro.distributed.pacing.walk_hops`); a generation-2 worker drops
+the walking frames like lost messages and never sends one.
 
 The protocol is the simulator's (:mod:`repro.distributed.worker`), driven by
 a wall clock instead of simulated time.  The rules that decide it are shared,
@@ -32,11 +35,11 @@ to peers whose table delta it just processed
 (:meth:`~repro.bnb.pool.SubproblemPool.take_push` and
 :func:`~repro.distributed.pacing.push_targets`), how long a starved
 worker waits and when it suspects loss (:mod:`repro.distributed.pacing`: the
-request timeout and pace, the table-push interval, the stall rule and the
-blank-worker gate), which missing subtree it regenerates
-(:class:`~repro.core.recovery.RecoveryPolicy`), and how redone work asks for
-news (:meth:`~repro.core.completion.CompletionTracker.news_pull` and
-:meth:`~repro.core.completion.CompletionTracker.news_for`).  What stays here
+request timeout and pace, the table-push interval, the stall rule, the
+blank-worker gate and the walk past idle peers), which missing subtree it
+regenerates (:class:`~repro.core.recovery.RecoveryPolicy`), and how redone
+work asks for news (:meth:`~repro.core.completion.CompletionTracker.news_pull`
+and :meth:`~repro.core.completion.CompletionTracker.news_for`).  What stays here
 is the I/O loop, without the simulator's time accounting, so real processes
 can be killed in the fault-injection tests.
 """
@@ -63,6 +66,8 @@ from ..distributed.messages import (
     DeltaGossipMsg,
     TableGossipAck,
     TableGossipMsg,
+    WalkDenied,
+    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -117,9 +122,11 @@ class RealWorkerConfig:
     seed: int = 0
     max_seconds: float = 30.0
     prune: bool = True
-    #: Wire-format generation this worker speaks: 2 gossips table deltas and
-    #: accepts the whole protocol; 1 models a not-yet-upgraded binary that
-    #: sends whole-table snapshots and rejects generation-2 frames.
+    #: Wire-format generation this worker speaks: 3 accepts the whole
+    #: protocol and walks its work requests at coarse grain; 2 gossips table
+    #: deltas but neither walks nor reads walking frames; 1 models a
+    #: not-yet-upgraded binary that sends whole-table snapshots and rejects
+    #: generation-2 frames.
     wire_generation: int = FRAME_VERSION
     #: Collect run telemetry (trace records + a metrics snapshot) and ship it
     #: to the driver as a :class:`WorkerTelemetry` frame before the outcome.
@@ -268,10 +275,13 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     # Moving average of wall seconds per node (expand plus sleep), seeded
     # with ``node_sleep`` as the simulator seeds it with the expected cost.
     node_cost = config.node_sleep
-    # ``(victim, sent_at)`` of the work request awaiting an answer, and when
-    # the last request went out (or timed out): the next waits one pace.
-    outstanding: Optional[Tuple[str, float]] = None
+    # ``(victim, sent_at, seq)`` of the work request awaiting an answer, and
+    # when the last request went out (or timed out): the next waits one
+    # pace, or longer after a walk that met only idle peers.
+    outstanding: Optional[Tuple[str, float, int]] = None
     last_request: Optional[float] = None
+    request_seq = 0
+    walk_exhausted = False
     last_push = 0.0
     blank_since: Optional[float] = None
     # Peers whose table delta was processed, and when (pacing.push_targets).
@@ -279,6 +289,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
     pushes_sent = 0
     news_pulls_sent = 0
     news_answers_sent = 0
+    requests_forwarded = 0
+    walks_exhausted = 0
 
     if config.has_root:
         pool.push(problem.root_subproblem(), bound=problem.bound(problem.root_state()))
@@ -323,6 +335,20 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             send(peer, DeltaGossipMsg(delta))
             news_answers_sent += 1
 
+    def pass_on(request: WalkRequest) -> None:
+        """Idle: forward a walking request to a random peer other than the
+        requester, or deny it as exhausted at the hop limit."""
+        nonlocal requests_forwarded
+        others = [peer for peer in peers if peer != request.requester]
+        if others and request.hops < pacing.walk_hops(node_cost, 0.0, len(peers)):
+            send(rng.choice(others), request.forwarded())
+            requests_forwarded += 1
+        else:
+            send(
+                request.requester,
+                WalkDenied(config.name, request.seq, exhausted=True, best=my_best()),
+            )
+
     def can_push() -> bool:
         return bool(peers) and len(tracker.table) > 0
 
@@ -333,7 +359,7 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
         if outstanding is not None:
             due = outstanding[1] + pacing.request_timeout(node_cost, 0.0)
         elif last_request is not None:
-            due = last_request + pacing.idle_pace(node_cost, 0.0)
+            due = last_request + pacing.request_pause(node_cost, 0.0, walk_exhausted)
         else:
             due = now
         if can_push():
@@ -368,7 +394,9 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             payload = envelope.payload
             absorb_best(payload)
             answered = False
-            if isinstance(payload, WorkRequest):
+            if isinstance(payload, WalkRequest) and not pool:
+                pass_on(payload)
+            elif isinstance(payload, (WorkRequest, WalkRequest)):
                 donated = pool.take_donation()
                 if donated:
                     send(
@@ -380,6 +408,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                         ),
                     )
                     starved.pop(payload.requester, None)
+                elif isinstance(payload, WalkRequest):
+                    send(payload.requester, WalkDenied(config.name, payload.seq, best=my_best()))
                 else:
                     send(payload.requester, WorkDenied(donor=config.name, best=my_best()))
             elif isinstance(payload, WorkGrant):
@@ -406,6 +436,17 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 if outstanding is not None and outstanding[0] == payload.donor:
                     outstanding = None
                     answered = True
+                recovery.note_request_failed(now)
+            elif isinstance(payload, WalkDenied):
+                # A walk may end at any peer on its path: the echoed
+                # sequence number, not the donor, frees the slot.
+                if outstanding is not None and outstanding[2] == payload.seq:
+                    outstanding = None
+                    answered = True
+                    if payload.exhausted:
+                        walk_exhausted = True
+                        last_request = now
+                        walks_exhausted += 1
                 recovery.note_request_failed(now)
             elif isinstance(payload, (WorkReportMsg, TableGossipMsg)):
                 report = (
@@ -551,14 +592,22 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                         args={"target": target},
                     )
             may_request = last_request is None or (
-                now - last_request >= pacing.idle_pace(node_cost, 0.0)
+                now - last_request >= pacing.request_pause(node_cost, 0.0, walk_exhausted)
             )
             if outstanding is None and may_request:
                 last_request = now
+                walk_exhausted = False
                 if peers:
                     victim = rng.choice(peers)
-                    send(victim, WorkRequest(requester=config.name, best=my_best()))
-                    outstanding = (victim, now)
+                    request_seq += 1
+                    if config.wire_generation >= 3 and pacing.walk_hops(
+                        node_cost, 0.0, len(peers)
+                    ):
+                        request = WalkRequest(config.name, request_seq, best=my_best())
+                    else:
+                        request = WorkRequest(requester=config.name, best=my_best())
+                    send(victim, request)
+                    outstanding = (victim, now, request_seq)
                 else:
                     # Nobody to ask: every pace counts as a failed attempt.
                     recovery.note_request_failed(now)
@@ -604,6 +653,10 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
         )
         registry.counter("worker_reports_sent", worker=config.name).inc(reports_sent)
         registry.counter("worker_pushes_sent", worker=config.name).inc(pushes_sent)
+        registry.counter("worker_work_requests_forwarded", worker=config.name).inc(
+            requests_forwarded
+        )
+        registry.counter("worker_walks_exhausted", worker=config.name).inc(walks_exhausted)
         registry.counter("worker_news_pulls_sent", worker=config.name).inc(news_pulls_sent)
         registry.counter("worker_news_answers_sent", worker=config.name).inc(
             news_answers_sent

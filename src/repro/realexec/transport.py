@@ -224,6 +224,9 @@ _PAYLOAD_KINDS: Dict[int, str] = {
     int(Tag.TABLE_GOSSIP_MSG): "table_gossip",
     int(Tag.DELTA_GOSSIP_MSG): "delta_gossip",
     int(Tag.TABLE_GOSSIP_ACK): "gossip_ack",
+    # Forwarded walks count here too: the router reads no payload body.
+    int(Tag.WALK_REQUEST): "work_request",
+    int(Tag.WALK_DENIED): "work_denied",
 }
 
 

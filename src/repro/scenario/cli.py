@@ -237,6 +237,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             int(registry.total(f"worker_news_{kind}_sent")) for kind in ("pulls", "answers")
         )
         print(f"\nnews for redone work: {pulls} pulls sent, {answers} answers sent")
+        forwarded, exhausted = (
+            int(registry.total(f"worker_{name}"))
+            for name in ("work_requests_forwarded", "walks_exhausted")
+        )
+        print(
+            f"walks past idle peers: {forwarded} requests forwarded, "
+            f"{exhausted} walks exhausted"
+        )
     gauges = metrics.get("gauges", {})
     if gauges:
         print("\ngauges (value/peak):")

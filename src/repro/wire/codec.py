@@ -37,6 +37,8 @@ from ..distributed.messages import (
     DeltaGossipMsg,
     TableGossipAck,
     TableGossipMsg,
+    WalkDenied,
+    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -44,10 +46,12 @@ from ..distributed.messages import (
 )
 from .varint import (
     MalformedVarintError,
+    read_bool,
     read_fixed64,
     read_float64,
     read_string,
     read_uvarint,
+    write_bool,
     write_fixed64,
     write_float64,
     write_string,
@@ -77,6 +81,10 @@ __all__ = [
     "read_work_grant",
     "write_work_denied",
     "read_work_denied",
+    "write_walk_request",
+    "read_walk_request",
+    "write_walk_denied",
+    "read_walk_denied",
 ]
 
 
@@ -325,6 +333,41 @@ def read_work_denied(data, pos: int) -> Tuple[WorkDenied, int]:
     donor, pos = read_string(data, pos)
     best, pos = read_best_solution(data, pos)
     return WorkDenied(donor=donor, best=best), pos
+
+
+def write_walk_request(out: bytearray, request: WalkRequest) -> None:
+    """Append a walking request: requester, sequence, hops, incumbent."""
+    write_string(out, request.requester)
+    write_uvarint(out, request.seq)
+    write_uvarint(out, request.hops)
+    write_best_solution(out, request.best)
+
+
+def read_walk_request(data, pos: int) -> Tuple[WalkRequest, int]:
+    """Read a walking request."""
+    requester, pos = read_string(data, pos)
+    seq, pos = read_uvarint(data, pos)
+    hops, pos = read_uvarint(data, pos)
+    best, pos = read_best_solution(data, pos)
+    return WalkRequest(requester, seq, hops, best), pos
+
+
+def write_walk_denied(out: bytearray, denial: WalkDenied) -> None:
+    """Append a walk's denial: donor, echoed sequence, exhausted flag,
+    incumbent."""
+    write_string(out, denial.donor)
+    write_uvarint(out, denial.seq)
+    write_bool(out, denial.exhausted)
+    write_best_solution(out, denial.best)
+
+
+def read_walk_denied(data, pos: int) -> Tuple[WalkDenied, int]:
+    """Read a walk's denial."""
+    donor, pos = read_string(data, pos)
+    seq, pos = read_uvarint(data, pos)
+    exhausted, pos = read_bool(data, pos)
+    best, pos = read_best_solution(data, pos)
+    return WalkDenied(donor, seq, exhausted, best), pos
 
 
 # ---------------------------------------------------------------------- #

@@ -29,10 +29,10 @@ Frame layout (see ``docs/WIRE_FORMAT.md``)::
   tolerated.
 
 The registry maps payload classes to ``(tag, writer)`` and tags to readers.
-Core protocol tags (1-15) are registered here; subsystems with their own
-transport-level messages (the ``realexec`` backend's envelope and worker
-outcome) extend the registry at import time through :func:`register` using
-tags from 16 up, keeping this package free of upward imports.
+Core protocol tags (1-15, then 32 up) are registered here; subsystems with
+their own transport-level messages (the ``realexec`` backend's envelope and
+worker outcome) extend the registry at import time through :func:`register`
+using tags 16-31, keeping this package free of upward imports.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ from ..distributed.messages import (
     DeltaGossipMsg,
     TableGossipAck,
     TableGossipMsg,
+    WalkDenied,
+    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -77,8 +79,9 @@ __all__ = [
 
 #: First byte of every frame.
 FRAME_MAGIC = 0xB5
-#: Current wire-format generation (2 added the delta-gossip family).
-FRAME_VERSION = 2
+#: Current wire-format generation (2 added the delta-gossip family, 3 the
+#: walking work request and its denial).
+FRAME_VERSION = 3
 #: The original generation; generation-1 messages still encode as v1 frames
 #: so generation-1 decoders keep accepting them during rolling upgrades.
 FRAME_VERSION_V1 = 1
@@ -120,8 +123,14 @@ class Tag(enum.IntEnum):
     DELTA_GOSSIP_MSG = 14
     TABLE_GOSSIP_ACK = 15
 
-    #: First tag available to transport-level extensions (realexec).
+    #: First tag available to transport-level extensions (realexec); they
+    #: take 16-31.
     EXTENSION_BASE = 16
+
+    # -- generation 3: the walking work request; core tags continue at 32
+    # because 1-15 are taken and 16-31 belong to the extensions --
+    WALK_REQUEST = 32
+    WALK_DENIED = 33
 
 
 _Writer = Callable[[bytearray, object], None]
@@ -196,6 +205,9 @@ for _tag, _cls, _writer, _reader, _version in (
         2,
     ),
     (Tag.TABLE_GOSSIP_ACK, TableGossipAck, codec.write_gossip_ack, codec.read_gossip_ack, 2),
+    # -- generation 3: walking work requests --
+    (Tag.WALK_REQUEST, WalkRequest, codec.write_walk_request, codec.read_walk_request, 3),
+    (Tag.WALK_DENIED, WalkDenied, codec.write_walk_denied, codec.read_walk_denied, 3),
 ):
     register(_tag, _cls, _writer, _reader, version=_version)
 

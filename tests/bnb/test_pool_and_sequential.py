@@ -1,5 +1,7 @@
 """Tests for the subproblem pool, the node expander and the sequential solver."""
 
+import random
+
 import pytest
 
 from repro.bnb.pool import SelectionRule, SubproblemPool
@@ -177,6 +179,31 @@ class TestLazyDonation:
         donated = pool.take_for_donation(max_count=2, keep_at_least=1)
         freed = sum(sub.code.wire_size() for sub in donated)
         assert pool.storage_bytes() == before - freed
+
+    @pytest.mark.parametrize("rule", list(SelectionRule))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_running_storage_total_equals_the_recomputed_sum(self, rule, seed):
+        """The O(1) running total matches a full recount after every
+        operation of a random sequence (compactions and peeks included)."""
+        rng = random.Random(seed)
+        pool = SubproblemPool(rule)
+        for step in range(400):
+            op = rng.random()
+            if op < 0.45 or not pool:
+                pool.push(make_sub(rng.randrange(0, 30), step), bound=rng.random())
+            elif op < 0.65:
+                pool.pop()
+            elif op < 0.8:
+                pool.take_donation()
+            elif op < 0.9:
+                pool.take_push()
+            elif op < 0.97:
+                pool.peek()
+            elif op < 0.99:
+                pool.drain()
+            else:
+                pool.clear()
+            assert pool.storage_bytes() == sum(sub.code.wire_size() for sub in pool)
 
     def test_repeated_donations_trigger_compaction(self):
         pool = SubproblemPool()

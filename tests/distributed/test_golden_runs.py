@@ -125,10 +125,12 @@ GOLDEN = {
             "delta_gossips": 36,
             "gossip_acks": 28,
             "heartbeats": 0,
+            "root_reports": 15,
             "table_gossips": 0,
             "work_denials": 71,
+            "work_forwards": 0,
             "work_grants": 55,
-            "work_reports": 39,
+            "work_reports": 78,
             "work_requests": 108
         },
         "crashed_workers": [],
@@ -225,10 +227,12 @@ GOLDEN = {
             "delta_gossips": 67,
             "gossip_acks": 40,
             "heartbeats": 99,
+            "root_reports": 4,
             "table_gossips": 0,
             "work_denials": 76,
+            "work_forwards": 0,
             "work_grants": 53,
-            "work_reports": 47,
+            "work_reports": 94,
             "work_requests": 133
         },
         "crashed_workers": [
@@ -325,10 +329,12 @@ GOLDEN = {
             "delta_gossips": 0,
             "gossip_acks": 0,
             "heartbeats": 0,
+            "root_reports": 5,
             "table_gossips": 26,
             "work_denials": 60,
+            "work_forwards": 0,
             "work_grants": 46,
-            "work_reports": 41,
+            "work_reports": 82,
             "work_requests": 107
         },
         "crashed_workers": [],

@@ -57,6 +57,40 @@ class TestStallThreshold:
         assert pacing.stall_threshold(0.0, 0.0) is None
 
 
+class TestWalkPastIdlePeers:
+    @pytest.mark.parametrize("node_cost", [0.001, 0.01])
+    def test_fine_grain_never_walks(self, node_cost):
+        assert pacing.walk_hops(node_cost, 0.002, 99) == 0
+        assert pacing.walk_hops(node_cost, 0.0, 99) == 0
+
+    def test_coarse_grain_walks(self):
+        assert pacing.walk_hops(3.35, 0.002, 99) > 0
+        assert pacing.walk_hops(3.35, 0.0, 99) > 0
+
+    def test_no_node_cost_known_never_walks(self):
+        assert pacing.walk_hops(0.0, 0.002, 99) == 0
+
+    @pytest.mark.parametrize(
+        "n_peers, hops", [(1, 1), (3, 2), (7, 3), (31, 5), (99, 7), (9999, 14)]
+    )
+    def test_hop_limit_is_the_peer_count_bit_length(self, n_peers, hops):
+        assert pacing.walk_hops(3.35, 0.002, n_peers) == hops == n_peers.bit_length()
+
+    def test_after_an_exhausted_walk_the_next_request_waits_one_and_a_half_pushes(self):
+        assert pacing.EXHAUSTED_WALK_PUSH_INTERVALS == 1.5
+        assert pacing.request_pause(3.35, 0.002, True) == pytest.approx(
+            1.5 * pacing.push_interval(3.35)
+        )
+        # About three eighths of a node cost at the Table 1 grain.
+        assert pacing.request_pause(3.35, 0.002, True) == pytest.approx(0.375 * 3.35)
+
+    @pytest.mark.parametrize("node_cost", [0.001, 0.01, 3.35])
+    def test_otherwise_requests_are_one_idle_pace_apart(self, node_cost):
+        assert pacing.request_pause(node_cost, 0.002, False) == pacing.idle_pace(
+            node_cost, 0.002
+        )
+
+
 class TestBootstrapAndBlankGate:
     @pytest.mark.parametrize(
         "node_cost, floor", [(0.0, 10.0), (0.01, 10.0), (3.35, 30 * 3.35)]

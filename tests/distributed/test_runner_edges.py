@@ -11,6 +11,7 @@ from repro.distributed.runner import (
     NetworkConfig,
     run_tree_simulation,
 )
+from repro.simulation.failures import CrashEvent
 from repro.simulation.network import LatencyModel
 
 
@@ -138,13 +139,51 @@ class TestRunnerConstruction:
         assert kinds["work_requests"] >= 0
         assert set(kinds) == {
             "work_requests",
+            "work_forwards",
             "work_grants",
             "work_denials",
             "work_reports",
+            "root_reports",
             "table_gossips",
             "delta_gossips",
             "gossip_acks",
             "heartbeats",
         }
+        # Every send counts once per copy: the kinds sum to the network's.
+        assert sum(kinds.values()) == result.network.messages_sent
         # Per-kind byte accounting covers every message the run injected.
         assert sum(result.bytes_by_kind.values()) == result.total_bytes_sent
+
+
+class TestMessageCountsAreExact:
+    """``messages_by_kind`` counts every send the network saw: each copy of
+    a report, the final root broadcast and every forwarded request."""
+
+    @pytest.mark.parametrize("granularity", [1.0, 10.0])
+    def test_failure_free_counts_sum_to_the_network(self, granularity):
+        # 0.02 s nodes poll; at 0.2 s nodes idle peers pass requests on.
+        result = run_tree_simulation(
+            small_tree(), 6, seed=5, prune=False, granularity=granularity
+        )
+        assert result.solved_correctly
+        kinds = result.messages_by_kind
+        assert sum(kinds.values()) == result.network.messages_sent
+        assert kinds["root_reports"] > 0
+        assert (kinds["work_forwards"] > 0) == (granularity > 1.0)
+
+    def test_lossy_crashing_counts_sum_to_the_network(self):
+        result = run_tree_simulation(
+            small_tree(),
+            6,
+            seed=6,
+            prune=False,
+            granularity=10.0,
+            network=NetworkConfig(loss_probability=0.05),
+            failures=[CrashEvent(2.0, "worker-02")],
+        )
+        assert result.solved_correctly
+        assert result.crashed_workers == ["worker-02"]
+        assert result.network.messages_lost > 0
+        assert result.network.messages_to_dead > 0
+        assert result.messages_by_kind["work_forwards"] > 0
+        assert sum(result.messages_by_kind.values()) == result.network.messages_sent

@@ -523,7 +523,10 @@ class TestFailureFreeGossipCost:
         # merged lifts 23.3-24.6 to 23.9-24.6 here (seeds 1-12: mean 23.3 ->
         # 24.8, every seed up).
         assert result.speedup() >= 23.5
-        assert sum(result.messages_by_kind.values()) <= 9000
+        # Counting every send (each report copy, the root broadcast, every
+        # forwarded request), denying idle peers read 8,146-9,504 messages;
+        # passing requests on past them reads 5,644-5,974.
+        assert sum(result.messages_by_kind.values()) <= 6000
         # The arena is collected between events: it peaks at 15,329 / 14,053
         # / 13,569 nodes here, where an append-only arena interned 26,919 /
         # 26,613 / 26,104 by the end of the same runs.

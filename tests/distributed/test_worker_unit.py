@@ -11,11 +11,14 @@ from repro.distributed.config import AlgorithmConfig
 from repro.distributed.messages import (
     DeltaGossipMsg,
     TableGossipMsg,
+    WalkDenied,
+    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
     WorkRequest,
 )
+from repro.distributed import pacing
 from repro.distributed.pacing import IDLE_GOSSIP_NODE_COST_FRACTION, IDLE_PACE_CAP
 from repro.distributed.worker import WorkerEntity
 from repro.simulation.engine import SimulationEngine
@@ -268,6 +271,92 @@ class TestWorkRequestTiming:
             w1.recovery.note_request_failed(0.1 * attempt)
         assert w1.recovery.evaluate(w1.tracker, 1.0).code is None
         assert w1.recovery.evaluate(w1.tracker, floor).code is not None
+
+
+class TestWalkPastIdlePeers:
+    """At coarse grain an idle worker passes a request on instead of
+    denying it; the walk's answer frees the slot by sequence number."""
+
+    @staticmethod
+    def recording(n_workers=5, node_cost=3.35):
+        """Blank coarse-grain workers; ``w1``'s sends and timers are recorded."""
+        engine, network, problem, tree, workers = make_worker_pair(
+            n_workers, expected_node_cost=node_cost, with_root=False
+        )
+        w1 = workers[1]
+        sent, timers = [], []
+        w1.send = lambda target, payload: sent.append((target, payload))
+        w1.set_timer = lambda delay, reason: timers.append((delay, reason))
+        w1._now = lambda: 0.0
+        return w1, sent, problem
+
+    def test_coarse_grain_requests_walk_and_fine_grain_ones_do_not(self):
+        for node_cost, kind in ((3.35, WalkRequest), (0.01, WorkRequest)):
+            w1, sent, _ = self.recording(node_cost=node_cost)
+            w1._handle_starvation()
+            requests = [msg for _, msg in sent if isinstance(msg, (WorkRequest, WalkRequest))]
+            assert [type(msg) for msg in requests] == [kind]
+        assert requests[0] == WorkRequest("w1")
+
+    def test_idle_worker_forwards_to_a_peer_other_than_the_requester(self):
+        w1, sent, _ = self.recording()
+        for hops in range(20):
+            deliver(w1, "w3", WalkRequest("w0", 7, hops % 3))
+        assert len(sent) == 20
+        assert all(target not in ("w0", "w1") for target, _ in sent)
+        assert {target for target, _ in sent} == {"w2", "w3", "w4"}
+        assert [msg for _, msg in sent[:3]] == [
+            WalkRequest("w0", 7, 1),
+            WalkRequest("w0", 7, 2),
+            WalkRequest("w0", 7, 3),
+        ]
+        assert w1.stats.work_requests_forwarded == 20
+        assert w1.stats.work_denials_sent == 0
+
+    def test_walk_ends_exhausted_at_the_hop_limit(self):
+        w1, sent, _ = self.recording()
+        limit = pacing.walk_hops(3.35, 0.0, len(w1.peers))
+        assert limit == 3  # four peers
+        deliver(w1, "w3", WalkRequest("w0", 7, limit))
+        assert sent == [("w0", WalkDenied("w1", 7, exhausted=True))]
+
+    def test_busy_worker_answers_as_before(self):
+        w1, sent, problem = self.recording()
+        w1.pool.push(problem.root_subproblem())
+        deliver(w1, "w3", WalkRequest("w0", 7, 2))
+        # A pool of one gives nothing: a plain denial, not an exhausted one.
+        assert sent == [("w0", WalkDenied("w1", 7))]
+        root = problem.root_subproblem()
+        for child, _bound in w1.expander.expand(root, None).children:
+            w1.pool.push(child)
+        sent.clear()
+        deliver(w1, "w3", WalkRequest("w0", 8, 2))
+        assert [(target, type(msg)) for target, msg in sent] == [("w0", WorkGrant)]
+
+    def test_denial_frees_the_slot_by_sequence_and_exhaustion_backs_off(self):
+        w1, sent, _ = self.recording()
+        w1._handle_starvation()
+        assert w1._outstanding_request[2] == 1
+        # An answer to an older request leaves the current one outstanding.
+        deliver(w1, "w4", WalkDenied("w4", 0, exhausted=True))
+        assert w1._outstanding_request is not None
+        assert w1.stats.walks_exhausted == 0
+        deliver(w1, "w4", WalkDenied("w4", 1, exhausted=True))
+        assert w1._outstanding_request is None
+        assert w1.stats.walks_exhausted == 1
+        assert w1.recovery.consecutive_failures == 2
+        pause = pacing.request_pause(w1._avg_node_cost, w1._avg_transit, True)
+        assert pause == pytest.approx(1.5 * pacing.push_interval(3.35))
+        w1._now = lambda: 0.99 * pause
+        w1._handle_starvation()
+        assert w1.stats.work_requests_sent == 1
+        w1._now = lambda: pause
+        w1._handle_starvation()
+        assert w1.stats.work_requests_sent == 2
+        # A denial that is not exhausted paces the next request as usual.
+        deliver(w1, "w4", WalkDenied("w4", 2))
+        assert w1._outstanding_request is None
+        assert not w1._walk_exhausted
 
 
 class TestPushedDonations:

@@ -77,6 +77,20 @@ class TestSimulatedTelemetry:
         assert metrics.total("worker_news_pulls_sent") == pulls
         assert metrics.total("worker_news_answers_sent") == result.news_answers_sent
 
+    def test_walk_counters_sum_into_the_registry(self):
+        # At 30x quickstart's grain (nodes above 0.1 s) idle peers pass
+        # requests on.
+        scenario = _quickstart(TelemetryConfig(trace=False)).with_overrides(granularity=30.0)
+        result = run_scenario(scenario, backend="simulated")
+        workers = result.raw.workers.values()
+        metrics = result.telemetry.metrics
+        forwarded = sum(stats.work_requests_forwarded for stats in workers)
+        assert metrics.total("worker_work_requests_forwarded") == forwarded > 0
+        assert metrics.total("worker_walks_exhausted") == sum(
+            stats.walks_exhausted for stats in workers
+        )
+        assert result.raw.messages_by_kind["work_forwards"] == forwarded
+
     def test_metrics_only_config_skips_tracer(self):
         result = run_scenario(
             _quickstart(TelemetryConfig(trace=False, metrics=True)),
@@ -216,6 +230,9 @@ class TestCliTelemetry:
         assert "worker-00" in out  # the Gantt rows
         assert "top counters" in out
         assert re.search(r"news for redone work: \d+ pulls sent, \d+ answers sent", out)
+        assert re.search(
+            r"walks past idle peers: \d+ requests forwarded, \d+ walks exhausted", out
+        )
 
     def test_run_metrics_flag_prints_exposition(self, capsys):
         code = cli_main(["run", "quickstart", "--metrics"])

@@ -235,6 +235,56 @@ class TestLocalCluster:
 
 
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
+class TestCoarseGrainWalk:
+    """``node.py``'s half of the walk past idle peers: with nodes above the
+    0.1 s pace cap an idle worker passes a work request on instead of
+    denying it (10 ms nodes, as in the ledger's real-tcp-4w, never walk)."""
+
+    def test_idle_workers_pass_requests_on(self, small_tree):
+        from repro.obs import TelemetryConfig
+
+        cluster = LocalCluster(
+            small_tree,
+            6,
+            seed=3,
+            prune=False,
+            node_sleep=0.15,
+            max_seconds=20.0,
+            telemetry=TelemetryConfig(trace=False),
+        )
+        result = cluster.run()
+        assert result.solved_correctly
+        assert result.surviving_terminated
+        assert len(result.outcomes) == 6
+        assert all(outcome.terminated for outcome in result.outcomes.values())
+        assert result.telemetry.metrics.total("worker_work_requests_forwarded") >= 1
+        expanded = sum(outcome.nodes_expanded for outcome in result.outcomes.values())
+        assert expanded <= 1.3 * len(small_tree)
+        assert result.wall_time < 5.0
+
+    def test_generation_2_peers_drop_walking_frames(self, small_tree):
+        """Rolling upgrade at coarse grain: a generation-2 worker drops a
+        generation-3 peer's walking requests like lost messages."""
+        from repro.obs import TelemetryConfig
+
+        cluster = LocalCluster(
+            small_tree,
+            4,
+            seed=4,
+            prune=False,
+            node_sleep=0.15,
+            max_seconds=30.0,
+            wire_generations=[3, 2, 3, 2],
+            telemetry=TelemetryConfig(trace=False),
+        )
+        result = cluster.run()
+        assert result.surviving_terminated
+        assert result.solved_correctly
+        # Only walking frames are newer than generation 2.
+        assert result.telemetry.metrics.total("worker_frames_dropped") >= 1
+
+
+@pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
 class TestMixedVersionCluster:
     """Rolling upgrade over real pipes: generation-1 and generation-2
     workers coexist.  Old workers drop the upgraded peers' delta-gossip

@@ -1,8 +1,10 @@
-"""Wire-format generation 2: delta-gossip codecs and cross-version rules.
+"""Wire-format generations 2 and 3: their codecs and cross-version rules.
 
 Generation 2 added the delta-gossip family (``DeltaSnapshot``,
-``DeltaGossipMsg``, ``TableGossipAck``).  The compatibility contract pinned
-here, spelled out in ``docs/WIRE_FORMAT.md``:
+``DeltaGossipMsg``, ``TableGossipAck``), generation 3 the walking work
+request and its denial (``WalkRequest``, ``WalkDenied``).  The
+compatibility contract pinned here, spelled out in ``docs/WIRE_FORMAT.md``
+(each rule holds between every older and newer generation):
 
 * generation-1 messages still encode as byte-identical generation-1 frames,
   so a generation-1 decoder keeps accepting them;
@@ -24,7 +26,7 @@ import pytest
 from repro import wire
 from repro.core.encoding import PathCode
 from repro.core.work_report import BestSolution, DeltaSnapshot, table_digest
-from repro.distributed.messages import DeltaGossipMsg, TableGossipAck
+from repro.distributed.messages import DeltaGossipMsg, TableGossipAck, WalkDenied, WalkRequest
 from repro.realexec.transport import Envelope, decode_envelope, encode_envelope
 from repro.wire.frame import FRAME_VERSION, FRAME_VERSION_V1, Tag
 
@@ -169,3 +171,65 @@ class TestMixedVersionEnvelopes:
         rng = random.Random(6)
         envelope = Envelope("sender-x", "dest-y", rand_delta(rng, n_codes=2))
         assert envelope_route(encode_envelope(envelope)) == ("sender-x", "dest-y")
+
+
+def rand_walk_messages(rng):
+    best = (
+        BestSolution(value=rng.uniform(-1e6, 1e6), origin=f"w{rng.randrange(10)}")
+        if rng.random() < 0.5
+        else BestSolution()
+    )
+    name = f"worker-{rng.randrange(10000):04d}"
+    seq = rng.randrange(1 << 20)
+    return (
+        WalkRequest(name, seq, rng.randrange(15), best),
+        WalkDenied(name, seq, rng.random() < 0.5, best),
+    )
+
+
+class TestGeneration3Walk:
+    """Generation 3 added the walking work request and its denial (tags 32
+    and 33): core tags continue past the 16-31 extension range."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_round_trip_and_generation_3_stamp(self, seed):
+        for msg in rand_walk_messages(random.Random(3000 + seed)):
+            data = wire.encode(msg)
+            assert data[1] == 3
+            assert wire.decode(data) == msg
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_model_upper_bound_for_short_names(self, seed):
+        for msg in rand_walk_messages(random.Random(4000 + seed)):
+            assert wire.encoded_size(msg) <= msg.wire_size()
+
+    def test_older_decoders_drop_them_like_lost_messages(self):
+        for msg in rand_walk_messages(random.Random(8)):
+            data = wire.encode(msg)
+            for generation in (FRAME_VERSION_V1, 2):
+                with pytest.raises(wire.UnsupportedVersionError):
+                    wire.decode(data, max_version=generation)
+            envelope = encode_envelope(Envelope("a", "b", msg))
+            assert decode_envelope(envelope).payload == msg
+            with pytest.raises(wire.UnsupportedVersionError):
+                decode_envelope(envelope, max_version=2)
+
+    def test_generation_2_frame_with_a_walk_tag_is_corruption(self):
+        data = bytearray(wire.encode(WalkRequest("w", 1)))
+        data[1] = 2
+        with pytest.raises(wire.WireFormatError):
+            wire.decode(bytes(data), max_version=2)
+        with pytest.raises(wire.WireFormatError):
+            wire.decode(bytes(data))
+
+    def test_truncation_is_rejected(self):
+        for msg in rand_walk_messages(random.Random(9)):
+            data = wire.encode(msg)
+            for cut in range(len(data)):
+                with pytest.raises(wire.WireFormatError):
+                    wire.decode(data[:cut])
+
+    def test_tag_values_are_frozen(self):
+        assert int(Tag.WALK_REQUEST) == 32
+        assert int(Tag.WALK_DENIED) == 33
+        assert FRAME_VERSION == 3
