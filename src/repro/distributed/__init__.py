@@ -4,9 +4,11 @@
   (:class:`AlgorithmConfig`);
 * :mod:`repro.distributed.messages` — the wire messages (work requests,
   grants, denials, work reports, table gossip);
-* :mod:`repro.distributed.worker` — the simulated worker combining the local
+* :mod:`repro.distributed.protocol` — the worker protocol, once: the local
   B&B loop, load balancing, the fault-tolerance mechanism and termination
-  detection;
+  detection, driven by a simulated or a real process;
+* :mod:`repro.distributed.worker` — the simulated worker, the protocol core
+  on simulated time;
 * :mod:`repro.distributed.runner` — experiment orchestration
   (:class:`DistributedBnBSimulation`, :func:`run_tree_simulation`);
 * :mod:`repro.distributed.stats` — per-worker and per-run statistics exposing

@@ -9,11 +9,11 @@ table push doubles as a work request: a donor pushes surplus to the peers it
 heard from within one request timeout (:func:`push_targets`).
 
 The rules are plain functions over explicit inputs (a node cost, a one-way
-transit, clock readings), so the simulated worker
-(:class:`~repro.distributed.worker.WorkerEntity`, simulated clock) and the
-real process (:func:`repro.realexec.node.worker_main`, wall clock) run the
-same ones.  Merges are idempotent, so nothing here needs to know whether a
-message was lost, duplicated or late.  docs/ARCHITECTURE.md, "Starved-worker
+transit, clock readings), so the protocol core
+(:class:`~repro.distributed.protocol.ProtocolCore`) runs the same ones on
+the simulated clock and on a real process's wall clock.  Merges are
+idempotent, so nothing here needs to know whether a message was lost,
+duplicated or late.  docs/ARCHITECTURE.md, "Starved-worker
 pacing" and "Requests walk past idle peers", has the measurements behind
 each constant.
 """

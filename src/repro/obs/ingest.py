@@ -33,7 +33,6 @@ __all__ = [
     "ingest_worker_stats",
     "ingest_run_result",
     "ingest_router",
-    "ingest_cluster_result",
     "ingest_scenario_totals",
 ]
 
@@ -102,12 +101,15 @@ def ingest_traffic(
         registry.counter("net_messages_by_kind", kind=kind).inc(value)
 
 
-def ingest_worker_stats(registry: MetricsRegistry, stats: Any) -> None:
-    """Fold one worker's :class:`WorkerRunStats` in as ``worker_*``."""
+def ingest_worker_stats(
+    registry: MetricsRegistry, stats: Any, *, keep_zeros: bool = False
+) -> None:
+    """Fold one worker's :class:`WorkerRunStats` in as ``worker_*`` (zero
+    counters only with ``keep_zeros``: a real worker ships each one)."""
     worker = stats.name
     for counter_name in _WORKER_COUNTERS:
         value = getattr(stats, counter_name, 0)
-        if value:
+        if value or keep_zeros:
             registry.counter(f"worker_{counter_name}", worker=worker).inc(value)
     for category, seconds in getattr(stats, "time", {}).items():
         if seconds:
@@ -154,24 +156,6 @@ def ingest_router(registry: MetricsRegistry, router: Any) -> None:
     live = getattr(router, "metrics", None)
     if live is not None:
         registry.merge_snapshot(live.snapshot())
-
-
-def ingest_cluster_result(registry: MetricsRegistry, result: Any) -> MetricsRegistry:
-    """Fold a realexec :class:`LocalClusterResult` in (router + outcomes)."""
-    registry.counter("router_messages_forwarded").inc(result.messages_forwarded)
-    registry.counter("router_messages_dropped").inc(result.messages_dropped)
-    registry.counter("router_bytes_forwarded").inc(result.bytes_forwarded)
-    for kind, value in (result.bytes_by_kind or {}).items():
-        registry.counter("router_bytes_by_kind", kind=kind).inc(value)
-    for name, outcome in result.outcomes.items():
-        registry.counter("worker_nodes_expanded", worker=name).inc(
-            outcome.nodes_expanded
-        )
-        registry.counter("worker_reports_sent", worker=name).inc(outcome.reports_sent)
-        registry.counter("worker_recovery_activations", worker=name).inc(
-            outcome.recoveries
-        )
-    return registry
 
 
 def ingest_scenario_totals(registry: MetricsRegistry, result: Any) -> MetricsRegistry:

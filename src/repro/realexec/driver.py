@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bnb.basic_tree import BasicTree
+from ..distributed.config import AlgorithmConfig
 from ..obs import MetricsRegistry, Telemetry, TelemetryConfig, Tracer, get_logger
 from ..obs.ingest import ingest_router
 from ..wire import WireFormatError
@@ -97,9 +98,12 @@ class LocalClusterResult:
 
     @property
     def solved_correctly(self) -> Optional[bool]:
-        """True when the surviving workers found the reference optimum."""
-        if self.reference_optimum is None or self.best_value is None:
+        """True when the surviving workers found the reference optimum
+        (``None`` only without a reference; no surviving best is wrong)."""
+        if self.reference_optimum is None:
             return None
+        if self.best_value is None:
+            return False
         return abs(self.best_value - self.reference_optimum) <= 1e-9 * max(
             1.0, abs(self.reference_optimum)
         )
@@ -121,17 +125,16 @@ class LocalCluster:
         node_sleep: float = 0.0,
         max_seconds: float = 30.0,
         prune: bool = True,
-        report_threshold: int = RealWorkerConfig.report_threshold,
-        report_fanout: int = RealWorkerConfig.report_fanout,
-        recovery_failed_threshold: int = RealWorkerConfig.recovery_failed_threshold,
+        config: AlgorithmConfig = RealWorkerConfig.config,
         wire_generations: Optional[Sequence[int]] = None,
         transport: str = "pipe",
         telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
-        """``wire_generations`` optionally assigns a wire-format generation
-        per worker index (defaults to the current generation for all) — a
-        mixed list models a rolling upgrade where generation-1 and
-        generation-2 binaries coexist in one cluster.  ``transport`` selects
+        """``config`` holds the algorithm's tunables, read by every worker
+        as the simulated worker reads them.  ``wire_generations`` optionally
+        assigns a wire-format generation per worker index (defaults to the
+        current generation for all) — a mixed list models a rolling upgrade
+        where generation-1 and generation-2 binaries coexist in one cluster.  ``transport`` selects
         how the workers are wired: ``"pipe"`` (multiprocessing pipes),
         ``"uds"`` (Unix-domain sockets) or ``"tcp"`` (a TCP listener the
         workers dial); the protocol bytes are identical on all three."""
@@ -144,9 +147,7 @@ class LocalCluster:
         self.node_sleep = node_sleep
         self.max_seconds = max_seconds
         self.prune = prune
-        self.report_threshold = report_threshold
-        self.report_fanout = report_fanout
-        self.recovery_failed_threshold = recovery_failed_threshold
+        self.config = config
         self.transport = transport
         if wire_generations is not None:
             if len(wire_generations) != n_workers:
@@ -177,9 +178,7 @@ class LocalCluster:
             node_sleep=self.node_sleep,
             max_seconds=self.max_seconds,
             prune=self.prune,
-            report_threshold=self.report_threshold,
-            report_fanout=self.report_fanout,
-            recovery_failed_threshold=self.recovery_failed_threshold,
+            config=self.config,
             wire_generation=(
                 self.wire_generations[index]
                 if self.wire_generations is not None

@@ -549,9 +549,7 @@ class RealexecBackend:
             node_sleep=scenario.node_sleep,
             max_seconds=scenario.max_seconds,
             prune=scenario.prune,
-            report_threshold=scenario.config.report_threshold,
-            report_fanout=scenario.config.report_fanout,
-            recovery_failed_threshold=scenario.config.recovery_failed_threshold,
+            config=scenario.config,
             wire_generations=scenario.wire_generations,
             transport=scenario.transport,
             telemetry=scenario.telemetry,

@@ -28,7 +28,7 @@ from repro.distributed.runner import (
     NetworkConfig,
     run_tree_simulation,
 )
-from repro.distributed.worker import DELTA_BYTES_BUCKETS
+from repro.distributed.protocol import DELTA_BYTES_BUCKETS
 from repro.obs import MetricsRegistry, TelemetryConfig
 from repro.simulation.failures import ChurnInjector, CrashEvent
 

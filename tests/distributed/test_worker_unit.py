@@ -1,4 +1,5 @@
-"""Unit-level tests of the worker entity (driven directly, small scenarios)."""
+"""Unit-level tests of the worker: the protocol core's public surface, driven
+through the simulated adapter (small scenarios, explicit clock readings)."""
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.distributed import pacing
 from repro.distributed.pacing import IDLE_GOSSIP_NODE_COST_FRACTION, IDLE_PACE_CAP
 from repro.distributed.worker import WorkerEntity
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.entity import QueuedMessage
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.network import Network
 from repro.simulation.rng import RngRegistry
@@ -75,13 +75,8 @@ def make_worker_pair(
 class TestWorkerMessageHandling:
     def test_work_request_denied_when_pool_small(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
-        from repro.simulation.entity import QueuedMessage
-
         # w1 has an empty pool: a request from w0 must be denied.
-        message = QueuedMessage(
-            sender="w0", payload=WorkRequest("w0"), sent_at=0.0, delivered_at=0.0, size_bytes=32
-        )
-        w1._handle_message(message)
+        w1.receive(WorkRequest("w0"), 0.0)
         assert w1.stats.work_denials_sent == 1
         assert w1.stats.work_grants_sent == 0
         # The denial is on the wire towards w0 (do not run the engine here:
@@ -90,12 +85,9 @@ class TestWorkerMessageHandling:
 
     def test_work_grant_rebuilds_subproblems(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
-        from repro.simulation.entity import QueuedMessage
-
         donated_code = ROOT.child(0, 0)
         grant = WorkGrant(donor="w0", codes=(donated_code,), best=BestSolution(123.0, "w0"))
-        message = QueuedMessage("w0", grant, 0.0, 0.0, grant.wire_size())
-        w1._handle_message(message)
+        w1.receive(grant, 0.0)
         assert len(w1.pool) == 1
         assert w1.pool.peek().code == donated_code
         assert w1.stats.work_grants_received == 1
@@ -104,58 +96,45 @@ class TestWorkerMessageHandling:
 
     def test_grant_of_covered_code_is_ignored(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
-        from repro.simulation.entity import QueuedMessage
-
         code = ROOT.child(0, 0)
         w1.tracker.table.add(code)
-        grant = WorkGrant(donor="w0", codes=(code,))
-        w1._handle_message(QueuedMessage("w0", grant, 0.0, 0.0, grant.wire_size()))
+        w1.receive(WorkGrant(donor="w0", codes=(code,)), 0.0)
         assert len(w1.pool) == 0
         assert w1.stats.work_grants_received == 0
 
     def test_report_merging_updates_table_and_incumbent(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
-        from repro.simulation.entity import QueuedMessage
-
         report = WorkReport.build("w0", [ROOT.child(0, 1)], best=BestSolution(50.0, "w0"))
-        msg = WorkReportMsg(report)
-        w1._handle_message(QueuedMessage("w0", msg, 0.0, 0.0, msg.wire_size()))
+        w1.receive(WorkReportMsg(report), 0.0)
         assert w1.tracker.table.covers(ROOT.child(0, 1))
         assert w1.incumbent.value == pytest.approx(50.0)
 
     def test_root_report_terminates_worker(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
         from repro.core.termination import make_root_report
-        from repro.simulation.entity import QueuedMessage
 
-        msg = WorkReportMsg(make_root_report("w0", best=BestSolution(10.0)))
-        w1._handle_message(QueuedMessage("w0", msg, 0.0, 0.0, msg.wire_size()))
+        w1.receive(WorkReportMsg(make_root_report("w0", best=BestSolution(10.0))), 0.0)
         assert w1.terminated
         assert w1.termination.detected_via == "root_report"
 
     def test_table_gossip_merging(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
         from repro.core.work_report import CompletedTableSnapshot
-        from repro.simulation.entity import QueuedMessage
 
         snapshot = CompletedTableSnapshot("w0", frozenset({ROOT.child(0, 0)}))
-        msg = TableGossipMsg(snapshot)
-        w1._handle_message(QueuedMessage("w0", msg, 0.0, 0.0, msg.wire_size()))
+        w1.receive(TableGossipMsg(snapshot), 0.0)
         assert w1.tracker.table.covers(ROOT.child(0, 0))
 
     def test_best_solution_not_adopted_when_sharing_disabled(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair(share_best_solution=False)
-        from repro.simulation.entity import QueuedMessage
-
         report = WorkReport.build("w0", [ROOT.child(0, 1)], best=BestSolution(50.0, "w0"))
-        msg = WorkReportMsg(report)
-        w1._handle_message(QueuedMessage("w0", msg, 0.0, 0.0, msg.wire_size()))
+        w1.receive(WorkReportMsg(report), 0.0)
         assert w1.incumbent.value is None
 
 
-def deliver(worker, sender, payload):
-    """Hand one message to a worker's handler (no engine run)."""
-    return worker._handle_message(QueuedMessage(sender, payload, 0.0, 0.0, 32))
+def deliver(worker, payload, now=0.0):
+    """Hand one payload to a worker's protocol core (no engine run)."""
+    return worker.receive(payload, now)
 
 
 class TestWorkRequestTiming:
@@ -164,14 +143,14 @@ class TestWorkRequestTiming:
 
     def test_only_the_asked_donor_frees_the_request_slot(self):
         engine, network, problem, tree, (w0, w1, w2) = make_worker_pair(3)
-        w1._outstanding_request = ("w2", 0.0, 1)
+        w1.outstanding_request = ("w2", 0.0, 1)
         # A late denial of a request that already timed out at w0: still a
         # failed attempt, but the request outstanding at w2 stays outstanding.
-        deliver(w1, "w0", WorkDenied("w0"))
-        assert w1._outstanding_request == ("w2", 0.0, 1)
+        deliver(w1, WorkDenied("w0"))
+        assert w1.outstanding_request == ("w2", 0.0, 1)
         assert w1.recovery.consecutive_failures == 1
-        deliver(w1, "w2", WorkDenied("w2"))
-        assert w1._outstanding_request is None
+        deliver(w1, WorkDenied("w2"))
+        assert w1.outstanding_request is None
         assert w1.recovery.consecutive_failures == 2
 
     @staticmethod
@@ -185,14 +164,9 @@ class TestWorkRequestTiming:
         return w1, timers
 
     @staticmethod
-    def at(worker, now):
-        """Set the worker's clock (the engine is never run here)."""
-        worker._now = lambda: now
-
-    @staticmethod
     def receive_after(worker, transit):
         """Hand the worker a message that spent ``transit`` s on the wire."""
-        worker._handle_message(QueuedMessage("w0", WorkDenied("w0"), 0.0, transit, 32))
+        worker.receive(WorkDenied("w0"), 0.0, transit)
 
     @pytest.mark.parametrize("node_cost", [3.35, 0.01])
     def test_request_times_out_after_one_node_cost(self, node_cost):
@@ -202,7 +176,7 @@ class TestWorkRequestTiming:
         # round trip) is inside one node at both grains.
         w1, timers = self.starved_worker(node_cost)
         self.receive_after(w1, 0.002)
-        w1._handle_starvation()
+        w1.handle_starvation(0.0)
         assert w1.stats.work_requests_sent == 1
         assert timers == [(pytest.approx(node_cost), "lb-timeout:1")]
 
@@ -211,11 +185,11 @@ class TestWorkRequestTiming:
         # takes 4 ms, so one node cost would time out every request.
         w1, timers = self.starved_worker(0.001)
         self.receive_after(w1, 0.002)
-        w1._handle_starvation()
+        w1.handle_starvation(0.0)
         assert timers == [(pytest.approx(4 * 0.002), "lb-timeout:1")]
         # The transit is a moving average over every message received.
         self.receive_after(w1, 0.012)
-        assert w1._request_timeout() == pytest.approx(4 * (0.9 * 0.002 + 0.1 * 0.012))
+        assert w1.request_timeout() == pytest.approx(4 * (0.9 * 0.002 + 0.1 * 0.012))
 
     @pytest.mark.parametrize(
         "node_cost, pace", [(3.35, IDLE_PACE_CAP), (0.01, 0.01), (0.001, 4 * 0.002)]
@@ -223,18 +197,15 @@ class TestWorkRequestTiming:
     def test_poll_and_retry_spacing_is_the_capped_request_timeout(self, node_cost, pace):
         w1, timers = self.starved_worker(node_cost)
         self.receive_after(w1, 0.002)
-        w1._go_idle(0.0, 0.0)
+        w1.go_idle(0.0, 0.0)
         assert timers == [(pytest.approx(pace), "idle-poll")]
         # A request at 0: slightly less than one pace later the next one is
         # held back, one pace later it goes.
-        self.at(w1, 0.0)
-        w1._handle_starvation()
-        w1._outstanding_request = None  # answered
-        self.at(w1, 0.9 * pace)
-        w1._handle_starvation()
+        w1.handle_starvation(0.0)
+        w1.outstanding_request = None  # answered
+        w1.handle_starvation(0.9 * pace)
         assert w1.stats.work_requests_sent == 1
-        self.at(w1, pace)
-        w1._handle_starvation()
+        w1.handle_starvation(pace)
         assert w1.stats.work_requests_sent == 2
 
     def test_starved_workers_with_one_table_recover_different_subtrees(self):
@@ -245,10 +216,10 @@ class TestWorkRequestTiming:
         known = WorkReport.build("w0", [leaf.code for leaf in tree.leaves()[::2]])
         picks = []
         for worker in workers[1:]:
-            deliver(worker, "w0", WorkReportMsg(known))
+            deliver(worker, WorkReportMsg(known))
             for _ in range(worker.config.recovery_failed_threshold):
                 worker.recovery.note_request_failed(-1.0)
-            worker._handle_starvation()
+            worker.handle_starvation(0.0)
             assert worker.stats.recovery_activations == 1
             picks.append(worker.recovery.stats.regenerated[0])
         assert picks[0] != picks[1]
@@ -262,11 +233,11 @@ class TestWorkRequestTiming:
         # It has heard of completed work but expanded nothing, and no cost
         # was expected: failed requests alone must not make it recover.
         engine, network, problem, tree, (w0, w1) = make_worker_pair(expected_node_cost=0.0)
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [ROOT.child(0, 1)])))
-        assert w1._may_recover(0.0)
-        floor = w1._bootstrap_timeout()
-        assert w1._effective_idle_threshold() == floor
-        w1.recovery.idle_time_threshold = w1._effective_idle_threshold()
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [ROOT.child(0, 1)])))
+        assert w1.may_recover(0.0)
+        floor = w1.bootstrap_timeout()
+        assert w1.stall_threshold() == floor
+        w1.recovery.idle_time_threshold = w1.stall_threshold()
         for attempt in range(w1.config.recovery_failed_threshold):
             w1.recovery.note_request_failed(0.1 * attempt)
         assert w1.recovery.evaluate(w1.tracker, 1.0).code is None
@@ -287,13 +258,12 @@ class TestWalkPastIdlePeers:
         sent, timers = [], []
         w1.send = lambda target, payload: sent.append((target, payload))
         w1.set_timer = lambda delay, reason: timers.append((delay, reason))
-        w1._now = lambda: 0.0
         return w1, sent, problem
 
     def test_coarse_grain_requests_walk_and_fine_grain_ones_do_not(self):
         for node_cost, kind in ((3.35, WalkRequest), (0.01, WorkRequest)):
             w1, sent, _ = self.recording(node_cost=node_cost)
-            w1._handle_starvation()
+            w1.handle_starvation(0.0)
             requests = [msg for _, msg in sent if isinstance(msg, (WorkRequest, WalkRequest))]
             assert [type(msg) for msg in requests] == [kind]
         assert requests[0] == WorkRequest("w1")
@@ -301,7 +271,7 @@ class TestWalkPastIdlePeers:
     def test_idle_worker_forwards_to_a_peer_other_than_the_requester(self):
         w1, sent, _ = self.recording()
         for hops in range(20):
-            deliver(w1, "w3", WalkRequest("w0", 7, hops % 3))
+            deliver(w1, WalkRequest("w0", 7, hops % 3))
         assert len(sent) == 20
         assert all(target not in ("w0", "w1") for target, _ in sent)
         assert {target for target, _ in sent} == {"w2", "w3", "w4"}
@@ -317,46 +287,44 @@ class TestWalkPastIdlePeers:
         w1, sent, _ = self.recording()
         limit = pacing.walk_hops(3.35, 0.0, len(w1.peers))
         assert limit == 3  # four peers
-        deliver(w1, "w3", WalkRequest("w0", 7, limit))
+        deliver(w1, WalkRequest("w0", 7, limit))
         assert sent == [("w0", WalkDenied("w1", 7, exhausted=True))]
 
     def test_busy_worker_answers_as_before(self):
         w1, sent, problem = self.recording()
         w1.pool.push(problem.root_subproblem())
-        deliver(w1, "w3", WalkRequest("w0", 7, 2))
+        deliver(w1, WalkRequest("w0", 7, 2))
         # A pool of one gives nothing: a plain denial, not an exhausted one.
         assert sent == [("w0", WalkDenied("w1", 7))]
         root = problem.root_subproblem()
         for child, _bound in w1.expander.expand(root, None).children:
             w1.pool.push(child)
         sent.clear()
-        deliver(w1, "w3", WalkRequest("w0", 8, 2))
+        deliver(w1, WalkRequest("w0", 8, 2))
         assert [(target, type(msg)) for target, msg in sent] == [("w0", WorkGrant)]
 
     def test_denial_frees_the_slot_by_sequence_and_exhaustion_backs_off(self):
         w1, sent, _ = self.recording()
-        w1._handle_starvation()
-        assert w1._outstanding_request[2] == 1
+        w1.handle_starvation(0.0)
+        assert w1.outstanding_request[2] == 1
         # An answer to an older request leaves the current one outstanding.
-        deliver(w1, "w4", WalkDenied("w4", 0, exhausted=True))
-        assert w1._outstanding_request is not None
+        deliver(w1, WalkDenied("w4", 0, exhausted=True))
+        assert w1.outstanding_request is not None
         assert w1.stats.walks_exhausted == 0
-        deliver(w1, "w4", WalkDenied("w4", 1, exhausted=True))
-        assert w1._outstanding_request is None
+        deliver(w1, WalkDenied("w4", 1, exhausted=True))
+        assert w1.outstanding_request is None
         assert w1.stats.walks_exhausted == 1
         assert w1.recovery.consecutive_failures == 2
-        pause = pacing.request_pause(w1._avg_node_cost, w1._avg_transit, True)
+        pause = pacing.request_pause(w1.avg_node_cost, w1.avg_transit, True)
         assert pause == pytest.approx(1.5 * pacing.push_interval(3.35))
-        w1._now = lambda: 0.99 * pause
-        w1._handle_starvation()
+        w1.handle_starvation(0.99 * pause)
         assert w1.stats.work_requests_sent == 1
-        w1._now = lambda: pause
-        w1._handle_starvation()
+        w1.handle_starvation(pause)
         assert w1.stats.work_requests_sent == 2
         # A denial that is not exhausted paces the next request as usual.
-        deliver(w1, "w4", WalkDenied("w4", 2))
-        assert w1._outstanding_request is None
-        assert not w1._walk_exhausted
+        deliver(w1, WalkDenied("w4", 2))
+        assert w1.outstanding_request is None
+        assert not w1.walk_exhausted
 
 
 class TestPushedDonations:
@@ -374,36 +342,43 @@ class TestPushedDonations:
             w0.pool.push(problem.rebuild_subproblem(code))
         assert len(w0.pool) == 3
         delta = w1.tracker.build_delta_snapshot("w0")
-        w0._now = lambda: 10.0 - heard_ago
-        w0._handle_message(QueuedMessage("w1", DeltaGossipMsg(delta), 0.0, 0.0, 32))
-        w0._now = lambda: 10.0
+        w0.receive(DeltaGossipMsg(delta), 10.0 - heard_ago)
         sent = []
         w0.send = lambda target, payload: sent.append((target, payload))
         # The pool size when the worker pops its own next node.
         kept = []
-        next_uncovered = w0._next_uncovered_subproblem
+        next_uncovered = w0.next_uncovered_subproblem
 
         def recording_pick():
             kept.append(len(w0.pool))
             return next_uncovered()
 
-        w0._next_uncovered_subproblem = recording_pick
+        w0.next_uncovered_subproblem = recording_pick
         return w0, right, sent, kept
+
+    @staticmethod
+    def step_at_ten(w0):
+        """One expansion boundary at t = 10 s: the core's step, then the
+        expansion of the subproblem it picked, as the simulated step does."""
+        sub = w0.step(10.0)
+        if sub is not None:
+            w0.expand(sub, 10.0)
 
     def test_fresh_starved_peer_gets_one_subproblem_unasked(self):
         w0, shallowest, sent, kept = self.busy_worker_heard_from_w1(1.0)
-        w0._step()
+        self.step_at_ten(w0)
         grants = [(to, msg.codes) for to, msg in sent if isinstance(msg, WorkGrant)]
         assert grants == [("w1", (shallowest,))]
         assert w0.stats.work_pushes_sent == 1 and w0.stats.work_grants_sent == 0
         assert kept == [2]
         # w1 was forgotten: the next boundary pushes nothing more.
-        w0._step()
+        assert len(w0.pool) >= 2
+        self.step_at_ten(w0)
         assert w0.stats.work_pushes_sent == 1
 
     def test_stale_signal_pushes_nothing(self):
         w0, _, sent, kept = self.busy_worker_heard_from_w1(3.5)
-        w0._step()
+        self.step_at_ten(w0)
         assert not any(isinstance(msg, WorkGrant) for _, msg in sent)
         assert kept == [3]
         assert w0.stats.work_pushes_sent == 0
@@ -426,14 +401,14 @@ class TestWorkerLifecycle:
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
         now = 0.0
         # w1 is blank (no work done, empty table): it may not recover yet.
-        assert not w1._may_recover(now)
+        assert not w1.may_recover(now)
         # After the bootstrap timeout of uninterrupted blank starvation it may.
-        assert w1._may_recover(now + w1._bootstrap_timeout() + 1.0)
+        assert w1.may_recover(now + w1.bootstrap_timeout() + 1.0)
 
     def test_recovery_allowed_once_table_nonempty(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
         w1.tracker.table.add(ROOT.child(0, 0))
-        assert w1._may_recover(0.0)
+        assert w1.may_recover(0.0)
 
     def test_finalize_stats_reports_time_and_storage(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
@@ -449,14 +424,11 @@ class TestWorkerLifecycle:
 
     def test_received_code_counters_survive_a_restart(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
-        from repro.simulation.entity import QueuedMessage
-
         msg = WorkReportMsg(WorkReport.build("w0", [ROOT.child(0, 1)]))
-        delivery = QueuedMessage("w0", msg, 0.0, 0.0, msg.wire_size())
-        w1._handle_message(delivery)
-        w1._handle_message(delivery)  # the same code again: redundant
+        deliver(w1, msg)
+        deliver(w1, msg)  # the same code again: redundant
         w1.reset_for_rejoin()  # the tracker that counted those is discarded
-        w1._handle_message(delivery)  # news again to the blank table
+        deliver(w1, msg)  # news again to the blank table
         stats = w1.finalize_stats()
         assert (stats.codes_received, stats.codes_received_redundant) == (3, 1)
         row = stats.as_dict()
@@ -505,11 +477,11 @@ class TestStepFastPath:
             report_threshold=2, table_gossip_interval=None
         )
         w0.on_start()
-        assert not w0._report_work_due(0.0)
+        assert not w0.report_work_due(0.0)
         w0.tracker.record_completed(ROOT.child(0, 0), now=0.0)
-        assert not w0._report_work_due(0.0)  # below threshold, no staleness
+        assert not w0.report_work_due(0.0)  # below threshold, no staleness
         w0.tracker.record_completed(ROOT.child(0, 1), now=0.0)
-        assert w0._report_work_due(0.0)  # threshold reached
+        assert w0.report_work_due(0.0)  # threshold reached
 
 
 class TestIdleGossipCadence:
@@ -527,13 +499,13 @@ class TestIdleGossipCadence:
             recovery_bootstrap_timeout=1e9,
         )
         times = []
-        send_table_gossip = w1._send_table_gossip
+        send_table_gossip = w1.send_table_gossip
 
         def recording(now):
             times.append(now)
             return send_table_gossip(now)
 
-        w1._send_table_gossip = recording
+        w1.send_table_gossip = recording
         w0.on_start()
         w1.on_start()
         engine.run(until=self.STARVED_SECONDS)
@@ -589,10 +561,10 @@ class TestNewsForRedoneWork:
 
     def test_report_that_teaches_nothing_is_answered_with_one_delta(self):
         w1, sent, left, grandchild, right = self.recording()
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [grandchild, right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [grandchild, right])))
         assert sent == []
         # w2 completed only a code w1 already covered: it lacks w1's news.
-        deliver(w1, "w2", WorkReportMsg(WorkReport.build("w2", [grandchild])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w2", [grandchild])))
         assert [(to, delta.codes) for to, delta in self.deltas(sent)] == [
             ("w2", frozenset({right}))
         ]
@@ -601,8 +573,8 @@ class TestNewsForRedoneWork:
 
     def test_fresh_report_is_not_answered(self):
         w1, sent, left, grandchild, right = self.recording()
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
-        deliver(w1, "w2", WorkReportMsg(WorkReport.build("w2", [grandchild])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w2", [grandchild])))
         assert sent == []
         assert w1.stats.news_answers_sent == 0
 
@@ -610,7 +582,7 @@ class TestNewsForRedoneWork:
         # One covered code next to a new one reads as gossip that outran
         # the report, not as redone work.
         w1, sent, left, grandchild, right = self.recording()
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [right])))
         deliver(
             w1, "w2", WorkReportMsg(WorkReport.build("w2", [right, grandchild.sibling()]))
         )
@@ -618,16 +590,16 @@ class TestNewsForRedoneWork:
 
     def test_sender_that_knows_everything_gets_no_answer(self):
         w1, sent, left, grandchild, right = self.recording()
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [right])))
         # w0 re-reports what it sent: w1 knows nothing w0 does not.
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [right])))
         assert sent == []
 
     def test_pull_is_answered_with_the_receivers_delta_not_an_ack(self):
         w1, sent, left, grandchild, right = self.recording()
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [right])))
         pull = DeltaSnapshot("w2", frozenset(), full_digest=table_digest(frozenset()))
-        deliver(w1, "w2", DeltaGossipMsg(pull))
+        deliver(w1, DeltaGossipMsg(pull))
         assert [(to, delta.codes) for to, delta in self.deltas(sent)] == [
             ("w2", frozenset({right}))
         ]
@@ -637,19 +609,19 @@ class TestNewsForRedoneWork:
     def test_pull_gets_nothing_when_the_receiver_has_no_news(self):
         w1, sent, left, grandchild, right = self.recording()
         blank = DeltaSnapshot("w2", frozenset(), full_digest=table_digest(frozenset()))
-        deliver(w1, "w2", DeltaGossipMsg(blank))
+        deliver(w1, DeltaGossipMsg(blank))
         assert sent == []
         # A puller whose table equals the receiver's gets nothing either.
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [right])))
         same = DeltaSnapshot("w2", frozenset(), full_digest=w1.tracker.table_digest_now())
-        deliver(w1, "w2", DeltaGossipMsg(same))
+        deliver(w1, DeltaGossipMsg(same))
         assert sent == []
         assert w1.stats.news_answers_sent == 0
 
     def test_starting_a_recovery_pulls_from_report_fanout_peers(self):
         w1, sent, left, grandchild, right = self.recording(n_workers=5, report_fanout=3)
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [right])))
-        w1._start_recovery(grandchild)
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [right])))
+        w1.start_recovery(grandchild, 0.0)
         assert len(w1.pool) == 1  # the worker expands at once, not after answers
         pulls = self.deltas(sent)
         assert len(pulls) == len(sent) == 3 == w1.stats.news_pulls_sent
@@ -659,18 +631,18 @@ class TestNewsForRedoneWork:
 
     def test_without_delta_gossip_nothing_asks_or_answers(self):
         w1, sent, left, grandchild, right = self.recording(delta_gossip=False)
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [grandchild, right])))
-        deliver(w1, "w2", WorkReportMsg(WorkReport.build("w2", [grandchild])))
-        w1._start_recovery(left)
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [grandchild, right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w2", [grandchild])))
+        w1.start_recovery(left, 0.0)
         assert sent == []
 
     def test_terminated_worker_answers_nothing(self):
         w1, sent, left, grandchild, right = self.recording()
-        deliver(w1, "w0", WorkReportMsg(WorkReport.build("w0", [left, right])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w0", [left, right])))
         assert w1.terminated
         # A report that teaches nothing, and a pull: neither is answered.
-        deliver(w1, "w2", WorkReportMsg(WorkReport.build("w2", [grandchild])))
+        deliver(w1, WorkReportMsg(WorkReport.build("w2", [grandchild])))
         blank = DeltaSnapshot("w2", frozenset(), full_digest=table_digest(frozenset()))
-        deliver(w1, "w2", DeltaGossipMsg(blank))
+        deliver(w1, DeltaGossipMsg(blank))
         assert sent == []
         assert w1.stats.news_answers_sent == 0

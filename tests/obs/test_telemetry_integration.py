@@ -193,7 +193,7 @@ class TestRealexecTelemetry:
         assert "router_messages_forwarded" in families
         assert "worker_frames_received" in families
         # Pushed grants are counted apart from requested ones.
-        assert "worker_pushes_sent" in families
+        assert "worker_work_pushes_sent" in families
         # News counters reach the result through the workers' telemetry.
         assert "worker_news_pulls_sent" in families
         assert result.news_pulls_sent == telemetry.metrics.total("worker_news_pulls_sent")

@@ -142,7 +142,8 @@ class TestNewsOnRealWorker:
         left, grandchild, right = codes
         # Nobody answers w1's requests: with 10 ms nodes it suspects loss
         # after a few request timeouts and regenerates a missing subtree.
-        thread, ours = start_worker(tree, node_sleep=0.01, report_fanout=2, telemetry=True)
+        fanout_2 = RealWorkerConfig.config.with_overrides(report_fanout=2)
+        thread, ours = start_worker(tree, node_sleep=0.01, config=fanout_2, telemetry=True)
         send_envelope(ours, Envelope("w0", "w1", report("w0", grandchild)))
         thread.start()
         sent = []
@@ -162,7 +163,7 @@ class TestNewsOnRealWorker:
         assert len(targets) == 2 and "w1" not in targets
         (telemetry,) = [e.payload for e in sent if isinstance(e.payload, WorkerTelemetry)]
         counters = telemetry.decoded()["metrics"]["counters"]
-        recoveries = counters["worker_recoveries{worker=w1}"]
+        recoveries = counters["worker_recovery_activations{worker=w1}"]
         assert recoveries >= 1
         assert counters["worker_news_pulls_sent{worker=w1}"] == 2 * recoveries
         assert "worker_news_answers_sent{worker=w1}" in counters

@@ -9,7 +9,7 @@ import pytest
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
 from repro.core.work_report import BestSolution
 from repro.distributed.messages import WorkRequest
-from repro.realexec.driver import LocalCluster
+from repro.realexec.driver import LocalCluster, LocalClusterResult
 from repro.realexec.node import WorkerOutcome
 from repro.realexec.transport import (
     Envelope,
@@ -232,6 +232,23 @@ class TestLocalCluster:
             LocalCluster(small_tree, 2, wire_generations=[1, 0])
         with pytest.raises(ValueError):
             LocalCluster(small_tree, 2, wire_generations=[99, 2])
+
+
+class TestNoVacuousSuccess:
+    def test_survivors_without_a_best_value_are_not_correct(self):
+        result = LocalClusterResult(n_workers=2, reference_optimum=5.0)
+        result.outcomes = {
+            name: WorkerOutcome(name, True, None, 3, 1, 0) for name in ("rworker-00", "rworker-01")
+        }
+        assert result.best_value is None
+        assert result.solved_correctly is False
+        # A departed worker's value does not count for the survivors.
+        result.outcomes["rworker-02"] = WorkerOutcome("rworker-02", True, 5.0, 3, 1, 0)
+        result.killed = ["rworker-02"]
+        assert result.solved_correctly is False
+        # Only a run with no reference optimum cannot be judged.
+        result.reference_optimum = None
+        assert result.solved_correctly is None
 
 
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
