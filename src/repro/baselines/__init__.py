@@ -8,37 +8,32 @@
   recovers from worker failures by redoing handed-out work but depends on a
   reliable root machine for termination.
 
-Both baselines run on the same simulation substrate and problem interface as
-the paper's algorithm, so the fault-tolerance benchmarks compare mechanisms,
+Both run on one harness, :mod:`repro.baselines.harness`: one runner sets up
+the engine, network and failure injector, stops the run and assembles one
+:class:`BaselineRunResult` with the same counters for either design.  The
+harness runs on the same simulation substrate and problem interface as the
+paper's algorithm, so the fault-tolerance benchmarks compare mechanisms,
 not implementations.
 """
 
 from .central import (
     CentralManagerEntity,
-    CentralRunResult,
     CentralWorkerEntity,
-    central_message_kind,
     central_worker_names,
     run_central_simulation,
 )
-from .dib import (
-    DibRunResult,
-    DibWorkerEntity,
-    dib_message_kind,
-    dib_worker_names,
-    run_dib_simulation,
-)
+from .dib import DibWorkerEntity, dib_worker_names, run_dib_simulation
+from .harness import BaselineEntity, BaselineRunResult, run_baseline
 
 __all__ = [
+    "BaselineEntity",
+    "BaselineRunResult",
+    "run_baseline",
     "CentralManagerEntity",
     "CentralWorkerEntity",
-    "CentralRunResult",
     "central_worker_names",
-    "central_message_kind",
     "run_central_simulation",
     "DibWorkerEntity",
-    "DibRunResult",
     "dib_worker_names",
-    "dib_message_kind",
     "run_dib_simulation",
 ]

@@ -7,15 +7,18 @@ clearly not scalable, this approach simplifies the management of information
 and multiple processes … the central manager remains an obstacle to both
 scalability and fault tolerance."
 
-This module implements that design on the same simulation substrate so the
-fault-tolerance benchmarks can compare behaviours quantitatively:
+This module holds that design's messages and entities and how it starts;
+the shared harness (:mod:`repro.baselines.harness`) runs it on the same
+simulation substrate, so the fault-tolerance benchmarks can compare
+behaviours quantitatively:
 
 * the **manager** keeps the global pool, the incumbent and the list of
   outstanding assignments;
 * **workers** request a subproblem, expand it, send back the children (or the
   completion) and ask for more;
 * crash of a *worker* loses only its in-flight subproblem, which the manager
-  re-issues after a timeout (classic centralised checkpointing);
+  re-issues after a timeout (classic centralised checkpointing; each re-issue
+  counts as one of the manager's recoveries);
 * crash of the *manager* is fatal — the computation never terminates — which
   is exactly the single-point-of-failure the paper's decentralised design
   removes.
@@ -23,19 +26,17 @@ fault-tolerance benchmarks can compare behaviours quantitatively:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..bnb.pool import SelectionRule, SubproblemPool
-from ..bnb.problem import BranchAndBoundProblem, Subproblem
+from ..bnb.problem import BranchAndBoundProblem, Subproblem, worse_than
 from ..bnb.sequential import NodeExpander
 from ..core.encoding import PathCode
-from ..simulation.engine import SimulationEngine
-from ..simulation.entity import Entity, QueuedMessage
-from ..simulation.failures import CrashEvent, FailureInjector
-from ..simulation.network import Network
+from ..simulation.entity import QueuedMessage
+from ..simulation.failures import CrashEvent
 from ..simulation.rng import RngRegistry
+from .harness import BaselineEntity, BaselineRunResult, Cast, run_baseline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..distributed.runner import NetworkConfig
@@ -43,12 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CentralTaskRequest",
     "CentralTaskAssignment",
+    "CentralNoWork",
     "CentralResult",
-    "CentralRunResult",
     "CentralManagerEntity",
     "CentralWorkerEntity",
     "central_worker_names",
-    "central_message_kind",
     "run_central_simulation",
 ]
 
@@ -58,19 +58,6 @@ def central_worker_names(n: int) -> List[str]:
     return [f"cworker-{i:02d}" for i in range(n)]
 
 
-def central_message_kind(payload: object) -> str:
-    """Classify a centralised-protocol payload for per-kind traffic stats."""
-    if isinstance(payload, CentralTaskRequest):
-        return "task_request"
-    if isinstance(payload, CentralTaskAssignment):
-        return "task_assignment"
-    if isinstance(payload, CentralNoWork):
-        return "no_work"
-    if isinstance(payload, CentralResult):
-        return "task_result"
-    return "unknown"
-
-
 # --------------------------------------------------------------------------- #
 # Messages
 # --------------------------------------------------------------------------- #
@@ -78,6 +65,7 @@ def central_message_kind(payload: object) -> str:
 class CentralTaskRequest:
     """Worker asking the manager for a subproblem."""
 
+    kind: ClassVar[str] = "task_request"
     worker: str
 
     def wire_size(self) -> int:
@@ -88,6 +76,7 @@ class CentralTaskRequest:
 class CentralTaskAssignment:
     """Manager handing a subproblem (by code) to a worker."""
 
+    kind: ClassVar[str] = "task_assignment"
     code: PathCode
     incumbent: Optional[float]
 
@@ -99,6 +88,7 @@ class CentralTaskAssignment:
 class CentralNoWork:
     """Manager telling a worker there is currently nothing to hand out."""
 
+    kind: ClassVar[str] = "no_work"
     terminated: bool
 
     def wire_size(self) -> int:
@@ -109,6 +99,7 @@ class CentralNoWork:
 class CentralResult:
     """Worker returning the outcome of one expansion to the manager."""
 
+    kind: ClassVar[str] = "task_result"
     worker: str
     code: PathCode
     child_codes: Tuple[PathCode, ...]
@@ -126,7 +117,7 @@ class CentralResult:
 # --------------------------------------------------------------------------- #
 # Entities
 # --------------------------------------------------------------------------- #
-class CentralManagerEntity(Entity):
+class CentralManagerEntity(BaselineEntity):
     """The central manager: global pool, incumbent, assignment tracking."""
 
     def __init__(
@@ -137,22 +128,15 @@ class CentralManagerEntity(Entity):
         *,
         reassign_timeout: float = 2.0,
     ) -> None:
-        super().__init__(name)
-        self.problem = problem
+        super().__init__(name, problem)
         self.worker_names = list(worker_names)
         self.reassign_timeout = reassign_timeout
         self.pool: SubproblemPool = SubproblemPool(
             SelectionRule.BEST_FIRST, minimize=problem.minimize
         )
-        self.incumbent: Optional[float] = None
         #: code -> (worker, assigned_at) for in-flight subproblems.
         self.outstanding: Dict[PathCode, Tuple[str, float]] = {}
-        self.terminated = False
-        self.terminated_at: Optional[float] = None
         self.nodes_completed = 0
-        #: Recovery actions taken: subproblems re-queued after their worker
-        #: went silent (the centralised design's fault-tolerance counter).
-        self.reassignments = 0
 
     def on_start(self) -> None:
         root = self.problem.root_subproblem()
@@ -179,7 +163,7 @@ class CentralManagerEntity(Entity):
         for code, (worker, assigned_at) in list(self.outstanding.items()):
             if now - assigned_at >= self.reassign_timeout:
                 del self.outstanding[code]
-                self.reassignments += 1
+                self.recoveries += 1
                 sub = self.problem.rebuild_subproblem(code)
                 if sub is not None:
                     self.pool.push(sub, bound=self.problem.bound(sub.state))
@@ -199,8 +183,6 @@ class CentralManagerEntity(Entity):
         while self.pool:
             sub = self.pool.pop()
             bound = self.problem.bound(sub.state)
-            from ..bnb.problem import worse_than
-
             if worse_than(bound, self.incumbent, minimize=self.problem.minimize):
                 self.nodes_completed += 1  # pruned at the manager
                 continue
@@ -212,10 +194,7 @@ class CentralManagerEntity(Entity):
     def _absorb_result(self, result: CentralResult, now: float) -> None:
         self.outstanding.pop(result.code, None)
         self.nodes_completed += 1
-        if result.incumbent is not None and self.problem.is_improvement(
-            result.incumbent, self.incumbent
-        ):
-            self.incumbent = result.incumbent
+        self.adopt(result.incumbent)
         for code in result.child_codes:
             sub = self.problem.rebuild_subproblem(code)
             if sub is not None:
@@ -231,7 +210,7 @@ class CentralManagerEntity(Entity):
         return self.terminated
 
 
-class CentralWorkerEntity(Entity):
+class CentralWorkerEntity(BaselineEntity):
     """A worker in the centralised design: fetch, expand, report, repeat."""
 
     def __init__(
@@ -243,15 +222,11 @@ class CentralWorkerEntity(Entity):
         retry_interval: float = 1.0,
         nowork_retry_interval: float = 0.2,
     ) -> None:
-        super().__init__(name)
-        self.problem = problem
+        super().__init__(name, problem)
         self.manager = manager
         self.retry_interval = retry_interval
         self.nowork_retry_interval = nowork_retry_interval
         self.expander = NodeExpander(problem)
-        self.incumbent: Optional[float] = None
-        self.terminated = False
-        self.nodes_expanded = 0
         self._waiting = False
         self._busy = False
         self._pending: Optional[Tuple[PathCode, Subproblem]] = None
@@ -297,10 +272,7 @@ class CentralWorkerEntity(Entity):
         payload = message.payload
         if isinstance(payload, CentralTaskAssignment):
             self._waiting = False
-            if payload.incumbent is not None and self.problem.is_improvement(
-                payload.incumbent, self.incumbent
-            ):
-                self.incumbent = payload.incumbent
+            self.adopt(payload.incumbent)
             if self._busy:
                 self._backlog.append(payload.code)
             else:
@@ -349,37 +321,8 @@ class CentralWorkerEntity(Entity):
 
 
 # --------------------------------------------------------------------------- #
-# Runner
+# Entry point
 # --------------------------------------------------------------------------- #
-@dataclass
-class CentralRunResult:
-    """Result of a centralised-baseline run."""
-
-    n_workers: int
-    makespan: float
-    best_value: Optional[float]
-    terminated: bool
-    manager_crashed: bool
-    crashed_workers: List[str] = field(default_factory=list)
-    nodes_expanded: int = 0
-    total_bytes_sent: int = 0
-    #: Subproblems the manager re-queued after their worker went silent.
-    reassignments: int = 0
-    #: Messages injected into the network.
-    messages_sent: int = 0
-    #: Bytes injected per protocol message kind (:func:`central_message_kind`).
-    bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Nodes expanded per worker.
-    nodes_by_worker: Dict[str, int] = field(default_factory=dict)
-    #: Workers that learned of termination before the run ended.
-    terminated_workers: List[str] = field(default_factory=list)
-
-    @property
-    def solved(self) -> bool:
-        """True when the manager detected termination (work all accounted for)."""
-        return self.terminated
-
-
 def run_central_simulation(
     problem: BranchAndBoundProblem,
     n_workers: int,
@@ -389,7 +332,7 @@ def run_central_simulation(
     network: Optional["NetworkConfig"] = None,
     max_sim_time: float = 10_000.0,
     reassign_timeout: float = 2.0,
-) -> CentralRunResult:
+) -> BaselineRunResult:
     """Run the centralised manager/worker baseline and return its result.
 
     ``failures`` may name workers or the manager (``"manager"``); crashing the
@@ -401,64 +344,20 @@ def run_central_simulation(
     network.  This function itself is superseded by the unified Scenario API
     (``repro.scenario``, backend ``"central"``); prefer that for experiments.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
-    rng = RngRegistry(seed)
-    engine = SimulationEngine()
-    link = {}  # Network's own defaults are the paper's lossless network
-    if network is not None:
-        link = dict(
-            latency=network.latency,
-            loss_probability=network.loss_probability,
-            partitions=network.partitions,
+
+    def cast(names: List[str], rng: RngRegistry) -> Cast:
+        manager = CentralManagerEntity(
+            "manager", problem, names, reassign_timeout=reassign_timeout
         )
-    net = Network(engine, rng=rng.stream("network"), **link)
-    net.classify = central_message_kind
+        return [CentralWorkerEntity(name, problem, "manager") for name in names], manager
 
-    names = central_worker_names(n_workers)
-    manager = CentralManagerEntity(
-        "manager", problem, names, reassign_timeout=reassign_timeout
-    )
-    net.register(manager)
-    workers = []
-    for name in names:
-        worker = CentralWorkerEntity(name, problem, "manager")
-        net.register(worker)
-        workers.append(worker)
-
-    injector = FailureInjector(failures)
-    injector.install(engine, net)
-
-    manager.on_start()
-    for worker in workers:
-        worker.on_start()
-
-    def _stop() -> bool:
-        if not manager.alive:
-            return False  # run until max_sim_time to show non-termination
-        return manager.terminated
-
-    engine.run(until=max_sim_time, stop_when=_stop)
-
-    crashed = [w.name for w in workers if not w.alive]
-    best = manager.incumbent
-    for worker in workers:
-        if worker.alive and worker.incumbent is not None:
-            if best is None or problem.is_improvement(worker.incumbent, best):
-                best = worker.incumbent
-
-    return CentralRunResult(
-        n_workers=n_workers,
-        makespan=manager.terminated_at if manager.terminated_at is not None else engine.now,
-        best_value=best,
-        terminated=manager.terminated,
-        manager_crashed=not manager.alive,
-        crashed_workers=crashed,
-        nodes_expanded=sum(w.nodes_expanded for w in workers),
-        total_bytes_sent=net.stats.bytes_sent,
-        reassignments=manager.reassignments,
-        messages_sent=net.stats.messages_sent,
-        bytes_by_kind=dict(net.kind_bytes),
-        nodes_by_worker={w.name: w.nodes_expanded for w in workers},
-        terminated_workers=[w.name for w in workers if w.alive and w.terminated],
+    return run_baseline(
+        problem,
+        n_workers,
+        central_worker_names,
+        cast,
+        failures=failures,
+        seed=seed,
+        network=network,
+        max_sim_time=max_sim_time,
     )

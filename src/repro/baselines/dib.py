@@ -21,7 +21,10 @@ fault-tolerance benchmarks demonstrate exactly this asymmetry: our algorithm
 survives the loss of all but one member, the DIB-style baseline does not
 survive the loss of its root machine.
 
-The implementation below runs on the same simulation substrate and the same
+This module holds the design's messages and its one entity, and seeds the
+original problem on ``dworker-00``; each redone problem counts as one of a
+machine's recoveries.  The shared harness (:mod:`repro.baselines.harness`)
+runs it on the same simulation substrate and the same
 :class:`~repro.bnb.problem.BranchAndBoundProblem` interface as the main
 algorithm, so the comparison isolates the recovery mechanism.
 """
@@ -29,19 +32,18 @@ algorithm, so the comparison isolates the recovery mechanism.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..bnb.pool import SelectionRule, SubproblemPool
-from ..bnb.problem import BranchAndBoundProblem, Subproblem
+from ..bnb.problem import BranchAndBoundProblem
 from ..bnb.sequential import NodeExpander
 from ..core.codeset import CodeSet
 from ..core.encoding import ROOT, PathCode
-from ..simulation.engine import SimulationEngine
-from ..simulation.entity import Entity, QueuedMessage
-from ..simulation.failures import CrashEvent, FailureInjector
-from ..simulation.network import Network
+from ..simulation.entity import QueuedMessage
+from ..simulation.failures import CrashEvent
 from ..simulation.rng import RngRegistry
+from .harness import BaselineEntity, BaselineRunResult, Cast, run_baseline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..distributed.runner import NetworkConfig
@@ -49,12 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DibWorkRequest",
     "DibWorkGrant",
+    "DibWorkDenied",
     "DibCompletionReport",
     "DibTerminationAnnounce",
     "DibWorkerEntity",
-    "DibRunResult",
     "dib_worker_names",
-    "dib_message_kind",
     "run_dib_simulation",
 ]
 
@@ -64,21 +65,6 @@ def dib_worker_names(n: int) -> List[str]:
     return [f"dworker-{i:02d}" for i in range(n)]
 
 
-def dib_message_kind(payload: object) -> str:
-    """Classify a DIB-protocol payload for per-kind traffic stats."""
-    if isinstance(payload, DibWorkRequest):
-        return "work_request"
-    if isinstance(payload, DibWorkGrant):
-        return "work_grant"
-    if isinstance(payload, DibWorkDenied):
-        return "work_denied"
-    if isinstance(payload, DibCompletionReport):
-        return "completion_report"
-    if isinstance(payload, DibTerminationAnnounce):
-        return "termination_announce"
-    return "unknown"
-
-
 # --------------------------------------------------------------------------- #
 # Messages
 # --------------------------------------------------------------------------- #
@@ -86,6 +72,7 @@ def dib_message_kind(payload: object) -> str:
 class DibWorkRequest:
     """A starving DIB worker asking a random peer for work."""
 
+    kind: ClassVar[str] = "work_request"
     requester: str
 
     def wire_size(self) -> int:
@@ -96,6 +83,7 @@ class DibWorkRequest:
 class DibWorkGrant:
     """Donated subproblems; the donor stays responsible for them."""
 
+    kind: ClassVar[str] = "work_grant"
     donor: str
     codes: Tuple[PathCode, ...]
     incumbent: Optional[float]
@@ -108,6 +96,7 @@ class DibWorkGrant:
 class DibWorkDenied:
     """Negative answer to a work request."""
 
+    kind: ClassVar[str] = "work_denied"
     donor: str
     incumbent: Optional[float]
 
@@ -119,6 +108,7 @@ class DibWorkDenied:
 class DibCompletionReport:
     """Completion of a received problem, reported to the machine it came from."""
 
+    kind: ClassVar[str] = "completion_report"
     worker: str
     code: PathCode
     incumbent: Optional[float]
@@ -131,6 +121,7 @@ class DibCompletionReport:
 class DibTerminationAnnounce:
     """Broadcast by the root machine when the original problem completes."""
 
+    kind: ClassVar[str] = "termination_announce"
     best_value: Optional[float]
 
     def wire_size(self) -> int:
@@ -149,7 +140,7 @@ class _Responsibility:
 # --------------------------------------------------------------------------- #
 # Worker
 # --------------------------------------------------------------------------- #
-class DibWorkerEntity(Entity):
+class DibWorkerEntity(BaselineEntity):
     """One machine of the DIB-style baseline."""
 
     def __init__(
@@ -165,8 +156,7 @@ class DibWorkerEntity(Entity):
         keep_at_least: int = 2,
         selection_rule: SelectionRule = SelectionRule.DEPTH_FIRST,
     ) -> None:
-        super().__init__(name)
-        self.problem = problem
+        super().__init__(name, problem)
         self.members = list(members)
         self.peers = [m for m in members if m != name]
         self.rng = rng if rng is not None else random.Random(0)
@@ -177,7 +167,6 @@ class DibWorkerEntity(Entity):
 
         self.expander = NodeExpander(problem)
         self.pool: SubproblemPool = SubproblemPool(selection_rule, minimize=problem.minimize)
-        self.incumbent: Optional[float] = None
         #: Everything this worker knows to be completed (its own work plus
         #: completion reports from machines it donated to).
         self.done = CodeSet()
@@ -186,10 +175,6 @@ class DibWorkerEntity(Entity):
         self.received_from: Dict[PathCode, str] = {}
         #: Problems handed out to other machines, still unconfirmed.
         self.handed_out: Dict[PathCode, _Responsibility] = {}
-        self.terminated = False
-        self.terminated_at: Optional[float] = None
-        self.nodes_expanded = 0
-        self.redone_problems = 0
         self._step_scheduled = False
         self._idle_poll_armed = False
         self._last_request: Optional[float] = None
@@ -247,7 +232,7 @@ class DibWorkerEntity(Entity):
             if donee_dead or (now - responsibility.sent_at) >= self.redo_timeout:
                 del self.handed_out[code]
                 sub = self.problem.rebuild_subproblem(code)
-                self.redone_problems += 1
+                self.recoveries += 1
                 if sub is None:
                     self._mark_done(code)
                 else:
@@ -327,22 +312,13 @@ class DibWorkerEntity(Entity):
         elif isinstance(payload, DibWorkGrant):
             self._accept_grant(payload)
         elif isinstance(payload, DibWorkDenied):
-            if payload.incumbent is not None and self.problem.is_improvement(
-                payload.incumbent, self.incumbent
-            ):
-                self.incumbent = payload.incumbent
+            self.adopt(payload.incumbent)
         elif isinstance(payload, DibCompletionReport):
-            if payload.incumbent is not None and self.problem.is_improvement(
-                payload.incumbent, self.incumbent
-            ):
-                self.incumbent = payload.incumbent
+            self.adopt(payload.incumbent)
             self.handed_out.pop(payload.code, None)
             self._mark_done(payload.code)
         elif isinstance(payload, DibTerminationAnnounce):
-            if payload.best_value is not None and self.problem.is_improvement(
-                payload.best_value, self.incumbent
-            ):
-                self.incumbent = payload.best_value
+            self.adopt(payload.best_value)
             self.terminated = True
             self.terminated_at = now
 
@@ -359,10 +335,7 @@ class DibWorkerEntity(Entity):
             self.send(requester, DibWorkDenied(donor=self.name, incumbent=self.incumbent))
 
     def _accept_grant(self, grant: DibWorkGrant) -> None:
-        if grant.incumbent is not None and self.problem.is_improvement(
-            grant.incumbent, self.incumbent
-        ):
-            self.incumbent = grant.incumbent
+        self.adopt(grant.incumbent)
         for code in grant.codes:
             self.received_from[code] = grant.donor
             sub = self.problem.rebuild_subproblem(code)
@@ -373,33 +346,8 @@ class DibWorkerEntity(Entity):
 
 
 # --------------------------------------------------------------------------- #
-# Runner
+# Entry point
 # --------------------------------------------------------------------------- #
-@dataclass
-class DibRunResult:
-    """Result of a DIB-baseline run."""
-
-    n_workers: int
-    makespan: float
-    best_value: Optional[float]
-    terminated: bool
-    root_machine_crashed: bool
-    crashed_workers: List[str] = field(default_factory=list)
-    nodes_expanded: int = 0
-    redone_problems: int = 0
-    total_bytes_sent: int = 0
-    #: Messages injected into the network.
-    messages_sent: int = 0
-    #: Bytes injected per protocol message kind (:func:`dib_message_kind`).
-    bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Nodes expanded per worker.
-    nodes_by_worker: Dict[str, int] = field(default_factory=dict)
-    #: Problems redone per worker (DIB's recovery counter).
-    redone_by_worker: Dict[str, int] = field(default_factory=dict)
-    #: Workers that learned of termination before the run ended.
-    terminated_workers: List[str] = field(default_factory=list)
-
-
 def run_dib_simulation(
     problem: BranchAndBoundProblem,
     n_workers: int,
@@ -409,7 +357,7 @@ def run_dib_simulation(
     network: Optional["NetworkConfig"] = None,
     max_sim_time: float = 10_000.0,
     redo_timeout: float = 5.0,
-) -> DibRunResult:
+) -> BaselineRunResult:
     """Run the DIB-style baseline and return its result.
 
     The machine named ``dworker-00`` holds the original problem and the root
@@ -422,70 +370,25 @@ def run_dib_simulation(
     network.  This function itself is superseded by the unified Scenario API
     (``repro.scenario``, backend ``"dib"``); prefer that for experiments.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
-    rng = RngRegistry(seed)
-    engine = SimulationEngine()
-    link = {}  # Network's own defaults are the paper's lossless network
-    if network is not None:
-        link = dict(
-            latency=network.latency,
-            loss_probability=network.loss_probability,
-            partitions=network.partitions,
-        )
-    net = Network(engine, rng=rng.stream("network"), **link)
-    net.classify = dib_message_kind
 
-    names = dib_worker_names(n_workers)
-    workers: List[DibWorkerEntity] = []
-    for name in names:
-        worker = DibWorkerEntity(
-            name,
-            problem,
-            names,
-            rng=rng.stream(f"dib:{name}"),
-            redo_timeout=redo_timeout,
-        )
-        net.register(worker)
-        workers.append(worker)
+    def cast(names: List[str], rng: RngRegistry) -> Cast:
+        workers = [
+            DibWorkerEntity(
+                name, problem, names, rng=rng.stream(f"dib:{name}"), redo_timeout=redo_timeout
+            )
+            for name in names
+        ]
+        root = problem.root_subproblem()
+        workers[0].pool.push(root, bound=problem.bound(root.state))
+        return workers, None
 
-    root_sub = problem.root_subproblem()
-    workers[0].pool.push(root_sub, bound=problem.bound(root_sub.state))
-
-    injector = FailureInjector(failures)
-    injector.install(engine, net)
-
-    for worker in workers:
-        worker.on_start()
-
-    def _stop() -> bool:
-        return all((not w.alive) or w.terminated for w in workers)
-
-    engine.run(until=max_sim_time, stop_when=_stop)
-
-    crashed = [w.name for w in workers if not w.alive]
-    living = [w for w in workers if w.alive]
-    best = None
-    for worker in living:
-        if worker.incumbent is not None:
-            if best is None or problem.is_improvement(worker.incumbent, best):
-                best = worker.incumbent
-    terminated = bool(living) and all(w.terminated for w in living)
-    makespan = max((w.terminated_at for w in living if w.terminated_at is not None), default=engine.now)
-
-    return DibRunResult(
-        n_workers=n_workers,
-        makespan=makespan,
-        best_value=best,
-        terminated=terminated,
-        root_machine_crashed=names[0] in crashed,
-        crashed_workers=crashed,
-        nodes_expanded=sum(w.nodes_expanded for w in workers),
-        redone_problems=sum(w.redone_problems for w in workers),
-        total_bytes_sent=net.stats.bytes_sent,
-        messages_sent=net.stats.messages_sent,
-        bytes_by_kind=dict(net.kind_bytes),
-        nodes_by_worker={w.name: w.nodes_expanded for w in workers},
-        redone_by_worker={w.name: w.redone_problems for w in workers},
-        terminated_workers=[w.name for w in workers if w.alive and w.terminated],
+    return run_baseline(
+        problem,
+        n_workers,
+        dib_worker_names,
+        cast,
+        failures=failures,
+        seed=seed,
+        network=network,
+        max_sim_time=max_sim_time,
     )

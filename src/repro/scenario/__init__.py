@@ -29,8 +29,7 @@ Field reference, backend matrix and CLI usage: ``docs/SCENARIOS.md``.
 
 from .backends import (
     Backend,
-    CentralBackend,
-    DibBackend,
+    BaselineBackend,
     RealexecBackend,
     SimulatedBackend,
     backend_names,
@@ -64,8 +63,7 @@ __all__ = [
     "format_comparison",
     "Backend",
     "SimulatedBackend",
-    "CentralBackend",
-    "DibBackend",
+    "BaselineBackend",
     "RealexecBackend",
     "register_backend",
     "get_backend",

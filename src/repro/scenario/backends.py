@@ -8,15 +8,16 @@ A backend turns one :class:`~repro.scenario.spec.Scenario` into one
 * ``central``   — the centralised manager/worker baseline
   (:func:`~repro.baselines.central.run_central_simulation`);
 * ``dib``       — the DIB-style responsibility-tracking baseline
-  (:func:`~repro.baselines.dib.run_dib_simulation`);
+  (:func:`~repro.baselines.dib.run_dib_simulation`); both baselines run on
+  one harness and share one :class:`BaselineBackend`;
 * ``realexec``  — real OS processes over a pluggable transport
   (:class:`~repro.realexec.driver.LocalCluster`; ``Scenario(transport=
   "uds")`` selects Unix-domain sockets and ``Scenario(transport="tcp")``
   a TCP listener instead of pipes).
 
 Backends translate the scenario's canonical worker names (``worker-NN``)
-into their own naming, resolve fractional failure times by running a
-failure-free reference first, and normalise their native results into the
+into their own naming, resolve fractional failure times by running
+themselves on the failure-free variant first, and normalise their native results into the
 one shared shape.  New backends register through :func:`register_backend`.
 """
 
@@ -24,8 +25,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
+from ..baselines import (
+    BaselineRunResult,
+    central_worker_names,
+    dib_worker_names,
+    run_central_simulation,
+    run_dib_simulation,
+)
 from ..bnb.tree_problem import TreeReplayProblem
 from ..distributed.runner import NetworkConfig, run_tree_simulation
 from ..obs import MetricsRegistry, Telemetry, get_logger
@@ -45,8 +53,7 @@ __all__ = [
     "run_scenario",
     "compare_backends",
     "SimulatedBackend",
-    "CentralBackend",
-    "DibBackend",
+    "BaselineBackend",
     "RealexecBackend",
 ]
 
@@ -225,12 +232,14 @@ def _baseline_telemetry(
 def _reference_makespan(backend_name: str, key: Scenario) -> float:
     """Failure-free makespan of ``key`` on one backend, memoised.
 
+    The reference run is the backend's own :meth:`Backend.run` on the
+    failure-free key, so the protocol is the whole contract it relies on.
     Scenarios are frozen and the runs deterministic, so equal keys always
     produce the same makespan; the cache spares sweeps (e.g. the
     fault-tolerance comparison, whose cases differ only by failure
     schedule) one redundant reference simulation per case.
     """
-    return get_backend(backend_name)._failure_free_makespan(key)
+    return get_backend(backend_name).run(key).makespan
 
 
 # --------------------------------------------------------------------------- #
@@ -240,21 +249,6 @@ class SimulatedBackend:
     """The fully decentralised, fault-tolerant algorithm (the paper's)."""
 
     name = "simulated"
-
-    def _failure_free_makespan(self, scenario: Scenario) -> float:
-        names = scenario.canonical_worker_names()
-        return run_tree_simulation(
-            scenario.build_tree(),
-            scenario.n_workers,
-            config=scenario.config,
-            network=_translate_network(scenario.network, names),
-            seed=scenario.seed,
-            granularity=scenario.granularity,
-            prune=scenario.prune,
-            max_sim_time=scenario.max_sim_time,
-            max_events=scenario.max_events,
-            compute_uniprocessor_time=False,
-        ).makespan
 
     def run(self, scenario: Scenario) -> ScenarioResult:
         tree = scenario.build_tree()
@@ -347,53 +341,46 @@ class SimulatedBackend:
 
 
 # --------------------------------------------------------------------------- #
-# central — the manager/worker baseline
+# central and dib — the two baselines on their shared harness
 # --------------------------------------------------------------------------- #
-class CentralBackend:
-    """Centralised manager/worker design (critical node: the manager)."""
+class BaselineBackend:
+    """A comparison baseline run by :func:`~repro.baselines.harness.run_baseline`.
 
-    name = "central"
+    Parameterised by the baseline's runner, its worker-name function and its
+    critical node (the target of ``CRITICAL`` failure victims).
+    """
 
-    def _failure_free_makespan(self, scenario: Scenario) -> float:
-        from ..baselines.central import central_worker_names, run_central_simulation
-
-        names = central_worker_names(scenario.n_workers)
-        return run_central_simulation(
-            TreeReplayProblem(
-                scenario.build_tree(),
-                granularity=scenario.granularity,
-                prune=scenario.prune,
-            ),
-            scenario.n_workers,
-            seed=scenario.seed,
-            network=_translate_network(scenario.network, names),
-            max_sim_time=_baseline_time_cap(scenario, None),
-        ).makespan
+    def __init__(
+        self,
+        name: str,
+        runner: Callable[..., BaselineRunResult],
+        worker_names: Callable[[int], List[str]],
+        critical: str,
+    ) -> None:
+        self.name = name
+        self.runner = runner
+        self.worker_names = worker_names
+        self.critical = critical
 
     def run(self, scenario: Scenario) -> ScenarioResult:
-        from ..baselines.central import central_worker_names, run_central_simulation
-
         tree = scenario.build_tree()
-        problem = TreeReplayProblem(
-            tree, granularity=scenario.granularity, prune=scenario.prune
-        )
-        names = central_worker_names(scenario.n_workers)
+        names = self.worker_names(scenario.n_workers)
         network = _translate_network(scenario.network, names)
 
         reference = None
         if scenario.needs_reference_run():
             reference = _reference_makespan(self.name, _reference_key(scenario))
         events = _resolve_failures(
-            scenario, names, critical="manager", reference_makespan=reference
+            scenario, names, critical=self.critical, reference_makespan=reference
         )
         churn = _resolve_churn(scenario, names, self.name)
         if churn is not None:
-            # No rejoin path in the centralised baseline: a churned worker's
-            # first leave becomes a permanent crash (later windows are moot).
+            # Neither baseline has a rejoin path: a churned worker's first
+            # leave becomes a permanent crash (later windows are moot).
             for victim, when in sorted(churn.first_leaves().items()):
                 events.append(CrashEvent(when, victim))
-        result = run_central_simulation(
-            problem,
+        result = self.runner(
+            TreeReplayProblem(tree, granularity=scenario.granularity, prune=scenario.prune),
             scenario.n_workers,
             failures=events,
             seed=scenario.seed,
@@ -404,97 +391,8 @@ class CentralBackend:
         workers = {
             name: WorkerSummary(
                 name=name,
-                nodes_expanded=result.nodes_by_worker.get(name, 0),
-                best_value=result.best_value,
-                crashed=name in result.crashed_workers,
-                terminated=name in result.terminated_workers,
-            )
-            for name in names
-        }
-        scenario_result = ScenarioResult(
-            scenario=scenario.name,
-            backend=self.name,
-            n_workers=scenario.n_workers,
-            makespan=result.makespan,
-            best_value=result.best_value,
-            reference_optimum=tree.optimal_value(),
-            terminated=result.terminated,
-            crashed_workers=tuple(result.crashed_workers)
-            + (("manager",) if result.manager_crashed else ()),
-            total_nodes_expanded=result.nodes_expanded,
-            recoveries=result.reassignments,
-            messages_total=result.messages_sent,
-            bytes_total=result.total_bytes_sent,
-            bytes_by_kind=dict(result.bytes_by_kind),
-            workers=workers,
-            raw=result,
-        )
-        scenario_result.telemetry = _baseline_telemetry(
-            scenario, scenario_result, self.name
-        )
-        return scenario_result
-
-
-# --------------------------------------------------------------------------- #
-# dib — the responsibility-tracking baseline
-# --------------------------------------------------------------------------- #
-class DibBackend:
-    """DIB-style decentralised design (critical node: the root machine)."""
-
-    name = "dib"
-
-    def _failure_free_makespan(self, scenario: Scenario) -> float:
-        from ..baselines.dib import dib_worker_names, run_dib_simulation
-
-        names = dib_worker_names(scenario.n_workers)
-        return run_dib_simulation(
-            TreeReplayProblem(
-                scenario.build_tree(),
-                granularity=scenario.granularity,
-                prune=scenario.prune,
-            ),
-            scenario.n_workers,
-            seed=scenario.seed,
-            network=_translate_network(scenario.network, names),
-            max_sim_time=_baseline_time_cap(scenario, None),
-        ).makespan
-
-    def run(self, scenario: Scenario) -> ScenarioResult:
-        from ..baselines.dib import dib_worker_names, run_dib_simulation
-
-        tree = scenario.build_tree()
-        problem = TreeReplayProblem(
-            tree, granularity=scenario.granularity, prune=scenario.prune
-        )
-        names = dib_worker_names(scenario.n_workers)
-        network = _translate_network(scenario.network, names)
-
-        reference = None
-        if scenario.needs_reference_run():
-            reference = _reference_makespan(self.name, _reference_key(scenario))
-        events = _resolve_failures(
-            scenario, names, critical=names[0], reference_makespan=reference
-        )
-        churn = _resolve_churn(scenario, names, self.name)
-        if churn is not None:
-            # DIB redoes a departed worker's responsibilities but has no
-            # rejoin path either: first leave = permanent crash.
-            for victim, when in sorted(churn.first_leaves().items()):
-                events.append(CrashEvent(when, victim))
-        result = run_dib_simulation(
-            problem,
-            scenario.n_workers,
-            failures=events,
-            seed=scenario.seed,
-            network=network,
-            max_sim_time=_baseline_time_cap(scenario, reference),
-        )
-
-        workers = {
-            name: WorkerSummary(
-                name=name,
-                nodes_expanded=result.nodes_by_worker.get(name, 0),
-                recoveries=result.redone_by_worker.get(name, 0),
+                nodes_expanded=result.nodes_by_worker[name],
+                recoveries=result.recoveries[name],
                 best_value=result.best_value,
                 crashed=name in result.crashed_workers,
                 terminated=name in result.terminated_workers,
@@ -511,7 +409,7 @@ class DibBackend:
             terminated=result.terminated,
             crashed_workers=tuple(result.crashed_workers),
             total_nodes_expanded=result.nodes_expanded,
-            recoveries=result.redone_problems,
+            recoveries=sum(result.recoveries.values()),
             messages_total=result.messages_sent,
             bytes_total=result.total_bytes_sent,
             bytes_by_kind=dict(result.bytes_by_kind),
@@ -637,6 +535,10 @@ class RealexecBackend:
 
 
 register_backend(SimulatedBackend())
-register_backend(CentralBackend())
-register_backend(DibBackend())
+register_backend(
+    BaselineBackend("central", run_central_simulation, central_worker_names, critical="manager")
+)
+register_backend(
+    BaselineBackend("dib", run_dib_simulation, dib_worker_names, critical="dworker-00")
+)
 register_backend(RealexecBackend())

@@ -1,9 +1,8 @@
 """The normalised result every scenario backend returns.
 
-Four runners used to return four incompatible result types
+The three runners return three native result types
 (:class:`~repro.distributed.stats.RunResult`,
-:class:`~repro.baselines.central.CentralRunResult`,
-:class:`~repro.baselines.dib.DibRunResult`,
+:class:`~repro.baselines.harness.BaselineRunResult` for both baselines,
 :class:`~repro.realexec.driver.LocalClusterResult`).  A
 :class:`ScenarioResult` is the one shape the analysis layer consumes: the
 solution and its correctness, the termination time, per-kind byte
@@ -102,7 +101,7 @@ class ScenarioResult:
     #: Engine-level scale counters (simulated backend): ``events_processed``,
     #: ``peak_heap_len``, ``compactions`` and ``entity_steps``.
     engine_counters: Dict[str, int] = field(default_factory=dict)
-    #: The backend-native result object (RunResult, CentralRunResult, …).
+    #: The backend-native result object (RunResult, BaselineRunResult, …).
     raw: object = None
     #: Collected run telemetry (:class:`repro.obs.Telemetry`) when the
     #: scenario carried a telemetry config; ``None`` otherwise.

@@ -30,7 +30,7 @@ class TestCentralBaseline:
         assert result.terminated
         assert correct(result.best_value, tree)
         assert result.nodes_expanded >= len(tree) - 1
-        assert not result.manager_crashed
+        assert not result.critical_crashed
         assert result.total_bytes_sent > 0
 
     def test_worker_crash_recovered_by_manager(self, workload):
@@ -45,6 +45,8 @@ class TestCentralBaseline:
         assert result.terminated
         assert correct(result.best_value, tree)
         assert result.crashed_workers == ["cworker-01"]
+        # The manager re-queued the subproblem the crashed worker held.
+        assert result.recoveries["manager"] >= 1
 
     def test_manager_crash_is_fatal(self, workload):
         tree, problem = workload
@@ -55,8 +57,9 @@ class TestCentralBaseline:
             failures=[CrashEvent(1.0, "manager")],
             max_sim_time=15.0,
         )
-        assert result.manager_crashed
+        assert result.critical_crashed
         assert not result.terminated
+        assert result.crashed_workers == ["manager"]
 
     def test_single_worker(self, workload):
         tree, problem = workload
@@ -77,7 +80,7 @@ class TestDibBaseline:
         assert result.terminated
         assert correct(result.best_value, tree)
         assert result.nodes_expanded >= len(tree) - 1
-        assert not result.root_machine_crashed
+        assert not result.critical_crashed
 
     def test_worker_crash_recovered_by_responsible_machine(self, workload):
         tree, problem = workload
@@ -92,6 +95,8 @@ class TestDibBaseline:
         assert result.terminated
         assert correct(result.best_value, tree)
         assert "dworker-01" in result.crashed_workers
+        # Some machine redid the work it had handed to the crashed one.
+        assert sum(result.recoveries.values()) >= 1
 
     def test_root_machine_crash_prevents_termination(self, workload):
         """DIB's structural weakness: the responsibility root must survive."""
@@ -103,7 +108,7 @@ class TestDibBaseline:
             failures=[CrashEvent(1.0, "dworker-00")],
             max_sim_time=15.0,
         )
-        assert result.root_machine_crashed
+        assert result.critical_crashed
         assert not result.terminated
 
     def test_single_machine(self, workload):
