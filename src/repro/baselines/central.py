@@ -305,7 +305,7 @@ class CentralWorkerEntity(BaselineEntity):
         self._pending = None
         self._busy = False
         outcome = self.expander.expand(sub, self.incumbent)
-        self.nodes_expanded += 1
+        self.record_expansion(code)
         if outcome.incumbent_value is not None:
             self.incumbent = outcome.incumbent_value
         child_codes = tuple(child.code for child, _ in outcome.children)

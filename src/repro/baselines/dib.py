@@ -282,7 +282,7 @@ class DibWorkerEntity(BaselineEntity):
             self._schedule_step(0.0)
             return
         outcome = self.expander.expand(sub, self.incumbent)
-        self.nodes_expanded += 1
+        self.record_expansion(sub.code)
         if outcome.incumbent_value is not None:
             self.incumbent = outcome.incumbent_value
         for code in outcome.completed:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..bnb.problem import BranchAndBoundProblem
+from ..core.encoding import PathCode
 from ..simulation.engine import SimulationEngine
 from ..simulation.entity import Entity
 from ..simulation.failures import CrashEvent, FailureInjector
@@ -47,9 +48,16 @@ class BaselineEntity(Entity):
         self.terminated = False
         self.terminated_at: Optional[float] = None
         self.nodes_expanded = 0
+        #: Codes this entity expanded (for the run's redundant-work count).
+        self.expanded_codes: Set[PathCode] = set()
         #: Recovery actions taken: subproblems the central manager re-queued
         #: after their worker went silent, or problems a DIB machine redid.
         self.recoveries = 0
+
+    def record_expansion(self, code: PathCode) -> None:
+        """Count one expansion of the subproblem ``code``."""
+        self.nodes_expanded += 1
+        self.expanded_codes.add(code)
 
     def adopt(self, value: Optional[float]) -> None:
         """Take ``value`` as the incumbent when it improves on the current one."""
@@ -77,6 +85,8 @@ class BaselineRunResult:
     #: Crashed entities: workers in name order, then the central manager.
     crashed_workers: List[str]
     nodes_expanded: int
+    #: Expansions beyond the first of each code anywhere in the run.
+    redundant_nodes_expanded: int
     total_bytes_sent: int
     #: Messages injected into the network.
     messages_sent: int
@@ -151,6 +161,8 @@ def run_baseline(
         (j.terminated_at for j in judges if j.alive and j.terminated_at is not None),
         default=engine.now,
     )
+    nodes_expanded = sum(w.nodes_expanded for w in workers)
+    distinct_codes = set().union(*(w.expanded_codes for w in workers))
     crashed = [w.name for w in workers if not w.alive]
     if coordinator is not None and not coordinator.alive:
         crashed.append(coordinator.name)
@@ -161,7 +173,8 @@ def run_baseline(
         terminated=_terminated(),
         critical_crashed=not entities[0].alive,  # the coordinator, else worker 0
         crashed_workers=crashed,
-        nodes_expanded=sum(w.nodes_expanded for w in workers),
+        nodes_expanded=nodes_expanded,
+        redundant_nodes_expanded=nodes_expanded - len(distinct_codes),
         total_bytes_sent=net.stats.bytes_sent,
         messages_sent=net.stats.messages_sent,
         bytes_by_kind=dict(net.kind_bytes),

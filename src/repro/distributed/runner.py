@@ -99,7 +99,6 @@ def assemble_run_result(
     total_expanded = 0
     total_bb_time = 0.0
     expanded_union: set = set()
-    expanded_total_codes = 0
 
     for worker in workers:
         stats = worker.finalize_stats()
@@ -107,7 +106,6 @@ def assemble_run_result(
         total_expanded += stats.nodes_expanded
         total_bb_time += stats.time.get("bb", 0.0)
         expanded_union |= worker._expanded_codes
-        expanded_total_codes += len(worker._expanded_codes)
         if stats.crashed:
             crashed.append(worker.name)
             continue
@@ -132,8 +130,6 @@ def assemble_run_result(
     counters = dict(engine_counters) if engine_counters else {}
     counters["entity_steps"] = sum(worker.stats.entity_steps for worker in workers)
 
-    redundant_nodes = expanded_total_codes - len(expanded_union)
-
     return RunResult(
         n_workers=n_workers,
         makespan=makespan,
@@ -143,7 +139,9 @@ def assemble_run_result(
         crashed_workers=crashed,
         workers=worker_stats,
         total_nodes_expanded=total_expanded,
-        redundant_nodes_expanded=max(0, redundant_nodes),
+        # Every expansion beyond the first of its code anywhere in the run,
+        # a worker's re-expansion of its own code after a restart included.
+        redundant_nodes_expanded=total_expanded - len(expanded_union),
         total_bb_time=total_bb_time,
         uniprocessor_time=uniprocessor_time,
         metrics=metrics,

@@ -409,6 +409,7 @@ class BaselineBackend:
             terminated=result.terminated,
             crashed_workers=tuple(result.crashed_workers),
             total_nodes_expanded=result.nodes_expanded,
+            redundant_nodes_expanded=result.redundant_nodes_expanded,
             recoveries=sum(result.recoveries.values()),
             messages_total=result.messages_sent,
             bytes_total=result.total_bytes_sent,

@@ -288,7 +288,7 @@ GOLDEN = {
                 "cworker-03"
             ],
             "total_nodes_expanded": 221,
-            "redundant_nodes_expanded": 0,
+            "redundant_nodes_expanded": 20,
             "recoveries": 37,
             "messages_total": 1009,
             "bytes_total": 51678,
@@ -343,7 +343,7 @@ GOLDEN = {
                 "dworker-03"
             ],
             "total_nodes_expanded": 512,
-            "redundant_nodes_expanded": 0,
+            "redundant_nodes_expanded": 111,
             "recoveries": 4,
             "messages_total": 610,
             "bytes_total": 22037,
@@ -401,7 +401,7 @@ GOLDEN = {
                 "dworker-00"
             ],
             "total_nodes_expanded": 211,
-            "redundant_nodes_expanded": 0,
+            "redundant_nodes_expanded": 10,
             "recoveries": 4,
             "messages_total": 755,
             "bytes_total": 25131,
@@ -444,7 +444,7 @@ GOLDEN = {
             "terminated": True,
             "crashed_workers": [],
             "total_nodes_expanded": 288,
-            "redundant_nodes_expanded": 0,
+            "redundant_nodes_expanded": 87,
             "recoveries": 17,
             "messages_total": 1999,
             "bytes_total": 65111,
@@ -491,7 +491,7 @@ GOLDEN = {
                 "dworker-03"
             ],
             "total_nodes_expanded": 258,
-            "redundant_nodes_expanded": 0,
+            "redundant_nodes_expanded": 57,
             "recoveries": 6,
             "messages_total": 321,
             "bytes_total": 10710,

@@ -211,7 +211,7 @@ GOLDEN = {
     },
     "faults": {
         "makespan": 1.0408385606604618,
-        "redundant_nodes_expanded": 96,
+        "redundant_nodes_expanded": 103,
         "total_bytes_sent": 41310,
         "bytes_by_kind": {
             "delta_gossip": 9897,
