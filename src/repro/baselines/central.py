@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tupl
 from ..bnb.pool import SelectionRule, SubproblemPool
 from ..bnb.problem import BranchAndBoundProblem, Subproblem, worse_than
 from ..bnb.sequential import NodeExpander
-from ..core.encoding import PathCode
+from ..core.encoding import ROOT, PathCode
 from ..simulation.entity import QueuedMessage
 from ..simulation.failures import CrashEvent
 from ..simulation.rng import RngRegistry
@@ -136,15 +136,10 @@ class CentralManagerEntity(BaselineEntity):
         )
         #: code -> (worker, assigned_at) for in-flight subproblems.
         self.outstanding: Dict[PathCode, Tuple[str, float]] = {}
-        self.nodes_completed = 0
 
     def on_start(self) -> None:
-        root = self.problem.root_subproblem()
-        self.pool.push(root, bound=self.problem.bound(root.state))
+        self.requeue(ROOT)
         self.set_timer(self.reassign_timeout, "reassign-check")
-
-    def on_message_queued(self, message: QueuedMessage) -> None:
-        self.process_pending_messages()
 
     def on_wakeup(self, reason: str) -> None:
         if not self.alive or self.terminated:
@@ -164,9 +159,7 @@ class CentralManagerEntity(BaselineEntity):
             if now - assigned_at >= self.reassign_timeout:
                 del self.outstanding[code]
                 self.recoveries += 1
-                sub = self.problem.rebuild_subproblem(code)
-                if sub is not None:
-                    self.pool.push(sub, bound=self.problem.bound(sub.state))
+                self.requeue(code)
 
     def on_message(self, message: QueuedMessage) -> None:
         payload = message.payload
@@ -184,8 +177,7 @@ class CentralManagerEntity(BaselineEntity):
             sub = self.pool.pop()
             bound = self.problem.bound(sub.state)
             if worse_than(bound, self.incumbent, minimize=self.problem.minimize):
-                self.nodes_completed += 1  # pruned at the manager
-                continue
+                continue  # pruned at the manager
             self.outstanding[sub.code] = (worker, now)
             self.send(worker, CentralTaskAssignment(code=sub.code, incumbent=self.incumbent))
             return
@@ -193,12 +185,9 @@ class CentralManagerEntity(BaselineEntity):
 
     def _absorb_result(self, result: CentralResult, now: float) -> None:
         self.outstanding.pop(result.code, None)
-        self.nodes_completed += 1
         self.adopt(result.incumbent)
         for code in result.child_codes:
-            sub = self.problem.rebuild_subproblem(code)
-            if sub is not None:
-                self.pool.push(sub, bound=self.problem.bound(sub.state))
+            self.requeue(code)
         self._check_termination(now)
 
     def _check_termination(self, now: float) -> bool:
@@ -264,9 +253,6 @@ class CentralWorkerEntity(BaselineEntity):
                 self._request_work()
         elif reason == "work-done":
             self._finish_expansion()
-
-    def on_message_queued(self, message: QueuedMessage) -> None:
-        self.process_pending_messages()
 
     def on_message(self, message: QueuedMessage) -> None:
         payload = message.payload
@@ -337,12 +323,8 @@ def run_central_simulation(
 
     ``failures`` may name workers or the manager (``"manager"``); crashing the
     manager demonstrates the single point of failure — the run then stops at
-    ``max_sim_time`` without terminating.
-
-    ``network`` takes a full :class:`~repro.distributed.runner.NetworkConfig`
-    (latency, loss *and* partitions); ``None`` is the paper's lossless
-    network.  This function itself is superseded by the unified Scenario API
-    (``repro.scenario``, backend ``"central"``); prefer that for experiments.
+    ``max_sim_time`` without terminating.  The other parameters are those of
+    :func:`~repro.baselines.harness.run_baseline`.
     """
 
     def cast(names: List[str], rng: RngRegistry) -> Cast:

@@ -231,12 +231,9 @@ class DibWorkerEntity(BaselineEntity):
                     donee_dead = True
             if donee_dead or (now - responsibility.sent_at) >= self.redo_timeout:
                 del self.handed_out[code]
-                sub = self.problem.rebuild_subproblem(code)
                 self.recoveries += 1
-                if sub is None:
+                if not self.requeue(code):
                     self._mark_done(code)
-                else:
-                    self.pool.push(sub, bound=self.problem.bound(sub.state))
 
     def _mark_done(self, code: PathCode) -> None:
         """Record a completed subtree and propagate completion upward."""
@@ -338,11 +335,8 @@ class DibWorkerEntity(BaselineEntity):
         self.adopt(grant.incumbent)
         for code in grant.codes:
             self.received_from[code] = grant.donor
-            sub = self.problem.rebuild_subproblem(code)
-            if sub is None:
+            if not self.requeue(code):
                 self._mark_done(code)
-            else:
-                self.pool.push(sub, bound=self.problem.bound(sub.state))
 
 
 # --------------------------------------------------------------------------- #
@@ -363,12 +357,8 @@ def run_dib_simulation(
     The machine named ``dworker-00`` holds the original problem and the root
     of the responsibility hierarchy; crashing it demonstrates DIB's reliance
     on a reliable root (the run then stops at ``max_sim_time`` without
-    detecting termination).
-
-    ``network`` takes a full :class:`~repro.distributed.runner.NetworkConfig`
-    (latency, loss *and* partitions); ``None`` is the paper's lossless
-    network.  This function itself is superseded by the unified Scenario API
-    (``repro.scenario``, backend ``"dib"``); prefer that for experiments.
+    detecting termination).  The other parameters are those of
+    :func:`~repro.baselines.harness.run_baseline`.
     """
 
     def cast(names: List[str], rng: RngRegistry) -> Cast:
@@ -378,8 +368,7 @@ def run_dib_simulation(
             )
             for name in names
         ]
-        root = problem.root_subproblem()
-        workers[0].pool.push(root, bound=problem.bound(root.state))
+        workers[0].requeue(ROOT)
         return workers, None
 
     return run_baseline(

@@ -13,18 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..bnb.problem import BranchAndBoundProblem
 from ..core.encoding import PathCode
+from ..distributed.runner import NetworkConfig
 from ..simulation.engine import SimulationEngine
-from ..simulation.entity import Entity
+from ..simulation.entity import Entity, QueuedMessage
 from ..simulation.failures import CrashEvent, FailureInjector
 from ..simulation.network import Network
 from ..simulation.rng import RngRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..distributed.runner import NetworkConfig
 
 __all__ = ["BaselineEntity", "BaselineRunResult", "Cast", "better_incumbent", "run_baseline"]
 
@@ -54,6 +52,17 @@ class BaselineEntity(Entity):
         #: after their worker went silent, or problems a DIB machine redid.
         self.recoveries = 0
 
+    def on_message_queued(self, message: QueuedMessage) -> None:
+        self.process_pending_messages()
+
+    def requeue(self, code: PathCode) -> bool:
+        """Pool the subproblem ``code`` (entities that keep a ``pool``);
+        ``False`` when it cannot be rebuilt, so it has no work left."""
+        sub = self.problem.rebuild_subproblem(code)
+        if sub is not None:
+            self.pool.push(sub, bound=self.problem.bound(sub.state))
+        return sub is not None
+
     def record_expansion(self, code: PathCode) -> None:
         """Count one expansion of the subproblem ``code``."""
         self.nodes_expanded += 1
@@ -64,10 +73,8 @@ class BaselineEntity(Entity):
         self.incumbent = better_incumbent(self.problem, self.incumbent, value)
 
 
-#: What a baseline's cast function returns: its workers, in name order, and
-#: its coordinator — the central manager, or ``None`` for a design whose
-#: workers coordinate themselves (the first worker is then the critical
-#: node).
+#: A baseline's workers, in name order, and its coordinator: the central
+#: manager, or ``None`` when the first worker is the critical node.
 Cast = Tuple[List[BaselineEntity], Optional[BaselineEntity]]
 
 
@@ -108,13 +115,17 @@ def run_baseline(
     *,
     failures: Sequence[CrashEvent] = (),
     seed: int = 0,
-    network: Optional["NetworkConfig"] = None,
+    network: Optional[NetworkConfig] = None,
     max_sim_time: float = 10_000.0,
 ) -> BaselineRunResult:
     """Run one baseline design and return its result.
 
     ``cast`` builds the design's entities for the given worker names.  The
     coordinator (if any) registers and starts first, then the workers.
+    ``network`` takes a full :class:`~repro.distributed.runner.NetworkConfig`
+    (latency, loss *and* partitions); ``None`` is the paper's lossless
+    network.  The Scenario API (``repro.scenario``, backends ``"central"``
+    and ``"dib"``) supersedes the baselines' entry points for experiments.
 
     The run has terminated once every living *judge* has — the coordinator,
     or every worker of a design without one — and it stops right then.  A
@@ -125,14 +136,14 @@ def run_baseline(
         raise ValueError("n_workers must be at least 1")
     rng = RngRegistry(seed)
     engine = SimulationEngine()
-    link = {}  # Network's own defaults are the paper's lossless network
-    if network is not None:
-        link = dict(
-            latency=network.latency,
-            loss_probability=network.loss_probability,
-            partitions=network.partitions,
-        )
-    net = Network(engine, rng=rng.stream("network"), **link)
+    link = network if network is not None else NetworkConfig.paper_default()
+    net = Network(
+        engine,
+        latency=link.latency,
+        loss_probability=link.loss_probability,
+        partitions=link.partitions,
+        rng=rng.stream("network"),
+    )
     net.classify = attrgetter("kind")
 
     workers, coordinator = cast(worker_names(n_workers), rng)

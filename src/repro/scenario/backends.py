@@ -23,7 +23,7 @@ one shared shape.  New backends register through :func:`register_backend`.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
@@ -144,25 +144,26 @@ def _translate_network(network: NetworkConfig, names: Sequence[str]) -> NetworkC
 
 
 def _resolve_failures(
-    scenario: Scenario,
-    names: Sequence[str],
-    *,
-    critical: str,
-    reference_makespan: Optional[float],
-) -> List[CrashEvent]:
-    """Turn the backend-agnostic failure specs into scheduled crash events."""
+    scenario: Scenario, names: Sequence[str], backend_name: str, *, critical: str
+) -> Tuple[List[CrashEvent], Optional[float]]:
+    """Turn the backend-agnostic failure specs into scheduled crash events.
+
+    Also returns the backend's failure-free reference makespan when the
+    scenario needs one (fractional failure times, churn without a horizon).
+    """
+    reference = None
+    if scenario.needs_reference_run():
+        reference = _reference_makespan(backend_name, _reference_key(scenario))
     events: List[CrashEvent] = []
     for spec in scenario.failures:
         if spec.at_time is not None:
             when = spec.at_time
         else:
-            assert spec.at_fraction is not None
-            if reference_makespan is None:
-                raise ValueError("fractional failure times need a reference makespan")
-            when = spec.at_fraction * reference_makespan
+            assert spec.at_fraction is not None and reference is not None
+            when = spec.at_fraction * reference
         for victim in spec.resolve_victims(names, critical=critical):
             events.append(CrashEvent(when, victim))
-    return events
+    return events, reference
 
 
 def _baseline_time_cap(scenario: Scenario, reference: Optional[float]) -> float:
@@ -193,19 +194,21 @@ def _reference_key(scenario: Scenario) -> Scenario:
 
 
 def _resolve_churn(
-    scenario: Scenario, names: Sequence[str], backend_name: str
+    scenario: Scenario, names: Sequence[str], reference: Optional[float]
 ) -> Optional["ChurnSchedule"]:
     """Materialise the scenario's churn spec against one backend's names.
 
     A distribution-driven spec without an explicit horizon gets one from the
-    backend's failure-free makespan (×1.5, so the churn process outlives the
-    undisturbed run — mirroring how fractional failure times resolve).
+    backend's failure-free ``reference`` makespan (×1.5, so the churn
+    process outlives the undisturbed run — mirroring how fractional failure
+    times resolve).
     """
     if scenario.churn is None:
         return None
     horizon = scenario.churn.horizon
     if scenario.churn.needs_horizon():
-        horizon = 1.5 * _reference_makespan(backend_name, _reference_key(scenario))
+        assert reference is not None
+        horizon = 1.5 * reference
     return scenario.churn.resolve(names, default_seed=scenario.seed, horizon=horizon)
 
 
@@ -256,14 +259,8 @@ class SimulatedBackend:
         # Identity mapping on this backend, but the translation still
         # validates partition members against the worker count.
         network = _translate_network(scenario.network, names)
-
-        reference = None
-        if scenario.needs_reference_run():
-            reference = _reference_makespan(self.name, _reference_key(scenario))
-        events = _resolve_failures(
-            scenario, names, critical=names[0], reference_makespan=reference
-        )
-        churn = _resolve_churn(scenario, names, self.name)
+        events, reference = _resolve_failures(scenario, names, self.name, critical=names[0])
+        churn = _resolve_churn(scenario, names, reference)
         config = scenario.config
         churn_events: List[Tuple[float, str, str]] = []
         churn_mode = "restart"
@@ -343,6 +340,7 @@ class SimulatedBackend:
 # --------------------------------------------------------------------------- #
 # central and dib — the two baselines on their shared harness
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
 class BaselineBackend:
     """A comparison baseline run by :func:`~repro.baselines.harness.run_baseline`.
 
@@ -350,30 +348,17 @@ class BaselineBackend:
     critical node (the target of ``CRITICAL`` failure victims).
     """
 
-    def __init__(
-        self,
-        name: str,
-        runner: Callable[..., BaselineRunResult],
-        worker_names: Callable[[int], List[str]],
-        critical: str,
-    ) -> None:
-        self.name = name
-        self.runner = runner
-        self.worker_names = worker_names
-        self.critical = critical
+    name: str
+    runner: Callable[..., BaselineRunResult]
+    worker_names: Callable[[int], List[str]]
+    critical: str
 
     def run(self, scenario: Scenario) -> ScenarioResult:
         tree = scenario.build_tree()
         names = self.worker_names(scenario.n_workers)
         network = _translate_network(scenario.network, names)
-
-        reference = None
-        if scenario.needs_reference_run():
-            reference = _reference_makespan(self.name, _reference_key(scenario))
-        events = _resolve_failures(
-            scenario, names, critical=self.critical, reference_makespan=reference
-        )
-        churn = _resolve_churn(scenario, names, self.name)
+        events, reference = _resolve_failures(scenario, names, self.name, critical=self.critical)
+        churn = _resolve_churn(scenario, names, reference)
         if churn is not None:
             # Neither baseline has a rejoin path: a churned worker's first
             # leave becomes a permanent crash (later windows are moot).
