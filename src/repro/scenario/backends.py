@@ -17,8 +17,8 @@ A backend turns one :class:`~repro.scenario.spec.Scenario` into one
 
 Backends translate the scenario's canonical worker names (``worker-NN``)
 into their own naming, resolve fractional failure times by running
-themselves on the failure-free variant first, and normalise their native results into the
-one shared shape.  New backends register through :func:`register_backend`.
+themselves on the failure-free variant first, and normalise their native
+results into the one shared shape.  New backends register through :func:`register_backend`.
 """
 
 from __future__ import annotations
