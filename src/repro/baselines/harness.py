@@ -146,50 +146,56 @@ def run_baseline(
     )
     net.classify = attrgetter("kind")
 
-    workers, coordinator = cast(worker_names(n_workers), rng)
-    entities = ([coordinator] if coordinator is not None else []) + workers
-    for entity in entities:
-        net.register(entity)
-    FailureInjector(failures).install(engine, net)
-    for entity in entities:
-        entity.on_start()
+    try:
+        workers, coordinator = cast(worker_names(n_workers), rng)
+        entities = ([coordinator] if coordinator is not None else []) + workers
+        for entity in entities:
+            net.register(entity)
+        FailureInjector(failures).install(engine, net)
+        for entity in entities:
+            entity.on_start()
 
-    judges = [coordinator] if coordinator is not None else workers
+        judges = [coordinator] if coordinator is not None else workers
 
-    def _terminated() -> bool:
-        living = [judge for judge in judges if judge.alive]
-        return bool(living) and all(judge.terminated for judge in living)
+        def _terminated() -> bool:
+            living = [judge for judge in judges if judge.alive]
+            return bool(living) and all(judge.terminated for judge in living)
 
-    engine.run(until=max_sim_time, stop_when=_terminated)
+        engine.run(until=max_sim_time, stop_when=_terminated)
 
-    # The coordinator's incumbent counts even after it crashed; a worker's
-    # only while it is alive.
-    best = coordinator.incumbent if coordinator is not None else None
-    for worker in workers:
-        if worker.alive:
-            best = better_incumbent(problem, best, worker.incumbent)
-    makespan = max(
-        (j.terminated_at for j in judges if j.alive and j.terminated_at is not None),
-        default=engine.now,
-    )
-    nodes_expanded = sum(w.nodes_expanded for w in workers)
-    distinct_codes = set().union(*(w.expanded_codes for w in workers))
-    crashed = [w.name for w in workers if not w.alive]
-    if coordinator is not None and not coordinator.alive:
-        crashed.append(coordinator.name)
-    return BaselineRunResult(
-        n_workers=n_workers,
-        makespan=makespan,
-        best_value=best,
-        terminated=_terminated(),
-        critical_crashed=not entities[0].alive,  # the coordinator, else worker 0
-        crashed_workers=crashed,
-        nodes_expanded=nodes_expanded,
-        redundant_nodes_expanded=nodes_expanded - len(distinct_codes),
-        total_bytes_sent=net.stats.bytes_sent,
-        messages_sent=net.stats.messages_sent,
-        bytes_by_kind=dict(net.kind_bytes),
-        nodes_by_worker={w.name: w.nodes_expanded for w in workers},
-        recoveries={e.name: e.recoveries for e in entities},
-        terminated_workers=[w.name for w in workers if w.alive and w.terminated],
-    )
+        # The coordinator's incumbent counts even after it crashed; a worker's
+        # only while it is alive.
+        best = coordinator.incumbent if coordinator is not None else None
+        for worker in workers:
+            if worker.alive:
+                best = better_incumbent(problem, best, worker.incumbent)
+        makespan = max(
+            (j.terminated_at for j in judges if j.alive and j.terminated_at is not None),
+            default=engine.now,
+        )
+        nodes_expanded = sum(w.nodes_expanded for w in workers)
+        distinct_codes = set().union(*(w.expanded_codes for w in workers))
+        crashed = [w.name for w in workers if not w.alive]
+        if coordinator is not None and not coordinator.alive:
+            crashed.append(coordinator.name)
+        return BaselineRunResult(
+            n_workers=n_workers,
+            makespan=makespan,
+            best_value=best,
+            terminated=_terminated(),
+            critical_crashed=not entities[0].alive,  # the coordinator, else worker 0
+            crashed_workers=crashed,
+            nodes_expanded=nodes_expanded,
+            redundant_nodes_expanded=nodes_expanded - len(distinct_codes),
+            total_bytes_sent=net.stats.bytes_sent,
+            messages_sent=net.stats.messages_sent,
+            bytes_by_kind=dict(net.kind_bytes),
+            nodes_by_worker={w.name: w.nodes_expanded for w in workers},
+            recoveries={e.name: e.recoveries for e in entities},
+            terminated_workers=[w.name for w in workers if w.alive and w.terminated],
+        )
+    finally:
+        # A finished run frees itself: with no pending event and no
+        # registered entity left, nothing of the run is cyclic.
+        engine.close()
+        net.close()

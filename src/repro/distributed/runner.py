@@ -207,14 +207,10 @@ class DistributedBnBSimulation:
         self.metrics = MetricsCollector()
         self.trace: Optional[TimelineTrace] = TimelineTrace() if enable_trace else None
         self.injector = FailureInjector(self.failures)
-        #: Non-permanent leave/return schedule (churn); a return resets the
-        #: stop-condition scan because a rejoined worker is no longer
-        #: terminated (the scan's monotonicity assumption briefly breaks).
         self.worker_speeds: Dict[str, float] = dict(worker_speeds or {})
+        #: Non-permanent leave/return schedule (churn).
         self.churn_injector: Optional[ChurnInjector] = (
-            ChurnInjector(churn_events, mode=churn_mode, on_return=self._on_churn_return)
-            if churn_events
-            else None
+            ChurnInjector(churn_events, mode=churn_mode) if churn_events else None
         )
 
         # Run-wide telemetry (repro.obs).  Tracing needs per-worker state
@@ -293,11 +289,6 @@ class DistributedBnBSimulation:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _on_churn_return(self, name: str) -> None:
-        # A rejoined worker may be un-terminated again: restart the
-        # otherwise-monotone stop scan from the beginning.
-        self._stop_scan = 0
-
     def _after_event(self) -> bool:
         """Collect the arena when it has outgrown its threshold, then test
         whether the run is over.
@@ -320,8 +311,8 @@ class DistributedBnBSimulation:
         # O(workers) per event.  "Dead or terminated" is monotone — a worker
         # that passed the test once passes it forever — so scanning resumes
         # where the last call found its counterexample: O(1) amortised.
-        # (Churn breaks monotonicity at each return event, which resets the
-        # scan; while a return is still pending the run must not stop.)
+        # (A churn return breaks monotonicity, so nothing is scanned while a
+        # return is still pending: the scan starts after the last one.)
         if self.churn_injector is not None and self.churn_injector.pending_returns > 0:
             return False
         workers = self.workers
@@ -341,21 +332,27 @@ class DistributedBnBSimulation:
             self.build()
         assert self.engine is not None and self.net is not None
 
-        for worker in self.workers:
-            worker.on_start()
+        try:
+            for worker in self.workers:
+                worker.on_start()
 
-        self.engine.run(
-            until=self.max_sim_time,
-            max_events=self.max_events,
-            stop_when=self._after_event,
-        )
-        end_time = self.engine.now
-        if self._worker_timeline is not None:
-            self._worker_timeline.finish(end_time)
+            self.engine.run(
+                until=self.max_sim_time,
+                max_events=self.max_events,
+                stop_when=self._after_event,
+            )
+            end_time = self.engine.now
+            if self._worker_timeline is not None:
+                self._worker_timeline.finish(end_time)
 
-        result = self._collect_results(end_time)
-        result.telemetry = self._build_telemetry(end_time, result)
-        return result
+            result = self._collect_results(end_time)
+            result.telemetry = self._build_telemetry(end_time, result)
+            return result
+        finally:
+            # A finished run frees itself: with no pending event and no
+            # registered entity left, nothing of the run is cyclic.
+            self.engine.close()
+            self.net.close()
 
     # ------------------------------------------------------------------ #
     # Result assembly

@@ -255,6 +255,17 @@ class SimulationEngine:
         self._cancelled_in_heap = 0
         self.compactions += 1
 
+    def close(self) -> None:
+        """Drop every pending event: the run is over.
+
+        Pending timers and deliveries hold closures over the run's entities,
+        which hold this engine, so the heap is what keeps a finished run in
+        one reference cycle.  Emptying it lets reference counting free the
+        run as soon as its owner lets go.  Counters stay readable.
+        """
+        self._heap.clear()
+        self._cancelled_in_heap = 0
+
     def drain_cancelled(self) -> None:
         """Drop cancelled events from the heap (memory hygiene for long runs).
 

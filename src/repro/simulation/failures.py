@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import SimulationEngine
 from .network import Network
@@ -105,17 +105,12 @@ class ChurnInjector:
     """
 
     def __init__(
-        self,
-        events: Iterable[Tuple[float, str, str]] = (),
-        *,
-        mode: str = "restart",
-        on_return: Optional[Callable[[str], None]] = None,
+        self, events: Iterable[Tuple[float, str, str]] = (), *, mode: str = "restart"
     ) -> None:
         if mode not in ("restart", "suspend"):
             raise ValueError(f"unknown churn mode {mode!r}")
         self.events: List[Tuple[float, str, str]] = sorted(events)
         self.mode = mode
-        self.on_return = on_return
         #: ``(time, name)`` log of leaves/returns that actually happened.
         self.left: List[Tuple[float, str]] = []
         self.returned: List[Tuple[float, str]] = []
@@ -168,8 +163,6 @@ class ChurnInjector:
                     reset()
             entity.revive()
             self.returned.append((engine.now, name))
-            if self.on_return is not None:
-                self.on_return(name)
 
         return _return
 

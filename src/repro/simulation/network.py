@@ -178,6 +178,15 @@ class Network:
         """Entities that have not crashed."""
         return [e for e in self._entities.values() if e.alive]
 
+    def close(self) -> None:
+        """Unregister every entity: the run is over.
+
+        Each registered entity holds this network, so the registry is a
+        reference cycle; emptying it lets a finished run be freed by
+        reference counting.  Traffic counters stay readable.
+        """
+        self._entities.clear()
+
     def add_partition(self, partition: Partition) -> None:
         """Add a partition window (may be done mid-run)."""
         self.partitions.append(partition)

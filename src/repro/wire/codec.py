@@ -35,6 +35,7 @@ from ..core.work_report import (
 )
 from ..distributed.messages import (
     DeltaGossipMsg,
+    HeartbeatGossipMsg,
     TableGossipAck,
     TableGossipMsg,
     WalkDenied,
@@ -85,6 +86,8 @@ __all__ = [
     "read_walk_request",
     "write_walk_denied",
     "read_walk_denied",
+    "write_heartbeat_msg",
+    "read_heartbeat_msg",
 ]
 
 
@@ -368,6 +371,71 @@ def read_walk_denied(data, pos: int) -> Tuple[WalkDenied, int]:
     exhausted, pos = read_bool(data, pos)
     best, pos = read_best_solution(data, pos)
     return WalkDenied(donor, seq, exhausted, best), pos
+
+
+# ---------------------------------------------------------------------- #
+# Failure-detector heartbeats
+# ---------------------------------------------------------------------- #
+def _write_name_counters(out: bytearray, pairs, previous: str) -> str:
+    """Append ``(name, counter)`` pairs with front-coded names, in order.
+
+    Each name stores only the number of leading characters it shares with
+    the name written before it (``previous`` for the first) and its new
+    suffix, as :func:`write_code_sequence` does for path codes.  Heartbeat
+    tables come sorted by member name and worker names share the
+    ``worker-`` prefix, so a name costs its last digits.  Returns the last
+    name written, which the next list continues from.
+    """
+    write_uvarint(out, len(pairs))
+    for name, counter in pairs:
+        reuse = 0
+        limit = min(len(previous), len(name))
+        while reuse < limit and previous[reuse] == name[reuse]:
+            reuse += 1
+        write_uvarint(out, reuse)
+        write_string(out, name[reuse:])
+        write_uvarint(out, counter)
+        previous = name
+    return previous
+
+
+def _read_name_counters(
+    data, pos: int, previous: str
+) -> Tuple[Tuple[Tuple[str, int], ...], str, int]:
+    """Read pairs written by :func:`_write_name_counters`; returns the
+    pairs, the last name and the new position."""
+    count, pos = read_uvarint(data, pos)
+    pairs: List[Tuple[str, int]] = []
+    for _ in range(count):
+        reuse, pos = read_uvarint(data, pos)
+        if reuse > len(previous):
+            raise MalformedVarintError(
+                f"front-coded name reuse {reuse} exceeds previous length {len(previous)}"
+            )
+        suffix, pos = read_string(data, pos)
+        counter, pos = read_uvarint(data, pos)
+        previous = previous[:reuse] + suffix
+        pairs.append((previous, counter))
+    return tuple(pairs), previous, pos
+
+
+def write_heartbeat_msg(out: bytearray, msg: HeartbeatGossipMsg) -> None:
+    """Append a heartbeat round: sender, heartbeat digest, non-zero
+    incarnations, incumbent; member names are front-coded from the
+    sender's name on."""
+    write_string(out, msg.sender)
+    last = _write_name_counters(out, msg.digest, msg.sender)
+    _write_name_counters(out, msg.incarnations, last)
+    write_best_solution(out, msg.best)
+
+
+def read_heartbeat_msg(data, pos: int) -> Tuple[HeartbeatGossipMsg, int]:
+    """Read a heartbeat round (entry order is preserved)."""
+    sender, pos = read_string(data, pos)
+    digest, last, pos = _read_name_counters(data, pos, sender)
+    incarnations, _, pos = _read_name_counters(data, pos, last)
+    best, pos = read_best_solution(data, pos)
+    return HeartbeatGossipMsg(sender, digest, incarnations, best), pos
 
 
 # ---------------------------------------------------------------------- #

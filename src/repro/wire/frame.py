@@ -49,6 +49,7 @@ from ..core.work_report import (
 )
 from ..distributed.messages import (
     DeltaGossipMsg,
+    HeartbeatGossipMsg,
     TableGossipAck,
     TableGossipMsg,
     WalkDenied,
@@ -80,7 +81,7 @@ __all__ = [
 #: First byte of every frame.
 FRAME_MAGIC = 0xB5
 #: Current wire-format generation (2 added the delta-gossip family, 3 the
-#: walking work request and its denial).
+#: walking work request, its denial and the heartbeat round).
 FRAME_VERSION = 3
 #: The original generation; generation-1 messages still encode as v1 frames
 #: so generation-1 decoders keep accepting them during rolling upgrades.
@@ -131,6 +132,7 @@ class Tag(enum.IntEnum):
     # because 1-15 are taken and 16-31 belong to the extensions --
     WALK_REQUEST = 32
     WALK_DENIED = 33
+    HEARTBEAT = 34
 
 
 _Writer = Callable[[bytearray, object], None]
@@ -205,9 +207,10 @@ for _tag, _cls, _writer, _reader, _version in (
         2,
     ),
     (Tag.TABLE_GOSSIP_ACK, TableGossipAck, codec.write_gossip_ack, codec.read_gossip_ack, 2),
-    # -- generation 3: walking work requests --
+    # -- generation 3: walking work requests, heartbeats --
     (Tag.WALK_REQUEST, WalkRequest, codec.write_walk_request, codec.read_walk_request, 3),
     (Tag.WALK_DENIED, WalkDenied, codec.write_walk_denied, codec.read_walk_denied, 3),
+    (Tag.HEARTBEAT, HeartbeatGossipMsg, codec.write_heartbeat_msg, codec.read_heartbeat_msg, 3),
 ):
     register(_tag, _cls, _writer, _reader, version=_version)
 

@@ -22,8 +22,11 @@ from repro.core.work_report import (
 )
 from repro.distributed.messages import (
     DeltaGossipMsg,
+    HeartbeatGossipMsg,
     TableGossipAck,
     TableGossipMsg,
+    WalkDenied,
+    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -99,6 +102,15 @@ CORE_TAG_SAMPLES = [
         Tag.TABLE_GOSSIP_ACK,
         2,
         lambda rng: TableGossipAck(sender="w-4", digest=rng.getrandbits(64), best=rand_best(rng)),
+    ),
+    (Tag.WALK_REQUEST, 3, lambda rng: WalkRequest("w-5", 1, 2, rand_best(rng))),
+    (Tag.WALK_DENIED, 3, lambda rng: WalkDenied("w-6", 1, True, rand_best(rng))),
+    (
+        Tag.HEARTBEAT,
+        3,
+        lambda rng: HeartbeatGossipMsg(
+            "w-7", (("w-7", rng.randrange(1 << 20)), ("w-8", 0)), (("w-8", 2),), rand_best(rng)
+        ),
     ),
 ]
 

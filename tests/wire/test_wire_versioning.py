@@ -2,7 +2,8 @@
 
 Generation 2 added the delta-gossip family (``DeltaSnapshot``,
 ``DeltaGossipMsg``, ``TableGossipAck``), generation 3 the walking work
-request and its denial (``WalkRequest``, ``WalkDenied``).  The
+request and its denial (``WalkRequest``, ``WalkDenied``) and the failure
+detector's heartbeat round (``HeartbeatGossipMsg``).  The
 compatibility contract pinned here, spelled out in ``docs/WIRE_FORMAT.md``
 (each rule holds between every older and newer generation):
 
@@ -26,9 +27,16 @@ import pytest
 from repro import wire
 from repro.core.encoding import PathCode
 from repro.core.work_report import BestSolution, DeltaSnapshot, table_digest
-from repro.distributed.messages import DeltaGossipMsg, TableGossipAck, WalkDenied, WalkRequest
+from repro.distributed.messages import (
+    DeltaGossipMsg,
+    HeartbeatGossipMsg,
+    TableGossipAck,
+    WalkDenied,
+    WalkRequest,
+)
+from repro.distributed.runner import worker_names
 from repro.realexec.transport import Envelope, decode_envelope, encode_envelope
-from repro.wire.frame import FRAME_VERSION, FRAME_VERSION_V1, Tag
+from repro.wire.frame import FRAME_VERSION, FRAME_VERSION_V1, Tag, read_header
 
 
 def rand_code(rng, max_depth=20, max_var=4000):
@@ -233,3 +241,98 @@ class TestGeneration3Walk:
         assert int(Tag.WALK_REQUEST) == 32
         assert int(Tag.WALK_DENIED) == 33
         assert FRAME_VERSION == 3
+
+
+#: Documented limits of the heartbeat's upper bound: members named the
+#: canonical way (a shared prefix, then a zero-padded index) in clusters of
+#: up to 10,000, heartbeat counters below 2**21, incarnations below 2**7.
+HEARTBEAT_MAX_WORKERS = 10_000
+HEARTBEAT_MAX_COUNTER = 2**21
+HEARTBEAT_MAX_INCARNATION = 2**7
+
+
+def rand_heartbeat(rng, n_workers, prefix="worker"):
+    """A heartbeat as a worker sends it: a sorted digest that holds the
+    sender, sorted non-zero incarnations, and maybe an incumbent."""
+    names = worker_names(n_workers, prefix)
+    members = sorted(rng.sample(names, rng.randint(1, min(n_workers, 200))))
+    counters = (0, 1, 127, 128, HEARTBEAT_MAX_COUNTER - 1)
+    digest = tuple(
+        (m, rng.choice(counters + (rng.randrange(HEARTBEAT_MAX_COUNTER),))) for m in members
+    )
+    restarted = rng.sample(names, rng.randint(0, min(n_workers, 50)))
+    incarnations = tuple(
+        sorted((m, rng.randrange(1, HEARTBEAT_MAX_INCARNATION)) for m in restarted)
+    )
+    best = rng.choice(
+        (BestSolution(), BestSolution(value=rng.uniform(-1e6, 1e6)),
+         BestSolution(value=rng.uniform(-1e6, 1e6), origin=rng.choice(names)))
+    )
+    return HeartbeatGossipMsg(rng.choice(members), digest, incarnations, best)
+
+
+class TestGeneration3Heartbeat:
+    """The failure detector's heartbeat round (tag 34) joins generation 3.
+    Member names are front-coded from the sender's name on, so a canonical
+    name costs its last digits, not its ``worker-`` prefix."""
+
+    CLUSTERS = (1, 2, 8, 100, 1000, HEARTBEAT_MAX_WORKERS)
+
+    @pytest.mark.parametrize("n_workers", CLUSTERS)
+    def test_round_trip_and_generation_3_stamp(self, n_workers):
+        rng = random.Random(5000 + n_workers)
+        for _ in range(30):
+            msg = rand_heartbeat(rng, n_workers)
+            data = wire.encode(msg)
+            assert read_header(data)[:2] == (3, int(Tag.HEARTBEAT))
+            assert wire.decode(data) == msg
+
+    def test_entry_order_and_unsorted_names_survive(self):
+        msg = HeartbeatGossipMsg(
+            "b", (("zeta", 3), ("alpha", 0), ("alphabet", 2**40)), (("", 1), ("é", 9))
+        )
+        assert wire.decode(wire.encode(msg)) == msg
+        assert wire.decode(wire.encode(HeartbeatGossipMsg("w", ()))) == HeartbeatGossipMsg("w", ())
+
+    @pytest.mark.parametrize("prefix", ["worker", "rworker"])
+    @pytest.mark.parametrize("n_workers", CLUSTERS)
+    def test_model_bounds_the_encoding(self, n_workers, prefix):
+        """Within the documented limits the analytic model is an upper
+        bound, and it tracks the encoding within the documented factor."""
+        rng = random.Random(6000 + n_workers)
+        for _ in range(200):
+            msg = rand_heartbeat(rng, n_workers, prefix)
+            encoded = wire.encoded_size(msg)
+            assert encoded <= msg.wire_size() <= 4 * encoded + 64
+
+    def test_full_digest_costs_a_few_bytes_per_member(self):
+        names = worker_names(100)
+        msg = HeartbeatGossipMsg(names[0], tuple((n, 1000) for n in names))
+        # The model charges 12 bytes a member; front coding pays 6.
+        assert wire.encoded_size(msg) <= 6 * len(names) + 16
+        assert msg.wire_size() == 32 + 12 * len(names)
+
+    def test_older_decoders_drop_it_like_a_lost_message(self):
+        msg = rand_heartbeat(random.Random(10), 8)
+        data = wire.encode(msg)
+        for generation in (FRAME_VERSION_V1, 2):
+            with pytest.raises(wire.UnsupportedVersionError):
+                wire.decode(data, max_version=generation)
+        envelope = encode_envelope(Envelope("a", "b", msg))
+        assert decode_envelope(envelope).payload == msg
+
+    def test_truncation_is_rejected(self):
+        data = wire.encode(rand_heartbeat(random.Random(11), 8))
+        for cut in range(len(data)):
+            with pytest.raises(wire.WireFormatError):
+                wire.decode(data[:cut])
+
+    def test_name_reuse_beyond_the_previous_name_is_rejected(self):
+        # Sender "w", one digest entry claiming 5 shared characters.
+        body = bytes([1]) + b"w" + bytes([1, 5, 1]) + b"x" + bytes([0, 0, 0])
+        frame = bytes([wire.FRAME_MAGIC, 3, int(Tag.HEARTBEAT), len(body)]) + body
+        with pytest.raises(wire.WireFormatError):
+            wire.decode(frame)
+
+    def test_tag_value_is_frozen(self):
+        assert int(Tag.HEARTBEAT) == 34
