@@ -129,8 +129,10 @@ def run_baseline(
 
     The run has terminated once every living *judge* has — the coordinator,
     or every worker of a design without one — and it stops right then.  A
-    run with no living judge cannot terminate: it goes on to
-    ``max_sim_time`` (or until nothing is left to happen).
+    run with no living judge cannot terminate.  It stops as soon as no
+    entity is alive, since nothing can happen after that; while any entity
+    lives it goes on to ``max_sim_time`` (or until nothing is left to
+    happen).
     """
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
@@ -161,7 +163,11 @@ def run_baseline(
             living = [judge for judge in judges if judge.alive]
             return bool(living) and all(judge.terminated for judge in living)
 
-        engine.run(until=max_sim_time, stop_when=_terminated)
+        def _finished() -> bool:
+            # Nothing can happen once no entity is alive.
+            return _terminated() or not any(entity.alive for entity in entities)
+
+        engine.run(until=max_sim_time, stop_when=_finished)
 
         # The coordinator's incumbent counts even after it crashed; a worker's
         # only while it is alive.

@@ -75,9 +75,6 @@ class ProtocolCore:
     expected_node_cost:
         A-priori node cost; seeds the moving average the pacing rules scale
         by, so start-up starvation does not read as lost work.
-    walk:
-        Walk work requests past idle peers at coarse grain (a generation-2
-        real worker neither sends nor reads walking frames).
     """
 
     def __init__(
@@ -93,7 +90,6 @@ class ProtocolCore:
         arena: Optional[TrieArena] = None,
         tracer: Optional[Any] = None,
         obs_metrics: Optional[Any] = None,
-        walk: bool = True,
     ) -> None:
         self.name = name
         self.problem = problem
@@ -109,7 +105,6 @@ class ProtocolCore:
             else None
         )
         self._delta = config.delta_gossip
-        self._walk = walk
         self.expander = NodeExpander(problem)
         self.stats = WorkerRunStats(name=name)
         self._initial_work = list(initial_work)
@@ -675,7 +670,7 @@ class ProtocolCore:
         if self.outstanding_request is None and may_request:
             victim = self.rng.choice(self.peers)
             self._request_seq += 1
-            if self._walk and pacing.walk_hops(
+            if pacing.walk_hops(
                 self.avg_node_cost, self.avg_transit, len(self.peers)
             ):
                 request = WalkRequest(self.name, self._request_seq, best=self._my_best())

@@ -126,15 +126,11 @@ class LocalCluster:
         max_seconds: float = 30.0,
         prune: bool = True,
         config: AlgorithmConfig = RealWorkerConfig.config,
-        wire_generations: Optional[Sequence[int]] = None,
         transport: str = "pipe",
         telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         """``config`` holds the algorithm's tunables, read by every worker
-        as the simulated worker reads them.  ``wire_generations`` optionally
-        assigns a wire-format generation per worker index (defaults to the
-        current generation for all) — a mixed list models a rolling upgrade
-        where generation-1 and generation-2 binaries coexist in one cluster.  ``transport`` selects
+        as the simulated worker reads them.  ``transport`` selects
         how the workers are wired: ``"pipe"`` (multiprocessing pipes),
         ``"uds"`` (Unix-domain sockets) or ``"tcp"`` (a TCP listener the
         workers dial); the protocol bytes are identical on all three."""
@@ -149,24 +145,12 @@ class LocalCluster:
         self.prune = prune
         self.config = config
         self.transport = transport
-        if wire_generations is not None:
-            if len(wire_generations) != n_workers:
-                raise ValueError("wire_generations must name one generation per worker")
-            from ..wire import FRAME_VERSION, FRAME_VERSION_V1
-
-            for generation in wire_generations:
-                if not (FRAME_VERSION_V1 <= generation <= FRAME_VERSION):
-                    raise ValueError(
-                        f"unknown wire-format generation {generation} "
-                        f"(known: {FRAME_VERSION_V1}..{FRAME_VERSION})"
-                    )
-        self.wire_generations = list(wire_generations) if wire_generations is not None else None
         self.telemetry = telemetry
         self.names = [f"rworker-{i:02d}" for i in range(n_workers)]
         self._tree_data = None
 
     def _worker_config(
-        self, index: int, name: str, *, has_root: bool, seed: int, telemetry_on: bool
+        self, name: str, *, has_root: bool, seed: int, telemetry_on: bool
     ) -> RealWorkerConfig:
         """Build one worker's config (shared by initial spawn and rejoin)."""
         return RealWorkerConfig(
@@ -179,11 +163,6 @@ class LocalCluster:
             max_seconds=self.max_seconds,
             prune=self.prune,
             config=self.config,
-            wire_generation=(
-                self.wire_generations[index]
-                if self.wire_generations is not None
-                else RealWorkerConfig.wire_generation
-            ),
             telemetry=telemetry_on,
         )
 
@@ -239,7 +218,7 @@ class LocalCluster:
         for index, name in enumerate(self.names):
             endpoint = router.add_worker(name)
             config = self._worker_config(
-                index, name, has_root=(index == 0), seed=self.seed + index,
+                name, has_root=(index == 0), seed=self.seed + index,
                 telemetry_on=telemetry_on,
             )
             process = ctx.Process(target=worker_main, args=(config, endpoint), daemon=True)
@@ -326,7 +305,7 @@ class LocalCluster:
                 respawns[name] = respawns.get(name, 0) + 1
                 endpoint = router.add_worker(name)
                 config = self._worker_config(
-                    index, name, has_root=False,
+                    name, has_root=False,
                     seed=self.seed + index + 1009 * respawns[name],
                     telemetry_on=telemetry_on,
                 )

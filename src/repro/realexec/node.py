@@ -13,18 +13,9 @@ All protocol traffic is encoded with the :mod:`repro.wire` binary codec (no
 pickling of protocol payloads): the worker decodes each incoming envelope
 frame at the link boundary and encodes every outgoing message the same way.
 The final :class:`WorkerOutcome` is itself a registered wire message
-(extension tag next to the transport's envelope).
-
-Each worker speaks a **wire-format generation**
-(:attr:`RealWorkerConfig.wire_generation`), which selects two core inputs.
-A generation-3 worker gossips table deltas and walks its work requests at
-coarse grain (:func:`~repro.distributed.pacing.walk_hops`).  A generation-2
-worker gossips deltas but neither walks nor reads walking frames.  A
-generation-1 worker sends whole-table snapshots and *rejects* newer frames at
-the link boundary exactly like the original release would — so a
-mixed-generation :class:`~repro.realexec.driver.LocalCluster` run is a real
-rolling upgrade: frames an old worker cannot read are dropped like lost
-messages, and the computation still terminates on the optimum.
+(extension tag next to the transport's envelope).  Every worker speaks the
+one wire format; a frame it cannot decode (corrupt, or of another version)
+is dropped at the link boundary like a lost message.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..bnb.basic_tree import BasicTree
@@ -43,7 +34,7 @@ from ..distributed.pacing import IDLE_PACE_CAP
 from ..distributed.protocol import ProtocolCore
 from ..obs import MetricsRegistry, Tracer
 from ..obs.ingest import ingest_worker_stats
-from ..wire import FRAME_VERSION, WireFormatError
+from ..wire import WireFormatError
 from ..wire.frame import Tag, register
 from ..wire.varint import (
     read_bool,
@@ -90,12 +81,6 @@ class RealWorkerConfig:
     seed: int = 0
     max_seconds: float = 30.0
     prune: bool = True
-    #: Wire-format generation this worker speaks: 3 accepts the whole
-    #: protocol and walks its work requests at coarse grain; 2 gossips table
-    #: deltas but neither walks nor reads walking frames; 1 models a
-    #: not-yet-upgraded binary that sends whole-table snapshots and rejects
-    #: generation-2 frames.
-    wire_generation: int = FRAME_VERSION
     #: Collect run telemetry (trace records + a metrics snapshot) and ship it
     #: to the driver as a :class:`WorkerTelemetry` frame before the outcome.
     telemetry: bool = False
@@ -200,11 +185,10 @@ class RealWorker(ProtocolCore):
 
     def __init__(self, config: RealWorkerConfig, connection, tracer, registry) -> None:
         problem = TreeReplayProblem(BasicTree.from_dict(config.tree_data), prune=config.prune)
-        algorithm = config.config
         super().__init__(
             config.name,
             problem,
-            replace(algorithm, delta_gossip=algorithm.delta_gossip and config.wire_generation >= 2),
+            config.config,
             [member for member in config.members if member != config.name],
             rng=random.Random(config.seed),
             initial_work=[problem.root_subproblem()] if config.has_root else (),
@@ -213,7 +197,6 @@ class RealWorker(ProtocolCore):
             expected_node_cost=config.node_sleep,
             tracer=tracer,
             obs_metrics=registry,
-            walk=config.wire_generation >= 3,
         )
         self.connection = connection
         self.timers: List[Tuple[float, str]] = []
@@ -277,14 +260,13 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
         while connection.poll(wait):
             started = time.monotonic()
             try:
-                envelope = recv_envelope(connection, max_version=config.wire_generation)
+                envelope = recv_envelope(connection)
             except (EOFError, OSError):
                 linked = False
                 break
             except WireFormatError:
-                # A corrupt frame — or, for an older generation, a frame of
-                # a newer one — is indistinguishable from a lost message in
-                # the paper's unreliable-channel model: drop it.
+                # A corrupt frame is indistinguishable from a lost message
+                # in the paper's unreliable-channel model: drop it.
                 if registry is not None:
                     registry.counter("worker_frames_dropped", worker=config.name).inc()
                 continue

@@ -57,7 +57,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs import get_logger
 from ..transport_names import TRANSPORT_NAMES, validate_transport
-from ..wire import FRAME_VERSION, WireFormatError, decode, encode
+from ..wire import WireFormatError, decode, encode
 from ..wire.frame import Tag, TruncatedFrameError, read_header, register
 from ..wire.varint import read_string, read_uvarint, write_string, write_uvarint
 
@@ -109,30 +109,19 @@ def _write_envelope(out: bytearray, envelope: Envelope) -> None:
     out += payload
 
 
-def _read_envelope_body(
-    data, pos: int, *, max_version: int = FRAME_VERSION
-) -> Tuple[Envelope, int]:
-    """Parse an envelope body (the single definition of its layout).
-
-    ``max_version`` bounds the wire-format generation accepted for the
-    *nested payload* frame (see :func:`decode_envelope`).
-    """
+def _read_envelope_body(data, pos: int) -> Tuple[Envelope, int]:
+    """Parse an envelope body (the single definition of its layout)."""
     sender, pos = read_string(data, pos)
     destination, pos = read_string(data, pos)
     length, pos = read_uvarint(data, pos)
     end = pos + length
     if end > len(data):
         raise WireFormatError("envelope payload runs past end of frame")
-    payload = decode(bytes(data[pos:end]), max_version=max_version)
+    payload = decode(bytes(data[pos:end]))
     return Envelope(sender, destination, payload), end
 
 
-def _read_envelope(data, pos: int) -> Tuple[Envelope, int]:
-    """Registry reader: an envelope body at the current generation."""
-    return _read_envelope_body(data, pos)
-
-
-register(ENVELOPE_TAG, Envelope, _write_envelope, _read_envelope)
+register(ENVELOPE_TAG, Envelope, _write_envelope, _read_envelope_body)
 
 
 def encode_envelope(envelope: Envelope) -> bytes:
@@ -140,16 +129,11 @@ def encode_envelope(envelope: Envelope) -> bytes:
     return encode(envelope)
 
 
-def decode_envelope(data: bytes, *, max_version: int = FRAME_VERSION) -> Envelope:
+def decode_envelope(data: bytes) -> Envelope:
     """Decode an envelope frame produced by :func:`encode_envelope`.
 
-    ``max_version`` bounds the wire-format generation of the *nested
-    payload*: a worker running an older protocol generation passes its own
-    (``RealWorkerConfig.wire_generation``), so payloads from newer peers are
-    rejected exactly as its real decoder would reject them — the frame is
-    dropped like a lost message, which is the rolling-upgrade behaviour the
-    mixed-version cluster tests exercise.  The envelope itself is a
-    generation-1 frame, so routing keeps working across generations.
+    The envelope and its nested payload frame must both carry
+    :data:`~repro.wire.FRAME_VERSION`.
     """
     _version, tag, body_start, body_len = read_header(data)
     if tag != ENVELOPE_TAG:
@@ -158,7 +142,7 @@ def decode_envelope(data: bytes, *, max_version: int = FRAME_VERSION) -> Envelop
     if body_end != len(data):
         raise WireFormatError(f"{len(data) - body_end} trailing bytes after frame")
     try:
-        envelope, pos = _read_envelope_body(data, body_start, max_version=max_version)
+        envelope, pos = _read_envelope_body(data, body_start)
     except WireFormatError:
         raise
     except ValueError as exc:
@@ -247,14 +231,14 @@ def send_envelope(connection, envelope: Envelope) -> None:
     connection.send_bytes(encode_envelope(envelope))
 
 
-def recv_envelope(connection, *, max_version: int = FRAME_VERSION) -> Envelope:
+def recv_envelope(connection) -> Envelope:
     """Receive and decode one envelope from a pipe connection.
 
-    Raises :class:`~repro.wire.WireFormatError` on corrupt frames (including
-    payloads from a newer wire-format generation than ``max_version``) and
-    the usual ``EOFError``/``OSError`` on closed pipes.
+    Raises :class:`~repro.wire.WireFormatError` on corrupt frames (a foreign
+    version byte included) and the usual ``EOFError``/``OSError`` on closed
+    pipes.
     """
-    return decode_envelope(connection.recv_bytes(), max_version=max_version)
+    return decode_envelope(connection.recv_bytes())
 
 
 # --------------------------------------------------------------------------- #

@@ -6,15 +6,15 @@ incompatible configurations and result types, this package is the single
 experiment-facing surface:
 
 * :class:`Scenario` — a frozen, backend-agnostic experiment description
-  (workload, workers, network, failure schedule, algorithm config, wire
-  generations, transport, seed);
+  (workload, workers, network, failure schedule, algorithm config,
+  transport, seed);
 * :class:`Backend` — the protocol the four registered implementations
   (``simulated``, ``central``, ``dib``, ``realexec``) satisfy;
 * :class:`ScenarioResult` — the one normalised result shape (solution,
   termination, per-kind byte accounting, recovery/crash counters,
   per-worker stats) the analysis layer consumes;
 * a registry of named paper scenarios (``quickstart``, ``figure3``,
-  ``crash-storm``, ``rolling-upgrade``, ``late-joiner``) behind the
+  ``crash-storm``, ``late-joiner``, ``campus-churn``) behind the
   ``python -m repro`` CLI.
 
 Quickstart::

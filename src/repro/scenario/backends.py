@@ -415,8 +415,7 @@ class RealexecBackend:
     """The same core objects on real ``multiprocessing`` workers.
 
     Honours ``Scenario.transport`` (``"pipe"``, ``"uds"`` or ``"tcp"``),
-    ``wire_generations`` (rolling upgrades), ``node_sleep`` and
-    ``max_seconds``.  Failure times are wall-clock
+    ``node_sleep`` and ``max_seconds``.  Failure times are wall-clock
     (:meth:`~repro.scenario.spec.FailureSpec.wall_clock_delay`).
     """
 
@@ -434,7 +433,6 @@ class RealexecBackend:
             max_seconds=scenario.max_seconds,
             prune=scenario.prune,
             config=scenario.config,
-            wire_generations=scenario.wire_generations,
             transport=scenario.transport,
             telemetry=scenario.telemetry,
         )

@@ -105,8 +105,6 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
                 dropped_victims,
                 dropped_partitions,
             )
-        if scenario.wire_generations is not None and len(scenario.wire_generations) != args.workers:
-            changes["wire_generations"] = None
     if getattr(args, "seed", None) is not None:
         changes["seed"] = args.seed
     if getattr(args, "transport", None) is not None:

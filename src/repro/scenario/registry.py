@@ -95,23 +95,6 @@ register_scenario(
 
 register_scenario(
     Scenario(
-        name="rolling-upgrade",
-        description=(
-            "A mixed wire-generation cluster (2, 1, 2, 1): upgraded workers "
-            "gossip table deltas, not-yet-upgraded ones drop those frames "
-            "and keep converging via generation-1 reports — run it on the "
-            "realexec backend for the real thing"
-        ),
-        workload=WorkloadSpec(kind="random", nodes=121, mean_node_time=0.005, seed=31),
-        n_workers=4,
-        seed=31,
-        wire_generations=(2, 1, 2, 1),
-        max_seconds=40.0,
-    )
-)
-
-register_scenario(
-    Scenario(
         name="campus-churn",
         description=(
             "The paper's campus-network deployment in miniature: five "

@@ -460,7 +460,7 @@ class Scenario:
 
     The fields split into *what is computed* (``workload``, ``prune``,
     ``granularity``), *who computes it* (``n_workers``), *over what*
-    (``network``, ``transport``, ``wire_generations``), *what goes wrong*
+    (``network``, ``transport``), *what goes wrong*
     (``failures``) and *how the mechanism is tuned* (``config``).  ``seed``
     makes the whole run deterministic on the simulated backends.
 
@@ -500,8 +500,6 @@ class Scenario:
     #: Transport between real worker processes: ``"pipe"``, ``"uds"`` or
     #: ``"tcp"`` (validated against the realexec transport registry).
     transport: str = "pipe"
-    #: Per-worker wire-format generation (rolling-upgrade runs).
-    wire_generations: Optional[Tuple[int, ...]] = None
     #: Artificial per-node sleep, to emulate heavier nodes on real processes.
     node_sleep: float = 0.0
     #: Wall-clock budget of a realexec run.
@@ -511,8 +509,6 @@ class Scenario:
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
         validate_transport(self.transport)
-        if self.wire_generations is not None and len(self.wire_generations) != self.n_workers:
-            raise ValueError("wire_generations must name one generation per worker")
         if self.granularity < 0:
             raise ValueError("granularity must be non-negative")
         if self.failures:

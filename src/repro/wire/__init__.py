@@ -16,11 +16,12 @@ Layout
   ``CompletedTableSnapshot``, the delta-gossip family (``DeltaSnapshot``,
   ``DeltaGossipMsg``, ``TableGossipAck``) and the work request/grant/deny
   messages.
-* :mod:`repro.wire.frame` — the versioned framed-message registry:
+* :mod:`repro.wire.frame` — the framed-message registry:
   ``encode(msg) -> bytes`` and ``decode(data) -> msg`` with a
-  magic/version/tag/length header, strict truncation and corruption
-  detection, and an extension hook (:func:`repro.wire.frame.register`) used
-  by the ``realexec`` transport for its envelope and outcome messages.
+  magic/version/tag/length header (one version, checked), strict
+  truncation and corruption detection, and an extension hook
+  (:func:`repro.wire.frame.register`) used by the ``realexec`` transport for
+  its envelope and outcome messages.
 
 The byte layout is specified in ``docs/WIRE_FORMAT.md``; the analytic model
 in :meth:`PathCode.wire_size` and friends is asserted (in
@@ -31,7 +32,6 @@ real encoded sizes within the documented limits.
 from .frame import (
     FRAME_MAGIC,
     FRAME_VERSION,
-    FRAME_VERSION_V1,
     Tag,
     TruncatedFrameError,
     UnknownMessageTagError,
@@ -46,7 +46,6 @@ from .frame import (
 __all__ = [
     "FRAME_MAGIC",
     "FRAME_VERSION",
-    "FRAME_VERSION_V1",
     "Tag",
     "WireFormatError",
     "TruncatedFrameError",

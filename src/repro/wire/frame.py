@@ -1,4 +1,4 @@
-"""Framed message registry: versioned headers over the body codecs.
+"""Framed message registry: checked headers over the body codecs.
 
 Frame layout (see ``docs/WIRE_FORMAT.md``)::
 
@@ -9,18 +9,9 @@ Frame layout (see ``docs/WIRE_FORMAT.md``)::
 * ``magic`` is the single byte ``0xB5``; anything else is rejected
   immediately, so pickled or foreign traffic can never be mistaken for a
   protocol frame.
-* ``version`` is the format generation.  Every message tag belongs to the
-  generation that introduced it (:data:`_TAG_VERSIONS`), and the encoder
-  stamps each frame with its tag's generation — so generation-1 messages
-  keep producing byte-identical generation-1 frames that old decoders still
-  accept, while new message types announce themselves as generation 2.
-  Decoders accept every generation up to the one they implement
-  (``decode(..., max_version=...)`` lowers that bound, which is how the
-  mixed-version rolling-upgrade tests model an old binary) and raise
-  :class:`UnsupportedVersionError` beyond it.  A frame whose declared
-  version is *older* than its tag's generation is corrupt
-  (:class:`WireFormatError`): a generation-1 frame cannot carry a
-  generation-2 message.
+* ``version`` is :data:`FRAME_VERSION`, the one format every frame is
+  stamped with.  Any other value raises :class:`UnsupportedVersionError`,
+  so a frame of another format is rejected, never misread.
 * ``tag`` identifies the message type (:class:`Tag`).
 * ``body-len`` is the exact body size in bytes.  A frame whose buffer is
   shorter than the declared body is :class:`TruncatedFrameError`; a body
@@ -65,7 +56,6 @@ from .varint import read_uvarint, write_uvarint
 __all__ = [
     "FRAME_MAGIC",
     "FRAME_VERSION",
-    "FRAME_VERSION_V1",
     "Tag",
     "WireFormatError",
     "TruncatedFrameError",
@@ -80,12 +70,8 @@ __all__ = [
 
 #: First byte of every frame.
 FRAME_MAGIC = 0xB5
-#: Current wire-format generation (2 added the delta-gossip family, 3 the
-#: walking work request, its denial and the heartbeat round).
+#: The version byte of every frame; decoders accept no other.
 FRAME_VERSION = 3
-#: The original generation; generation-1 messages still encode as v1 frames
-#: so generation-1 decoders keep accepting them during rolling upgrades.
-FRAME_VERSION_V1 = 1
 
 
 class WireFormatError(ValueError):
@@ -101,7 +87,7 @@ class UnknownMessageTagError(WireFormatError):
 
 
 class UnsupportedVersionError(WireFormatError):
-    """The frame was produced by a wire-format generation we cannot read."""
+    """The frame declares a version byte other than :data:`FRAME_VERSION`."""
 
 
 class Tag(enum.IntEnum):
@@ -119,7 +105,7 @@ class Tag(enum.IntEnum):
     TABLE_GOSSIP_MSG = 9
     # 10-12 carried the retired gossip-server membership messages: reserved,
     # never reuse (a frame bearing one is an unknown tag).
-    # -- generation 2: the delta-gossip family --
+    # -- the delta-gossip family --
     DELTA_SNAPSHOT = 13
     DELTA_GOSSIP_MSG = 14
     TABLE_GOSSIP_ACK = 15
@@ -128,8 +114,9 @@ class Tag(enum.IntEnum):
     #: take 16-31.
     EXTENSION_BASE = 16
 
-    # -- generation 3: the walking work request; core tags continue at 32
-    # because 1-15 are taken and 16-31 belong to the extensions --
+    # -- the walking work request and the heartbeat round; core tags
+    # continue at 32 because 1-15 are taken and 16-31 belong to the
+    # extensions --
     WALK_REQUEST = 32
     WALK_DENIED = 33
     HEARTBEAT = 34
@@ -140,79 +127,62 @@ _Reader = Callable[[object, int], Tuple[object, int]]
 
 _writers: Dict[Type, Tuple[int, _Writer]] = {}
 _readers: Dict[int, _Reader] = {}
-#: Wire-format generation each tag belongs to (the generation that
-#: introduced it).  Frames are stamped with their tag's generation.
-_tag_versions: Dict[int, int] = {}
 
 
-def register(
-    tag: int, cls: Type, writer: _Writer, reader: _Reader, *, version: int = FRAME_VERSION_V1
-) -> None:
+def register(tag: int, cls: Type, writer: _Writer, reader: _Reader) -> None:
     """Register a message type with the frame codec.
 
     ``writer(out, msg)`` appends the body; ``reader(data, pos)`` parses it
-    and returns ``(msg, new_pos)``.  ``version`` is the format generation
-    the message belongs to: frames carrying it are stamped with that
-    generation, so adding a generation-2 message never changes the bytes of
-    generation-1 traffic.  Used below for the core protocol and by the
-    ``realexec`` transport for its extension messages (see the "adding a new
-    message" how-to in ``docs/WIRE_FORMAT.md``).
+    and returns ``(msg, new_pos)``.  Used below for the core protocol and by
+    the ``realexec`` transport for its extension messages (see the "adding a
+    new message" how-to in ``docs/WIRE_FORMAT.md``).
     """
     tag = int(tag)
-    if not (FRAME_VERSION_V1 <= version <= FRAME_VERSION):
-        raise ValueError(f"unknown wire-format generation {version}")
     existing = _readers.get(tag)
     if existing is not None and _writers.get(cls, (None,))[0] != tag:
         raise ValueError(f"wire tag {tag} is already registered")
     _writers[cls] = (tag, writer)
     _readers[tag] = reader
-    _tag_versions[tag] = version
 
 
-for _tag, _cls, _writer, _reader, _version in (
-    (Tag.PATH_CODE, PathCode, codec.write_path_code, codec.read_path_code, 1),
-    (Tag.BEST_SOLUTION, BestSolution, codec.write_best_solution, codec.read_best_solution, 1),
-    (Tag.WORK_REPORT, WorkReport, codec.write_work_report, codec.read_work_report, 1),
+for _tag, _cls, _writer, _reader in (
+    (Tag.PATH_CODE, PathCode, codec.write_path_code, codec.read_path_code),
+    (Tag.BEST_SOLUTION, BestSolution, codec.write_best_solution, codec.read_best_solution),
+    (Tag.WORK_REPORT, WorkReport, codec.write_work_report, codec.read_work_report),
     (
         Tag.TABLE_SNAPSHOT,
         CompletedTableSnapshot,
         codec.write_table_snapshot,
         codec.read_table_snapshot,
-        1,
     ),
-    (Tag.WORK_REQUEST, WorkRequest, codec.write_work_request, codec.read_work_request, 1),
-    (Tag.WORK_GRANT, WorkGrant, codec.write_work_grant, codec.read_work_grant, 1),
-    (Tag.WORK_DENIED, WorkDenied, codec.write_work_denied, codec.read_work_denied, 1),
+    (Tag.WORK_REQUEST, WorkRequest, codec.write_work_request, codec.read_work_request),
+    (Tag.WORK_GRANT, WorkGrant, codec.write_work_grant, codec.read_work_grant),
+    (Tag.WORK_DENIED, WorkDenied, codec.write_work_denied, codec.read_work_denied),
     (
         Tag.WORK_REPORT_MSG,
         WorkReportMsg,
         codec.write_work_report_msg,
         codec.read_work_report_msg,
-        1,
     ),
     (
         Tag.TABLE_GOSSIP_MSG,
         TableGossipMsg,
         codec.write_table_gossip_msg,
         codec.read_table_gossip_msg,
-        1,
     ),
-    # -- generation 2: delta gossip --
-    (Tag.DELTA_SNAPSHOT, DeltaSnapshot, codec.write_delta_snapshot, codec.read_delta_snapshot, 2),
+    (Tag.DELTA_SNAPSHOT, DeltaSnapshot, codec.write_delta_snapshot, codec.read_delta_snapshot),
     (
         Tag.DELTA_GOSSIP_MSG,
         DeltaGossipMsg,
         codec.write_delta_gossip_msg,
         codec.read_delta_gossip_msg,
-        2,
     ),
-    (Tag.TABLE_GOSSIP_ACK, TableGossipAck, codec.write_gossip_ack, codec.read_gossip_ack, 2),
-    # -- generation 3: walking work requests, heartbeats --
-    (Tag.WALK_REQUEST, WalkRequest, codec.write_walk_request, codec.read_walk_request, 3),
-    (Tag.WALK_DENIED, WalkDenied, codec.write_walk_denied, codec.read_walk_denied, 3),
-    (Tag.HEARTBEAT, HeartbeatGossipMsg, codec.write_heartbeat_msg, codec.read_heartbeat_msg, 3),
+    (Tag.TABLE_GOSSIP_ACK, TableGossipAck, codec.write_gossip_ack, codec.read_gossip_ack),
+    (Tag.WALK_REQUEST, WalkRequest, codec.write_walk_request, codec.read_walk_request),
+    (Tag.WALK_DENIED, WalkDenied, codec.write_walk_denied, codec.read_walk_denied),
+    (Tag.HEARTBEAT, HeartbeatGossipMsg, codec.write_heartbeat_msg, codec.read_heartbeat_msg),
 ):
-    register(_tag, _cls, _writer, _reader, version=_version)
+    register(_tag, _cls, _writer, _reader)
 
 
 # ---------------------------------------------------------------------- #
@@ -232,10 +202,7 @@ def encode(msg: object) -> bytes:
     tag, writer = entry
     body = bytearray()
     writer(body, msg)
-    # A frame is stamped with its *tag's* generation, not the library's:
-    # generation-1 messages keep producing byte-identical v1 frames that
-    # old decoders accept, which is what makes rolling upgrades possible.
-    out = bytearray((FRAME_MAGIC, _tag_versions.get(tag, FRAME_VERSION)))
+    out = bytearray((FRAME_MAGIC, FRAME_VERSION))
     write_uvarint(out, tag)
     write_uvarint(out, len(body))
     out += body
@@ -250,14 +217,11 @@ def encoded_size(msg: object) -> int:
 # ---------------------------------------------------------------------- #
 # Decoding
 # ---------------------------------------------------------------------- #
-def read_header(data, *, max_version: int = FRAME_VERSION) -> Tuple[int, int, int, int]:
+def read_header(data) -> Tuple[int, int, int, int]:
     """Validate the frame header; returns ``(version, tag, body_start, body_len)``.
 
-    ``max_version`` is the newest generation the caller implements: frames
-    declaring a newer one raise :class:`UnsupportedVersionError`.  Passing
-    ``max_version=1`` makes this decoder behave exactly like the original
-    generation-1 release — the mixed-version cluster tests use that to model
-    not-yet-upgraded peers.
+    A version byte other than :data:`FRAME_VERSION` raises
+    :class:`UnsupportedVersionError`.
     """
     if len(data) == 0:
         raise TruncatedFrameError("empty buffer")
@@ -266,7 +230,7 @@ def read_header(data, *, max_version: int = FRAME_VERSION) -> Tuple[int, int, in
     if len(data) < 2:
         raise TruncatedFrameError("frame ends inside the header")
     version = data[1]
-    if not (FRAME_VERSION_V1 <= version <= max_version):
+    if version != FRAME_VERSION:
         raise UnsupportedVersionError(f"unsupported wire-format version {version}")
     try:
         tag, pos = read_uvarint(data, 2)
@@ -280,29 +244,15 @@ def read_header(data, *, max_version: int = FRAME_VERSION) -> Tuple[int, int, in
     return version, tag, pos, body_len
 
 
-def decode(data, *, max_version: int = FRAME_VERSION) -> object:
-    """Decode one framed message; the buffer must contain exactly one frame.
-
-    ``max_version`` bounds the accepted format generation (see
-    :func:`read_header`); the compatibility rules between a frame's declared
-    generation and its tag's generation are spelled out in
-    ``docs/WIRE_FORMAT.md``.
-    """
-    version, tag, body_start, body_len = read_header(data, max_version=max_version)
+def decode(data) -> object:
+    """Decode one framed message; the buffer must contain exactly one frame."""
+    _version, tag, body_start, body_len = read_header(data)
     body_end = body_start + body_len
     if body_end != len(data):
         raise WireFormatError(f"{len(data) - body_end} trailing bytes after frame")
     reader = _readers.get(tag)
     if reader is None:
         raise UnknownMessageTagError(f"unknown message tag {tag}")
-    required = _tag_versions.get(tag, FRAME_VERSION)
-    if version < required:
-        # A generation-1 frame cannot carry a generation-2 message: whatever
-        # produced these bytes was not speaking the protocol.
-        raise WireFormatError(
-            f"tag {tag} belongs to wire-format generation {required} "
-            f"but the frame declares generation {version}"
-        )
     try:
         msg, pos = reader(data, body_start)
     except WireFormatError:

@@ -123,6 +123,45 @@ class TestDibBaseline:
             run_dib_simulation(problem, 0)
 
 
+class TestAllCrashStop:
+    """A run stops once no entity is alive, and only then: while anyone
+    lives, a run that cannot terminate goes on to ``max_sim_time``."""
+
+    def test_dib_run_stops_at_the_last_crash(self, workload):
+        _tree, problem = workload
+        names = ("dworker-00", "dworker-01", "dworker-02")
+        result = run_dib_simulation(
+            problem,
+            3,
+            seed=1,
+            failures=[CrashEvent(1.0, name) for name in names],
+            max_sim_time=500.0,
+        )
+        assert not result.terminated
+        assert result.crashed_workers == list(names)
+        assert result.makespan == 1.0
+        assert (result.nodes_expanded, result.messages_sent) == (53, 10)
+
+    def test_central_workers_outlive_their_manager(self, workload):
+        _tree, problem = workload
+        result = run_central_simulation(
+            problem,
+            3,
+            seed=1,
+            failures=[CrashEvent(1.0, "manager")],
+            max_sim_time=15.0,
+        )
+        assert not result.terminated
+        assert result.crashed_workers == ["manager"]
+        # The live workers keep the run going to the cap, as they always did.
+        assert result.makespan == 15.0
+        assert (result.nodes_expanded, result.messages_sent, result.total_bytes_sent) == (
+            40,
+            170,
+            7814,
+        )
+
+
 @pytest.mark.parametrize("runner", [run_central_simulation, run_dib_simulation])
 @pytest.mark.parametrize("keyword", ["latency", "loss_probability"])
 def test_expired_network_keywords_are_rejected(workload, runner, keyword):

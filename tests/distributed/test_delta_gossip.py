@@ -89,7 +89,7 @@ def run_gossip_schedule(seed: int, *, mode: str) -> tuple:
 
     ``mode`` selects the mechanism: ``"snapshot"`` is the whole-table
     reference, ``"delta"`` the anti-entropy replacement, and ``"mixed"``
-    follows the schedule's per-gossip coin (a rolling upgrade).  After the
+    follows the schedule's per-gossip coin (both kinds interleaved).  After the
     chaotic phase a lossless closing phase lets gossip finish.
     """
     n, events = build_schedule(seed)

@@ -3,7 +3,8 @@
 The counterpart of ``TestNewsForRedoneWork`` in
 ``tests/distributed/test_worker_unit.py``: ``worker_main`` runs in a thread
 on one end of a pipe, the test plays its peers on the other end and reads
-back every frame the worker sent.
+back every frame the worker sent.  The same harness checks that a frame the
+worker cannot decode is dropped like a lost message.
 """
 
 import multiprocessing
@@ -24,7 +25,12 @@ from repro.distributed.messages import (
     WorkRequest,
 )
 from repro.realexec.node import RealWorkerConfig, WorkerTelemetry, worker_main
-from repro.realexec.transport import Envelope, recv_envelope, send_envelope
+from repro.realexec.transport import (
+    Envelope,
+    encode_envelope,
+    recv_envelope,
+    send_envelope,
+)
 
 MEMBERS = ("w0", "w1", "w2", "w3")
 
@@ -204,3 +210,28 @@ class TestLostRecoveryIsRetried:
         read_all(ours)
         thread.join(timeout=10.0)
         assert recovered_again
+
+
+class TestForeignVersionIsDropped:
+    @pytest.mark.parametrize("version", [0, 1, 2, 4])
+    def test_frame_of_another_version_is_dropped_like_a_lost_message(
+        self, tree, codes, version
+    ):
+        """w2's report would be answered with news (see
+        ``test_report_that_teaches_nothing_is_answered_with_one_delta``);
+        under a foreign version byte it is never read, so nobody answers."""
+        left, grandchild, right = codes
+        thread, ours = start_worker(tree, telemetry=True)
+        send_envelope(ours, Envelope("w0", "w1", report("w0", grandchild, right)))
+        foreign = bytearray(encode_envelope(Envelope("w2", "w1", report("w2", grandchild))))
+        foreign[1] = version
+        ours.send_bytes(bytes(foreign))
+        send_envelope(ours, Envelope("w0", "w1", WorkReportMsg(make_root_report("w0"))))
+        thread.start()
+        sent = read_all(ours)
+        thread.join(timeout=10.0)
+        assert deltas(sent) == []
+        (telemetry,) = [e.payload for e in sent if isinstance(e.payload, WorkerTelemetry)]
+        counters = telemetry.decoded()["metrics"]["counters"]
+        assert counters["worker_frames_dropped{worker=w1}"] == 1
+        assert counters["worker_frames_received{worker=w1}"] == 2

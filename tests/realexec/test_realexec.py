@@ -33,7 +33,7 @@ def small_tree():
 def _blob_frame(sender: str, dest: str, size: int) -> bytes:
     """An envelope frame routed ``sender -> dest`` carrying ``size`` zero bytes."""
     from repro.realexec.transport import ENVELOPE_TAG
-    from repro.wire.frame import FRAME_MAGIC
+    from repro.wire.frame import FRAME_MAGIC, FRAME_VERSION
     from repro.wire.varint import write_string, write_uvarint
 
     body = bytearray()
@@ -41,7 +41,7 @@ def _blob_frame(sender: str, dest: str, size: int) -> bytes:
     write_string(body, dest)
     write_uvarint(body, size)
     body += b"\0" * size
-    frame = bytearray((FRAME_MAGIC, 1))
+    frame = bytearray((FRAME_MAGIC, FRAME_VERSION))
     write_uvarint(frame, ENVELOPE_TAG)
     write_uvarint(frame, len(body))
     frame += body
@@ -145,10 +145,10 @@ class TestPipeRouter:
         # router thread must survive to forward later traffic (regression:
         # this used to leak a bare ValueError and kill the thread).
         from repro.realexec.transport import ENVELOPE_TAG
-        from repro.wire.frame import FRAME_MAGIC
+        from repro.wire.frame import FRAME_MAGIC, FRAME_VERSION
         from repro.wire.varint import write_uvarint
 
-        evil = bytearray((FRAME_MAGIC, 1))
+        evil = bytearray((FRAME_MAGIC, FRAME_VERSION))
         write_uvarint(evil, ENVELOPE_TAG)
         write_uvarint(evil, 1)  # body: a single byte...
         evil.append(0x7F)  # ...claiming a 127-byte sender name follows
@@ -221,18 +221,6 @@ class TestLocalCluster:
         with pytest.raises(ValueError):
             LocalCluster(small_tree, 0)
 
-    def test_wire_generations_must_match_worker_count(self, small_tree):
-        with pytest.raises(ValueError):
-            LocalCluster(small_tree, 3, wire_generations=[1, 2])
-
-    def test_wire_generations_must_be_known(self, small_tree):
-        # An out-of-range generation would make the worker reject every
-        # frame and spin deaf until its deadline: fail fast instead.
-        with pytest.raises(ValueError):
-            LocalCluster(small_tree, 2, wire_generations=[1, 0])
-        with pytest.raises(ValueError):
-            LocalCluster(small_tree, 2, wire_generations=[99, 2])
-
 
 class TestNoVacuousSuccess:
     def test_survivors_without_a_best_value_are_not_correct(self):
@@ -278,85 +266,6 @@ class TestCoarseGrainWalk:
         expanded = sum(outcome.nodes_expanded for outcome in result.outcomes.values())
         assert expanded <= 1.3 * len(small_tree)
         assert result.wall_time < 5.0
-
-    def test_generation_2_peers_drop_walking_frames(self, small_tree):
-        """Rolling upgrade at coarse grain: a generation-2 worker drops a
-        generation-3 peer's walking requests like lost messages."""
-        from repro.obs import TelemetryConfig
-
-        cluster = LocalCluster(
-            small_tree,
-            4,
-            seed=4,
-            prune=False,
-            node_sleep=0.15,
-            max_seconds=30.0,
-            wire_generations=[3, 2, 3, 2],
-            telemetry=TelemetryConfig(trace=False),
-        )
-        result = cluster.run()
-        assert result.surviving_terminated
-        assert result.solved_correctly
-        # Only walking frames are newer than generation 2.
-        assert result.telemetry.metrics.total("worker_frames_dropped") >= 1
-
-
-@pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
-class TestMixedVersionCluster:
-    """Rolling upgrade over real pipes: generation-1 and generation-2
-    workers coexist.  Old workers drop the upgraded peers' delta-gossip
-    frames at the pipe boundary (unsupported version, indistinguishable from
-    loss), everyone keeps converging via the generation-1 report traffic,
-    and the run still terminates on the optimum."""
-
-    def test_mixed_generations_terminate_and_solve(self, small_tree):
-        cluster = LocalCluster(
-            small_tree,
-            4,
-            prune=False,
-            max_seconds=40.0,
-            wire_generations=[2, 1, 2, 1],
-        )
-        result = cluster.run()
-        assert result.surviving_terminated
-        assert result.solved_correctly
-
-    def test_all_v1_cluster_still_works(self, small_tree):
-        """A not-yet-upgraded cluster runs the paper's literal protocol."""
-        cluster = LocalCluster(
-            small_tree, 3, prune=False, max_seconds=40.0, wire_generations=[1, 1, 1]
-        )
-        result = cluster.run()
-        assert result.surviving_terminated
-        assert result.solved_correctly
-
-    def test_v1_to_v2_and_v2_to_v1_round_trips(self):
-        """Both directions of a mixed pair: snapshots parse everywhere,
-        deltas only at generation 2."""
-        from repro.core.completion import CompletionTracker
-        from repro.core.encoding import PathCode
-        from repro.distributed.messages import DeltaGossipMsg, TableGossipMsg
-        from repro.wire import UnsupportedVersionError
-
-        old, new = CompletionTracker("old"), CompletionTracker("new")
-        for tracker in (old, new):
-            tracker.record_completed(PathCode(((0, 0), (1, 1))))
-
-        # v1 sender -> v2 receiver: whole snapshot, decoded fine at gen 2.
-        snapshot_frame = encode_envelope(
-            Envelope("old", "new", TableGossipMsg(old.build_table_snapshot()))
-        )
-        received = decode_envelope(snapshot_frame)  # gen-2 receiver
-        new.merge_snapshot(received.payload.snapshot)
-
-        # v2 sender -> v1 receiver: the delta frame is rejected at gen 1...
-        delta_frame = encode_envelope(
-            Envelope("new", "old", DeltaGossipMsg(new.build_delta_snapshot("old")))
-        )
-        with pytest.raises(UnsupportedVersionError):
-            decode_envelope(delta_frame, max_version=1)
-        # ...but a gen-2 receiver reads it, so the upgrade is forward-safe.
-        assert decode_envelope(delta_frame).payload.delta.sender == "new"
 
 
 class TestUdsTransport:

@@ -8,7 +8,10 @@ value and terminate; the realexec backend runs the quickstart scenario over
 the ``pipe``, ``uds`` and ``tcp`` transports, where the rows also check the
 head-count (every worker reported) and the work it took (nobody redid the
 tree), plus a 16-worker teardown stress on the stream transports and a
-16-worker work bound over tcp.
+16-worker work bound over tcp.  The ``rolling-upgrade`` tree (named for the
+retired scenario that ran it) is a recovery sensor: a seeded simulated row
+bounds the recoveries a quiet, healthy group starts, and a realexec row runs
+the same shape on real processes.
 """
 
 import sys
@@ -36,6 +39,16 @@ PARITY = Scenario(
     workload=WorkloadSpec(kind="random", nodes=81, mean_node_time=0.005, seed=23),
     n_workers=3,
     seed=5,
+)
+
+#: The rolling-upgrade tree: 121 nodes of 5 ms on 4 workers, no faults.
+#: Every recovery on it is a quiet group reading its own silence as loss.
+ROLLING_UPGRADE_TREE = Scenario(
+    name="rolling-upgrade-tree",
+    workload=WorkloadSpec(kind="random", nodes=121, mean_node_time=0.005, seed=31),
+    n_workers=4,
+    seed=31,
+    max_seconds=40.0,
 )
 
 
@@ -71,6 +84,22 @@ class TestSimulatedBackendParity:
             assert sum(w.nodes_expanded for w in result.workers.values()) == (
                 result.total_nodes_expanded
             ), name
+
+
+class TestRollingUpgradeTree:
+    """The recovery sensor: run seeds 31-46 of the rolling-upgrade tree on
+    the simulator.  Nothing fails, so every recovery there is needless; the
+    bound is the count when the scenario was retired (per seed
+    0,1,1,2,0,1,0,2,2,1,3,3,3,3,1,2), and recovery-on-evidence work
+    tightens it."""
+
+    def test_recoveries_over_seeds_31_to_46(self):
+        recoveries = []
+        for seed in range(31, 47):
+            result = run_scenario(ROLLING_UPGRADE_TREE.with_overrides(seed=seed), "simulated")
+            assert result.terminated and result.solved_correctly, seed
+            recoveries.append(result.recoveries)
+        assert sum(recoveries) <= 25, recoveries
 
 
 class TestCrashParity:
@@ -257,7 +286,7 @@ class TestRealexecSmoke:
 
     @pytest.mark.parametrize("transport", ["pipe", "tcp"])
     def test_rolling_upgrade_scenario_on_realexec(self, transport):
-        scenario = get_scenario("rolling-upgrade").with_overrides(transport=transport)
+        scenario = ROLLING_UPGRADE_TREE.with_overrides(transport=transport)
         result = run_scenario(scenario, backend="realexec")
         assert result.terminated and result.solved_correctly
         assert result.raw.n_workers == 4

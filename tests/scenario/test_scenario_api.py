@@ -89,8 +89,6 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(transport="carrier-pigeon")
         with pytest.raises(ValueError):
-            Scenario(n_workers=3, wire_generations=(1, 2))
-        with pytest.raises(ValueError):
             Scenario().with_overrides(transport="carrier-pigeon")
 
     def test_building_scenarios_does_not_import_realexec(self):
@@ -141,7 +139,7 @@ class TestScenario:
 class TestRegistry:
     def test_paper_scenarios_are_registered(self):
         names = scenario_names()
-        for expected in ("quickstart", "figure3", "crash-storm", "rolling-upgrade", "late-joiner"):
+        for expected in ("quickstart", "figure3", "crash-storm", "campus-churn", "late-joiner"):
             assert expected in names
         assert all(s.description for s in list_scenarios())
 

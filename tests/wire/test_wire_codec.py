@@ -33,7 +33,7 @@ from repro.distributed.messages import (
     WorkRequest,
 )
 from repro.wire import varint
-from repro.wire.frame import FRAME_MAGIC, Tag, read_header
+from repro.wire.frame import FRAME_MAGIC, FRAME_VERSION, Tag, read_header
 
 
 # ---------------------------------------------------------------------- #
@@ -85,29 +85,27 @@ def rand_delta(rng):
 
 
 #: One sample per core tag, in tag order: the tag each message type is
-#: framed under and the wire-format generation that introduced it.
+#: framed under.
 CORE_TAG_SAMPLES = [
-    (Tag.PATH_CODE, 1, rand_code),
-    (Tag.BEST_SOLUTION, 1, rand_best),
-    (Tag.WORK_REPORT, 1, rand_report),
-    (Tag.TABLE_SNAPSHOT, 1, rand_snapshot),
-    (Tag.WORK_REQUEST, 1, lambda rng: WorkRequest(requester="w-1", best=rand_best(rng))),
-    (Tag.WORK_GRANT, 1, lambda rng: WorkGrant(donor="w-2", codes=(rand_code(rng),))),
-    (Tag.WORK_DENIED, 1, lambda rng: WorkDenied(donor="w-3", best=rand_best(rng))),
-    (Tag.WORK_REPORT_MSG, 1, lambda rng: WorkReportMsg(rand_report(rng))),
-    (Tag.TABLE_GOSSIP_MSG, 1, lambda rng: TableGossipMsg(rand_snapshot(rng))),
-    (Tag.DELTA_SNAPSHOT, 2, rand_delta),
-    (Tag.DELTA_GOSSIP_MSG, 2, lambda rng: DeltaGossipMsg(rand_delta(rng))),
+    (Tag.PATH_CODE, rand_code),
+    (Tag.BEST_SOLUTION, rand_best),
+    (Tag.WORK_REPORT, rand_report),
+    (Tag.TABLE_SNAPSHOT, rand_snapshot),
+    (Tag.WORK_REQUEST, lambda rng: WorkRequest(requester="w-1", best=rand_best(rng))),
+    (Tag.WORK_GRANT, lambda rng: WorkGrant(donor="w-2", codes=(rand_code(rng),))),
+    (Tag.WORK_DENIED, lambda rng: WorkDenied(donor="w-3", best=rand_best(rng))),
+    (Tag.WORK_REPORT_MSG, lambda rng: WorkReportMsg(rand_report(rng))),
+    (Tag.TABLE_GOSSIP_MSG, lambda rng: TableGossipMsg(rand_snapshot(rng))),
+    (Tag.DELTA_SNAPSHOT, rand_delta),
+    (Tag.DELTA_GOSSIP_MSG, lambda rng: DeltaGossipMsg(rand_delta(rng))),
     (
         Tag.TABLE_GOSSIP_ACK,
-        2,
         lambda rng: TableGossipAck(sender="w-4", digest=rng.getrandbits(64), best=rand_best(rng)),
     ),
-    (Tag.WALK_REQUEST, 3, lambda rng: WalkRequest("w-5", 1, 2, rand_best(rng))),
-    (Tag.WALK_DENIED, 3, lambda rng: WalkDenied("w-6", 1, True, rand_best(rng))),
+    (Tag.WALK_REQUEST, lambda rng: WalkRequest("w-5", 1, 2, rand_best(rng))),
+    (Tag.WALK_DENIED, lambda rng: WalkDenied("w-6", 1, True, rand_best(rng))),
     (
         Tag.HEARTBEAT,
-        3,
         lambda rng: HeartbeatGossipMsg(
             "w-7", (("w-7", rng.randrange(1 << 20)), ("w-8", 0)), (("w-8", 2),), rand_best(rng)
         ),
@@ -252,7 +250,7 @@ class TestRoundTrips:
         data = assert_round_trip(pull)
         decoded = wire.decode(data)
         assert decoded.delta.is_empty and decoded.delta.full_digest == (1 << 64) - 1
-        assert read_header(data)[:2] == (2, int(Tag.DELTA_GOSSIP_MSG))
+        assert read_header(data)[:2] == (FRAME_VERSION, int(Tag.DELTA_GOSSIP_MSG))
         # 16 bytes plus the sender name; an incumbent adds its float64.
         assert len(data) == 18 == wire.encoded_size(pull)
         with_best = DeltaGossipMsg(
@@ -274,15 +272,15 @@ class TestRoundTrips:
         assert wire.encode(a) == wire.encode(b)
 
     @pytest.mark.parametrize(
-        "tag, generation, make", CORE_TAG_SAMPLES, ids=[t.name for t, _, _ in CORE_TAG_SAMPLES]
+        "tag, make", CORE_TAG_SAMPLES, ids=[t.name for t, _ in CORE_TAG_SAMPLES]
     )
-    def test_every_core_tag_frames_its_message(self, tag, generation, make):
+    def test_every_core_tag_frames_its_message(self, tag, make):
         # Pins the tag -> message map of the whole core range: retiring a
-        # tag must never renumber or re-stamp the ones that stay.
+        # tag must never renumber the ones that stay.
         msg = make(random.Random(int(tag)))
         data = assert_round_trip(msg)
         version, frame_tag, body_start, body_len = read_header(data)
-        assert (frame_tag, version) == (int(tag), generation)
+        assert (frame_tag, version) == (int(tag), FRAME_VERSION)
         assert body_start + body_len == len(data)
 
     def test_unregistered_type_rejected(self):
@@ -333,7 +331,7 @@ class TestRejection:
             wire.decode(bytes(frame))
 
     def test_unknown_tag_rejected(self):
-        out = bytearray((FRAME_MAGIC, 1))
+        out = bytearray((FRAME_MAGIC, FRAME_VERSION))
         varint.write_uvarint(out, 200)  # no such tag
         varint.write_uvarint(out, 0)
         with pytest.raises(wire.UnknownMessageTagError):
@@ -343,7 +341,7 @@ class TestRejection:
     def test_retired_membership_tags_rejected(self, tag):
         # Tags 10-12 once carried a membership view digest, view gossip
         # (sender + digest) and a join announcement (member name).  A
-        # well-formed v1 frame of each must fail loudly, never decode into
+        # well-formed frame of each must fail loudly, never decode into
         # some other message.
         sender, member, digest = bytearray(), bytearray(), bytearray()
         varint.write_string(sender, "server")
@@ -353,7 +351,7 @@ class TestRejection:
         varint.write_float64(digest, 1.5)
         varint.write_bool(digest, False)
         body = {10: digest, 11: sender + digest, 12: member}[tag]
-        out = bytearray((FRAME_MAGIC, 1))
+        out = bytearray((FRAME_MAGIC, FRAME_VERSION))
         varint.write_uvarint(out, tag)
         varint.write_uvarint(out, len(body))
         out += body
@@ -372,7 +370,7 @@ class TestRejection:
         from repro.wire import codec
 
         codec.write_path_code(body, ROOT.child(3, 1))
-        out = bytearray((FRAME_MAGIC, 1))
+        out = bytearray((FRAME_MAGIC, FRAME_VERSION))
         varint.write_uvarint(out, int(Tag.PATH_CODE))
         varint.write_uvarint(out, len(body) + 2)
         out += body + b"\x00\x00"
@@ -402,7 +400,7 @@ class TestRejection:
         varint.write_uvarint(body, (7 << 1) | 1)
         varint.write_uvarint(body, 5)  # second: reuse 5 > depth 1
         varint.write_uvarint(body, 0)
-        out = bytearray((FRAME_MAGIC, 1))
+        out = bytearray((FRAME_MAGIC, FRAME_VERSION))
         varint.write_uvarint(out, int(Tag.WORK_GRANT))
         inner = bytearray()
         varint.write_string(inner, "donor")

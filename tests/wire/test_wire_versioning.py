@@ -1,42 +1,47 @@
-"""Wire-format generations 2 and 3: their codecs and cross-version rules.
+"""The one wire version, and the codecs of the later message families.
 
-Generation 2 added the delta-gossip family (``DeltaSnapshot``,
-``DeltaGossipMsg``, ``TableGossipAck``), generation 3 the walking work
-request and its denial (``WalkRequest``, ``WalkDenied``) and the failure
-detector's heartbeat round (``HeartbeatGossipMsg``).  The
-compatibility contract pinned here, spelled out in ``docs/WIRE_FORMAT.md``
-(each rule holds between every older and newer generation):
-
-* generation-1 messages still encode as byte-identical generation-1 frames,
-  so a generation-1 decoder keeps accepting them;
-* generation-2 messages announce themselves with version byte 2 and are
-  rejected by a generation-1 decoder (``decode(..., max_version=1)``) with
-  :class:`UnsupportedVersionError` — dropped like a lost message by the
-  realexec transport, which is what makes rolling upgrades safe;
-* a generation-1 frame carrying a generation-2 tag is corruption, not a
-  valid message;
-* round-trips hold for every new payload, and the analytic ``wire_size()``
-  model stays an upper bound on the encoded bytes within the documented
-  name-length limits.
+The rule pinned here, spelled out in ``docs/WIRE_FORMAT.md``: every frame,
+core or extension, is stamped with :data:`FRAME_VERSION`, and a frame (or
+an envelope's nested payload frame) declaring any other version byte is
+rejected with :class:`UnsupportedVersionError`.  Beside it, the delta-gossip
+family (``DeltaSnapshot``, ``DeltaGossipMsg``, ``TableGossipAck``), the
+walking work request and its denial (``WalkRequest``, ``WalkDenied``) and
+the failure detector's heartbeat round (``HeartbeatGossipMsg``) round-trip,
+reject every truncation, keep their tag values, and stay under the analytic
+``wire_size()`` model within the documented name-length limits.
 """
 
+import dataclasses
+import inspect
 import random
 
 import pytest
 
 from repro import wire
 from repro.core.encoding import PathCode
-from repro.core.work_report import BestSolution, DeltaSnapshot, table_digest
+from repro.core.work_report import (
+    BestSolution,
+    CompletedTableSnapshot,
+    DeltaSnapshot,
+    WorkReport,
+    table_digest,
+)
 from repro.distributed.messages import (
     DeltaGossipMsg,
     HeartbeatGossipMsg,
     TableGossipAck,
+    TableGossipMsg,
     WalkDenied,
     WalkRequest,
+    WorkDenied,
+    WorkGrant,
+    WorkReportMsg,
+    WorkRequest,
 )
 from repro.distributed.runner import worker_names
 from repro.realexec.transport import Envelope, decode_envelope, encode_envelope
-from repro.wire.frame import FRAME_VERSION, FRAME_VERSION_V1, Tag, read_header
+from repro.wire.frame import FRAME_VERSION, Tag, read_header
+from repro.wire.varint import write_string, write_uvarint
 
 
 def rand_code(rng, max_depth=20, max_var=4000):
@@ -67,13 +72,13 @@ def rand_ack(rng):
     )
 
 
-class TestGeneration2RoundTrips:
+class TestDeltaGossipRoundTrips:
     @pytest.mark.parametrize("seed", range(40))
     def test_delta_snapshot_round_trip(self, seed):
         rng = random.Random(seed)
         delta = rand_delta(rng)
         data = wire.encode(delta)
-        assert data[1] == 2  # generation-2 frame
+        assert data[1] == FRAME_VERSION
         decoded = wire.decode(data)
         assert decoded == delta
         assert decoded.full_digest == delta.full_digest
@@ -107,78 +112,128 @@ class TestGeneration2RoundTrips:
         assert wire.encoded_size(msg) <= msg.wire_size()
 
 
-class TestCrossVersionRules:
-    def test_generation1_messages_still_stamp_version_1(self):
-        from repro.core.work_report import CompletedTableSnapshot, WorkReport
-        from repro.distributed.messages import WorkRequest
+def registered_samples():
+    """One message per registered tag, core and extension alike."""
+    from repro.realexec.node import WorkerOutcome, WorkerTelemetry
+    from repro.wire.frame import _readers
 
-        rng = random.Random(3)
-        for msg in (
-            WorkRequest(requester="w1"),
-            WorkReport(sender="w1", codes=frozenset({rand_code(rng)})),
-            CompletedTableSnapshot(sender="w1", codes=frozenset()),
-        ):
-            data = wire.encode(msg)
-            assert data[1] == FRAME_VERSION_V1
-            # A generation-1 decoder accepts them unchanged.
-            assert wire.decode(data, max_version=1) == msg
+    rng = random.Random(12)
+    walk, denied = rand_walk_messages(rng)
+    samples = {
+        int(Tag.PATH_CODE): rand_code(rng),
+        int(Tag.BEST_SOLUTION): BestSolution(value=1.5, origin="w"),
+        int(Tag.WORK_REPORT): WorkReport(sender="w1", codes=frozenset({rand_code(rng)})),
+        int(Tag.TABLE_SNAPSHOT): CompletedTableSnapshot(sender="w1", codes=frozenset()),
+        int(Tag.WORK_REQUEST): WorkRequest(requester="w1"),
+        int(Tag.WORK_GRANT): WorkGrant(donor="w2", codes=(rand_code(rng),)),
+        int(Tag.WORK_DENIED): WorkDenied(donor="w3"),
+        int(Tag.WORK_REPORT_MSG): WorkReportMsg(WorkReport(sender="w1", codes=frozenset())),
+        int(Tag.TABLE_GOSSIP_MSG): TableGossipMsg(
+            CompletedTableSnapshot(sender="w1", codes=frozenset())
+        ),
+        int(Tag.DELTA_SNAPSHOT): rand_delta(rng),
+        int(Tag.DELTA_GOSSIP_MSG): DeltaGossipMsg(rand_delta(rng)),
+        int(Tag.TABLE_GOSSIP_ACK): rand_ack(rng),
+        int(Tag.WALK_REQUEST): walk,
+        int(Tag.WALK_DENIED): denied,
+        int(Tag.HEARTBEAT): rand_heartbeat(rng, 8),
+        int(Tag.EXTENSION_BASE): Envelope("a", "b", WorkRequest(requester="a")),
+        int(Tag.EXTENSION_BASE) + 1: WorkerOutcome("w", True, 3.0, 10, 2, 1),
+        int(Tag.EXTENSION_BASE) + 2: WorkerTelemetry("w", "{}"),
+    }
+    # A tag registered without a sample here fails, so a new message cannot
+    # escape the one-version check.
+    assert set(samples) == set(_readers)
+    return samples
 
-    def test_generation1_decoder_rejects_generation2_frames(self):
-        rng = random.Random(4)
-        for msg in (rand_delta(rng), rand_ack(rng), DeltaGossipMsg(rand_delta(rng))):
+
+class TestOneWireVersion:
+    """Every frame carries :data:`FRAME_VERSION`, and no other version byte
+    is ever accepted: the format has one version, checked."""
+
+    def test_every_registered_tag_stamps_the_one_version(self):
+        for tag, msg in registered_samples().items():
             data = wire.encode(msg)
-            assert wire.decode(data) == msg  # current decoder: fine
+            assert read_header(data)[:2] == (FRAME_VERSION, tag)
+            assert wire.decode(data) == msg
+
+    @pytest.mark.parametrize("version", [0, 1, 2, 4])
+    def test_any_other_version_byte_is_rejected(self, version):
+        assert version != FRAME_VERSION
+        for msg in registered_samples().values():
+            data = bytearray(wire.encode(msg))
+            data[1] = version
             with pytest.raises(wire.UnsupportedVersionError):
-                wire.decode(data, max_version=1)
+                wire.decode(bytes(data))
+        envelope = bytearray(encode_envelope(Envelope("a", "b", WorkRequest(requester="a"))))
+        envelope[1] = version
+        with pytest.raises(wire.UnsupportedVersionError):
+            decode_envelope(bytes(envelope))
 
-    def test_future_generation_rejected(self):
+    @pytest.mark.parametrize("version", [0, 1, 2, 4])
+    def test_any_other_nested_version_byte_is_rejected(self, version):
+        payload = bytearray(wire.encode(WorkRequest(requester="a")))
+        payload[1] = version
+        body = bytearray()
+        write_string(body, "a")
+        write_string(body, "b")
+        write_uvarint(body, len(payload))
+        body += payload
+        frame = bytearray((wire.FRAME_MAGIC, FRAME_VERSION))
+        write_uvarint(frame, int(Tag.EXTENSION_BASE))
+        write_uvarint(frame, len(body))
+        frame += body
+        with pytest.raises(wire.UnsupportedVersionError):
+            decode_envelope(bytes(frame))
+
+    @pytest.mark.parametrize("version", [0, 1, 2, 4])
+    def test_routers_reject_any_other_version_byte(self, version):
+        from repro.realexec.transport import envelope_route
+
+        frame = bytearray(encode_envelope(Envelope("a", "b", WorkRequest(requester="a"))))
+        assert envelope_route(bytes(frame)) == ("a", "b")
+        frame[1] = version
+        with pytest.raises(wire.UnsupportedVersionError):
+            envelope_route(bytes(frame))
+
+    def test_future_version_rejected(self):
         data = bytearray(wire.encode(TableGossipAck(sender="w", digest=1)))
         data[1] = FRAME_VERSION + 1
         with pytest.raises(wire.UnsupportedVersionError):
             wire.decode(bytes(data))
 
-    def test_v1_frame_with_v2_tag_is_corruption(self):
-        """Downgrading only the version byte must not smuggle a v2 message."""
-        data = bytearray(wire.encode(TableGossipAck(sender="w", digest=9)))
-        data[1] = FRAME_VERSION_V1
-        with pytest.raises(wire.WireFormatError):
-            wire.decode(bytes(data))
+    def test_no_generation_parameter_or_field_remains(self):
+        from repro.distributed.protocol import ProtocolCore
+        from repro.realexec.driver import LocalCluster
+        from repro.realexec.node import RealWorkerConfig
+        from repro.realexec.transport import recv_envelope
+        from repro.scenario import Scenario
+        from repro.wire.frame import decode, register
+
+        banned = {"max_version", "version", "wire_generation", "wire_generations", "walk"}
+        for api in (
+            read_header,
+            decode,
+            decode_envelope,
+            recv_envelope,
+            register,
+            LocalCluster,
+            RealWorkerConfig,
+            Scenario,
+            ProtocolCore,
+        ):
+            names = set(inspect.signature(api).parameters)
+            if dataclasses.is_dataclass(api):
+                names |= {f.name for f in dataclasses.fields(api)}
+            assert not names & banned, (api.__name__, sorted(names & banned))
 
     def test_tag_values_are_frozen(self):
-        """Generation-2 tags sit in the reserved core range, below 16."""
+        """The delta-gossip tags sit in the core range, below 16."""
         assert int(Tag.DELTA_SNAPSHOT) == 13
         assert int(Tag.DELTA_GOSSIP_MSG) == 14
         assert int(Tag.TABLE_GOSSIP_ACK) == 15
         assert int(Tag.EXTENSION_BASE) == 16
-
-
-class TestMixedVersionEnvelopes:
-    """The realexec envelope is generation 1, so routing works across
-    generations; only the *nested payload* is version-gated."""
-
-    def test_v1_payload_reaches_v1_and_v2_receivers(self):
-        from repro.distributed.messages import WorkRequest
-
-        envelope = Envelope("a", "b", WorkRequest(requester="a"))
-        data = encode_envelope(envelope)
-        for max_version in (1, FRAME_VERSION):
-            decoded = decode_envelope(data, max_version=max_version)
-            assert decoded.payload == envelope.payload
-
-    def test_v2_payload_rejected_by_v1_receiver_only(self):
-        rng = random.Random(5)
-        envelope = Envelope("a", "b", DeltaGossipMsg(rand_delta(rng, n_codes=3)))
-        data = encode_envelope(envelope)
-        assert decode_envelope(data).payload == envelope.payload
-        with pytest.raises(wire.UnsupportedVersionError):
-            decode_envelope(data, max_version=1)
-
-    def test_routing_header_readable_regardless_of_payload_generation(self):
-        from repro.realexec.transport import envelope_route
-
-        rng = random.Random(6)
-        envelope = Envelope("sender-x", "dest-y", rand_delta(rng, n_codes=2))
-        assert envelope_route(encode_envelope(envelope)) == ("sender-x", "dest-y")
+        assert FRAME_VERSION == 3
 
 
 def rand_walk_messages(rng):
@@ -195,40 +250,21 @@ def rand_walk_messages(rng):
     )
 
 
-class TestGeneration3Walk:
-    """Generation 3 added the walking work request and its denial (tags 32
-    and 33): core tags continue past the 16-31 extension range."""
+class TestWalkMessages:
+    """The walking work request and its denial (tags 32 and 33): core tags
+    continue past the 16-31 extension range."""
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_round_trip_and_generation_3_stamp(self, seed):
+    def test_round_trip_and_version_stamp(self, seed):
         for msg in rand_walk_messages(random.Random(3000 + seed)):
             data = wire.encode(msg)
-            assert data[1] == 3
+            assert data[1] == FRAME_VERSION
             assert wire.decode(data) == msg
 
     @pytest.mark.parametrize("seed", range(20))
     def test_model_upper_bound_for_short_names(self, seed):
         for msg in rand_walk_messages(random.Random(4000 + seed)):
             assert wire.encoded_size(msg) <= msg.wire_size()
-
-    def test_older_decoders_drop_them_like_lost_messages(self):
-        for msg in rand_walk_messages(random.Random(8)):
-            data = wire.encode(msg)
-            for generation in (FRAME_VERSION_V1, 2):
-                with pytest.raises(wire.UnsupportedVersionError):
-                    wire.decode(data, max_version=generation)
-            envelope = encode_envelope(Envelope("a", "b", msg))
-            assert decode_envelope(envelope).payload == msg
-            with pytest.raises(wire.UnsupportedVersionError):
-                decode_envelope(envelope, max_version=2)
-
-    def test_generation_2_frame_with_a_walk_tag_is_corruption(self):
-        data = bytearray(wire.encode(WalkRequest("w", 1)))
-        data[1] = 2
-        with pytest.raises(wire.WireFormatError):
-            wire.decode(bytes(data), max_version=2)
-        with pytest.raises(wire.WireFormatError):
-            wire.decode(bytes(data))
 
     def test_truncation_is_rejected(self):
         for msg in rand_walk_messages(random.Random(9)):
@@ -240,7 +276,6 @@ class TestGeneration3Walk:
     def test_tag_values_are_frozen(self):
         assert int(Tag.WALK_REQUEST) == 32
         assert int(Tag.WALK_DENIED) == 33
-        assert FRAME_VERSION == 3
 
 
 #: Documented limits of the heartbeat's upper bound: members named the
@@ -271,20 +306,19 @@ def rand_heartbeat(rng, n_workers, prefix="worker"):
     return HeartbeatGossipMsg(rng.choice(members), digest, incarnations, best)
 
 
-class TestGeneration3Heartbeat:
-    """The failure detector's heartbeat round (tag 34) joins generation 3.
-    Member names are front-coded from the sender's name on, so a canonical
+class TestHeartbeat:
+    """The failure detector's heartbeat round (tag 34).  Member names are front-coded from the sender's name on, so a canonical
     name costs its last digits, not its ``worker-`` prefix."""
 
     CLUSTERS = (1, 2, 8, 100, 1000, HEARTBEAT_MAX_WORKERS)
 
     @pytest.mark.parametrize("n_workers", CLUSTERS)
-    def test_round_trip_and_generation_3_stamp(self, n_workers):
+    def test_round_trip_and_version_stamp(self, n_workers):
         rng = random.Random(5000 + n_workers)
         for _ in range(30):
             msg = rand_heartbeat(rng, n_workers)
             data = wire.encode(msg)
-            assert read_header(data)[:2] == (3, int(Tag.HEARTBEAT))
+            assert read_header(data)[:2] == (FRAME_VERSION, int(Tag.HEARTBEAT))
             assert wire.decode(data) == msg
 
     def test_entry_order_and_unsorted_names_survive(self):
@@ -312,15 +346,6 @@ class TestGeneration3Heartbeat:
         assert wire.encoded_size(msg) <= 6 * len(names) + 16
         assert msg.wire_size() == 32 + 12 * len(names)
 
-    def test_older_decoders_drop_it_like_a_lost_message(self):
-        msg = rand_heartbeat(random.Random(10), 8)
-        data = wire.encode(msg)
-        for generation in (FRAME_VERSION_V1, 2):
-            with pytest.raises(wire.UnsupportedVersionError):
-                wire.decode(data, max_version=generation)
-        envelope = encode_envelope(Envelope("a", "b", msg))
-        assert decode_envelope(envelope).payload == msg
-
     def test_truncation_is_rejected(self):
         data = wire.encode(rand_heartbeat(random.Random(11), 8))
         for cut in range(len(data)):
@@ -330,7 +355,7 @@ class TestGeneration3Heartbeat:
     def test_name_reuse_beyond_the_previous_name_is_rejected(self):
         # Sender "w", one digest entry claiming 5 shared characters.
         body = bytes([1]) + b"w" + bytes([1, 5, 1]) + b"x" + bytes([0, 0, 0])
-        frame = bytes([wire.FRAME_MAGIC, 3, int(Tag.HEARTBEAT), len(body)]) + body
+        frame = bytes([wire.FRAME_MAGIC, FRAME_VERSION, int(Tag.HEARTBEAT), len(body)]) + body
         with pytest.raises(wire.WireFormatError):
             wire.decode(frame)
 
