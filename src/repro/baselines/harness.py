@@ -130,9 +130,9 @@ def run_baseline(
     The run has terminated once every living *judge* has — the coordinator,
     or every worker of a design without one — and it stops right then.  A
     run with no living judge cannot terminate.  It stops as soon as no
-    entity is alive, since nothing can happen after that; while any entity
-    lives it goes on to ``max_sim_time`` (or until nothing is left to
-    happen).
+    *worker* is alive, since no node can be expanded after that (a lone
+    coordinator expands nothing); while any worker lives it goes on to
+    ``max_sim_time`` (or until nothing is left to happen).
     """
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
@@ -164,8 +164,8 @@ def run_baseline(
             return bool(living) and all(judge.terminated for judge in living)
 
         def _finished() -> bool:
-            # Nothing can happen once no entity is alive.
-            return _terminated() or not any(entity.alive for entity in entities)
+            # No node can be expanded once no worker is alive.
+            return _terminated() or not any(worker.alive for worker in workers)
 
         engine.run(until=max_sim_time, stop_when=_finished)
 

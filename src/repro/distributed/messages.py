@@ -5,9 +5,11 @@ The algorithm uses a small set of message types (Sections 5 and 5.3.2):
 * **work requests / grants / denials** — the on-demand dynamic load-balancing
   traffic; grants carry the *codes* of the donated subproblems (codes are
   self-contained, so the receiver can rebuild the subproblem states locally);
-  at coarse grain a request *walks*: an idle receiver passes a
-  :class:`WalkRequest` on instead of denying it, and the
-  :class:`WalkDenied` that ends it echoes the requester's sequence number;
+  every starved worker sends the same :class:`WorkRequest`, and at coarse
+  grain it *walks*: an idle receiver passes it on instead of denying it
+  (:func:`~repro.distributed.pacing.walk_hops`); the :class:`WorkDenied`
+  that ends a request echoes the requester's sequence number, which alone
+  frees the requester's request slot;
 * **work reports** — compressed lists of newly completed codes, pushed to
   ``m`` random members;
 * **table gossip** — occasional full snapshots of the contracted completed
@@ -42,8 +44,6 @@ __all__ = [
     "WorkRequest",
     "WorkGrant",
     "WorkDenied",
-    "WalkRequest",
-    "WalkDenied",
     "WorkReportMsg",
     "TableGossipMsg",
     "DeltaGossipMsg",
@@ -59,14 +59,28 @@ _DIGEST_BYTES = 8
 
 @dataclass(frozen=True, slots=True)
 class WorkRequest:
-    """A starving worker asking a randomly chosen member for work."""
+    """A starving worker asking a randomly chosen member for work.
+
+    ``seq`` is the requester's request number, echoed by the denial that
+    ends the request (a passed-on request is not answered by the peer that
+    was asked); ``hops`` counts the times idle peers passed it on so far
+    (:func:`~repro.distributed.pacing.walk_hops` bounds it).
+    """
 
     requester: str
+    seq: int = 0
+    hops: int = 0
     best: BestSolution = field(default_factory=BestSolution)
 
     def wire_size(self) -> int:
-        """Requests are small: header plus the piggy-backed incumbent."""
-        return _HEADER_BYTES + self.best.wire_size()
+        """Header, one byte each for the sequence and hop count, and the
+        piggy-backed incumbent."""
+        return _HEADER_BYTES + 2 + self.best.wire_size()
+
+    def forwarded(self) -> "WorkRequest":
+        """The same request one hop further (the incumbent is the
+        requester's: a forwarder's own rides on its other traffic)."""
+        return WorkRequest(self.requester, self.seq, self.hops + 1, self.best)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,55 +98,20 @@ class WorkGrant:
 
 @dataclass(frozen=True, slots=True)
 class WorkDenied:
-    """Negative answer to a work request (the donor's pool was too small)."""
+    """Negative answer to a work request: echoes the request's ``seq``.
 
-    donor: str
-    best: BestSolution = field(default_factory=BestSolution)
-
-    def wire_size(self) -> int:
-        """Denials are as small as requests."""
-        return _HEADER_BYTES + self.best.wire_size()
-
-
-@dataclass(frozen=True, slots=True)
-class WalkRequest:
-    """A work request that an idle receiver passes on instead of denying.
-
-    ``seq`` is the requester's request number, echoed by the answer that
-    ends the walk (a forwarded request is not answered by the peer that was
-    asked); ``hops`` counts the forwards so far
-    (:func:`~repro.distributed.pacing.walk_hops` bounds it).
+    ``exhausted`` says the request walked to its hop limit meeting only
+    idle peers (the donor itself is idle), rather than reaching a donor too
+    small to give; it is set only where walking applies.
     """
 
-    requester: str
-    seq: int
-    hops: int = 0
-    best: BestSolution = field(default_factory=BestSolution)
-
-    def wire_size(self) -> int:
-        """A request plus one byte each for the sequence and hop count."""
-        return _HEADER_BYTES + 2 + self.best.wire_size()
-
-    def forwarded(self) -> "WalkRequest":
-        """The same request one hop further (the incumbent is the
-        requester's: a forwarder's own rides on its other traffic)."""
-        return WalkRequest(self.requester, self.seq, self.hops + 1, self.best)
-
-
-@dataclass(frozen=True, slots=True)
-class WalkDenied:
-    """Negative answer that ends a walk: echoes the request's ``seq``, and
-    ``exhausted`` says the walk reached its hop limit meeting only idle
-    peers (the donor itself is idle), rather than a donor too small to
-    give."""
-
     donor: str
-    seq: int
+    seq: int = 0
     exhausted: bool = False
     best: BestSolution = field(default_factory=BestSolution)
 
     def wire_size(self) -> int:
-        """A denial plus one byte each for the sequence and the flag."""
+        """As large as a request: one byte each for the sequence and flag."""
         return _HEADER_BYTES + 2 + self.best.wire_size()
 
 
@@ -243,7 +222,7 @@ class MessageKinds:
     """Canonical kind labels used by the traffic counters and traces."""
 
     WORK_REQUEST = "work_request"
-    #: A :class:`WalkRequest` passed on by an idle peer.
+    #: A :class:`WorkRequest` passed on by an idle peer.
     WORK_FORWARD = "work_forward"
     WORK_GRANT = "work_grant"
     WORK_DENIED = "work_denied"
@@ -277,12 +256,10 @@ class MessageKinds:
     def of(payload: object) -> str:
         """Classify a payload object into one of the kind labels."""
         if isinstance(payload, WorkRequest):
-            return MessageKinds.WORK_REQUEST
-        if isinstance(payload, WalkRequest):
             return MessageKinds.WORK_FORWARD if payload.hops else MessageKinds.WORK_REQUEST
         if isinstance(payload, WorkGrant):
             return MessageKinds.WORK_GRANT
-        if isinstance(payload, (WorkDenied, WalkDenied)):
+        if isinstance(payload, WorkDenied):
             return MessageKinds.WORK_DENIED
         if isinstance(payload, WorkReportMsg):
             if payload.report.contains_root():

@@ -127,16 +127,18 @@ def push_interval(node_cost: float) -> float:
 def walk_hops(node_cost: float, transit: float, n_peers: int) -> int:
     """How many times an idle worker may pass a work request on (0: never).
 
-    At coarse grain, where a request may wait longer than
-    ``IDLE_PACE_CAP``, a worker whose pool is empty does not deny a request
-    carrying fewer hops than this: it forwards it to a random peer other
-    than the requester, so the request parks at a busy donor's next
-    expansion boundary within milliseconds instead of bouncing between idle
-    peers at the poll cadence.  The limit, ``n_peers.bit_length()`` (7 at
-    100 workers), ends a walk through a group that is idle almost
-    everywhere; the last peer denies it as exhausted (:func:`request_pause`).
-    At fine grain the requester is re-polling within a node cost anyway, so
-    nothing walks.
+    Every starved worker sends the same request; its receiver decides by
+    its own reading of this limit.  At coarse grain, where a request may
+    wait longer than ``IDLE_PACE_CAP``, a worker whose pool is empty does
+    not deny a request carrying fewer hops than this: it forwards it to a
+    random peer other than the requester, so the request parks at a busy
+    donor's next expansion boundary within milliseconds instead of bouncing
+    between idle peers at the poll cadence.  The limit,
+    ``n_peers.bit_length()`` (7 at 100 workers), ends a walk through a
+    group that is idle almost everywhere; the last peer denies it as
+    exhausted (:func:`request_pause`).  At fine grain the requester is
+    re-polling within a node cost anyway, so nothing walks: an idle
+    receiver denies at once, and that denial is never exhausted.
     """
     if request_timeout(node_cost, transit) <= IDLE_PACE_CAP:
         return 0

@@ -23,7 +23,7 @@ two drivers", lists what each side owns.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..bnb.pool import SubproblemPool
 from ..bnb.problem import BranchAndBoundProblem, Subproblem
@@ -40,8 +40,6 @@ from .messages import (
     DeltaGossipMsg,
     TableGossipAck,
     TableGossipMsg,
-    WalkDenied,
-    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -111,8 +109,8 @@ class ProtocolCore:
         self._reset_state(arena)
 
         # Pacing state -------------------------------------------------- #
-        #: ``(victim, sent_at, seq)`` of the work request awaiting an answer.
-        self.outstanding_request: Optional[Tuple[str, float, int]] = None
+        #: Sequence number of the work request awaiting an answer.
+        self.outstanding_request: Optional[int] = None
         self._request_seq = 0
         self._last_lb_attempt: Optional[float] = None
         #: The last request's walk met only idle peers: the next one waits
@@ -239,8 +237,7 @@ class ProtocolCore:
         it was the protocol's (the driver then runs :meth:`step`)."""
         if reason.startswith("lb-timeout:"):
             seq = int(reason.split(":", 1)[1])
-            outstanding = self.outstanding_request
-            if outstanding is not None and outstanding[2] == seq:
+            if self.outstanding_request == seq:
                 # The request went unanswered (lost message, dead or busy
                 # victim): that counts as a failed attempt for the recovery
                 # policy's starvation rule.
@@ -259,7 +256,7 @@ class ProtocolCore:
         self.avg_transit = pacing.moving_average(self.avg_transit, transit)
         self._absorb_best(payload)
 
-        if isinstance(payload, (WorkRequest, WalkRequest)):
+        if isinstance(payload, WorkRequest):
             return self._received("load_balancing", size_bytes) + self._answer_work_request(
                 payload
             )
@@ -268,20 +265,13 @@ class ProtocolCore:
                 payload, now
             )
         if isinstance(payload, WorkDenied):
-            # Only the donor asked last can free the request slot: a busy
-            # donor reads a request at its next expansion boundary, so its
-            # denial can arrive after the request timed out and another
-            # victim was asked.  It still counts as a failed attempt.
-            outstanding = self.outstanding_request
-            if outstanding is not None and outstanding[0] == payload.donor:
-                self.outstanding_request = None
-            self.recovery.note_request_failed(now)
-            return self._received("load_balancing", size_bytes)
-        if isinstance(payload, WalkDenied):
-            # A walked request may be answered by any peer on its path, so
-            # the echoed sequence number, not the donor, frees the slot.
-            outstanding = self.outstanding_request
-            if outstanding is not None and outstanding[2] == payload.seq:
+            # Only the echo of the outstanding sequence number frees the
+            # request slot: a walked request may be answered by any peer on
+            # its path, and a busy donor reads a request at its next
+            # expansion boundary, so its denial can arrive after the request
+            # timed out and another was sent.  It still counts as a failed
+            # attempt.
+            if self.outstanding_request == payload.seq:
                 self.outstanding_request = None
                 if payload.exhausted:
                     self.walk_exhausted = True
@@ -523,10 +513,21 @@ class ProtocolCore:
     # ------------------------------------------------------------------ #
     # Load balancing
     # ------------------------------------------------------------------ #
-    def _answer_work_request(self, request: Union[WorkRequest, WalkRequest]) -> float:
-        walk = isinstance(request, WalkRequest)
-        if walk and not self.pool:
-            return self._pass_on(request)
+    def _answer_work_request(self, request: WorkRequest) -> float:
+        # Idle where walking applies (pacing.walk_hops): pass the request on
+        # to a random peer other than the requester; at the hop limit the
+        # denial says the walk is exhausted.
+        peers = self.peers
+        limit = 0
+        if not self.pool:
+            limit = pacing.walk_hops(self.avg_node_cost, self.avg_transit, len(peers))
+        if request.hops < limit and len(peers) > (request.requester in peers):
+            target = self.rng.choice(peers)
+            while target == request.requester:
+                target = self.rng.choice(peers)
+            self.send(target, request.forwarded())
+            self.stats.work_requests_forwarded += 1
+            return self._sent("load_balancing")
         donated = self.pool.take_donation()
         if donated:
             grant = WorkGrant(
@@ -538,33 +539,8 @@ class ProtocolCore:
             self.stats.work_grants_sent += 1
             self._starved_peers.pop(request.requester, None)
         else:
-            denial = (
-                WalkDenied(self.name, request.seq, best=self._my_best())
-                if walk
-                else WorkDenied(donor=self.name, best=self._my_best())
-            )
+            denial = WorkDenied(self.name, request.seq, limit > 0, self._my_best())
             self.send(request.requester, denial)
-            self.stats.work_denials_sent += 1
-        return self._sent("load_balancing")
-
-    def _pass_on(self, request: WalkRequest) -> float:
-        """Idle: forward a walking request to a random peer other than the
-        requester, or deny it as exhausted at the hop limit
-        (:func:`~repro.distributed.pacing.walk_hops`)."""
-        peers = self.peers
-        others = len(peers) - (request.requester in peers)
-        limit = pacing.walk_hops(self.avg_node_cost, self.avg_transit, len(peers))
-        if others and request.hops < limit:
-            target = self.rng.choice(peers)
-            while target == request.requester:
-                target = self.rng.choice(peers)
-            self.send(target, request.forwarded())
-            self.stats.work_requests_forwarded += 1
-        else:
-            self.send(
-                request.requester,
-                WalkDenied(self.name, request.seq, exhausted=True, best=self._my_best()),
-            )
             self.stats.work_denials_sent += 1
         return self._sent("load_balancing")
 
@@ -670,16 +646,10 @@ class ProtocolCore:
         if self.outstanding_request is None and may_request:
             victim = self.rng.choice(self.peers)
             self._request_seq += 1
-            if pacing.walk_hops(
-                self.avg_node_cost, self.avg_transit, len(self.peers)
-            ):
-                request = WalkRequest(self.name, self._request_seq, best=self._my_best())
-            else:
-                request = WorkRequest(requester=self.name, best=self._my_best())
-            self.send(victim, request)
+            self.send(victim, WorkRequest(self.name, self._request_seq, best=self._my_best()))
             self.stats.work_requests_sent += 1
             self.walk_exhausted = False
-            self.outstanding_request = (victim, now, self._request_seq)
+            self.outstanding_request = self._request_seq
             self._last_lb_attempt = now
             self.set_timer(self.request_timeout(), f"lb-timeout:{self._request_seq}")
             cost += self._sent("load_balancing")

@@ -201,6 +201,7 @@ def envelope_route(data) -> Tuple[str, str]:
 #: Mirrors :class:`~repro.distributed.messages.MessageKinds` where the kinds
 #: overlap, so simulated and real runs report comparable ``bytes_by_kind``.
 _PAYLOAD_KINDS: Dict[int, str] = {
+    # Passed-on requests count here too: the router reads no payload body.
     int(Tag.WORK_REQUEST): "work_request",
     int(Tag.WORK_GRANT): "work_grant",
     int(Tag.WORK_DENIED): "work_denied",
@@ -208,9 +209,6 @@ _PAYLOAD_KINDS: Dict[int, str] = {
     int(Tag.TABLE_GOSSIP_MSG): "table_gossip",
     int(Tag.DELTA_GOSSIP_MSG): "delta_gossip",
     int(Tag.TABLE_GOSSIP_ACK): "gossip_ack",
-    # Forwarded walks count here too: the router reads no payload body.
-    int(Tag.WALK_REQUEST): "work_request",
-    int(Tag.WALK_DENIED): "work_denied",
 }
 
 

@@ -38,8 +38,6 @@ from ..distributed.messages import (
     HeartbeatGossipMsg,
     TableGossipAck,
     TableGossipMsg,
-    WalkDenied,
-    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -82,10 +80,6 @@ __all__ = [
     "read_work_grant",
     "write_work_denied",
     "read_work_denied",
-    "write_walk_request",
-    "read_walk_request",
-    "write_walk_denied",
-    "read_walk_denied",
     "write_heartbeat_msg",
     "read_heartbeat_msg",
 ]
@@ -297,19 +291,6 @@ def read_gossip_ack(data, pos: int) -> Tuple[TableGossipAck, int]:
 # ---------------------------------------------------------------------- #
 # Load-balancing messages
 # ---------------------------------------------------------------------- #
-def write_work_request(out: bytearray, request: WorkRequest) -> None:
-    """Append a work request: requester name and incumbent."""
-    write_string(out, request.requester)
-    write_best_solution(out, request.best)
-
-
-def read_work_request(data, pos: int) -> Tuple[WorkRequest, int]:
-    """Read a work request."""
-    requester, pos = read_string(data, pos)
-    best, pos = read_best_solution(data, pos)
-    return WorkRequest(requester=requester, best=best), pos
-
-
 def write_work_grant(out: bytearray, grant: WorkGrant) -> None:
     """Append a grant: donor, incumbent, donated codes in donation order."""
     write_string(out, grant.donor)
@@ -325,52 +306,38 @@ def read_work_grant(data, pos: int) -> Tuple[WorkGrant, int]:
     return WorkGrant(donor=donor, codes=tuple(codes), best=best), pos
 
 
-def write_work_denied(out: bytearray, denial: WorkDenied) -> None:
-    """Append a denial: donor name and incumbent."""
-    write_string(out, denial.donor)
-    write_best_solution(out, denial.best)
-
-
-def read_work_denied(data, pos: int) -> Tuple[WorkDenied, int]:
-    """Read a work denial."""
-    donor, pos = read_string(data, pos)
-    best, pos = read_best_solution(data, pos)
-    return WorkDenied(donor=donor, best=best), pos
-
-
-def write_walk_request(out: bytearray, request: WalkRequest) -> None:
-    """Append a walking request: requester, sequence, hops, incumbent."""
+def write_work_request(out: bytearray, request: WorkRequest) -> None:
+    """Append a work request: requester, sequence, hops, incumbent."""
     write_string(out, request.requester)
     write_uvarint(out, request.seq)
     write_uvarint(out, request.hops)
     write_best_solution(out, request.best)
 
 
-def read_walk_request(data, pos: int) -> Tuple[WalkRequest, int]:
-    """Read a walking request."""
+def read_work_request(data, pos: int) -> Tuple[WorkRequest, int]:
+    """Read a work request."""
     requester, pos = read_string(data, pos)
     seq, pos = read_uvarint(data, pos)
     hops, pos = read_uvarint(data, pos)
     best, pos = read_best_solution(data, pos)
-    return WalkRequest(requester, seq, hops, best), pos
+    return WorkRequest(requester, seq, hops, best), pos
 
 
-def write_walk_denied(out: bytearray, denial: WalkDenied) -> None:
-    """Append a walk's denial: donor, echoed sequence, exhausted flag,
-    incumbent."""
+def write_work_denied(out: bytearray, denial: WorkDenied) -> None:
+    """Append a denial: donor, echoed sequence, exhausted flag, incumbent."""
     write_string(out, denial.donor)
     write_uvarint(out, denial.seq)
     write_bool(out, denial.exhausted)
     write_best_solution(out, denial.best)
 
 
-def read_walk_denied(data, pos: int) -> Tuple[WalkDenied, int]:
-    """Read a walk's denial."""
+def read_work_denied(data, pos: int) -> Tuple[WorkDenied, int]:
+    """Read a work denial."""
     donor, pos = read_string(data, pos)
     seq, pos = read_uvarint(data, pos)
     exhausted, pos = read_bool(data, pos)
     best, pos = read_best_solution(data, pos)
-    return WalkDenied(donor, seq, exhausted, best), pos
+    return WorkDenied(donor, seq, exhausted, best), pos
 
 
 # ---------------------------------------------------------------------- #

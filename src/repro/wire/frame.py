@@ -43,8 +43,6 @@ from ..distributed.messages import (
     HeartbeatGossipMsg,
     TableGossipAck,
     TableGossipMsg,
-    WalkDenied,
-    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -114,11 +112,9 @@ class Tag(enum.IntEnum):
     #: take 16-31.
     EXTENSION_BASE = 16
 
-    # -- the walking work request and the heartbeat round; core tags
-    # continue at 32 because 1-15 are taken and 16-31 belong to the
-    # extensions --
-    WALK_REQUEST = 32
-    WALK_DENIED = 33
+    # -- core tags continue at 32 because 1-15 are taken and 16-31 belong
+    # to the extensions.  32-33 carried a second work request and denial,
+    # folded into 5 and 7: reserved, never reuse. --
     HEARTBEAT = 34
 
 
@@ -178,8 +174,6 @@ for _tag, _cls, _writer, _reader in (
         codec.read_delta_gossip_msg,
     ),
     (Tag.TABLE_GOSSIP_ACK, TableGossipAck, codec.write_gossip_ack, codec.read_gossip_ack),
-    (Tag.WALK_REQUEST, WalkRequest, codec.write_walk_request, codec.read_walk_request),
-    (Tag.WALK_DENIED, WalkDenied, codec.write_walk_denied, codec.read_walk_denied),
     (Tag.HEARTBEAT, HeartbeatGossipMsg, codec.write_heartbeat_msg, codec.read_heartbeat_msg),
 ):
     register(_tag, _cls, _writer, _reader)

@@ -124,7 +124,7 @@ class TestDibBaseline:
 
 
 class TestAllCrashStop:
-    """A run stops once no entity is alive, and only then: while anyone
+    """A run stops once no worker is alive, and only then: while any worker
     lives, a run that cannot terminate goes on to ``max_sim_time``."""
 
     def test_dib_run_stops_at_the_last_crash(self, workload):
@@ -160,6 +160,21 @@ class TestAllCrashStop:
             170,
             7814,
         )
+
+    def test_central_run_stops_when_every_worker_crashed(self, workload):
+        _tree, problem = workload
+        names = ("cworker-00", "cworker-01", "cworker-02")
+        result = run_central_simulation(
+            problem,
+            3,
+            seed=1,
+            failures=[CrashEvent(1.0, name) for name in names],
+        )
+        # The manager lives on, but a lone coordinator expands nothing: the
+        # run stops at the last crash instead of at max_sim_time.
+        assert not result.terminated
+        assert result.crashed_workers == list(names)
+        assert result.makespan == 1.0
 
 
 @pytest.mark.parametrize("runner", [run_central_simulation, run_dib_simulation])

@@ -6,7 +6,7 @@ real-process loop (:func:`repro.realexec.node.worker_main`) only drive it.
 These tests hold that shape:
 
 * ``TestTwoDriversOneProtocol`` feeds one scripted schedule — reports, a
-  pull, grants, denials, walking requests, table gossip, a closing root
+  pull, grants, denials, requests walked on, table gossip, a closing root
   report — to both drivers and asserts the same ordered sends, the same
   final table and the same counters;
 * ``TestStructure`` fails the suite when a second copy of the loop creeps
@@ -30,8 +30,6 @@ from repro.core.termination import make_root_report
 from repro.core.work_report import DeltaSnapshot, WorkReport, table_digest
 from repro.distributed.messages import (
     DeltaGossipMsg,
-    WalkDenied,
-    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -78,14 +76,14 @@ def schedule(tree):
         ("w0", report("w0", grandchild, right)),
         ("w2", report("w2", grandchild)),  # teaches nothing: answered with news
         ("w2", DeltaGossipMsg(empty)),  # a pull
-        ("w3", WorkRequest("w3")),  # empty pool: denied
         # Idle at coarse grain: walked on, each to a peer drawn at random.
-        *[("w0", WalkRequest("w0", seq, 0)) for seq in range(5, 11)],
-        ("w2", WalkRequest("w2", 9, 2)),  # at the hop limit: exhausted
+        *[("w0", WorkRequest("w0", seq)) for seq in range(5, 11)],
+        ("w2", WorkRequest("w2", 9, 2)),  # at the hop limit: exhausted
         ("w0", WorkGrant("w0", granted)),
-        ("w3", WorkRequest("w3")),  # two subproblems now: one is granted
+        ("w3", WorkRequest("w3", 3)),  # two subproblems now: one is granted
+        ("w3", WorkRequest("w3", 4)),  # a pool of one: denied, not exhausted
         ("w2", WorkDenied("w2")),
-        ("w2", WalkDenied("w2", 1, exhausted=True)),
+        ("w2", WorkDenied("w2", 1, exhausted=True)),
         ("w3", DeltaGossipMsg(gossip)),  # acknowledged
         ("w0", WorkReportMsg(make_root_report("w0"))),
     ]
@@ -174,14 +172,16 @@ class TestTwoDriversOneProtocol:
         assert kinds == [
             "DeltaGossipMsg",  # news for the report that taught nothing
             "DeltaGossipMsg",  # news for the pull
-            "WorkDenied",
-            *["WalkRequest"] * 6,  # the walks, one hop on
-            "WalkDenied",  # exhausted
+            *["WorkRequest"] * 6,  # the walks, one hop on
+            "WorkDenied",  # exhausted
             "WorkGrant",
+            "WorkDenied",  # the pool of one
             "TableGossipAck",
         ]
-        walked_to = {destination for destination, _ in simulated_sent[3:9]}
+        walked_to = {destination for destination, _ in simulated_sent[2:8]}
         assert walked_to == {"w2", "w3"}
+        assert simulated_sent[8] == ("w2", WorkDenied("w1", 9, exhausted=True))
+        assert simulated_sent[10] == ("w3", WorkDenied("w1", 4))
         assert real.tracker.table_digest_now() == simulated.tracker.table_digest_now()
         assert real.terminated and simulated.terminated
         assert real.termination.detected_via == simulated.termination.detected_via == "root_report"
@@ -212,9 +212,7 @@ class TestStructure:
     MESSAGES = {
         "WorkGrant",
         "WorkRequest",
-        "WalkRequest",
         "WorkDenied",
-        "WalkDenied",
         "WorkReportMsg",
         "DeltaGossipMsg",
         "TableGossipMsg",

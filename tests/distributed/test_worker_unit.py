@@ -12,8 +12,6 @@ from repro.distributed.config import AlgorithmConfig
 from repro.distributed.messages import (
     DeltaGossipMsg,
     TableGossipMsg,
-    WalkDenied,
-    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -75,10 +73,15 @@ def make_worker_pair(
 class TestWorkerMessageHandling:
     def test_work_request_denied_when_pool_small(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair()
-        # w1 has an empty pool: a request from w0 must be denied.
-        w1.receive(WorkRequest("w0"), 0.0)
+        # w1 has an empty pool at fine grain: a request from w0 must be
+        # denied, echoing its sequence number, and not as exhausted.
+        sent = []
+        send = w1.send
+        w1.send = lambda target, payload: (sent.append((target, payload)), send(target, payload))
+        w1.receive(WorkRequest("w0", 3), 0.0)
         assert w1.stats.work_denials_sent == 1
         assert w1.stats.work_grants_sent == 0
+        assert sent == [("w0", WorkDenied("w1", 3))]
         # The denial is on the wire towards w0 (do not run the engine here:
         # that would start w0's whole main loop).
         assert network.per_entity["w1"].messages_sent == 1
@@ -138,20 +141,8 @@ def deliver(worker, payload, now=0.0):
 
 
 class TestWorkRequestTiming:
-    """How long a starved worker waits, which answer frees its request slot,
-    and which missing subtree it regenerates."""
-
-    def test_only_the_asked_donor_frees_the_request_slot(self):
-        engine, network, problem, tree, (w0, w1, w2) = make_worker_pair(3)
-        w1.outstanding_request = ("w2", 0.0, 1)
-        # A late denial of a request that already timed out at w0: still a
-        # failed attempt, but the request outstanding at w2 stays outstanding.
-        deliver(w1, WorkDenied("w0"))
-        assert w1.outstanding_request == ("w2", 0.0, 1)
-        assert w1.recovery.consecutive_failures == 1
-        deliver(w1, WorkDenied("w2"))
-        assert w1.outstanding_request is None
-        assert w1.recovery.consecutive_failures == 2
+    """How long a starved worker waits and which missing subtree it
+    regenerates."""
 
     @staticmethod
     def starved_worker(node_cost):
@@ -244,6 +235,72 @@ class TestWorkRequestTiming:
         assert w1.recovery.evaluate(w1.tracker, floor).code is not None
 
 
+class TestOneSlotRule:
+    """One request message, one slot rule: only a denial that echoes the
+    outstanding sequence number frees the slot, whoever sends it, and only
+    a walk that could go no further backs the requester off."""
+
+    def test_only_the_outstanding_seq_frees_the_request_slot(self):
+        engine, network, problem, tree, (w0, w1, w2) = make_worker_pair(3)
+        w1.outstanding_request = 2
+        # A late denial of request 1, which already timed out at w0: still a
+        # failed attempt, but request 2, outstanding at w2, stays outstanding.
+        deliver(w1, WorkDenied("w0", 1))
+        assert w1.outstanding_request == 2
+        assert w1.recovery.consecutive_failures == 1
+        deliver(w1, WorkDenied("w2", 2))
+        assert w1.outstanding_request is None
+        assert w1.recovery.consecutive_failures == 2
+
+    def test_older_denial_from_the_peer_asked_now_keeps_the_slot(self):
+        # Two workers: w1's only peer is w0, so both requests go there.
+        # Request 1 times out at a busy w0; request 2 follows; w0's late
+        # denial of request 1 must not free the slot request 2 holds.
+        engine, network, problem, tree, (w0, w1) = make_worker_pair(with_root=False)
+        sent = []
+        w1.send = lambda target, payload: sent.append((target, payload))
+        w1.set_timer = lambda delay, reason: None
+        w1.handle_starvation(0.0)
+        assert w1.on_timer("lb-timeout:1", w1.request_timeout())
+        assert w1.outstanding_request is None
+        w1.handle_starvation(1.0)
+        requests = [(t, msg.seq) for t, msg in sent if isinstance(msg, WorkRequest)]
+        assert requests == [("w0", 1), ("w0", 2)]
+        assert w1.outstanding_request == 2
+        deliver(w1, WorkDenied("w0", 1), now=1.0)
+        assert w1.outstanding_request == 2
+        deliver(w1, WorkDenied("w0", 2), now=1.0)
+        assert w1.outstanding_request is None
+
+    def test_fine_grain_idle_denial_is_not_exhausted_and_paces_as_usual(self):
+        # An idle fine-grain receiver denies at once; its denial does not
+        # make the requester back off as an exhausted walk does.
+        engine, network, problem, tree, (w0, w1) = make_worker_pair(
+            expected_node_cost=0.01, with_root=False
+        )
+        outbox = {w0.name: [], w1.name: []}
+        for worker in (w0, w1):
+            worker.send = lambda target, payload, box=outbox[worker.name]: box.append(
+                (target, payload)
+            )
+            worker.set_timer = lambda delay, reason: None
+        w1.handle_starvation(0.0)
+        (request,) = [msg for _, msg in outbox["w1"] if isinstance(msg, WorkRequest)]
+        deliver(w0, request)
+        assert outbox["w0"] == [("w1", WorkDenied("w0", 1))]
+        deliver(w1, outbox["w0"][0][1])
+        assert w1.outstanding_request is None
+        assert not w1.walk_exhausted
+        assert w1.stats.walks_exhausted == 0
+        pace = pacing.idle_pace(w1.avg_node_cost, w1.avg_transit)
+        backoff = pacing.EXHAUSTED_WALK_PUSH_INTERVALS * pacing.push_interval(w1.avg_node_cost)
+        assert pace < backoff
+        w1.handle_starvation(0.99 * pace)
+        assert w1.stats.work_requests_sent == 1
+        w1.handle_starvation(pace)
+        assert w1.stats.work_requests_sent == 2
+
+
 class TestWalkPastIdlePeers:
     """At coarse grain an idle worker passes a request on instead of
     denying it; the walk's answer frees the slot by sequence number."""
@@ -261,24 +318,29 @@ class TestWalkPastIdlePeers:
         return w1, sent, problem
 
     def test_coarse_grain_requests_walk_and_fine_grain_ones_do_not(self):
-        for node_cost, kind in ((3.35, WalkRequest), (0.01, WorkRequest)):
+        # Both grains send the same request; the idle receiver decides.
+        for node_cost, answer in ((3.35, WorkRequest), (0.01, WorkDenied)):
             w1, sent, _ = self.recording(node_cost=node_cost)
             w1.handle_starvation(0.0)
-            requests = [msg for _, msg in sent if isinstance(msg, (WorkRequest, WalkRequest))]
-            assert [type(msg) for msg in requests] == [kind]
-        assert requests[0] == WorkRequest("w1")
+            requests = [msg for _, msg in sent if isinstance(msg, WorkRequest)]
+            assert [type(msg) for msg in requests] == [WorkRequest]
+            sent.clear()
+            deliver(w1, WorkRequest("w0", 7))
+            assert [type(msg) for _, msg in sent] == [answer]
+        assert requests[0] == WorkRequest("w1", 1)
+        assert sent == [("w0", WorkDenied("w1", 7))]
 
     def test_idle_worker_forwards_to_a_peer_other_than_the_requester(self):
         w1, sent, _ = self.recording()
         for hops in range(20):
-            deliver(w1, WalkRequest("w0", 7, hops % 3))
+            deliver(w1, WorkRequest("w0", 7, hops % 3))
         assert len(sent) == 20
         assert all(target not in ("w0", "w1") for target, _ in sent)
         assert {target for target, _ in sent} == {"w2", "w3", "w4"}
         assert [msg for _, msg in sent[:3]] == [
-            WalkRequest("w0", 7, 1),
-            WalkRequest("w0", 7, 2),
-            WalkRequest("w0", 7, 3),
+            WorkRequest("w0", 7, 1),
+            WorkRequest("w0", 7, 2),
+            WorkRequest("w0", 7, 3),
         ]
         assert w1.stats.work_requests_forwarded == 20
         assert w1.stats.work_denials_sent == 0
@@ -287,31 +349,31 @@ class TestWalkPastIdlePeers:
         w1, sent, _ = self.recording()
         limit = pacing.walk_hops(3.35, 0.0, len(w1.peers))
         assert limit == 3  # four peers
-        deliver(w1, WalkRequest("w0", 7, limit))
-        assert sent == [("w0", WalkDenied("w1", 7, exhausted=True))]
+        deliver(w1, WorkRequest("w0", 7, limit))
+        assert sent == [("w0", WorkDenied("w1", 7, exhausted=True))]
 
     def test_busy_worker_answers_as_before(self):
         w1, sent, problem = self.recording()
         w1.pool.push(problem.root_subproblem())
-        deliver(w1, WalkRequest("w0", 7, 2))
+        deliver(w1, WorkRequest("w0", 7, 2))
         # A pool of one gives nothing: a plain denial, not an exhausted one.
-        assert sent == [("w0", WalkDenied("w1", 7))]
+        assert sent == [("w0", WorkDenied("w1", 7))]
         root = problem.root_subproblem()
         for child, _bound in w1.expander.expand(root, None).children:
             w1.pool.push(child)
         sent.clear()
-        deliver(w1, WalkRequest("w0", 8, 2))
+        deliver(w1, WorkRequest("w0", 8, 2))
         assert [(target, type(msg)) for target, msg in sent] == [("w0", WorkGrant)]
 
     def test_denial_frees_the_slot_by_sequence_and_exhaustion_backs_off(self):
         w1, sent, _ = self.recording()
         w1.handle_starvation(0.0)
-        assert w1.outstanding_request[2] == 1
+        assert w1.outstanding_request == 1
         # An answer to an older request leaves the current one outstanding.
-        deliver(w1, WalkDenied("w4", 0, exhausted=True))
+        deliver(w1, WorkDenied("w4", 0, exhausted=True))
         assert w1.outstanding_request is not None
         assert w1.stats.walks_exhausted == 0
-        deliver(w1, WalkDenied("w4", 1, exhausted=True))
+        deliver(w1, WorkDenied("w4", 1, exhausted=True))
         assert w1.outstanding_request is None
         assert w1.stats.walks_exhausted == 1
         assert w1.recovery.consecutive_failures == 2
@@ -322,7 +384,7 @@ class TestWalkPastIdlePeers:
         w1.handle_starvation(pause)
         assert w1.stats.work_requests_sent == 2
         # A denial that is not exhausted paces the next request as usual.
-        deliver(w1, WalkDenied("w4", 2))
+        deliver(w1, WorkDenied("w4", 2))
         assert w1.outstanding_request is None
         assert not w1.walk_exhausted
 

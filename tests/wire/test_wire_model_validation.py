@@ -39,6 +39,7 @@ from repro.distributed.messages import (
     WorkReportMsg,
     WorkRequest,
 )
+from repro.distributed.runner import worker_names
 from repro.wire import codec
 
 #: Documented limits under which the upper bound holds.
@@ -47,6 +48,20 @@ MAX_VARIABLE = 2**13
 #: Documented tracking-bound constants for prefix-sparse payloads.
 TRACK_FACTOR = 4
 TRACK_SLACK = 64
+#: Every work request and denial a run can send: sequence numbers below
+#: 2**21 (a 3-byte varint), hop counts up to the walk limit at 10,000
+#: workers, and the shortest and longest canonical names of simulated
+#: (``worker-…``) and real (``rworker-…``) workers up to 10,000 workers.
+REQUEST_SEQS = (0, 1, 127, 128, 2**14 - 1, 2**14, 2**21 - 1)
+REQUEST_HOPS = range((10_000).bit_length() + 1)
+REQUEST_NAMES = (
+    "w",
+    worker_names(2)[0],
+    worker_names(10_000)[0],
+    worker_names(10_000)[-1],
+    "rworker-00",
+    "rworker-9999",
+)
 #: The codec's frames must be at least this much smaller than pickle's for
 #: the report/snapshot payloads.
 MIN_PICKLE_RATIO = 2.0
@@ -76,10 +91,7 @@ def sample_messages(seed):
         snapshot,
         WorkReportMsg(report),
         TableGossipMsg(snapshot),
-        WorkRequest(requester="worker-00", best=best),
         WorkGrant(donor="worker-01", codes=tuple(rand_code(rng) for _ in range(5)), best=best),
-        WorkDenied(donor="worker-02", best=best),
-        WorkRequest(requester="w"),  # minimal message, empty incumbent
         WorkReport(sender="w", codes=frozenset()),  # empty report
         WorkReport(sender="w", codes=frozenset([ROOT])),  # termination report
     ]
@@ -100,6 +112,18 @@ class TestModelUpperBound:
             body = bytearray()
             codec.write_path_code(body, code)
             assert len(body) <= code.wire_size()
+
+
+class TestRequestBounds:
+    @pytest.mark.parametrize("seq", REQUEST_SEQS)
+    @pytest.mark.parametrize("name", REQUEST_NAMES)
+    def test_request_and_denial_within_both_bounds(self, name, seq):
+        for best in (BestSolution(), BestSolution(value=-1e6, origin=name)):
+            messages = [WorkDenied(name, seq, exhausted, best) for exhausted in (False, True)]
+            messages += [WorkRequest(name, seq, hops, best) for hops in REQUEST_HOPS]
+            for msg in messages:
+                encoded = wire.encoded_size(msg)
+                assert encoded <= msg.wire_size() <= TRACK_FACTOR * encoded + TRACK_SLACK, msg
 
 
 class TestModelTrackingBound:

@@ -4,11 +4,13 @@ The rule pinned here, spelled out in ``docs/WIRE_FORMAT.md``: every frame,
 core or extension, is stamped with :data:`FRAME_VERSION`, and a frame (or
 an envelope's nested payload frame) declaring any other version byte is
 rejected with :class:`UnsupportedVersionError`.  Beside it, the delta-gossip
-family (``DeltaSnapshot``, ``DeltaGossipMsg``, ``TableGossipAck``), the
-walking work request and its denial (``WalkRequest``, ``WalkDenied``) and
-the failure detector's heartbeat round (``HeartbeatGossipMsg``) round-trip,
-reject every truncation, keep their tag values, and stay under the analytic
-``wire_size()`` model within the documented name-length limits.
+family (``DeltaSnapshot``, ``DeltaGossipMsg``, ``TableGossipAck``), the one
+work request and its denial (``WorkRequest``, ``WorkDenied``, with the walk's
+sequence, hop and exhausted fields) and the failure detector's heartbeat
+round (``HeartbeatGossipMsg``) round-trip, reject every truncation, keep
+their tag values, and stay under the analytic ``wire_size()`` model within
+the documented name-length limits; the second request pair's tags (32, 33)
+stay reserved.
 """
 
 import dataclasses
@@ -31,8 +33,6 @@ from repro.distributed.messages import (
     HeartbeatGossipMsg,
     TableGossipAck,
     TableGossipMsg,
-    WalkDenied,
-    WalkRequest,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -40,7 +40,8 @@ from repro.distributed.messages import (
 )
 from repro.distributed.runner import worker_names
 from repro.realexec.transport import Envelope, decode_envelope, encode_envelope
-from repro.wire.frame import FRAME_VERSION, Tag, read_header
+from repro.wire import codec
+from repro.wire.frame import FRAME_MAGIC, FRAME_VERSION, Tag, read_header
 from repro.wire.varint import write_string, write_uvarint
 
 
@@ -118,15 +119,15 @@ def registered_samples():
     from repro.wire.frame import _readers
 
     rng = random.Random(12)
-    walk, denied = rand_walk_messages(rng)
+    request, denied = rand_request_messages(rng)
     samples = {
         int(Tag.PATH_CODE): rand_code(rng),
         int(Tag.BEST_SOLUTION): BestSolution(value=1.5, origin="w"),
         int(Tag.WORK_REPORT): WorkReport(sender="w1", codes=frozenset({rand_code(rng)})),
         int(Tag.TABLE_SNAPSHOT): CompletedTableSnapshot(sender="w1", codes=frozenset()),
-        int(Tag.WORK_REQUEST): WorkRequest(requester="w1"),
+        int(Tag.WORK_REQUEST): request,
         int(Tag.WORK_GRANT): WorkGrant(donor="w2", codes=(rand_code(rng),)),
-        int(Tag.WORK_DENIED): WorkDenied(donor="w3"),
+        int(Tag.WORK_DENIED): denied,
         int(Tag.WORK_REPORT_MSG): WorkReportMsg(WorkReport(sender="w1", codes=frozenset())),
         int(Tag.TABLE_GOSSIP_MSG): TableGossipMsg(
             CompletedTableSnapshot(sender="w1", codes=frozenset())
@@ -134,8 +135,6 @@ def registered_samples():
         int(Tag.DELTA_SNAPSHOT): rand_delta(rng),
         int(Tag.DELTA_GOSSIP_MSG): DeltaGossipMsg(rand_delta(rng)),
         int(Tag.TABLE_GOSSIP_ACK): rand_ack(rng),
-        int(Tag.WALK_REQUEST): walk,
-        int(Tag.WALK_DENIED): denied,
         int(Tag.HEARTBEAT): rand_heartbeat(rng, 8),
         int(Tag.EXTENSION_BASE): Envelope("a", "b", WorkRequest(requester="a")),
         int(Tag.EXTENSION_BASE) + 1: WorkerOutcome("w", True, 3.0, 10, 2, 1),
@@ -236,7 +235,7 @@ class TestOneWireVersion:
         assert FRAME_VERSION == 3
 
 
-def rand_walk_messages(rng):
+def rand_request_messages(rng):
     best = (
         BestSolution(value=rng.uniform(-1e6, 1e6), origin=f"w{rng.randrange(10)}")
         if rng.random() < 0.5
@@ -245,37 +244,73 @@ def rand_walk_messages(rng):
     name = f"worker-{rng.randrange(10000):04d}"
     seq = rng.randrange(1 << 20)
     return (
-        WalkRequest(name, seq, rng.randrange(15), best),
-        WalkDenied(name, seq, rng.random() < 0.5, best),
+        WorkRequest(name, seq, rng.randrange(15), best),
+        WorkDenied(name, seq, rng.random() < 0.5, best),
     )
 
 
-class TestWalkMessages:
-    """The walking work request and its denial (tags 32 and 33): core tags
-    continue past the 16-31 extension range."""
+class TestRequestMessages:
+    """The one work request and its denial (tags 5 and 7), in the layout
+    that carries the walk: sequence, hops, exhausted flag."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_round_trip_and_version_stamp(self, seed):
-        for msg in rand_walk_messages(random.Random(3000 + seed)):
+        for msg in rand_request_messages(random.Random(3000 + seed)):
             data = wire.encode(msg)
             assert data[1] == FRAME_VERSION
             assert wire.decode(data) == msg
 
     @pytest.mark.parametrize("seed", range(20))
     def test_model_upper_bound_for_short_names(self, seed):
-        for msg in rand_walk_messages(random.Random(4000 + seed)):
+        for msg in rand_request_messages(random.Random(4000 + seed)):
             assert wire.encoded_size(msg) <= msg.wire_size()
 
     def test_truncation_is_rejected(self):
-        for msg in rand_walk_messages(random.Random(9)):
+        for msg in rand_request_messages(random.Random(9)):
             data = wire.encode(msg)
             for cut in range(len(data)):
                 with pytest.raises(wire.WireFormatError):
                     wire.decode(data[:cut])
 
     def test_tag_values_are_frozen(self):
-        assert int(Tag.WALK_REQUEST) == 32
-        assert int(Tag.WALK_DENIED) == 33
+        assert int(Tag.WORK_REQUEST) == 5
+        assert int(Tag.WORK_DENIED) == 7
+
+    def test_benchmark_constructors_keep_working(self):
+        # One positional argument each, as the ledger's wire layer builds them.
+        for msg in (WorkRequest("ping"), WorkDenied("pong")):
+            assert wire.decode(wire.encode(msg)) == msg
+
+
+class TestOneRequestMessage:
+    """The second request/denial pair is gone, and its tags stay reserved:
+    a frame bearing 32 or 33 fails loudly, never decodes into a request."""
+
+    def test_walk_classes_and_codecs_are_gone(self):
+        from repro.distributed import messages
+
+        for name in ("WalkRequest", "WalkDenied"):
+            assert not hasattr(messages, name)
+            assert name not in messages.__all__
+            assert not hasattr(wire, name)
+        for kind in ("request", "denied"):
+            assert not hasattr(codec, f"write_walk_{kind}")
+            assert not hasattr(codec, f"read_walk_{kind}")
+        assert not {"WALK_REQUEST", "WALK_DENIED"} & set(Tag.__members__)
+
+    @pytest.mark.parametrize("tag", [32, 33])
+    def test_reserved_tags_are_rejected(self, tag):
+        assert tag not in Tag._value2member_map_
+        body = bytearray()
+        write_string(body, "worker-0001")
+        write_uvarint(body, 7)
+        write_uvarint(body, 0)
+        body.append(0)  # no incumbent
+        frame = bytearray((FRAME_MAGIC, FRAME_VERSION))
+        write_uvarint(frame, tag)
+        write_uvarint(frame, len(body))
+        with pytest.raises(wire.UnknownMessageTagError):
+            wire.decode(bytes(frame + body))
 
 
 #: Documented limits of the heartbeat's upper bound: members named the
