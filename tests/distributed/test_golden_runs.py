@@ -109,17 +109,17 @@ def assert_matches(observed, golden, path="run"):
 
 GOLDEN = {
     "failure-free": {
-        "makespan": 0.6923145023861361,
+        "makespan": 0.6923541512455973,
         "redundant_nodes_expanded": 3,
-        "total_bytes_sent": 23938,
+        "total_bytes_sent": 24296,
         "bytes_by_kind": {
             "delta_gossip": 5364,
             "gossip_ack": 1624,
             "root_report": 660,
-            "work_denied": 2802,
+            "work_denied": 2944,
             "work_grant": 3412,
             "work_report": 5790,
-            "work_request": 4286
+            "work_request": 4502
         },
         "messages_by_kind": {
             "delta_gossips": 36,
@@ -143,8 +143,8 @@ GOLDEN = {
                     "bb": 0.5204969203618851,
                     "communication": 0.0053674000000000005,
                     "contraction": 0.0027200000000000015,
-                    "idle": 0.1508908470315603,
-                    "load_balancing": 0.012011199999999986
+                    "idle": 0.15089364703156008,
+                    "load_balancing": 0.0120228
                 }
             },
             "worker-01": {
@@ -155,8 +155,8 @@ GOLDEN = {
                     "bb": 0.5603783108029198,
                     "communication": 0.009784199999999996,
                     "contraction": 0.0032200000000000006,
-                    "idle": 0.11002322835259609,
-                    "load_balancing": 0.011766999999999988
+                    "idle": 0.11005167721205736,
+                    "load_balancing": 0.0117786
                 }
             },
             "worker-02": {
@@ -167,8 +167,8 @@ GOLDEN = {
                     "bb": 0.5705122216800464,
                     "communication": 0.0063264,
                     "contraction": 0.0033200000000000018,
-                    "idle": 0.0994016724886876,
-                    "load_balancing": 0.012561999999999983
+                    "idle": 0.09940407248868757,
+                    "load_balancing": 0.012573599999999997
                 }
             },
             "worker-03": {
@@ -179,8 +179,8 @@ GOLDEN = {
                     "bb": 0.5536810262997235,
                     "communication": 0.007478000000000004,
                     "contraction": 0.0029600000000000017,
-                    "idle": 0.11730610175770573,
-                    "load_balancing": 0.010465999999999993
+                    "idle": 0.11731090175770566,
+                    "load_balancing": 0.010476000000000001
                 }
             },
             "worker-04": {
@@ -191,8 +191,8 @@ GOLDEN = {
                     "bb": 0.5065908315611545,
                     "communication": 0.009344399999999997,
                     "contraction": 0.0036800000000000027,
-                    "idle": 0.15568151734749305,
-                    "load_balancing": 0.016111599999999972
+                    "idle": 0.15565351734749266,
+                    "load_balancing": 0.016126399999999992
                 }
             },
             "worker-05": {
@@ -203,25 +203,25 @@ GOLDEN = {
                     "bb": 0.5267669016877236,
                     "communication": 0.00877,
                     "contraction": 0.0033000000000000017,
-                    "idle": 0.14156605164279423,
-                    "load_balancing": 0.012603799999999983
+                    "idle": 0.14158045164279412,
+                    "load_balancing": 0.012615399999999997
                 }
             }
         }
     },
     "faults": {
-        "makespan": 1.0408385606604618,
+        "makespan": 1.0408633606604618,
         "redundant_nodes_expanded": 103,
-        "total_bytes_sent": 41310,
+        "total_bytes_sent": 41728,
         "bytes_by_kind": {
             "delta_gossip": 9897,
             "gossip_ack": 2320,
             "heartbeat": 9592,
             "root_report": 176,
-            "work_denied": 3092,
+            "work_denied": 3244,
             "work_grant": 3359,
             "work_report": 7538,
-            "work_request": 5336
+            "work_request": 5602
         },
         "messages_by_kind": {
             "delta_gossips": 67,
@@ -247,8 +247,8 @@ GOLDEN = {
                     "bb": 0.8268850537465047,
                     "communication": 0.016517999999999984,
                     "contraction": 0.004560000000000004,
-                    "idle": 0.18252711018296916,
-                    "load_balancing": 0.014952399999999973
+                    "idle": 0.18262493205970015,
+                    "load_balancing": 0.014965599999999994
                 }
             },
             "worker-01": {
@@ -259,8 +259,8 @@ GOLDEN = {
                     "bb": 0.8059950128530919,
                     "communication": 0.01599379999999998,
                     "contraction": 0.004560000000000003,
-                    "idle": 0.20468471583160597,
-                    "load_balancing": 0.015267599999999973
+                    "idle": 0.2047207682298519,
+                    "load_balancing": 0.015281599999999994
                 }
             },
             "worker-02": {
@@ -271,8 +271,8 @@ GOLDEN = {
                     "bb": 0.6451549770803612,
                     "communication": 0.01266019999999999,
                     "contraction": 0.003460000000000002,
-                    "idle": 0.12540431422367787,
-                    "load_balancing": 0.008339
+                    "idle": 0.1253947142236771,
+                    "load_balancing": 0.008346600000000003
                 }
             },
             "worker-03": {
@@ -283,8 +283,8 @@ GOLDEN = {
                     "bb": 0.2258506477715328,
                     "communication": 0.0028115999999999996,
                     "contraction": 0.0008800000000000002,
-                    "idle": 0.06982467037615386,
-                    "load_balancing": 0.004633000000000001
+                    "idle": 0.06982187037615392,
+                    "load_balancing": 0.0046366
                 }
             },
             "worker-04": {
@@ -295,8 +295,8 @@ GOLDEN = {
                     "bb": 0.8187582899709583,
                     "communication": 0.019678399999999974,
                     "contraction": 0.004160000000000003,
-                    "idle": 0.1897114063676137,
-                    "load_balancing": 0.014887999999999976
+                    "idle": 0.189735680032295,
+                    "load_balancing": 0.014901199999999995
                 }
             },
             "worker-05": {
@@ -307,23 +307,23 @@ GOLDEN = {
                     "bb": 0.7695088574009272,
                     "communication": 0.01779839999999999,
                     "contraction": 0.004420000000000003,
-                    "idle": 0.23451407376722772,
-                    "load_balancing": 0.019569799999999974
+                    "idle": 0.2345504737672277,
+                    "load_balancing": 0.019589799999999973
                 }
             }
         }
     },
     "snapshots": {
-        "makespan": 0.7121984995329388,
+        "makespan": 0.7122016995329387,
         "redundant_nodes_expanded": 18,
-        "total_bytes_sent": 23759,
+        "total_bytes_sent": 23449,
         "bytes_by_kind": {
             "root_report": 220,
-            "table_gossip": 7303,
-            "work_denied": 2340,
-            "work_grant": 3098,
-            "work_report": 6554,
-            "work_request": 4244
+            "table_gossip": 7127,
+            "work_denied": 2372,
+            "work_grant": 3024,
+            "work_report": 6336,
+            "work_request": 4370
         },
         "messages_by_kind": {
             "delta_gossips": 0,
@@ -331,36 +331,36 @@ GOLDEN = {
             "heartbeats": 0,
             "root_reports": 5,
             "table_gossips": 26,
-            "work_denials": 60,
+            "work_denials": 58,
             "work_forwards": 0,
-            "work_grants": 46,
-            "work_reports": 82,
-            "work_requests": 107
+            "work_grants": 45,
+            "work_reports": 80,
+            "work_requests": 105
         },
         "crashed_workers": [],
         "workers": {
             "worker-00": {
-                "nodes_expanded": 65,
+                "nodes_expanded": 66,
                 "redundant_expansions": 0,
                 "recovery_activations": 2,
                 "time": {
-                    "bb": 0.5807515881910774,
+                    "bb": 0.5866880277859725,
                     "communication": 0.004138799999999999,
-                    "contraction": 0.0027800000000000017,
-                    "idle": 0.10593248820883247,
-                    "load_balancing": 0.009680799999999995
+                    "contraction": 0.002840000000000002,
+                    "idle": 0.09952381402141444,
+                    "load_balancing": 0.009591600000000002
                 }
             },
             "worker-01": {
-                "nodes_expanded": 61,
+                "nodes_expanded": 60,
                 "redundant_expansions": 0,
                 "recovery_activations": 0,
                 "time": {
-                    "bb": 0.5455571170644151,
-                    "communication": 0.007692000000000003,
-                    "contraction": 0.003760000000000002,
-                    "idle": 0.1340175593354948,
-                    "load_balancing": 0.012148799999999986
+                    "bb": 0.53962067746952,
+                    "communication": 0.007485000000000003,
+                    "contraction": 0.0036600000000000022,
+                    "idle": 0.14016618115572546,
+                    "load_balancing": 0.0120536
                 }
             },
             "worker-02": {
@@ -369,10 +369,10 @@ GOLDEN = {
                 "recovery_activations": 0,
                 "time": {
                     "bb": 0.5105795575200682,
-                    "communication": 0.0055702,
-                    "contraction": 0.003000000000000002,
-                    "idle": 0.16930948412916758,
-                    "load_balancing": 0.015277999999999976
+                    "communication": 0.0053484000000000005,
+                    "contraction": 0.002920000000000002,
+                    "idle": 0.16912328428731885,
+                    "load_balancing": 0.014774799999999996
                 }
             },
             "worker-03": {
@@ -383,8 +383,8 @@ GOLDEN = {
                     "bb": 0.5757065888015872,
                     "communication": 0.005074800000000002,
                     "contraction": 0.0030600000000000015,
-                    "idle": 0.12099071073135165,
-                    "load_balancing": 0.010216999999999993
+                    "idle": 0.12099631073135138,
+                    "load_balancing": 0.009917000000000002
                 }
             },
             "worker-04": {
@@ -393,10 +393,10 @@ GOLDEN = {
                 "recovery_activations": 1,
                 "time": {
                     "bb": 0.535145441162353,
-                    "communication": 0.006973400000000003,
-                    "contraction": 0.003900000000000003,
-                    "idle": 0.14282123523755735,
-                    "load_balancing": 0.01461199999999998
+                    "communication": 0.006971000000000003,
+                    "contraction": 0.0038600000000000028,
+                    "idle": 0.14217593747231824,
+                    "load_balancing": 0.014625599999999997
                 }
             },
             "worker-05": {
@@ -405,10 +405,10 @@ GOLDEN = {
                 "recovery_activations": 0,
                 "time": {
                     "bb": 0.6180666112637095,
-                    "communication": 0.007052600000000004,
-                    "contraction": 0.0038600000000000023,
-                    "idle": 0.0671637448792447,
-                    "load_balancing": 0.0069362000000000035
+                    "communication": 0.006805000000000004,
+                    "contraction": 0.0037400000000000024,
+                    "idle": 0.06625303054367743,
+                    "load_balancing": 0.006534200000000004
                 }
             }
         }

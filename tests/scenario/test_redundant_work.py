@@ -17,7 +17,7 @@ from repro.scenario import get_scenario, run_scenario
     [
         # Counting per-worker distinct codes instead read 13 here: it missed
         # the re-expansions of a churned worker's own codes.
-        ("campus-churn", 3, "simulated", 17, 318),
+        ("campus-churn", 3, "simulated", 28, 329),
         ("crash-storm", 2, "simulated", 33, 434),
         ("crash-storm", 3, "dib", 111, 512),
         ("crash-storm", 3, "central", 0, 401),
