@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tupl
 from ..bnb.pool import SelectionRule, SubproblemPool
 from ..bnb.problem import BranchAndBoundProblem, Subproblem, worse_than
 from ..bnb.sequential import NodeExpander
+from ..core.arena import TrieArena
 from ..core.encoding import ROOT, PathCode
 from ..simulation.entity import QueuedMessage
 from ..simulation.failures import CrashEvent
@@ -327,7 +328,7 @@ def run_central_simulation(
     :func:`~repro.baselines.harness.run_baseline`.
     """
 
-    def cast(names: List[str], rng: RngRegistry) -> Cast:
+    def cast(names: List[str], rng: RngRegistry, arena: TrieArena) -> Cast:
         manager = CentralManagerEntity(
             "manager", problem, names, reassign_timeout=reassign_timeout
         )

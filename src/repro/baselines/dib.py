@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tupl
 from ..bnb.pool import SelectionRule, SubproblemPool
 from ..bnb.problem import BranchAndBoundProblem
 from ..bnb.sequential import NodeExpander
+from ..core.arena import TrieArena
 from ..core.codeset import CodeSet
 from ..core.encoding import ROOT, PathCode
 from ..simulation.entity import QueuedMessage
@@ -155,6 +156,7 @@ class DibWorkerEntity(BaselineEntity):
         donation_max: int = 4,
         keep_at_least: int = 2,
         selection_rule: SelectionRule = SelectionRule.DEPTH_FIRST,
+        arena: Optional[TrieArena] = None,
     ) -> None:
         super().__init__(name, problem)
         self.members = list(members)
@@ -169,7 +171,7 @@ class DibWorkerEntity(BaselineEntity):
         self.pool: SubproblemPool = SubproblemPool(selection_rule, minimize=problem.minimize)
         #: Everything this worker knows to be completed (its own work plus
         #: completion reports from machines it donated to).
-        self.done = CodeSet()
+        self.done = CodeSet(arena=arena)
         #: Problems received from other machines (code -> donor), for which a
         #: completion report is owed.
         self.received_from: Dict[PathCode, str] = {}
@@ -361,10 +363,15 @@ def run_dib_simulation(
     :func:`~repro.baselines.harness.run_baseline`.
     """
 
-    def cast(names: List[str], rng: RngRegistry) -> Cast:
+    def cast(names: List[str], rng: RngRegistry, arena: TrieArena) -> Cast:
         workers = [
             DibWorkerEntity(
-                name, problem, names, rng=rng.stream(f"dib:{name}"), redo_timeout=redo_timeout
+                name,
+                problem,
+                names,
+                rng=rng.stream(f"dib:{name}"),
+                redo_timeout=redo_timeout,
+                arena=arena,
             )
             for name in names
         ]

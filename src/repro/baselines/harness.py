@@ -6,7 +6,9 @@ its link settings, the :class:`~repro.simulation.failures.FailureInjector`,
 the stop condition and the assembly of the one :class:`BaselineRunResult`.
 A baseline module supplies only its messages (each class carries its
 ``kind`` label), its entities (subclasses of :class:`BaselineEntity`) and a
-*cast* function that builds them.
+*cast* function that builds them.  The run's one
+:class:`~repro.core.arena.TrieArena` (for the tables of completed codes an
+entity keeps) is the harness's too, collected between events by its rule.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..bnb.problem import BranchAndBoundProblem
+from ..core.arena import TrieArena
 from ..core.encoding import PathCode
 from ..distributed.runner import NetworkConfig
 from ..simulation.engine import SimulationEngine
@@ -111,7 +114,7 @@ def run_baseline(
     problem: BranchAndBoundProblem,
     n_workers: int,
     worker_names: Callable[[int], List[str]],
-    cast: Callable[[List[str], RngRegistry], Cast],
+    cast: Callable[[List[str], RngRegistry, TrieArena], Cast],
     *,
     failures: Sequence[CrashEvent] = (),
     seed: int = 0,
@@ -120,8 +123,9 @@ def run_baseline(
 ) -> BaselineRunResult:
     """Run one baseline design and return its result.
 
-    ``cast`` builds the design's entities for the given worker names.  The
-    coordinator (if any) registers and starts first, then the workers.
+    ``cast`` builds the design's entities for the given worker names, with
+    the run's arena.  The coordinator (if any) registers and starts first,
+    then the workers.
     ``network`` takes a full :class:`~repro.distributed.runner.NetworkConfig`
     (latency, loss *and* partitions); ``None`` is the paper's lossless
     network.  The Scenario API (``repro.scenario``, backends ``"central"``
@@ -147,9 +151,10 @@ def run_baseline(
         rng=rng.stream("network"),
     )
     net.classify = attrgetter("kind")
+    arena = TrieArena()
 
     try:
-        workers, coordinator = cast(worker_names(n_workers), rng)
+        workers, coordinator = cast(worker_names(n_workers), rng, arena)
         entities = ([coordinator] if coordinator is not None else []) + workers
         for entity in entities:
             net.register(entity)
@@ -164,6 +169,8 @@ def run_baseline(
             return bool(living) and all(judge.terminated for judge in living)
 
         def _finished() -> bool:
+            # Between events: the arena's collection rule may run.
+            arena.collect_if_outgrown()
             # No node can be expanded once no worker is alive.
             return _terminated() or not any(worker.alive for worker in workers)
 

@@ -5,10 +5,10 @@ Iamnitchi & Foster (ICPP 2000):
 
 * :mod:`repro.core.encoding` — the ``<variable, value>`` path encoding of
   subproblems (:class:`~repro.core.encoding.PathCode`);
-* :mod:`repro.core.codeset` — contracted sets of completed codes and the
-  sibling-merge / ancestor-subsumption contraction rules;
-* :mod:`repro.core.arena` — the interned completion-trie arena: hash-consed
-  nodes shared by tables and per-peer gossip views at scale;
+* :mod:`repro.core.codeset` — the contracted table of completed codes and
+  the sibling-merge / ancestor-subsumption contraction rules;
+* :mod:`repro.core.arena` — the interned completion-trie arena every table,
+  peer view and in-process payload stores its trie in;
 * :mod:`repro.core.completion` — per-process completion tracking and the
   work-report emission policy;
 * :mod:`repro.core.complement` — complement computation and recovery-candidate
@@ -25,7 +25,7 @@ The classes here are transport-agnostic: the simulated workers in
 :mod:`repro.realexec` both build on exactly these objects.
 """
 
-from .arena import ArenaCodeSet, TrieArena
+from .arena import TrieArena
 from .codeset import CodeSet, ContractionStats, contract, contract_reference, covers
 from .complement import (
     SelectionStrategy,
@@ -54,7 +54,6 @@ __all__ = [
     "CodeSet",
     "ContractionStats",
     "TrieArena",
-    "ArenaCodeSet",
     "contract",
     "contract_reference",
     "covers",

@@ -17,12 +17,7 @@ is still missing?" (recovery, via :mod:`repro.core.complement`).
 Table dissemination comes in two flavours:
 
 * **whole-table snapshots** (:meth:`CompletionTracker.build_table_snapshot`)
-  — the paper's occasional full-table push.  Merging one uses the trie view
-  attached by the sender when the snapshot never crossed a process boundary:
-  an empty receiving table *adopts* the sender's contracted trie wholesale
-  (sharing its memoised ``codes()`` frozenset), and a non-empty one merges
-  trie-to-trie with raw packed keys instead of re-adding ``PathCode`` objects
-  one by one; and
+  — the paper's occasional full-table push; and
 * **delta gossip** (:meth:`CompletionTracker.build_delta_snapshot`) — the
   anti-entropy refinement: the tracker remembers, per peer, the last table
   state that peer acknowledged (:class:`PeerGossipView`) and ships only the
@@ -30,6 +25,15 @@ Table dissemination comes in two flavours:
   (:meth:`CompletionTracker.note_snapshot_ack`) echo the table digest from
   the delta; an unacknowledged delta is simply re-shipped by the next one,
   so arbitrary loss, duplication and reordering cannot prevent convergence.
+
+Every table, peer view and outgoing payload of a tracker lives in one
+:class:`~repro.core.arena.TrieArena` (the simulator shares one across all of
+its workers).  A report, snapshot or delta built here carries a
+:class:`~repro.core.codeset.CodeSet` holding an arena node, so a receiver in
+the same process merges it by node id: one counted merge
+(:meth:`~repro.core.codeset.CodeSet.absorb`) that also yields the received,
+redundant and stored counters.  Payloads decoded off the wire carry plain
+codes and are merged code by code.
 
 A subtlety worth spelling out: the paper distinguishes *solved* (the branching
 operation has been performed) from *completed* (solved and either a leaf or
@@ -43,12 +47,12 @@ when both of their subtrees have.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set
 
-from .arena import ArenaCodeSet, TrieArena
-from .codeset import CodeSet, covers as _covers
+from .arena import EMPTY, TrieArena
+from .codeset import CodeSet
 from .complement import SelectionStrategy, complement_frontier, select_recovery_candidate
-from .encoding import _CODE_HEADER_BYTES, _PAIR_WIRE_BYTES, PathCode
+from .encoding import PathCode
 from .work_report import (
     BestSolution,
     CompletedTableSnapshot,
@@ -59,8 +63,8 @@ from .work_report import (
 __all__ = ["CompletionTracker", "PeerGossipView"]
 
 #: Upper bound on remembered unacknowledged delta sends per peer.  Each entry
-#: is one reference to an already-memoised ``codes()`` frozenset, so the cap
-#: only bounds pathological ack starvation, not real memory.
+#: is one arena node id, so the cap only bounds pathological ack starvation,
+#: not real memory.
 _PENDING_SENDS_MAX = 8
 
 #: Deferred reverse-channel evidence entries per peer view before an eager
@@ -100,26 +104,23 @@ class PeerGossipView:
         "__weakref__",
     )
 
-    def __init__(self, arena: Optional[TrieArena] = None) -> None:
+    def __init__(self, arena: TrieArena) -> None:
         #: Contracted codes the peer is known to cover (its own traffic plus
-        #: everything it has acknowledged).  With a shared arena the view is
-        #: one interned node id — O(pointer) per peer instead of O(table).
-        self.known: CodeSet = CodeSet() if arena is None else ArenaCodeSet(arena)
+        #: everything it has acknowledged): one arena node id per peer.
+        self.known = CodeSet.of_node(arena, EMPTY)
         #: Digest of the last acknowledged table state (0 = nothing acked).
         self.acked_digest: int = 0
         #: Per-peer delta sequence number (tracing only).
         self.sequence: int = 0
-        #: Unacknowledged sends: digest -> table state at that send, in send
-        #: order, bounded to :data:`_PENDING_SENDS_MAX` entries.  The state is
-        #: a codes frozenset (nested-dict mode) or an interned arena node id
-        #: (arena mode — O(1) to remember and to fold in on ack).
-        self.pending: Dict[int, Union[FrozenSet[PathCode], int]] = {}
-        #: Reverse-channel evidence not yet folded into ``known`` (arena mode
-        #: only).  Coverage is monotone, so folding can wait until the view
-        #: is actually *read* — most views of a large group only ever absorb
-        #: evidence and are pruned without a single delta being built, and
-        #: deferring makes :meth:`note_covers` an O(1) append for them.
-        self._covers_backlog: List[FrozenSet[PathCode]] = []
+        #: Unacknowledged sends: digest -> the table's arena node id at that
+        #: send, in send order, bounded to :data:`_PENDING_SENDS_MAX` entries.
+        self.pending: Dict[int, int] = {}
+        #: Reverse-channel evidence not yet folded into ``known``.  Coverage
+        #: is monotone, so folding can wait until the view is actually
+        #: *read* — most views of a large group only ever absorb evidence
+        #: and are pruned without a single delta being built, and deferring
+        #: makes :meth:`note_covers` an O(1) append for them.
+        self._covers_backlog: List = []
 
     def _arena_ids(self) -> Iterable[int]:
         return self.pending.values()
@@ -129,32 +130,31 @@ class PeerGossipView:
 
     def note_covers(self, codes: Iterable[PathCode]) -> None:
         """Record codes the peer provably covers (it sent them to us)."""
-        if type(codes) is frozenset and isinstance(self.known, ArenaCodeSet):
-            backlog = self._covers_backlog
-            backlog.append(codes)
-            if len(backlog) >= _COVERS_BACKLOG_MAX:
-                self._fold_covers()
-            return
-        self.known.update(codes)
+        if not isinstance(codes, (CodeSet, frozenset)):
+            codes = frozenset(codes)
+        backlog = self._covers_backlog
+        backlog.append(codes)
+        if len(backlog) >= _COVERS_BACKLOG_MAX:
+            self._fold_covers()
 
     def _fold_covers(self) -> None:
         """Fold the deferred reverse-channel evidence into ``known``."""
         backlog = self._covers_backlog
         if backlog:
-            update = self.known.update
+            known = self.known
             for codes in backlog:
-                update(codes)
+                known.absorb(known._node_of(codes))
             backlog.clear()
 
-    def remember_send(self, digest: int, state: Union[FrozenSet[PathCode], int]) -> None:
+    def remember_send(self, digest: int, nid: int) -> None:
         """Record an outgoing delta so its future ack can advance ``known``."""
         pending = self.pending
-        if not pending and type(state) is int:
-            # ``pending`` starts storing arena node ids, which a collection
-            # must keep alive and remap (half the views never send).
-            self.known._arena.register(self)
+        if not pending:
+            # ``pending`` starts storing node ids, which a collection must
+            # keep alive and remap (half the views never send).
+            self.known.arena.register(self)
         pending.pop(digest, None)  # re-insert at the end on a re-send
-        pending[digest] = state
+        pending[digest] = nid
         while len(pending) > _PENDING_SENDS_MAX:
             pending.pop(next(iter(pending)))
 
@@ -166,19 +166,14 @@ class PeerGossipView:
         — while later, still-unacknowledged sends stay pending so their acks
         can advance the view further.
         """
-        state = self.pending.get(digest)
-        if state is None:
+        nid = self.pending.get(digest)
+        if nid is None:
             return False
         for sent_digest in list(self.pending):
             del self.pending[sent_digest]
             if sent_digest == digest:
                 break
-        if isinstance(state, int):
-            # Arena mode: the recorded state is an interned node id and
-            # ``known`` is an ArenaCodeSet — fold it in O(pointer).
-            self.known.merge_nid(state)
-        else:
-            self.known.update(state)
+        self.known.absorb(nid)
         self.acked_digest = digest
         return True
 
@@ -211,12 +206,11 @@ class CompletionTracker:
         report is sent anyway ("or the list has not been updated for a long
         time").  ``None`` disables the staleness rule.
     arena:
-        Optional shared :class:`~repro.core.arena.TrieArena`.  When given,
-        the table is shadowed in the arena and every peer view becomes an
-        arena-backed set, so digests, ``codes()`` frozensets and deltas are
-        computed once per distinct table state *group-wide* and per-peer
-        state costs O(pointer).  Purely a cost-model change: the nested-dict
-        table stays authoritative, including its contraction stats.
+        The :class:`~repro.core.arena.TrieArena` the table, the peer views
+        and the outgoing payloads live in; a tracker without one gets its
+        own.  Trackers that share an arena (the simulator's workers) merge
+        one another's payloads by node id, and digests and deltas are
+        computed once per distinct table state *group-wide*.
     """
 
     def __init__(
@@ -232,13 +226,10 @@ class CompletionTracker:
         self.owner = owner
         self.report_threshold = report_threshold
         self.report_staleness = report_staleness
-        #: Shared trie arena (None = nested-dict only).
-        self.arena = arena
+        self.arena = arena if arena is not None else TrieArena()
 
         #: Contracted table of every completed code known to this process.
-        self.table = CodeSet()
-        if arena is not None:
-            self.table.attach_arena(arena)
+        self.table = CodeSet(arena=self.arena)
         #: Codes completed locally since the last report (not yet compressed).
         self._new_local: List[PathCode] = []
         #: Simulated time of the last report emission (or of construction).
@@ -270,10 +261,6 @@ class CompletionTracker:
         #: Peer views dropped after the membership layer declared the peer
         #: dead (:meth:`prune_peer_view`) — the footprint-bounding counter.
         self.gossip_views_pruned = 0
-        #: Memoised ``(codes frozenset, digest)`` of the current table, so
-        #: one table state is digested at most once no matter how many peers
-        #: are gossiped to before the next change.
-        self._digest_memo: Optional[Tuple[FrozenSet[PathCode], int]] = None
 
     # ------------------------------------------------------------------ #
     # Local completion
@@ -324,24 +311,23 @@ class CompletionTracker:
         """Compress the pending codes into a work report and clear the list.
 
         The outgoing list is compressed against itself only, as in the
-        paper; the ablation benchmarks set ``compress=False`` to measure the
-        cost of not compressing at all.
+        paper, into a code set in this tracker's arena; the ablation
+        benchmarks set ``compress=False`` to measure the cost of not
+        compressing at all (the report then carries the raw codes).
         """
         self._sequence += 1
         if compress:
-            report = WorkReport.build(
-                self.owner,
-                self._new_local,
-                best=best,
-                sequence=self._sequence,
-            )
+            arena = self.arena
+            nid = arena.node_from_keys([code._key_path() for code in self._new_local])
+            codes = CodeSet.of_node(arena, nid)
         else:
-            report = WorkReport(
-                sender=self.owner,
-                codes=frozenset(self._new_local),
-                best=best if best is not None else BestSolution(),
-                sequence=self._sequence,
-            )
+            codes = frozenset(self._new_local)
+        report = WorkReport(
+            sender=self.owner,
+            codes=codes,
+            best=best if best is not None else BestSolution(),
+            sequence=self._sequence,
+        )
         self._new_local.clear()
         self._pending_wire = 0
         self._last_report_time = now
@@ -349,35 +335,16 @@ class CompletionTracker:
         return report
 
     def build_table_snapshot(self, *, best: Optional[BestSolution] = None) -> CompletedTableSnapshot:
-        """Snapshot the whole contracted table for occasional table gossip.
-
-        The snapshot shares the table's memoised ``codes()`` frozenset and
-        frozen trie view, so snapshotting an unchanged table allocates
-        nothing and in-process receivers can merge trie-to-trie (see
-        :meth:`merge_snapshot`).
-        """
+        """Snapshot the whole contracted table for occasional table gossip:
+        one arena node id (see :meth:`merge_snapshot`)."""
         return CompletedTableSnapshot.from_table(self.owner, self.table, best=best)
 
     # ------------------------------------------------------------------ #
     # Delta gossip (anti-entropy table dissemination)
     # ------------------------------------------------------------------ #
     def table_digest_now(self) -> int:
-        """Digest of the current table (memoised per table state).
-
-        With a shared arena the digest memo lives in the arena, keyed by the
-        interned node id — one digest per distinct table state in the whole
-        group, not per tracker.
-        """
-        arena = self.arena
-        if arena is not None:
-            return arena.digest(self.table._arena_sync())
-        codes = self.table.codes()
-        memo = self._digest_memo
-        if memo is not None and memo[0] is codes:
-            return memo[1]
-        digest = self.table.structural_digest()
-        self._digest_memo = (codes, digest)
-        return digest
+        """Digest of the current table: an O(1) read off its arena node."""
+        return self.table.structural_digest()
 
     def peer_view(self, peer: str) -> PeerGossipView:
         """The delta-gossip view of ``peer`` (created on first use)."""
@@ -408,44 +375,23 @@ class CompletionTracker:
         view._fold_covers()
         known = view.known
         arena = self.arena
-        if arena is not None and isinstance(known, ArenaCodeSet):
-            # Arena fast path: digest is an O(1) read off the interned node,
-            # the diff is memoised group-wide on the (table, known) node-id
-            # pair, and the send is remembered as a node id — the table's
-            # codes() frozenset is only materialised when codes actually ship.
-            table_nid = self.table._arena_sync()
-            digest = arena.digest(table_nid)
-            if not known:
-                delta_codes = arena.codes_at(table_nid)
-            elif digest == view.acked_digest or known.is_complete():
-                delta_codes = frozenset()
-            else:
-                delta_codes = arena.diff(table_nid, known._nid)
-            view.sequence += 1
-            if delta_codes:
-                view.remember_send(digest, table_nid)
-            return DeltaSnapshot(
-                sender=self.owner,
-                codes=delta_codes,
-                full_digest=digest,
-                sequence=view.sequence,
-                best=best if best is not None else BestSolution(),
-            )
-        codes = self.table.codes()
-        digest = self.table_digest_now()
+        # The digest is an O(1) read off the interned node, the diff is
+        # memoised group-wide on the (table, known) node-id pair, and the
+        # send is remembered as a node id.
+        table_nid = self.table.node_id()
+        digest = arena.digest(table_nid)
         if not known:
-            delta_codes = codes  # shares the memoised frozenset
+            delta_nid = table_nid
         elif digest == view.acked_digest or known.is_complete():
-            delta_codes = frozenset()
+            delta_nid = EMPTY
         else:
-            known_covers = known.covers
-            delta_codes = frozenset(c for c in codes if not known_covers(c))
+            delta_nid = arena.diff(table_nid, known.node_id())
         view.sequence += 1
-        if delta_codes:
-            view.remember_send(digest, codes)
+        if delta_nid != EMPTY:
+            view.remember_send(digest, table_nid)
         return DeltaSnapshot(
             sender=self.owner,
-            codes=delta_codes,
+            codes=CodeSet.of_node(arena, delta_nid),
             full_digest=digest,
             sequence=view.sequence,
             best=best if best is not None else BestSolution(),
@@ -459,7 +405,7 @@ class CompletionTracker:
         """
         return DeltaSnapshot(
             sender=self.owner,
-            codes=frozenset(),
+            codes=CodeSet.of_node(self.arena, EMPTY),
             full_digest=self.table_digest_now(),
             best=best if best is not None else BestSolution(),
         )
@@ -522,12 +468,13 @@ class CompletionTracker:
         Called when a digest comparison proves convergence: a received delta
         whose ``full_digest`` matches our own post-merge digest, or an ack
         whose ``table_digest`` matches our current one.  The whole table is
-        folded into the peer's known coverage (trie-to-trie), after which
-        deltas to the peer stay empty until this table grows past it again.
+        folded into the peer's known coverage (one node-id merge), after
+        which deltas to the peer stay empty until this table grows past it
+        again.
         """
         if peer == self.owner:
             return
-        self.peer_view(peer).known.merge(self.table)
+        self.peer_view(peer).known.absorb(self.table.node_id())
 
     def merge_delta(self, delta: DeltaSnapshot) -> bool:
         """Merge a received delta snapshot into the table.
@@ -545,89 +492,50 @@ class CompletionTracker:
 
         Returns ``True`` when the table's logical content changed.  The
         counters feeding the redundant-communication statistics are updated as
-        a side effect.
+        a side effect.  A code set from this process is merged by node id
+        with the counted merge; raw codes (a decoded frame, an uncompressed
+        report) are added one at a time, in the order they come.
         """
-        table = self.table
         codes = report.codes
-        arena = self.arena
-        delta_nid = None
-        pre_nid = None
-        if arena is not None:
-            # Delta codes arrive as the sender's shared ``codes()``/``diff``
-            # frozenset, which the arena knows by identity.  One memoised
-            # merge (skipped entirely when the dict walk below proves the
-            # report fully redundant) then yields the post-merge table node —
-            # shared by every receiver in the same state — so the per-code
-            # adds need not be mirrored (the batch flush is replaced by a
-            # pointer store).  The dict walk still runs: it is the stats
-            # oracle.
-            delta_nid = arena.node_for_codes(codes)
-            if delta_nid is not None:
-                pre_nid = table._arena_sync()
-        changed = False
-        table_add = table.add
-        received = 0
-        redundant = 0
-        stored = 0
-        for code in codes:
-            received += 1
-            # A single trie walk does both jobs: ``add`` returns False exactly
-            # when the code was already covered (the redundant case).
-            if table_add(code):
-                stored += code.wire_size()
-                changed = True
-            else:
-                redundant += 1
+        table = self.table
+        if isinstance(codes, CodeSet):
+            nid = table._node_of(codes)
+            received = self.arena.count(nid)
+            inserted, stored = table.absorb(nid)
+        else:
+            received = inserted = stored = 0
+            add = table.add
+            for code in codes:
+                received += 1
+                # ``add`` returns False exactly when the code was already
+                # covered (the redundant case).
+                if add(code):
+                    inserted += 1
+                    stored += code.wire_size()
         self.codes_received += received
-        self.redundant_codes_received += redundant
+        self.redundant_codes_received += received - inserted
         self.bytes_stored_remote += stored
-        if delta_nid is not None:
-            table._arena_commit(
-                arena.merge(pre_nid, delta_nid) if changed else pre_nid
-            )
-        return changed
+        return inserted > 0
 
     def merge_snapshot(self, snapshot: CompletedTableSnapshot) -> bool:
         """Merge a received full-table snapshot.
 
-        Three paths, fastest first:
-
-        * **adopt** — the receiving table is empty (a fresh joiner catching
-          up) and the snapshot carries the sender's frozen trie view: one
-          structural clone replaces every individual insertion and the
-          sender's memoised ``codes()`` frozenset is shared outright;
-        * **trie-to-trie** — the snapshot carries the view but the table has
-          content: the view's trie is walked directly and raw packed-key
-          paths are inserted shallow-first, skipping ``PathCode``
-          construction and re-contraction of the (already contracted) input;
-        * **per-code** — the snapshot was decoded off the wire (no view):
-          fall back to :meth:`merge_report`.
-
-        All three update the same redundancy/storage counters.
+        A receiving table that is still empty (a fresh joiner catching up)
+        *adopts* an in-process snapshot's node outright, with no contraction
+        work; otherwise the snapshot merges like a report.  Both update the
+        same redundancy/storage counters.
         """
-        trie = snapshot.shared_trie()
-        if trie is None:
-            return self.merge_report(snapshot.as_report())
+        codes = snapshot.codes
         table = self.table
-        if not table and not table.is_complete():
-            count = len(trie)
-            self.codes_received += count
-            if not table.adopt_from(trie, snapshot.codes):
+        if isinstance(codes, CodeSet) and not table and not table.is_complete():
+            nid = table._node_of(codes)
+            self.codes_received += self.arena.count(nid)
+            if nid == EMPTY:
                 return False
-            self.bytes_stored_remote += trie.wire_size()
+            table.adopt(nid)
+            self.bytes_stored_remote += self.arena.wire_size(nid)
             return True
-        changed = False
-        table_add = table.add
-        for keys in sorted(trie._iter_completed_keys(), key=len):
-            self.codes_received += 1
-            if table_add(keys):
-                self.bytes_stored_remote += (
-                    _CODE_HEADER_BYTES + _PAIR_WIRE_BYTES * len(keys)
-                )
-                changed = True
-            else:
-                self.redundant_codes_received += 1
-        return changed
+        return self.merge_report(snapshot.as_report())
 
     # ------------------------------------------------------------------ #
     # Queries used by recovery and termination

@@ -32,7 +32,7 @@ that the rest of the library relies on:
   :meth:`decode`, :meth:`child`).  Derivation methods that can only produce
   valid codes from valid codes (:meth:`parent`, :meth:`sibling`,
   :meth:`ancestors`, and the trie iteration in
-  :mod:`repro.core.codeset`) use the internal no-validate constructor
+  :mod:`repro.core.arena`) use the internal no-validate constructor
   :meth:`PathCode._make` and never re-check pairs.
 """
 
@@ -119,7 +119,7 @@ class PathCode:
 
         ``pairs`` must already be a well-formed tuple of valid branches —
         callers are the derivation methods below and the trie iteration in
-        :mod:`repro.core.codeset`, which can only produce valid pairs from
+        :mod:`repro.core.arena`, which can only produce valid pairs from
         already-validated codes.
         """
         self = object.__new__(cls)
@@ -130,7 +130,7 @@ class PathCode:
     def _key_path(self) -> Tuple[int, ...]:
         """Integer branch keys ``(variable << 1) | value``, computed lazily.
 
-        The completion trie in :mod:`repro.core.codeset` keys its dicts on
+        The completion trie in :mod:`repro.core.arena` keys its nodes on
         these packed integers (int hashing beats 2-tuple hashing, and the
         sibling key is just ``key ^ 1``).  The tuple is cached after the
         first request, so a code inserted into or probed against many tables

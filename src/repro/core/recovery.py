@@ -183,8 +183,8 @@ class RecoveryPolicy:
         The caller is responsible for actually regenerating the subproblem and
         for calling :meth:`note_recovery_started`.
 
-        Cost note: candidate selection reads the tracker's *incrementally
-        maintained* missing frontier
+        Cost note: candidate selection reads the tracker's missing frontier,
+        memoised per table state
         (:meth:`repro.core.codeset.CodeSet.missing_frontier`), so repeated
         evaluations against an unchanged table are O(1) — evaluating often
         (every idle poll) is cheap by design.

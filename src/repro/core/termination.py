@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .codeset import CodeSet
 from .completion import CompletionTracker
 from .encoding import ROOT, PathCode
 from .work_report import BestSolution, WorkReport
@@ -35,11 +36,16 @@ def is_root_report(report: WorkReport) -> bool:
     return report.contains_root()
 
 
+#: The root code alone.  Its node is the ``DONE`` sentinel, which means the
+#: same in every arena, so every receiver merges it by reference.
+_ROOT_CODES = CodeSet([ROOT])
+
+
 def make_root_report(sender: str, *, best: Optional[BestSolution] = None, sequence: int = 0) -> WorkReport:
     """Build the final root-code work report a terminating member broadcasts."""
     return WorkReport(
         sender=sender,
-        codes=frozenset({ROOT}),
+        codes=_ROOT_CODES,
         best=best if best is not None else BestSolution(),
         sequence=sequence,
     )

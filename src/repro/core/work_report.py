@@ -20,21 +20,29 @@ These classes are plain value objects: the simulator wraps them in simulated
 network messages, and the ``realexec`` backend ships them as :mod:`repro.wire`
 binary frames over pipes.
 
+A payload built by a :class:`~repro.core.completion.CompletionTracker`
+carries its codes *by reference*: ``codes`` is a read-only
+:class:`~repro.core.codeset.CodeSet` holding one arena node, so its size,
+emptiness and root test are O(1) node reads and no :class:`PathCode` is
+built for it unless the :mod:`repro.wire` codec encodes it.  A payload
+decoded off the wire, or built by hand, carries a frozenset of codes.
+
 Performance invariants: the payloads are immutable, so :meth:`WorkReport.
 wire_size` and :meth:`CompletedTableSnapshot.wire_size` are computed once on
 first request and cached on the instance (the network model asks for the size
-of the same payload at send, delivery and receive time).  Per-code sizes are
-O(1) reads of :meth:`PathCode.wire_size`, which is precomputed at code
-construction.
+of the same payload at send, delivery and receive time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Union
 
 from .codeset import CodeSet
-from .encoding import PathCode
+from .encoding import ROOT, PathCode
+
+#: A payload's codes: a code set by reference, or plain codes.
+Codes = Union[CodeSet, FrozenSet[PathCode]]
 
 __all__ = [
     "BestSolution",
@@ -144,16 +152,17 @@ def _cached_payload_wire(payload) -> int:
     """
     wire = payload._wire
     if wire < 0:
-        wire = (
-            _MESSAGE_HEADER_BYTES
-            + sum(code.wire_size() for code in payload.codes)
-            + payload.best.wire_size()
-        )
+        codes = payload.codes
+        if isinstance(codes, CodeSet):
+            codes_wire = codes.wire_size()  # the same sum, off the node
+        else:
+            codes_wire = sum(code.wire_size() for code in codes)
+        wire = _MESSAGE_HEADER_BYTES + codes_wire + payload.best.wire_size()
         object.__setattr__(payload, "_wire", wire)
     return wire
 
 
-def compress_report_codes(codes: Iterable[PathCode]) -> FrozenSet[PathCode]:
+def compress_report_codes(codes: Iterable[PathCode]) -> CodeSet:
     """Compress an outgoing list of completed codes.
 
     Applies the paper's two compression rules (sibling merge and ancestor
@@ -161,7 +170,7 @@ def compress_report_codes(codes: Iterable[PathCode]) -> FrozenSet[PathCode]:
     works best "when processors are sufficiently loaded" because whole
     locally-completed subtrees collapse to single codes.
     """
-    return CodeSet(codes).codes()  # already a frozenset (cached view)
+    return CodeSet(codes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,7 +182,8 @@ class WorkReport:
     sender:
         Identifier of the reporting process.
     codes:
-        Compressed completed codes (pairwise non-redundant).
+        Compressed completed codes (pairwise non-redundant): a code set, or
+        plain codes when decoded or sent uncompressed.
     best:
         The sender's best-known solution, piggy-backed on the report.
     sequence:
@@ -183,7 +193,7 @@ class WorkReport:
     """
 
     sender: str
-    codes: FrozenSet[PathCode]
+    codes: Codes
     best: BestSolution = field(default_factory=BestSolution)
     sequence: int = 0
     #: Cached wire size (-1 = not computed yet); excluded from equality.
@@ -221,7 +231,7 @@ class WorkReport:
 
     def contains_root(self) -> bool:
         """True when this is a termination announcement (root-code report)."""
-        return any(code.is_root for code in self.codes)
+        return ROOT in self.codes
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,42 +241,24 @@ class CompletedTableSnapshot:
     Sent occasionally to a randomly chosen member "in order to inform new
     members of the current state of the execution and to increase the degree
     of consistency" (Section 5.3.2).
-
-    When built from a live table with :meth:`from_table`, the snapshot also
-    carries the sender's memoised *frozen trie view*
-    (:meth:`~repro.core.codeset.CodeSet.frozen_view`) so an in-process
-    receiver can merge trie-to-trie — or adopt the copy outright when its own
-    table is still empty — instead of re-adding the table code by code.  The
-    view never crosses the wire (the codec ships only ``codes``); a decoded
-    snapshot simply has no view and receivers fall back to per-code merging.
     """
 
     sender: str
-    codes: FrozenSet[PathCode]
+    codes: Codes
     best: BestSolution = field(default_factory=BestSolution)
     #: Cached wire size (-1 = not computed yet); excluded from equality.
     _wire: int = field(default=-1, init=False, repr=False, compare=False)
-    #: Frozen trie view of the sender's table (in-process fast path only);
-    #: excluded from equality and never serialised.
-    _trie: Optional[CodeSet] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_table(
         cls, sender: str, table: CodeSet, *, best: Optional[BestSolution] = None
     ) -> "CompletedTableSnapshot":
-        """Snapshot a live table, attaching its frozen trie view."""
-        snapshot = cls(
+        """Snapshot a live table: its current arena node, by reference."""
+        return cls(
             sender=sender,
-            codes=table.codes(),
+            codes=CodeSet.of_node(table.arena, table.node_id()),
             best=best if best is not None else BestSolution(),
         )
-        object.__setattr__(snapshot, "_trie", table.frozen_view())
-        return snapshot
-
-    def shared_trie(self) -> Optional[CodeSet]:
-        """The sender's frozen trie view, when this snapshot never left the
-        process (``None`` for snapshots decoded off the wire).  Read-only."""
-        return self._trie
 
     def wire_size(self) -> int:
         """Estimated encoded size in bytes (computed once, then cached)."""
@@ -314,7 +306,7 @@ class DeltaSnapshot:
     """
 
     sender: str
-    codes: FrozenSet[PathCode]
+    codes: Codes
     full_digest: int = 0
     sequence: int = 0
     best: BestSolution = field(default_factory=BestSolution)

@@ -40,21 +40,6 @@ __all__ = [
 ]
 
 
-#: Arena size below which no collection runs: a small arena costs little
-#: memory, and collecting it often would cost host time.
-_ARENA_COLLECT_FLOOR = 4096
-
-
-def _arena_collect_threshold(survivors: int) -> int:
-    """Arena size past which the next collection runs.
-
-    Twice the nodes the last collection kept, so each collection copies at
-    most half of what it scans and its cost is amortised over the nodes
-    interned since the last one.
-    """
-    return max(2 * survivors, _ARENA_COLLECT_FLOOR)
-
-
 def worker_names(n: int, prefix: str = "worker") -> List[str]:
     """Canonical worker names (``worker-00``, ``worker-01``, …)."""
     width = max(2, len(str(max(0, n - 1))))
@@ -199,9 +184,6 @@ class DistributedBnBSimulation:
         #: The run's one trie arena, shared by every worker's tracker and
         #: collected between events (:meth:`_after_event`).
         self.arena: Optional[TrieArena] = None
-        self._arena_collect_at = 0
-        self._arena_nodes_peak = 0
-        self._arena_collections = 0
         #: Persistent scan position for :meth:`_stop_condition` (see there).
         self._stop_scan = 0
         self.metrics = MetricsCollector()
@@ -257,9 +239,6 @@ class DistributedBnBSimulation:
         # completion state is stored once instead of once per view.
         arena = TrieArena()
         self.arena = arena
-        self._arena_collect_at = _arena_collect_threshold(len(arena))
-        self._arena_nodes_peak = 0
-        self._arena_collections = 0
         self.workers = []
         self._stop_scan = 0
         for index, name in enumerate(names):
@@ -290,20 +269,13 @@ class DistributedBnBSimulation:
     # Execution
     # ------------------------------------------------------------------ #
     def _after_event(self) -> bool:
-        """Collect the arena when it has outgrown its threshold, then test
-        whether the run is over.
+        """Apply the arena's collection rule, then test whether the run is
+        over.
 
         Runs between events, never inside an arena call, so no raw node id
         outside a registered holder is alive when the arena renumbers.
         """
-        arena = self.arena
-        nodes = len(arena)
-        if nodes > self._arena_collect_at:
-            if nodes > self._arena_nodes_peak:
-                self._arena_nodes_peak = nodes
-            survivors = arena.collect()
-            self._arena_collections += 1
-            self._arena_collect_at = _arena_collect_threshold(survivors)
+        self.arena.collect_if_outgrown()
         return self._stop_condition()
 
     def _stop_condition(self) -> bool:
@@ -375,8 +347,8 @@ class DistributedBnBSimulation:
                 "events_processed": self.engine.events_processed,
                 "peak_heap_len": self.engine.peak_heap_len,
                 "compactions": self.engine.compactions,
-                "arena_nodes_peak": max(self._arena_nodes_peak, len(self.arena)),
-                "arena_collections": self._arena_collections,
+                "arena_nodes_peak": max(self.arena.nodes_peak, len(self.arena)),
+                "arena_collections": self.arena.collections,
             },
         )
 

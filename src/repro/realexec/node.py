@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 from ..bnb.basic_tree import BasicTree
 from ..bnb.pool import SelectionRule
 from ..bnb.tree_problem import TreeReplayProblem
+from ..core.arena import TrieArena
 from ..distributed.config import AlgorithmConfig
 from ..distributed.pacing import IDLE_PACE_CAP
 from ..distributed.protocol import ProtocolCore
@@ -195,6 +196,8 @@ class RealWorker(ProtocolCore):
             # The node sleep seeds the node-cost average, as the simulator
             # seeds it with the expected node cost.
             expected_node_cost=config.node_sleep,
+            # A real process has its own arena, collected by the loop.
+            arena=TrieArena(),
             tracer=tracer,
             obs_metrics=registry,
         )
@@ -277,6 +280,8 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
                 handle_us.observe((time.monotonic() - started) * 1e6)
             if worker.terminated:
                 break
+        # Between passes no raw node id is held: the arena's rule may run.
+        worker.tracker.arena.collect_if_outgrown()
         now = time.monotonic()
         worker.fire_timers(now)
         sub = worker.step(now, handled)

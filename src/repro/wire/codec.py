@@ -12,7 +12,10 @@ straight from :meth:`PathCode._key_path`), one uvarint per decision.  Code
 number of leading keys it shares with its predecessor plus its new suffix.
 Sibling-dense completed tables collapse to a couple of bytes per code this
 way, which is exactly the paper's "completed-work information is compressed
-path codes" claim made concrete.
+path codes" claim made concrete.  An in-process payload carries its codes as
+a :class:`~repro.core.codeset.CodeSet`; the codec writes the set's key paths
+straight off its trie and builds :class:`PathCode` objects only when it
+decodes.
 
 Decoding is a trust boundary: every reader validates counts, prefixes and
 flags and raises ``ValueError`` subclasses from :mod:`repro.wire.varint`,
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ..core.codeset import CodeSet
 from ..core.encoding import PathCode
 from ..core.work_report import (
     BestSolution,
@@ -114,11 +118,16 @@ def write_code_sequence(out: bytearray, codes) -> None:
     carry *ordered* collections (work grants) pass them as-is and simply get
     less prefix reuse.
     """
-    write_uvarint(out, len(codes))
+    _write_key_paths(out, [code._key_path() for code in codes])
+
+
+def _write_key_paths(out: bytearray, paths: List[Tuple[int, ...]]) -> None:
+    """Front-code a list of packed key paths (the body of a code sequence)."""
+    write_uvarint(out, len(paths))
     previous: Tuple[int, ...] = ()
     first = True
-    for code in codes:
-        keys = code._key_path()
+    for path in paths:
+        keys = path
         if first:
             write_uvarint(out, len(keys))
             first = False
@@ -132,7 +141,7 @@ def write_code_sequence(out: bytearray, codes) -> None:
             keys = keys[reuse:]
         for key in keys:
             write_uvarint(out, key)
-        previous = code._key_path()
+        previous = path
 
 
 def read_code_sequence(data, pos: int) -> Tuple[List[PathCode], int]:
@@ -161,7 +170,13 @@ def read_code_sequence(data, pos: int) -> Tuple[List[PathCode], int]:
 
 
 def _write_code_set(out: bytearray, codes) -> None:
-    write_code_sequence(out, sorted(codes))
+    """A set of codes, sorted: packed keys order exactly as ``PathCode`` pairs
+    do, so a code set's key paths need no code objects."""
+    if isinstance(codes, CodeSet):
+        paths = sorted(codes.key_paths())
+    else:
+        paths = sorted(code._key_path() for code in codes)
+    _write_key_paths(out, paths)
 
 
 # ---------------------------------------------------------------------- #

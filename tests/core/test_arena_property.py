@@ -1,11 +1,13 @@
-"""Seeded property suite pinning the trie arena to the nested-dict CodeSet.
+"""Seeded property suite pinning the arena-backed CodeSet to set oracles.
 
-The nested-dict :class:`~repro.core.codeset.CodeSet` is the correctness
-oracle; :class:`~repro.core.arena.ArenaCodeSet` (and the arena shadow
-attached to a plain ``CodeSet``) must be observationally identical over
+:class:`~repro.core.codeset.CodeSet` keeps its content as a node of a
+:class:`~repro.core.arena.TrieArena`, inserts through an open path and
+merges whole sets with the counted merge.  It must be observationally
+identical to the set-based :class:`reference_table.ReferenceTable` over
 randomized insert / cover / merge / digest / frontier streams — including
-the per-``add`` :class:`~repro.core.codeset.ContractionStats` deltas, which
-the simulation charges contraction time from.
+the per-``add`` and per-merge :class:`~repro.core.codeset.ContractionStats`,
+which the simulation charges contraction time from — and its missing
+frontier must equal the brute-force frontier computed from its codes.
 
 The suites run well over 1,000 distinct seeded streams in total; the main
 insert-stream pin alone covers 1,000.
@@ -14,18 +16,19 @@ insert-stream pin alone covers 1,000.
 import random
 
 import pytest
+from reference_table import ReferenceTable, brute_frontier
 
-from repro.core.arena import DONE, EMPTY, ArenaCodeSet, TrieArena
-from repro.core.codeset import CodeSet
+from repro.core.arena import DONE, EMPTY, TrieArena
+from repro.core.codeset import CodeSet, contract_reference
 from repro.core.completion import CompletionTracker
 from repro.core.encoding import ROOT, PathCode
 from repro.core.work_report import WorkReport, table_digest
 
 
-def random_code(rng: random.Random, max_depth: int = 7) -> PathCode:
+def random_code(rng: random.Random, max_depth: int = 7, mixed: bool = True) -> PathCode:
     """A random code; mixed-variable paths exercise >2-entry trie nodes."""
     depth = rng.randint(0, max_depth)
-    if rng.random() < 0.25:
+    if mixed and rng.random() < 0.25:
         # Arbitrary branching variables: several variables can branch at the
         # same trie level, producing nodes with more than two entries (the
         # subsumption / merge-with-extra-entries edge cases).
@@ -34,255 +37,261 @@ def random_code(rng: random.Random, max_depth: int = 7) -> PathCode:
     return PathCode.from_bits(rng.randint(0, 1) for _ in range(depth))
 
 
-def random_stream(seed: int, length: int = None):
+def random_stream(seed: int, length: int = None, mixed: bool = True):
     rng = random.Random(seed)
     if length is None:
         length = rng.randint(1, 30)
-    return rng, [random_code(rng) for _ in range(length)]
+    return rng, [random_code(rng, mixed=mixed) for _ in range(length)]
 
 
-def assert_observably_equal(ref: CodeSet, cut: CodeSet, rng: random.Random):
+def assert_matches_reference(ref: ReferenceTable, cut: CodeSet, rng: random.Random):
     __tracebackhide__ = True
-    assert cut.codes() == ref.codes()
-    assert len(cut) == len(ref)
-    assert bool(cut) == bool(ref)
-    assert cut.is_complete() == ref.is_complete()
-    assert cut.wire_size() == ref.wire_size()
-    assert cut.max_depth() == ref.max_depth()
-    assert set(cut) == set(ref)
-    assert cut == ref and ref == cut
-    assert table_digest(cut.codes()) == table_digest(ref.codes())
-    assert cut.missing_frontier() == ref.missing_frontier()
-    assert set(cut.missing_frontier_reference()) == ref.missing_frontier_reference()
-    assert cut.uncovered_siblings() == ref.uncovered_siblings()
+    assert cut.codes() == ref.codes
+    assert len(cut) == len(ref.codes)
+    assert bool(cut) == bool(ref.codes)
+    assert cut.is_complete() == (ROOT in ref.codes)
+    assert cut.wire_size() == sum(c.wire_size() for c in ref.codes)
+    assert cut.max_depth() == max((c.depth for c in ref.codes), default=0)
+    assert set(cut) == ref.codes
+    assert cut == ref.codes
+    assert cut.structural_digest() == table_digest(ref.codes)
+    # The frontier oracle: computed from the codes alone, then checked to
+    # complete the table to the root under contract_reference.
+    frontier = brute_frontier(ref.codes)
+    assert cut.missing_frontier() == frontier
+    assert not any(ref.covers(code) for code in frontier)
+    assert contract_reference(ref.codes | frontier) == {ROOT}
+    assert cut.uncovered_siblings() == {
+        c.sibling() for c in ref.codes if c.sibling() is not None and not ref.covers(c.sibling())
+    }
     for _ in range(10):
         probe = random_code(rng)
         assert cut.covers(probe) == ref.covers(probe)
-        assert (probe in cut) == (probe in ref)
-    assert sorted(cut._iter_completed_keys()) == sorted(ref._iter_completed_keys())
+        assert (probe in cut) == (probe in ref.codes)
+    assert sorted(cut.key_paths()) == sorted(c._key_path() for c in ref.codes)
 
 
-class TestArenaCodeSetVsReference:
+class TestCodeSetVsReferenceTable:
     def test_insert_streams_identical_results_and_stats(self):
         """1,000 seeded insert streams: same results, same per-add stats."""
         arena = TrieArena()  # shared across streams, as in production
         for seed in range(1000):
             rng, stream = random_stream(seed)
-            ref = CodeSet()
-            cut = ArenaCodeSet(arena)
+            ref = ReferenceTable()
+            cut = CodeSet(arena=arena)
             for code in stream:
                 assert cut.add(code) == ref.add(code), (seed, code)
-                assert cut.stats.snapshot() == ref.stats.snapshot(), (seed, code)
-            assert_observably_equal(ref, cut, rng)
+                assert cut.stats.snapshot() == ref.snapshot(), (seed, code)
+                if rng.random() < 0.2:
+                    cut.node_id()  # interning the open path changes nothing
+            assert_matches_reference(ref, cut, rng)
 
     def test_equal_content_interns_to_equal_node_id(self):
         arena = TrieArena()
         for seed in range(150):
             _rng, stream = random_stream(seed)
-            a = ArenaCodeSet(arena)
-            b = ArenaCodeSet(arena)
+            a = CodeSet(arena=arena)
+            b = CodeSet(arena=arena)
             for code in stream:
                 a.add(code)
             for code in reversed(stream):
                 b.add(code)
             # Contraction is a unique normal form, so any insertion order
             # lands on the same interned node.
-            assert a._nid == b._nid
-            assert a.codes() is b.codes()
+            assert a.node_id() == b.node_id()
+            assert a == b
 
     def test_merge_matches_reference(self):
+        """The counted merge records what one-at-a-time adds of the other
+        set's codes record, in any order, on trees that branch on one
+        variable per node (every B&B tree); on mixed-variable tries the
+        content still matches."""
         arena = TrieArena()
         for seed in range(300):
-            rng, stream_a = random_stream(seed * 2 + 1)
-            _rng2, stream_b = random_stream(seed * 2 + 2)
-            ref_a, ref_b = CodeSet(stream_a), CodeSet(stream_b)
-            cut_a, cut_b = ArenaCodeSet(arena, stream_a), ArenaCodeSet(arena, stream_b)
-            assert cut_a.merge(cut_b) == ref_a.merge(ref_b)
-            assert_observably_equal(ref_a, cut_a, rng)
-            # Merging again is a no-op both ways.
-            assert cut_a.merge(cut_b) == ref_a.merge(ref_b) == False  # noqa: E712
+            mixed = seed % 3 == 0
+            rng, stream_a = random_stream(seed * 2 + 1, mixed=mixed)
+            _rng2, stream_b = random_stream(seed * 2 + 2, mixed=mixed)
+            cut_a = CodeSet(stream_a, arena=arena)
+            cut_b = CodeSet(stream_b, arena=arena)
+            ref = ReferenceTable()
+            ref.add_all(sorted(stream_a, key=len))
+            before = ref.snapshot()
+            assert cut_a.stats.snapshot() == before
+            incoming = sorted(cut_b.codes())
+            rng.shuffle(incoming)
+            new = ref.add_all(incoming)
+            assert cut_a.merge(cut_b) == (new > 0)
+            if not mixed:
+                assert cut_a.stats.snapshot() == ref.snapshot(), seed
+            assert_matches_reference(ref, cut_a, rng)
+            # Merging again is a no-op.
+            assert cut_a.merge(cut_b) is False
 
-    def test_update_with_arena_frozenset_is_pointer_fast_path(self):
+    def test_update_with_code_set_is_node_merge(self):
         arena = TrieArena()
         for seed in range(150):
-            rng, stream_a = random_stream(seed * 2 + 1)
-            _rng2, stream_b = random_stream(seed * 2 + 2)
-            ref_a, ref_b = CodeSet(stream_a), CodeSet(stream_b)
-            cut_a, cut_b = ArenaCodeSet(arena, stream_a), ArenaCodeSet(arena, stream_b)
-            codes_b = cut_b.codes()
-            assert arena.node_for_codes(codes_b) == cut_b._nid
-            assert cut_a.update(codes_b) == ref_a.update(ref_b.codes())
-            assert_observably_equal(ref_a, cut_a, rng)
+            rng, stream_a = random_stream(seed * 2 + 1, mixed=False)
+            _rng2, stream_b = random_stream(seed * 2 + 2, mixed=False)
+            cut_a, cut_b = CodeSet(stream_a, arena=arena), CodeSet(stream_b, arena=arena)
+            ref = ReferenceTable()
+            ref.add_all(sorted(stream_a, key=len))
+            new = ref.add_all(cut_b.codes())
+            assert cut_a.update(cut_b) == (new > 0)
+            assert cut_a.stats.snapshot() == ref.snapshot()
+            assert_matches_reference(ref, cut_a, rng)
 
     def test_update_with_foreign_frozenset_falls_back_per_code(self):
         arena = TrieArena()
         for seed in range(100):
             rng, stream_a = random_stream(seed * 2 + 1)
             _rng2, stream_b = random_stream(seed * 2 + 2)
-            ref = CodeSet(stream_a)
-            cut = ArenaCodeSet(arena, stream_a)
-            foreign = frozenset(stream_b)  # not an arena codes() object
-            assert arena.node_for_codes(foreign) is None
-            assert cut.update(foreign) == ref.update(foreign)
-            assert_observably_equal(ref, cut, rng)
+            cut = CodeSet(stream_a, arena=arena)
+            ref = ReferenceTable()
+            ref.add_all(sorted(stream_a, key=len))
+            foreign = frozenset(stream_b)  # not contracted, not a code set
+            new = ref.add_all(sorted(foreign, key=len))
+            assert cut.update(foreign) == (new > 0)
+            assert cut.stats.snapshot() == ref.snapshot()
+            assert_matches_reference(ref, cut, rng)
 
-    def test_copy_and_frozen_view_are_snapshots(self):
+    def test_copy_is_a_snapshot(self):
         arena = TrieArena()
         for seed in range(100):
             rng, stream = random_stream(seed, length=20)
-            ref = CodeSet(stream[:10])
-            cut = ArenaCodeSet(arena, stream[:10])
-            ref_snap, cut_snap = ref.frozen_view(), cut.frozen_view()
-            ref_copy, cut_copy = ref.copy(), cut.copy()
-            for code in stream[10:]:
-                ref.add(code)
+            ref = ReferenceTable()
+            ref.add_all(stream[:10])
+            cut = CodeSet(arena=arena)
+            for code in stream[:10]:
                 cut.add(code)
-            assert cut_snap.codes() == ref_snap.codes()
-            assert cut_copy.codes() == ref_copy.codes()
-            assert_observably_equal(ref, cut, rng)
-
-    def test_adopt_from_arena_and_reference_sources(self):
-        arena = TrieArena()
-        for seed in range(100):
-            rng, stream = random_stream(seed)
-            ref_src = CodeSet(stream)
-            cut_src = ArenaCodeSet(arena, stream)
-            ref_dst, cut_dst = CodeSet(), ArenaCodeSet(arena)
-            assert cut_dst.adopt_from(cut_src) == ref_dst.adopt_from(ref_src)
-            assert_observably_equal(ref_dst, cut_dst, rng)
-            with pytest.raises(ValueError):
-                cut_dst.adopt_from(cut_src)
-            # Adoption from a non-arena source rebuilds via raw keys.
-            other = ArenaCodeSet(arena)
-            other.adopt_from(ref_src)
-            assert other.codes() == ref_src.codes()
+            copy = cut.copy()
+            handle = CodeSet.of_node(arena, cut.node_id())
+            for code in stream[10:]:
+                cut.add(code)
+            assert copy.codes() == handle.codes() == frozenset(contract_reference(stream[:10]))
+            ref.add_all(stream[10:])
+            assert_matches_reference(ref, cut, rng)
 
     def test_clear_resets_to_empty(self):
         arena = TrieArena()
-        cut = ArenaCodeSet(arena, [PathCode.from_bits([0, 1]), PathCode.from_bits([1])])
+        cut = CodeSet([PathCode.from_bits([0, 1]), PathCode.from_bits([1])], arena=arena)
         assert len(cut)
         cut.clear()
-        assert cut._nid == EMPTY
+        assert cut.node_id() == EMPTY
         assert not cut and cut.codes() == frozenset()
 
     def test_root_completion_collapses_to_done(self):
         arena = TrieArena()
-        ref, cut = CodeSet(), ArenaCodeSet(arena)
+        ref, cut = ReferenceTable(), CodeSet(arena=arena)
         for code in (PathCode.from_bits([0]), PathCode.from_bits([1])):
             assert cut.add(code) == ref.add(code)
-            assert cut.stats.snapshot() == ref.stats.snapshot()
-        assert cut.is_complete() and ref.is_complete()
-        assert cut._nid == DONE
+            assert cut.stats.snapshot() == ref.snapshot()
+        assert cut.is_complete()
+        assert cut.node_id() == DONE
         assert cut.add(ROOT) == ref.add(ROOT) == False  # noqa: E712
 
 
-class TestCodeSetArenaShadow:
-    """A plain CodeSet with an attached arena mirrors itself exactly."""
+class TestOpenPath:
+    """Local completions edit the open path; only a read interns it."""
 
-    def test_shadow_tracks_all_mutations(self):
-        # Reading the shadow after every add forces a flush per insertion
-        # (batch size 1 — the single-insert path of the lazy mirror).
-        arena = TrieArena()
-        for seed in range(200):
-            _rng, stream = random_stream(seed)
-            plain = CodeSet()
-            shadowed = CodeSet()
-            shadowed.attach_arena(arena)
-            for code in stream:
-                assert shadowed.add(code) == plain.add(code)
-                assert shadowed.stats.snapshot() == plain.stats.snapshot()
-                assert arena.codes_at(shadowed.arena_id()) == plain.codes()
-            assert shadowed.codes() == plain.codes()
-            assert shadowed.codes() is arena.codes_at(shadowed.arena_id())
+    def test_reading_only_at_the_end_interns_fewer_nodes(self):
+        leaves = [
+            PathCode.from_bits(int(bit) for bit in format(i, "08b")) for i in range(255)
+        ]  # every leaf of a depth-8 tree but the last, in DFS order
+        eager_arena, lazy_arena = TrieArena(), TrieArena()
+        eager, lazy = CodeSet(arena=eager_arena), CodeSet(arena=lazy_arena)
+        for code in leaves:
+            eager.add(code)
+            eager.node_id()
+            lazy.add(code)
+        assert lazy.node_id() == lazy_arena.node_from_keys(eager.key_paths())
+        assert lazy.codes() == eager.codes()
+        assert lazy.stats.snapshot() == eager.stats.snapshot()
+        assert len(lazy_arena) < len(eager_arena) / 2
 
-    def test_shadow_batches_between_reads(self):
-        # Reading only occasionally exercises the batched flush: pending
-        # insertions are interned as one small trie and merged in a single
-        # step, and the result must still equal the authoritative trie.
-        arena = TrieArena()
+    def test_covers_on_an_open_path_matches_the_interned_node(self):
         for seed in range(200):
             rng, stream = random_stream(seed)
-            plain = CodeSet()
-            shadowed = CodeSet()
-            shadowed.attach_arena(arena)
-            for i, code in enumerate(stream):
-                assert shadowed.add(code) == plain.add(code)
-                if rng.random() < 0.1:
-                    assert arena.codes_at(shadowed.arena_id()) == plain.codes()
-                    assert arena.digest(shadowed.arena_id()) == arena.digest(
-                        arena.node_from_codes(plain.codes())
-                    )
-            assert shadowed.codes() == plain.codes()
-            assert shadowed.structural_digest() == plain.structural_digest()
-
-    def test_attach_to_populated_set(self):
-        arena = TrieArena()
-        for seed in range(100):
-            _rng, stream = random_stream(seed)
-            cs = CodeSet(stream)
-            expected = cs.codes()
-            cs.attach_arena(arena)
-            assert arena.codes_at(cs._anid) == expected
-
-    def test_shadow_survives_copy_clear_and_adopt(self):
-        arena = TrieArena()
-        src = CodeSet([PathCode.from_bits([0, 0]), PathCode.from_bits([1, 1, 0])])
-        src.attach_arena(arena)
-        clone = src.copy()
-        assert clone._arena is arena and clone._anid == src._anid
-        clone.clear()
-        assert clone._anid == EMPTY
-        dst = CodeSet()
-        dst.attach_arena(arena)
-        dst.adopt_from(src.frozen_view(), src.codes())
-        assert dst.codes() == src.codes()
-        assert arena.codes_at(dst._anid) == src.codes()
+            cut = CodeSet()
+            for code in stream:
+                cut.add(code)
+                probes = [random_code(rng) for _ in range(4)] + [code, code.parent() or ROOT]
+                open_answers = [cut.covers(p) for p in probes]
+                cut.node_id()
+                assert open_answers == [cut.covers(p) for p in probes], seed
 
 
 class TestTrackerWithArena:
-    """CompletionTracker behaviour is unchanged by a shared arena."""
+    """The tracker's table against the reference table: per-add local
+    completions, non-contracted raw reports merged code by code, and code
+    set reports merged with the counted merge."""
 
     def _drive(self, tracker: CompletionTracker, seed: int):
         rng = random.Random(seed)
-        digests = []
-        deltas = []
+        sender = CompletionTracker("peer", arena=tracker.arena)
+        ref = ReferenceTable()
+        known = ReferenceTable()  # what "peer" provably covers
+        received = redundant = 0
         for step in range(rng.randint(5, 25)):
             action = rng.random()
-            if action < 0.5:
-                tracker.record_completed(random_code(rng), now=float(step))
-            elif action < 0.8:
-                codes = frozenset(random_code(rng) for _ in range(rng.randint(1, 5)))
+            if action < 0.4:
+                code = random_code(rng, mixed=False)
+                tracker.record_completed(code, now=float(step))
+                ref.add(code)
+            elif action < 0.6:
+                # A raw, non-contracted report: merged code by code, in
+                # the frozenset's own order.
+                codes = frozenset(
+                    random_code(rng, mixed=False) for _ in range(rng.randint(1, 5))
+                )
                 report = WorkReport(sender="peer", codes=codes)
-                tracker.merge_report(report)
+                new = ref.add_all(codes)
+                assert tracker.merge_report(report) == (new > 0)
                 tracker.note_peer_covers("peer", codes)
+                known.add_all(codes)
+                received += len(codes)
+                redundant += len(codes) - new
+            elif action < 0.8:
+                # A compressed report built by a tracker in the same arena:
+                # a code set merged by node id.
+                for _ in range(rng.randint(1, 5)):
+                    sender.record_completed(random_code(rng, mixed=False))
+                report = sender.build_report()
+                incoming = sorted(report.codes.codes())
+                rng.shuffle(incoming)
+                new = ref.add_all(incoming)
+                assert tracker.merge_report(report) == (new > 0)
+                tracker.note_peer_covers("peer", report.codes)
+                known.add_all(incoming)
+                received += len(incoming)
+                redundant += len(incoming) - new
             else:
                 delta = tracker.build_delta_snapshot("peer")
-                deltas.append(frozenset(delta.codes))
-                digests.append(delta.full_digest)
-            digests.append(tracker.table_digest_now())
-        deltas.append(frozenset(tracker.build_delta_snapshot("other").codes))
-        return digests, deltas
+                expected = {c for c in ref.codes if not known.covers(c)}
+                assert delta.codes == expected, seed
+                assert delta.full_digest == table_digest(ref.codes)
+            assert tracker.table.stats.snapshot() == ref.snapshot(), (seed, step)
+            assert tracker.table.codes() == ref.codes
+            assert tracker.table_digest_now() == table_digest(ref.codes)
+            assert tracker.codes_received == received
+            assert tracker.redundant_codes_received == redundant
+        assert tracker.build_delta_snapshot("other").codes == ref.codes
+        assert tracker.missing_subtrees() == brute_frontier(ref.codes)
 
     def test_digest_and_delta_streams_match_reference(self):
         arena = TrieArena()
         for seed in range(200):
-            plain = CompletionTracker("w", report_threshold=4)
-            shared = CompletionTracker("w", report_threshold=4, arena=arena)
-            assert self._drive(plain, seed) == self._drive(shared, seed)
-            assert plain.table.codes() == shared.table.codes()
-            assert plain.table.stats.snapshot() == shared.table.stats.snapshot()
-            assert plain.missing_subtrees() == shared.missing_subtrees()
+            self._drive(CompletionTracker("w", report_threshold=4, arena=arena), seed)
 
-    def test_ack_flow_advances_arena_backed_view(self):
+    def test_ack_flow_advances_view(self):
         arena = TrieArena()
         tracker = CompletionTracker("w", arena=arena)
         for code in (PathCode.from_bits([0, 0]), PathCode.from_bits([0, 1, 0])):
             tracker.record_completed(code)
         delta = tracker.build_delta_snapshot("peer")
-        assert delta.codes == tracker.table.codes()
+        assert delta.codes == tracker.table
         assert tracker.note_snapshot_ack("peer", delta.full_digest)
         view = tracker.peer_view("peer")
-        assert isinstance(view.known, ArenaCodeSet)
+        assert view.known.stats is None  # a view never reads stats
         assert view.known.codes() == tracker.table.codes()
         # Converged: the next delta is empty and not remembered.
         follow_up = tracker.build_delta_snapshot("peer")
@@ -294,7 +303,7 @@ class TestTrackerWithArena:
         for seed in range(50):
             tracker.record_completed(random_code(random.Random(seed)))
         tracker.note_peer_converged("peer")
-        assert tracker.peer_view("peer").known._nid == tracker.table._anid
+        assert tracker.peer_view("peer").known.node_id() == tracker.table.node_id()
 
 
 def reachable_nodes(arena: TrieArena) -> set:
@@ -317,15 +326,15 @@ class TestCollection:
 
         The actions come from ``rng`` alone and the collection points from a
         separate stream, so the same seed drives the same actions with and
-        without collection.
+        without collection.  Tables are often collected with an open,
+        not yet interned insertion path.
         """
         rng = random.Random(seed)
         when = random.Random(seed + 10_000)
         arena = TrieArena()
         tracker = CompletionTracker("w", report_threshold=4, arena=arena)
-        shadow = CodeSet()
-        shadow.attach_arena(arena)
-        sets = [ArenaCodeSet(arena), ArenaCodeSet(arena)]
+        table = CodeSet(arena=arena)
+        sets = [CodeSet(arena=arena), CodeSet(arena=arena)]
         snapshots = []
         digests = []
         seen = []
@@ -354,20 +363,21 @@ class TestCollection:
             elif action < 0.5:
                 delta = tracker.build_delta_snapshot(rng.choice(("p", "q")))
                 digests.append(delta.full_digest)
-                seen.append(("delta", delta.codes, delta.full_digest))
+                snapshots.append(delta.codes)  # a payload in flight
+                seen.append(("delta", delta.codes.codes(), delta.full_digest))
             elif action < 0.6 and digests:
                 seen.append(("ack", tracker.note_snapshot_ack("p", rng.choice(digests))))
             elif action < 0.7:
                 target = rng.choice(sets)
                 target.add(random_code(rng))
-                shadow.add(random_code(rng))
+                table.add(random_code(rng))
             elif action < 0.8:
                 a, b = rng.sample(range(len(sets)), 2)
                 sets[a].merge(sets[b])
-                sets[b].update(tracker.table.codes())
+                sets[b].update(tracker.table)
             elif action < 0.9:
                 sets.append(rng.choice(sets).copy())
-                snapshots.append(shadow.frozen_view())
+                snapshots.append(tracker.build_table_snapshot().codes)
                 snapshots.append(tracker.table.copy())
             else:
                 tracker.note_peer_converged(rng.choice(("p", "q")))
@@ -375,11 +385,11 @@ class TestCollection:
                 arena.collect()
                 assert len(arena) == len(reachable_nodes(arena)) + 2
             seen.append(("table",) + observe(tracker.table))
-            seen.append(("shadow",) + observe(shadow))
+            seen.append(("plain",) + observe(table))
             for cs in sets + snapshots:
                 seen.append(("set",) + observe(cs))
         for peer in ("p", "q", "fresh"):
-            seen.append(("final", tracker.build_delta_snapshot(peer).codes))
+            seen.append(("final", tracker.build_delta_snapshot(peer).codes.codes()))
         return seen
 
     def test_collection_at_random_points_is_invisible(self):
@@ -388,32 +398,66 @@ class TestCollection:
 
     def test_collection_keeps_only_reachable_nodes(self):
         arena = TrieArena()
-        keep = ArenaCodeSet(arena, [PathCode.from_bits([0, 1, 1]), PathCode.from_bits([1, 0])])
+        keep = CodeSet([PathCode.from_bits([0, 1, 1]), PathCode.from_bits([1, 0])], arena=arena)
         for seed in range(20):
             _rng, stream = random_stream(seed)
-            ArenaCodeSet(arena, stream)  # garbage as soon as it is built
+            CodeSet(stream, arena=arena)  # garbage as soon as it is built
         before = keep.codes()
         survivors = arena.collect()
         assert survivors == len(arena) == len(reachable_nodes(arena)) + 2
-        assert keep.codes() is before  # surviving memos stay recognised
-        assert arena.node_for_codes(before) == keep._nid
+        assert keep.codes() == before
         assert arena.collect() == survivors  # nothing more to free
+
+    def test_collect_interns_an_open_path_first(self):
+        arena = TrieArena()
+        table = CodeSet(arena=arena)
+        for code in (PathCode.from_bits([0, 0, 1]), PathCode.from_bits([0, 1, 1, 0])):
+            table.add(code)
+        expected = frozenset(table.codes())
+        table.add(PathCode.from_bits([1, 0, 1]))  # open again, not interned
+        arena.collect()
+        assert table.codes() == expected | {PathCode.from_bits([1, 0, 1])}
 
     def test_freed_holder_drops_out_of_registry(self):
         import gc
 
         arena = TrieArena()
-        keep = ArenaCodeSet(arena, [PathCode.from_bits([0, 0])])
-        gone = ArenaCodeSet(arena, [PathCode.from_bits([1, 1, 0, 1])])
-        shadow = CodeSet([PathCode.from_bits([1, 0, 1])])
-        shadow.attach_arena(arena)
-        clone = shadow.copy()
-        empty = ArenaCodeSet(arena)  # sentinel ids never move: no entry
-        assert set(arena._holders) == {id(keep), id(gone), id(shadow), id(clone)}
+        keep = CodeSet([PathCode.from_bits([0, 0])], arena=arena)
+        gone = CodeSet([PathCode.from_bits([1, 1, 0, 1])], arena=arena)
+        table = CodeSet([PathCode.from_bits([1, 0, 1])], arena=arena)
+        clone = table.copy()
+        empty = CodeSet(arena=arena)  # sentinel ids never move: no entry
+        assert set(arena._holders) == {id(keep), id(gone), id(table), id(clone)}
         assert id(empty) not in arena._holders
-        del gone, shadow
+        del gone, table
         gc.collect()
         assert set(arena._holders) == {id(keep), id(clone)}
         arena.collect()
         assert len(arena) == len(reachable_nodes(arena)) + 2
         assert clone.codes() == frozenset({PathCode.from_bits([1, 0, 1])})
+
+
+@pytest.mark.parametrize("floor", [4, 16])
+def test_collect_if_outgrown_keeps_the_arena_within_twice_its_survivors(monkeypatch, floor):
+    """The one collection rule: the arena never outgrows twice the nodes
+    the last collection kept (or the floor) between two of its calls, and
+    a collection keeps exactly the reachable nodes."""
+    from repro.core import arena as arena_module
+
+    monkeypatch.setattr(arena_module, "_COLLECT_FLOOR", floor)
+    arena = TrieArena()
+    tables = [CodeSet(arena=arena) for _ in range(3)]
+    rng = random.Random(floor)
+    survivors = 2
+    for step in range(400):
+        table = rng.choice(tables)
+        table.add(random_code(rng, max_depth=10))
+        if step % 7 == 0:
+            table.node_id()
+        if rng.random() < 0.05:
+            table.clear()
+        if arena.collect_if_outgrown():
+            survivors = len(arena)
+            assert survivors == len(reachable_nodes(arena)) + 2
+        assert len(arena) <= max(2 * survivors, floor)
+    assert arena.collections > 0

@@ -1,11 +1,13 @@
 """Property-based equivalence tests for the optimized hot-path primitives.
 
-The optimized :class:`~repro.core.codeset.CodeSet` (dict-backed trie, packed
-integer keys, allocation-free covered inserts, incremental counters, staged
-merge cascade) must behave exactly like the naive fixed-point oracle
-:func:`~repro.core.codeset.contract_reference` on every input, and the cached
-values on :class:`~repro.core.encoding.PathCode` (hash, wire size, key path)
-must always match recomputation from scratch.
+The optimized :class:`~repro.core.codeset.CodeSet` (an interned arena trie,
+packed integer keys, the open-path insert, O(1) size counters, the counted
+merge) must behave exactly like the naive fixed-point oracle
+:func:`~repro.core.codeset.contract_reference` on every input, count its
+contraction work exactly like the set-based
+:class:`reference_table.ReferenceTable`, and the cached values on
+:class:`~repro.core.encoding.PathCode` (hash, wire size, key path) must always
+match recomputation from scratch.
 
 These tests drive both through seeded random code streams — more than 1,000
 distinct streams overall — covering the regular case (one branching variable
@@ -18,14 +20,17 @@ import pickle
 import random
 
 import pytest
+from reference_table import ReferenceTable, brute_frontier
 
 from repro.core.codeset import CodeSet, contract, contract_reference, covers
+from repro.core.completion import CompletionTracker
 from repro.core.encoding import (
     _CODE_HEADER_BYTES,
     _PAIR_WIRE_BYTES,
     ROOT,
     PathCode,
 )
+from repro.core.work_report import WorkReport
 
 
 def make_stream(seed, max_codes=28, max_depth=6, *, mixed_variables=False):
@@ -85,6 +90,11 @@ def check_equivalence(stream, probes_rng):
     bulk = CodeSet(stream)
     assert bulk.codes() == cs.codes()
     assert bulk.wire_size() == cs.wire_size()
+
+    # Every add counted what the reference table counts.
+    table = ReferenceTable()
+    table.add_all(stream)
+    assert cs.stats.snapshot() == table.snapshot()
     return cs, reference
 
 
@@ -166,12 +176,12 @@ class TestCodeSetMatchesReference:
             assert full.is_complete()
 
 
-class TestIncrementalFrontierMatchesReference:
-    """The incrementally maintained missing frontier must equal the
-    from-scratch trie walk (:meth:`CodeSet.missing_frontier_reference`)
-    after *every* insert of *every* seeded stream — over 1,200 streams
-    covering regular trees, adversarial variable collisions, and arbitrary
-    activation points for the lazy maintenance."""
+class TestFrontierMatchesBruteForce:
+    """The missing frontier must equal the brute-force frontier computed
+    from the codes (:func:`reference_table.brute_frontier`) after *every*
+    insert of *every* seeded stream — over 1,200 streams covering regular
+    trees and adversarial variable collisions — and that frontier must
+    complete the table to the root under :func:`contract_reference`."""
 
     @staticmethod
     def drive(stream, *, first_query_at):
@@ -180,9 +190,11 @@ class TestIncrementalFrontierMatchesReference:
         for index, code in enumerate(stream):
             cs.add(code)
             if index >= first_query_at:
-                assert set(cs.missing_frontier()) == cs.missing_frontier_reference()
-        # Final state always checked, even if maintenance never activated.
-        assert set(cs.missing_frontier()) == cs.missing_frontier_reference()
+                assert cs.missing_frontier() == brute_frontier(cs.codes())
+        # Final state always checked.
+        frontier = cs.missing_frontier()
+        assert frontier == brute_frontier(cs.codes())
+        assert contract_reference(set(cs.codes()) | frontier) == {ROOT}
         return cs
 
     @pytest.mark.parametrize("base_seed", range(20))
@@ -193,10 +205,9 @@ class TestIncrementalFrontierMatchesReference:
             self.drive(stream, first_query_at=0)
 
     @pytest.mark.parametrize("base_seed", range(20))
-    def test_mixed_variable_streams_with_lazy_activation(self, base_seed):
+    def test_mixed_variable_streams(self, base_seed):
         """20 × 30 = 600 adversarial streams; the first query lands at a
-        seeded random position so activation happens mid-stream (the walk
-        that builds the initial frontier) as well as up front."""
+        seeded random position, so queries meet open and interned paths."""
         rng = random.Random(70_000 + base_seed)
         for sub in range(30):
             stream = make_stream(
@@ -205,17 +216,17 @@ class TestIncrementalFrontierMatchesReference:
             self.drive(stream, first_query_at=rng.randint(0, len(stream)))
 
     def test_frontier_survives_copy_and_merge(self):
-        """Copies and trie-to-trie merges keep the incremental frontier."""
+        """Copies and merges answer from their own node."""
         for seed in range(60):
             left = make_stream(seed, mixed_variables=seed % 2 == 0)
             right = make_stream(80_000 + seed, mixed_variables=seed % 2 == 1)
             a = CodeSet(left)
-            a.missing_frontier()  # activate maintenance
+            a.missing_frontier()
             clone = a.copy()
             clone.merge(CodeSet(right))
-            assert set(clone.missing_frontier()) == clone.missing_frontier_reference()
+            assert clone.missing_frontier() == brute_frontier(clone.codes())
             # The original is untouched by the clone's merge.
-            assert set(a.missing_frontier()) == a.missing_frontier_reference()
+            assert a.missing_frontier() == brute_frontier(a.codes())
 
     def test_frontier_memo_is_stable_between_mutations(self):
         stream = make_stream(123, max_codes=30)
@@ -223,48 +234,89 @@ class TestIncrementalFrontierMatchesReference:
         first = cs.missing_frontier()
         assert cs.missing_frontier() is first  # memoised between mutations
         cs.add(stream[-1])
-        assert set(cs.missing_frontier()) == cs.missing_frontier_reference()
+        assert cs.missing_frontier() == brute_frontier(cs.codes())
 
     def test_complete_and_empty_sets(self):
         cs = CodeSet()
         assert cs.missing_frontier() == {ROOT}
         cs.add(ROOT)
         assert cs.missing_frontier() == frozenset()
-        assert cs.missing_frontier_reference() == set()
+        assert brute_frontier(cs.codes()) == set()
         cs.clear()
         assert cs.missing_frontier() == {ROOT}
 
 
-class TestFrozenViewAndAdopt:
-    def test_frozen_view_is_memoised_until_mutation(self):
-        cs = CodeSet(make_stream(5))
-        view = cs.frozen_view()
-        assert cs.frozen_view() is view
-        assert view.codes() == cs.codes()
-        if not cs.is_complete():
-            cs.add(PathCode(((999, 0),)))
-            assert cs.frozen_view() is not view  # refreshed after mutation
-            assert view.codes() != cs.codes() or True  # view kept old state
+class TestStatsMatchReferenceTable:
+    """Per-add and bulk-merge :class:`ContractionStats` against the
+    reference table, on seeded streams, including non-contracted reports."""
 
-    def test_adopt_from_shares_codes_and_stays_independent(self):
+    @pytest.mark.parametrize("mixed", [False, True], ids=["regular", "mixed"])
+    def test_per_add(self, mixed):
+        for seed in range(150):
+            stream = make_stream(30_000 + seed, mixed_variables=mixed)
+            cs, table = CodeSet(), ReferenceTable()
+            for code in stream:
+                assert cs.add(code) == table.add(code)
+                assert cs.stats.snapshot() == table.snapshot(), (seed, code)
+
+    def test_bulk_merge(self):
+        for seed in range(150):
+            cs = CodeSet(make_stream(seed))
+            other = CodeSet(make_stream(40_000 + seed), arena=cs.arena)
+            table = ReferenceTable()
+            table.add_all(sorted(make_stream(seed), key=len))
+            incoming = sorted(other.codes(), reverse=seed % 2 == 0)
+            new = table.add_all(incoming)
+            assert cs.merge(other) == (new > 0)
+            assert cs.stats.snapshot() == table.snapshot(), seed
+            assert cs.codes() == table.codes
+
+    def test_report_merges(self):
+        """A tracker merging raw (non-contracted) reports code by code and
+        compressed reports by node counts what the reference counts."""
+        for seed in range(100):
+            rng = random.Random(seed)
+            tracker = CompletionTracker("w")
+            sender = CompletionTracker("s", arena=tracker.arena)
+            table = ReferenceTable()
+            for step in range(12):
+                stream = make_stream(50_000 + seed * 100 + step, max_codes=8)
+                if rng.random() < 0.5:
+                    codes = frozenset(stream)
+                    report = WorkReport("s", codes)
+                    incoming = list(codes)  # the frozenset's own order
+                else:
+                    for code in stream:
+                        sender.record_completed(code)
+                    report = sender.build_report()
+                    incoming = sorted(report.codes.codes())
+                new = table.add_all(incoming)
+                assert tracker.merge_report(report) == (new > 0)
+                assert tracker.table.stats.snapshot() == table.snapshot(), (seed, step)
+                assert tracker.table.codes() == table.codes
+
+
+class TestSnapshotsByNode:
+    def test_copy_is_independent_and_o1(self):
         for seed in range(25):
             source = CodeSet(make_stream(seed, mixed_variables=True))
-            codes = source.codes()
-            empty = CodeSet()
-            assert empty.adopt_from(source.frozen_view(), codes) == bool(codes)
-            assert empty.codes() is codes  # the frozenset itself is shared
-            assert empty.wire_size() == source.wire_size()
-            assert set(empty.missing_frontier()) == empty.missing_frontier_reference()
-            # Mutating the adopter must not leak into the source.
-            if not empty.is_complete():
+            copy = source.copy()
+            assert copy.node_id() == source.node_id()  # one id, no walk
+            assert copy.wire_size() == source.wire_size()
+            # Mutating the copy must not leak into the source.
+            if not copy.is_complete():
                 probe = PathCode(((777, 1),))
-                empty.add(probe)
+                copy.add(probe)
                 assert not source.covers(probe)
 
-    def test_adopt_from_requires_empty_target(self):
-        target = CodeSet([PathCode(((0, 0),))])
-        with pytest.raises(ValueError):
-            target.adopt_from(CodeSet([PathCode(((1, 1),))]))
+    def test_adopt_takes_a_node_without_counting(self):
+        for seed in range(25):
+            source = CodeSet(make_stream(seed, mixed_variables=True))
+            empty = CodeSet(arena=source.arena)
+            empty.adopt(source.node_id())
+            assert empty.codes() == source.codes()
+            assert empty.stats.elementary_operations() == 0
+            assert empty.missing_frontier() == brute_frontier(empty.codes())
 
 
 class TestCachedValueInvariants:

@@ -9,16 +9,16 @@ whose arena is never collected (a small tree stays under the collection
 floor).  The scenario exercises every holder kind: message loss re-sends
 deltas (pending sends), a permanent crash leaves a dead worker's tables
 behind, restart churn replaces a tracker mid-run, and with delta gossip off
-whole-table snapshots carry ``CodeSet`` clones in flight (on this seed the
-restarted worker adopts one into its empty table, the one path that reads a
-clone's node id).
+whole-table snapshots carry ``CodeSet`` handles in flight (on this seed the
+restarted worker adopts one into its empty table), and tables are often
+collected with an open insertion path, which the collection interns first.
 """
 
 import pytest
 
 from repro.bnb.pool import SelectionRule
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
-from repro.distributed import runner
+from repro.core import arena
 from repro.distributed.config import AlgorithmConfig
 from repro.distributed.runner import NetworkConfig, run_tree_simulation
 from repro.simulation.failures import CrashEvent
@@ -56,7 +56,7 @@ def test_collecting_after_every_event_changes_nothing(monkeypatch, delta_gossip)
     plain = _run(delta_gossip)
     assert plain.engine_counters["arena_collections"] == 0
 
-    monkeypatch.setattr(runner, "_arena_collect_threshold", lambda survivors: -1)
+    monkeypatch.setattr(arena, "_collect_threshold", lambda survivors: -1)
     collected = _run(delta_gossip)
 
     events = collected.engine_counters["events_processed"]

@@ -194,7 +194,7 @@ class TestPeerGossipView:
         tracker.record_completed(PathCode(((1, 1), (2, 0))))
         # First delta never acked: the second must contain both codes.
         second = tracker.build_delta_snapshot("w1")
-        assert first.codes <= second.codes
+        assert first.codes.codes() <= second.codes.codes()
 
     def test_stale_ack_is_ignored(self):
         tracker = CompletionTracker("w0")
@@ -252,14 +252,15 @@ class TestTableDigest:
 
 
 class TestSnapshotMergeFastPaths:
-    def test_empty_receiver_adopts_shared_trie(self):
+    def test_empty_receiver_adopts_snapshot_node(self):
         sender = CompletionTracker("s")
+        receiver = CompletionTracker("r", arena=sender.arena)
         for i in range(8):
             sender.record_completed(PathCode(((0, 0), (1, i % 2), (2 + i, 1))))
         snapshot = sender.build_table_snapshot()
-        receiver = CompletionTracker("r")
         assert receiver.merge_snapshot(snapshot)
-        assert receiver.table.codes() is snapshot.codes  # shared frozenset
+        assert receiver.table.node_id() == snapshot.codes.node_id()  # by reference
+        assert receiver.table.stats.elementary_operations() == 0  # adopted, not merged
         assert receiver.codes_received == len(snapshot.codes)
         assert receiver.redundant_codes_received == 0
         assert receiver.bytes_stored_remote == sender.table.wire_size()
@@ -267,15 +268,15 @@ class TestSnapshotMergeFastPaths:
         receiver.record_completed(PathCode(((50, 0),)))
         assert not sender.table.covers(PathCode(((50, 0),)))
 
-    def test_nonempty_receiver_merges_trie_to_trie_with_counters(self):
+    def test_nonempty_receiver_merges_by_node_with_counters(self):
         sender = CompletionTracker("s")
-        receiver = CompletionTracker("r")
+        receiver = CompletionTracker("r", arena=sender.arena)
         overlap = PathCode(((0, 0), (1, 1)))
         for tracker in (sender, receiver):
             tracker.record_completed(overlap)
         sender.record_completed(PathCode(((7, 1),)))
         snapshot = sender.build_table_snapshot()
-        assert snapshot.shared_trie() is not None
+        assert isinstance(snapshot.codes, CodeSet)
         before_received = receiver.codes_received
         assert receiver.merge_snapshot(snapshot)
         assert receiver.codes_received - before_received == len(snapshot.codes)
@@ -291,7 +292,7 @@ class TestSnapshotMergeFastPaths:
         sender.record_completed(PathCode(((0, 0),)))
         snapshot = sender.build_table_snapshot()
         decoded = wire.decode(wire.encode(snapshot))
-        assert decoded.shared_trie() is None
+        assert type(decoded.codes) is frozenset
         receiver = CompletionTracker("r")
         assert receiver.merge_snapshot(decoded)
         assert receiver.table.codes() == snapshot.codes

@@ -10,7 +10,10 @@ These tests hold that shape:
   report — to both drivers and asserts the same ordered sends, the same
   final table and the same counters;
 * ``TestStructure`` fails the suite when a second copy of the loop creeps
-  back into ``node.py``, or the core starts depending on a driver.
+  back into ``node.py``, the core starts depending on a driver, or a driver
+  collects the trie arena other than through its one rule;
+* ``TestRealWorkerArena`` repeats the schedule on the real-worker driver and
+  holds its arena to the collection rule.
 """
 
 import ast
@@ -19,12 +22,15 @@ import inspect
 import multiprocessing
 import random
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
 from repro.bnb.tree_problem import TreeReplayProblem
+from repro.core import arena as arena_module
+from repro.core.arena import DONE, EMPTY, TrieArena
 from repro.core.encoding import ROOT
 from repro.core.termination import make_root_report
 from repro.core.work_report import DeltaSnapshot, WorkReport, table_digest
@@ -112,9 +118,13 @@ def run_simulated(tree, schedule):
     return worker, sent
 
 
-def run_real(tree, schedule, monkeypatch):
+def run_real(tree, schedule, monkeypatch, *, node_sleep=NODE_COST, pause=None):
     """``w1`` as :func:`worker_main` on one end of a pipe; returns its core
-    and its protocol sends (the driver's outcome frame left out)."""
+    and its protocol sends (the driver's outcome frame left out).
+
+    By default every frame is queued before the worker starts.  With
+    ``pause`` the frames are fed after it starts, and an entry ``None`` in
+    the schedule waits ``pause`` seconds."""
     cores = []
 
     class Recorded(node.RealWorker):
@@ -128,14 +138,26 @@ def run_real(tree, schedule, monkeypatch):
         name="w1",
         members=MEMBERS,
         tree_data=tree.to_dict(),
-        node_sleep=NODE_COST,
+        node_sleep=node_sleep,
         seed=SEED,
         max_seconds=10.0,
     )
-    for sender, payload in schedule:
-        send_envelope(ours, Envelope(sender, "w1", payload))
+
+    def feed():
+        for entry in schedule:
+            if entry is None:
+                time.sleep(pause)
+            else:
+                sender, payload = entry
+                send_envelope(ours, Envelope(sender, "w1", payload))
+
+    if pause is None:
+        feed()
     thread = threading.Thread(target=worker_main, args=(config, theirs), daemon=True)
     thread.start()
+    if pause is not None:
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
     sent = []
     while True:
         try:
@@ -148,6 +170,18 @@ def run_real(tree, schedule, monkeypatch):
     assert not thread.is_alive()
     (core,) = cores
     return core, sent
+
+
+def live_nodes(arena: TrieArena) -> int:
+    """Nodes reachable from the arena's registered holders, sentinels too."""
+    seen = set()
+    stack = [nid for holder in list(arena._holders.values()) for nid in holder._arena_ids()]
+    while stack:
+        nid = stack.pop()
+        if nid not in (DONE, EMPTY) and nid not in seen:
+            seen.add(nid)
+            stack.extend(arena._children[nid])
+    return len(seen) + 2
 
 
 class TestTwoDriversOneProtocol:
@@ -188,6 +222,56 @@ class TestTwoDriversOneProtocol:
         for counter in self.COUNTERS:
             real_value = getattr(real.stats, counter)
             assert real_value == getattr(simulated.stats, counter), counter
+
+
+class TestRealWorkerArena:
+    #: A floor far below the default, so a 61-node tree's garbage reaches it.
+    FLOOR = 8
+    REPEATS = 12
+
+    def test_repeated_schedule_keeps_the_arena_collected(self, tree, schedule, monkeypatch):
+        """The real-worker loop applies the arena's collection rule between
+        passes: fed the schedule many times over — its grants, denials and
+        reports left out (no work, no recovery), and each round with a
+        report of two fresh leaves, so the table keeps changing but never
+        completes before the closing root report — each collection keeps
+        exactly the live nodes, and between collections the arena stays
+        within twice those live nodes plus the floor."""
+        monkeypatch.setattr(arena_module, "_COLLECT_FLOOR", self.FLOOR)
+        rule = TrieArena.collect_if_outgrown
+        survivors = [2]
+        within = []
+
+        def checked(arena):
+            collected = rule(arena)
+            if collected:
+                survivors.append(len(arena))
+                within.append(len(arena) == live_nodes(arena))
+            within.append(len(arena) <= 2 * survivors[-1] + self.FLOOR)
+            return collected
+
+        monkeypatch.setattr(TrieArena, "collect_if_outgrown", checked)
+        body = [
+            entry
+            for entry in schedule[:-1]
+            if not isinstance(entry[1], (WorkGrant, WorkDenied, WorkReportMsg))
+        ]
+        # The first leaf stays missing (the schedule's gossip covers only
+        # the right subtree): the table never completes alone.
+        fresh = sorted(leaf.code for leaf in tree.leaves())[1:]
+        rounds = min(self.REPEATS, len(fresh) // 2)
+        repeated = []
+        for r in range(rounds):
+            report = WorkReport.build("w2", fresh[2 * r : 2 * r + 2])
+            repeated += body + [("w2", WorkReportMsg(report)), None]
+        repeated += schedule[-1:]
+        real, _sent = run_real(tree, repeated, monkeypatch, pause=0.02)
+        arena = real.tracker.arena
+        assert real.termination.detected_via == "root_report"
+        assert rounds >= 6
+        assert len(within) >= rounds // 2  # the rule ran between passes
+        assert all(within)
+        assert arena.collections > 0
 
 
 def _imports(path: Path, package: str):
@@ -248,6 +332,30 @@ class TestStructure:
         for module in modules:
             assert not module.startswith(("repro.simulation", "repro.realexec")), module
             assert module != "repro.distributed.worker", module
+
+    def test_drivers_collect_only_through_the_arena_rule(self):
+        drivers = (
+            SRC / "distributed" / "runner.py",
+            SRC / "realexec" / "node.py",
+            SRC / "baselines" / "harness.py",
+        )
+        for path in drivers:
+            called = {
+                node.func.attr
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            }
+            assert "collect_if_outgrown" in called, path
+        # Nothing outside the arena calls its collection, or reads its
+        # threshold: the rule lives once, in repro.core.arena.
+        for path in SRC.rglob("*.py"):
+            if path == SRC / "core" / "arena.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            assert "_collect_threshold" not in text and "_COLLECT_FLOOR" not in text, path
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    assert node.func.attr != "collect", path
 
     def test_real_workers_take_one_algorithm_config(self):
         retired = {"report_threshold", "report_fanout", "recovery_failed_threshold"}

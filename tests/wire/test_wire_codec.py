@@ -7,11 +7,13 @@ always rejected with :class:`~repro.wire.WireFormatError`, never decoded
 into a wrong message or an unhandled low-level exception.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro import wire
+from repro.core.codeset import CodeSet
 from repro.core.encoding import ROOT, PathCode
 from repro.core.work_report import (
     BestSolution,
@@ -291,6 +293,48 @@ class TestRoundTrips:
         # not a half-written body.
         with pytest.raises(wire.WireFormatError):
             wire.encode(("w", 1))
+
+
+class TestArenaBackedPayloads:
+    """An in-process payload carries a :class:`CodeSet`; the codec writes its
+    key paths and must frame exactly the bytes of the same codes as plain
+    ``PathCode`` objects — the ``CORE_TAG_SAMPLES`` lengths included."""
+
+    SAMPLES = {tag: (make, length) for tag, make, length in CORE_TAG_SAMPLES}
+
+    @staticmethod
+    def by_reference(msg):
+        codes = CodeSet(msg.codes)
+        assert codes == msg.codes  # the sample is already contracted
+        return dataclasses.replace(msg, codes=codes)
+
+    @pytest.mark.parametrize("tag", [Tag.WORK_REPORT, Tag.DELTA_SNAPSHOT], ids=lambda t: t.name)
+    def test_round_trip_matches_the_sample_row(self, tag):
+        make, length = self.SAMPLES[tag]
+        plain = make(random.Random(int(tag)))
+        msg = self.by_reference(plain)
+        data = wire.encode(msg)
+        assert data == wire.encode(plain)
+        assert len(data) == length
+        back = wire.decode(data)
+        assert type(back) is type(plain)
+        assert sorted(back.codes) == sorted(msg.codes.codes()) == sorted(plain.codes)
+        assert back == msg
+
+    def test_tracker_payloads_round_trip(self):
+        from repro.core.completion import CompletionTracker
+
+        rng = random.Random(5)
+        tracker = CompletionTracker("w-1")
+        for _ in range(40):
+            tracker.record_completed(rand_code(rng, max_depth=12, max_var=3))
+        delta = tracker.build_delta_snapshot("w-2")
+        report = tracker.build_report()
+        for msg in (delta, report, tracker.build_table_snapshot()):
+            assert isinstance(msg.codes, CodeSet)
+            back = wire.decode(wire.encode(msg))
+            assert sorted(back.codes) == sorted(msg.codes.codes())
+            assert back == msg
 
 
 # ---------------------------------------------------------------------- #
