@@ -8,8 +8,9 @@ all of them, so private tries would store, digest and walk it O(n) or O(n²)
 times.
 
 :class:`TrieArena` removes the duplication by *hash-consing* the trie: every
-node is an immutable ``(keys, children)`` pair interned in one flat-array
-arena, so
+node is one immutable flat tuple ``(k0, c0, k1, c1, ...)`` — its packed
+branch keys in sorted order, each followed by the id of its child — interned
+in one arena, so
 
 * two tables (or views, or payloads) with equal logical content are the
   **same integer** node id — a per-peer view or an in-flight report costs
@@ -20,12 +21,19 @@ arena, so
 * code count, wire size, depth and the table digest of any node are O(1)
   array reads computed at intern time, and missing frontiers memoise per id.
 
-The arena is *collected*, not append-only: every object that stores a node
-id registers with it by weak reference (:meth:`TrieArena.register`), and
-:meth:`TrieArena.collect` copies the nodes reachable from live holders into
-fresh arrays and remaps every holder.  Drivers call the one rule,
-:meth:`TrieArena.collect_if_outgrown`, between events, so memory follows the
-live tables rather than the length of the run.
+A node costs one tuple: the arena's node list and its intern map share the
+stored tuple.  The per-node aggregates live in typed arrays (``array('q')``
+for the counts and depths, ``array('Q')`` for the 64-bit digests), one
+machine word each rather than one Python int each.
+
+The arena is *collected*, not append-only: every object that stores node ids
+registers with it by weak reference (:meth:`TrieArena.register`) — a
+:class:`~repro.core.codeset.CodeSet` for itself, a
+:class:`~repro.core.completion.CompletionTracker` once for all of its peer
+views — and :meth:`TrieArena.collect` copies the nodes reachable from live
+holders into fresh arrays and remaps every holder.  Drivers call the one
+rule, :meth:`TrieArena.collect_if_outgrown`, between events, so memory
+follows the live tables rather than the length of the run.
 
 Contraction (the paper's sibling-merge + ancestor-subsumption rewrite) is
 applied *on intern*: an arena node is always in canonical contracted form,
@@ -45,7 +53,8 @@ thing in every arena.
 from __future__ import annotations
 
 import weakref
-from itertools import compress
+from array import array
+from itertools import chain, compress, islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .encoding import (
@@ -96,10 +105,11 @@ def _keys_to_pairs(keys: Tuple[int, ...]) -> Tuple[Branch, ...]:
 class TrieArena:
     """One arena of interned completion-trie nodes.
 
-    Nodes are stored in parallel flat arrays indexed by node id: the sorted
-    packed-key tuple, the aligned child-id tuple, and per-subtree aggregates
-    (contracted code count, sum of relative code depths, max relative depth,
-    structural digest) computed bottom-up at intern time.
+    ``_nodes[nid]`` is the node's flat tuple ``(k0, c0, k1, c1, ...)``: its
+    packed branch keys in sorted order, each followed by its child's id.
+    Parallel typed arrays hold per-subtree aggregates (contracted code
+    count, sum of relative code depths, max relative depth, structural
+    digest) computed bottom-up at intern time.
 
     Nodes are immutable and ids are stable between collections — that is
     what makes an id a *snapshot*.  :meth:`collect` renumbers the surviving
@@ -108,8 +118,7 @@ class TrieArena:
     """
 
     __slots__ = (
-        "_keys",
-        "_children",
+        "_nodes",
         "_count",
         "_depth_sum",
         "_max_depth",
@@ -125,16 +134,16 @@ class TrieArena:
     )
 
     def __init__(self) -> None:
-        # Parallel node arrays; slots 0/1 are the DONE/EMPTY sentinels.
-        self._keys: List[Tuple[int, ...]] = [(), ()]
-        self._children: List[Tuple[int, ...]] = [(), ()]
-        self._count: List[int] = [1, 0]
-        self._depth_sum: List[int] = [0, 0]
-        self._max_depth: List[int] = [0, 0]
-        self._digest: List[int] = [_DONE_DIGEST, 0]
-        #: ``(keys, children) -> nid`` interning map (sentinels excluded:
-        #: both have empty keys and are distinguished by identity).
-        self._intern: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+        # Slots 0/1 are the DONE/EMPTY sentinels (no branches).
+        self._nodes: List[Tuple[int, ...]] = [(), ()]
+        self._count = array("q", [1, 0])
+        self._depth_sum = array("q", [0, 0])
+        self._max_depth = array("q", [0, 0])
+        self._digest = array("Q", [_DONE_DIGEST, 0])
+        #: ``node tuple -> nid`` interning map, keyed by the stored tuple
+        #: itself (sentinels excluded: both are ``()`` and are distinguished
+        #: by identity).
+        self._intern: Dict[Tuple[int, ...], int] = {}
         #: ``packed key path -> PathCode`` intern table for frontier codes:
         #: distinct code paths are bounded by the tree, table states are not.
         self._path_codes: Dict[Tuple[int, ...], PathCode] = {}
@@ -157,15 +166,15 @@ class TrieArena:
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         """Number of interned nodes (including the two sentinels)."""
-        return len(self._keys)
+        return len(self._nodes)
 
-    def _intern_node(self, keys: Tuple[int, ...], children: Tuple[int, ...]) -> int:
-        """Intern a canonical interior node, computing its aggregates once."""
-        probe = (keys, children)
-        nid = self._intern.get(probe)
+    def _intern_node(self, node: Tuple[int, ...]) -> int:
+        """Intern a canonical interior node ``(k0, c0, k1, c1, ...)``,
+        computing its aggregates once."""
+        nid = self._intern.get(node)
         if nid is not None:
             return nid
-        nid = len(self._keys)
+        nid = len(self._nodes)
         counts = self._count
         dsums = self._depth_sum
         mdepths = self._max_depth
@@ -174,18 +183,18 @@ class TrieArena:
         dsum = 0
         mdepth = 0
         h = _FNV64_OFFSET
-        for i, child in enumerate(children):
+        pairs = iter(node)
+        for key, child in zip(pairs, pairs):
             c = counts[child]
             count += c
             dsum += dsums[child] + c  # every code moves one level deeper
             d = mdepths[child] + 1
             if d > mdepth:
                 mdepth = d
-            h = ((h ^ (keys[i] + 1)) * _FNV64_PRIME) & _MASK64
+            h = ((h ^ (key + 1)) * _FNV64_PRIME) & _MASK64
             h = ((h ^ digests[child]) * _FNV64_PRIME) & _MASK64
-        self._intern[probe] = nid
-        self._keys.append(keys)
-        self._children.append(children)
+        self._intern[node] = nid
+        self._nodes.append(node)
         counts.append(count)
         dsums.append(dsum)
         mdepths.append(mdepth)
@@ -197,12 +206,16 @@ class TrieArena:
 
         The caller guarantees contracted form (no completed sibling pair).
         """
-        keys = tuple(sorted(branches))
-        return self._intern_node(keys, tuple([branches[k] for k in keys]))
+        return self._intern_node(tuple(chain.from_iterable(sorted(branches.items()))))
 
     def branches(self, nid: int) -> Dict[int, int]:
         """The children of ``nid`` as a fresh ``{packed key: child id}``."""
-        return dict(zip(self._keys[nid], self._children[nid]))
+        pairs = iter(self._nodes[nid])
+        return dict(zip(pairs, pairs))
+
+    def children(self, nid: int) -> Tuple[int, ...]:
+        """The child ids of ``nid``, in branch-key order."""
+        return self._nodes[nid][1::2]
 
     # ------------------------------------------------------------------ #
     # O(1) aggregates
@@ -237,43 +250,46 @@ class TrieArena:
     # ------------------------------------------------------------------ #
     def child(self, nid: int, key: int) -> int:
         """Child id under branch ``key`` (``EMPTY`` when absent)."""
-        keys = self._keys[nid]
-        for i, k in enumerate(keys):
-            if k == key:
-                return self._children[nid][i]
+        node = self._nodes[nid]
+        for i in range(0, len(node), 2):
+            if node[i] == key:
+                return node[i + 1]
         return EMPTY
 
     def covers(self, nid: int, keys: Tuple[int, ...], start: int = 0) -> bool:
         """True when the code with packed-key path ``keys[start:]``, read
         from node ``nid``, is covered."""
-        node_keys = self._keys
-        node_children = self._children
+        nodes = self._nodes
         for j in range(start, len(keys)):
             if nid == DONE:
                 return True
             if nid == EMPTY:
                 return False
             key = keys[j]
-            ks = node_keys[nid]
-            for i, k in enumerate(ks):
-                if k == key:
-                    nid = node_children[nid][i]
-                    break
+            node = nodes[nid]
+            # Every B&B node branches on one variable: the first key is
+            # usually the one.
+            if node[0] == key:
+                nid = node[1]
             else:
-                return False
+                for i in range(2, len(node), 2):
+                    if node[i] == key:
+                        nid = node[i + 1]
+                        break
+                else:
+                    return False
         return nid == DONE
 
     def contains(self, nid: int, keys: Tuple[int, ...]) -> bool:
         """Exact membership of the contracted representation."""
-        node_keys = self._keys
-        node_children = self._children
+        nodes = self._nodes
         for key in keys:
             if nid == DONE or nid == EMPTY:
                 return False
-            ks = node_keys[nid]
-            for i, k in enumerate(ks):
-                if k == key:
-                    nid = node_children[nid][i]
+            node = nodes[nid]
+            for i in range(0, len(node), 2):
+                if node[i] == key:
+                    nid = node[i + 1]
                     break
             else:
                 return False
@@ -286,19 +302,16 @@ class TrieArena:
         if nid == DONE:
             yield ()
             return
-        node_keys = self._keys
-        node_children = self._children
+        nodes = self._nodes
         stack: List[Tuple[int, Tuple[int, ...]]] = [(nid, ())]
         while stack:
             node, path = stack.pop()
-            keys = node_keys[node]
-            children = node_children[node]
-            for i in range(len(keys)):
-                child = children[i]
+            pairs = iter(nodes[node])
+            for key, child in zip(pairs, pairs):
                 if child == DONE:
-                    yield path + (keys[i],)
+                    yield path + (key,)
                 else:
-                    stack.append((child, path + (keys[i],)))
+                    stack.append((child, path + (key,)))
 
     # ------------------------------------------------------------------ #
     # Merge and diff (memoised on id pairs)
@@ -316,9 +329,11 @@ class TrieArena:
         not depend on the order of the one-at-a-time adds, which is what
         lets one structural walk stand for them.
 
-        The walk is not memoised: a table merges each report into a state of
-        its own, so on ``sim-table1-100w`` four in five lookups missed and
-        the memo held a fifth of the traced peak.
+        A node whose branches all come out unchanged is ``a`` itself: the
+        walk builds and looks up nothing for it.  The walk is not memoised:
+        a table merges each report into a state of its own, so on
+        ``sim-table1-100w`` four in five lookups missed and the memo held a
+        fifth of the traced peak.
         """
         if b == EMPTY or a == DONE or a == b:
             return a, 0, 0, 0, 0
@@ -329,47 +344,47 @@ class TrieArena:
             return b, self._count[b], self._depth_sum[b], 0, 0
         counts = self._count
         dsums = self._depth_sum
-        a_keys = self._keys[a]
-        a_children = self._children[a]
-        b_keys = self._keys[b]
-        b_children = self._children[b]
-        keys: List[int] = []
-        children: List[int] = []
+        a_node = self._nodes[a]
+        b_node = self._nodes[b]
+        # The merged node, started at the first changed branch (empty while
+        # none has changed); ``a_node[:copied]`` is already in it.
+        out: List[int] = []
+        copied = 0
         ins = ins_dsum = subs = merges = 0
-        i = j = 0
-        na = len(a_keys)
-        nb = len(b_keys)
-        # Walk b's (sorted) branches, copying a's in between: output keys
-        # stay sorted by construction.
-        while j < nb:
-            kb = b_keys[j]
-            while i < na and a_keys[i] < kb:
-                keys.append(a_keys[i])
-                children.append(a_children[i])
-                i += 1
-            if i < na and a_keys[i] == kb:
-                child, ci, cd, cs, cm = self.merge_counted(a_children[i], b_children[j])
+        i = 0
+        na = len(a_node)
+        # Walk b's (sorted) branches past a's: output keys stay sorted.
+        for j in range(0, len(b_node), 2):
+            kb = b_node[j]
+            while i < na and a_node[i] < kb:
+                i += 2
+            if i < na and a_node[i] == kb:
+                a_child = a_node[i + 1]
+                child, ci, cd, cs, cm = self.merge_counted(a_child, b_node[j + 1])
                 ins += ci
                 ins_dsum += cd + ci
                 subs += cs
                 merges += cm
-                i += 1
+                i += 2
+                if child == a_child:
+                    continue
+                out += a_node[copied : i - 2]
             else:
                 # A branch only b has: every code below it is inserted.
-                child = b_children[j]
+                child = b_node[j + 1]
                 c = counts[child]
                 ins += c
                 ins_dsum += dsums[child] + c
-            keys.append(kb)
-            children.append(child)
-            j += 1
-        if i < na:
-            keys.extend(a_keys[i:])
-            children.extend(a_children[i:])
-        if _has_done_pair(keys, children):
+                out += a_node[copied:i]
+            out += (kb, child)
+            copied = i
+        if not out:
+            return a, ins, ins_dsum, subs, merges
+        out += a_node[copied:]
+        if _has_done_pair(out):
             # A completed sibling pair: the cascade collapses this node.
             return DONE, ins, ins_dsum, subs, merges + 1
-        return self._intern_node(tuple(keys), tuple(children)), ins, ins_dsum, subs, merges
+        return self._intern_node(tuple(out)), ins, ins_dsum, subs, merges
 
     def diff(self, a: int, b: int) -> int:
         """Node id of the codes of ``a`` not covered by ``b`` (a delta)."""
@@ -384,19 +399,13 @@ class TrieArena:
         cached = memo.get(probe)
         if cached is not None:
             return cached
-        a_keys = self._keys[a]
-        a_children = self._children[a]
-        kept_keys: List[int] = []
-        kept_children: List[int] = []
-        for i, key in enumerate(a_keys):
-            d = self.diff(a_children[i], self.child(b, key))
+        kept: List[int] = []
+        pairs = iter(self._nodes[a])
+        for key, child in zip(pairs, pairs):
+            d = self.diff(child, self.child(b, key))
             if d != EMPTY:
-                kept_keys.append(key)
-                kept_children.append(d)
-        if not kept_keys:
-            result = EMPTY
-        else:
-            result = self._intern_node(tuple(kept_keys), tuple(kept_children))
+                kept += (key, d)
+        result = self._intern_node(tuple(kept)) if kept else EMPTY
         memo[probe] = result
         return result
 
@@ -433,8 +442,7 @@ class TrieArena:
         """Intern a scratch nested-dict trie bottom-up, contracting."""
         if -1 in node:
             return DONE
-        keys: List[int] = []
-        children: List[int] = []
+        flat: List[int] = []
         prev_done_key = -2
         for k in sorted(node):
             child = self._intern_tree(node[k])
@@ -445,9 +453,8 @@ class TrieArena:
                 if prev_done_key == (k ^ 1):
                     return DONE
                 prev_done_key = k
-            keys.append(k)
-            children.append(child)
-        return self._intern_node(tuple(keys), tuple(children))
+            flat += (k, child)
+        return self._intern_node(tuple(flat))
 
     def node_from_codes(self, codes: Iterable[PathCode]) -> int:
         """Node id for codes that arrived from outside the arena (a frame
@@ -478,18 +485,17 @@ class TrieArena:
         if cached is not None:
             return cached
         make = self._path_code
-        node_keys = self._keys
-        node_children = self._children
+        nodes = self._nodes
         frontier: List[PathCode] = []
         stack: List[Tuple[int, Tuple[int, ...]]] = [(nid, ())]
         while stack:
             node, path = stack.pop()
-            keys = node_keys[node]
-            children = node_children[node]
+            flat = nodes[node]
+            keys = flat[::2]
             for i, key in enumerate(keys):
                 if key ^ 1 not in keys:
                     frontier.append(make(path + (key ^ 1,)))
-                child = children[i]
+                child = flat[2 * i + 1]
                 if child != DONE:
                     stack.append((child, path + (key,)))
         result = frozenset(frontier)
@@ -517,7 +523,7 @@ class TrieArena:
         Call it only between events, when no raw node id outside a
         registered holder is alive.
         """
-        nodes = len(self._keys)
+        nodes = len(self._nodes)
         if nodes <= self._collect_at:
             return False
         if nodes > self.nodes_peak:
@@ -533,8 +539,9 @@ class TrieArena:
         Surviving nodes are copied, in id order, into fresh arrays and every
         holder is remapped to the new ids.  Each node's content is unchanged
         and a child's id stays below its parent's; only the numbering
-        changes.  The frontier memos of surviving nodes are kept; the diff
-        memo, keyed by id pairs, is dropped.
+        changes (a node none of whose children moved keeps its tuple).  The
+        frontier memos of surviving nodes are kept; the diff memo, keyed by
+        id pairs, is dropped.
 
         Every raw id not stored in a registered holder is invalidated, so a
         caller must never collect while it holds one (for example, in the
@@ -545,15 +552,15 @@ class TrieArena:
         stack: List[int] = []
         for holder in holders:
             stack.extend(holder._arena_ids())
-        old_children = self._children
-        n = len(old_children)
+        old_nodes = self._nodes
+        n = len(old_nodes)
         live = bytearray(n)
         live[DONE] = live[EMPTY] = 1
         while stack:
             nid = stack.pop()
             if not live[nid]:
                 live[nid] = 1
-                stack.extend(old_children[nid])
+                stack.extend(old_nodes[nid][1::2])
 
         # Free what is rebuilt or dropped before allocating its successor.
         self._intern = {}
@@ -562,17 +569,25 @@ class TrieArena:
         new_id = [-1] * n
         for nid, old in enumerate(survivors):
             new_id[old] = nid
-        remap = new_id.__getitem__
-        keys = [self._keys[old] for old in survivors]
-        children = [tuple(map(remap, old_children[old])) for old in survivors]
-        self._count = [self._count[old] for old in survivors]
-        self._depth_sum = [self._depth_sum[old] for old in survivors]
-        self._max_depth = [self._max_depth[old] for old in survivors]
-        self._digest = [self._digest[old] for old in survivors]
-        self._keys = keys
-        self._children = children
+        nodes: List[Tuple[int, ...]] = [(), ()]
+        for old in islice(survivors, 2, None):
+            node = old_nodes[old]
+            flat = list(node)
+            moved = False
+            for i in range(1, len(flat), 2):
+                child = flat[i]
+                if new_id[child] != child:
+                    flat[i] = new_id[child]
+                    moved = True
+            nodes.append(tuple(flat) if moved else node)
+        self._nodes = nodes
+        del old_nodes
+        self._count = array("q", map(self._count.__getitem__, survivors))
+        self._depth_sum = array("q", map(self._depth_sum.__getitem__, survivors))
+        self._max_depth = array("q", map(self._max_depth.__getitem__, survivors))
+        self._digest = array("Q", map(self._digest.__getitem__, survivors))
         # Sentinels (ids 0 and 1) are not interned.
-        self._intern = dict(zip(zip(keys[2:], children[2:]), range(2, len(keys))))
+        self._intern = dict(zip(islice(nodes, 2, None), range(2, len(nodes))))
         self._frontier_memo = {
             new_id[old]: frontier
             for old, frontier in self._frontier_memo.items()
@@ -580,20 +595,16 @@ class TrieArena:
         }
         for holder in holders:
             holder._arena_remap(new_id)
-        return len(keys)
+        return len(nodes)
 
 
-def _has_done_pair(keys: List[int], children: List[int]) -> bool:
-    """True when a sorted branch list holds a completed sibling pair.
+def _has_done_pair(node: List[int]) -> bool:
+    """True when a sorted flat branch list holds a completed sibling pair.
 
     Siblings differ only in the low bit, so they are adjacent in sorted key
     order.
     """
-    for idx in range(1, len(keys)):
-        if (
-            children[idx] == DONE
-            and children[idx - 1] == DONE
-            and keys[idx] == (keys[idx - 1] | 1)
-        ):
+    for i in range(3, len(node), 2):
+        if node[i] == DONE and node[i - 2] == DONE and node[i - 1] == (node[i - 3] | 1):
             return True
     return False

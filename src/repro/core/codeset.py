@@ -148,7 +148,7 @@ class CodeSet:
     Sets that share a :class:`~repro.core.arena.TrieArena` merge, diff and
     snapshot one another by node id.  A set built without an arena gets a
     private one.  ``stats`` counts the contraction work of a table; the
-    read-only sets of :meth:`of_node` (payloads, peer views) carry none.
+    read-only sets of :meth:`of_node` (payloads, snapshots) carry none.
     """
 
     __slots__ = (
@@ -186,7 +186,7 @@ class CodeSet:
     @classmethod
     def of_node(cls, arena: TrieArena, nid: int) -> "CodeSet":
         """A set holding the arena node ``nid``, without stats: the code set
-        of a payload, or a peer view."""
+        of a payload, or a snapshot."""
         self = object.__new__(cls)
         self._arena = arena
         self._nid = EMPTY
@@ -225,7 +225,7 @@ class CodeSet:
         arena = self._arena
         if nid > EMPTY >= self._nid:
             # The first id that is not a sentinel: from here on a collection
-            # must keep it alive and remap it (most peer views stay empty).
+            # must keep it alive and remap it (an empty set never registers).
             arena.register(self)
         self._nid = nid
         self._levels = None
@@ -243,15 +243,6 @@ class CodeSet:
         self._nid = new_id[self._nid]
         self._levels = None  # its child ids are the old numbering
         self._pkeys = ()
-
-    def _node_of(self, codes) -> int:
-        """Node id, in this set's arena, of another set or of raw codes."""
-        if isinstance(codes, CodeSet):
-            nid = codes.node_id()
-            if codes._arena is self._arena or nid <= EMPTY:
-                return nid
-            return self._arena.node_from_keys(codes._arena.iter_completed_keys(nid))
-        return self._arena.node_from_codes(codes)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -485,7 +476,7 @@ class CodeSet:
     def merge(self, other: "CodeSet") -> bool:
         """Merge another contracted set into this one; True when it changed
         (see :meth:`absorb`)."""
-        return self.absorb(self._node_of(other))[0] > 0
+        return self.absorb(node_in(self._arena, other))[0] > 0
 
     def absorb(self, nid: int) -> Tuple[int, int]:
         """Merge node ``nid`` with the counted merge; returns
@@ -555,6 +546,16 @@ class CodeSet:
             if sibling is not None and not self.covers(sibling):
                 result.add(sibling)
         return result
+
+
+def node_in(arena: TrieArena, codes: Iterable[PathCode]) -> int:
+    """Node id, in ``arena``, of a code set or of raw codes."""
+    if isinstance(codes, CodeSet):
+        nid = codes.node_id()
+        if codes._arena is arena or nid <= EMPTY:
+            return nid
+        return arena.node_from_keys(codes._arena.iter_completed_keys(nid))
+    return arena.node_from_codes(codes)
 
 
 def contract(codes: Iterable[PathCode]) -> Set[PathCode]:

@@ -49,8 +49,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from .arena import EMPTY, TrieArena
-from .codeset import CodeSet
+from .arena import DONE, EMPTY, TrieArena
+from .codeset import CodeSet, node_in
 from .complement import SelectionStrategy, complement_frontier, select_recovery_candidate
 from .encoding import PathCode
 from .work_report import (
@@ -80,8 +80,8 @@ class PeerGossipView:
 
     * **acknowledgements** — the peer echoed the digest of a delta we sent;
       the full table state recorded for that send (kept in :attr:`pending`
-      until acked, so out-of-order acks still match) is merged into
-      :attr:`known`; and
+      until acked, so out-of-order acks still match) is merged into the
+      known coverage; and
     * **the reverse channel** — every work report, snapshot or delta the
       peer itself sent us proves the peer covers those codes
       (:meth:`note_covers`), so steady-state deltas shrink even between
@@ -89,98 +89,132 @@ class PeerGossipView:
 
     Nothing is ever assumed from an *outgoing* message alone: a delta the
     network dropped is never marked delivered, and its codes simply ride
-    along on every subsequent delta until one is acknowledged.  ``known``
-    therefore never overstates the peer — the invariant the convergence
-    property tests lean on — and because completed-ness is monotone it never
-    needs to unlearn either.
+    along on every subsequent delta until one is acknowledged.  The known
+    coverage therefore never overstates the peer — the invariant the
+    convergence property tests lean on — and because completed-ness is
+    monotone it never needs to unlearn either.
+
+    A group of *n* workers holds up to n² views, so a view stores plain
+    node ids of its tracker's arena: the known coverage is one id,
+    :attr:`pending` and the reverse-channel backlog are created on first
+    use, and a backlog payload from the same arena is kept as its id (the
+    payload's code set dies with its message).  The view is not an arena
+    holder itself: its :class:`CompletionTracker` registers once and reports
+    the ids of all its views to a collection.
     """
 
-    __slots__ = (
-        "known",
-        "acked_digest",
-        "sequence",
-        "pending",
-        "_covers_backlog",
-        "__weakref__",
-    )
+    __slots__ = ("_arena", "_known", "acked_digest", "sequence", "pending", "_backlog")
 
     def __init__(self, arena: TrieArena) -> None:
-        #: Contracted codes the peer is known to cover (its own traffic plus
-        #: everything it has acknowledged): one arena node id per peer.
-        self.known = CodeSet.of_node(arena, EMPTY)
+        self._arena = arena
+        #: Node id of the contracted codes the peer is known to cover (its
+        #: own traffic plus everything it has acknowledged).
+        self._known = EMPTY
         #: Digest of the last acknowledged table state (0 = nothing acked).
         self.acked_digest: int = 0
         #: Per-peer delta sequence number (tracing only).
         self.sequence: int = 0
         #: Unacknowledged sends: digest -> the table's arena node id at that
-        #: send, in send order, bounded to :data:`_PENDING_SENDS_MAX` entries.
-        self.pending: Dict[int, int] = {}
-        #: Reverse-channel evidence not yet folded into ``known``.  Coverage
-        #: is monotone, so folding can wait until the view is actually
-        #: *read* — most views of a large group only ever absorb evidence
-        #: and are pruned without a single delta being built, and deferring
-        #: makes :meth:`note_covers` an O(1) append for them.
-        self._covers_backlog: List = []
+        #: send, in send order, bounded to :data:`_PENDING_SENDS_MAX` entries
+        #: (``None`` while there are none: half the views never send).
+        self.pending: Optional[Dict[int, int]] = None
+        #: Reverse-channel evidence not yet folded into the known coverage:
+        #: node ids, or raw codes from outside the arena (``None`` = none).
+        #: Coverage is monotone, so folding can wait until the view is
+        #: actually *read* — most views of a large group only ever absorb
+        #: evidence and are pruned without a single delta being built, and
+        #: deferring makes :meth:`note_covers` an O(1) append for them.
+        self._backlog: Optional[List] = None
 
-    def _arena_ids(self) -> Iterable[int]:
-        return self.pending.values()
+    @property
+    def known(self) -> CodeSet:
+        """The codes the peer is known to cover, as a read-only code set
+        (for inspection; folds no backlog)."""
+        return CodeSet.of_node(self._arena, self._known)
+
+    def _arena_ids(self, ids: List[int]) -> None:
+        """Append the node ids this view stores to ``ids``."""
+        ids.append(self._known)
+        if self.pending:
+            ids.extend(self.pending.values())
+        if self._backlog:
+            ids.extend(entry for entry in self._backlog if type(entry) is int)
 
     def _arena_remap(self, new_id: List[int]) -> None:
-        self.pending = {digest: new_id[nid] for digest, nid in self.pending.items()}
+        """Renumber the stored node ids after an arena collection."""
+        self._known = new_id[self._known]
+        if self.pending:
+            self.pending = {digest: new_id[nid] for digest, nid in self.pending.items()}
+        if self._backlog:
+            self._backlog = [
+                new_id[entry] if type(entry) is int else entry for entry in self._backlog
+            ]
+
+    def _absorb(self, nid: int) -> None:
+        self._known = self._arena.merge_counted(self._known, nid)[0]
 
     def note_covers(self, codes: Iterable[PathCode]) -> None:
         """Record codes the peer provably covers (it sent them to us)."""
-        if not isinstance(codes, (CodeSet, frozenset)):
+        if isinstance(codes, CodeSet):
+            if codes.arena is self._arena:
+                codes = codes.node_id()
+                if codes == EMPTY:
+                    return
+        elif not isinstance(codes, frozenset):
             codes = frozenset(codes)
-        backlog = self._covers_backlog
+        backlog = self._backlog
+        if backlog is None:
+            backlog = self._backlog = []
         backlog.append(codes)
         if len(backlog) >= _COVERS_BACKLOG_MAX:
             self._fold_covers()
 
     def _fold_covers(self) -> None:
-        """Fold the deferred reverse-channel evidence into ``known``."""
-        backlog = self._covers_backlog
+        """Fold the deferred reverse-channel evidence into the known coverage."""
+        backlog = self._backlog
         if backlog:
-            known = self.known
-            for codes in backlog:
-                known.absorb(known._node_of(codes))
-            backlog.clear()
+            arena = self._arena
+            for entry in backlog:
+                self._absorb(entry if type(entry) is int else node_in(arena, entry))
+        self._backlog = None
 
     def remember_send(self, digest: int, nid: int) -> None:
-        """Record an outgoing delta so its future ack can advance ``known``."""
+        """Record an outgoing delta so its future ack can advance the view."""
         pending = self.pending
-        if not pending:
-            # ``pending`` starts storing node ids, which a collection must
-            # keep alive and remap (half the views never send).
-            self.known.arena.register(self)
+        if pending is None:
+            pending = self.pending = {}
         pending.pop(digest, None)  # re-insert at the end on a re-send
         pending[digest] = nid
         while len(pending) > _PENDING_SENDS_MAX:
             pending.pop(next(iter(pending)))
 
     def acknowledge(self, digest: int) -> bool:
-        """Fold the send matching ``digest`` into ``known``; True on match.
+        """Fold the send matching ``digest`` into the known coverage; True
+        on match.
 
         Sends recorded *before* the acknowledged one are dropped — the
         acknowledged state supersedes whatever those deltas were relative to
         — while later, still-unacknowledged sends stay pending so their acks
         can advance the view further.
         """
-        nid = self.pending.get(digest)
+        pending = self.pending
+        nid = pending.get(digest) if pending else None
         if nid is None:
             return False
-        for sent_digest in list(self.pending):
-            del self.pending[sent_digest]
+        for sent_digest in list(pending):
+            del pending[sent_digest]
             if sent_digest == digest:
                 break
-        self.known.absorb(nid)
+        if not pending:
+            self.pending = None
+        self._absorb(nid)
         self.acked_digest = digest
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting only
         return (
-            f"PeerGossipView(known={len(self.known)} codes, "
-            f"seq={self.sequence}, pending={len(self.pending)})"
+            f"PeerGossipView(known={self._arena.count(self._known)} codes, "
+            f"seq={self.sequence}, pending={len(self.pending or ())})"
         )
 
 
@@ -261,6 +295,20 @@ class CompletionTracker:
         #: Peer views dropped after the membership layer declared the peer
         #: dead (:meth:`prune_peer_view`) — the footprint-bounding counter.
         self.gossip_views_pruned = 0
+        # The one arena holder for every peer view (see _arena_ids).
+        self.arena.register(self)
+
+    def _arena_ids(self) -> List[int]:
+        """Node ids the peer views store (roots of an arena collection)."""
+        ids: List[int] = []
+        for view in self._peer_views.values():
+            view._arena_ids(ids)
+        return ids
+
+    def _arena_remap(self, new_id: List[int]) -> None:
+        """Renumber the peer views' node ids after an arena collection."""
+        for view in self._peer_views.values():
+            view._arena_remap(new_id)
 
     # ------------------------------------------------------------------ #
     # Local completion
@@ -373,19 +421,19 @@ class CompletionTracker:
         """
         view = self.peer_view(peer)
         view._fold_covers()
-        known = view.known
+        known = view._known
         arena = self.arena
         # The digest is an O(1) read off the interned node, the diff is
         # memoised group-wide on the (table, known) node-id pair, and the
         # send is remembered as a node id.
         table_nid = self.table.node_id()
         digest = arena.digest(table_nid)
-        if not known:
+        if known == EMPTY:
             delta_nid = table_nid
-        elif digest == view.acked_digest or known.is_complete():
+        elif digest == view.acked_digest or known == DONE:
             delta_nid = EMPTY
         else:
-            delta_nid = arena.diff(table_nid, known.node_id())
+            delta_nid = arena.diff(table_nid, known)
         view.sequence += 1
         if delta_nid != EMPTY:
             view.remember_send(digest, table_nid)
@@ -474,7 +522,7 @@ class CompletionTracker:
         """
         if peer == self.owner:
             return
-        self.peer_view(peer).known.absorb(self.table.node_id())
+        self.peer_view(peer)._absorb(self.table.node_id())
 
     def merge_delta(self, delta: DeltaSnapshot) -> bool:
         """Merge a received delta snapshot into the table.
@@ -499,7 +547,7 @@ class CompletionTracker:
         codes = report.codes
         table = self.table
         if isinstance(codes, CodeSet):
-            nid = table._node_of(codes)
+            nid = node_in(self.arena, codes)
             received = self.arena.count(nid)
             inserted, stored = table.absorb(nid)
         else:
@@ -528,7 +576,7 @@ class CompletionTracker:
         codes = snapshot.codes
         table = self.table
         if isinstance(codes, CodeSet) and not table and not table.is_complete():
-            nid = table._node_of(codes)
+            nid = node_in(self.arena, codes)
             self.codes_received += self.arena.count(nid)
             if nid == EMPTY:
                 return False

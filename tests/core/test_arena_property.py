@@ -314,7 +314,7 @@ def reachable_nodes(arena: TrieArena) -> set:
         nid = stack.pop()
         if nid not in (DONE, EMPTY) and nid not in seen:
             seen.add(nid)
-            stack.extend(arena._children[nid])
+            stack.extend(arena.children(nid))
     return seen
 
 
@@ -435,6 +435,76 @@ class TestCollection:
         arena.collect()
         assert len(arena) == len(reachable_nodes(arena)) + 2
         assert clone.codes() == frozenset({PathCode.from_bits([1, 0, 1])})
+
+
+class TestCollectionKeepsViewsExact:
+    """A collection remaps every id a peer view stores — its known node, its
+    pending sends and the same-arena payloads waiting in its backlog — with
+    the tracker as the views' one arena holder."""
+
+    PEERS = ("p", "q", "r", "s")
+
+    def _drive(self, seed: int, collect_probability: float):
+        """One seeded stream of reports, deltas and acks to several peers;
+        returns what each view showed and how many collections ran while a
+        backlog held a bare node id."""
+        rng = random.Random(seed)
+        when = random.Random(seed + 20_000)
+        arena = TrieArena()
+        tracker = CompletionTracker("w", report_threshold=4, arena=arena)
+        digests = {peer: [] for peer in self.PEERS}
+        seen = []
+        sharp = 0
+        for step in range(rng.randint(30, 80)):
+            action = rng.random()
+            peer = rng.choice(self.PEERS)
+            if action < 0.25:
+                tracker.record_completed(random_code(rng), now=float(step))
+            elif action < 0.55:
+                codes = [random_code(rng) for _ in range(rng.randint(1, 4))]
+                if rng.random() < 0.6:
+                    # A same-arena payload the view keeps as a node id only.
+                    payload = CodeSet.of_node(arena, arena.node_from_codes(codes))
+                else:
+                    payload = frozenset(codes)
+                if rng.random() < 0.5:
+                    tracker.merge_report(WorkReport(sender=peer, codes=payload))
+                tracker.note_peer_covers(peer, payload)
+                del payload  # the message is gone; only the backlog holds it
+            elif action < 0.75:
+                delta = tracker.build_delta_snapshot(peer)
+                digests[peer].append(delta.full_digest)
+                seen.append(("delta", peer, delta.codes.codes(), delta.full_digest))
+                del delta
+            elif action < 0.93:
+                if digests[peer]:
+                    ack = tracker.note_snapshot_ack(peer, rng.choice(digests[peer]))
+                    seen.append(("ack", peer, ack))
+            else:
+                tracker.note_peer_converged(peer)
+            if when.random() < collect_probability:
+                sharp += any(
+                    type(entry) is int
+                    for view in tracker._peer_views.values()
+                    for entry in view._backlog or ()
+                )
+                arena.collect()
+                assert len(arena) == len(reachable_nodes(arena)) + 2
+            for name, view in sorted(tracker._peer_views.items()):
+                seen.append(("known", name, view.known.codes(), len(view.pending or ())))
+        for peer in self.PEERS + ("fresh",):
+            seen.append(("final", peer, tracker.build_delta_snapshot(peer).codes.codes()))
+            seen.append(("known", peer, tracker.peer_view(peer).known.codes()))
+        return seen, sharp
+
+    def test_views_match_the_stream_without_collection(self):
+        sharp = 0
+        for seed in range(60):
+            collected, hits = self._drive(seed, 0.35)
+            assert collected == self._drive(seed, 0.0)[0], seed
+            sharp += hits
+        # Most collections ran while a backlog held a payload's bare id.
+        assert sharp > 500
 
 
 @pytest.mark.parametrize("floor", [4, 16])

@@ -180,7 +180,7 @@ def live_nodes(arena: TrieArena) -> int:
         nid = stack.pop()
         if nid not in (DONE, EMPTY) and nid not in seen:
             seen.add(nid)
-            stack.extend(arena._children[nid])
+            stack.extend(arena.children(nid))
     return len(seen) + 2
 
 
