@@ -17,8 +17,8 @@ branch-and-bound algorithm and everything it stands on:
   balancing, runner, statistics);
 * :mod:`repro.baselines` — centralised manager/worker and DIB-style
   comparison baselines;
-* :mod:`repro.realexec` — a small real ``multiprocessing`` backend with
-  pluggable transports (pipes, Unix-domain sockets, TCP);
+* :mod:`repro.realexec` — a small real ``multiprocessing`` backend whose
+  workers exchange wire frames over TCP;
 * :mod:`repro.analysis` — experiment sweeps and table/figure builders for the
   paper's evaluation;
 * :mod:`repro.scenario` — the unified Scenario API: one declarative

@@ -18,7 +18,7 @@ messages", Section 5).
 
 These classes are plain value objects: the simulator wraps them in simulated
 network messages, and the ``realexec`` backend ships them as :mod:`repro.wire`
-binary frames over pipes.
+binary frames over TCP.
 
 A payload built by a :class:`~repro.core.completion.CompletionTracker`
 carries its codes *by reference*: ``codes`` is a read-only

@@ -138,7 +138,8 @@ def ingest_run_result(registry: MetricsRegistry, result: Any) -> MetricsRegistry
 
 
 def ingest_router(registry: MetricsRegistry, router: Any) -> None:
-    """Fold a realexec :class:`EnvelopeRouter`'s counters in as ``router_*``."""
+    """Fold a realexec :class:`~repro.realexec.transport.TcpRouter`'s counters in
+    as ``router_*``."""
     registry.counter("router_messages_forwarded").inc(router.forwarded)
     registry.counter("router_messages_dropped").inc(router.dropped)
     registry.counter("router_bytes_forwarded").inc(router.bytes_forwarded)

@@ -1,35 +1,26 @@
 """Real (multiprocessing) execution backend.
 
 Runs the same core algorithm objects used by the simulator on real operating
-system processes connected by :mod:`repro.wire` binary frames over
-``multiprocessing`` pipes (no protocol payload is pickled; see
-``docs/WIRE_FORMAT.md``).  Small-scale by design: it demonstrates that the
-mechanism is not an
-artefact of the simulator and lets the test-suite kill real processes, while
-the quantitative evaluation stays on the simulator as in the paper.
+system processes that exchange :mod:`repro.wire` binary frames over TCP (no
+protocol payload is pickled; see ``docs/WIRE_FORMAT.md``).  Small-scale by
+design: it demonstrates that the mechanism is not an artefact of the
+simulator and lets the test-suite kill real processes, while the
+quantitative evaluation stays on the simulator as in the paper.
 
-* :mod:`repro.realexec.transport` — the pluggable transport seam: the
-  shared envelope router plus the pipe and Unix-domain-socket transports;
+* :mod:`repro.realexec.transport` — the envelope codec and the one router:
+  a TCP listener on a single ``selectors`` event loop;
 * :mod:`repro.realexec.node` — the per-process worker loop;
 * :mod:`repro.realexec.driver` — the local cluster driver with fault
-  injection and transport selection (``LocalCluster(transport="uds")``).
+  injection and churn.
 """
 
 from .driver import LocalCluster, LocalClusterResult
 from .node import RealWorkerConfig, WorkerOutcome, worker_main
-from .transport import (
-    Envelope,
-    EnvelopeRouter,
-    PipeRouter,
-    UdsRouter,
-    create_router,
-)
+from .transport import Envelope, TcpRouter, create_router
 
 __all__ = [
     "Envelope",
-    "EnvelopeRouter",
-    "PipeRouter",
-    "UdsRouter",
+    "TcpRouter",
     "create_router",
     "RealWorkerConfig",
     "WorkerOutcome",

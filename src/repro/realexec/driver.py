@@ -1,7 +1,7 @@
 """Driver for small real (multiprocessing) runs of the algorithm.
 
 :class:`LocalCluster` spawns one OS process per worker, wires them through a
-:class:`~repro.realexec.transport.PipeRouter`, optionally kills a subset of
+:class:`~repro.realexec.transport.TcpRouter`, optionally kills a subset of
 them mid-run (real fault injection), collects each survivor's
 :class:`~repro.realexec.node.WorkerOutcome` and checks that the surviving
 workers agree on the optimum.  It is intentionally small-scale — the paper's
@@ -24,7 +24,7 @@ from ..obs import MetricsRegistry, Telemetry, TelemetryConfig, Tracer, get_logge
 from ..obs.ingest import ingest_router
 from ..wire import WireFormatError
 from .node import RealWorkerConfig, WorkerOutcome, WorkerTelemetry, worker_main
-from .transport import create_router, recv_envelope, resolve_connection, validate_transport
+from .transport import TcpRouter, recv_envelope, resolve_connection
 
 logger = get_logger("realexec.driver")
 
@@ -50,8 +50,6 @@ class LocalClusterResult:
     unavailable_time: float = 0.0
     wall_time: float = 0.0
     reference_optimum: Optional[float] = None
-    #: Transport the cluster ran on (``pipe``, ``uds`` or ``tcp``).
-    transport: str = "pipe"
     #: Router traffic counters (real encoded bytes, not the analytic model).
     messages_forwarded: int = 0
     messages_dropped: int = 0
@@ -126,17 +124,12 @@ class LocalCluster:
         max_seconds: float = 30.0,
         prune: bool = True,
         config: AlgorithmConfig = RealWorkerConfig.config,
-        transport: str = "pipe",
         telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         """``config`` holds the algorithm's tunables, read by every worker
-        as the simulated worker reads them.  ``transport`` selects
-        how the workers are wired: ``"pipe"`` (multiprocessing pipes),
-        ``"uds"`` (Unix-domain sockets) or ``"tcp"`` (a TCP listener the
-        workers dial); the protocol bytes are identical on all three."""
+        as the simulated worker reads them."""
         if n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        transport = validate_transport(transport)
         self.tree = tree
         self.n_workers = n_workers
         self.seed = seed
@@ -144,7 +137,6 @@ class LocalCluster:
         self.max_seconds = max_seconds
         self.prune = prune
         self.config = config
-        self.transport = transport
         self.telemetry = telemetry
         self.names = [f"rworker-{i:02d}" for i in range(n_workers)]
         self._tree_data = None
@@ -196,7 +188,7 @@ class LocalCluster:
         if churn_mode not in ("restart", "suspend"):
             raise ValueError(f"unknown churn mode {churn_mode!r}")
         ctx = mp.get_context()
-        router = create_router(self.transport)
+        router = TcpRouter()
         driver_handle = router.add_worker("__driver__")
 
         telemetry_cfg = self.telemetry
@@ -224,13 +216,11 @@ class LocalCluster:
             process = ctx.Process(target=worker_main, args=(config, endpoint), daemon=True)
             processes[name] = process
 
-        # The router must be listening before the driver (and, for socket
-        # transports, the workers) can connect.
+        # The router must be listening before the driver and the workers
+        # can connect.
         router.start()
         driver_end = resolve_connection(driver_handle)
-        logger.info(
-            "starting cluster: %d workers, transport=%s", self.n_workers, router.transport
-        )
+        logger.info("starting cluster: %d workers", self.n_workers)
         start = time.monotonic()
         start_wall = time.time()
         for process in processes.values():
@@ -239,7 +229,6 @@ class LocalCluster:
         result = LocalClusterResult(
             n_workers=self.n_workers,
             reference_optimum=self.tree.optimal_value(),
-            transport=router.transport,
         )
         result._minimize = self.tree.minimize
 
@@ -375,7 +364,7 @@ class LocalCluster:
                     if not driver_end.poll(self._QUIESCENT_SECONDS):
                         break
         finally:
-            # Completion time excludes transport/process teardown below.
+            # Completion time excludes router/process teardown below.
             result.wall_time = time.monotonic() - start
             if churn_mode == "suspend":
                 # A SIGSTOPped process ignores SIGTERM until continued.
@@ -468,7 +457,7 @@ class LocalCluster:
             result.wall_time,
             process="driver",
             category="driver",
-            args={"workers": self.n_workers, "transport": router.transport},
+            args={"workers": self.n_workers},
         )
         for payload in decoded.values():
             merged.merge_records(payload.get("records", []))
@@ -479,7 +468,6 @@ class LocalCluster:
             metrics=metrics if (cfg is None or cfg.metrics) else None,
             meta={
                 "backend": "realexec",
-                "transport": router.transport,
                 "clock": "wall",
                 "workers": self.n_workers,
             },

@@ -228,19 +228,18 @@ class RealWorker(ProtocolCore):
         return max(0.0, min(due for due, _ in self.timers) - now)
 
 
-def worker_main(config: RealWorkerConfig, connection) -> None:
+def worker_main(config: RealWorkerConfig, endpoint) -> None:
     """Entry point executed in the child process.
 
-    ``connection`` is either a ready pipe Connection or a transport endpoint
-    (:class:`~repro.realexec.transport.WorkerEndpoint`) the child connects
-    first — the loop below is transport-agnostic.  Each pass decodes what
-    arrived and hands it to the core (blocking, when idle, until the core's
-    next timer is due), runs the core's step, and expands the subproblem it
-    returns.  The loop ends when the core detects termination (it sends the
-    final root report itself), the link closes or ``max_seconds`` pass; the
+    ``endpoint`` is the :class:`~repro.realexec.transport.TcpEndpoint` the
+    child connects first.  Each pass decodes what arrived and hands it to
+    the core (blocking, when idle, until the core's next timer is due), runs
+    the core's step, and expands the subproblem it returns.  The loop ends
+    when the core detects termination (it sends the final root report
+    itself), the link closes or ``max_seconds`` pass; the
     :class:`WorkerOutcome` then goes to the driver over the same channel.
     """
-    connection = resolve_connection(connection)
+    connection = resolve_connection(endpoint)
     run_start = time.monotonic()
     # Telemetry is opt-in; every recording site checks ``registry`` once.
     tracer: Optional[Tracer] = None
@@ -310,9 +309,9 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
         )
         tracer.time_origin = time.monotonic() - time.time()
         ingest_worker_stats(registry, stats, keep_zeros=True)
-        # The telemetry frame must precede the outcome: pipe delivery is
-        # FIFO, and the driver stops reading a worker once its outcome
-        # triggers the completion check.
+        # The telemetry frame must precede the outcome: the connection and
+        # the router deliver in order, and the driver stops reading once the
+        # outcome triggers the completion check.
         payload = {"records": list(tracer.iter_records()), "metrics": registry.snapshot()}
         worker.send("__driver__", WorkerTelemetry(name=config.name, payload=json.dumps(payload)))
     worker.send(
@@ -326,10 +325,10 @@ def worker_main(config: RealWorkerConfig, connection) -> None:
             recoveries=stats.recovery_activations,
         ),
     )
-    # Teardown is outcome -> half-close -> drain to EOF: on the stream
-    # transports ``close`` keeps reading (and discarding) the peers' late
-    # reports and acks until the router has forwarded the outcome and closed
-    # its side, so the kernel never resets the connection over it.
+    # Teardown is outcome -> half-close -> drain to EOF: ``close`` keeps
+    # reading (and discarding) the peers' late reports and acks until the
+    # router has forwarded the outcome and closed its side, so the kernel
+    # never resets the connection over it.
     try:
         connection.close()
     except OSError:  # pragma: no cover

@@ -1,54 +1,38 @@
-"""Binary-framed transport for the real execution backend.
+"""Binary-framed TCP transport for the real execution backend.
 
 The paper evaluates its algorithm purely in simulation; this backend runs the
 *same* core objects (:class:`~repro.core.completion.CompletionTracker`,
 :class:`~repro.core.recovery.RecoveryPolicy`, the tree encoding, the work
-messages) on real operating-system processes connected by ``multiprocessing``
-pipes.  It exists to demonstrate that the algorithm is not tied to the
-simulator and to let the fault-injection tests kill actual processes.
+messages) on real operating-system processes connected over TCP, the one
+transport that reaches past a single host.  It exists to demonstrate that the
+algorithm is not tied to the simulator and to let the fault-injection tests
+kill actual processes.
 
 Protocol payloads travel as :mod:`repro.wire` frames, not pickles: each
-message on a pipe is one length-prefixed byte string (``Connection.
-send_bytes``) containing an :class:`Envelope` frame — sender, destination and
-the nested payload frame.  The router parses only the envelope's routing
-header and forwards the raw bytes untouched, so the parent process never
-decodes (or re-encodes) payload bodies; full decoding happens once, at the
-receiving worker.  Byte-for-byte forwarding also gives the router exact
-per-link traffic counters, the real-execution counterpart of the simulator's
+message is one :class:`Envelope` frame — sender, destination and the nested
+payload frame.  Wire frames are self-delimiting, so the byte stream needs no
+extra length prefix.  The router parses only the envelope's routing header
+and forwards the raw bytes untouched, so the parent process never decodes
+(or re-encodes) payload bodies; full decoding happens once, at the receiving
+worker.  Byte-for-byte forwarding also gives the router exact per-link
+traffic counters, the real-execution counterpart of the simulator's
 :class:`~repro.simulation.network.TrafficStats`.
 
-The transport remains deliberately simple: a star topology terminated at a
-small router thread in the parent process.  Messages are addressed by worker
-name; the router forwards them and never retries — an unreliable,
-asynchronous channel, like the paper assumes.  Frames that do not parse as
-envelopes (truncated, corrupt, or foreign bytes) are counted and dropped.
-
-The star's *links* are pluggable (the ``Transport`` seam): the shared
-:class:`EnvelopeRouter` owns the traffic counters and forward accounting,
-and a concrete transport decides how worker connections are established and
-multiplexed — :class:`PipeRouter` over ``multiprocessing`` duplex pipes,
-:class:`UdsRouter` over Unix-domain sockets and :class:`TcpRouter` over TCP
-(workers connect to one listener socket and identify themselves by name).
-The two socket transports share :class:`StreamRouter`: a single
-non-blocking ``selectors`` event loop that multiplexes every worker
-connection in one thread, reassembles the self-delimiting wire frames at
-the stream boundary and applies per-connection write-queue backpressure so
-one slow or frozen worker can never stall forwarding for the rest.  Every
-transport hands each worker process a Connection-compatible endpoint, so
-the payload code in :mod:`repro.realexec.node` is transport-agnostic; the
-driver selects the transport by name (``LocalCluster(transport="tcp")``, or
-``Scenario(transport="tcp")`` through the scenario API).
+The topology is a star terminated at one :class:`TcpRouter` in the parent
+process.  Every worker dials its listener with a picklable
+:class:`TcpEndpoint` and identifies itself by name; one non-blocking
+``selectors`` event loop multiplexes every connection in one thread.
+Messages are addressed by worker name; the router forwards them and never
+retries — an unreliable, asynchronous channel, like the paper assumes.
+Frames that do not parse as envelopes (truncated, corrupt, or foreign bytes)
+are counted and dropped.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import multiprocessing.connection as mpc
-import os
 import select
 import selectors
 import socket
-import tempfile
 import threading
 import time
 from collections import deque
@@ -56,7 +40,6 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs import get_logger
-from ..transport_names import TRANSPORT_NAMES, validate_transport
 from ..wire import WireFormatError, decode, encode
 from ..wire.frame import Tag, TruncatedFrameError, read_header, register
 from ..wire.varint import read_string, read_uvarint, write_string, write_uvarint
@@ -65,13 +48,7 @@ logger = get_logger("realexec.transport")
 
 __all__ = [
     "Envelope",
-    "EnvelopeRouter",
-    "StreamRouter",
-    "PipeRouter",
-    "UdsRouter",
     "TcpRouter",
-    "WorkerEndpoint",
-    "UdsEndpoint",
     "TcpEndpoint",
     "StreamConnection",
     "create_router",
@@ -225,16 +202,16 @@ def payload_kind(tag: Optional[int]) -> str:
 
 
 def send_envelope(connection, envelope: Envelope) -> None:
-    """Encode and send one envelope over a pipe connection."""
+    """Encode and send one envelope over a connection."""
     connection.send_bytes(encode_envelope(envelope))
 
 
 def recv_envelope(connection) -> Envelope:
-    """Receive and decode one envelope from a pipe connection.
+    """Receive and decode one envelope from a connection.
 
     Raises :class:`~repro.wire.WireFormatError` on corrupt frames (a foreign
     version byte included) and the usual ``EOFError``/``OSError`` on closed
-    pipes.
+    links.
     """
     return decode_envelope(connection.recv_bytes())
 
@@ -309,15 +286,13 @@ def _parse_identity(buffer) -> Optional[Tuple[str, int]]:
 
 
 class StreamConnection:
-    """Connection-compatible adapter over a blocking stream socket.
+    """A worker's side of its link: one blocking stream socket.
 
-    Gives worker processes the same ``poll``/``recv_bytes``/``send_bytes``
-    surface as a ``multiprocessing`` pipe Connection, with message framing
-    recovered from the byte stream via :func:`frame_extent`: ``poll`` is
-    true once a *complete* frame is buffered, ``recv_bytes`` returns exactly
-    one frame.  Sends are plain ``sendall`` — a worker blocking on a slow
-    router mirrors a worker blocking on a full pipe; :meth:`close` is the
-    worker's half of the lossless-teardown contract.
+    ``poll``/``recv_bytes``/``send_bytes`` recover message framing from the
+    byte stream via :func:`frame_extent`: ``poll`` is true once a *complete*
+    frame is buffered, ``recv_bytes`` returns exactly one frame.  Sends are
+    plain ``sendall`` — a worker blocks while the router is slow to drain
+    it; :meth:`close` is the worker's half of the lossless-teardown contract.
     """
 
     #: Upper bound (seconds) :meth:`close` waits for the router's EOF.
@@ -344,9 +319,9 @@ class StreamConnection:
     def poll(self, timeout: Optional[float] = 0.0) -> bool:
         """True once a complete frame (or EOF) is ready for ``recv_bytes``.
 
-        ``poll(0)`` is one non-blocking read attempt, exactly like a pipe
-        Connection's: whatever the kernel already holds is pulled into the
-        buffer, so a busy worker that never blocks still sees its traffic.
+        ``poll(0)`` is one non-blocking read attempt: whatever the kernel
+        already holds is pulled into the buffer, so a busy worker that never
+        blocks still sees its traffic.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -419,69 +394,12 @@ class StreamConnection:
             pass
 
 
-def _connect_with_retry(factory, deadline_seconds: float):
-    """Dial until ``factory`` succeeds, with bounded exponential backoff.
-
-    Workers regularly dial before the router's listener is up (the driver
-    starts them concurrently); retrying with backoff instead of failing is
-    what makes the socket transports usable on a real fabric.
-    """
-    deadline = time.monotonic() + deadline_seconds
-    delay = 0.01
-    while True:
-        try:
-            return factory()
-        except (FileNotFoundError, ConnectionRefusedError, ConnectionResetError, OSError):
-            if time.monotonic() >= deadline:
-                raise
-            time.sleep(delay)
-            delay = min(delay * 2, 0.5)
-
-
-class WorkerEndpoint:
-    """A picklable handle a worker process turns into its connection.
-
-    Concrete transports return either a ready Connection (pipes — the child
-    inherits the pipe end) or an endpoint like :class:`UdsEndpoint` /
-    :class:`TcpEndpoint` that the child must :meth:`connect` first;
-    :func:`resolve_connection` accepts both, so driver and worker code stay
-    transport-agnostic.
-    """
+class TcpEndpoint:
+    """A picklable handle a worker process turns into its connection: it
+    dials the :class:`TcpRouter` listener and identifies by name."""
 
     #: Seconds :meth:`connect` keeps retrying before giving up.
     CONNECT_DEADLINE = 10.0
-
-    def connect(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class UdsEndpoint(WorkerEndpoint):
-    """Connects to a :class:`UdsRouter` socket and identifies by name."""
-
-    def __init__(self, address: str, name: str) -> None:
-        self.address = address
-        self.name = name
-
-    def _dial(self) -> socket.socket:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.connect(self.address)
-        except OSError:
-            sock.close()
-            raise
-        return sock
-
-    def connect(self) -> StreamConnection:
-        """Connect to the router socket; retries while the listener comes up."""
-        sock = _connect_with_retry(self._dial, self.CONNECT_DEADLINE)
-        # The router reads this identity preamble to bind the connection to
-        # a worker name; everything after it is ordinary envelope frames.
-        sock.sendall(_encode_identity(self.name))
-        return StreamConnection(sock)
-
-
-class TcpEndpoint(WorkerEndpoint):
-    """Connects to a :class:`TcpRouter` listener and identifies by name."""
 
     def __init__(self, host: str, port: int, name: str) -> None:
         self.host = host
@@ -502,270 +420,37 @@ class TcpEndpoint(WorkerEndpoint):
         return sock
 
     def connect(self) -> StreamConnection:
-        """Connect to the router's TCP listener; retries with backoff."""
-        sock = _connect_with_retry(self._dial, self.CONNECT_DEADLINE)
+        """Connect to the router's TCP listener and identify.
+
+        Workers regularly dial before the router's listener is up (the
+        driver starts them concurrently); retrying with bounded exponential
+        backoff instead of failing is what makes the transport usable on a
+        real fabric.
+        """
+        deadline = time.monotonic() + self.CONNECT_DEADLINE
+        delay = 0.01
+        while True:
+            try:
+                sock = self._dial()
+                break
+            except OSError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(delay)
+                delay = min(delay * 2, 0.5)
+        # The router reads this identity preamble to bind the connection to
+        # a worker name; everything after it is ordinary envelope frames.
         sock.sendall(_encode_identity(self.name))
         return StreamConnection(sock)
 
 
-def resolve_connection(handle):
-    """Turn an ``add_worker`` return value into a usable connection."""
-    if hasattr(handle, "recv_bytes"):
-        return handle
-    return handle.connect()
-
-
-class EnvelopeRouter:
-    """Routes envelope frames between worker processes through the parent.
-
-    The shared half of every transport: the per-link / per-payload-kind
-    traffic accounting, the telemetry hooks and the thread lifecycle.  A
-    background thread in the parent process moves frames between the
-    router-side connections, parsing only each frame's routing header and
-    forwarding the raw bytes to their destination.  Messages to unknown or
-    finished workers, and frames that fail to parse, are dropped silently,
-    matching the lossy network model of the paper.
-
-    Subclasses implement :meth:`add_worker` (how a worker obtains its
-    endpoint), connection establishment/teardown and the concrete
-    forwarding loop (:meth:`_run`).
-    """
-
-    #: Transport name, for reporting (``LocalClusterResult.transport``).
-    transport = "abstract"
-
-    def __init__(self) -> None:
-        #: Router-side connections, keyed by worker name.
-        self._parent_ends: Dict[str, Any] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        #: Count of forwarded messages, for tests and reporting.
-        self.forwarded = 0
-        #: Count of dropped messages (unknown/closed destination, bad frame).
-        self.dropped = 0
-        #: Total payload-carrying bytes forwarded.
-        self.bytes_forwarded = 0
-        #: Per-link traffic: ``(sender, destination) -> bytes forwarded``.
-        self.link_bytes: Dict[Tuple[str, str], int] = {}
-        #: Per-link traffic: ``(sender, destination) -> messages forwarded``.
-        self.link_messages: Dict[Tuple[str, str], int] = {}
-        #: Forwarded bytes per payload kind (see :func:`payload_kind`).
-        self.kind_bytes: Dict[str, int] = {}
-        #: Forwarded messages per payload kind.
-        self.kind_messages: Dict[str, int] = {}
-        #: Optional :class:`repro.obs.Tracer` recording forward spans.  Set
-        #: by the driver when telemetry is on; appends from the router
-        #: thread are GIL-atomic list operations, so no extra locking.
-        self.tracer = None
-        #: Optional :class:`repro.obs.MetricsRegistry`.  Set by the driver
-        #: when metrics are on; the router observes its forward latencies
-        #: into ``router_forward_latency_seconds{link=...,transport=...}``.
-        self.metrics = None
-        self._latency_hists: Dict[Tuple[str, str], Any] = {}
-        #: Workers whose traffic is currently dropped (SIGSTOP churn).  A
-        #: stopped process cannot drain its pipe, so forwarding to it would
-        #: eventually fill the buffer and block the router thread; dropping
-        #: instead models the lossy network the paper assumes.  Mutated by
-        #: the driver thread; set operations are GIL-atomic.
-        self.paused: set = set()
-
-    # ------------------------------------------------------------------ #
-    # Transport interface
-    # ------------------------------------------------------------------ #
-    def add_worker(self, name: str):  # pragma: no cover - interface
-        """Register a worker; returns its endpoint (or ready connection)."""
-        raise NotImplementedError
-
-    def remove_worker(self, name: str) -> None:
-        """Forget a worker's registration so the name can be registered again.
-
-        Used by churn restarts: the driver removes the departed worker,
-        respawns the process and calls :meth:`add_worker` with the same name
-        for a fresh endpoint.  Messages addressed to the name in between
-        count as dropped, like any message to a dead entity.
-        """
-        self.paused.discard(name)
-        conn = self._parent_ends.pop(name, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - platform dependent
-                pass
-
-    def start(self) -> None:
-        """Start the forwarding thread."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name=f"{self.transport}-router", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the forwarding thread and close the router-side connections.
-
-        Idempotent.  A forwarding thread that fails to join within the
-        timeout is abandoned (it is a daemon thread) with a loud warning —
-        never a silently dangling reference — and the connections are
-        closed regardless so the run's file descriptors are reclaimed.
-        """
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=2.0)
-            if thread.is_alive():
-                logger.warning(
-                    "%s router thread %r did not stop within 2.0s; "
-                    "abandoning the daemon thread and closing its connections",
-                    self.transport,
-                    thread.name,
-                )
-            self._thread = None
-        for conn in self._parent_ends.values():
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - platform dependent
-                pass
-
-    # ------------------------------------------------------------------ #
-    # Shared forward accounting
-    # ------------------------------------------------------------------ #
-    def _account(
-        self, sender: str, dest: str, tag: Optional[int], size: int, start: float
-    ) -> None:
-        """Count one forwarded frame (counters, tracer span, histogram).
-
-        Every concrete forwarding loop calls this at the hand-off point, so
-        pipe and stream transports report identical counter families.
-        """
-        self.forwarded += 1
-        elapsed = time.time() - start
-        kind = payload_kind(tag)
-        if self.tracer is not None:
-            self.tracer.span(
-                kind,
-                start,
-                elapsed,
-                process="router",
-                category="transport",
-                args={"link": f"{sender}->{dest}", "bytes": size},
-            )
-        if self.metrics is not None:
-            link = (sender, dest)
-            hist = self._latency_hists.get(link)
-            if hist is None:
-                hist = self.metrics.histogram(
-                    "router_forward_latency_seconds",
-                    buckets=FORWARD_LATENCY_BUCKETS,
-                    link=f"{sender}->{dest}",
-                    transport=self.transport,
-                )
-                self._latency_hists[link] = hist
-            hist.observe(elapsed)
-        self.bytes_forwarded += size
-        link = (sender, dest)
-        self.link_bytes[link] = self.link_bytes.get(link, 0) + size
-        self.link_messages[link] = self.link_messages.get(link, 0) + 1
-        self.kind_bytes[kind] = self.kind_bytes.get(kind, 0) + size
-        self.kind_messages[kind] = self.kind_messages.get(kind, 0) + 1
-
-    def _run(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class PipeRouter(EnvelopeRouter):
-    """The pipe transport: a star of ``multiprocessing`` duplex pipes.
-
-    ``add_worker`` returns the child end of the worker's pipe directly —
-    child processes inherit it through the ``Process`` arguments, so no
-    connection step is needed.  The forwarding loop polls with ``mpc.wait``
-    and sends with blocking ``send_bytes``, byte-identical to the original
-    single-transport router.
-    """
-
-    transport = "pipe"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._child_ends: Dict[str, mpc.Connection] = {}
-
-    def add_worker(self, name: str) -> mpc.Connection:
-        """Create the pipe pair for a worker; returns the child end."""
-        if name in self._parent_ends:
-            raise ValueError(f"duplicate worker name: {name!r}")
-        parent_end, child_end = mp.Pipe(duplex=True)
-        self._parent_ends[name] = parent_end
-        self._child_ends[name] = child_end
-        return child_end
-
-    def child_end(self, name: str) -> mpc.Connection:
-        """The connection a worker process should use."""
-        return self._child_ends[name]
-
-    def remove_worker(self, name: str) -> None:
-        """Forget both pipe ends (the churn-restart path)."""
-        super().remove_worker(name)
-        child = self._child_ends.pop(name, None)
-        if child is not None:
-            try:
-                child.close()
-            except OSError:  # pragma: no cover - platform dependent
-                pass
-
-    # ------------------------------------------------------------------ #
-    # Forwarding loop
-    # ------------------------------------------------------------------ #
-    def _drop_connection(self, conn) -> None:
-        """Forget a dead connection so ``mpc.wait`` stops reporting it ready.
-
-        Without this, a closed connection is permanently "ready" and the
-        forwarding loop busy-spins on its EOF at 100% CPU for the rest of
-        the run.  Later messages to the departed worker simply count as
-        dropped, like any message to a dead entity.
-        """
-        for name, end in list(self._parent_ends.items()):
-            if end is conn:
-                del self._parent_ends[name]
-                break
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - platform dependent
-            pass
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            ends = list(self._parent_ends.values())
-            if not ends:
-                self._stop.wait(0.05)
-                continue
-            ready = mpc.wait(ends, timeout=0.05)
-            for conn in ready:
-                try:
-                    frame = conn.recv_bytes()
-                except (EOFError, OSError):
-                    self._drop_connection(conn)
-                    continue
-                try:
-                    sender, dest, tag = envelope_route_info(frame)
-                except WireFormatError:
-                    self.dropped += 1
-                    continue
-                destination = self._parent_ends.get(dest)
-                if destination is None or dest in self.paused:
-                    self.dropped += 1
-                    continue
-                forward_start = time.time()
-                try:
-                    destination.send_bytes(frame)
-                except (BrokenPipeError, OSError):
-                    self.dropped += 1
-                    continue
-                self._account(sender, dest, tag, len(frame), forward_start)
+def resolve_connection(endpoint: TcpEndpoint) -> StreamConnection:
+    """Turn an :meth:`TcpRouter.add_worker` endpoint into a connection."""
+    return endpoint.connect()
 
 
 class _StreamPeer:
-    """Per-connection state of the stream router's event loop."""
+    """Per-connection state of the router's event loop."""
 
     __slots__ = (
         "sock", "name", "rbuf", "wbuf", "queued", "identified", "identify_by", "write_dead"
@@ -799,12 +484,20 @@ class _StreamPeer:
             pass
 
 
-class StreamRouter(EnvelopeRouter):
-    """Shared machinery of the socket transports: one event loop, no threads
-    per connection.
+#: Listen backlog of the router; 100+ workers dial at once in the
+#: saturation benchmark, so this must exceed the default of a few dozen.
+_LISTEN_BACKLOG = 256
 
-    A single ``selectors``-based non-blocking loop multiplexes the listener
-    socket, a wakeup channel and every worker connection in one thread:
+
+class TcpRouter:
+    """Routes envelope frames between worker processes through the parent.
+
+    A background thread in the parent process runs one ``selectors``-based
+    non-blocking loop over the listener socket, a wakeup channel and every
+    worker connection — no thread per connection.  It parses only each
+    frame's routing header and forwards the raw bytes to their destination;
+    messages to unknown or finished workers, and frames that fail to parse,
+    are dropped and counted, matching the lossy network model of the paper.
 
     * **accept + identify** — new connections register for reads; the first
       bytes must be the identity preamble (uvarint length + utf-8 name)
@@ -827,9 +520,11 @@ class StreamRouter(EnvelopeRouter):
       :meth:`StreamConnection.close` (half-close, then drain) a finishing
       worker's last word always reaches its destination.
 
-    Subclasses supply the listener socket (:meth:`_create_listener`), the
-    worker endpoint (:meth:`_make_endpoint`) and per-socket options
-    (:meth:`_configure_socket`).
+    The listener binds ``host:port`` (default loopback with an ephemeral
+    port, resolved at bind time so endpoints carry the real port), and
+    every connection sets ``TCP_NODELAY``: the protocol is a ping-pong of
+    small frames, which Nagle + delayed ACK would serialise at tens of
+    milliseconds a round trip.
     """
 
     #: Seconds a connected client has to send its identity preamble before
@@ -841,8 +536,7 @@ class StreamRouter(EnvelopeRouter):
     WRITE_BUFFER_LIMIT = 1 << 20
 
     #: Seconds an expected worker gets to dial in before frames addressed
-    #: to it are dropped instead of deferred.  Unlike the pipe transport,
-    #: whose links exist before any process starts, socket workers register
+    #: to it are dropped instead of deferred.  Workers register
     #: asynchronously — an early frame to a peer that has not identified
     #: yet is a startup artefact, not a lost message.
     CONNECT_GRACE = 5.0
@@ -850,8 +544,42 @@ class StreamRouter(EnvelopeRouter):
     #: Cap on frames parked for not-yet-connected workers.
     _DEFER_LIMIT = 4096
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        self._host = host
+        self._port = port
+        #: Identified connections, keyed by worker name.
+        self._peers: Dict[str, _StreamPeer] = {}
+        self._thread: Optional[threading.Thread] = None
+        self._stop = threading.Event()
+        #: Count of forwarded messages, for tests and reporting.
+        self.forwarded = 0
+        #: Count of dropped messages (unknown/closed destination, bad frame).
+        self.dropped = 0
+        #: Total payload-carrying bytes forwarded.
+        self.bytes_forwarded = 0
+        #: Per-link traffic: ``(sender, destination) -> bytes forwarded``.
+        self.link_bytes: Dict[Tuple[str, str], int] = {}
+        #: Per-link traffic: ``(sender, destination) -> messages forwarded``.
+        self.link_messages: Dict[Tuple[str, str], int] = {}
+        #: Forwarded bytes per payload kind (see :func:`payload_kind`).
+        self.kind_bytes: Dict[str, int] = {}
+        #: Forwarded messages per payload kind.
+        self.kind_messages: Dict[str, int] = {}
+        #: Optional :class:`repro.obs.Tracer` recording forward spans.  Set
+        #: by the driver when telemetry is on; appends from the router
+        #: thread are GIL-atomic list operations, so no extra locking.
+        self.tracer = None
+        #: Optional :class:`repro.obs.MetricsRegistry`.  Set by the driver
+        #: when metrics are on; the router observes its forward latencies
+        #: into ``router_forward_latency_seconds{link=...}``.
+        self.metrics = None
+        self._latency_hists: Dict[Tuple[str, str], Any] = {}
+        #: Workers whose traffic is currently dropped (SIGSTOP churn).  A
+        #: stopped process cannot drain its socket, so frames to it would
+        #: only pile up in its write buffer; dropping them at once models
+        #: the lossy network the paper assumes.  Mutated by the driver
+        #: thread; set operations are GIL-atomic.
+        self.paused: set = set()
         self._expected: set = set()
         self._listener: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
@@ -866,27 +594,45 @@ class StreamRouter(EnvelopeRouter):
         #: ``(destination, frame)`` parked until the destination identifies.
         self._deferred: Deque[Tuple[str, bytes]] = deque()
 
-    # -- subclass hooks ------------------------------------------------- #
-    def _create_listener(self) -> socket.socket:  # pragma: no cover - interface
-        raise NotImplementedError
+    # -- listener and registration ---------------------------------------- #
+    def _ensure_listener(self) -> socket.socket:
+        """Bind lazily but *before* any endpoint is handed out, so an
+        ephemeral port 0 is resolved to the real listening port."""
+        if self._listener is None:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind((self._host, self._port))
+                sock.listen(_LISTEN_BACKLOG)
+            except OSError:
+                sock.close()
+                raise
+            self._port = sock.getsockname()[1]
+            self._listener = sock
+        return self._listener
 
-    def _make_endpoint(self, name: str) -> WorkerEndpoint:  # pragma: no cover
-        raise NotImplementedError
+    @property
+    def address(self) -> Tuple[str, int]:
+        """The ``(host, port)`` workers dial (binds the listener if needed)."""
+        self._ensure_listener()
+        return (self._host, self._port)
 
-    def _configure_socket(self, sock: socket.socket) -> None:
-        """Per-connection socket options (e.g. ``TCP_NODELAY``)."""
-
-    # -- transport interface -------------------------------------------- #
-    def add_worker(self, name: str) -> WorkerEndpoint:
+    def add_worker(self, name: str) -> TcpEndpoint:
         """Register a worker; returns the endpoint it connects with."""
         if name in self._expected:
             raise ValueError(f"duplicate worker name: {name!r}")
+        host, port = self.address
         self._expected.add(name)
         self._connect_grace[name] = time.monotonic() + self.CONNECT_GRACE
-        return self._make_endpoint(name)
+        return TcpEndpoint(host, port, name)
 
     def remove_worker(self, name: str) -> None:
-        """Drop the identity so a respawned worker may re-identify.
+        """Forget a worker's registration so the name can be registered again.
+
+        Used by churn restarts: the driver removes the departed worker,
+        respawns the process and calls :meth:`add_worker` with the same name
+        for a fresh endpoint.  Messages addressed to the name in between
+        count as dropped, like any message to a dead entity.
 
         Called from the driver thread while the event loop runs: the name
         is unlinked here (dict operations are GIL-atomic, so the loop
@@ -897,7 +643,7 @@ class StreamRouter(EnvelopeRouter):
         self.paused.discard(name)
         self._expected.discard(name)
         self._connect_grace.pop(name, None)
-        peer = self._parent_ends.pop(name, None)
+        peer = self._peers.pop(name, None)
         if peer is not None:
             self._defunct.append(peer)
             if self._thread is not None and self._thread.is_alive():
@@ -914,29 +660,50 @@ class StreamRouter(EnvelopeRouter):
             except (BlockingIOError, OSError):  # pragma: no cover - full/closed
                 pass
 
+    # -- lifecycle -------------------------------------------------------- #
     def start(self) -> None:
+        """Start the event-loop thread."""
         if self._thread is not None:
             return
-        if self._listener is None:
-            self._listener = self._create_listener()
-        self._listener.setblocking(False)
+        listener = self._ensure_listener()
+        listener.setblocking(False)
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, "listener")
+        self._selector.register(listener, selectors.EVENT_READ, "listener")
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wakeup")
         # The grace clock starts when the fabric is actually listening, not
         # when the driver pre-registered the names.
         now = time.monotonic()
         for name in self._expected:
             self._connect_grace[name] = now + self.CONNECT_GRACE
-        super().start()
+        self._stop.clear()
+        self._thread = threading.Thread(target=self._run, name="tcp-router", daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
+        """Stop the event-loop thread and close every socket.
+
+        Idempotent.  A thread that fails to join within the timeout is
+        abandoned (it is a daemon thread) with a loud warning — never a
+        silently dangling reference — and the sockets are closed regardless
+        so the run's file descriptors are reclaimed.
+        """
         self._stop.set()
         self._wake()
-        super().stop()
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout=2.0)
+            if thread.is_alive():
+                logger.warning(
+                    "router thread %r did not stop within 2.0s; "
+                    "abandoning the daemon thread and closing its connections",
+                    thread.name,
+                )
+            self._thread = None
+        for peer in self._peers.values():
+            peer.close()
         self._reap_defunct()
         for peer in self._pending:
             peer.close()
@@ -956,6 +723,41 @@ class StreamRouter(EnvelopeRouter):
             except OSError:  # pragma: no cover - platform dependent
                 pass
             self._selector = None
+
+    # -- forward accounting ----------------------------------------------- #
+    def _account(
+        self, sender: str, dest: str, tag: Optional[int], size: int, start: float
+    ) -> None:
+        """Count one forwarded frame (counters, tracer span, histogram)."""
+        self.forwarded += 1
+        elapsed = time.time() - start
+        kind = payload_kind(tag)
+        if self.tracer is not None:
+            self.tracer.span(
+                kind,
+                start,
+                elapsed,
+                process="router",
+                category="transport",
+                args={"link": f"{sender}->{dest}", "bytes": size},
+            )
+        if self.metrics is not None:
+            link = (sender, dest)
+            hist = self._latency_hists.get(link)
+            if hist is None:
+                hist = self.metrics.histogram(
+                    "router_forward_latency_seconds",
+                    buckets=FORWARD_LATENCY_BUCKETS,
+                    link=f"{sender}->{dest}",
+                )
+                self._latency_hists[link] = hist
+            hist.observe(elapsed)
+        self.bytes_forwarded += size
+        link = (sender, dest)
+        self.link_bytes[link] = self.link_bytes.get(link, 0) + size
+        self.link_messages[link] = self.link_messages.get(link, 0) + 1
+        self.kind_bytes[kind] = self.kind_bytes.get(kind, 0) + size
+        self.kind_messages[kind] = self.kind_messages.get(kind, 0) + 1
 
     # -- the event loop -------------------------------------------------- #
     def _run(self) -> None:
@@ -1006,7 +808,7 @@ class StreamRouter(EnvelopeRouter):
             except (BlockingIOError, OSError):
                 return
             sock.setblocking(False)
-            self._configure_socket(sock)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             peer = _StreamPeer(sock, now + self.IDENTITY_TIMEOUT)
             self._pending.append(peer)
             try:
@@ -1025,8 +827,8 @@ class StreamRouter(EnvelopeRouter):
                 pass
         if peer in self._pending:
             self._pending.remove(peer)
-        if peer.name is not None and self._parent_ends.get(peer.name) is peer:
-            del self._parent_ends[peer.name]
+        if peer.name is not None and self._peers.get(peer.name) is peer:
+            del self._peers[peer.name]
             # It dialed in and left, so it is not late: frames to it are lost
             # from now on, not parked for a connection that will not come
             # (a respawn re-arms the grace through ``add_worker``).
@@ -1080,14 +882,14 @@ class StreamRouter(EnvelopeRouter):
             return False
         name, consumed = parsed
         del peer.rbuf[:consumed]
-        if name not in self._expected or name in self._parent_ends:
+        if name not in self._expected or name in self._peers:
             self._detach(peer)
             return False
         peer.name = name
         peer.identified = True
         if peer in self._pending:
             self._pending.remove(peer)
-        self._parent_ends[name] = peer
+        self._peers[name] = peer
         self._flush_deferred(name)
         return True
 
@@ -1143,7 +945,7 @@ class StreamRouter(EnvelopeRouter):
         if dest in self.paused:
             self.dropped += 1
             return
-        peer = self._parent_ends.get(dest)
+        peer = self._peers.get(dest)
         if peer is None:
             grace = self._connect_grace.get(dest)
             if (
@@ -1233,8 +1035,8 @@ class StreamRouter(EnvelopeRouter):
 
         The link is never read-dead before EOF — detaching here would close
         the socket over frames the peer sent before it went away (its
-        :class:`~repro.realexec.node.WorkerOutcome`, typically).  Like
-        :class:`PipeRouter`, a failed send only costs the frame.
+        :class:`~repro.realexec.node.WorkerOutcome`, typically); a failed
+        send only costs the frame.
         """
         peer.write_dead = True
         self._discard_queued(peer)
@@ -1251,116 +1053,8 @@ class StreamRouter(EnvelopeRouter):
             pass
 
 
-#: Listen backlog for the socket transports; 100+ workers dial at once in
-#: the saturation benchmark, so this must exceed the default of a few dozen.
-_LISTEN_BACKLOG = 256
-
-
-class UdsRouter(StreamRouter):
-    """The Unix-domain-socket transport, on the shared stream event loop.
-
-    One listener socket in the parent; every worker (and the driver)
-    connects to it and sends its identity preamble.  Unknown or duplicate
-    identities are closed immediately.
-    """
-
-    transport = "uds"
-
-    def __init__(self, address: Optional[str] = None) -> None:
-        super().__init__()
-        self._address = address
-        self._socket_dir: Optional[str] = None
-
-    @property
-    def address(self) -> str:
-        """The socket path; the backing temp directory is created lazily,
-        so a router that is constructed but never used leaves no files."""
-        if self._address is None:
-            self._socket_dir = tempfile.mkdtemp(prefix="repro-uds-")
-            self._address = os.path.join(self._socket_dir, "router.sock")
-        return self._address
-
-    def _make_endpoint(self, name: str) -> UdsEndpoint:
-        return UdsEndpoint(self.address, name)
-
-    def _create_listener(self) -> socket.socket:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            sock.bind(self.address)
-            sock.listen(_LISTEN_BACKLOG)
-        except OSError:
-            sock.close()
-            raise
-        return sock
-
-    def stop(self) -> None:
-        super().stop()
-        if self._socket_dir is not None:
-            try:
-                if self._address is not None and os.path.exists(self._address):
-                    os.unlink(self._address)
-                os.rmdir(self._socket_dir)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            self._socket_dir = None
-
-
-class TcpRouter(StreamRouter):
-    """The TCP transport: the step off the single host.
-
-    Behaves exactly like :class:`UdsRouter` — connect, identify by name,
-    envelope frames — but listens on ``host:port`` (default loopback with an
-    ephemeral port, resolved at bind time so endpoints carry the real port)
-    and sets ``TCP_NODELAY`` on every connection: the protocol is a
-    ping-pong of small frames, which Nagle + delayed ACK would serialise at
-    tens of milliseconds a round trip.
-    """
-
-    transport = "tcp"
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        super().__init__()
-        self._host = host
-        self._port = port
-
-    def _ensure_listener(self) -> socket.socket:
-        """Bind lazily but *before* any endpoint is handed out, so an
-        ephemeral port 0 is resolved to the real listening port."""
-        if self._listener is None:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            try:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                sock.bind((self._host, self._port))
-                sock.listen(_LISTEN_BACKLOG)
-            except OSError:
-                sock.close()
-                raise
-            self._port = sock.getsockname()[1]
-            self._listener = sock
-        return self._listener
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The ``(host, port)`` workers dial (binds the listener if needed)."""
-        self._ensure_listener()
-        return (self._host, self._port)
-
-    def _make_endpoint(self, name: str) -> TcpEndpoint:
-        host, port = self.address
-        return TcpEndpoint(host, port, name)
-
-    def _create_listener(self) -> socket.socket:
-        return self._ensure_listener()
-
-    def _configure_socket(self, sock: socket.socket) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-#: Registered transports: the router behind each name of
-#: :data:`repro.transport_names.TRANSPORT_NAMES`, the one list of names.
-TRANSPORTS = dict(zip(TRANSPORT_NAMES, (PipeRouter, UdsRouter, TcpRouter), strict=True))
-
-
-def create_router(transport: str) -> EnvelopeRouter:
-    """Instantiate the router for a named transport."""
-    return TRANSPORTS[validate_transport(transport)]()
+def create_router(transport: str) -> TcpRouter:
+    """A fresh :class:`TcpRouter`; ``transport`` must be ``"tcp"``, the one transport."""
+    if transport != "tcp":
+        raise ValueError(f"unknown transport {transport!r} (the one transport is 'tcp')")
+    return TcpRouter()

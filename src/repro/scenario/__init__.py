@@ -7,7 +7,7 @@ experiment-facing surface:
 
 * :class:`Scenario` — a frozen, backend-agnostic experiment description
   (workload, workers, network, failure schedule, algorithm config,
-  transport, seed);
+  seed);
 * :class:`Backend` — the protocol the four registered implementations
   (``simulated``, ``central``, ``dib``, ``realexec``) satisfy;
 * :class:`ScenarioResult` — the one normalised result shape (solution,

@@ -10,10 +10,8 @@ A backend turns one :class:`~repro.scenario.spec.Scenario` into one
 * ``dib``       — the DIB-style responsibility-tracking baseline
   (:func:`~repro.baselines.dib.run_dib_simulation`); both baselines run on
   one harness and share one :class:`BaselineBackend`;
-* ``realexec``  — real OS processes over a pluggable transport
-  (:class:`~repro.realexec.driver.LocalCluster`; ``Scenario(transport=
-  "uds")`` selects Unix-domain sockets and ``Scenario(transport="tcp")``
-  a TCP listener instead of pipes).
+* ``realexec``  — real OS processes exchanging wire frames over TCP
+  (:class:`~repro.realexec.driver.LocalCluster`).
 
 Backends translate the scenario's canonical worker names (``worker-NN``)
 into their own naming, resolve fractional failure times by running
@@ -409,13 +407,12 @@ class BaselineBackend:
 
 
 # --------------------------------------------------------------------------- #
-# realexec — real OS processes over a pluggable transport
+# realexec — real OS processes over TCP
 # --------------------------------------------------------------------------- #
 class RealexecBackend:
     """The same core objects on real ``multiprocessing`` workers.
 
-    Honours ``Scenario.transport`` (``"pipe"``, ``"uds"`` or ``"tcp"``),
-    ``node_sleep`` and ``max_seconds``.  Failure times are wall-clock
+    Honours ``node_sleep`` and ``max_seconds``.  Failure times are wall-clock
     (:meth:`~repro.scenario.spec.FailureSpec.wall_clock_delay`).
     """
 
@@ -433,7 +430,6 @@ class RealexecBackend:
             max_seconds=scenario.max_seconds,
             prune=scenario.prune,
             config=scenario.config,
-            transport=scenario.transport,
             telemetry=scenario.telemetry,
         )
         kill_schedule = [

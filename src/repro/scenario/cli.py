@@ -5,7 +5,7 @@ Four subcommands:
 * ``list-scenarios`` — the registered named scenarios and their backends;
 * ``run <scenario>`` — run one scenario on one backend and print its
   normalised summary (``--backend``, ``--workers``, ``--seed``,
-  ``--transport``, ``--scale`` override the registered spec; ``--trace
+  ``--scale`` override the registered spec; ``--trace
   out.json`` writes a Chrome/Perfetto trace, ``--metrics`` prints the
   unified metrics registry);
 * ``compare <scenario>`` — run the same scenario on several backends
@@ -22,8 +22,7 @@ Examples::
     python -m repro list-scenarios
     python -m repro run figure3 --backend simulated
     python -m repro run quickstart --trace quickstart.json --metrics
-    python -m repro run quickstart --backend realexec --transport uds
-    python -m repro run quickstart --backend realexec --transport tcp
+    python -m repro run quickstart --backend realexec
     python -m repro compare crash-storm --backends simulated,central,dib
     python -m repro inspect quickstart.json
 """
@@ -35,7 +34,6 @@ from dataclasses import replace
 from typing import List, Optional
 
 from ..obs import MetricsRegistry, TelemetryConfig, configure_logging, get_logger
-from ..transport_names import TRANSPORT_NAMES
 from .backends import backend_names, compare_backends, run_scenario
 from .registry import get_scenario, list_scenarios
 from .result import format_comparison
@@ -107,8 +105,6 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
             )
     if getattr(args, "seed", None) is not None:
         changes["seed"] = args.seed
-    if getattr(args, "transport", None) is not None:
-        changes["transport"] = args.transport
     if getattr(args, "scale", None) is not None:
         changes["workload"] = replace(
             scenario.workload, scale=scenario.workload.scale * args.scale
@@ -125,9 +121,6 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, help="override the worker count")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument(
-        "--transport", choices=sorted(TRANSPORT_NAMES), help="realexec transport override"
-    )
     parser.add_argument(
         "--scale", type=float, help="multiply the workload scale (e.g. 0.1 for a quick run)"
     )

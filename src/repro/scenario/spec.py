@@ -1,7 +1,7 @@
 """Declarative experiment specifications: the :class:`Scenario` dataclass.
 
 The paper's evaluation is comparative — the problem-specific mechanism vs. a
-central manager vs. DIB, under crashes, on simulated and real transports —
+central manager vs. DIB, under crashes, on simulated and real processes —
 so an experiment must be *describable once* and runnable everywhere.  A
 :class:`Scenario` is that description: a workload, a worker count, a network
 model, a failure schedule, the algorithm configuration and a seed.  Nothing
@@ -31,7 +31,6 @@ from ..bnb.pool import SelectionRule
 from ..distributed.config import AlgorithmConfig
 from ..distributed.runner import NetworkConfig, worker_names
 from ..obs import TelemetryConfig
-from ..transport_names import validate_transport
 
 __all__ = [
     "WorkloadSpec",
@@ -460,8 +459,8 @@ class Scenario:
 
     The fields split into *what is computed* (``workload``, ``prune``,
     ``granularity``), *who computes it* (``n_workers``), *over what*
-    (``network``, ``transport``), *what goes wrong*
-    (``failures``) and *how the mechanism is tuned* (``config``).  ``seed``
+    (``network``), *what goes wrong* (``failures``) and *how the mechanism
+    is tuned* (``config``).  ``seed``
     makes the whole run deterministic on the simulated backends.
 
     See ``docs/SCENARIOS.md`` for the full field reference and the
@@ -497,9 +496,10 @@ class Scenario:
     max_sim_time: Optional[float] = None
     max_events: Optional[int] = None
     # ----- realexec-only knobs (ignored by the simulated backends) -------- #
-    #: Transport between real worker processes: ``"pipe"``, ``"uds"`` or
-    #: ``"tcp"`` (validated against the realexec transport registry).
-    transport: str = "pipe"
+    #: Transport between real worker processes; ``"tcp"`` is the one value.
+    #: The field stays only because the performance ledger's workload spec
+    #: names it.
+    transport: str = "tcp"
     #: Artificial per-node sleep, to emulate heavier nodes on real processes.
     node_sleep: float = 0.0
     #: Wall-clock budget of a realexec run.
@@ -508,7 +508,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
-        validate_transport(self.transport)
+        if self.transport != "tcp":
+            raise ValueError(
+                f"unknown transport {self.transport!r} (the one transport is 'tcp')"
+            )
         if self.granularity < 0:
             raise ValueError("granularity must be non-negative")
         if self.failures:

@@ -24,6 +24,7 @@ import random
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -153,7 +154,9 @@ def run_real(tree, schedule, monkeypatch, *, node_sleep=NODE_COST, pause=None):
 
     if pause is None:
         feed()
-    thread = threading.Thread(target=worker_main, args=(config, theirs), daemon=True)
+    # The worker "connects" to one end of a pipe, a message-delimited link.
+    endpoint = SimpleNamespace(connect=lambda: theirs)
+    thread = threading.Thread(target=worker_main, args=(config, endpoint), daemon=True)
     thread.start()
     if pause is not None:
         feeder = threading.Thread(target=feed, daemon=True)

@@ -148,7 +148,6 @@ class TestForwardLatencyFamilyRoundTrip:
             "router_forward_latency_seconds",
             buckets=FORWARD_LATENCY_BUCKETS,
             link="a->b",
-            transport="tcp",
         )
         for value in (0.00002, 0.0002, 0.002):
             hist.observe(value)
@@ -158,12 +157,11 @@ class TestForwardLatencyFamilyRoundTrip:
             "router_forward_latency_seconds",
             buckets=FORWARD_LATENCY_BUCKETS,
             link="a->b",
-            transport="tcp",
         )
         assert out.count == 6
         assert out.sum == pytest.approx(2 * (0.00002 + 0.0002 + 0.002))
         assert out.bounds == tuple(FORWARD_LATENCY_BUCKETS)
-        key = "router_forward_latency_seconds{link=a->b,transport=tcp}"
+        key = "router_forward_latency_seconds{link=a->b}"
         assert key in merged.snapshot()["histograms"]
         # And the family renders in the Prometheus exposition.
         assert "router_forward_latency_seconds_bucket" in merged.to_prometheus()

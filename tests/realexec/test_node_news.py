@@ -9,6 +9,7 @@ worker cannot decode is dropped like a lost message.
 
 import multiprocessing
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,7 +66,10 @@ def start_worker(tree, **config):
     worker_config = RealWorkerConfig(
         name="w1", members=MEMBERS, tree_data=tree.to_dict(), **config
     )
-    thread = threading.Thread(target=worker_main, args=(worker_config, theirs), daemon=True)
+    # The worker "connects" to one end of a pipe: a message-delimited link,
+    # so each test frame reaches the worker's decode step on its own.
+    endpoint = SimpleNamespace(connect=lambda: theirs)
+    thread = threading.Thread(target=worker_main, args=(worker_config, endpoint), daemon=True)
     return thread, ours
 
 

@@ -13,7 +13,7 @@ from repro.realexec.driver import LocalCluster, LocalClusterResult
 from repro.realexec.node import WorkerOutcome
 from repro.realexec.transport import (
     Envelope,
-    PipeRouter,
+    TcpRouter,
     decode_envelope,
     encode_envelope,
     envelope_route,
@@ -52,6 +52,20 @@ def _wait_for(predicate, timeout=2.0):
     deadline = time.monotonic() + timeout
     while not predicate() and time.monotonic() < deadline:
         time.sleep(0.01)
+
+
+@contextmanager
+def _linked(router, *names):
+    """Start ``router`` with one connected link per name; stop it on exit."""
+    endpoints = [router.add_worker(name) for name in names]
+    router.start()
+    links = [endpoint.connect() for endpoint in endpoints]
+    try:
+        yield links
+    finally:
+        for link in links:
+            link.close()
+        router.stop()
 
 
 class TestEnvelopeCodec:
@@ -94,49 +108,35 @@ class TestEnvelopeCodec:
             decode_envelope(bytes(grown))
 
 
-class TestPipeRouter:
+class TestRouterForwarding:
     def test_routing_between_workers(self):
-        router = PipeRouter()
-        end_a = router.add_worker("a")
-        end_b = router.add_worker("b")
-        router.start()
-        try:
+        router = TcpRouter()
+        with _linked(router, "a", "b") as (end_a, end_b):
             request = WorkRequest(requester="a", best=BestSolution(2.0, "a"))
             send_envelope(end_a, Envelope("a", "b", request))
             assert end_b.poll(2.0)
             envelope = recv_envelope(end_b)
             assert envelope.payload == request
             assert envelope.sender == "a"
-        finally:
-            router.stop()
         assert router.forwarded == 1
 
     def test_per_link_byte_counters(self):
-        router = PipeRouter()
-        end_a = router.add_worker("a")
-        end_b = router.add_worker("b")
-        router.start()
-        try:
+        router = TcpRouter()
+        with _linked(router, "a", "b") as (end_a, _end_b):
             frame = encode_envelope(Envelope("a", "b", WorkRequest(requester="a")))
             end_a.send_bytes(frame)
             end_a.send_bytes(frame)
             _wait_for(lambda: router.forwarded == 2)
-        finally:
-            router.stop()
         assert router.forwarded == 2
         assert router.bytes_forwarded == 2 * len(frame)
         assert router.link_bytes[("a", "b")] == 2 * len(frame)
         assert router.link_messages[("a", "b")] == 2
 
     def test_unknown_destination_dropped(self):
-        router = PipeRouter()
-        end_a = router.add_worker("a")
-        router.start()
-        try:
+        router = TcpRouter()
+        with _linked(router, "a") as (end_a,):
             send_envelope(end_a, Envelope("a", "ghost", WorkRequest(requester="a")))
             _wait_for(lambda: router.dropped > 0)
-        finally:
-            router.stop()
         assert router.dropped == 1
 
     def test_corrupt_routing_header_survivable(self):
@@ -155,41 +155,37 @@ class TestPipeRouter:
         with pytest.raises(WireFormatError):
             envelope_route(bytes(evil))
 
-        router = PipeRouter()
-        end_a = router.add_worker("a")
-        end_b = router.add_worker("b")
-        router.start()
-        try:
+        router = TcpRouter()
+        with _linked(router, "a", "b") as (end_a, _end_b):
             end_a.send_bytes(bytes(evil))
             _wait_for(lambda: router.dropped >= 1)
             send_envelope(end_a, Envelope("a", "b", WorkRequest(requester="a")))
             _wait_for(lambda: router.forwarded >= 1)
-        finally:
-            router.stop()
         assert router.dropped == 1
         assert router.forwarded == 1
         assert router.link_messages[("a", "b")] == 1
 
     def test_malformed_frame_dropped(self):
-        router = PipeRouter()
-        end_a = router.add_worker("a")
-        router.add_worker("b")
-        router.start()
-        try:
+        """A whole frame that is not an envelope is dropped and the link
+        survives; bytes that cannot start a frame drop the link too."""
+        from repro import wire
+
+        router = TcpRouter()
+        with _linked(router, "a", "b") as (end_a, _end_b):
+            end_a.send_bytes(wire.encode(WorkRequest(requester="a")))
+            _wait_for(lambda: router.dropped >= 1)
+            assert "a" in router._peers
             end_a.send_bytes(b"\x00not a frame")
-            truncated = encode_envelope(Envelope("a", "b", WorkRequest(requester="a")))[:5]
-            end_a.send_bytes(truncated)
             _wait_for(lambda: router.dropped >= 2)
-        finally:
-            router.stop()
         assert router.dropped == 2
         assert router.forwarded == 0
 
     def test_duplicate_worker_rejected(self):
-        router = PipeRouter()
+        router = TcpRouter()
         router.add_worker("a")
         with pytest.raises(ValueError):
             router.add_worker("a")
+        router.stop()
 
 
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
@@ -268,83 +264,14 @@ class TestCoarseGrainWalk:
         assert result.wall_time < 5.0
 
 
-class TestUdsTransport:
-    """The Unix-domain-socket transport behind the Transport seam."""
-
-    def test_routing_between_endpoints(self):
-        from repro.realexec.transport import UdsRouter
-
-        router = UdsRouter()
-        endpoint_a = router.add_worker("a")
-        endpoint_b = router.add_worker("b")
-        router.start()
-        try:
-            conn_a = endpoint_a.connect()
-            conn_b = endpoint_b.connect()
-            request = WorkRequest(requester="a", best=BestSolution(2.0, "a"))
-            send_envelope(conn_a, Envelope("a", "b", request))
-            assert conn_b.poll(2.0)
-            envelope = recv_envelope(conn_b)
-            assert envelope.payload == request and envelope.sender == "a"
-            conn_a.close()
-            conn_b.close()
-        finally:
-            router.stop()
-        assert router.forwarded == 1
-        assert router.kind_bytes.get("work_request", 0) > 0
-        assert router.transport == "uds"
-
-    def test_unknown_identity_rejected(self):
-        from repro.realexec.transport import UdsEndpoint, UdsRouter
-
-        router = UdsRouter()
-        endpoint = router.add_worker("known")
-        router.start()
-        try:
-            stranger = UdsEndpoint(router.address, "stranger").connect()
-            conn = endpoint.connect()
-            send_envelope(conn, Envelope("known", "known", WorkRequest(requester="known")))
-            assert conn.poll(2.0)  # loopback proves the router is healthy
-            recv_envelope(conn)
-            conn.close()
-            stranger.close()
-        finally:
-            router.stop()
-        assert "stranger" not in router._parent_ends
-
-    def test_duplicate_worker_rejected(self):
-        from repro.realexec.transport import UdsRouter
-
-        router = UdsRouter()
-        router.add_worker("a")
-        with pytest.raises(ValueError):
-            router.add_worker("a")
-        router.stop()
-
-    def test_create_router_names(self):
-        from repro.realexec.transport import PipeRouter, UdsRouter, create_router
-
-        assert isinstance(create_router("pipe"), PipeRouter)
-        uds = create_router("uds")
-        assert isinstance(uds, UdsRouter)
-        uds.stop()
-        with pytest.raises(ValueError):
-            create_router("carrier-pigeon")
-
-
 class TestPayloadKindAccounting:
     def test_router_counts_bytes_per_kind(self):
-        router = PipeRouter()
-        end_a = router.add_worker("a")
-        end_b = router.add_worker("b")
-        router.start()
-        try:
+        router = TcpRouter()
+        with _linked(router, "a", "b") as (end_a, _end_b):
             frame = encode_envelope(Envelope("a", "b", WorkRequest(requester="a")))
             end_a.send_bytes(frame)
             end_a.send_bytes(frame)
             _wait_for(lambda: router.forwarded == 2)
-        finally:
-            router.stop()
         assert router.kind_bytes == {"work_request": 2 * len(frame)}
         assert router.kind_messages == {"work_request": 2}
 
@@ -359,23 +286,6 @@ class TestPayloadKindAccounting:
         assert payload_kind(tag) == "work_request"
         assert payload_kind(None) == "unknown"
         assert payload_kind(9999) == "tag_9999"
-
-
-@pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
-class TestLocalClusterOverUds:
-    def test_three_process_run_over_uds(self, small_tree):
-        result = LocalCluster(
-            small_tree, 3, prune=False, max_seconds=40.0, transport="uds"
-        ).run()
-        assert result.transport == "uds"
-        assert result.surviving_terminated
-        assert result.solved_correctly
-        assert result.bytes_forwarded > 0
-        assert result.bytes_by_kind.get("work_report", 0) > 0
-
-    def test_unknown_transport_rejected(self, small_tree):
-        with pytest.raises(ValueError):
-            LocalCluster(small_tree, 2, transport="carrier-pigeon")
 
 
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
@@ -394,34 +304,28 @@ class TestKillSchedule:
 
 class TestDeadConnectionHandling:
     def test_closed_worker_connection_is_dropped(self):
-        router = PipeRouter()
-        end_a = router.add_worker("a")
-        end_b = router.add_worker("b")
-        router.start()
-        try:
+        router = TcpRouter()
+        with _linked(router, "a", "b") as (end_a, end_b):
+            _wait_for(lambda: {"a", "b"} <= set(router._peers))
             end_a.close()  # worker "a" dies
-            _wait_for(lambda: "a" not in router._parent_ends)
-            assert "a" not in router._parent_ends
+            _wait_for(lambda: "a" not in router._peers)
+            assert "a" not in router._peers
             # The router keeps forwarding for the survivors.
             send_envelope(end_b, Envelope("b", "b", WorkRequest(requester="b")))
             assert end_b.poll(2.0)
             recv_envelope(end_b)
-        finally:
-            router.stop()
         assert router.forwarded == 1
 
-    def test_silent_uds_client_does_not_block_registration(self, monkeypatch):
-        import multiprocessing.connection as mpc
+    def test_silent_client_does_not_block_registration(self, monkeypatch):
+        import socket as socket_mod
 
-        from repro.realexec.transport import UdsRouter
-
-        monkeypatch.setattr(UdsRouter, "IDENTITY_TIMEOUT", 0.1)
-        router = UdsRouter()
+        monkeypatch.setattr(TcpRouter, "IDENTITY_TIMEOUT", 0.1)
+        router = TcpRouter()
         endpoint = router.add_worker("late")
         router.start()
         try:
             # A client that connects but never identifies (killed mid-start).
-            silent = mpc.Client(router.address, family="AF_UNIX")
+            silent = socket_mod.create_connection(router.address)
             conn = endpoint.connect()  # must still register despite the stall
             send_envelope(conn, Envelope("late", "late", WorkRequest(requester="late")))
             assert conn.poll(2.0)
@@ -434,11 +338,9 @@ class TestDeadConnectionHandling:
 
 
 class TestTcpTransport:
-    """The TCP transport and the shared stream event loop behind it."""
+    """The TCP listener, endpoints and stream reassembly of the router."""
 
     def test_routing_between_endpoints(self):
-        from repro.realexec.transport import TcpRouter
-
         router = TcpRouter()
         endpoint_a = router.add_worker("a")
         endpoint_b = router.add_worker("b")
@@ -457,11 +359,8 @@ class TestTcpTransport:
             router.stop()
         assert router.forwarded == 1
         assert router.kind_bytes.get("work_request", 0) > 0
-        assert router.transport == "tcp"
 
     def test_ephemeral_port_resolved_before_start(self):
-        from repro.realexec.transport import TcpRouter
-
         router = TcpRouter()
         endpoint = router.add_worker("a")
         assert endpoint.port != 0
@@ -471,23 +370,21 @@ class TestTcpTransport:
     def test_nodelay_set_on_both_sides(self):
         import socket
 
-        from repro.realexec.transport import TcpRouter
-
         router = TcpRouter()
         endpoint = router.add_worker("a")
         router.start()
         try:
             conn = endpoint.connect()
             assert conn._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
-            _wait_for(lambda: "a" in router._parent_ends)
-            peer = router._parent_ends["a"]
+            _wait_for(lambda: "a" in router._peers)
+            peer = router._peers["a"]
             assert peer.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
             conn.close()
         finally:
             router.stop()
 
     def test_unknown_identity_rejected(self):
-        from repro.realexec.transport import TcpEndpoint, TcpRouter
+        from repro.realexec.transport import TcpEndpoint
 
         router = TcpRouter()
         endpoint = router.add_worker("known")
@@ -503,12 +400,10 @@ class TestTcpTransport:
             stranger.close()
         finally:
             router.stop()
-        assert "stranger" not in router._parent_ends
+        assert "stranger" not in router._peers
 
     def test_worker_can_dial_before_listener_exists(self):
         import threading
-
-        from repro.realexec.transport import TcpRouter
 
         router = TcpRouter()
         endpoint = router.add_worker("early")
@@ -536,11 +431,7 @@ class TestTcpTransport:
         """A frame dribbled in one byte at a time still routes intact."""
         import socket as socket_mod
 
-        from repro.realexec.transport import (
-            TcpRouter,
-            _encode_identity,
-            encode_envelope,
-        )
+        from repro.realexec.transport import _encode_identity
 
         router = TcpRouter()
         router.add_worker("drip")
@@ -570,7 +461,7 @@ class TestTcpTransport:
         """Garbage that cannot start a frame closes the connection."""
         import socket as socket_mod
 
-        from repro.realexec.transport import TcpRouter, _encode_identity
+        from repro.realexec.transport import _encode_identity
 
         router = TcpRouter()
         router.add_worker("noise")
@@ -579,10 +470,10 @@ class TestTcpTransport:
         try:
             raw = socket_mod.create_connection((host, port))
             raw.sendall(_encode_identity("noise"))
-            _wait_for(lambda: "noise" in router._parent_ends)
+            _wait_for(lambda: "noise" in router._peers)
             raw.sendall(b"\xff\xff\xff not a frame")
-            _wait_for(lambda: "noise" not in router._parent_ends)
-            assert "noise" not in router._parent_ends
+            _wait_for(lambda: "noise" not in router._peers)
+            assert "noise" not in router._peers
             raw.close()
         finally:
             router.stop()
@@ -591,8 +482,6 @@ class TestTcpTransport:
     def test_slow_receiver_does_not_block_other_links(self):
         """Write-queue backpressure: a worker that never drains its socket
         costs only its own frames; forwarding for everyone else continues."""
-        from repro.realexec.transport import TcpRouter
-
         import socket as socket_mod
 
         from repro.realexec.transport import StreamConnection, _encode_identity
@@ -614,8 +503,8 @@ class TestTcpTransport:
             slow_sock.sendall(_encode_identity("slow"))
             slow = StreamConnection(slow_sock)
             fast = fast_endpoint.connect()
-            _wait_for(lambda: "slow" in router._parent_ends)
-            peer_sock = router._parent_ends["slow"].sock
+            _wait_for(lambda: "slow" in router._peers)
+            peer_sock = router._peers["slow"].sock
             peer_sock.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_SNDBUF, 4096)
             flood = _blob_frame("src", "slow", 16384)
             for _ in range(200):  # ~3.2MB >> socket buffers + write cap
@@ -633,11 +522,14 @@ class TestTcpTransport:
         assert router.link_messages.get(("src", "fast")) == 1
 
     def test_create_router_tcp(self):
-        from repro.realexec.transport import TcpRouter, create_router
+        from repro.realexec.transport import create_router
 
         router = create_router("tcp")
         assert isinstance(router, TcpRouter)
         router.stop()
+        for name in ("pipe", "uds", "carrier-pigeon"):
+            with pytest.raises(ValueError, match="tcp"):
+                create_router(name)
 
 
 class _WritesFail:
@@ -653,19 +545,16 @@ class _WritesFail:
         return getattr(self._sock, name)
 
 
-@pytest.mark.parametrize("transport", ["uds", "tcp"])
 class TestStreamConnectionContract:
-    """The connection contract of the uds/tcp fabric: ``poll(0)`` is one
+    """The connection contract of the TCP fabric: ``poll(0)`` is one
     non-blocking read, and teardown never loses a frame a peer sent."""
 
     @staticmethod
     def _frame(sender, dest):
         return Envelope(sender, dest, WorkRequest(requester=sender))
 
-    def test_poll_zero_reads_what_the_router_delivered(self, transport):
-        from repro.realexec.transport import create_router
-
-        router = create_router(transport)
+    def test_poll_zero_reads_what_the_router_delivered(self):
+        router = TcpRouter()
         endpoint_a = router.add_worker("a")
         endpoint_b = router.add_worker("b")
         router.start()
@@ -686,35 +575,33 @@ class TestStreamConnectionContract:
         finally:
             router.stop()
 
-    def test_failed_write_keeps_reading_the_peer(self, transport):
+    def test_failed_write_keeps_reading_the_peer(self):
         """A link goes write-dead, never read-dead: the frame a peer sent
         before half-closing is forwarded although writes to it fail."""
         import socket as socket_mod
 
-        from repro.realexec.transport import create_router
-
-        router = create_router(transport)
+        router = TcpRouter()
         leaving_endpoint = router.add_worker("leaving")
         sink_endpoint = router.add_worker("sink")
         router.start()
         try:
             leaving = leaving_endpoint.connect()
             sink = sink_endpoint.connect()
-            _wait_for(lambda: {"leaving", "sink"} <= set(router._parent_ends))
-            peer = router._parent_ends["leaving"]
+            _wait_for(lambda: {"leaving", "sink"} <= set(router._peers))
+            peer = router._peers["leaving"]
             peer.sock = _WritesFail(peer.sock)
             for _ in range(3):  # late traffic bouncing off the leaving peer
                 send_envelope(sink, self._frame("sink", "leaving"))
             _wait_for(lambda: router.dropped == 3)
             assert router.dropped == 3 and router.forwarded == 0
-            assert router._parent_ends.get("leaving") is peer  # still attached
+            assert router._peers.get("leaving") is peer  # still attached
             # The leaving peer's last word, then its half-close.
             send_envelope(leaving, self._frame("leaving", "sink"))
             leaving._sock.shutdown(socket_mod.SHUT_WR)
             assert sink.poll(2.0)
             assert recv_envelope(sink).sender == "leaving"
-            _wait_for(lambda: "leaving" not in router._parent_ends)
-            assert "leaving" not in router._parent_ends  # detached at EOF
+            _wait_for(lambda: "leaving" not in router._peers)
+            assert "leaving" not in router._peers  # detached at EOF
             leaving.close()
             sink.close()
         finally:
@@ -722,17 +609,12 @@ class TestStreamConnectionContract:
         assert router.forwarded == 1
         assert router.dropped == 3
 
-    def test_frames_buffered_at_eof_are_forwarded(self, transport):
+    def test_frames_buffered_at_eof_are_forwarded(self):
         """A peer that identifies, sends and closes before the router ever
         reads it still has every complete frame forwarded."""
-        from repro.realexec.transport import create_router, encode_envelope
-
-        router = create_router(transport)
+        router = TcpRouter()
         hasty_endpoint = router.add_worker("hasty")
         sink_endpoint = router.add_worker("sink")
-        if transport == "uds":
-            # uds binds its listener in start(); tcp already did.
-            router.start()
         hasty = hasty_endpoint.connect()
         frames = b"".join(
             encode_envelope(self._frame("hasty", "sink")) for _ in range(3)
@@ -752,21 +634,19 @@ class TestStreamConnectionContract:
             router.stop()
         assert router.forwarded == 3
 
-    def test_frames_to_a_finished_worker_are_dropped_at_once(self, transport):
+    def test_frames_to_a_finished_worker_are_dropped_at_once(self):
         """A worker that identified and closed has finished: a frame sent to
         it afterwards is dropped, not parked until the connect grace ends."""
-        from repro.realexec.transport import create_router
-
-        router = create_router(transport)
+        router = TcpRouter()
         done_endpoint = router.add_worker("done")
         sink_endpoint = router.add_worker("sink")
         router.start()
         try:
             done = done_endpoint.connect()
             sink = sink_endpoint.connect()
-            _wait_for(lambda: {"done", "sink"} <= set(router._parent_ends))
+            _wait_for(lambda: {"done", "sink"} <= set(router._peers))
             done.close()
-            _wait_for(lambda: "done" not in router._parent_ends)
+            _wait_for(lambda: "done" not in router._peers)
             send_envelope(sink, self._frame("sink", "done"))
             _wait_for(lambda: router.dropped == 1)
             assert router.dropped == 1 and not router._deferred
@@ -775,12 +655,10 @@ class TestStreamConnectionContract:
             router.stop()
         assert router.forwarded == 0
 
-    def test_close_drains_until_the_router_hangs_up(self, transport):
+    def test_close_drains_until_the_router_hangs_up(self):
         """Worker teardown is send -> half-close -> drain: the last frame
         arrives although the worker closes with unread inbound traffic."""
-        from repro.realexec.transport import create_router
-
-        router = create_router(transport)
+        router = TcpRouter()
         worker_endpoint = router.add_worker("worker")
         driver_endpoint = router.add_worker("driver")
         router.start()
@@ -807,15 +685,15 @@ def test_frames_discarded_with_a_dead_link_count_as_dropped_not_forwarded():
     link goes write-dead they move from the forwarded counters to dropped."""
     import socket as socket_mod
 
-    from repro.realexec.transport import _StreamPeer, create_router
+    from repro.realexec.transport import _StreamPeer
 
-    router = create_router("uds")  # never started: the test drives the loop
+    router = TcpRouter()  # never started: the test drives the loop
     near, far = socket_mod.socketpair()
     near.setblocking(False)
     near.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_SNDBUF, 4096)
     peer = _StreamPeer(near, identify_by=0.0)
     peer.name, peer.identified = "far", True
-    router._parent_ends["far"] = peer
+    router._peers["far"] = peer
     frame = _blob_frame("src", "far", 3000)
     try:
         sent = 0
@@ -852,10 +730,7 @@ def test_frames_discarded_with_a_dead_link_count_as_dropped_not_forwarded():
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
 class TestLocalClusterOverTcp:
     def test_three_process_run_over_tcp(self, small_tree):
-        result = LocalCluster(
-            small_tree, 3, prune=False, max_seconds=40.0, transport="tcp"
-        ).run()
-        assert result.transport == "tcp"
+        result = LocalCluster(small_tree, 3, prune=False, max_seconds=40.0).run()
         assert result.surviving_terminated
         assert result.solved_correctly
         assert result.bytes_forwarded > 0
@@ -870,7 +745,7 @@ class TestLocalClusterOverTcp:
 
         cluster = LocalCluster(
             small_tree, 4, prune=False, max_seconds=40.0, node_sleep=0.01,
-            transport="tcp", telemetry=TelemetryConfig(),
+            telemetry=TelemetryConfig(),
         )
         result = cluster.run()
         assert result.surviving_terminated
@@ -932,7 +807,7 @@ class TestRouterStopRegression:
     def test_hung_join_warns_instead_of_silently_leaking(self):
         import threading
 
-        router = PipeRouter()
+        router = TcpRouter()
         router.add_worker("a")
         hang = threading.Event()
 
@@ -961,7 +836,7 @@ class TestRouterStopRegression:
         assert not records
 
     def test_clean_stop_does_not_warn(self):
-        router = PipeRouter()
+        router = TcpRouter()
         router.add_worker("a")
         router.start()
         with _capture_transport_warnings() as records:
@@ -973,11 +848,11 @@ class TestRouterStopRegression:
 class TestForwardLatencyHistograms:
     """Satellite: router forward latencies observe into MetricsRegistry."""
 
-    def _route_one(self, router_cls):
+    def _route_one(self):
         from repro.obs import MetricsRegistry
         from repro.realexec.transport import resolve_connection
 
-        router = router_cls()
+        router = TcpRouter()
         router.metrics = MetricsRegistry()
         end_a = router.add_worker("a")
         end_b = router.add_worker("b")
@@ -993,15 +868,10 @@ class TestForwardLatencyHistograms:
             router.stop()
         return router
 
-    @pytest.mark.parametrize("transport", ["pipe", "uds", "tcp"])
-    def test_latency_histogram_per_link_and_transport(self, transport):
-        from repro.realexec.transport import TRANSPORTS
-
-        router = self._route_one(TRANSPORTS[transport])
+    def test_latency_histogram_per_link(self):
+        router = self._route_one()
         snapshot = router.metrics.snapshot()
-        key = (
-            f"router_forward_latency_seconds{{link=a->b,transport={transport}}}"
-        )
+        key = "router_forward_latency_seconds{link=a->b}"
         assert key in snapshot["histograms"]
         state = snapshot["histograms"][key]
         assert state["count"] == 1
@@ -1011,11 +881,11 @@ class TestForwardLatencyHistograms:
         from repro.obs import MetricsRegistry
         from repro.obs.ingest import ingest_router
 
-        router = self._route_one(PipeRouter)
+        router = self._route_one()
         merged = MetricsRegistry()
         ingest_router(merged, router)
         snapshot = merged.snapshot()
-        key = "router_forward_latency_seconds{link=a->b,transport=pipe}"
+        key = "router_forward_latency_seconds{link=a->b}"
         assert key in snapshot["histograms"]
         assert snapshot["histograms"][key]["count"] == 1
         # The counter families land beside the histograms, same registry.
@@ -1035,7 +905,6 @@ class TestSigstopIsolation:
             prune=False,
             max_seconds=60.0,
             node_sleep=0.02,
-            transport="tcp",
             telemetry=TelemetryConfig(trace=False, metrics=True),
         )
         result = cluster.run(
@@ -1085,10 +954,9 @@ class _SpyConnection:
 
 
 @pytest.mark.skipif(sys.platform.startswith("win"), reason="POSIX multiprocessing only")
-@pytest.mark.parametrize("transport", ["pipe", "tcp"])
 class TestDriverAccountsForEveryWorker:
     def test_silent_worker_is_named_and_fails_the_run(
-        self, small_tree, transport, monkeypatch
+        self, small_tree, monkeypatch
     ):
         """No success over "whoever reported": a survivor without an outcome
         is listed, logged, and makes the run not terminated."""
@@ -1106,7 +974,7 @@ class TestDriverAccountsForEveryWorker:
 
         monkeypatch.setattr(driver_mod, "worker_main", main_with_one_mute)
         cluster = LocalCluster(
-            small_tree, 3, prune=False, max_seconds=40.0, transport=transport
+            small_tree, 3, prune=False, max_seconds=40.0
         )
         with _capture_transport_warnings("repro.realexec.driver") as records:
             result = cluster.run()
@@ -1117,7 +985,7 @@ class TestDriverAccountsForEveryWorker:
         assert any("rworker-02" in record.getMessage() for record in records)
 
     def test_collection_stops_with_the_last_expected_outcome(
-        self, small_tree, transport, monkeypatch
+        self, small_tree, monkeypatch
     ):
         """The run ends on the frame that completes the expected set, not
         one empty 50 ms poll later."""
@@ -1131,7 +999,45 @@ class TestDriverAccountsForEveryWorker:
             lambda handle: _SpyConnection(real_resolve(handle), log),
         )
         result = LocalCluster(
-            small_tree, 3, prune=False, max_seconds=40.0, transport=transport
+            small_tree, 3, prune=False, max_seconds=40.0
         ).run()
         assert len(result.outcomes) == 3
         assert log[-1] == "recv"
+
+
+class TestOneTransport:
+    """Real processes talk over one transport, TCP: the pipe and
+    Unix-socket routers and every switch between transports are gone, and
+    the two names the performance ledger calls still work."""
+
+    def test_transport_module_has_one_router_and_one_endpoint(self):
+        from repro.realexec import transport
+
+        for gone in ("PipeRouter", "UdsRouter", "UdsEndpoint", "TRANSPORTS"):
+            assert not hasattr(transport, gone), gone
+        assert isinstance(transport.create_router("tcp"), transport.TcpRouter)
+
+    def test_transport_names_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.transport_names")
+
+    def test_no_transport_setting_on_cluster_or_cli(self):
+        import inspect
+
+        from repro.scenario.cli import build_parser
+
+        assert "transport" not in inspect.signature(LocalCluster).parameters
+        build_parser().parse_args(["run", "quickstart"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "quickstart", "--transport", "tcp"])
+
+    def test_scenario_transport_is_tcp_only(self):
+        from repro.scenario import Scenario
+
+        assert Scenario().transport == "tcp"
+        assert Scenario(transport="tcp").transport == "tcp"
+        for gone in ("pipe", "uds"):
+            with pytest.raises(ValueError, match="tcp"):
+                Scenario(transport=gone)
