@@ -493,7 +493,19 @@ class CodeSet:
             stats.subsumptions += subs
             stats.merges += merges
         if merged != current:
+            levels, pkeys = self._levels, self._pkeys
             self._set_nid(merged)
+            # Keep the open path below the first node the merge left unchanged.
+            path, new, old = [], merged, current
+            for i in range(len(pkeys) + 1 if levels else 0):
+                if new == old:
+                    self._levels = [arena.branches(nid) for nid in path] + levels[i:]
+                    self._pkeys = pkeys
+                    break
+                if new <= EMPTY or i == len(pkeys):
+                    break  # the merge changed the whole path, or completed it
+                path.append(new)
+                old, new = levels[i][pkeys[i]], arena.child(new, pkeys[i])
         return ins, ins * _CODE_HEADER_BYTES + _PAIR_WIRE_BYTES * ins_dsum
 
     def adopt(self, nid: int) -> None:

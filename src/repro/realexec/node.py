@@ -38,6 +38,7 @@ from ..obs.ingest import ingest_worker_stats
 from ..wire import WireFormatError
 from ..wire.frame import Tag, register
 from ..wire.varint import (
+    NameCoder,
     read_bool,
     read_float64,
     read_string,
@@ -99,9 +100,9 @@ class WorkerOutcome:
     recoveries: int
 
 
-def _write_worker_outcome(out: bytearray, outcome: WorkerOutcome) -> None:
+def _write_worker_outcome(out: bytearray, outcome: WorkerOutcome, names: NameCoder) -> None:
     """Outcome body: name, terminated flag, optional best value, counters."""
-    write_string(out, outcome.name)
+    names.write(out, outcome.name)
     write_bool(out, outcome.terminated)
     write_bool(out, outcome.best_value is not None)
     if outcome.best_value is not None:
@@ -111,9 +112,9 @@ def _write_worker_outcome(out: bytearray, outcome: WorkerOutcome) -> None:
     write_uvarint(out, outcome.recoveries)
 
 
-def _read_worker_outcome(data, pos: int) -> Tuple[WorkerOutcome, int]:
+def _read_worker_outcome(data, pos: int, names: NameCoder) -> Tuple[WorkerOutcome, int]:
     """Read an outcome body written by :func:`_write_worker_outcome`."""
-    name, pos = read_string(data, pos)
+    name, pos = names.read(data, pos)
     terminated, pos = read_bool(data, pos)
     has_best, pos = read_bool(data, pos)
     best_value = None
@@ -158,15 +159,15 @@ class WorkerTelemetry:
         return json.loads(self.payload)
 
 
-def _write_worker_telemetry(out: bytearray, message: WorkerTelemetry) -> None:
+def _write_worker_telemetry(out: bytearray, msg: WorkerTelemetry, names: NameCoder) -> None:
     """Telemetry body: worker name, then the JSON document."""
-    write_string(out, message.name)
-    write_string(out, message.payload)
+    names.write(out, msg.name)
+    write_string(out, msg.payload)
 
 
-def _read_worker_telemetry(data, pos: int) -> Tuple[WorkerTelemetry, int]:
+def _read_worker_telemetry(data, pos: int, names: NameCoder) -> Tuple[WorkerTelemetry, int]:
     """Read a telemetry body written by :func:`_write_worker_telemetry`."""
-    name, pos = read_string(data, pos)
+    name, pos = names.read(data, pos)
     payload, pos = read_string(data, pos)
     return WorkerTelemetry(name=name, payload=payload), pos
 

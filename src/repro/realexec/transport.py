@@ -9,14 +9,14 @@ algorithm is not tied to the simulator and to let the fault-injection tests
 kill actual processes.
 
 Protocol payloads travel as :mod:`repro.wire` frames, not pickles: each
-message is one :class:`Envelope` frame — sender, destination and the nested
-payload frame.  Wire frames are self-delimiting, so the byte stream needs no
-extra length prefix.  The router parses only the envelope's routing header
-and forwards the raw bytes untouched, so the parent process never decodes
-(or re-encodes) payload bodies; full decoding happens once, at the receiving
-worker.  Byte-for-byte forwarding also gives the router exact per-link
-traffic counters, the real-execution counterpart of the simulator's
-:class:`~repro.simulation.network.TrafficStats`.
+message is one :class:`Envelope` frame with one header — sender,
+destination, payload tag, payload body.  Wire frames are self-delimiting, so
+the byte stream needs no extra length prefix.  The router parses only the
+routing names and payload tag and forwards the raw bytes untouched, so the
+parent process never decodes (or re-encodes) payload bodies; full decoding
+happens once, at the receiving worker.  Byte-for-byte forwarding also gives
+the router exact per-link traffic counters, the real-execution counterpart
+of the simulator's :class:`~repro.simulation.network.TrafficStats`.
 
 The topology is a star terminated at one :class:`TcpRouter` in the parent
 process.  Every worker dials its listener with a picklable
@@ -41,8 +41,9 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs import get_logger
 from ..wire import WireFormatError, decode, encode
-from ..wire.frame import Tag, TruncatedFrameError, read_header, register
-from ..wire.varint import read_string, read_uvarint, write_string, write_uvarint
+from ..wire.frame import Tag, TruncatedFrameError, UnsupportedVersionError, read_header
+from ..wire.frame import FRAME_VERSION, read_tagged, register, write_tagged
+from ..wire.varint import NameCoder, read_uvarint, write_uvarint
 
 logger = get_logger("realexec.transport")
 
@@ -77,25 +78,19 @@ class Envelope:
     payload: Any
 
 
-def _write_envelope(out: bytearray, envelope: Envelope) -> None:
-    """Envelope body: sender, destination, then the nested payload frame."""
-    write_string(out, envelope.sender)
-    write_string(out, envelope.destination)
-    payload = encode(envelope.payload)
-    write_uvarint(out, len(payload))
-    out += payload
+def _write_envelope(out: bytearray, envelope: Envelope, names: NameCoder) -> None:
+    """Envelope body: sender, destination, then the payload's tag and body."""
+    names.write(out, envelope.sender)
+    names.write(out, envelope.destination)
+    write_tagged(out, envelope.payload, names)
 
 
-def _read_envelope_body(data, pos: int) -> Tuple[Envelope, int]:
+def _read_envelope_body(data, pos: int, names: NameCoder) -> Tuple[Envelope, int]:
     """Parse an envelope body (the single definition of its layout)."""
-    sender, pos = read_string(data, pos)
-    destination, pos = read_string(data, pos)
-    length, pos = read_uvarint(data, pos)
-    end = pos + length
-    if end > len(data):
-        raise WireFormatError("envelope payload runs past end of frame")
-    payload = decode(bytes(data[pos:end]))
-    return Envelope(sender, destination, payload), end
+    sender, pos = names.read(data, pos)
+    destination, pos = names.read(data, pos)
+    payload, pos = read_tagged(data, pos, names)
+    return Envelope(sender, destination, payload), pos
 
 
 register(ENVELOPE_TAG, Envelope, _write_envelope, _read_envelope_body)
@@ -107,27 +102,10 @@ def encode_envelope(envelope: Envelope) -> bytes:
 
 
 def decode_envelope(data: bytes) -> Envelope:
-    """Decode an envelope frame produced by :func:`encode_envelope`.
-
-    The envelope and its nested payload frame must both carry
-    :data:`~repro.wire.FRAME_VERSION`.
-    """
-    _version, tag, body_start, body_len = read_header(data)
-    if tag != ENVELOPE_TAG:
-        raise WireFormatError(f"expected envelope tag {ENVELOPE_TAG}, got {tag}")
-    body_end = body_start + body_len
-    if body_end != len(data):
-        raise WireFormatError(f"{len(data) - body_end} trailing bytes after frame")
-    try:
-        envelope, pos = _read_envelope_body(data, body_start)
-    except WireFormatError:
-        raise
-    except ValueError as exc:
-        raise WireFormatError(f"corrupt envelope body: {exc}") from exc
-    if pos != body_end:
-        raise WireFormatError(
-            f"envelope body consumed {pos - body_start} bytes but frame declared {body_len}"
-        )
+    """Decode an envelope frame produced by :func:`encode_envelope`."""
+    envelope = decode(data)
+    if type(envelope) is not Envelope:
+        raise WireFormatError(f"expected an envelope, got {type(envelope).__name__}")
     return envelope
 
 
@@ -135,35 +113,27 @@ def envelope_route_info(data) -> Tuple[str, str, Optional[int]]:
     """Parse ``(sender, destination, payload_tag)`` from an envelope frame.
 
     This is the router's fast path: it validates the frame header and reads
-    the two routing strings without touching the payload *body*.  The nested
-    payload frame's tag sits right behind the routing header, so the router
-    can additionally account traffic per message kind (see
-    :func:`payload_kind`) for the cost of three varint reads; a payload whose
-    own header does not parse yields tag ``None`` (the frame is still
-    forwarded — payload corruption is the receiver's business).  Any
-    malformation in the envelope header or the routing strings themselves
-    surfaces as :class:`~repro.wire.WireFormatError`, so the router can treat
+    the routing names and the payload tag behind them, never the payload
+    *body*.  The tag names the traffic kind (:func:`payload_kind`); it is
+    ``None`` when it does not parse, and the frame is still forwarded.  Any
+    malformation in the header or the routing names surfaces as
+    :class:`~repro.wire.WireFormatError`, so the router can treat
     "unroutable" as a single error class.
     """
-    _version, tag, pos, _body_len = read_header(data)
+    version, tag, pos, _body_len = read_header(data)
+    if version != FRAME_VERSION:
+        raise UnsupportedVersionError(f"unsupported wire-format version {version}")
     if tag != ENVELOPE_TAG:
         raise WireFormatError(f"expected envelope tag {ENVELOPE_TAG}, got {tag}")
+    names = NameCoder()
     try:
-        sender, pos = read_string(data, pos)
-        destination, pos = read_string(data, pos)
-    except WireFormatError:
-        raise
+        sender, pos = names.read(data, pos)
+        destination, pos = names.read(data, pos)
     except ValueError as exc:
         raise WireFormatError(f"corrupt envelope routing header: {exc}") from exc
-    payload_tag: Optional[int] = None
     try:
-        length, pos = read_uvarint(data, pos)
-        if length >= 3 and pos + length <= len(data):
-            # A zero-copy view suffices: read_header only touches the first
-            # few bytes (magic, version, two varints) of the nested frame.
-            _pver, ptag, _ppos, _plen = read_header(memoryview(data)[pos : pos + length])
-            payload_tag = ptag
-    except (ValueError, WireFormatError):
+        payload_tag: Optional[int] = read_uvarint(data, pos)[0]
+    except ValueError:
         payload_tag = None
     return sender, destination, payload_tag
 
@@ -242,9 +212,10 @@ def frame_extent(data) -> Optional[int]:
     either the frame's extent is known or the buffer is still a prefix.
     Returns ``None`` when ``data`` holds only a partial frame (the caller
     keeps the bytes and waits for more — the partial-read invariant);
-    raises :class:`~repro.wire.WireFormatError` when the head cannot start
-    a frame at all (bad magic: the stream is desynchronised and cannot be
-    trusted again).
+    raises :class:`~repro.wire.WireFormatError` when the head can never
+    complete a frame (bad magic, a malformed header, an oversized body: the
+    stream is desynchronised and cannot be trusted again).  A frame of
+    another version is carved out whole, for its decoder to reject.
     """
     try:
         _version, _tag, body_start, body_len = read_header(data)
@@ -924,9 +895,9 @@ class TcpRouter:
             try:
                 extent = frame_extent(peer.rbuf)
             except WireFormatError:
-                # The stream is desynchronised (bad magic mid-stream); no
-                # later byte can be trusted to start a frame, so the only
-                # safe recovery is to drop the connection.
+                # The stream is desynchronised (a header no byte can
+                # complete); no later byte can be trusted to start a frame,
+                # so the only safe recovery is to drop the connection.
                 self.dropped += 1
                 self._detach(peer)
                 return

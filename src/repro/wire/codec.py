@@ -1,8 +1,9 @@
 """Body codecs for every protocol payload.
 
-Each payload class gets a ``write_*(out, payload)`` / ``read_*(data, pos)``
-pair operating on the *body* bytes only; the frame header (magic, version,
-tag, length) is added by :mod:`repro.wire.frame`.
+Each payload class gets a ``write_*(out, payload, names)`` /
+``read_*(data, pos, names)`` pair over the *body* bytes only, ``names`` being
+the frame's :class:`~repro.wire.varint.NameCoder` for every worker name; the
+frame header (magic, version, tag, length) is added by :mod:`repro.wire.frame`.
 
 Path codes travel as their packed integer key paths
 (``(variable << 1) | value`` — the same keys the completion trie uses, read
@@ -49,15 +50,14 @@ from ..distributed.messages import (
 )
 from .varint import (
     MalformedVarintError,
+    NameCoder,
     read_bool,
     read_fixed64,
     read_float64,
-    read_string,
     read_uvarint,
     write_bool,
     write_fixed64,
     write_float64,
-    write_string,
     write_uvarint,
 )
 
@@ -92,7 +92,7 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # Path codes
 # ---------------------------------------------------------------------- #
-def write_path_code(out: bytearray, code: PathCode) -> None:
+def write_path_code(out: bytearray, code: PathCode, names=None) -> None:
     """Append one code: uvarint depth, then one packed key per decision."""
     keys = code._key_path()
     write_uvarint(out, len(keys))
@@ -100,7 +100,7 @@ def write_path_code(out: bytearray, code: PathCode) -> None:
         write_uvarint(out, key)
 
 
-def read_path_code(data, pos: int) -> Tuple[PathCode, int]:
+def read_path_code(data, pos: int, names=None) -> Tuple[PathCode, int]:
     """Read one code written by :func:`write_path_code`."""
     depth, pos = read_uvarint(data, pos)
     pairs: List[Tuple[int, int]] = []
@@ -186,7 +186,7 @@ _BEST_HAS_VALUE = 0x01
 _BEST_HAS_ORIGIN = 0x02
 
 
-def write_best_solution(out: bytearray, best: BestSolution) -> None:
+def write_best_solution(out: bytearray, best: BestSolution, names: NameCoder) -> None:
     """Append an incumbent: a presence-flags byte, then value and origin."""
     flags = 0
     if best.value is not None:
@@ -197,10 +197,10 @@ def write_best_solution(out: bytearray, best: BestSolution) -> None:
     if best.value is not None:
         write_float64(out, float(best.value))
     if best.origin is not None:
-        write_string(out, best.origin)
+        names.write(out, best.origin)
 
 
-def read_best_solution(data, pos: int) -> Tuple[BestSolution, int]:
+def read_best_solution(data, pos: int, names: NameCoder) -> Tuple[BestSolution, int]:
     """Read an incumbent written by :func:`write_best_solution`."""
     if pos >= len(data):
         raise MalformedVarintError("best-solution flags byte missing")
@@ -212,64 +212,64 @@ def read_best_solution(data, pos: int) -> Tuple[BestSolution, int]:
     if flags & _BEST_HAS_VALUE:
         value, pos = read_float64(data, pos)
     if flags & _BEST_HAS_ORIGIN:
-        origin, pos = read_string(data, pos)
+        origin, pos = names.read(data, pos)
     return BestSolution(value=value, origin=origin), pos
 
 
 # ---------------------------------------------------------------------- #
 # Work reports and table snapshots
 # ---------------------------------------------------------------------- #
-def write_work_report(out: bytearray, report: WorkReport) -> None:
+def write_work_report(out: bytearray, report: WorkReport, names: NameCoder) -> None:
     """Append a report: sender, sequence, incumbent, sorted code set."""
-    write_string(out, report.sender)
+    names.write(out, report.sender)
     write_uvarint(out, report.sequence)
-    write_best_solution(out, report.best)
+    write_best_solution(out, report.best, names)
     _write_code_set(out, report.codes)
 
 
-def read_work_report(data, pos: int) -> Tuple[WorkReport, int]:
+def read_work_report(data, pos: int, names: NameCoder) -> Tuple[WorkReport, int]:
     """Read a report written by :func:`write_work_report`."""
-    sender, pos = read_string(data, pos)
+    sender, pos = names.read(data, pos)
     sequence, pos = read_uvarint(data, pos)
-    best, pos = read_best_solution(data, pos)
+    best, pos = read_best_solution(data, pos, names)
     codes, pos = read_code_sequence(data, pos)
     return WorkReport(sender=sender, codes=frozenset(codes), best=best, sequence=sequence), pos
 
 
-def write_table_snapshot(out: bytearray, snapshot: CompletedTableSnapshot) -> None:
+def write_table_snapshot(out: bytearray, snap: CompletedTableSnapshot, names: NameCoder) -> None:
     """Append a snapshot: sender, incumbent, sorted contracted table."""
-    write_string(out, snapshot.sender)
-    write_best_solution(out, snapshot.best)
-    _write_code_set(out, snapshot.codes)
+    names.write(out, snap.sender)
+    write_best_solution(out, snap.best, names)
+    _write_code_set(out, snap.codes)
 
 
-def read_table_snapshot(data, pos: int) -> Tuple[CompletedTableSnapshot, int]:
+def read_table_snapshot(data, pos: int, names: NameCoder) -> Tuple[CompletedTableSnapshot, int]:
     """Read a snapshot written by :func:`write_table_snapshot`."""
-    sender, pos = read_string(data, pos)
-    best, pos = read_best_solution(data, pos)
+    sender, pos = names.read(data, pos)
+    best, pos = read_best_solution(data, pos, names)
     codes, pos = read_code_sequence(data, pos)
     return CompletedTableSnapshot(sender=sender, codes=frozenset(codes), best=best), pos
 
 
-def write_delta_snapshot(out: bytearray, delta: DeltaSnapshot) -> None:
+def write_delta_snapshot(out: bytearray, delta: DeltaSnapshot, names: NameCoder) -> None:
     """Append a delta: sender, sequence, full-table digest, incumbent, codes.
 
     The digest is a fixed 8-byte field (uniform 64-bit values gain nothing
     from varint packing, and the analytic model charges exactly 8 bytes).
     """
-    write_string(out, delta.sender)
+    names.write(out, delta.sender)
     write_uvarint(out, delta.sequence)
     write_fixed64(out, delta.full_digest)
-    write_best_solution(out, delta.best)
+    write_best_solution(out, delta.best, names)
     _write_code_set(out, delta.codes)
 
 
-def read_delta_snapshot(data, pos: int) -> Tuple[DeltaSnapshot, int]:
+def read_delta_snapshot(data, pos: int, names: NameCoder) -> Tuple[DeltaSnapshot, int]:
     """Read a delta written by :func:`write_delta_snapshot`."""
-    sender, pos = read_string(data, pos)
+    sender, pos = names.read(data, pos)
     sequence, pos = read_uvarint(data, pos)
     full_digest, pos = read_fixed64(data, pos)
-    best, pos = read_best_solution(data, pos)
+    best, pos = read_best_solution(data, pos, names)
     codes, pos = read_code_sequence(data, pos)
     return (
         DeltaSnapshot(
@@ -283,20 +283,20 @@ def read_delta_snapshot(data, pos: int) -> Tuple[DeltaSnapshot, int]:
     )
 
 
-def write_gossip_ack(out: bytearray, ack: TableGossipAck) -> None:
+def write_gossip_ack(out: bytearray, ack: TableGossipAck, names: NameCoder) -> None:
     """Append an ack: sender, echoed digest, own table digest, incumbent."""
-    write_string(out, ack.sender)
+    names.write(out, ack.sender)
     write_fixed64(out, ack.digest)
     write_fixed64(out, ack.table_digest)
-    write_best_solution(out, ack.best)
+    write_best_solution(out, ack.best, names)
 
 
-def read_gossip_ack(data, pos: int) -> Tuple[TableGossipAck, int]:
+def read_gossip_ack(data, pos: int, names: NameCoder) -> Tuple[TableGossipAck, int]:
     """Read an ack written by :func:`write_gossip_ack`."""
-    sender, pos = read_string(data, pos)
+    sender, pos = names.read(data, pos)
     digest, pos = read_fixed64(data, pos)
     table_digest, pos = read_fixed64(data, pos)
-    best, pos = read_best_solution(data, pos)
+    best, pos = read_best_solution(data, pos, names)
     return (
         TableGossipAck(sender=sender, digest=digest, table_digest=table_digest, best=best),
         pos,
@@ -306,151 +306,127 @@ def read_gossip_ack(data, pos: int) -> Tuple[TableGossipAck, int]:
 # ---------------------------------------------------------------------- #
 # Load-balancing messages
 # ---------------------------------------------------------------------- #
-def write_work_grant(out: bytearray, grant: WorkGrant) -> None:
+def write_work_grant(out: bytearray, grant: WorkGrant, names: NameCoder) -> None:
     """Append a grant: donor, incumbent, donated codes in donation order."""
-    write_string(out, grant.donor)
-    write_best_solution(out, grant.best)
+    names.write(out, grant.donor)
+    write_best_solution(out, grant.best, names)
     write_code_sequence(out, grant.codes)
 
 
-def read_work_grant(data, pos: int) -> Tuple[WorkGrant, int]:
+def read_work_grant(data, pos: int, names: NameCoder) -> Tuple[WorkGrant, int]:
     """Read a work grant (code order is preserved)."""
-    donor, pos = read_string(data, pos)
-    best, pos = read_best_solution(data, pos)
+    donor, pos = names.read(data, pos)
+    best, pos = read_best_solution(data, pos, names)
     codes, pos = read_code_sequence(data, pos)
     return WorkGrant(donor=donor, codes=tuple(codes), best=best), pos
 
 
-def write_work_request(out: bytearray, request: WorkRequest) -> None:
+def write_work_request(out: bytearray, request: WorkRequest, names: NameCoder) -> None:
     """Append a work request: requester, sequence, hops, incumbent."""
-    write_string(out, request.requester)
+    names.write(out, request.requester)
     write_uvarint(out, request.seq)
     write_uvarint(out, request.hops)
-    write_best_solution(out, request.best)
+    write_best_solution(out, request.best, names)
 
 
-def read_work_request(data, pos: int) -> Tuple[WorkRequest, int]:
+def read_work_request(data, pos: int, names: NameCoder) -> Tuple[WorkRequest, int]:
     """Read a work request."""
-    requester, pos = read_string(data, pos)
+    requester, pos = names.read(data, pos)
     seq, pos = read_uvarint(data, pos)
     hops, pos = read_uvarint(data, pos)
-    best, pos = read_best_solution(data, pos)
+    best, pos = read_best_solution(data, pos, names)
     return WorkRequest(requester, seq, hops, best), pos
 
 
-def write_work_denied(out: bytearray, denial: WorkDenied) -> None:
+def write_work_denied(out: bytearray, denial: WorkDenied, names: NameCoder) -> None:
     """Append a denial: donor, echoed sequence, exhausted flag, incumbent."""
-    write_string(out, denial.donor)
+    names.write(out, denial.donor)
     write_uvarint(out, denial.seq)
     write_bool(out, denial.exhausted)
-    write_best_solution(out, denial.best)
+    write_best_solution(out, denial.best, names)
 
 
-def read_work_denied(data, pos: int) -> Tuple[WorkDenied, int]:
+def read_work_denied(data, pos: int, names: NameCoder) -> Tuple[WorkDenied, int]:
     """Read a work denial."""
-    donor, pos = read_string(data, pos)
+    donor, pos = names.read(data, pos)
     seq, pos = read_uvarint(data, pos)
     exhausted, pos = read_bool(data, pos)
-    best, pos = read_best_solution(data, pos)
+    best, pos = read_best_solution(data, pos, names)
     return WorkDenied(donor, seq, exhausted, best), pos
 
 
 # ---------------------------------------------------------------------- #
 # Failure-detector heartbeats
 # ---------------------------------------------------------------------- #
-def _write_name_counters(out: bytearray, pairs, previous: str) -> str:
-    """Append ``(name, counter)`` pairs with front-coded names, in order.
-
-    Each name stores only the number of leading characters it shares with
-    the name written before it (``previous`` for the first) and its new
-    suffix, as :func:`write_code_sequence` does for path codes.  Heartbeat
-    tables come sorted by member name and worker names share the
-    ``worker-`` prefix, so a name costs its last digits.  Returns the last
-    name written, which the next list continues from.
-    """
+def _write_name_counters(out: bytearray, pairs, names: NameCoder) -> None:
+    """Append a uvarint count, then each pair's name and uvarint counter."""
     write_uvarint(out, len(pairs))
     for name, counter in pairs:
-        reuse = 0
-        limit = min(len(previous), len(name))
-        while reuse < limit and previous[reuse] == name[reuse]:
-            reuse += 1
-        write_uvarint(out, reuse)
-        write_string(out, name[reuse:])
+        names.write(out, name)
         write_uvarint(out, counter)
-        previous = name
-    return previous
 
 
-def _read_name_counters(
-    data, pos: int, previous: str
-) -> Tuple[Tuple[Tuple[str, int], ...], str, int]:
-    """Read pairs written by :func:`_write_name_counters`; returns the
-    pairs, the last name and the new position."""
+def _read_name_counters(data, pos: int, names: NameCoder) -> Tuple[tuple, int]:
+    """Read pairs written by :func:`_write_name_counters`."""
     count, pos = read_uvarint(data, pos)
     pairs: List[Tuple[str, int]] = []
     for _ in range(count):
-        reuse, pos = read_uvarint(data, pos)
-        if reuse > len(previous):
-            raise MalformedVarintError(
-                f"front-coded name reuse {reuse} exceeds previous length {len(previous)}"
-            )
-        suffix, pos = read_string(data, pos)
+        name, pos = names.read(data, pos)
         counter, pos = read_uvarint(data, pos)
-        previous = previous[:reuse] + suffix
-        pairs.append((previous, counter))
-    return tuple(pairs), previous, pos
+        pairs.append((name, counter))
+    return tuple(pairs), pos
 
 
-def write_heartbeat_msg(out: bytearray, msg: HeartbeatGossipMsg) -> None:
+def write_heartbeat_msg(out: bytearray, msg: HeartbeatGossipMsg, names: NameCoder) -> None:
     """Append a heartbeat round: sender, heartbeat digest, non-zero
-    incarnations, incumbent; member names are front-coded from the
-    sender's name on."""
-    write_string(out, msg.sender)
-    last = _write_name_counters(out, msg.digest, msg.sender)
-    _write_name_counters(out, msg.incarnations, last)
-    write_best_solution(out, msg.best)
+    incarnations, incumbent.  Heartbeat tables come sorted by member name,
+    so a canonical member name costs its last digits."""
+    names.write(out, msg.sender)
+    _write_name_counters(out, msg.digest, names)
+    _write_name_counters(out, msg.incarnations, names)
+    write_best_solution(out, msg.best, names)
 
 
-def read_heartbeat_msg(data, pos: int) -> Tuple[HeartbeatGossipMsg, int]:
+def read_heartbeat_msg(data, pos: int, names: NameCoder) -> Tuple[HeartbeatGossipMsg, int]:
     """Read a heartbeat round (entry order is preserved)."""
-    sender, pos = read_string(data, pos)
-    digest, last, pos = _read_name_counters(data, pos, sender)
-    incarnations, _, pos = _read_name_counters(data, pos, last)
-    best, pos = read_best_solution(data, pos)
+    sender, pos = names.read(data, pos)
+    digest, pos = _read_name_counters(data, pos, names)
+    incarnations, pos = _read_name_counters(data, pos, names)
+    best, pos = read_best_solution(data, pos, names)
     return HeartbeatGossipMsg(sender, digest, incarnations, best), pos
 
 
 # ---------------------------------------------------------------------- #
 # Message-wrapper bodies (same bytes as their payloads)
 # ---------------------------------------------------------------------- #
-def write_work_report_msg(out: bytearray, msg: WorkReportMsg) -> None:
+def write_work_report_msg(out: bytearray, msg: WorkReportMsg, names: NameCoder) -> None:
     """A report envelope is body-identical to its report."""
-    write_work_report(out, msg.report)
+    write_work_report(out, msg.report, names)
 
 
-def read_work_report_msg(data, pos: int) -> Tuple[WorkReportMsg, int]:
+def read_work_report_msg(data, pos: int, names: NameCoder) -> Tuple[WorkReportMsg, int]:
     """Read a report envelope."""
-    report, pos = read_work_report(data, pos)
+    report, pos = read_work_report(data, pos, names)
     return WorkReportMsg(report), pos
 
 
-def write_table_gossip_msg(out: bytearray, msg: TableGossipMsg) -> None:
+def write_table_gossip_msg(out: bytearray, msg: TableGossipMsg, names: NameCoder) -> None:
     """A gossip envelope is body-identical to its snapshot."""
-    write_table_snapshot(out, msg.snapshot)
+    write_table_snapshot(out, msg.snapshot, names)
 
 
-def read_table_gossip_msg(data, pos: int) -> Tuple[TableGossipMsg, int]:
+def read_table_gossip_msg(data, pos: int, names: NameCoder) -> Tuple[TableGossipMsg, int]:
     """Read a gossip envelope."""
-    snapshot, pos = read_table_snapshot(data, pos)
+    snapshot, pos = read_table_snapshot(data, pos, names)
     return TableGossipMsg(snapshot), pos
 
 
-def write_delta_gossip_msg(out: bytearray, msg: DeltaGossipMsg) -> None:
+def write_delta_gossip_msg(out: bytearray, msg: DeltaGossipMsg, names: NameCoder) -> None:
     """A delta-gossip envelope is body-identical to its delta."""
-    write_delta_snapshot(out, msg.delta)
+    write_delta_snapshot(out, msg.delta, names)
 
 
-def read_delta_gossip_msg(data, pos: int) -> Tuple[DeltaGossipMsg, int]:
+def read_delta_gossip_msg(data, pos: int, names: NameCoder) -> Tuple[DeltaGossipMsg, int]:
     """Read a delta-gossip envelope."""
-    delta, pos = read_delta_snapshot(data, pos)
+    delta, pos = read_delta_snapshot(data, pos, names)
     return DeltaGossipMsg(delta), pos

@@ -19,7 +19,9 @@ Frame layout (see ``docs/WIRE_FORMAT.md``)::
   left over, is :class:`WireFormatError` — corruption is never silently
   tolerated.
 
-The registry maps payload classes to ``(tag, writer)`` and tags to readers.
+Every version has this header, so :func:`read_header` reads a frame's
+extent whatever its version byte.  The registry maps payload classes to
+``(tag, writer)`` and tags to readers, which share one frame's name coder.
 Core protocol tags (1-15, then 32 up) are registered here; subsystems with
 their own transport-level messages (the ``realexec`` backend's envelope and
 worker outcome) extend the registry at import time through :func:`register`
@@ -49,6 +51,7 @@ from ..distributed.messages import (
     WorkRequest,
 )
 from . import codec
+from .varint import MalformedVarintError, NameCoder, TruncatedValueError
 from .varint import read_uvarint, write_uvarint
 
 __all__ = [
@@ -64,12 +67,16 @@ __all__ = [
     "encoded_size",
     "register",
     "read_header",
+    "write_tagged",
+    "read_tagged",
 ]
 
 #: First byte of every frame.
 FRAME_MAGIC = 0xB5
 #: The version byte of every frame; decoders accept no other.
-FRAME_VERSION = 3
+FRAME_VERSION = 4
+#: Largest body a frame may declare (16 MiB); a longer one is a corrupt header.
+MAX_BODY_BYTES = 1 << 24
 
 
 class WireFormatError(ValueError):
@@ -118,8 +125,8 @@ class Tag(enum.IntEnum):
     HEARTBEAT = 34
 
 
-_Writer = Callable[[bytearray, object], None]
-_Reader = Callable[[object, int], Tuple[object, int]]
+_Writer = Callable[[bytearray, object, NameCoder], None]
+_Reader = Callable[[object, int, NameCoder], Tuple[object, int]]
 
 _writers: Dict[Type, Tuple[int, _Writer]] = {}
 _readers: Dict[int, _Reader] = {}
@@ -128,10 +135,12 @@ _readers: Dict[int, _Reader] = {}
 def register(tag: int, cls: Type, writer: _Writer, reader: _Reader) -> None:
     """Register a message type with the frame codec.
 
-    ``writer(out, msg)`` appends the body; ``reader(data, pos)`` parses it
-    and returns ``(msg, new_pos)``.  Used below for the core protocol and by
-    the ``realexec`` transport for its extension messages (see the "adding a
-    new message" how-to in ``docs/WIRE_FORMAT.md``).
+    ``writer(out, msg, names)`` appends the body; ``reader(data, pos, names)``
+    parses it and returns ``(msg, new_pos)``; both pass every worker name
+    through ``names``, the frame's :class:`~repro.wire.varint.NameCoder`.
+    Used below for the core protocol and by the ``realexec`` transport for
+    its extension messages (see the "adding a new message" how-to in
+    ``docs/WIRE_FORMAT.md``).
     """
     tag = int(tag)
     existing = _readers.get(tag)
@@ -182,20 +191,29 @@ for _tag, _cls, _writer, _reader in (
 # ---------------------------------------------------------------------- #
 # Encoding
 # ---------------------------------------------------------------------- #
-def encode(msg: object) -> bytes:
-    """Encode any registered protocol message into one framed byte string."""
+def _writer_for(msg: object) -> Tuple[int, _Writer]:
     entry = _writers.get(type(msg))
     if entry is None:
         # Exact-type lookup misses subclasses; fall back to an isinstance scan.
         for cls, candidate in _writers.items():
             if isinstance(msg, cls):
-                entry = candidate
-                break
-        if entry is None:
-            raise WireFormatError(f"no wire codec registered for {type(msg).__name__}")
-    tag, writer = entry
+                return candidate
+        raise WireFormatError(f"no wire codec registered for {type(msg).__name__}")
+    return entry
+
+
+def write_tagged(out: bytearray, msg: object, names: NameCoder) -> None:
+    """Append ``msg``'s tag and body inside another frame, sharing its names."""
+    tag, writer = _writer_for(msg)
+    write_uvarint(out, tag)
+    writer(out, msg, names)
+
+
+def encode(msg: object) -> bytes:
+    """Encode any registered protocol message into one framed byte string."""
+    tag, writer = _writer_for(msg)
     body = bytearray()
-    writer(body, msg)
+    writer(body, msg, NameCoder())
     out = bytearray((FRAME_MAGIC, FRAME_VERSION))
     write_uvarint(out, tag)
     write_uvarint(out, len(body))
@@ -212,35 +230,46 @@ def encoded_size(msg: object) -> int:
 # Decoding
 # ---------------------------------------------------------------------- #
 def read_header(data) -> Tuple[int, int, int, int]:
-    """Validate the frame header; returns ``(version, tag, body_start, body_len)``.
+    """``(version, tag, body_start, body_len)`` of a frame of any version.
 
-    A version byte other than :data:`FRAME_VERSION` raises
-    :class:`UnsupportedVersionError`.
+    Raises :class:`TruncatedFrameError` while ``data`` is a prefix of the
+    frame and :class:`WireFormatError` when no byte can complete it (bad
+    magic, malformed varint, body over :data:`MAX_BODY_BYTES`).
     """
     if len(data) == 0:
         raise TruncatedFrameError("empty buffer")
     if data[0] != FRAME_MAGIC:
         raise WireFormatError(f"bad frame magic 0x{data[0]:02x} (expected 0x{FRAME_MAGIC:02x})")
-    if len(data) < 2:
-        raise TruncatedFrameError("frame ends inside the header")
-    version = data[1]
-    if version != FRAME_VERSION:
-        raise UnsupportedVersionError(f"unsupported wire-format version {version}")
     try:
         tag, pos = read_uvarint(data, 2)
         body_len, pos = read_uvarint(data, pos)
-    except ValueError as exc:
+    except TruncatedValueError as exc:
         raise TruncatedFrameError(f"frame ends inside the header: {exc}") from exc
+    except MalformedVarintError as exc:
+        raise WireFormatError(f"malformed frame header: {exc}") from exc
+    if body_len > MAX_BODY_BYTES:
+        raise WireFormatError(f"frame declares {body_len} body bytes, over {MAX_BODY_BYTES}")
     if pos + body_len > len(data):
         raise TruncatedFrameError(
             f"frame declares {body_len} body bytes but only {len(data) - pos} remain"
         )
-    return version, tag, pos, body_len
+    return data[1], tag, pos, body_len
+
+
+def read_tagged(data, pos: int, names: NameCoder) -> Tuple[object, int]:
+    """Read a message written by :func:`write_tagged`."""
+    tag, pos = read_uvarint(data, pos)
+    reader = _readers.get(tag)
+    if reader is None:
+        raise UnknownMessageTagError(f"unknown message tag {tag}")
+    return reader(data, pos, names)
 
 
 def decode(data) -> object:
     """Decode one framed message; the buffer must contain exactly one frame."""
-    _version, tag, body_start, body_len = read_header(data)
+    version, tag, body_start, body_len = read_header(data)
+    if version != FRAME_VERSION:
+        raise UnsupportedVersionError(f"unsupported wire-format version {version}")
     body_end = body_start + body_len
     if body_end != len(data):
         raise WireFormatError(f"{len(data) - body_end} trailing bytes after frame")
@@ -248,7 +277,7 @@ def decode(data) -> object:
     if reader is None:
         raise UnknownMessageTagError(f"unknown message tag {tag}")
     try:
-        msg, pos = reader(data, body_start)
+        msg, pos = reader(data, body_start, NameCoder())
     except WireFormatError:
         raise
     except ValueError as exc:

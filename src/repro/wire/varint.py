@@ -8,9 +8,9 @@ in this protocol, so they cost a single byte instead of a fixed-width field.
 Signed integers use zigzag mapping (``(n << 1) ^ (n >> 63)`` generalised to
 arbitrary precision) so that small negative numbers stay small on the wire.
 
-Strings are a uvarint byte length followed by UTF-8 bytes.  Floats are 8-byte
-big-endian IEEE 754 doubles — incumbent objective values need exact
-round-trips, so they are never varint-packed.
+Strings are a uvarint byte length followed by UTF-8 bytes (worker names are
+front-coded by a :class:`NameCoder`).  Floats are 8-byte big-endian IEEE 754
+doubles — objective values need exact round-trips, so no varint packing.
 
 Readers take ``(buffer, position)`` and return ``(value, new_position)``;
 every read validates that it stays inside the buffer and raises
@@ -21,7 +21,8 @@ its truncation error.  Writers append to a ``bytearray``.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from os.path import commonprefix
+from typing import Optional, Tuple
 
 __all__ = [
     "TruncatedValueError",
@@ -32,6 +33,7 @@ __all__ = [
     "read_svarint",
     "write_string",
     "read_string",
+    "NameCoder",
     "write_float64",
     "read_float64",
     "write_fixed64",
@@ -143,6 +145,35 @@ def read_string(data, pos: int) -> Tuple[str, int]:
     except UnicodeDecodeError as exc:
         raise MalformedVarintError(f"invalid UTF-8 in string field: {exc}") from exc
     return text, end
+
+
+class NameCoder:
+    """Front-codes one frame's worker names, in the order written: the first
+    is a plain string, each later one the uvarint count of characters it
+    shares with the name before it, then the rest as a string."""
+
+    __slots__ = ("previous",)
+
+    def __init__(self) -> None:
+        self.previous: Optional[str] = None
+
+    def write(self, out: bytearray, name: str) -> None:
+        previous, self.previous = self.previous, name
+        if previous is not None:
+            reuse = len(commonprefix((previous, name)))
+            write_uvarint(out, reuse)
+            name = name[reuse:]
+        write_string(out, name)
+
+    def read(self, data, pos: int) -> Tuple[str, int]:
+        previous, reuse = self.previous, 0
+        if previous is not None:
+            reuse, pos = read_uvarint(data, pos)
+            if reuse > len(previous):
+                raise MalformedVarintError(f"name reuse {reuse} > {len(previous)} characters")
+        suffix, pos = read_string(data, pos)
+        self.previous = name = (previous or "")[:reuse] + suffix
+        return name, pos
 
 
 def write_float64(out: bytearray, value: float) -> None:

@@ -266,3 +266,27 @@ class TestContractionProperties:
     def test_wire_size_never_grows_under_contraction(self, codes):
         raw = sum(c.wire_size() for c in set(codes))
         assert CodeSet(codes).wire_size() <= raw
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.lists(tree_codes(max_depth=7), min_size=1, max_size=4)),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_adds_interleaved_with_merges_match_reference(self, steps):
+        """A merge keeps the part of the open insertion path it left
+        unchanged; later adds and queries must read the merged content."""
+        cs = CodeSet()
+        seen = []
+        for merge, codes in steps:
+            if merge:
+                cs.merge(CodeSet(codes, arena=cs.arena))
+            else:
+                for code in codes:
+                    cs.add(code)
+            seen += codes
+            expected = frozenset(contract_reference(seen))
+            assert len(cs) == len(expected)
+            assert all(cs.covers(code) for code in seen)
+            assert cs.codes() == expected

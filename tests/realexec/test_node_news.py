@@ -217,7 +217,7 @@ class TestLostRecoveryIsRetried:
 
 
 class TestForeignVersionIsDropped:
-    @pytest.mark.parametrize("version", [0, 1, 2, 4])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3])
     def test_frame_of_another_version_is_dropped_like_a_lost_message(
         self, tree, codes, version
     ):

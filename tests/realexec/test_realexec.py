@@ -10,7 +10,7 @@ from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
 from repro.core.work_report import BestSolution
 from repro.distributed.messages import WorkRequest
 from repro.realexec.driver import LocalCluster, LocalClusterResult
-from repro.realexec.node import WorkerOutcome
+from repro.realexec.node import WorkerOutcome, WorkerTelemetry
 from repro.realexec.transport import (
     Envelope,
     TcpRouter,
@@ -32,20 +32,7 @@ def small_tree():
 
 def _blob_frame(sender: str, dest: str, size: int) -> bytes:
     """An envelope frame routed ``sender -> dest`` carrying ``size`` zero bytes."""
-    from repro.realexec.transport import ENVELOPE_TAG
-    from repro.wire.frame import FRAME_MAGIC, FRAME_VERSION
-    from repro.wire.varint import write_string, write_uvarint
-
-    body = bytearray()
-    write_string(body, sender)
-    write_string(body, dest)
-    write_uvarint(body, size)
-    body += b"\0" * size
-    frame = bytearray((FRAME_MAGIC, FRAME_VERSION))
-    write_uvarint(frame, ENVELOPE_TAG)
-    write_uvarint(frame, len(body))
-    frame += body
-    return bytes(frame)
+    return encode_envelope(Envelope(sender, dest, WorkerTelemetry(sender, "\0" * size)))
 
 
 def _wait_for(predicate, timeout=2.0):

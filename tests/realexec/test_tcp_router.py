@@ -25,7 +25,8 @@ from repro.realexec.transport import (
     resolve_connection,
     send_envelope,
 )
-from repro.wire import WireFormatError
+from repro.wire import UnsupportedVersionError, WireFormatError
+from repro.wire.frame import FRAME_MAGIC, FRAME_VERSION
 from repro.wire.varint import write_uvarint
 
 pytestmark = pytest.mark.skipif(
@@ -39,10 +40,25 @@ def _frame(sender, dest, value=1.0):
     )
 
 
+def _foreign(frame, version=2):
+    """``frame`` restamped with another version byte."""
+    return frame[:1] + bytes([version]) + frame[2:]
+
+
 def _length_prefix(length):
     out = bytearray()
     write_uvarint(out, length)
     return bytes(out)
+
+
+#: Headers no further byte can complete: a tag varint that runs past the
+#: ten-byte cap, and a declared body of 2**60 bytes.
+UNCOMPLETABLE_HEADERS = [
+    pytest.param(bytes([FRAME_MAGIC, FRAME_VERSION]) + b"\xff" * 20, id="malformed-varint"),
+    pytest.param(
+        bytes([FRAME_MAGIC, FRAME_VERSION, 16]) + _length_prefix(2**60), id="body-over-cap"
+    ),
+]
 
 
 def _wait_for(predicate, timeout=2.0):
@@ -103,6 +119,18 @@ class TestFrameExtent:
         with pytest.raises(WireFormatError):
             frame_extent(b"\xff" + _frame("a", "b"))
 
+    @pytest.mark.parametrize("version", [0, 2, 3, FRAME_VERSION + 1])
+    def test_extent_is_read_whatever_the_version(self, version):
+        frame = _foreign(_frame("a", "b"), version)
+        for cut in range(len(frame)):
+            assert frame_extent(frame[:cut]) is None
+        assert frame_extent(frame + _frame("b", "a")) == len(frame)
+
+    @pytest.mark.parametrize("header", UNCOMPLETABLE_HEADERS)
+    def test_a_header_that_can_never_complete_desynchronises(self, header):
+        with pytest.raises(WireFormatError):
+            frame_extent(header)
+
 
 class TestIdentityPreamble:
     def test_round_trip_reports_the_bytes_consumed(self):
@@ -153,6 +181,27 @@ class TestStreamConnection:
                 connection.recv_bytes()
             far.shutdown(socket.SHUT_WR)
             with pytest.raises(EOFError):
+                connection.recv_bytes()
+
+
+    def test_foreign_version_frame_is_returned_whole(self):
+        """The frame is carved out and rejected by its decoder; the frame
+        behind it stays buffered and is read next."""
+        frame = _frame("a", "b")
+        with _stream_pair() as (connection, far):
+            far.sendall(_foreign(frame) + frame)
+            assert connection.poll(2.0)
+            with pytest.raises(UnsupportedVersionError):
+                recv_envelope(connection)
+            assert connection.poll(2.0)
+            assert connection.recv_bytes() == frame
+
+    @pytest.mark.parametrize("header", UNCOMPLETABLE_HEADERS)
+    def test_a_header_that_can_never_complete_raises(self, header):
+        with _stream_pair() as (connection, far):
+            far.sendall(header)
+            assert connection.poll(2.0)
+            with pytest.raises(WireFormatError):
                 connection.recv_bytes()
 
 
@@ -321,6 +370,28 @@ class TestRegistration:
             assert not router._peers
         finally:
             router.stop()
+
+
+class TestUnreadableFrames:
+    def test_foreign_version_frame_is_dropped_and_the_link_kept(self):
+        router = TcpRouter()
+        with _started(router, "a", "b") as (end_a, end_b):
+            end_a.send_bytes(_foreign(_frame("a", "b", 1.0)) + _frame("a", "b", 2.0))
+            assert end_b.poll(2.0)
+            assert recv_envelope(end_b).payload.best.value == 2.0
+            assert "a" in router._peers
+        assert router.dropped == 1
+        assert router.forwarded == 1
+
+    @pytest.mark.parametrize("header", UNCOMPLETABLE_HEADERS)
+    def test_a_header_that_can_never_complete_detaches_the_sender(self, header):
+        router = TcpRouter()
+        with _started(router, "a", "b") as (end_a, _end_b):
+            end_a.send_bytes(header)
+            _wait_for(lambda: "a" not in router._peers)
+            assert "a" not in router._peers and "b" in router._peers
+        assert router.dropped == 1
+        assert router.forwarded == 0
 
 
 class TestLinkOrder:

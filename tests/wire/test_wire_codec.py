@@ -90,7 +90,7 @@ def rand_delta(rng):
 CORE_TAG_SAMPLES = [
     (Tag.PATH_CODE, rand_code, 21),
     (Tag.BEST_SOLUTION, rand_best, 5),
-    (Tag.WORK_REPORT, rand_report, 879),
+    (Tag.WORK_REPORT, rand_report, 873),
     (Tag.TABLE_SNAPSHOT, rand_snapshot, 2533),
     (Tag.WORK_REQUEST, lambda rng: WorkRequest("w-1", 1, 2, rand_best(rng)), 15),
     (Tag.WORK_GRANT, lambda rng: WorkGrant(donor="w-2", codes=(rand_code(rng),)), 111),

@@ -1,10 +1,11 @@
 """The one wire version, and the codecs of the later message families.
 
 The rule pinned here, spelled out in ``docs/WIRE_FORMAT.md``: every frame,
-core or extension, is stamped with :data:`FRAME_VERSION`, and a frame (or
-an envelope's nested payload frame) declaring any other version byte is
-rejected with :class:`UnsupportedVersionError`.  Beside it, the delta-gossip
-family (``DeltaSnapshot``, ``DeltaGossipMsg``, ``TableGossipAck``), the one
+core or extension, is stamped with :data:`FRAME_VERSION`, and a frame
+declaring any other version byte is rejected with
+:class:`UnsupportedVersionError`; an envelope is one frame with one header.
+Beside it, the delta-gossip family (``DeltaSnapshot``, ``DeltaGossipMsg``,
+``TableGossipAck``), the one
 work request and its denial (``WorkRequest``, ``WorkDenied``, with the walk's
 sequence, hop and exhausted fields) and the failure detector's heartbeat
 round (``HeartbeatGossipMsg``) round-trip, reject every truncation, keep
@@ -42,7 +43,7 @@ from repro.distributed.runner import worker_names
 from repro.realexec.transport import Envelope, decode_envelope, encode_envelope
 from repro.wire import codec
 from repro.wire.frame import FRAME_MAGIC, FRAME_VERSION, Tag, read_header
-from repro.wire.varint import write_string, write_uvarint
+from repro.wire.varint import NameCoder, write_string, write_uvarint
 
 
 def rand_code(rng, max_depth=20, max_var=4000):
@@ -156,7 +157,7 @@ class TestOneWireVersion:
             assert read_header(data)[:2] == (FRAME_VERSION, tag)
             assert wire.decode(data) == msg
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 4])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3])
     def test_any_other_version_byte_is_rejected(self, version):
         assert version != FRAME_VERSION
         for msg in registered_samples().values():
@@ -169,23 +170,25 @@ class TestOneWireVersion:
         with pytest.raises(wire.UnsupportedVersionError):
             decode_envelope(bytes(envelope))
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 4])
-    def test_any_other_nested_version_byte_is_rejected(self, version):
-        payload = bytearray(wire.encode(WorkRequest(requester="a")))
-        payload[1] = version
+    def test_an_envelope_has_one_header(self):
+        """Sender, destination, payload tag and payload body share the
+        envelope's one header and name coder: no nested frame."""
+        request = WorkRequest("rworker-01", 3, 0, BestSolution(12.5, "rworker-03"))
+        data = encode_envelope(Envelope("rworker-01", "rworker-02", request))
+        names = NameCoder()
         body = bytearray()
-        write_string(body, "a")
-        write_string(body, "b")
-        write_uvarint(body, len(payload))
-        body += payload
-        frame = bytearray((wire.FRAME_MAGIC, FRAME_VERSION))
-        write_uvarint(frame, int(Tag.EXTENSION_BASE))
-        write_uvarint(frame, len(body))
-        frame += body
-        with pytest.raises(wire.UnsupportedVersionError):
-            decode_envelope(bytes(frame))
+        names.write(body, "rworker-01")
+        names.write(body, "rworker-02")
+        write_uvarint(body, int(Tag.WORK_REQUEST))
+        codec.write_work_request(body, request, names)
+        header = bytes([FRAME_MAGIC, FRAME_VERSION, int(Tag.EXTENSION_BASE), len(body)])
+        assert data == header + body
+        assert data.count(FRAME_MAGIC) == 1
+        # 64 bytes in version 3, which nested a whole payload frame.
+        assert len(data) == 36
+        assert decode_envelope(data) == Envelope("rworker-01", "rworker-02", request)
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 4])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3])
     def test_routers_reject_any_other_version_byte(self, version):
         from repro.realexec.transport import envelope_route
 
@@ -232,7 +235,7 @@ class TestOneWireVersion:
         assert int(Tag.DELTA_GOSSIP_MSG) == 14
         assert int(Tag.TABLE_GOSSIP_ACK) == 15
         assert int(Tag.EXTENSION_BASE) == 16
-        assert FRAME_VERSION == 3
+        assert FRAME_VERSION == 4
 
 
 def rand_request_messages(rng):
