@@ -508,11 +508,6 @@ class CodeSet:
                 old, new = levels[i][pkeys[i]], arena.child(new, pkeys[i])
         return ins, ins * _CODE_HEADER_BYTES + _PAIR_WIRE_BYTES * ins_dsum
 
-    def adopt(self, nid: int) -> None:
-        """Become node ``nid`` without counting: an empty table taking over
-        a snapshot wholesale."""
-        self._set_nid(nid)
-
     def clear(self) -> None:
         """Remove every code (used when reinitialising a joining member)."""
         self._set_nid(EMPTY)

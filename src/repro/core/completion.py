@@ -6,7 +6,7 @@ structures (Section 5.3.2 of the paper):
 * a **list of new locally completed subproblems** — codes completed since the
   last work report was sent; and
 * a **table of completed problems it knows about** — everything it completed
-  itself plus everything learned from received work reports and table gossip.
+  itself plus everything learned from received work reports and delta gossip.
 
 :class:`CompletionTracker` bundles both, implements the report-emission policy
 (send after ``c`` new codes or after a staleness timeout), merges incoming
@@ -14,17 +14,16 @@ reports into the table with contraction, and exposes the two queries the rest
 of the algorithm needs: "is the whole tree complete?" (termination) and "what
 is still missing?" (recovery, via :mod:`repro.core.complement`).
 
-Table dissemination comes in two flavours:
-
-* **whole-table snapshots** (:meth:`CompletionTracker.build_table_snapshot`)
-  — the paper's occasional full-table push; and
-* **delta gossip** (:meth:`CompletionTracker.build_delta_snapshot`) — the
-  anti-entropy refinement: the tracker remembers, per peer, the last table
-  state that peer acknowledged (:class:`PeerGossipView`) and ships only the
-  codes the acknowledged basis does not cover.  Acknowledgements
-  (:meth:`CompletionTracker.note_snapshot_ack`) echo the table digest from
-  the delta; an unacknowledged delta is simply re-shipped by the next one,
-  so arbitrary loss, duplication and reordering cannot prevent convergence.
+The paper's occasional full-table push travels as **delta gossip**
+(:meth:`CompletionTracker.build_delta_snapshot`): the tracker remembers, per
+peer, the last table state that peer acknowledged (:class:`PeerGossipView`)
+and ships only the codes the acknowledged basis does not cover, which is the
+whole table on first contact.  Acknowledgements
+(:meth:`CompletionTracker.note_snapshot_ack`) echo the table digest from the
+delta; an unacknowledged delta is simply re-shipped by the next one, so
+arbitrary loss, duplication and reordering cannot prevent convergence.  A
+whole-table snapshot (:meth:`CompletionTracker.build_table_snapshot`) is an
+in-process view, merged like a report.
 
 Every table, peer view and outgoing payload of a tracker lives in one
 :class:`~repro.core.arena.TrieArena` (the simulator shares one across all of
@@ -383,8 +382,7 @@ class CompletionTracker:
         return report
 
     def build_table_snapshot(self, *, best: Optional[BestSolution] = None) -> CompletedTableSnapshot:
-        """Snapshot the whole contracted table for occasional table gossip:
-        one arena node id (see :meth:`merge_snapshot`)."""
+        """Snapshot the whole contracted table: one arena node id."""
         return CompletedTableSnapshot.from_table(self.owner, self.table, best=best)
 
     # ------------------------------------------------------------------ #
@@ -566,23 +564,7 @@ class CompletionTracker:
         return inserted > 0
 
     def merge_snapshot(self, snapshot: CompletedTableSnapshot) -> bool:
-        """Merge a received full-table snapshot.
-
-        A receiving table that is still empty (a fresh joiner catching up)
-        *adopts* an in-process snapshot's node outright, with no contraction
-        work; otherwise the snapshot merges like a report.  Both update the
-        same redundancy/storage counters.
-        """
-        codes = snapshot.codes
-        table = self.table
-        if isinstance(codes, CodeSet) and not table and not table.is_complete():
-            nid = node_in(self.arena, codes)
-            self.codes_received += self.arena.count(nid)
-            if nid == EMPTY:
-                return False
-            table.adopt(nid)
-            self.bytes_stored_remote += self.arena.wire_size(nid)
-            return True
+        """Merge a whole-table snapshot, as a report."""
         return self.merge_report(snapshot.as_report())
 
     # ------------------------------------------------------------------ #

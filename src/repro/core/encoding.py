@@ -28,8 +28,8 @@ that the rest of the library relies on:
   header + 3 bytes per pair) on first request and is an O(1) attribute read
   afterwards.
 * **Validation boundary** — branch values are validated only at the public
-  constructors (``PathCode(...)``, :meth:`from_pairs`, :meth:`from_bits`,
-  :meth:`decode`, :meth:`child`).  Derivation methods that can only produce
+  constructors (``PathCode(...)``, :meth:`from_pairs`, :meth:`decode`,
+  :meth:`child`).  Derivation methods that can only produce
   valid codes from valid codes (:meth:`parent`, :meth:`sibling`,
   :meth:`ancestors`, and the trie iteration in
   :mod:`repro.core.arena`) use the internal no-validate constructor
@@ -154,23 +154,6 @@ class PathCode:
         """Build a code from any iterable of ``(variable, value)`` pairs."""
         return cls(tuple((int(v), int(b)) for v, b in pairs))
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int], variables: Optional[Iterable[int]] = None) -> "PathCode":
-        """Build a code from a bit string.
-
-        When ``variables`` is omitted the variable branched on at depth *d* is
-        taken to be *d* itself — the common case for replayed or random trees
-        where the concrete variable identity does not matter.
-        """
-        bit_list = [int(b) for b in bits]
-        if variables is None:
-            var_list = list(range(len(bit_list)))
-        else:
-            var_list = [int(v) for v in variables]
-            if len(var_list) != len(bit_list):
-                raise ValueError("variables and bits must have the same length")
-        return cls(tuple(zip(var_list, bit_list)))
-
     # ------------------------------------------------------------------ #
     # Basic structure
     # ------------------------------------------------------------------ #
@@ -269,20 +252,6 @@ class PathCode:
     def is_descendant_of(self, other: "PathCode", strict: bool = True) -> bool:
         """True when this code lies in ``other``'s subtree."""
         return other.is_ancestor_of(self, strict=strict)
-
-    def relation_to(self, other: "PathCode") -> str:
-        """Classify the relation to another code.
-
-        Returns one of ``"equal"``, ``"ancestor"``, ``"descendant"`` or
-        ``"disjoint"`` (the two subtrees do not overlap).
-        """
-        if self == other:
-            return "equal"
-        if self.is_ancestor_of(other):
-            return "ancestor"
-        if other.is_ancestor_of(self):
-            return "descendant"
-        return "disjoint"
 
     # ------------------------------------------------------------------ #
     # Wire representation

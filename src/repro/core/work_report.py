@@ -7,9 +7,11 @@ epidemic messages (Section 5.3.2):
   previous report, compressed before sending; emitted when the local list
   reaches ``c`` codes or has not been updated for a while, and sent to ``m``
   randomly chosen members; and
-* **table gossip** — occasionally a member sends its whole contracted table of
+* **table gossip** — occasionally a member sends its contracted table of
   completed problems to one randomly chosen member, to bring newly joined (or
-  poorly connected) members up to date and to increase consistency.
+  poorly connected) members up to date and to increase consistency; it
+  travels as a :class:`DeltaSnapshot`, the part of the table that member is
+  not known to cover.
 
 Both payloads also piggy-back the sender's best-known solution value, which is
 how the paper solves the information-sharing problem ("circulating the
@@ -238,9 +240,11 @@ class WorkReport:
 class CompletedTableSnapshot:
     """A full copy of a process's contracted completed-code table.
 
-    Sent occasionally to a randomly chosen member "in order to inform new
-    members of the current state of the execution and to increase the degree
-    of consistency" (Section 5.3.2).
+    The paper sends it occasionally to a randomly chosen member "in order to
+    inform new members of the current state of the execution and to increase
+    the degree of consistency" (Section 5.3.2); here that push travels as a
+    :class:`DeltaSnapshot`, and a snapshot is an in-process view of a whole
+    table (the reference the delta-gossip tests compare against).
     """
 
     sender: str
@@ -273,10 +277,9 @@ class CompletedTableSnapshot:
 class DeltaSnapshot:
     """The codes of a table that one peer is *not* known to cover yet.
 
-    Delta gossip replaces the occasional whole-table
-    :class:`CompletedTableSnapshot` push with an anti-entropy exchange: the
-    sender keeps, per peer, the digest of the last table state that peer
-    acknowledged (see
+    Delta gossip is the paper's occasional whole-table push made an
+    anti-entropy exchange: the sender keeps, per peer, the digest of the last
+    table state that peer acknowledged (see
     :class:`~repro.core.completion.PeerGossipView`) and ships only the codes
     of its current table that the acknowledged basis does not cover.  The
     receiver merges the codes — they are ordinary completed-code facts, so a
@@ -284,8 +287,8 @@ class DeltaSnapshot:
     ``full_digest`` back; only that acknowledgement lets the sender advance
     the peer's basis.  Until an ack arrives, every new delta re-ships the
     unacknowledged codes, which is what makes the scheme converge under
-    arbitrary message loss (the property tests pin this against
-    whole-snapshot gossip).
+    arbitrary message loss (the property tests pin this against a
+    whole-snapshot reference).
 
     Attributes
     ----------

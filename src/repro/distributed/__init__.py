@@ -3,7 +3,7 @@
 * :mod:`repro.distributed.config` — every algorithm tunable
   (:class:`AlgorithmConfig`);
 * :mod:`repro.distributed.messages` — the wire messages (work requests,
-  grants, denials, work reports, table gossip);
+  grants, denials, work reports, delta gossip);
 * :mod:`repro.distributed.protocol` — the worker protocol, once: the local
   B&B loop, load balancing, the fault-tolerance mechanism and termination
   detection, driven by a simulated or a real process;
@@ -18,7 +18,6 @@
 from .config import AlgorithmConfig
 from .messages import (
     MessageKinds,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -35,7 +34,6 @@ __all__ = [
     "WorkGrant",
     "WorkDenied",
     "WorkReportMsg",
-    "TableGossipMsg",
     "WorkerEntity",
     "DistributedBnBSimulation",
     "NetworkConfig",

@@ -9,8 +9,6 @@ of these objects.  The important knobs, with the paper's terminology:
 * ``report_threshold`` (the paper's *c*) and ``report_fanout`` (*m*) — when a
   work report is emitted and to how many random members it is pushed;
 * ``report_staleness`` — the "has not been updated for a long time" rule;
-* ``table_gossip_interval`` — how often the completed table (a delta, or a
-  whole snapshot) is pushed to one random member;
 * ``recovery_failed_threshold`` — "how soon failure is suspected after a
   machine unsuccessfully tries to get work".
 
@@ -21,6 +19,8 @@ handling, list contraction, subproblem rebuild) are constants of
 :mod:`repro.distributed.worker`, their only reader.  Behaviour no run turns
 off is unconditional: a starved worker flushes its pending report and
 gossips its table, and work a received report shows completed is aborted.
+Table dissemination is per-peer delta gossip, pushed to one random member
+at least every :data:`~repro.distributed.pacing.TABLE_GOSSIP_INTERVAL`.
 
 How much a donor gives away is deliberately *not* a field: the simulated and
 the real-process workers share one donation rule,
@@ -57,16 +57,6 @@ class AlgorithmConfig:
     report_fanout: int = 2
     #: Send a report anyway if the pending list has been idle this long (s).
     report_staleness: Optional[float] = 2.0
-    #: Interval between full-table gossip pushes to one random member (s).
-    table_gossip_interval: Optional[float] = 30.0
-    #: Gossip table *deltas* instead of whole snapshots: track per peer what
-    #: it last acknowledged covering and ship only the uncovered codes
-    #: (acknowledged with tiny digest echoes).  Steady-state table-gossip
-    #: bytes drop by an order of magnitude on the paper workloads
-    #: (``tests/distributed/test_delta_gossip.py`` gates ≥3×); disabling restores
-    #: the paper's literal whole-snapshot push, which the convergence
-    #: property tests use as the reference behaviour.
-    delta_gossip: bool = True
     #: Compress outgoing reports (sibling merge + ancestor drop).  Disabling
     #: this is the ABL-COMPRESS ablation.
     compress_reports: bool = True

@@ -12,10 +12,9 @@ The algorithm uses a small set of message types (Sections 5 and 5.3.2):
   frees the requester's request slot;
 * **work reports** — compressed lists of newly completed codes, pushed to
   ``m`` random members;
-* **table gossip** — occasional full snapshots of the contracted completed
-  table, pushed to one random member;
-* **delta gossip** — the anti-entropy refinement of table gossip: only the
-  codes the receiver is not known to cover, acknowledged with a
+* **delta gossip** — the table dissemination, pushed occasionally to one
+  random member: only the codes the receiver is not known to cover (the
+  whole table to a peer that has acknowledged nothing), acknowledged with a
   :class:`TableGossipAck` echoing the sender's table digest (see
   :class:`~repro.core.work_report.DeltaSnapshot`);
 * the final **root report** announcing termination (a work report whose only
@@ -30,22 +29,16 @@ and the traffic accounting see realistic sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import Tuple
 
 from ..core.encoding import PathCode
-from ..core.work_report import (
-    BestSolution,
-    CompletedTableSnapshot,
-    DeltaSnapshot,
-    WorkReport,
-)
+from ..core.work_report import BestSolution, DeltaSnapshot, WorkReport
 
 __all__ = [
     "WorkRequest",
     "WorkGrant",
     "WorkDenied",
     "WorkReportMsg",
-    "TableGossipMsg",
     "DeltaGossipMsg",
     "TableGossipAck",
     "HeartbeatGossipMsg",
@@ -132,22 +125,6 @@ class WorkReportMsg:
 
 
 @dataclass(frozen=True, slots=True)
-class TableGossipMsg:
-    """Envelope for a full completed-table snapshot."""
-
-    snapshot: CompletedTableSnapshot
-
-    def wire_size(self) -> int:
-        """Delegates to the snapshot's own size model."""
-        return self.snapshot.wire_size()
-
-    @property
-    def best(self) -> BestSolution:
-        """The piggy-backed incumbent."""
-        return self.snapshot.best
-
-
-@dataclass(frozen=True, slots=True)
 class DeltaGossipMsg:
     """Envelope for a :class:`~repro.core.work_report.DeltaSnapshot`."""
 
@@ -227,7 +204,6 @@ class MessageKinds:
     WORK_GRANT = "work_grant"
     WORK_DENIED = "work_denied"
     WORK_REPORT = "work_report"
-    TABLE_GOSSIP = "table_gossip"
     DELTA_GOSSIP = "delta_gossip"
     GOSSIP_ACK = "gossip_ack"
     ROOT_REPORT = "root_report"
@@ -235,7 +211,7 @@ class MessageKinds:
 
     #: Kinds that carry table-dissemination traffic (the delta-gossip
     #: benchmark compares the byte volume of exactly this family).
-    TABLE_DISSEMINATION = (TABLE_GOSSIP, DELTA_GOSSIP, GOSSIP_ACK)
+    TABLE_DISSEMINATION = (DELTA_GOSSIP, GOSSIP_ACK)
 
     #: The key each kind is counted under in
     #: :attr:`~repro.distributed.stats.RunResult.messages_by_kind`.
@@ -246,7 +222,6 @@ class MessageKinds:
         WORK_DENIED: "work_denials",
         WORK_REPORT: "work_reports",
         ROOT_REPORT: "root_reports",
-        TABLE_GOSSIP: "table_gossips",
         DELTA_GOSSIP: "delta_gossips",
         GOSSIP_ACK: "gossip_acks",
         HEARTBEAT: "heartbeats",
@@ -265,8 +240,6 @@ class MessageKinds:
             if payload.report.contains_root():
                 return MessageKinds.ROOT_REPORT
             return MessageKinds.WORK_REPORT
-        if isinstance(payload, TableGossipMsg):
-            return MessageKinds.TABLE_GOSSIP
         if isinstance(payload, DeltaGossipMsg):
             return MessageKinds.DELTA_GOSSIP
         if isinstance(payload, TableGossipAck):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Tuple
 
 __all__ = [
+    "TABLE_GOSSIP_INTERVAL",
     "IDLE_PACE_CAP",
     "IDLE_GOSSIP_NODE_COST_FRACTION",
     "STALL_NODE_COSTS",
@@ -40,6 +41,12 @@ __all__ = [
     "blank_gate",
     "push_targets",
 ]
+
+#: Every worker pushes a table delta to one random member at least this
+#: often (s): the paper's "occasional" push of the completed table, which
+#: informs new members of the state of the execution (Section 5.3.2).  A
+#: starved worker pushes far more often (:func:`push_interval`).
+TABLE_GOSSIP_INTERVAL = 30.0
 
 #: A starved worker re-polls, and spaces its work requests, once per request
 #: timeout (its node cost, floored at two network round trips: a busy donor

@@ -6,8 +6,8 @@ inputs are a received payload (:meth:`~ProtocolCore.receive`) and a due
 timer (:meth:`~ProtocolCore.on_timer`), each with the driver's ``now``; its
 outputs are sends, timers and the subproblem to expand next
 (:meth:`~ProtocolCore.step`).  It owns the pool and the node expansion, the
-completed table (work reports, delta or snapshot gossip, news for redone
-work), the recovery policy, the pacing state and every wait of
+completed table (work reports, delta gossip, news for redone work), the
+recovery policy, the pacing state and every wait of
 :mod:`repro.distributed.pacing`, the walk past idle peers, pushed
 donations, the incumbent and almost-implicit termination detection.  The
 worker looks at what arrived only between node expansions, as the paper's
@@ -39,7 +39,6 @@ from .config import AlgorithmConfig
 from .messages import (
     DeltaGossipMsg,
     TableGossipAck,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -102,7 +101,6 @@ class ProtocolCore:
             if obs_metrics is not None
             else None
         )
-        self._delta = config.delta_gossip
         self.expander = NodeExpander(problem)
         self.stats = WorkerRunStats(name=name)
         self._initial_work = list(initial_work)
@@ -282,9 +280,6 @@ class ProtocolCore:
         if isinstance(payload, WorkReportMsg):
             cost = self._received("communication", size_bytes)
             return cost + self._merge_report(payload, now)
-        if isinstance(payload, TableGossipMsg):
-            cost = self._received("communication", size_bytes)
-            return cost + self._merge_snapshot(payload, now)
         if isinstance(payload, DeltaGossipMsg):
             cost = self._received("communication", size_bytes)
             return cost + self._merge_delta(payload, now)
@@ -425,33 +420,20 @@ class ProtocolCore:
         news = self.tracker.merge_report(msg.report)
         if news:
             self.recovery.note_progress(now)
-        if self._delta:
-            # Reverse-channel learning: the sender provably covers every code
-            # it just reported, so future deltas to it can skip them.
-            self.tracker.note_peer_covers(msg.report.sender, msg.report.codes)
+        # Reverse-channel learning: the sender provably covers every code it
+        # just reported, so future deltas to it can skip them.
+        self.tracker.note_peer_covers(msg.report.sender, msg.report.codes)
         newly_terminated = self.termination.observe_report(msg.report, now)
         ops = self.tracker.table.stats.elementary_operations() - before_ops
         cost = self._contracted(ops)
         if newly_terminated:
             self.stats.terminated_via = self.termination.detected_via
         self._abort_covered_recoveries()
-        if self._delta and not news and msg.report.codes:
+        if not news and msg.report.codes:
             # Every code the sender completed was already covered here: it
             # is working inside a region this table knows done, so answer
             # with the news.
             cost += self._answer_with_news(msg.report.sender)
-        return cost
-
-    def _merge_snapshot(self, msg: TableGossipMsg, now: float) -> float:
-        before_ops = self.tracker.table.stats.elementary_operations()
-        if self.tracker.merge_snapshot(msg.snapshot):
-            self.recovery.note_progress(now)
-        if self._delta:
-            self.tracker.note_peer_covers(msg.snapshot.sender, msg.snapshot.codes)
-        self.termination.observe_report(msg.snapshot.as_report(), now)
-        ops = self.tracker.table.stats.elementary_operations() - before_ops
-        cost = self._contracted(ops)
-        self._abort_covered_recoveries()
         return cost
 
     def _merge_delta(self, msg: DeltaGossipMsg, now: float) -> float:
@@ -679,14 +661,13 @@ class ProtocolCore:
             return self._charge("load_balancing", rebuild_cost)
         self.pool.push(sub, bound=self.problem.bound(sub.state))
         cost = self._charge("load_balancing", rebuild_cost)
-        if self._delta:
-            # Ask before going far: answers that prove the subtree done let
-            # the covered-skip drop it (the worker expands meanwhile).
-            pull = DeltaGossipMsg(self.tracker.news_pull(best=self._my_best()))
-            for target in self._choose_report_targets(self.config.report_fanout):
-                self.send(target, pull)
-                self.stats.news_pulls_sent += 1
-                cost += self._sent("communication")
+        # Ask before going far: answers that prove the subtree done let the
+        # covered-skip drop it (the worker expands meanwhile).
+        pull = DeltaGossipMsg(self.tracker.news_pull(best=self._my_best()))
+        for target in self._choose_report_targets(self.config.report_fanout):
+            self.send(target, pull)
+            self.stats.news_pulls_sent += 1
+            cost += self._sent("communication")
         return cost
 
     # ------------------------------------------------------------------ #
@@ -714,12 +695,8 @@ class ProtocolCore:
 
     def _periodic_gossip_due(self, now: float) -> bool:
         """True when the periodic table-gossip interval has elapsed."""
-        interval = self.config.table_gossip_interval
-        return (
-            interval is not None
-            and bool(self.peers)
-            and (now - self._last_table_gossip) >= interval
-        )
+        elapsed = now - self._last_table_gossip
+        return bool(self.peers) and elapsed >= pacing.TABLE_GOSSIP_INTERVAL
 
     def report_work_due(self, now: float) -> bool:
         """True when :meth:`_maybe_send_reports` would do anything.
@@ -739,35 +716,28 @@ class ProtocolCore:
         return cost
 
     def send_table_gossip(self, now: float) -> float:
-        """Push table state to one random peer: a delta or a whole snapshot.
+        """Push a table delta to one random peer.
 
-        With :attr:`~repro.distributed.config.AlgorithmConfig.delta_gossip`
-        on, only the codes the chosen peer's acknowledged basis does not
-        cover are shipped; an empty delta (the peer is known to be up to
-        date) suppresses the send entirely, so a converged idle group stops
-        paying table-gossip bytes altogether.
+        Only the codes the chosen peer's acknowledged basis does not cover
+        are shipped (the whole table to a peer that has acknowledged
+        nothing); an empty delta (the peer is known to be up to date)
+        suppresses the send entirely, so a converged idle group stops paying
+        table-gossip bytes altogether.
         """
         target = self.rng.choice(self.peers)
         self._last_table_gossip = now
-        if self._delta:
-            delta = self.tracker.build_delta_snapshot(target, best=self._my_best())
-            if delta.is_empty:
-                self.stats.delta_gossips_suppressed += 1
-                return 0.0
-            self.send(target, DeltaGossipMsg(delta))
-            self.stats.delta_gossips_sent += 1
-            if self._delta_bytes_hist is not None:
-                self._delta_bytes_hist.observe(delta.wire_size())
-            gossip_kind = "delta_gossip"
-        else:
-            snapshot = self.tracker.build_table_snapshot(best=self._my_best())
-            self.send(target, TableGossipMsg(snapshot))
-            self.stats.table_gossips_sent += 1
-            gossip_kind = "table_gossip"
+        delta = self.tracker.build_delta_snapshot(target, best=self._my_best())
+        if delta.is_empty:
+            self.stats.delta_gossips_suppressed += 1
+            return 0.0
+        self.send(target, DeltaGossipMsg(delta))
+        self.stats.delta_gossips_sent += 1
+        if self._delta_bytes_hist is not None:
+            self._delta_bytes_hist.observe(delta.wire_size())
         cost = self._sent("communication")
         if self.tracer is not None:
             self.tracer.span(
-                gossip_kind,
+                "delta_gossip",
                 now,
                 cost,
                 process=self.name,

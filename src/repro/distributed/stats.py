@@ -31,18 +31,14 @@ class WorkerRunStats:
     nodes_skipped_covered: int = 0
     completed_codes_local: int = 0
     reports_sent: int = 0
-    #: Whole-table snapshot pushes (disjoint from ``delta_gossips_sent``:
-    #: each gossip push is counted under exactly one kind).
-    table_gossips_sent: int = 0
     delta_gossips_sent: int = 0
     delta_gossips_suppressed: int = 0
     gossip_acks_sent: int = 0
     #: Per-peer gossip views dropped after membership declared the peer dead.
     gossip_views_pruned: int = 0
-    #: Completed codes received in reports, snapshots and deltas, and how
-    #: many of them the table already covered: ``(received − redundant) ÷
-    #: received`` is the share of what dissemination shipped here that was
-    #: news.
+    #: Completed codes received in reports and deltas, and how many of them
+    #: the table already covered: ``(received − redundant) ÷ received`` is
+    #: the share of what dissemination shipped here that was news.
     codes_received: int = 0
     codes_received_redundant: int = 0
     work_requests_sent: int = 0
@@ -104,7 +100,6 @@ class WorkerRunStats:
             "nodes_skipped_covered": self.nodes_skipped_covered,
             "completed_codes_local": self.completed_codes_local,
             "reports_sent": self.reports_sent,
-            "table_gossips_sent": self.table_gossips_sent,
             "delta_gossips_sent": self.delta_gossips_sent,
             "delta_gossips_suppressed": self.delta_gossips_suppressed,
             "gossip_acks_sent": self.gossip_acks_sent,

@@ -405,8 +405,8 @@ class WorkerEntity(Entity, ProtocolCore):
         The restarted process lost its completed-table view, so the per-peer
         acknowledged basis must be dropped — the next delta to it goes
         through the gossip *first-contact* path (one bounded full-basis
-        delta), never a whole-table snapshot.  Its heartbeat counter also
-        restarted from zero, which plain digest merging would read as stale.
+        delta).  Its heartbeat counter also restarted from zero, which plain
+        digest merging would read as stale.
         """
         self.tracker.prune_peer_view(peer)
         self._sync_views_pruned()

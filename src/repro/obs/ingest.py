@@ -43,7 +43,6 @@ _WORKER_COUNTERS = (
     "nodes_expanded",
     "nodes_pruned",
     "reports_sent",
-    "table_gossips_sent",
     "delta_gossips_sent",
     "delta_gossips_suppressed",
     "gossip_acks_sent",

@@ -153,7 +153,6 @@ _PAYLOAD_KINDS: Dict[int, str] = {
     int(Tag.WORK_GRANT): "work_grant",
     int(Tag.WORK_DENIED): "work_denied",
     int(Tag.WORK_REPORT_MSG): "work_report",
-    int(Tag.TABLE_GOSSIP_MSG): "table_gossip",
     int(Tag.DELTA_GOSSIP_MSG): "delta_gossip",
     int(Tag.TABLE_GOSSIP_ACK): "gossip_ack",
 }

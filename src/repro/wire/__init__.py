@@ -13,9 +13,8 @@ Layout
 * :mod:`repro.wire.codec` — per-payload body codecs for every protocol
   message: :class:`~repro.core.encoding.PathCode` (packed
   ``(variable << 1) | value`` key paths), ``BestSolution``, ``WorkReport``,
-  ``CompletedTableSnapshot``, the delta-gossip family (``DeltaSnapshot``,
-  ``DeltaGossipMsg``, ``TableGossipAck``) and the work request/grant/deny
-  messages.
+  the delta-gossip family (``DeltaSnapshot``, ``DeltaGossipMsg``,
+  ``TableGossipAck``) and the work request/grant/deny messages.
 * :mod:`repro.wire.frame` — the framed-message registry:
   ``encode(msg) -> bytes`` and ``decode(data) -> msg`` with a
   magic/version/tag/length header (one version, checked), strict

@@ -32,17 +32,11 @@ from typing import List, Tuple
 
 from ..core.codeset import CodeSet
 from ..core.encoding import PathCode
-from ..core.work_report import (
-    BestSolution,
-    CompletedTableSnapshot,
-    DeltaSnapshot,
-    WorkReport,
-)
+from ..core.work_report import BestSolution, DeltaSnapshot, WorkReport
 from ..distributed.messages import (
     DeltaGossipMsg,
     HeartbeatGossipMsg,
     TableGossipAck,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -70,8 +64,6 @@ __all__ = [
     "read_best_solution",
     "write_work_report",
     "read_work_report",
-    "write_table_snapshot",
-    "read_table_snapshot",
     "write_delta_snapshot",
     "read_delta_snapshot",
     "write_delta_gossip_msg",
@@ -217,7 +209,7 @@ def read_best_solution(data, pos: int, names: NameCoder) -> Tuple[BestSolution, 
 
 
 # ---------------------------------------------------------------------- #
-# Work reports and table snapshots
+# Work reports and table deltas
 # ---------------------------------------------------------------------- #
 def write_work_report(out: bytearray, report: WorkReport, names: NameCoder) -> None:
     """Append a report: sender, sequence, incumbent, sorted code set."""
@@ -234,21 +226,6 @@ def read_work_report(data, pos: int, names: NameCoder) -> Tuple[WorkReport, int]
     best, pos = read_best_solution(data, pos, names)
     codes, pos = read_code_sequence(data, pos)
     return WorkReport(sender=sender, codes=frozenset(codes), best=best, sequence=sequence), pos
-
-
-def write_table_snapshot(out: bytearray, snap: CompletedTableSnapshot, names: NameCoder) -> None:
-    """Append a snapshot: sender, incumbent, sorted contracted table."""
-    names.write(out, snap.sender)
-    write_best_solution(out, snap.best, names)
-    _write_code_set(out, snap.codes)
-
-
-def read_table_snapshot(data, pos: int, names: NameCoder) -> Tuple[CompletedTableSnapshot, int]:
-    """Read a snapshot written by :func:`write_table_snapshot`."""
-    sender, pos = names.read(data, pos)
-    best, pos = read_best_solution(data, pos, names)
-    codes, pos = read_code_sequence(data, pos)
-    return CompletedTableSnapshot(sender=sender, codes=frozenset(codes), best=best), pos
 
 
 def write_delta_snapshot(out: bytearray, delta: DeltaSnapshot, names: NameCoder) -> None:
@@ -408,17 +385,6 @@ def read_work_report_msg(data, pos: int, names: NameCoder) -> Tuple[WorkReportMs
     """Read a report envelope."""
     report, pos = read_work_report(data, pos, names)
     return WorkReportMsg(report), pos
-
-
-def write_table_gossip_msg(out: bytearray, msg: TableGossipMsg, names: NameCoder) -> None:
-    """A gossip envelope is body-identical to its snapshot."""
-    write_table_snapshot(out, msg.snapshot, names)
-
-
-def read_table_gossip_msg(data, pos: int, names: NameCoder) -> Tuple[TableGossipMsg, int]:
-    """Read a gossip envelope."""
-    snapshot, pos = read_table_snapshot(data, pos, names)
-    return TableGossipMsg(snapshot), pos
 
 
 def write_delta_gossip_msg(out: bytearray, msg: DeltaGossipMsg, names: NameCoder) -> None:

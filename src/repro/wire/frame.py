@@ -34,17 +34,11 @@ import enum
 from typing import Callable, Dict, Tuple, Type
 
 from ..core.encoding import PathCode
-from ..core.work_report import (
-    BestSolution,
-    CompletedTableSnapshot,
-    DeltaSnapshot,
-    WorkReport,
-)
+from ..core.work_report import BestSolution, DeltaSnapshot, WorkReport
 from ..distributed.messages import (
     DeltaGossipMsg,
     HeartbeatGossipMsg,
     TableGossipAck,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -102,12 +96,12 @@ class Tag(enum.IntEnum):
     PATH_CODE = 1
     BEST_SOLUTION = 2
     WORK_REPORT = 3
-    TABLE_SNAPSHOT = 4
+    # 4 and 9 carried the retired whole-table push (a table snapshot and its
+    # gossip envelope): reserved, never reuse.
     WORK_REQUEST = 5
     WORK_GRANT = 6
     WORK_DENIED = 7
     WORK_REPORT_MSG = 8
-    TABLE_GOSSIP_MSG = 9
     # 10-12 carried the retired gossip-server membership messages: reserved,
     # never reuse (a frame bearing one is an unknown tag).
     # -- the delta-gossip family --
@@ -119,8 +113,8 @@ class Tag(enum.IntEnum):
     #: take 16-31.
     EXTENSION_BASE = 16
 
-    # -- core tags continue at 32 because 1-15 are taken and 16-31 belong
-    # to the extensions.  32-33 carried a second work request and denial,
+    # -- core tags continue at 32 because 1-15 are taken or reserved and
+    # 16-31 belong to the extensions.  32-33 carried a second work request and denial,
     # folded into 5 and 7: reserved, never reuse. --
     HEARTBEAT = 34
 
@@ -154,12 +148,6 @@ for _tag, _cls, _writer, _reader in (
     (Tag.PATH_CODE, PathCode, codec.write_path_code, codec.read_path_code),
     (Tag.BEST_SOLUTION, BestSolution, codec.write_best_solution, codec.read_best_solution),
     (Tag.WORK_REPORT, WorkReport, codec.write_work_report, codec.read_work_report),
-    (
-        Tag.TABLE_SNAPSHOT,
-        CompletedTableSnapshot,
-        codec.write_table_snapshot,
-        codec.read_table_snapshot,
-    ),
     (Tag.WORK_REQUEST, WorkRequest, codec.write_work_request, codec.read_work_request),
     (Tag.WORK_GRANT, WorkGrant, codec.write_work_grant, codec.read_work_grant),
     (Tag.WORK_DENIED, WorkDenied, codec.write_work_denied, codec.read_work_denied),
@@ -168,12 +156,6 @@ for _tag, _cls, _writer, _reader in (
         WorkReportMsg,
         codec.write_work_report_msg,
         codec.read_work_report_msg,
-    ),
-    (
-        Tag.TABLE_GOSSIP_MSG,
-        TableGossipMsg,
-        codec.write_table_gossip_msg,
-        codec.read_table_gossip_msg,
     ),
     (Tag.DELTA_SNAPSHOT, DeltaSnapshot, codec.write_delta_snapshot, codec.read_delta_snapshot),
     (

@@ -18,9 +18,14 @@ from repro.core.completion import CompletionTracker
 from repro.core.encoding import PathCode
 
 
+def code_of(bits) -> PathCode:
+    """The code taking branch ``bits[d]`` on variable ``d`` at each depth."""
+    return PathCode(tuple(enumerate(int(bit) for bit in bits)))
+
+
 def random_code(rng: random.Random, max_depth: int, min_depth: int = 1) -> PathCode:
     depth = rng.randint(min_depth, max_depth)
-    return PathCode.from_bits(rng.randint(0, 1) for _ in range(depth))
+    return code_of(rng.randint(0, 1) for _ in range(depth))
 
 
 def test_peer_views_add_no_arena_holder():

@@ -25,6 +25,11 @@ from repro.core.encoding import ROOT, PathCode
 from repro.core.work_report import WorkReport, table_digest
 
 
+def code_of(bits) -> PathCode:
+    """The code taking branch ``bits[d]`` on variable ``d`` at each depth."""
+    return PathCode(tuple(enumerate(int(bit) for bit in bits)))
+
+
 def random_code(rng: random.Random, max_depth: int = 7, mixed: bool = True) -> PathCode:
     """A random code; mixed-variable paths exercise >2-entry trie nodes."""
     depth = rng.randint(0, max_depth)
@@ -34,7 +39,7 @@ def random_code(rng: random.Random, max_depth: int = 7, mixed: bool = True) -> P
         # subsumption / merge-with-extra-entries edge cases).
         pairs = tuple((rng.randint(0, 3), rng.randint(0, 1)) for _ in range(depth))
         return PathCode(pairs)
-    return PathCode.from_bits(rng.randint(0, 1) for _ in range(depth))
+    return code_of(rng.randint(0, 1) for _ in range(depth))
 
 
 def random_stream(seed: int, length: int = None, mixed: bool = True):
@@ -173,7 +178,7 @@ class TestCodeSetVsReferenceTable:
 
     def test_clear_resets_to_empty(self):
         arena = TrieArena()
-        cut = CodeSet([PathCode.from_bits([0, 1]), PathCode.from_bits([1])], arena=arena)
+        cut = CodeSet([code_of([0, 1]), code_of([1])], arena=arena)
         assert len(cut)
         cut.clear()
         assert cut.node_id() == EMPTY
@@ -182,7 +187,7 @@ class TestCodeSetVsReferenceTable:
     def test_root_completion_collapses_to_done(self):
         arena = TrieArena()
         ref, cut = ReferenceTable(), CodeSet(arena=arena)
-        for code in (PathCode.from_bits([0]), PathCode.from_bits([1])):
+        for code in (code_of([0]), code_of([1])):
             assert cut.add(code) == ref.add(code)
             assert cut.stats.snapshot() == ref.snapshot()
         assert cut.is_complete()
@@ -195,7 +200,7 @@ class TestOpenPath:
 
     def test_reading_only_at_the_end_interns_fewer_nodes(self):
         leaves = [
-            PathCode.from_bits(int(bit) for bit in format(i, "08b")) for i in range(255)
+            code_of(int(bit) for bit in format(i, "08b")) for i in range(255)
         ]  # every leaf of a depth-8 tree but the last, in DFS order
         eager_arena, lazy_arena = TrieArena(), TrieArena()
         eager, lazy = CodeSet(arena=eager_arena), CodeSet(arena=lazy_arena)
@@ -285,7 +290,7 @@ class TestTrackerWithArena:
     def test_ack_flow_advances_view(self):
         arena = TrieArena()
         tracker = CompletionTracker("w", arena=arena)
-        for code in (PathCode.from_bits([0, 0]), PathCode.from_bits([0, 1, 0])):
+        for code in (code_of([0, 0]), code_of([0, 1, 0])):
             tracker.record_completed(code)
         delta = tracker.build_delta_snapshot("peer")
         assert delta.codes == tracker.table
@@ -398,7 +403,7 @@ class TestCollection:
 
     def test_collection_keeps_only_reachable_nodes(self):
         arena = TrieArena()
-        keep = CodeSet([PathCode.from_bits([0, 1, 1]), PathCode.from_bits([1, 0])], arena=arena)
+        keep = CodeSet([code_of([0, 1, 1]), code_of([1, 0])], arena=arena)
         for seed in range(20):
             _rng, stream = random_stream(seed)
             CodeSet(stream, arena=arena)  # garbage as soon as it is built
@@ -411,20 +416,20 @@ class TestCollection:
     def test_collect_interns_an_open_path_first(self):
         arena = TrieArena()
         table = CodeSet(arena=arena)
-        for code in (PathCode.from_bits([0, 0, 1]), PathCode.from_bits([0, 1, 1, 0])):
+        for code in (code_of([0, 0, 1]), code_of([0, 1, 1, 0])):
             table.add(code)
         expected = frozenset(table.codes())
-        table.add(PathCode.from_bits([1, 0, 1]))  # open again, not interned
+        table.add(code_of([1, 0, 1]))  # open again, not interned
         arena.collect()
-        assert table.codes() == expected | {PathCode.from_bits([1, 0, 1])}
+        assert table.codes() == expected | {code_of([1, 0, 1])}
 
     def test_freed_holder_drops_out_of_registry(self):
         import gc
 
         arena = TrieArena()
-        keep = CodeSet([PathCode.from_bits([0, 0])], arena=arena)
-        gone = CodeSet([PathCode.from_bits([1, 1, 0, 1])], arena=arena)
-        table = CodeSet([PathCode.from_bits([1, 0, 1])], arena=arena)
+        keep = CodeSet([code_of([0, 0])], arena=arena)
+        gone = CodeSet([code_of([1, 1, 0, 1])], arena=arena)
+        table = CodeSet([code_of([1, 0, 1])], arena=arena)
         clone = table.copy()
         empty = CodeSet(arena=arena)  # sentinel ids never move: no entry
         assert set(arena._holders) == {id(keep), id(gone), id(table), id(clone)}
@@ -434,7 +439,7 @@ class TestCollection:
         assert set(arena._holders) == {id(keep), id(clone)}
         arena.collect()
         assert len(arena) == len(reachable_nodes(arena)) + 2
-        assert clone.codes() == frozenset({PathCode.from_bits([1, 0, 1])})
+        assert clone.codes() == frozenset({code_of([1, 0, 1])})
 
 
 class TestCollectionKeepsViewsExact:

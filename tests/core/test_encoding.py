@@ -24,17 +24,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PathCode(((1, 5),))
 
-    def test_from_pairs_and_bits(self):
+    def test_from_pairs(self):
         a = PathCode.from_pairs([(1, 0), (4, 1)])
         assert a.pairs == ((1, 0), (4, 1))
-        b = PathCode.from_bits([0, 1], variables=[1, 4])
-        assert a == b
-        c = PathCode.from_bits([1, 1, 0])
-        assert c.variables() == (0, 1, 2)
-
-    def test_from_bits_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PathCode.from_bits([0, 1], variables=[3])
 
     def test_children_pair(self):
         left, right = ROOT.children(7)
@@ -69,10 +61,6 @@ class TestRelations:
         b = ROOT.child(1, 1)
         assert not a.is_ancestor_of(b)
         assert not b.is_ancestor_of(a)
-        assert a.relation_to(b) == "disjoint"
-        assert a.relation_to(a) == "equal"
-        assert ROOT.relation_to(a) == "ancestor"
-        assert a.relation_to(ROOT) == "descendant"
 
     def test_ancestors_iteration(self):
         code = ROOT.child(1, 0).child(2, 1).child(3, 0)

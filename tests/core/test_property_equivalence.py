@@ -309,15 +309,6 @@ class TestSnapshotsByNode:
                 copy.add(probe)
                 assert not source.covers(probe)
 
-    def test_adopt_takes_a_node_without_counting(self):
-        for seed in range(25):
-            source = CodeSet(make_stream(seed, mixed_variables=True))
-            empty = CodeSet(arena=source.arena)
-            empty.adopt(source.node_id())
-            assert empty.codes() == source.codes()
-            assert empty.stats.elementary_operations() == 0
-            assert empty.missing_frontier() == brute_frontier(empty.codes())
-
 
 class TestCachedValueInvariants:
     def test_cached_hash_matches_recomputed(self):

@@ -8,13 +8,9 @@ and read another node's content, so these runs force a collection after
 whose arena is never collected (a small tree stays under the collection
 floor).  The scenario exercises every holder kind: message loss re-sends
 deltas (pending sends), a permanent crash leaves a dead worker's tables
-behind, restart churn replaces a tracker mid-run, and with delta gossip off
-whole-table snapshots carry ``CodeSet`` handles in flight (on this seed the
-restarted worker adopts one into its empty table), and tables are often
+behind, restart churn replaces a tracker mid-run, and tables are often
 collected with an open insertion path, which the collection interns first.
 """
-
-import pytest
 
 from repro.bnb.pool import SelectionRule
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
@@ -24,13 +20,12 @@ from repro.distributed.runner import NetworkConfig, run_tree_simulation
 from repro.simulation.failures import CrashEvent
 
 
-def _run(delta_gossip: bool):
+def _run():
     tree = generate_random_tree(
         RandomTreeSpec(nodes=301, mean_node_time=0.02, seed=61, name="collect-tree")
     )
     config = AlgorithmConfig(
         selection_rule=SelectionRule.DEPTH_FIRST,
-        delta_gossip=delta_gossip,
         failure_detector=True,
         termination_echo=True,
         fd_heartbeat_interval=0.1,
@@ -51,13 +46,12 @@ def _run(delta_gossip: bool):
     )
 
 
-@pytest.mark.parametrize("delta_gossip", [True, False], ids=["delta", "snapshots"])
-def test_collecting_after_every_event_changes_nothing(monkeypatch, delta_gossip):
-    plain = _run(delta_gossip)
+def test_collecting_after_every_event_changes_nothing(monkeypatch):
+    plain = _run()
     assert plain.engine_counters["arena_collections"] == 0
 
     monkeypatch.setattr(arena, "_collect_threshold", lambda survivors: -1)
-    collected = _run(delta_gossip)
+    collected = _run()
 
     events = collected.engine_counters["events_processed"]
     assert collected.engine_counters["arena_collections"] == events

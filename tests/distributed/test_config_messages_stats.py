@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.encoding import ROOT
-from repro.core.work_report import BestSolution, CompletedTableSnapshot, WorkReport
+from repro.core.work_report import BestSolution, DeltaSnapshot, WorkReport
 from repro.distributed.config import AlgorithmConfig
 from repro.distributed.messages import (
+    DeltaGossipMsg,
     MessageKinds,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -51,7 +51,7 @@ class TestAlgorithmConfig:
         # Every field must earn its place; behaviour that can be derived
         # (donation sizing, starved-worker pacing, the recovery pick) lives
         # in shared rules and named constants, not here.
-        assert len(dataclasses.fields(AlgorithmConfig)) == 16
+        assert len(dataclasses.fields(AlgorithmConfig)) == 14
 
     @pytest.mark.parametrize(
         "name",
@@ -67,6 +67,8 @@ class TestAlgorithmConfig:
             "msg_send_cost",
             "contraction_cost_per_op",
             "rebuild_cost_per_decision",
+            "delta_gossip",
+            "table_gossip_interval",
         ],
     )
     def test_retired_knobs_are_rejected(self, name):
@@ -101,14 +103,14 @@ class TestMessages:
         denied = WorkDenied("w2")
         grant = WorkGrant("w2", codes=(ROOT.child(0, 0), ROOT.child(0, 1).child(1, 0)))
         report = WorkReportMsg(WorkReport.build("w1", [ROOT.child(0, 0)]))
-        gossip = TableGossipMsg(CompletedTableSnapshot("w1", frozenset({ROOT.child(0, 1)})))
+        gossip = DeltaGossipMsg(DeltaSnapshot("w1", frozenset({ROOT.child(0, 1)})))
         assert request.wire_size() > 0
         assert denied.wire_size() > 0
         assert grant.wire_size() > request.wire_size()
         assert report.wire_size() > 0
         assert gossip.wire_size() > 0
         assert report.best == report.report.best
-        assert gossip.best == gossip.snapshot.best
+        assert gossip.best == gossip.delta.best
 
     def test_message_kinds(self):
         assert MessageKinds.of(WorkRequest("w")) == MessageKinds.WORK_REQUEST
@@ -118,7 +120,7 @@ class TestMessages:
         root = WorkReportMsg(WorkReport.build("w", [ROOT]))
         assert MessageKinds.of(plain) == MessageKinds.WORK_REPORT
         assert MessageKinds.of(root) == MessageKinds.ROOT_REPORT
-        assert MessageKinds.of(TableGossipMsg(CompletedTableSnapshot("w", frozenset()))) == MessageKinds.TABLE_GOSSIP
+        assert MessageKinds.of(DeltaGossipMsg(DeltaSnapshot("w", frozenset()))) == MessageKinds.DELTA_GOSSIP
         assert MessageKinds.of(object()) == "unknown"
 
 

@@ -1,4 +1,4 @@
-"""Golden runs: three seeded simulated scenarios pinned value for value.
+"""Golden runs: two seeded simulated scenarios pinned value for value.
 
 A refactor of the simulated worker that means to change nothing must leave
 these runs exactly as they were: the makespan, each worker's expansions,
@@ -6,13 +6,12 @@ redundant expansions, recoveries and Figure-3 time split (where the
 simulated per-operation costs show), the bytes and the messages by kind.
 Floats compare at 1e-9 relative, integers exactly.
 
-The three runs cover a small ``figure3`` tree (scale 0.1) on six workers:
+The two runs cover a small ``figure3`` tree (scale 0.1) on six workers:
 
 * ``failure-free`` — the scenario defaults (depth-first, delta gossip);
 * ``faults`` — 5 % message loss, one permanent crash and restart churn,
   with the live failure detector on (short timeouts, so it evicts) and
-  the termination echo the churn backend adds;
-* ``snapshots`` — ``delta_gossip=False``, the literal whole-table push.
+  the termination echo the churn backend adds.
 
 A change that alters behaviour on purpose re-records the values (run this
 file as a script from the repository root with ``PYTHONPATH=src`` and paste
@@ -58,13 +57,6 @@ SCENARIOS = {
             availability=(AvailabilitySpec(worker=2, down=((0.2, 0.45),)),),
             mode="restart",
         ),
-    ),
-    "snapshots": Scenario(
-        name="golden-snapshots",
-        workload=_WORKLOAD,
-        n_workers=6,
-        seed=5,
-        config=AlgorithmConfig(selection_rule=SelectionRule.DEPTH_FIRST, delta_gossip=False),
     ),
 }
 
@@ -126,7 +118,6 @@ GOLDEN = {
             "gossip_acks": 28,
             "heartbeats": 0,
             "root_reports": 15,
-            "table_gossips": 0,
             "work_denials": 71,
             "work_forwards": 0,
             "work_grants": 55,
@@ -228,7 +219,6 @@ GOLDEN = {
             "gossip_acks": 40,
             "heartbeats": 99,
             "root_reports": 4,
-            "table_gossips": 0,
             "work_denials": 76,
             "work_forwards": 0,
             "work_grants": 53,
@@ -309,106 +299,6 @@ GOLDEN = {
                     "contraction": 0.004420000000000003,
                     "idle": 0.2345504737672277,
                     "load_balancing": 0.019589799999999973
-                }
-            }
-        }
-    },
-    "snapshots": {
-        "makespan": 0.7122016995329387,
-        "redundant_nodes_expanded": 18,
-        "total_bytes_sent": 23449,
-        "bytes_by_kind": {
-            "root_report": 220,
-            "table_gossip": 7127,
-            "work_denied": 2372,
-            "work_grant": 3024,
-            "work_report": 6336,
-            "work_request": 4370
-        },
-        "messages_by_kind": {
-            "delta_gossips": 0,
-            "gossip_acks": 0,
-            "heartbeats": 0,
-            "root_reports": 5,
-            "table_gossips": 26,
-            "work_denials": 58,
-            "work_forwards": 0,
-            "work_grants": 45,
-            "work_reports": 80,
-            "work_requests": 105
-        },
-        "crashed_workers": [],
-        "workers": {
-            "worker-00": {
-                "nodes_expanded": 66,
-                "redundant_expansions": 0,
-                "recovery_activations": 2,
-                "time": {
-                    "bb": 0.5866880277859725,
-                    "communication": 0.004138799999999999,
-                    "contraction": 0.002840000000000002,
-                    "idle": 0.09952381402141444,
-                    "load_balancing": 0.009591600000000002
-                }
-            },
-            "worker-01": {
-                "nodes_expanded": 60,
-                "redundant_expansions": 0,
-                "recovery_activations": 0,
-                "time": {
-                    "bb": 0.53962067746952,
-                    "communication": 0.007485000000000003,
-                    "contraction": 0.0036600000000000022,
-                    "idle": 0.14016618115572546,
-                    "load_balancing": 0.0120536
-                }
-            },
-            "worker-02": {
-                "nodes_expanded": 62,
-                "redundant_expansions": 0,
-                "recovery_activations": 0,
-                "time": {
-                    "bb": 0.5105795575200682,
-                    "communication": 0.0053484000000000005,
-                    "contraction": 0.002920000000000002,
-                    "idle": 0.16912328428731885,
-                    "load_balancing": 0.014774799999999996
-                }
-            },
-            "worker-03": {
-                "nodes_expanded": 55,
-                "redundant_expansions": 0,
-                "recovery_activations": 0,
-                "time": {
-                    "bb": 0.5757065888015872,
-                    "communication": 0.005074800000000002,
-                    "contraction": 0.0030600000000000015,
-                    "idle": 0.12099631073135138,
-                    "load_balancing": 0.009917000000000002
-                }
-            },
-            "worker-04": {
-                "nodes_expanded": 64,
-                "redundant_expansions": 0,
-                "recovery_activations": 1,
-                "time": {
-                    "bb": 0.535145441162353,
-                    "communication": 0.006971000000000003,
-                    "contraction": 0.0038600000000000028,
-                    "idle": 0.14217593747231824,
-                    "load_balancing": 0.014625599999999997
-                }
-            },
-            "worker-05": {
-                "nodes_expanded": 62,
-                "redundant_expansions": 0,
-                "recovery_activations": 0,
-                "time": {
-                    "bb": 0.6180666112637095,
-                    "communication": 0.006805000000000004,
-                    "contraction": 0.0037400000000000024,
-                    "idle": 0.06625303054367743,
-                    "load_balancing": 0.006534200000000004
                 }
             }
         }

@@ -14,7 +14,7 @@ from test_golden_runs import SCENARIOS
 
 from repro.core.arena import TrieArena
 from repro.core.codeset import CodeSet
-from repro.distributed.messages import DeltaGossipMsg, MessageKinds, TableGossipMsg, WorkReportMsg
+from repro.distributed.messages import DeltaGossipMsg, MessageKinds, WorkReportMsg
 from repro.scenario import run_scenario
 
 
@@ -42,11 +42,9 @@ def test_failure_free_run_never_builds_payload_codes(monkeypatch):
     assert result.terminated and result.solved_correctly
     assert calls == []
     carried = [
-        payload.report if isinstance(payload, WorkReportMsg)
-        else payload.delta if isinstance(payload, DeltaGossipMsg)
-        else payload.snapshot
+        payload.report if isinstance(payload, WorkReportMsg) else payload.delta
         for payload in payloads
-        if isinstance(payload, (WorkReportMsg, DeltaGossipMsg, TableGossipMsg))
+        if isinstance(payload, (WorkReportMsg, DeltaGossipMsg))
     ]
     kinds = {type(payload).__name__ for payload in carried}
     assert kinds == {"WorkReport", "DeltaSnapshot"}

@@ -302,7 +302,6 @@ class TestStructure:
         "WorkDenied",
         "WorkReportMsg",
         "DeltaGossipMsg",
-        "TableGossipMsg",
         "TableGossipAck",
     }
 

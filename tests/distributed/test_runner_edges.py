@@ -144,7 +144,6 @@ class TestRunnerConstruction:
             "work_denials",
             "work_reports",
             "root_reports",
-            "table_gossips",
             "delta_gossips",
             "gossip_acks",
             "heartbeats",

@@ -11,7 +11,6 @@ from repro.core.work_report import BestSolution, DeltaSnapshot, WorkReport, tabl
 from repro.distributed.config import AlgorithmConfig
 from repro.distributed.messages import (
     DeltaGossipMsg,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -119,14 +118,6 @@ class TestWorkerMessageHandling:
         w1.receive(WorkReportMsg(make_root_report("w0", best=BestSolution(10.0))), 0.0)
         assert w1.terminated
         assert w1.termination.detected_via == "root_report"
-
-    def test_table_gossip_merging(self):
-        engine, network, problem, tree, (w0, w1) = make_worker_pair()
-        from repro.core.work_report import CompletedTableSnapshot
-
-        snapshot = CompletedTableSnapshot("w0", frozenset({ROOT.child(0, 0)}))
-        w1.receive(TableGossipMsg(snapshot), 0.0)
-        assert w1.tracker.table.covers(ROOT.child(0, 0))
 
     def test_best_solution_not_adopted_when_sharing_disabled(self):
         engine, network, problem, tree, (w0, w1) = make_worker_pair(share_best_solution=False)
@@ -506,12 +497,11 @@ class TestWorkerLifecycle:
 
 class TestStepFastPath:
     def test_fast_path_taken_on_quiet_steps(self):
-        # A high report threshold and no staleness/gossip timers means most
-        # steps have an empty inbox and nothing due: the fast path must fire.
+        # A high report threshold and no staleness timer means most steps
+        # have an empty inbox and nothing due: the fast path must fire.
         engine, network, problem, tree, (w0, w1) = make_worker_pair(
             report_threshold=1000,
             report_staleness=None,
-            table_gossip_interval=None,
         )
         w0.on_start()
         w1.on_start()
@@ -535,9 +525,7 @@ class TestStepFastPath:
         assert w0.incumbent.value == pytest.approx(tree.optimal_value())
 
     def test_report_work_due_mirrors_report_triggers(self):
-        engine, network, problem, tree, (w0, w1) = make_worker_pair(
-            report_threshold=2, table_gossip_interval=None
-        )
+        engine, network, problem, tree, (w0, w1) = make_worker_pair(report_threshold=2)
         w0.on_start()
         assert not w0.report_work_due(0.0)
         w0.tracker.record_completed(ROOT.child(0, 0), now=0.0)
@@ -690,13 +678,6 @@ class TestNewsForRedoneWork:
         assert len({to for to, _ in pulls}) == 3 and "w1" not in {to for to, _ in pulls}
         digest = w1.tracker.table_digest_now()
         assert all(d.is_empty and d.full_digest == digest for _, d in pulls)
-
-    def test_without_delta_gossip_nothing_asks_or_answers(self):
-        w1, sent, left, grandchild, right = self.recording(delta_gossip=False)
-        deliver(w1, WorkReportMsg(WorkReport.build("w0", [grandchild, right])))
-        deliver(w1, WorkReportMsg(WorkReport.build("w2", [grandchild])))
-        w1.start_recovery(left, 0.0)
-        assert sent == []
 
     def test_terminated_worker_answers_nothing(self):
         w1, sent, left, grandchild, right = self.recording()

@@ -15,18 +15,11 @@ import pytest
 from repro import wire
 from repro.core.codeset import CodeSet
 from repro.core.encoding import ROOT, PathCode
-from repro.core.work_report import (
-    BestSolution,
-    CompletedTableSnapshot,
-    DeltaSnapshot,
-    WorkReport,
-    table_digest,
-)
+from repro.core.work_report import BestSolution, DeltaSnapshot, WorkReport, table_digest
 from repro.distributed.messages import (
     DeltaGossipMsg,
     HeartbeatGossipMsg,
     TableGossipAck,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -65,16 +58,8 @@ def rand_report(rng, n_codes=None):
     )
 
 
-def rand_snapshot(rng):
-    return CompletedTableSnapshot(
-        sender=f"w{rng.randrange(100)}",
-        codes=frozenset(rand_code(rng) for _ in range(rng.randrange(0, 120))),
-        best=rand_best(rng),
-    )
-
-
-def rand_delta(rng):
-    codes = frozenset(rand_code(rng) for _ in range(rng.randrange(0, 20)))
+def rand_delta(rng, max_codes=20):
+    codes = frozenset(rand_code(rng) for _ in range(rng.randrange(0, max_codes)))
     return DeltaSnapshot(
         sender=f"w{rng.randrange(100)}",
         codes=codes,
@@ -91,12 +76,10 @@ CORE_TAG_SAMPLES = [
     (Tag.PATH_CODE, rand_code, 21),
     (Tag.BEST_SOLUTION, rand_best, 5),
     (Tag.WORK_REPORT, rand_report, 873),
-    (Tag.TABLE_SNAPSHOT, rand_snapshot, 2533),
     (Tag.WORK_REQUEST, lambda rng: WorkRequest("w-1", 1, 2, rand_best(rng)), 15),
     (Tag.WORK_GRANT, lambda rng: WorkGrant(donor="w-2", codes=(rand_code(rng),)), 111),
     (Tag.WORK_DENIED, lambda rng: WorkDenied("w-3", 1, True, rand_best(rng)), 15),
     (Tag.WORK_REPORT_MSG, lambda rng: WorkReportMsg(rand_report(rng)), 821),
-    (Tag.TABLE_GOSSIP_MSG, lambda rng: TableGossipMsg(rand_snapshot(rng)), 4629),
     (Tag.DELTA_SNAPSHOT, rand_delta, 482),
     (Tag.DELTA_GOSSIP_MSG, lambda rng: DeltaGossipMsg(rand_delta(rng)), 207),
     (
@@ -223,9 +206,13 @@ class TestRoundTrips:
         assert decoded.contains_root()
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_snapshots(self, seed):
+    def test_random_whole_table_deltas(self, seed):
+        # A first delta to a peer carries the sender's whole table, so deltas
+        # must round-trip at whole-table sizes too, bare and as gossip.
         rng = random.Random(200 + seed)
-        assert_round_trip(rand_snapshot(rng))
+        delta = rand_delta(rng, max_codes=120)
+        assert_round_trip(delta)
+        assert_round_trip(DeltaGossipMsg(delta))
 
     def test_load_balancing_messages(self):
         rng = random.Random(3)
@@ -243,7 +230,7 @@ class TestRoundTrips:
     def test_wrapped_messages(self):
         rng = random.Random(4)
         assert_round_trip(WorkReportMsg(rand_report(rng)))
-        assert_round_trip(TableGossipMsg(rand_snapshot(rng)))
+        assert_round_trip(DeltaGossipMsg(rand_delta(rng)))
 
     def test_empty_delta_pull_round_trips_in_18_bytes(self):
         # A recovering worker's pull: an empty delta carrying its digest.
@@ -330,7 +317,7 @@ class TestArenaBackedPayloads:
             tracker.record_completed(rand_code(rng, max_depth=12, max_var=3))
         delta = tracker.build_delta_snapshot("w-2")
         report = tracker.build_report()
-        for msg in (delta, report, tracker.build_table_snapshot()):
+        for msg in (delta, report):
             assert isinstance(msg.codes, CodeSet)
             back = wire.decode(wire.encode(msg))
             assert sorted(back.codes) == sorted(msg.codes.codes())
@@ -349,7 +336,7 @@ class TestRejection:
                 rand_code(rng),
                 rand_best(rng),
                 rand_report(rng, n_codes=12),
-                rand_snapshot(rng),
+                rand_delta(rng),
                 WorkGrant(donor="d", codes=tuple(rand_code(rng) for _ in range(3))),
                 WorkDenied(donor="d", best=rand_best(rng)),
             )

@@ -19,8 +19,8 @@ analytic byte model"):
    margin; the model stays an upper bound but is *not* tight there, which is
    the conservative direction.
 4. **Pickle floor** — the codec ships the two payloads that dominate
-   protocol traffic (work reports, contracted table snapshots) in at most
-   half the bytes pickle would.
+   protocol traffic (work reports, table deltas of a contracted table) in
+   at most half the bytes pickle would.
 """
 
 import pickle
@@ -31,9 +31,9 @@ import pytest
 from repro import wire
 from repro.core.codeset import CodeSet
 from repro.core.encoding import ROOT, PathCode
-from repro.core.work_report import BestSolution, CompletedTableSnapshot, WorkReport
+from repro.core.work_report import BestSolution, DeltaSnapshot, WorkReport, table_digest
 from repro.distributed.messages import (
-    TableGossipMsg,
+    DeltaGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -63,7 +63,7 @@ REQUEST_NAMES = (
     "rworker-9999",
 )
 #: The codec's frames must be at least this much smaller than pickle's for
-#: the report/snapshot payloads.
+#: the report and table-delta payloads.
 MIN_PICKLE_RATIO = 2.0
 
 
@@ -81,16 +81,19 @@ def sample_messages(seed):
         best=best,
         sequence=rng.randrange(1000),
     )
-    snapshot = CompletedTableSnapshot(
+    codes = frozenset(rand_code(rng) for _ in range(rng.randrange(0, 150)))
+    delta = DeltaSnapshot(
         sender=f"w{rng.randrange(100)}",
-        codes=frozenset(rand_code(rng) for _ in range(rng.randrange(0, 150))),
+        codes=codes,
+        full_digest=table_digest(codes),
+        sequence=rng.randrange(1000),
         best=best,
     )
     return [
         report,
-        snapshot,
+        delta,
         WorkReportMsg(report),
-        TableGossipMsg(snapshot),
+        DeltaGossipMsg(delta),
         WorkGrant(donor="worker-01", codes=tuple(rand_code(rng) for _ in range(5)), best=best),
         WorkReport(sender="w", codes=frozenset()),  # empty report
         WorkReport(sender="w", codes=frozenset([ROOT])),  # termination report
@@ -135,7 +138,7 @@ class TestModelTrackingBound:
 
 
 class TestFrontCodingDividend:
-    def test_sibling_dense_snapshot_beats_model(self):
+    def test_sibling_dense_delta_beats_model(self):
         # A contracted frontier of a perfect depth-8 subtree: 256 sibling
         # codes that differ only in their last keys.  Front-coding collapses
         # the shared prefixes; the analytic model (3 bytes per decision)
@@ -145,13 +148,14 @@ class TestFrontCodingDividend:
             PathCode(tuple((level, (index >> level) & 1) for level in range(depth)))
             for index in range(2**depth)
         ]
-        snapshot = CompletedTableSnapshot(sender="w0", codes=frozenset(codes))
-        encoded = wire.encoded_size(snapshot)
-        assert encoded * 3 <= snapshot.wire_size()
+        delta = DeltaSnapshot(sender="w0", codes=frozenset(codes))
+        encoded = wire.encoded_size(delta)
+        assert encoded * 3 <= delta.wire_size()
 
-    def test_contracted_table_round_trips_through_snapshot(self):
-        # End-to-end: a real contracted table, snapshotted, encoded, decoded,
-        # rebuilt — the rebuilt table must cover exactly the same codes.
+    def test_contracted_table_round_trips_through_a_delta(self):
+        # End-to-end: a real contracted table, shipped as a first-contact
+        # delta, encoded, decoded, rebuilt — the rebuilt table must cover
+        # exactly the same codes.
         rng = random.Random(12)
         table = CodeSet()
         frontier = [ROOT]
@@ -164,8 +168,8 @@ class TestFrontCodingDividend:
                 table.add(node)
             if not frontier:
                 break
-        snapshot = CompletedTableSnapshot(sender="w", codes=table.codes())
-        decoded = wire.decode(wire.encode(snapshot))
+        delta = DeltaSnapshot(sender="w", codes=table.codes())
+        decoded = wire.decode(wire.encode(delta))
         rebuilt = CodeSet(decoded.codes)
         assert rebuilt.codes() == table.codes()
 
@@ -184,7 +188,7 @@ class TestPickleFloor:
 
     def test_wire_byte_ratios(self):
         # A work report like a busy worker emits (~60 compressed mixed-depth
-        # codes) and a contracted table snapshot (1,500 random codes pushed
+        # codes) and a first-contact table delta (1,500 random codes pushed
         # through CodeSet, leaving the sibling-dense frontiers table gossip
         # actually ships).
         report = WorkReport(
@@ -196,12 +200,13 @@ class TestPickleFloor:
         table = CodeSet()
         for code in self._codes(1500, 20, seed=23, min_depth=8):
             table.add(code)
-        snapshot = CompletedTableSnapshot(
+        delta = DeltaSnapshot(
             sender="rworker-07",
             codes=table.codes(),
+            full_digest=table.structural_digest(),
             best=BestSolution(value=-99.25, origin="rworker-01"),
         )
-        for payload in (report, snapshot):
+        for payload in (report, delta):
             encoded = wire.encoded_size(payload)
             pickled = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
             assert pickled >= MIN_PICKLE_RATIO * encoded, (

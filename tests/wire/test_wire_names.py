@@ -15,17 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import wire
 from repro.core.encoding import PathCode
-from repro.core.work_report import (
-    BestSolution,
-    CompletedTableSnapshot,
-    DeltaSnapshot,
-    WorkReport,
-)
+from repro.core.work_report import BestSolution, DeltaSnapshot, WorkReport
 from repro.distributed.messages import (
     DeltaGossipMsg,
     HeartbeatGossipMsg,
     TableGossipAck,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -74,12 +68,10 @@ def messages(names):
         Tag.PATH_CODE: CODES[0],
         Tag.BEST_SOLUTION: best(),
         Tag.WORK_REPORT: WorkReport(take(), codes, best(), 3),
-        Tag.TABLE_SNAPSHOT: CompletedTableSnapshot(take(), codes, best()),
         Tag.WORK_REQUEST: WorkRequest(take(), 4, 1, best()),
         Tag.WORK_GRANT: WorkGrant(take(), CODES, best()),
         Tag.WORK_DENIED: WorkDenied(take(), 4, True, best()),
         Tag.WORK_REPORT_MSG: WorkReportMsg(WorkReport(take(), codes, best())),
-        Tag.TABLE_GOSSIP_MSG: TableGossipMsg(CompletedTableSnapshot(take(), codes, best())),
         Tag.DELTA_SNAPSHOT: DeltaSnapshot(take(), codes, 9, 2, best()),
         Tag.DELTA_GOSSIP_MSG: DeltaGossipMsg(DeltaSnapshot(take(), codes, 9, 2, best())),
         Tag.TABLE_GOSSIP_ACK: TableGossipAck(take(), 1, 2, best()),

@@ -10,30 +10,26 @@ work request and its denial (``WorkRequest``, ``WorkDenied``, with the walk's
 sequence, hop and exhausted fields) and the failure detector's heartbeat
 round (``HeartbeatGossipMsg``) round-trip, reject every truncation, keep
 their tag values, and stay under the analytic ``wire_size()`` model within
-the documented name-length limits; the second request pair's tags (32, 33)
-stay reserved.
+the documented name-length limits; the tags of the retired whole-table push
+(4, 9) and of the second request pair (32, 33) stay reserved, and the tag
+table of ``docs/WIRE_FORMAT.md`` matches the registry.
 """
 
 import dataclasses
 import inspect
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from repro import wire
 from repro.core.encoding import PathCode
-from repro.core.work_report import (
-    BestSolution,
-    CompletedTableSnapshot,
-    DeltaSnapshot,
-    WorkReport,
-    table_digest,
-)
+from repro.core.work_report import BestSolution, DeltaSnapshot, WorkReport, table_digest
 from repro.distributed.messages import (
     DeltaGossipMsg,
     HeartbeatGossipMsg,
     TableGossipAck,
-    TableGossipMsg,
     WorkDenied,
     WorkGrant,
     WorkReportMsg,
@@ -125,14 +121,10 @@ def registered_samples():
         int(Tag.PATH_CODE): rand_code(rng),
         int(Tag.BEST_SOLUTION): BestSolution(value=1.5, origin="w"),
         int(Tag.WORK_REPORT): WorkReport(sender="w1", codes=frozenset({rand_code(rng)})),
-        int(Tag.TABLE_SNAPSHOT): CompletedTableSnapshot(sender="w1", codes=frozenset()),
         int(Tag.WORK_REQUEST): request,
         int(Tag.WORK_GRANT): WorkGrant(donor="w2", codes=(rand_code(rng),)),
         int(Tag.WORK_DENIED): denied,
         int(Tag.WORK_REPORT_MSG): WorkReportMsg(WorkReport(sender="w1", codes=frozenset())),
-        int(Tag.TABLE_GOSSIP_MSG): TableGossipMsg(
-            CompletedTableSnapshot(sender="w1", codes=frozenset())
-        ),
         int(Tag.DELTA_SNAPSHOT): rand_delta(rng),
         int(Tag.DELTA_GOSSIP_MSG): DeltaGossipMsg(rand_delta(rng)),
         int(Tag.TABLE_GOSSIP_ACK): rand_ack(rng),
@@ -287,7 +279,8 @@ class TestRequestMessages:
 
 class TestOneRequestMessage:
     """The second request/denial pair is gone, and its tags stay reserved:
-    a frame bearing 32 or 33 fails loudly, never decodes into a request."""
+    a frame bearing 32 or 33 fails loudly, never decodes into a request.
+    So do the whole-table push's tags, 4 and 9."""
 
     def test_walk_classes_and_codecs_are_gone(self):
         from repro.distributed import messages
@@ -301,7 +294,16 @@ class TestOneRequestMessage:
             assert not hasattr(codec, f"read_walk_{kind}")
         assert not {"WALK_REQUEST", "WALK_DENIED"} & set(Tag.__members__)
 
-    @pytest.mark.parametrize("tag", [32, 33])
+    def test_whole_table_push_is_gone(self):
+        from repro.distributed import messages
+
+        gone = ["TableGossipMsg"] + [
+            f"{op}_table_{what}" for op in ("write", "read") for what in ("gossip_msg", "snapshot")
+        ]
+        modules = (messages, wire, codec)
+        assert [(m.__name__, name) for m in modules for name in gone if hasattr(m, name)] == []
+
+    @pytest.mark.parametrize("tag", [4, 9, 32, 33])
     def test_reserved_tags_are_rejected(self, tag):
         assert tag not in Tag._value2member_map_
         body = bytearray()
@@ -314,6 +316,43 @@ class TestOneRequestMessage:
         write_uvarint(frame, len(body))
         with pytest.raises(wire.UnknownMessageTagError):
             wire.decode(bytes(frame + body))
+
+
+WIRE_FORMAT_DOC = Path(__file__).resolve().parents[2] / "docs" / "WIRE_FORMAT.md"
+
+
+def documented_tags():
+    """``{tag value: message cell}`` of the doc's "Message tags" table, a
+    row of a range (``10–12``) giving each of its values."""
+    table = WIRE_FORMAT_DOC.read_text(encoding="utf-8").split("## Message tags", 1)[1]
+    rows = {}
+    for line in table.split("\n\n| tag ", 1)[1].split("\n\n", 1)[0].splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        values = re.fullmatch(r"(\d+)(?:–(\d+))?", cells[0])
+        if values is None:
+            continue  # the header and rule rows
+        for value in range(int(values[1]), int(values[2] or values[1]) + 1):
+            assert value not in rows, f"tag {value} has two rows"
+            rows[value] = cells[1]
+    return rows
+
+
+def test_documented_tag_table_matches_the_registry():
+    """Every registered tag has its row, naming its class; every other row
+    up to the last is reserved or free and names no ``Tag`` member."""
+    import repro.realexec.node  # noqa: F401 (registers the extension tags)
+    from repro.wire.frame import _writers
+
+    registered = {tag: cls.__name__ for cls, (tag, _writer) in _writers.items()}
+    rows = documented_tags()
+    assert set(int(member) for member in Tag) <= set(registered)
+    assert sorted(rows) == list(range(1, max(rows) + 1))
+    for value, message in rows.items():
+        if value in registered:
+            assert message.startswith(f"`{registered[value]}`"), (value, message)
+        else:
+            assert message.startswith(("*reserved, never reuse*", "*free,")), (value, message)
+            assert value not in Tag._value2member_map_, value
 
 
 #: Documented limits of the heartbeat's upper bound: members named the
