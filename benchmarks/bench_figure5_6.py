@@ -19,7 +19,13 @@ from repro.analysis import (
     figure56_scenario,
     format_table,
     recovery_evidence,
+    worker_spans,
 )
+
+
+def _activity(result):
+    """The per-worker state table of a traced run's ``worker`` spans."""
+    return format_table(activity_summary(worker_spans(result.telemetry.tracer.iter_records())))
 
 
 @pytest.mark.benchmark(group="figure5_6")
@@ -39,12 +45,12 @@ def test_figures_5_and_6_failure_recovery(benchmark):
         "",
         "FIGURE 5 — no failures:",
         scenario["no_failure_gantt"],
-        format_table(activity_summary(no_failure.trace)),
+        _activity(no_failure),
         f"makespan {no_failure.makespan:.2f}s, solved correctly: {no_failure.solved_correctly}",
         "",
         "FIGURE 6 — two of three processors crash at ~85% of the execution:",
         scenario["with_failures_gantt"],
-        format_table(activity_summary(with_failures.trace)),
+        _activity(with_failures),
         format_table([evidence]),
     ]
     print_experiment("FIGURES 5 & 6 — failure recovery on a very small problem", "\n".join(body))

@@ -5,8 +5,8 @@
   fault-tolerance comparison against the baselines and the reporting /
   compression ablations;
 * :mod:`repro.analysis.tables` — plain-text table rendering;
-* :mod:`repro.analysis.timeline` — timeline digests for the Figures 5/6
-  demonstration.
+* :mod:`repro.analysis.timeline` — the Figures 5/6 timeline: worker-state
+  spans, their ASCII Gantt and digests.
 """
 
 from .figures import (
@@ -24,7 +24,7 @@ from .figures import (
     tiny_tree,
 )
 from .tables import format_kv, format_table, format_wire_table, wire_comparison_rows
-from .timeline import activity_summary, recovery_evidence
+from .timeline import activity_summary, ascii_gantt, recovery_evidence, worker_spans
 
 __all__ = [
     "default_config",
@@ -44,5 +44,7 @@ __all__ = [
     "format_wire_table",
     "wire_comparison_rows",
     "activity_summary",
+    "ascii_gantt",
     "recovery_evidence",
+    "worker_spans",
 ]

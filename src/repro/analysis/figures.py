@@ -36,16 +36,17 @@ from ..bnb.pool import SelectionRule
 from ..bnb.random_tree import RandomTreeSpec, generate_random_tree
 from ..distributed.config import AlgorithmConfig
 from ..distributed.runner import worker_names
-from ..distributed.stats import RunResult
+from ..distributed.stats import TIME_CATEGORIES, RunResult
 from ..scenario import (
     CRITICAL,
     FailureSpec,
     Scenario,
+    TelemetryConfig,
     WorkloadSpec,
     compare_backends,
     run_scenario,
 )
-from ..simulation.metrics import TIME_CATEGORIES
+from .timeline import ascii_gantt, worker_spans
 
 __all__ = [
     "default_config",
@@ -182,10 +183,9 @@ def figure3_breakdown(
             "processors": n,
             "makespan_s": round(result.makespan, 3),
         }
-        if result.metrics is not None:
-            for category in TIME_CATEGORIES:
-                total = result.metrics.total_time(category)
-                row[f"{category}_s_per_proc"] = round(total / n, 3)
+        for category in TIME_CATEGORIES:
+            total = sum(stats.time[category] for stats in result.workers.values())
+            row[f"{category}_s_per_proc"] = round(total / n, 3)
         row["overhead_pct"] = round(result.overhead_percent(), 2)
         row["speedup"] = round(result.speedup() or 0.0, 2)
         row["solved_correctly"] = result.solved_correctly
@@ -272,11 +272,15 @@ def figure56_scenario(
     Runs the very small problem once without failures (Figure 5) and once with
     all processors but one crashing at ``crash_fraction`` of the failure-free
     makespan (Figure 6), and returns both results plus ASCII Gantt charts of
-    the two timelines and the correctness verdicts.
+    the two timelines and the correctness verdicts.  Both runs are traced:
+    ``worker_spans(result.telemetry.tracer.iter_records())`` is a run's
+    timeline.
     """
     tree = tiny_tree(seed=seed)
     cfg = config if config is not None else default_config()
-    base = _tree_scenario(tree, n_workers, cfg, seed, enable_trace=True)
+    base = _tree_scenario(
+        tree, n_workers, cfg, seed, telemetry=TelemetryConfig(trace=True, metrics=False)
+    )
     baseline = _raw_run(base)
     crash_time = crash_fraction * baseline.makespan
     victims = worker_names(n_workers)[1:]
@@ -294,9 +298,13 @@ def figure56_scenario(
         "with_failures": with_failures,
         "crash_time": crash_time,
         "victims": victims,
-        "no_failure_gantt": baseline.trace.ascii_gantt() if baseline.trace else "",
-        "with_failures_gantt": with_failures.trace.ascii_gantt() if with_failures.trace else "",
+        "no_failure_gantt": _gantt(baseline),
+        "with_failures_gantt": _gantt(with_failures),
     }
+
+
+def _gantt(result: RunResult) -> str:
+    return ascii_gantt(worker_spans(result.telemetry.tracer.iter_records()))
 
 
 # --------------------------------------------------------------------------- #

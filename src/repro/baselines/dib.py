@@ -208,7 +208,7 @@ class DibWorkerEntity(BaselineEntity):
             return
         self._step_scheduled = True
         assert self.engine is not None
-        self.engine.schedule(delay, self._step, label=f"{self.name}:dib-step")
+        self.engine.post(delay, self._step, label=f"{self.name}:dib-step")
 
     # ------------------------------------------------------------------ #
     # Responsibility management

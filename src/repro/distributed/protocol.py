@@ -158,7 +158,7 @@ class ProtocolCore:
         """Deliver ``payload`` to the member ``destination`` (or lose it)."""
         raise NotImplementedError
 
-    def set_timer(self, delay: float, reason: str) -> Any:
+    def set_timer(self, delay: float, reason: str) -> None:
         """Call :meth:`on_timer` with ``reason`` after ``delay`` seconds."""
         raise NotImplementedError
 
@@ -635,7 +635,6 @@ class ProtocolCore:
             self._last_lb_attempt = now
             self.set_timer(self.request_timeout(), f"lb-timeout:{self._request_seq}")
             cost += self._sent("load_balancing")
-        self._trace_state("load_balancing")
         return cost
 
     def start_recovery(self, code: PathCode, now: float) -> float:
@@ -644,7 +643,6 @@ class ProtocolCore:
         rebuild_cost = self._rebuild_cost(code)
         self.recovery.note_recovery_started(code)
         self.stats.recovery_activations += 1
-        self._trace_state("recovery")
         if self.tracer is not None:
             self.tracer.event(
                 "recovery_start",

@@ -1,8 +1,8 @@
 """Run configuration and orchestration of simulated distributed B&B runs.
 
 :class:`DistributedBnBSimulation` builds the whole experiment — engine,
-network (latency / loss / partitions), workers, crash schedule, metrics and
-trace — runs it to termination and returns a
+network (latency / loss / partitions), workers, crash schedule and telemetry
+— runs it to termination and returns a
 :class:`~repro.distributed.stats.RunResult` with the paper's metrics filled
 in.  :func:`run_tree_simulation` is the one-call convenience wrapper used by
 the examples and most benchmarks.
@@ -21,10 +21,8 @@ from ..obs import MetricsRegistry, Telemetry, TelemetryConfig, Tracer
 from ..obs.ingest import ingest_run_result
 from ..simulation.engine import SimulationEngine
 from ..simulation.failures import ChurnInjector, CrashEvent, FailureInjector
-from ..simulation.metrics import MetricsCollector
 from ..simulation.network import LatencyModel, Network, Partition, TrafficStats
 from ..simulation.rng import RngRegistry
-from ..simulation.tracing import TimelineTrace
 from .config import AlgorithmConfig
 from .messages import MessageKinds
 from .stats import RunResult, WorkerRunStats
@@ -68,11 +66,9 @@ def assemble_run_result(
     problem: BranchAndBoundProblem,
     reference_optimum: Optional[float],
     uniprocessor_time: Optional[float],
-    metrics: MetricsCollector,
     network_stats: Optional[TrafficStats],
     kind_bytes: Optional[Dict[str, int]] = None,
     kind_messages: Optional[Dict[str, int]] = None,
-    trace: Optional[TimelineTrace] = None,
     engine_counters: Optional[Dict[str, int]] = None,
 ) -> RunResult:
     """Aggregate per-worker outcomes into a :class:`RunResult`."""
@@ -129,12 +125,10 @@ def assemble_run_result(
         redundant_nodes_expanded=total_expanded - len(expanded_union),
         total_bb_time=total_bb_time,
         uniprocessor_time=uniprocessor_time,
-        metrics=metrics,
         network=network_stats,
         total_bytes_sent=network_stats.bytes_sent if network_stats is not None else 0,
         messages_by_kind=messages_by_kind,
         bytes_by_kind=dict(kind_bytes) if kind_bytes else {},
-        trace=trace,
         engine_counters=counters,
     )
 
@@ -151,7 +145,6 @@ class DistributedBnBSimulation:
         network: Optional[NetworkConfig] = None,
         failures: Iterable[CrashEvent] = (),
         seed: int = 0,
-        enable_trace: bool = False,
         reference_optimum: Optional[float] = None,
         uniprocessor_time: Optional[float] = None,
         expected_node_cost: float = 0.0,
@@ -171,7 +164,6 @@ class DistributedBnBSimulation:
         self.network_config = network if network is not None else NetworkConfig.paper_default()
         self.failures = list(failures)
         self.seed = seed
-        self.enable_trace = enable_trace
         self.reference_optimum = reference_optimum
         self.uniprocessor_time = uniprocessor_time
         self.max_sim_time = max_sim_time
@@ -186,8 +178,6 @@ class DistributedBnBSimulation:
         self.arena: Optional[TrieArena] = None
         #: Persistent scan position for :meth:`_stop_condition` (see there).
         self._stop_scan = 0
-        self.metrics = MetricsCollector()
-        self.trace: Optional[TimelineTrace] = TimelineTrace() if enable_trace else None
         self.injector = FailureInjector(self.failures)
         self.worker_speeds: Dict[str, float] = dict(worker_speeds or {})
         #: Non-permanent leave/return schedule (churn).
@@ -195,17 +185,12 @@ class DistributedBnBSimulation:
             ChurnInjector(churn_events, mode=churn_mode) if churn_events else None
         )
 
-        # Run-wide telemetry (repro.obs).  Tracing needs per-worker state
-        # intervals, so it forces an internal TimelineTrace even when the
-        # caller did not ask for one on the result; ``self.trace`` (and
-        # therefore ``RunResult.trace``) stays None unless ``enable_trace``.
+        # Run-wide telemetry (repro.obs).  The tracer is also the workers'
+        # timeline: each records its states as ``worker`` spans.
         self.telemetry_config = telemetry
-        self.tracer: Optional[Tracer] = None
-        self._worker_timeline: Optional[TimelineTrace] = self.trace
-        if telemetry is not None and telemetry.trace:
-            self.tracer = Tracer(process="engine")
-            if self._worker_timeline is None:
-                self._worker_timeline = TimelineTrace()
+        self.tracer: Optional[Tracer] = (
+            Tracer(process="engine") if telemetry is not None and telemetry.trace else None
+        )
         # When metrics are requested the registry exists *before* the run so
         # workers can observe histograms (gossip delta sizes, eviction
         # latencies) into it live; ingestion at the end reuses it.
@@ -248,8 +233,6 @@ class DistributedBnBSimulation:
                 self.config,
                 names,
                 rng=rng.stream(f"worker:{name}"),
-                metrics=self.metrics,
-                trace=self._worker_timeline,
                 initial_work=[root_sub] if index == 0 else [],
                 expected_node_cost=self.expected_node_cost,
                 arena=arena,
@@ -314,8 +297,9 @@ class DistributedBnBSimulation:
                 stop_when=self._after_event,
             )
             end_time = self.engine.now
-            if self._worker_timeline is not None:
-                self._worker_timeline.finish(end_time)
+            if self.tracer is not None:
+                for worker in self.workers:
+                    worker.close_state(end_time)
 
             result = self._collect_results(end_time)
             result.telemetry = self._build_telemetry(end_time, result)
@@ -338,15 +322,12 @@ class DistributedBnBSimulation:
             problem=self.problem,
             reference_optimum=self.reference_optimum,
             uniprocessor_time=self.uniprocessor_time,
-            metrics=self.metrics,
             network_stats=self.net.stats,
             kind_bytes=self.net.kind_bytes,
             kind_messages=self.net.kind_messages,
-            trace=self.trace,
             engine_counters={
                 "events_processed": self.engine.events_processed,
                 "peak_heap_len": self.engine.peak_heap_len,
-                "compactions": self.engine.compactions,
                 "arena_nodes_peak": max(self.arena.nodes_peak, len(self.arena)),
                 "arena_collections": self.arena.collections,
             },
@@ -359,9 +340,8 @@ class DistributedBnBSimulation:
         cfg = self.telemetry_config
         if cfg is None or not cfg.enabled:
             return None
-        tracer: Optional[Tracer] = None
-        if cfg.trace and self.tracer is not None:
-            tracer = self.tracer
+        tracer = self.tracer
+        if tracer is not None:
             tracer.span(
                 "run",
                 0.0,
@@ -370,8 +350,6 @@ class DistributedBnBSimulation:
                 category="engine",
                 args={"workers": self.n_workers},
             )
-            if self._worker_timeline is not None:
-                tracer.add_timeline(self._worker_timeline, category="worker")
             for name, stats in result.workers.items():
                 if stats.crashed and stats.crashed_at is not None:
                     tracer.event(
@@ -421,7 +399,6 @@ def run_tree_simulation(
     seed: int = 0,
     granularity: float = 1.0,
     prune: bool = True,
-    enable_trace: bool = False,
     max_sim_time: Optional[float] = None,
     max_events: Optional[int] = None,
     uniprocessor_time: Optional[float] = None,
@@ -455,7 +432,6 @@ def run_tree_simulation(
         network=network,
         failures=failures,
         seed=seed,
-        enable_trace=enable_trace,
         reference_optimum=tree.optimal_value(),
         uniprocessor_time=uniprocessor_time,
         expected_node_cost=expected_node_cost,

@@ -11,14 +11,16 @@ crashed processes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
-from ..simulation.metrics import MetricsCollector, TIME_CATEGORIES
 from ..simulation.network import TrafficStats
-from ..simulation.tracing import TimelineTrace
 
-__all__ = ["WorkerRunStats", "RunResult"]
+__all__ = ["TIME_CATEGORIES", "WorkerRunStats", "RunResult"]
+
+#: The five execution-time buckets of Figure 3: branch-and-bound,
+#: communication, list contraction, load balancing and idle time.
+TIME_CATEGORIES = ("bb", "communication", "contraction", "load_balancing", "idle")
 
 
 @dataclass
@@ -87,54 +89,20 @@ class WorkerRunStats:
     terminated_at: Optional[float] = None
     terminated_via: Optional[str] = None
     best_value: Optional[float] = None
+    #: Peak completion-state footprint (table plus pool), and the part of
+    #: it learned from other members at that peak (Table 1 "Total" and
+    #: "Redundant" storage).
     storage_peak_bytes: int = 0
     storage_redundant_bytes: int = 0
-    time: Dict[str, float] = field(default_factory=dict)
+    #: Simulated seconds charged to each of the :data:`TIME_CATEGORIES`.
+    time: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(TIME_CATEGORIES, 0.0)
+    )
 
     def as_dict(self) -> dict:
-        """Flat dictionary (report/CSV friendly)."""
-        row = {
-            "name": self.name,
-            "nodes_expanded": self.nodes_expanded,
-            "nodes_pruned": self.nodes_pruned,
-            "nodes_skipped_covered": self.nodes_skipped_covered,
-            "completed_codes_local": self.completed_codes_local,
-            "reports_sent": self.reports_sent,
-            "delta_gossips_sent": self.delta_gossips_sent,
-            "delta_gossips_suppressed": self.delta_gossips_suppressed,
-            "gossip_acks_sent": self.gossip_acks_sent,
-            "gossip_views_pruned": self.gossip_views_pruned,
-            "codes_received": self.codes_received,
-            "codes_received_redundant": self.codes_received_redundant,
-            "work_requests_sent": self.work_requests_sent,
-            "work_grants_sent": self.work_grants_sent,
-            "work_pushes_sent": self.work_pushes_sent,
-            "work_denials_sent": self.work_denials_sent,
-            "work_requests_forwarded": self.work_requests_forwarded,
-            "walks_exhausted": self.walks_exhausted,
-            "work_grants_received": self.work_grants_received,
-            "news_pulls_sent": self.news_pulls_sent,
-            "news_answers_sent": self.news_answers_sent,
-            "recovery_activations": self.recovery_activations,
-            "recovery_aborted": self.recovery_aborted,
-            "redundant_expansions": self.redundant_expansions,
-            "fast_path_steps": self.fast_path_steps,
-            "heartbeats_sent": self.heartbeats_sent,
-            "peers_evicted": self.peers_evicted,
-            "peers_readmitted": self.peers_readmitted,
-            "leaves": self.leaves,
-            "rejoins": self.rejoins,
-            "unavailable_time": self.unavailable_time,
-            "entity_steps": self.entity_steps,
-            "crashed": self.crashed,
-            "crashed_at": self.crashed_at,
-            "terminated": self.terminated,
-            "terminated_at": self.terminated_at,
-            "terminated_via": self.terminated_via,
-            "best_value": self.best_value,
-            "storage_peak_bytes": self.storage_peak_bytes,
-            "storage_redundant_bytes": self.storage_redundant_bytes,
-        }
+        """Flat dictionary (report/CSV friendly): every field, with ``time``
+        spread into one ``time_<category>`` column per category."""
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "time"}
         for category in TIME_CATEGORIES:
             row[f"time_{category}"] = self.time.get(category, 0.0)
         return row
@@ -166,8 +134,6 @@ class RunResult:
     total_bb_time: float = 0.0
     #: Uniprocessor reference time of the workload (sum of all node costs).
     uniprocessor_time: Optional[float] = None
-    #: Shared metrics collector (time/storage accounts per worker).
-    metrics: Optional[MetricsCollector] = None
     #: Global network traffic statistics.
     network: Optional[TrafficStats] = None
     #: Total bytes injected into the network.
@@ -178,10 +144,8 @@ class RunResult:
     #: classified by :class:`~repro.distributed.messages.MessageKinds` — the
     #: delta-gossip benchmark compares the table-dissemination family here.
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Optional execution timeline (Figures 5/6).
-    trace: Optional[TimelineTrace] = None
     #: Engine-level scale counters: ``events_processed``, ``peak_heap_len``,
-    #: ``compactions`` and ``entity_steps``.
+    #: ``entity_steps``, ``arena_nodes_peak`` and ``arena_collections``.
     engine_counters: Dict[str, int] = field(default_factory=dict)
     #: Collected run telemetry (a :class:`repro.obs.Telemetry`) when the run
     #: was started with a telemetry config; ``None`` otherwise.
@@ -213,9 +177,11 @@ class RunResult:
 
     def time_fraction(self, category: str) -> float:
         """System-wide fraction of a time category (Figure 3 / Table 1 %)."""
-        if self.metrics is None:
+        workers = self.workers.values()
+        total = sum(sum(stats.time.values()) for stats in workers)
+        if total <= 0:
             return 0.0
-        return self.metrics.system_fractions().get(category, 0.0)
+        return sum(stats.time.get(category, 0.0) for stats in workers) / total
 
     def bb_time_percent(self) -> float:
         """Table 1 'B&B Time (%)'."""
@@ -243,15 +209,11 @@ class RunResult:
 
     def storage_total_mb(self) -> float:
         """Table 1 'Storage Space Total (MB)': peak completion state, system-wide."""
-        if self.metrics is None:
-            return 0.0
-        return self.metrics.total_storage_bytes() / 1e6
+        return sum(stats.storage_peak_bytes for stats in self.workers.values()) / 1e6
 
     def storage_redundant_mb(self) -> float:
         """Table 1 'Storage Space Redundant (MB)': replicated information received."""
-        if self.metrics is None:
-            return 0.0
-        return self.metrics.redundant_storage_bytes() / 1e6
+        return sum(stats.storage_redundant_bytes for stats in self.workers.values()) / 1e6
 
     def communication_mb_per_hour_per_processor(self) -> float:
         """Table 1 'Communication (MB/hour/processor)'."""

@@ -11,7 +11,9 @@ termination).  What stays here is what only a simulated process has:
   of the paper's five accounting categories (B&B, communication, list
   contraction, load balancing, idle), which is what the Figure 3 / Table 1
   benchmarks read back out; a step is scheduled after the cost it charged;
-* the engine's timers, the inbox, and the timeline trace and storage metric;
+* the engine's timers, the inbox, the storage metric and, when the run has
+  a tracer, the worker's timeline: one ``worker``-category span per state
+  (``working``, ``idle``, ``offline`` …), the Figures 5/6 Gantt rows;
 * churn (suspend, restart, revival), the termination echo, and the live
   failure detector with its heartbeat gossip, evictions and incarnations;
 * :class:`PeerRoster`, the constant-memory peer list of a 10k-worker group.
@@ -32,8 +34,6 @@ from ..core.encoding import PathCode
 from ..core.termination import make_root_report
 from ..gossip.failure_detector import GossipFailureDetector
 from ..simulation.entity import Entity, QueuedMessage
-from ..simulation.metrics import MetricsCollector
-from ..simulation.tracing import TimelineTrace
 from .config import AlgorithmConfig
 from .messages import HeartbeatGossipMsg, TableGossipAck, WorkReportMsg
 from .protocol import ProtocolCore
@@ -146,9 +146,9 @@ class WorkerEntity(Entity, ProtocolCore):
     holds the root) and ``expected_node_cost`` (e.g. the workload tree's mean
     node time) are the core's (:class:`~repro.distributed.protocol.
     ProtocolCore`).  ``members`` names every participant, itself included
-    (static membership, as in the paper's simulations); ``metrics`` and
-    ``trace`` are the runner's shared collectors, and ``speed`` the relative
-    machine speed.
+    (static membership, as in the paper's simulations); ``tracer`` is the
+    run's :class:`~repro.obs.Tracer` (``None`` records no timeline), and
+    ``speed`` the relative machine speed.
     """
 
     def __init__(
@@ -159,8 +159,6 @@ class WorkerEntity(Entity, ProtocolCore):
         members: Sequence[str],
         *,
         rng: Optional[random.Random] = None,
-        metrics: Optional[MetricsCollector] = None,
-        trace: Optional[TimelineTrace] = None,
         initial_work: Sequence[Subproblem] = (),
         expected_node_cost: float = 0.0,
         arena: Optional[TrieArena] = None,
@@ -185,10 +183,10 @@ class WorkerEntity(Entity, ProtocolCore):
             tracer=tracer,
             obs_metrics=obs_metrics,
         )
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.metrics.register(name)
-        self._time_account = self.metrics.time[name]
-        self.trace = trace
+        #: The state this worker is in and since when: the open span of its
+        #: timeline (only kept when the run has a tracer).
+        self._state: Optional[str] = None
+        self._state_since = 0.0
         #: Relative machine speed: node-expansion cost divides by this, so a
         #: 2.0 worker models a machine twice as fast as the calibration host.
         if speed <= 0:
@@ -240,12 +238,7 @@ class WorkerEntity(Entity, ProtocolCore):
     def _charge(self, category: str, amount: float) -> float:
         """Charge simulated time to an accounting category and return it."""
         if amount > 0:
-            # Equivalent to ``self.metrics.charge(self.name, category,
-            # amount)`` against the account registered in ``__init__``, with
-            # the per-call name lookup and category validation hoisted out of
-            # this hot path (every message and step charges something).
-            account = self._time_account
-            setattr(account, category, getattr(account, category) + amount)
+            self.stats.time[category] += amount
             return amount
         return 0.0
 
@@ -262,8 +255,20 @@ class WorkerEntity(Entity, ProtocolCore):
         return REBUILD_COST_PER_DECISION * max(1, code.depth)
 
     def _trace_state(self, state: str) -> None:
-        if self.trace is not None:
-            self.trace.set_state(self.name, state, self._now())
+        if self.tracer is not None and state != self._state:
+            now = self._now()
+            self.close_state(now)
+            self._state = state
+            self._state_since = now
+
+    def close_state(self, now: float) -> None:
+        """Record the open state as a ``worker`` span ending at ``now``
+        (a zero-length one is dropped); the runner calls this at the end."""
+        since = self._state_since
+        if self._state is not None and now > since:
+            self.tracer.span(
+                self._state, since, now - since, process=self.name, category="worker"
+            )
 
     def _on_idle(self, idle_from: float) -> None:
         self._idle_since = idle_from
@@ -282,9 +287,14 @@ class WorkerEntity(Entity, ProtocolCore):
         return ProtocolCore._receive_other(self, payload, size_bytes)
 
     def _update_storage_metric(self) -> None:
+        """Raise the storage peak; the redundant share is read at the peak."""
         footprint = self.tracker.storage_bytes() + self.pool.storage_bytes()
-        redundant = int(round(footprint * self.tracker.remote_information_share()))
-        self.metrics.update_storage(self.name, footprint, redundant)
+        stats = self.stats
+        if footprint > stats.storage_peak_bytes:
+            stats.storage_peak_bytes = footprint
+            stats.storage_redundant_bytes = max(
+                0, int(round(footprint * self.tracker.remote_information_share()))
+            )
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -645,13 +655,4 @@ class WorkerEntity(Entity, ProtocolCore):
                 0.0, self._now() - self._unavailable_since
             )
             self._unavailable_since = None
-        if self._steps:
-            self.metrics.count(self.name, "entity_steps", self._steps)
-        account = self.metrics.time.get(self.name)
-        if account is not None:
-            self.stats.time = account.as_dict()
-        storage = self.metrics.storage.get(self.name)
-        if storage is not None:
-            self.stats.storage_peak_bytes = storage.peak_bytes
-            self.stats.storage_redundant_bytes = storage.redundant_bytes
         return self.stats

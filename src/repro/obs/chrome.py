@@ -13,15 +13,15 @@ records of a :class:`~repro.obs.trace.Tracer` into that format:
   ``"repro"`` key, which trace viewers ignore but ``python -m repro inspect``
   reads back.
 
-:func:`timeline_from_chrome` reconstructs a
-:class:`~repro.simulation.tracing.TimelineTrace` from the ``worker``-category
-spans of a saved trace, so the ASCII Gantt works on exported files too.
+:func:`spans_from_chrome` reads the complete spans of a saved trace back as
+records, so the worker-state Gantt (:mod:`repro.analysis.timeline`) works on
+exported files too.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from .trace import Tracer
 
@@ -29,7 +29,7 @@ __all__ = [
     "chrome_trace_dict",
     "write_chrome_trace",
     "load_chrome_trace",
-    "timeline_from_chrome",
+    "spans_from_chrome",
     "category_span_counts",
 ]
 
@@ -113,28 +113,21 @@ def _process_names(events: Iterable[dict]) -> Dict[int, str]:
     return names
 
 
-def timeline_from_chrome(document: Dict[str, Any], *, category: str = "worker"):
-    """Rebuild a :class:`TimelineTrace` from one category's complete spans."""
-    from ..simulation.tracing import TimelineTrace
-
+def spans_from_chrome(document: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    """The complete spans of a loaded trace, as :meth:`Tracer.iter_records`
+    yields them (seconds, process names)."""
     events = document.get("traceEvents", [])
     names = _process_names(events)
-    spans = [
-        event
-        for event in events
-        if event.get("ph") == "X" and event.get("cat") == category
-    ]
-    spans.sort(key=lambda event: (event.get("pid", 0), event.get("ts", 0.0)))
-    timeline = TimelineTrace()
-    end = 0.0
-    for span in spans:
-        process = names.get(span.get("pid", 0), f"pid-{span.get('pid', 0)}")
-        start = span.get("ts", 0.0) / _US
-        finish = start + span.get("dur", 0.0) / _US
-        timeline.set_state(process, span.get("name", "?"), start)
-        end = max(end, finish)
-    timeline.finish(end)
-    return timeline
+    for event in events:
+        if event.get("ph") == "X":
+            pid = event.get("pid", 0)
+            yield {
+                "ts": event.get("ts", 0.0) / _US,
+                "dur": event.get("dur", 0.0) / _US,
+                "process": names.get(pid, f"pid-{pid}"),
+                "category": event.get("cat", "misc"),
+                "name": event.get("name", "?"),
+            }
 
 
 def category_span_counts(document: Dict[str, Any]) -> Dict[str, int]:

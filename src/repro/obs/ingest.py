@@ -5,8 +5,8 @@ knows the shapes of the codebase's scattered counters and folds each of them
 in under stable metric names:
 
 * ``engine_*`` — the engine-level scale counters
-  (``RunResult.engine_counters``: events, peak heap, compactions, entity
-  steps, peak arena nodes and arena collections);
+  (``RunResult.engine_counters``: events, peak heap, entity steps, peak
+  arena nodes and arena collections);
 * ``net_*`` — the simulated network's
   :class:`~repro.simulation.network.TrafficStats` plus the per-kind byte and
   message maps (labeled ``kind=...``);

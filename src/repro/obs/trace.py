@@ -143,22 +143,6 @@ class Tracer:
                 process=process, category=category, args=args,
             )
 
-    def add_timeline(self, timeline: Any, *, category: str = "worker") -> None:
-        """Convert a :class:`~repro.simulation.tracing.TimelineTrace`.
-
-        Every state interval becomes one span named after the state,
-        attributed to its process — this is how the simulated backend's
-        per-worker Gantt rows become Chrome-trace tracks.
-        """
-        for interval in timeline.intervals():
-            self.span(
-                interval.state,
-                interval.start,
-                interval.duration,
-                process=interval.process,
-                category=category,
-            )
-
     def merge_records(self, records: Iterable[Any]) -> None:
         """Absorb records from another tracer (tuples or exported dicts)."""
         for record in records:

@@ -184,7 +184,6 @@ def _reference_key(scenario: Scenario) -> Scenario:
         description="",
         failures=(),
         churn=None,
-        enable_trace=False,
         telemetry=None,
         compute_uniprocessor_time=False,
         uniprocessor_time=None,
@@ -283,7 +282,6 @@ class SimulatedBackend:
             seed=scenario.seed,
             granularity=scenario.granularity,
             prune=scenario.prune,
-            enable_trace=scenario.enable_trace,
             max_sim_time=scenario.max_sim_time,
             max_events=scenario.max_events,
             uniprocessor_time=scenario.uniprocessor_time,

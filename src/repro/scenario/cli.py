@@ -183,11 +183,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from ..obs.chrome import (
-        category_span_counts,
-        load_chrome_trace,
-        timeline_from_chrome,
-    )
+    from ..analysis.timeline import ascii_gantt, worker_spans
+    from ..obs.chrome import category_span_counts, load_chrome_trace, spans_from_chrome
 
     try:
         document = load_chrome_trace(args.trace)
@@ -208,9 +205,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         by_cat = ", ".join(f"{cat}={n}" for cat, n in sorted(counts.items()))
         print(f"{total} spans across {len(counts)} categories: {by_cat}")
 
-    timeline = timeline_from_chrome(document)
     print()
-    print(timeline.ascii_gantt(width=args.width))
+    print(ascii_gantt(worker_spans(spans_from_chrome(document)), width=args.width))
 
     metrics = document.get("repro", {}).get("metrics", {})
     counters = metrics.get("counters", {})

@@ -99,7 +99,8 @@ class ScenarioResult:
     #: Normalised per-worker statistics.
     workers: Dict[str, WorkerSummary] = field(default_factory=dict)
     #: Engine-level scale counters (simulated backend): ``events_processed``,
-    #: ``peak_heap_len``, ``compactions`` and ``entity_steps``.
+    #: ``peak_heap_len``, ``entity_steps``, ``arena_nodes_peak`` and
+    #: ``arena_collections``.
     engine_counters: Dict[str, int] = field(default_factory=dict)
     #: The backend-native result object (RunResult, BaselineRunResult, …).
     raw: object = None

@@ -482,8 +482,6 @@ class Scenario:
     prune: bool = False
     #: Constant factor applied to all node times.
     granularity: float = 1.0
-    #: Record a timeline trace (simulated backend only).
-    enable_trace: bool = False
     #: Run-wide telemetry (structured tracing and/or the metrics registry,
     #: see :mod:`repro.obs`); ``None`` collects nothing.
     telemetry: Optional[TelemetryConfig] = None

@@ -8,16 +8,11 @@ package provides the equivalent functionality in pure Python:
   Crash-model failure semantics;
 * :mod:`repro.simulation.network` — the ``1.5 ms + 0.005 ms/byte`` latency
   model, message loss, temporary partitions and traffic accounting;
-* :mod:`repro.simulation.failures` — crash-failure injection schedules;
-* :mod:`repro.simulation.metrics` — the per-process time split (B&B /
-  communication / contraction / load balancing / idle) and storage accounting
-  used by Figure 3 and Table 1;
-* :mod:`repro.simulation.tracing` — per-process state timelines (the Jumpshot
-  substitute behind Figures 5 and 6); and
+* :mod:`repro.simulation.failures` — crash-failure injection schedules; and
 * :mod:`repro.simulation.rng` — named, seeded random streams.
 """
 
-from .engine import EventHandle, SimulationEngine, SimulationError
+from .engine import SimulationEngine, SimulationError
 from .entity import Entity, QueuedMessage
 from .failures import (
     CrashEvent,
@@ -25,15 +20,12 @@ from .failures import (
     fractional_crash_schedule,
     random_crash_schedule,
 )
-from .metrics import TIME_CATEGORIES, MetricsCollector, StorageAccount, TimeAccount
 from .network import LatencyModel, Network, Partition, TrafficStats
 from .rng import RngRegistry
-from .tracing import StateInterval, TimelineTrace
 
 __all__ = [
     "SimulationEngine",
     "SimulationError",
-    "EventHandle",
     "Entity",
     "QueuedMessage",
     "LatencyModel",
@@ -44,11 +36,5 @@ __all__ = [
     "FailureInjector",
     "random_crash_schedule",
     "fractional_crash_schedule",
-    "MetricsCollector",
-    "TimeAccount",
-    "StorageAccount",
-    "TIME_CATEGORIES",
-    "TimelineTrace",
-    "StateInterval",
     "RngRegistry",
 ]

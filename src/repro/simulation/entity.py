@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Optional, TYPE_CHECKING
 
-from .engine import EventHandle, SimulationEngine
+from .engine import SimulationEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .network import Network
@@ -50,7 +50,6 @@ class Entity:
         self.inbox: Deque[QueuedMessage] = deque()
         self.alive = True
         self.crashed_at: Optional[float] = None
-        self._wakeup_handle: Optional[EventHandle] = None
 
     # ------------------------------------------------------------------ #
     # Wiring (called by the network / runner when the topology is built)
@@ -124,7 +123,7 @@ class Entity:
     # ------------------------------------------------------------------ #
     # Timers
     # ------------------------------------------------------------------ #
-    def set_timer(self, delay: float, reason: str = "timer") -> EventHandle:
+    def set_timer(self, delay: float, reason: str = "timer") -> None:
         """Schedule :meth:`on_wakeup` after ``delay`` seconds of simulated time."""
         assert self.engine is not None, "entity not bound to an engine"
 
@@ -132,7 +131,7 @@ class Entity:
             if self.alive:
                 self.on_wakeup(reason)
 
-        return self.engine.schedule(delay, _fire, label=f"{self.name}:{reason}")
+        self.engine.post(delay, _fire, label=f"{self.name}:{reason}")
 
     # ------------------------------------------------------------------ #
     # Failure model

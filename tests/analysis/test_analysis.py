@@ -17,7 +17,7 @@ from repro.analysis.figures import (
     tiny_tree,
 )
 from repro.analysis.tables import format_kv, format_table
-from repro.analysis.timeline import activity_summary, recovery_evidence
+from repro.analysis.timeline import activity_summary, recovery_evidence, worker_spans
 
 
 class TestWorkloadBuilders:
@@ -102,7 +102,7 @@ class TestExperimentBuilders:
         assert evidence["all_survivors_terminated"]
         assert evidence["solved_correctly"]
         assert evidence["surviving_workers"] == ["worker-00"]
-        summary = activity_summary(with_failures.trace)
+        summary = activity_summary(worker_spans(with_failures.telemetry.tracer.iter_records()))
         assert any(row["process"] == "worker-00" for row in summary)
 
     def test_granularity_sweep(self):

@@ -18,7 +18,6 @@ from repro.distributed.messages import (
     WorkRequest,
 )
 from repro.distributed.stats import RunResult, WorkerRunStats
-from repro.simulation.metrics import MetricsCollector
 
 
 class TestAlgorithmConfig:
@@ -126,13 +125,18 @@ class TestMessages:
 
 class TestRunResultDerivedMetrics:
     def make_result(self):
-        metrics = MetricsCollector()
-        metrics.charge("w0", "bb", 90.0)
-        metrics.charge("w0", "communication", 4.0)
-        metrics.charge("w0", "contraction", 2.0)
-        metrics.charge("w0", "load_balancing", 1.0)
-        metrics.charge("w0", "idle", 3.0)
-        metrics.update_storage("w0", 2_000_000, 500_000)
+        w0 = WorkerRunStats(
+            name="w0",
+            storage_peak_bytes=2_000_000,
+            storage_redundant_bytes=500_000,
+            time={
+                "bb": 90.0,
+                "communication": 4.0,
+                "contraction": 2.0,
+                "load_balancing": 1.0,
+                "idle": 3.0,
+            },
+        )
         return RunResult(
             n_workers=4,
             makespan=3600.0,
@@ -142,7 +146,7 @@ class TestRunResultDerivedMetrics:
             total_nodes_expanded=100,
             redundant_nodes_expanded=10,
             uniprocessor_time=7200.0,
-            metrics=metrics,
+            workers={"w0": w0},
             total_bytes_sent=8_000_000,
         )
 

@@ -10,6 +10,7 @@ These are the tests that verify the paper's central claims:
 
 import pytest
 
+from repro.analysis.timeline import ascii_gantt, worker_spans
 from repro.bnb.knapsack import random_knapsack
 from repro.bnb.basic_tree import record_basic_tree
 from repro.bnb.pool import SelectionRule
@@ -17,6 +18,7 @@ from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
 from repro.bnb.sequential import SequentialSolver
 from repro.bnb.tree_problem import TreeReplayProblem
 from repro.distributed.config import AlgorithmConfig
+from repro.obs import TelemetryConfig
 from repro.distributed.runner import (
     DistributedBnBSimulation,
     NetworkConfig,
@@ -87,7 +89,6 @@ class TestBasicRuns:
     def test_time_accounting_covers_makespan(self):
         tree = small_tree(seed=5)
         result = run_tree_simulation(tree, 4, config=fast_config(), seed=3, prune=False)
-        assert result.metrics is not None
         for name, stats in result.workers.items():
             total = sum(stats.time.values())
             terminated_at = stats.terminated_at
@@ -120,12 +121,16 @@ class TestBasicRuns:
     def test_trace_collection(self):
         tree = small_tree(seed=7)
         result = run_tree_simulation(
-            tree, 3, config=fast_config(), seed=4, prune=False, enable_trace=True
+            tree,
+            3,
+            config=fast_config(),
+            seed=4,
+            prune=False,
+            telemetry=TelemetryConfig(trace=True, metrics=False),
         )
-        assert result.trace is not None
-        assert set(result.trace.processes()) == set(result.workers.keys())
-        gantt = result.trace.ascii_gantt()
-        assert "worker-00" in gantt
+        spans = worker_spans(result.telemetry.tracer.iter_records())
+        assert {span[0] for span in spans} == set(result.workers.keys())
+        assert "worker-00" in ascii_gantt(spans)
 
 
 class TestOneEngine:
@@ -352,7 +357,6 @@ class TestFaultTolerance:
         # The survivor must have regenerated at least one lost subproblem
         # (unless, by luck, the victims had already finished everything).
         assert survivor.recovery_activations >= 0
-        assert result.trace is None  # tracing was not requested
 
     def test_crash_before_any_work_spreads(self):
         """Crashing workers very early must not wedge the computation."""

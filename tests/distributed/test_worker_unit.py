@@ -3,6 +3,7 @@ through the simulated adapter (small scenarios, explicit clock readings)."""
 
 import pytest
 
+from repro.analysis.timeline import worker_spans
 from repro.bnb.pool import SelectionRule
 from repro.bnb.random_tree import RandomTreeSpec, generate_random_tree
 from repro.bnb.tree_problem import TreeReplayProblem
@@ -18,9 +19,10 @@ from repro.distributed.messages import (
 )
 from repro.distributed import pacing
 from repro.distributed.pacing import IDLE_GOSSIP_NODE_COST_FRACTION, IDLE_PACE_CAP
+from repro.distributed.stats import TIME_CATEGORIES
 from repro.distributed.worker import WorkerEntity
+from repro.obs import Tracer
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.metrics import MetricsCollector
 from repro.simulation.network import Network
 from repro.simulation.rng import RngRegistry
 
@@ -44,7 +46,6 @@ def make_worker_pair(
     engine = SimulationEngine()
     rng = RngRegistry(2)
     network = Network(engine, rng=rng.stream("net"))
-    metrics = MetricsCollector()
     names = [f"w{i}" for i in range(n_workers)]
     workers = []
     for index, name in enumerate(names):
@@ -54,7 +55,6 @@ def make_worker_pair(
             config,
             names,
             rng=rng.stream(name),
-            metrics=metrics,
             initial_work=(
                 [problem.root_subproblem()] if with_root and index == 0 else []
             ),
@@ -689,3 +689,59 @@ class TestNewsForRedoneWork:
         deliver(w1, DeltaGossipMsg(blank))
         assert sent == []
         assert w1.stats.news_answers_sent == 0
+
+
+class TestOneRecordPerWorker:
+    """Time and storage land in ``stats``; states become tracer spans."""
+
+    def test_time_starts_at_zero_in_every_category(self):
+        _, _, _, _, (w0, _) = make_worker_pair()
+        assert w0.stats.time == dict.fromkeys(TIME_CATEGORIES, 0.0)
+        assert w0._charge("bb", 2.0) == 2.0
+        assert w0._charge("idle", 0.0) == 0.0
+        assert w0.stats.time["bb"] == 2.0 and w0.stats.time["idle"] == 0.0
+        with pytest.raises(KeyError):
+            w0._charge("bogus", 1.0)
+
+    def test_storage_keeps_the_redundant_share_read_at_the_peak(self, monkeypatch):
+        _, _, _, _, (w0, _) = make_worker_pair()
+        monkeypatch.setattr(w0.pool, "storage_bytes", lambda: 0)
+        for footprint, share, peak, redundant in (
+            (100, 0.1, 100, 10),
+            (50, 0.8, 100, 10),
+            (200, 0.3, 200, 60),
+        ):
+            monkeypatch.setattr(w0.tracker, "storage_bytes", lambda f=footprint: f)
+            monkeypatch.setattr(w0.tracker, "remote_information_share", lambda s=share: s)
+            w0._update_storage_metric()
+            assert (w0.stats.storage_peak_bytes, w0.stats.storage_redundant_bytes) == (
+                peak,
+                redundant,
+            )
+
+    @staticmethod
+    def _states(changes, end):
+        """The spans of ``w0`` after entering each ``(time, state)``."""
+        engine, _, _, _, (w0, _) = make_worker_pair()
+        w0.tracer = Tracer()
+        for time, state in changes:
+            engine.schedule_at(time, lambda s=state: w0._trace_state(s))
+        engine.run()
+        w0.close_state(end)
+        return [span[1:] for span in worker_spans(w0.tracer.iter_records())]
+
+    def test_same_state_twice_is_one_span(self):
+        spans = self._states([(0.0, "working"), (1.0, "working"), (2.0, "idle")], 3.0)
+        assert spans == [("working", 0.0, 2.0), ("idle", 2.0, 1.0)]
+
+    def test_zero_length_spans_are_dropped(self):
+        spans = self._states([(1.0, "working"), (1.0, "idle")], 2.0)
+        assert spans == [("idle", 1.0, 1.0)]
+        assert self._states([(0.0, "working"), (3.0, "idle")], 3.0) == [
+            ("working", 0.0, 3.0)
+        ]
+
+    def test_untraced_worker_keeps_no_state(self):
+        _, _, _, _, (w0, _) = make_worker_pair()
+        w0._trace_state("working")
+        assert w0._state is None

@@ -36,15 +36,13 @@ class TestSimulatedTelemetry:
         assert document["repro"]["meta"]["backend"] == "simulated"
         assert document["repro"]["meta"]["clock"] == "sim-seconds"
 
-    def test_telemetry_does_not_change_outcomes_or_expose_trace(self):
+    def test_telemetry_does_not_change_outcomes(self):
         plain = run_scenario(_quickstart(None), backend="simulated")
         traced = run_scenario(_quickstart(TelemetryConfig()), backend="simulated")
         assert plain.telemetry is None
         assert traced.makespan == plain.makespan
         assert traced.best_value == plain.best_value
         assert traced.total_nodes_expanded == plain.total_nodes_expanded
-        # Telemetry must not flip on the legacy RunResult.trace surface.
-        assert traced.raw.trace is None
 
     def test_metrics_snapshot_has_engine_network_and_worker_families(self):
         result = run_scenario(_quickstart(TelemetryConfig()), backend="simulated")
@@ -106,7 +104,6 @@ class TestEngineCounterIngestion:
     COUNTERS = {
         "events_processed": 120,
         "peak_heap_len": 17,
-        "compactions": 2,
         "entity_steps": 40,
     }
 
@@ -115,7 +112,6 @@ class TestEngineCounterIngestion:
         ingest_engine_counters(registry, self.COUNTERS)
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {
-            "engine_compactions": 2,
             "engine_entity_steps": 40,
             "engine_events_processed": 120,
         }
@@ -144,7 +140,6 @@ class TestEngineCounterIngestion:
         assert set(engine) == {
             "events_processed",
             "peak_heap_len",
-            "compactions",
             "entity_steps",
             "arena_nodes_peak",
             "arena_collections",

@@ -4,15 +4,15 @@ import json
 
 import pytest
 
+from repro.analysis.timeline import worker_spans
 from repro.obs import NULL_TRACER, NullTracer, Tracer
 from repro.obs.chrome import (
     category_span_counts,
     chrome_trace_dict,
     load_chrome_trace,
-    timeline_from_chrome,
+    spans_from_chrome,
     write_chrome_trace,
 )
-from repro.simulation.tracing import TimelineTrace
 
 
 class TestTracer:
@@ -113,16 +113,17 @@ class TestChromeExport:
         with pytest.raises(ValueError):
             load_chrome_trace(path)
 
-    def test_timeline_round_trip(self):
-        timeline = TimelineTrace()
-        timeline.set_state("w0", "working", 0.0)
-        timeline.set_state("w0", "idle", 2.0)
-        timeline.set_state("w1", "working", 0.5)
-        timeline.finish(3.0)
+    def test_worker_spans_round_trip(self):
         tracer = Tracer(process="engine")
-        tracer.add_timeline(timeline)
-        rebuilt = timeline_from_chrome(chrome_trace_dict(tracer))
-        assert rebuilt.processes() == ["w0", "w1"]
-        assert rebuilt.state_at("w0", 1.0) == "working"
-        assert rebuilt.state_at("w0", 2.5) == "idle"
-        assert rebuilt.end_time() == pytest.approx(3.0)
+        tracer.span("working", 0.0, 2.0, process="w0", category="worker")
+        tracer.span("idle", 2.0, 1.0, process="w0", category="worker")
+        tracer.span("working", 0.5, 2.5, process="w1", category="worker")
+        tracer.span("run", 0.0, 3.0, category="engine")
+        tracer.event("crash", ts=1.0, process="w1", category="engine")
+        spans = worker_spans(tracer.iter_records())
+        assert spans == [
+            ("w0", "working", 0.0, 2.0),
+            ("w0", "idle", 2.0, 1.0),
+            ("w1", "working", 0.5, 2.5),
+        ]
+        assert worker_spans(spans_from_chrome(chrome_trace_dict(tracer))) == spans

@@ -18,9 +18,9 @@ class TestEngine:
     def test_events_run_in_time_order(self):
         engine = SimulationEngine()
         order = []
-        engine.schedule(2.0, lambda: order.append("b"))
-        engine.schedule(1.0, lambda: order.append("a"))
-        engine.schedule(3.0, lambda: order.append("c"))
+        engine.post(2.0, lambda: order.append("b"))
+        engine.post(1.0, lambda: order.append("a"))
+        engine.post(3.0, lambda: order.append("c"))
         engine.run()
         assert order == ["a", "b", "c"]
         assert engine.now == 3.0
@@ -30,33 +30,24 @@ class TestEngine:
         engine = SimulationEngine()
         order = []
         for label in "abc":
-            engine.schedule(1.0, lambda l=label: order.append(l))
+            engine.post(1.0, lambda l=label: order.append(l))
         engine.run()
         assert order == ["a", "b", "c"]
 
     def test_cannot_schedule_in_the_past(self):
         engine = SimulationEngine()
         with pytest.raises(SimulationError):
-            engine.schedule(-1.0, lambda: None)
-        engine.schedule(5.0, lambda: None)
+            engine.post(-1.0, lambda: None)
+        engine.post(5.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError):
             engine.schedule_at(1.0, lambda: None)
 
-    def test_cancel_event(self):
-        engine = SimulationEngine()
-        fired = []
-        handle = engine.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
-        assert handle.cancelled
-        engine.run()
-        assert fired == []
-
     def test_run_until(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(10.0, lambda: fired.append(2))
+        engine.post(1.0, lambda: fired.append(1))
+        engine.post(10.0, lambda: fired.append(2))
         engine.run(until=5.0)
         assert fired == [1]
         assert engine.now == 5.0
@@ -68,7 +59,7 @@ class TestEngine:
         engine = SimulationEngine()
         counter = []
         for i in range(10):
-            engine.schedule(float(i), lambda i=i: counter.append(i))
+            engine.post(float(i), lambda i=i: counter.append(i))
         engine.run(max_events=3)
         assert len(counter) == 3
         engine.run(stop_when=lambda: len(counter) >= 5)
@@ -77,8 +68,8 @@ class TestEngine:
     def test_stop_requested_from_callback(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule(1.0, lambda: (fired.append(1), engine.stop()))
-        engine.schedule(2.0, lambda: fired.append(2))
+        engine.post(1.0, lambda: (fired.append(1), engine.stop()))
+        engine.post(2.0, lambda: fired.append(2))
         engine.run()
         assert fired == [1]
 
@@ -88,32 +79,18 @@ class TestEngine:
 
         def first():
             seen.append("first")
-            engine.schedule(1.0, lambda: seen.append("second"))
+            engine.post(1.0, lambda: seen.append("second"))
 
-        engine.schedule(1.0, first)
+        engine.post(1.0, first)
         engine.run()
         assert seen == ["first", "second"]
         assert engine.now == 2.0
-
-    def test_drain_cancelled(self):
-        engine = SimulationEngine()
-        handles = [engine.schedule(1.0, lambda: None) for _ in range(5)]
-        for handle in handles[:4]:
-            handle.cancel()
-        engine.drain_cancelled()
-        assert engine.pending_events() == 1
-
-    def test_handle_metadata(self):
-        engine = SimulationEngine()
-        handle = engine.schedule(1.5, lambda: None, label="probe")
-        assert handle.time == 1.5
-        assert handle.label == "probe"
 
     def test_post_fires_in_insertion_order_with_scheduled_events(self):
         engine = SimulationEngine()
         order = []
         engine.post(1.0, lambda: order.append("a"))
-        engine.schedule(1.0, lambda: order.append("b"))
+        assert engine.schedule_at(1.0, lambda: order.append("b")) is None
         engine.post(1.0, lambda: order.append("c"))
         engine.post(0.5, lambda: order.append("first"))
         assert engine.post(2.0, lambda: order.append("last")) is None
@@ -130,15 +107,15 @@ class TestEngine:
     def test_schedule_at_current_time_is_allowed(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule(2.0, lambda: engine.schedule_at(engine.now, lambda: fired.append(engine.now)))
+        engine.post(2.0, lambda: engine.schedule_at(engine.now, lambda: fired.append(engine.now)))
         engine.run()
         assert fired == [2.0]
 
     def test_run_until_executes_events_at_the_boundary(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule(5.0, lambda: fired.append(5.0))
-        engine.schedule(5.5, lambda: fired.append(5.5))
+        engine.post(5.0, lambda: fired.append(5.0))
+        engine.post(5.5, lambda: fired.append(5.5))
         assert engine.run(until=5.0) == 5.0
         assert fired == [5.0]
         assert engine.pending_events() == 1
@@ -152,24 +129,16 @@ class TestEngine:
                 engine.run()
             errors.append("raised")
 
-        engine.schedule(1.0, nested)
+        engine.post(1.0, nested)
         engine.run()
         assert errors == ["raised"]
         # The outer run still finished cleanly and the engine is reusable.
-        engine.schedule(1.0, lambda: errors.append("again"))
+        engine.post(1.0, lambda: errors.append("again"))
         engine.run()
         assert errors == ["raised", "again"]
 
 
 class TestEngineCounters:
-    def test_events_processed_skips_cancelled_events(self):
-        engine = SimulationEngine()
-        handles = [engine.schedule(float(i), lambda: None) for i in range(6)]
-        handles[1].cancel()
-        handles[4].cancel()
-        engine.run()
-        assert engine.events_processed == 4
-
     def test_events_processed_accumulates_across_resumed_runs(self):
         engine = SimulationEngine()
         for i in range(10):
@@ -184,10 +153,9 @@ class TestEngineCounters:
     def test_peak_heap_len_is_a_high_water_mark(self):
         engine = SimulationEngine()
         assert engine.peak_heap_len == 0
-        handles = [engine.schedule(1.0, lambda: None) for _ in range(4)]
+        for _ in range(4):
+            engine.post(1.0, lambda: None)
         engine.post(2.0, lambda: None)
-        # Cancelled entries still occupy the heap until popped.
-        handles[0].cancel()
         assert engine.peak_heap_len == 5
         engine.run()
         assert engine.pending_events() == 0
@@ -286,7 +254,7 @@ class TestFailureInjection:
         network.register(b)
         injector = FailureInjector([CrashEvent(1.0, "a")])
         injector.install(engine, network)
-        engine.schedule(2.0, lambda: None)
+        engine.post(2.0, lambda: None)
         engine.run()
         assert not a.alive and b.alive
         assert injector.crashed == ["a"]
