@@ -737,9 +737,24 @@ class TestOneRecordPerWorker:
     def test_zero_length_spans_are_dropped(self):
         spans = self._states([(1.0, "working"), (1.0, "idle")], 2.0)
         assert spans == [("idle", 1.0, 1.0)]
+
+    def test_state_entered_at_the_end_leaves_no_tail(self):
         assert self._states([(0.0, "working"), (3.0, "idle")], 3.0) == [
             ("working", 0.0, 3.0)
         ]
+
+    def test_closing_before_the_state_opened_records_nothing(self):
+        # An end time before the open state's start yields no span, never
+        # a negative-duration one.
+        engine, _, _, _, (w0, _) = make_worker_pair()
+        w0.tracer = Tracer()
+        engine.schedule_at(5.0, lambda: w0._trace_state("working"))
+        engine.run()
+        w0.close_state(3.0)
+        w0.close_state(5.0)
+        assert worker_spans(w0.tracer.iter_records()) == []
+        w0.close_state(6.0)
+        assert worker_spans(w0.tracer.iter_records()) == [("w0", "working", 5.0, 1.0)]
 
     def test_untraced_worker_keeps_no_state(self):
         _, _, _, _, (w0, _) = make_worker_pair()

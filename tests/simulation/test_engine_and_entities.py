@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine, entities and failure injection."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simulation.engine import SimulationEngine, SimulationError
 from repro.simulation.entity import Entity, QueuedMessage
@@ -137,6 +138,29 @@ class TestEngine:
         engine.run()
         assert errors == ["raised", "again"]
 
+    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_events_fire_in_time_then_insertion_order(self, times):
+        # Every event scheduled fires once, ordered by time and, at equal
+        # times, by when it was scheduled; an event scheduled by a callback
+        # for the current instant runs after everything already due then.
+        engine = SimulationEngine()
+        fired = []
+
+        def event(index, time):
+            fired.append((time, index))
+            if index % 3 == 0:
+                engine.post(0.0, lambda: fired.append((time, len(times) + index)))
+
+        for index, time in enumerate(times):
+            engine.schedule_at(float(time), lambda i=index, t=time: event(i, t))
+        engine.run()
+        originals = [entry for entry in fired if entry[1] < len(times)]
+        assert originals == sorted((time, index) for index, time in enumerate(times))
+        assert len(fired) == len(times) + sum(1 for i in range(len(times)) if i % 3 == 0)
+        assert [time for time, _ in fired] == sorted(time for time, _ in fired)
+        assert engine.events_processed == len(fired)
+
 
 class TestEngineCounters:
     def test_events_processed_accumulates_across_resumed_runs(self):
@@ -174,6 +198,18 @@ class TestEngineCounters:
         engine.run()
         assert engine.peak_heap_len == 8
         assert engine.events_processed == 9
+
+    def test_close_drops_pending_events_and_keeps_counters(self):
+        engine = SimulationEngine()
+        fired = []
+        for i in range(5):
+            engine.post(float(i), lambda i=i: fired.append(i))
+        engine.run(until=1.0)
+        engine.close()
+        assert engine.pending_events() == 0
+        assert (engine.events_processed, engine.peak_heap_len) == (2, 5)
+        assert engine.run() == 1.0
+        assert fired == [0, 1]
 
 
 class _Recorder(Entity):
@@ -219,6 +255,32 @@ class TestEntity:
         engine.run()
         assert a.wakeups and a.wakeups[0][1] == "tick"
         assert b.wakeups == []
+
+    def test_timer_due_while_suspended_never_fires(self):
+        engine, network, a, b = self.build()
+        engine.post(1.0, b.suspend)
+        b.set_timer(2.0, "missed")
+        engine.post(3.0, b.revive)
+        engine.post(3.0, lambda: b.set_timer(1.0, "after"))
+        engine.post(3.5, lambda: a.send("b", "back"))
+        engine.run()
+        assert b.alive
+        assert b.wakeups == [(4.0, "after")]
+        assert len(b.inbox) == 1
+
+    def test_suspend_and_revive_run_their_hooks_once(self):
+        engine, network, a, b = self.build()
+        calls = []
+        b.on_suspend = lambda: calls.append(("suspend", engine.now))
+        b.on_revive = lambda: calls.append(("revive", engine.now))
+        b.revive()  # alive already: nothing to do
+        engine.post(1.0, b.suspend)
+        engine.post(2.0, b.suspend)
+        engine.post(3.0, b.revive)
+        engine.post(4.0, b.revive)
+        engine.run()
+        assert calls == [("suspend", 1.0), ("revive", 3.0)]
+        assert b.alive and b.crashed_at is None
 
     def test_crash_semantics(self):
         engine, network, a, b = self.build()

@@ -1,14 +1,17 @@
-"""Tests for the network model, metrics accounting and timeline tracing."""
+"""Tests for the network model, the per-worker metrics record and worker-state tracing."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.timeline import activity_summary, ascii_gantt, worker_spans
+from repro.distributed.stats import TIME_CATEGORIES, RunResult, WorkerRunStats
+from repro.obs import Tracer
+from repro.obs.chrome import chrome_trace_dict, load_chrome_trace, spans_from_chrome, write_chrome_trace
+from repro.scenario import get_scenario, run_scenario
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.entity import Entity, QueuedMessage
-from repro.simulation.metrics import MetricsCollector, StorageAccount, TimeAccount, TIME_CATEGORIES
 from repro.simulation.network import LatencyModel, Network, Partition
 from repro.simulation.rng import RngRegistry
-from repro.simulation.tracing import TimelineTrace
 
 
 class _Sink(Entity):
@@ -112,7 +115,7 @@ class TestNetwork:
         assert b.send("a", "y") is False
         assert network.stats.messages_blocked == 2
         # After the window closes, traffic flows again.
-        engine.schedule(11.0, lambda: a.send("b", "late"))
+        engine.post(11.0, lambda: a.send("b", "late"))
         engine.run()
         assert len(b.inbox) == 1
 
@@ -142,149 +145,107 @@ class TestNetwork:
         assert len(network.entities()) == 2
 
 
+def _result(*workers):
+    return RunResult(
+        n_workers=len(workers),
+        makespan=1.0,
+        best_value=None,
+        reference_optimum=None,
+        all_terminated=True,
+        workers={stats.name: stats for stats in workers},
+    )
+
+
 class TestMetrics:
+    """Time and storage live in each worker's ``WorkerRunStats``;
+    ``RunResult`` sums them over the workers."""
+
     def test_time_account_basics(self):
-        account = TimeAccount()
-        account.add("bb", 2.0)
-        account.add("idle", 1.0)
-        assert account.total() == pytest.approx(3.0)
-        assert account.busy() == pytest.approx(2.0)
-        assert account.fractions()["bb"] == pytest.approx(2 / 3)
-        with pytest.raises(ValueError):
-            account.add("bogus", 1.0)
-        with pytest.raises(ValueError):
-            account.add("bb", -1.0)
+        stats = WorkerRunStats(name="w0")
+        assert stats.time == dict.fromkeys(TIME_CATEGORIES, 0.0)
+        stats.time["bb"] += 2.0
+        stats.time["idle"] += 1.0
+        result = _result(stats)
+        assert result.time_fraction("bb") == pytest.approx(2 / 3)
+        assert result.idle_time_percent() == pytest.approx(100 / 3)
+        assert result.overhead_percent() == pytest.approx(100 / 3)
+        row = stats.as_dict()
+        assert "time" not in row
+        assert [row[f"time_{c}"] for c in TIME_CATEGORIES] == [2.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_empty_fractions(self):
-        assert TimeAccount().fractions() == {c: 0.0 for c in TIME_CATEGORIES}
+        result = _result(WorkerRunStats(name="w0"))
+        assert {c: result.time_fraction(c) for c in TIME_CATEGORIES} == dict.fromkeys(
+            TIME_CATEGORIES, 0.0
+        )
 
     def test_storage_account_peak_and_redundant(self):
-        storage = StorageAccount()
-        storage.update(100, redundant=10)
-        storage.update(50, redundant=40)
-        assert storage.peak_bytes == 100
-        assert storage.redundant_bytes == 10  # captured at the peak
-        storage.update(200, redundant=60)
-        assert storage.peak_bytes == 200
-        assert storage.redundant_bytes == 60
+        # The redundant share is read at the peak, so it never exceeds it.
+        raw = run_scenario(get_scenario("quickstart"), backend="simulated").raw
+        assert all(s.storage_peak_bytes > 0 for s in raw.workers.values())
+        assert all(
+            0 <= s.storage_redundant_bytes <= s.storage_peak_bytes for s in raw.workers.values()
+        )
+        assert raw.storage_total_mb() == pytest.approx(
+            sum(s.storage_peak_bytes for s in raw.workers.values()) / 1e6
+        )
+        assert raw.storage_redundant_mb() <= raw.storage_total_mb()
 
     def test_collector_aggregation(self):
-        collector = MetricsCollector()
-        collector.charge("w1", "bb", 4.0)
-        collector.charge("w1", "idle", 1.0)
-        collector.charge("w2", "bb", 5.0)
-        collector.count("w1", "reports", 3)
-        collector.update_storage("w1", 1000, 500)
-        collector.update_storage("w2", 200, 0)
-        assert collector.total_time("bb") == pytest.approx(9.0)
-        assert collector.system_fractions()["bb"] == pytest.approx(9.0 / 10.0)
-        assert collector.total_storage_bytes() == 1200
-        assert collector.redundant_storage_bytes() == 500
-        assert collector.counter_total("reports") == 3
-        table = collector.per_process_table()
-        assert len(table) == 2
-        assert table[0]["process"] == "w1"
+        w1, w2 = WorkerRunStats(name="w1"), WorkerRunStats(name="w2")
+        w1.time.update(bb=4.0, idle=1.0)
+        w2.time.update(bb=5.0)
+        w1.storage_peak_bytes, w1.storage_redundant_bytes = 1000, 500
+        w2.storage_peak_bytes = 200
+        result = _result(w1, w2)
+        assert result.time_fraction("bb") == pytest.approx(9.0 / 10.0)
+        assert result.bb_time_percent() == pytest.approx(90.0)
+        assert result.storage_total_mb() == pytest.approx(1200 / 1e6)
+        assert result.storage_redundant_mb() == pytest.approx(500 / 1e6)
+        table = [stats.as_dict() for stats in result.workers.values()]
+        assert [(row["name"], row["time_bb"]) for row in table] == [("w1", 4.0), ("w2", 5.0)]
 
     def test_empty_collector(self):
-        collector = MetricsCollector()
-        assert collector.system_fractions() == {c: 0.0 for c in TIME_CATEGORIES}
-        assert collector.total_storage_bytes() == 0
+        result = _result()
+        assert {c: result.time_fraction(c) for c in TIME_CATEGORIES} == dict.fromkeys(
+            TIME_CATEGORIES, 0.0
+        )
+        assert result.storage_total_mb() == 0.0
+        assert result.communication_mb_per_hour_per_processor() == 0.0
+        assert result.summary()["storage_total_mb"] == 0.0
 
 
 class TestTimelineTrace:
+    """Worker states are ``worker`` spans of a :class:`~repro.obs.Tracer`."""
+
     def test_state_intervals(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p0", "idle", 2.0)
-        trace.set_state("p0", "working", 3.0)
-        trace.finish(5.0)
-        durations = trace.state_durations("p0")
-        assert durations["working"] == pytest.approx(4.0)
-        assert durations["idle"] == pytest.approx(1.0)
-        assert trace.end_time() == 5.0
-        assert trace.state_at("p0", 2.5) == "idle"
-        assert trace.state_at("p0", 4.9) == "working"
-        assert trace.state_at("ghost", 1.0) is None
+        tracer = Tracer()
+        for state, start, duration in (
+            ("working", 0.0, 2.0),
+            ("idle", 2.0, 1.0),
+            ("working", 3.0, 2.0),
+        ):
+            tracer.span(state, start, duration, process="p0", category="worker")
+        tracer.event("crash", ts=1.0, process="p0", category="engine")
+        spans = worker_spans(tracer.iter_records())
+        assert [span[1] for span in spans] == ["working", "idle", "working"]
+        (row,) = activity_summary(spans)
+        assert (row["process"], row["working_s"], row["idle_s"]) == ("p0", 4.0, 1.0)
+        cells = ascii_gantt(spans, width=21).split("\n")[0].split("|")[1]
+        assert cells[0] == cells[-1] == "#" and "." in cells
 
-    def test_same_state_transition_is_ignored(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p0", "working", 1.0)
-        trace.finish(2.0)
-        assert len(trace.intervals("p0")) == 1
-
-    def test_cannot_record_after_finish(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.finish(1.0)
-        with pytest.raises(RuntimeError):
-            trace.set_state("p0", "idle", 2.0)
-
-    def test_exports(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p1", "idle", 0.0)
-        trace.finish(1.0)
-        rows = trace.to_rows()
-        assert {row["process"] for row in rows} == {"p0", "p1"}
-        csv = trace.to_csv()
-        assert csv.startswith("process,state,start,end")
-        gantt = trace.ascii_gantt(width=40)
-        assert "p0" in gantt and "p1" in gantt
+    def test_exports(self, tmp_path):
+        tracer = Tracer()
+        tracer.span("working", 0.0, 1.0, process="p0", category="worker")
+        tracer.span("idle", 0.0, 1.0, process="p1", category="worker")
+        write_chrome_trace(tmp_path / "trace.json", tracer)
+        spans = worker_spans(spans_from_chrome(load_chrome_trace(tmp_path / "trace.json")))
+        assert spans == worker_spans(tracer.iter_records())
+        gantt = ascii_gantt(spans, width=40)
+        assert "p0 |#" in gantt and "p1 |." in gantt
 
     def test_empty_gantt(self):
-        assert "empty" in TimelineTrace().ascii_gantt()
-
-
-class TestTimelineTraceEdges:
-    def test_zero_length_interval_is_dropped(self):
-        # Two transitions at the same instant: the zero-length first state
-        # must not produce an interval, and the second state owns the time.
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 1.0)
-        trace.set_state("p0", "recovery", 1.0)
-        trace.finish(2.0)
-        intervals = trace.intervals("p0")
-        assert [i.state for i in intervals] == ["recovery"]
-        assert intervals[0].duration == pytest.approx(1.0)
-
-    def test_finish_at_open_time_drops_zero_length_tail(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p0", "idle", 3.0)
-        trace.finish(3.0)
-        assert [i.state for i in trace.intervals("p0")] == ["working"]
-
-    def test_out_of_order_set_state_does_not_corrupt(self):
-        # A transition stamped *before* the open interval's start must not
-        # emit a negative-duration interval; the new state simply takes
-        # over from its own (earlier) timestamp.
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 5.0)
-        trace.set_state("p0", "idle", 3.0)
-        trace.finish(10.0)
-        intervals = trace.intervals("p0")
-        assert all(i.duration >= 0 for i in intervals)
-        assert [i.state for i in intervals] == ["idle"]
-        assert intervals[0].start == 3.0 and intervals[0].end == 10.0
-
-    def test_csv_round_trip(self):
-        trace = TimelineTrace()
-        trace.set_state("p0", "working", 0.0)
-        trace.set_state("p0", "idle", 1.25)
-        trace.set_state("p1", "recovery", 0.5)
-        trace.finish(2.0)
-        rebuilt = TimelineTrace.from_csv(trace.to_csv())
-        assert rebuilt.to_rows() == trace.to_rows()
-        assert rebuilt.processes() == trace.processes()
-        assert rebuilt.end_time() == pytest.approx(trace.end_time())
-        # The rebuilt trace is finished: queries work, recording does not.
-        with pytest.raises(RuntimeError):
-            rebuilt.set_state("p0", "working", 3.0)
-
-    def test_empty_csv_round_trip(self):
-        empty = TimelineTrace()
-        empty.finish(0.0)
-        rebuilt = TimelineTrace.from_csv(empty.to_csv())
-        assert rebuilt.to_rows() == []
-        assert "empty" in rebuilt.ascii_gantt()
+        spans = worker_spans(spans_from_chrome(chrome_trace_dict(Tracer())))
+        assert spans == []
+        assert ascii_gantt(spans) == "(empty trace)"
+        assert ascii_gantt([("p0", "working", 0.0, 1.0)], width=9) == "(empty trace)"
